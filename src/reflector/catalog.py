@@ -65,7 +65,7 @@ class Catalog:
         self.registry = dict(_load_default_registry())
         if extra:
             self.registry.update(extra)
-        self._t8: Lattice | None = None
+        self._t8_gram: list[list[int]] | None = None
 
     @classmethod
     def from_file(cls, path: str) -> "Catalog":
@@ -74,15 +74,16 @@ class Catalog:
         return cls(extra=data.get("lattices", {}))
 
     def _build_t8(self) -> Lattice:
-        if self._t8 is None:
+        """A fresh T8 on each call; only the overlattice search is cached."""
+        if self._t8_gram is None:
             from . import discforms
 
             seed = self.build("E7").direct_sum(self.build("A1").rescaled(5))
-            over = [m for m in discforms.even_overlattices(seed, 5)]
+            over = discforms.even_overlattices(seed, 5)
             if len(over) != 1:
                 raise ArithmeticError("expected a unique even overlattice for T8")
-            self._t8 = Lattice(over[0].gram, name="T8")
-        return self._t8
+            self._t8_gram = over[0].gram
+        return Lattice([row[:] for row in self._t8_gram], name="T8")
 
     def build(self, name: str) -> Lattice:
         if name in self.registry:

@@ -49,10 +49,16 @@ def emit(payload, fmt: str, text_lines) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+    def error(self, message):  # usage problems exit 1 with one line, not argparse's 2
+        print(f"{self.prog}: error: {message} (see --help)", file=sys.stderr)
         raise SystemExit(1)
+
+
+def prime(text: str) -> int:
+    p = int(text)
+    if not discforms.is_prime(p):
+        raise argparse.ArgumentTypeError(f"{p} is not a prime")
+    return p
 
 
 def _catalog(args):
@@ -92,6 +98,8 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_discform(args) -> int:
+    if not args.genus and not args.lattice:
+        raise ValueError("discform needs --lattice or --genus")
     if args.genus:
         g = discforms.parse_genus(args.genus)
         form = discforms.candidate_form(g.p, g.n_p, g.eps)
@@ -186,7 +194,7 @@ def cmd_eta(args) -> int:
     scalar, sqrtp, transformed = etaq.s_transform(-8, -8, 2, terms=args.precision)
     payload = {
         "f": str(series),
-        "f_terms": {str(Fraction(e, series.denom)): c for e, c in series.terms()},
+        "f_terms": {str(e): c for e, c in series.terms()},
         "transform_scalar": scalar,
         "transform_sqrt_power": sqrtp,
         "f_transformed": str(transformed),
@@ -261,26 +269,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lattice", help="rank, determinant, level, genus of a lattice")
     sp.add_argument("--lattice", required=True)
-    sp.add_argument("--prime", type=int)
+    sp.add_argument("--prime", type=prime)
     _add_common(sp)
     sp.set_defaults(func=cmd_lattice)
 
     sp = sub.add_parser("discform", help="discriminant form invariants")
     sp.add_argument("--lattice")
     sp.add_argument("--genus")
-    sp.add_argument("--prime", type=int)
+    sp.add_argument("--prime", type=prime)
     _add_common(sp)
     sp.set_defaults(func=cmd_discform)
 
     sp = sub.add_parser("roots", help="reflective vectors and their components")
     sp.add_argument("--lattice", required=True)
-    sp.add_argument("--prime", type=int, required=True)
+    sp.add_argument("--prime", type=prime, required=True)
     _add_common(sp)
     sp.set_defaults(func=cmd_roots)
 
     sp = sub.add_parser("check", help="verify one multiplicity/weight candidate")
     sp.add_argument("--lattice", required=True)
-    sp.add_argument("--prime", type=int, required=True)
+    sp.add_argument("--prime", type=prime, required=True)
     sp.add_argument("--c1", type=int, required=True)
     sp.add_argument("--cp", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
@@ -289,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="solve the multiplicity equations")
     sp.add_argument("--lattice", required=True)
-    sp.add_argument("--prime", type=int, required=True)
+    sp.add_argument("--prime", type=prime, required=True)
     _add_common(sp)
     sp.set_defaults(func=cmd_solve)
 
@@ -303,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_tower)
 
     sp = sub.add_parser("classify", help="run the classification")
-    sp.add_argument("--prime", type=int)
+    sp.add_argument("--prime", type=prime)
     sp.add_argument("--verify", action="store_true", help="re-check every construction row")
     _add_common(sp)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("classnumber", help="count classes carrying a root datum")
     sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--prime", type=int, required=True)
+    sp.add_argument("--prime", type=prime, required=True)
     sp.add_argument("--c1", type=int, required=True)
     sp.add_argument("--cp", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)

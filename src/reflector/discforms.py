@@ -193,6 +193,14 @@ class DiscriminantForm:
         return n
 
     def q(self, x: tuple[int, ...]) -> Fraction:
+        return Fraction(self._q_num(x), self._bden) % 2
+
+    def is_isotropic(self, x: tuple[int, ...]) -> bool:
+        """Whether q(x) = 0, in integers."""
+        return self._q_num(x) % (2 * self._bden) == 0
+
+    def _q_num(self, x: tuple[int, ...]) -> int:
+        """x^T B x times the common denominator of B."""
         total = 0
         bnum = self._bnum
         k = len(x)
@@ -204,7 +212,7 @@ class DiscriminantForm:
                 for j in range(i + 1, k):
                     if x[j]:
                         total += 2 * row[j] * xi * x[j]
-        return Fraction(total, self._bden) % 2
+        return total
 
     def b(self, x: tuple[int, ...], y: tuple[int, ...]) -> Fraction:
         total = 0
@@ -453,7 +461,7 @@ def genus_symbol(lat: Lattice, p: int | None = None) -> GenusSymbol:
         eps_jordan = 1
         seen = 0
         for dval in diag:
-            v = _p_valuation(dval, p)
+            v = intmat.p_valuation(dval, p)
             if v == 0:
                 continue
             if v != 1:
@@ -468,18 +476,6 @@ def genus_symbol(lat: Lattice, p: int | None = None) -> GenusSymbol:
             raise ArithmeticError("sign invariant: Jordan route disagrees with Gauss route")
 
     return GenusSymbol(pos, neg, p, n_p, eps_gauss)
-
-
-def _p_valuation(x: Fraction, p: int) -> int:
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
 
 
 def dual_rescale_genus(g: GenusSymbol) -> GenusSymbol:
@@ -532,9 +528,7 @@ def isotropic_subgroups(
     """
     zero = tuple(0 for _ in form.orders)
     ops = 0
-
-    def is_iso(x):
-        return form.q(x) == 0
+    is_iso = form.is_isotropic
 
     if order is not None:
         pool = [x for x in form.elements_of_order_dividing(order) if any(x) and is_iso(x)]
@@ -545,18 +539,17 @@ def isotropic_subgroups(
         return tuple((a + b) % o for a, b, o in zip(x, y, form.orders))
 
     def closure(base: frozenset, new):
+        # <base, new> is the union of the cosets base + k*new; they repeat
+        # from the first k with k*new in base, and only they need checking
         elems = set(base)
-        queue = [new]
-        while queue:
-            cur = queue.pop()
-            if cur in elems:
-                continue
-            if form.q(cur) != 0:
+        coset = list(base)
+        while True:
+            coset = [add_mod(h, new) for h in coset]
+            if coset[0] in elems:
+                return frozenset(elems)
+            if not all(map(is_iso, coset)):
                 return None
-            elems.add(cur)
-            for other in list(elems):
-                queue.append(add_mod(cur, other))
-        return frozenset(elems)
+            elems.update(coset)
 
     seen = {frozenset({zero})}
     frontier = [frozenset({zero})]
@@ -592,11 +585,12 @@ def isotropic_subgroups(
 def _lattice_fingerprint(lat: Lattice, norm_cap: int = 4) -> tuple:
     """Cheap isometry invariants used to deduplicate overlattices."""
     base = (abs(lat.det()), lat.level())
-    if lat.is_positive_definite():
+    try:
         hist = roots.short_vectors(lat.gram, norm_cap)
-        counts = tuple(sorted((n, len(v)) for n, v in hist.items()))
-        return base + (counts,)
-    return base + (tuple(tuple(row) for row in lat.gram),)
+    except ValueError:  # not positive definite: fall back to the Gram matrix
+        return base + (tuple(tuple(row) for row in lat.gram),)
+    counts = tuple(sorted((n, len(v)) for n, v in hist.items()))
+    return base + (counts,)
 
 
 def even_overlattices(
@@ -609,7 +603,8 @@ def even_overlattices(
     returned per fingerprint class (determinant, level, short-vector
     histogram), matching the classification's use of "the" overlattice.
     """
-    d = abs(lat.det())
+    det = lat.det()
+    d = abs(det)
     t = abs(target_det)
     if t == 0 or d % t != 0:
         return []
@@ -621,7 +616,7 @@ def even_overlattices(
         return [Lattice([row[:] for row in lat.gram])]
     form = DiscriminantForm.from_lattice(lat)
     n = lat.rank
-    ginv = lat.dual_gram()
+    adj = intmat.int_matrix(intmat.scalar_mul(det, lat.dual_gram()))
     gens = form.gens
     assert gens is not None
 
@@ -633,10 +628,10 @@ def even_overlattices(
             if not any(h):
                 continue
             coord = [sum(gens[r][i] * h[i] for i in range(len(h))) for r in range(n)]
-            vh = intmat.mat_vec(ginv, coord)  # dual-coordinate vector of h
-            scaled = [Fraction(m) * x for x in vh]
-            assert all(x.denominator == 1 for x in scaled)
-            rows.append([int(x) for x in scaled])
+            # m times the dual-coordinate vector G^-1 coord = adj coord / det
+            scaled = [m * x for x in intmat.mat_vec(adj, coord)]
+            assert all(x % det == 0 for x in scaled)
+            rows.append([x // det for x in scaled])
         basis = intmat.row_hermite_form(rows)
         assert len(basis) == n
         gram_scaled = intmat.mat_mul(intmat.mat_mul(basis, lat.gram), intmat.transpose(basis))

@@ -3,8 +3,12 @@
 Everything in this package reduces to linear algebra over Z and Q, and all of
 it must be reproducible bit for bit, so matrices are plain lists of lists of
 int or Fraction and every routine here is exact.  The module provides the
-normal forms (Smith, Hermite), congruence diagonalization, determinants,
-inverses and the LDL split used by the short-vector enumerator.
+normal forms (Smith, Hermite), congruence diagonalization, and, by
+fraction-free Bareiss elimination on integer matrices, determinants, ranks,
+inverses (integer adjugate over integer determinant) and the integer-scaled
+LDL split that drives the short-vector enumerator.  Rationals appear only
+where the answer is rational: the entries of an inverse, the congruence
+diagonalization and the p-adic valuations of its pivots.
 """
 
 from __future__ import annotations
@@ -45,20 +49,6 @@ def scalar_mul(c, a):
     return [[c * x for x in row] for row in a]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_equal(a, b) -> bool:
-    if len(a) != len(b) or len(a[0]) != len(b[0]):
-        return False
-    return all(Fraction(x) == Fraction(y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def frac_matrix(a) -> FracMatrix:
     return [[Fraction(x) for x in row] for row in a]
 
@@ -69,10 +59,12 @@ def int_matrix(a) -> Matrix:
     for row in a:
         new = []
         for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError(f"entry {x} is not an integer")
-            new.append(f.numerator)
+            if not isinstance(x, int):
+                f = Fraction(x)
+                if f.denominator != 1:
+                    raise ValueError(f"entry {x} is not an integer")
+                x = f.numerator
+            new.append(x)
         out.append(new)
     return out
 
@@ -81,44 +73,66 @@ def is_integral(a) -> bool:
     return all(Fraction(x).denominator == 1 for row in a for x in row)
 
 
-def determinant(a) -> Fraction:
-    """Exact determinant by fraction-valued Gaussian elimination."""
-    n = len(a)
-    m = frac_matrix(a)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+def _bareiss(a: Matrix, pivot_cols: int, full: bool = False) -> tuple[Matrix, int, int]:
+    """Fraction-free elimination (Bareiss) on a copy of an integer matrix.
+
+    Pivots are taken in the first `pivot_cols` columns, one per row, with a
+    row swap where the diagonal entry vanishes; a column without a pivot is
+    skipped.  After each step every live entry is a minor of the input, so
+    the division by the previous pivot is exact.  With `full`, rows above
+    the pivot are cleared too (Gauss-Jordan), which leaves the last pivot on
+    the whole diagonal.  Returns (matrix, rank, sign of the row permutation).
+    """
+    m = [list(row) for row in a]
+    rows = len(m)
+    rank, prev, sign = 0, 1, 1
+    for col in range(pivot_cols):
+        if rank == rows:
+            break
+        pivot = next((r for r in range(rank, rows) if m[r][col]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        top = m[rank]
+        piv = top[col]
+        for r in range(0 if full else rank + 1, rows):
+            if r == rank:
+                continue
+            row = m[r]
+            f = row[col]
+            if f:
+                m[r] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+            elif prev != 1 or piv != 1:
+                m[r] = [piv * x // prev for x in row]
+        prev = piv
+        rank += 1
+    return m, rank, sign
 
 
-def invert(a) -> FracMatrix:
-    """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
+def determinant(a: Matrix) -> int:
+    """Exact determinant of an integer matrix by Bareiss elimination."""
     n = len(a)
-    m = frac_matrix(a)
-    aug = [m[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    if n == 0:
+        return 1
+    m, rank, sign = _bareiss(a, n)
+    return sign * m[n - 1][n - 1] if rank == n else 0
+
+
+def invert(a: Matrix) -> FracMatrix:
+    """Exact inverse adj(a) / det(a) of an integer matrix; raises on singular input.
+
+    Fraction-free Gauss-Jordan on [a | I] ends at [det I | adj], up to the
+    sign of the row swaps, so the only rational step is the final division.
+    """
+    n = len(a)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    m, rank, _ = _bareiss(aug, n, full=True)
+    if rank < n:
+        raise ValueError("matrix is singular")
+    det = m[n - 1][n - 1] if n else 1
+    return [[Fraction(x, det) for x in row[n:]] for row in m]
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -233,7 +247,7 @@ def row_hermite_form(a: Matrix) -> Matrix:
     return rows
 
 
-def _val(x: Fraction, p: int) -> int:
+def p_valuation(x: Fraction, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
     v = 0
     num, den = x.numerator, x.denominator
@@ -276,7 +290,7 @@ def congruent_diagonal(g, p: int | None = None) -> tuple[FracMatrix, list[Fracti
         if p is None:
             key = lambda ij: (ij[0] != ij[1], abs(m[ij[0]][ij[1]]))
         else:
-            key = lambda ij: (_val(m[ij[0]][ij[1]], p), ij[0] != ij[1])
+            key = lambda ij: (p_valuation(m[ij[0]][ij[1]], p), ij[0] != ij[1])
         i, j = min(entries, key=key)
         if i != j:
             # pull the off-diagonal pivot onto the diagonal first
@@ -300,46 +314,50 @@ def signature(g) -> tuple[int, int, int]:
     return pos, neg, len(diag) - pos - neg
 
 
-def matrix_rank(a) -> int:
-    """Rank over Q by row echelon elimination."""
+def matrix_rank(a: Matrix) -> int:
+    """Rank over Q of an integer matrix, by Bareiss elimination."""
     if not a:
         return 0
-    m = frac_matrix(a)
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        for r in range(rank + 1, len(m)):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    return _bareiss(a, len(a[0]))[1]
 
 
-def ldl_decomposition(g) -> tuple[list[Fraction], FracMatrix]:
+def scaled_ldl(g: Matrix) -> tuple[list[int], Matrix]:
+    """Integer data of the LDL split of a positive definite integer matrix.
+
+    Symmetric Bareiss elimination without pivoting.  Returns (minors, m):
+    minors[i] is the leading principal minor of size i + 1, and m[i][j] for
+    j > i is minors[i] * l[i][j] in the notation of `ldl_decomposition`.
+    Raises ValueError when g is not positive definite, which by Sylvester's
+    criterion is when some leading minor is not positive.
+    """
+    n = len(g)
+    m = [list(row) for row in g]
+    prev = 1
+    for k in range(n):
+        top = m[k]
+        piv = top[k]
+        if piv <= 0:
+            raise ValueError("matrix is not positive definite")
+        for i in range(k + 1, n):
+            row = m[i]
+            f = top[i]
+            for j in range(i, n):
+                row[j] = (piv * row[j] - f * top[j]) // prev
+        prev = piv
+    return [m[i][i] for i in range(n)], m
+
+
+def ldl_decomposition(g: Matrix) -> tuple[list[Fraction], FracMatrix]:
     """Split a positive definite symmetric matrix as sum-of-squares data.
 
-    Returns (d, l) such that  x^t g x = sum_i d[i] * (x_i + sum_{j>i} l[i][j] x_j)^2.
+    Returns (d, l) such that  x^t g x = sum_i d[i] * (x_i + sum_{j>i} l[i][j] x_j)^2,
+    read off `scaled_ldl`: d[i] is a ratio of consecutive leading minors.
     Raises ValueError when g is not positive definite.
     """
     n = len(g)
-    q = frac_matrix(g)
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("matrix is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
-    d = [q[i][i] for i in range(n)]
-    l = [[q[i][j] if j > i else Fraction(0) for j in range(n)] for i in range(n)]
+    minors, m = scaled_ldl(g)
+    dets = [1] + minors
+    d = [Fraction(dets[i + 1], dets[i]) for i in range(n)]
+    l = [[Fraction(m[i][j], dets[i + 1]) if j > i else Fraction(0) for j in range(n)]
+         for i in range(n)]
     return d, l

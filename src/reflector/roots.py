@@ -1,42 +1,24 @@
 """Short vectors and reflective root systems of positive definite lattices.
 
-Enumeration is exact: a rational LDL decomposition drives a depth-first
-search whose per-coordinate ranges are computed with integer square roots,
-so no floating point enters.  Root systems split into two classes relative
-to a prime p: ordinary roots of norm 2, and vectors of norm 2p that stay
-integral after division by p in the dual pairing (these reflect the lattice
-through rescaled mirrors).  Components are read off from inner-product
-connectivity and named by their root counts.
+Enumeration is exact and integer-only (Fincke-Pohst): the LDL split of the
+Gram matrix, scaled once into integers by fraction-free elimination, drives
+a depth-first search whose per-coordinate ranges come from integer square
+roots of the remaining budget, so neither floating point nor Fraction work
+enters the search.  Root systems split into two classes relative to a prime
+p: ordinary roots of norm 2, and vectors of norm 2p that stay integral after
+division by p in the dual pairing (these reflect the lattice through
+rescaled mirrors).  Components are read off from inner-product connectivity
+and named by their root counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from . import intmat
 from .lattices import Lattice
-
-
-def floor_sqrt_frac(f: Fraction) -> int:
-    """Largest integer n with n*n <= f, for nonnegative f."""
-    f = Fraction(f)
-    if f < 0:
-        raise ValueError("negative argument")
-    return isqrt(f.numerator * f.denominator) // f.denominator
-
-
-def _int_range(c: Fraction, t: Fraction) -> range:
-    """Integers x with (x + c)^2 <= t, exactly."""
-    if t < 0:
-        return range(0)
-    p, q = c.numerator, c.denominator
-    u, v = t.numerator, t.denominator
-    b = isqrt((u * q * q) // v)
-    lo = -((b + p) // q)
-    hi = (b - p) // q
-    return range(lo, hi + 1)
 
 
 def short_vectors(gram: list[list[int]], max_norm: int, half: bool = True):
@@ -44,38 +26,56 @@ def short_vectors(gram: list[list[int]], max_norm: int, half: bool = True):
 
     With half=True (the default) one representative per antipodal pair is
     returned, canonicalized so the first nonzero coordinate is positive.
+    Raises ValueError when gram is not positive definite.
     """
     n = len(gram)
+    minors, mult = intmat.scaled_ldl(gram)
     out: dict[int, list[list[int]]] = {}
     if n == 0 or max_norm <= 0:
         return out
-    d, low = intmat.ldl_decomposition(gram)
+    # x^t G x = sum_i (D[i+1] x_i + c_i)^2 / (D[i] D[i+1]) with D the leading
+    # minors and c_i = sum_{j>i} mult[i][j] x_j; times `scale` every term is
+    # an integer weight[i] * (D[i+1] x_i + c_i)^2
+    dets = [1] + minors
+    scale = lcm(*(dets[i] * dets[i + 1] for i in range(n)))
+    weight = [scale // (dets[i] * dets[i + 1]) for i in range(n)]
+    budget = scale * max_norm
     x = [0] * n
 
-    def norm_of(v: list[int]) -> int:
-        return sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+    def record(left: int) -> None:
+        # the search keeps the last nonzero coordinate positive; the output
+        # convention is the first one
+        v = x[:]
+        first = next(c for c in v if c)
+        if first < 0:
+            v = [-c for c in v]
+        vecs = out.setdefault((budget - left) // scale, [])
+        vecs.append(v)
+        if not half:
+            vecs.append([-c for c in v])
 
-    def rec(i: int, acc: Fraction) -> None:
-        if i < 0:
-            if any(x):
-                v = x[:]
-                out.setdefault(norm_of(v), []).append(v)
-            return
-        c = sum((low[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        t = (Fraction(max_norm) - acc) / d[i]
-        for xi in _int_range(c, t):
+    def rec(i: int, left: int, free: bool) -> None:
+        # `left` is the unspent scaled budget; `free` says every coordinate
+        # above i is zero, and then x_i >= 0 keeps one vector of each +- pair
+        piv, w, row = dets[i + 1], weight[i], mult[i]
+        c = 0
+        for j in range(i + 1, n):
+            c += row[j] * x[j]
+        s = isqrt(left // w)
+        lo = 0 if free else -((s + c) // piv)
+        for xi in range(lo, (s - c) // piv + 1):
+            t = piv * xi + c
             x[i] = xi
-            rec(i - 1, acc + d[i] * (xi + c) ** 2)
+            if i:
+                rec(i - 1, left - w * t * t, free and not xi)
+            elif xi or not free:
+                record(left - w * t * t)
         x[i] = 0
 
-    rec(n - 1, Fraction(0))
-    for norm in out:
-        vecs = out[norm]
-        if half:
-            vecs = [v for v in vecs if next(c for c in v if c) > 0]
+    rec(n - 1, budget, True)
+    for vecs in out.values():
         vecs.sort()
-        out[norm] = vecs
-    return {norm: out[norm] for norm in sorted(out) if out[norm]}
+    return {norm: out[norm] for norm in sorted(out)}
 
 
 def roots_norm2(lat: Lattice) -> list[list[int]]:

@@ -1,9 +1,9 @@
 """Independent oracles used by the tests.
 
 Everything here deliberately avoids the library's own algorithms: vector
-counts come from a flat coordinate-box sweep in numpy integer arithmetic,
-power series come from naive polynomial products, and Bernoulli numbers
-come from the Akiyama-Tanigawa scheme.
+counts and lists come from a flat coordinate-box sweep in numpy integer
+arithmetic, power series come from naive polynomial products, and Bernoulli
+numbers come from the Akiyama-Tanigawa scheme.
 """
 from __future__ import annotations
 
@@ -13,18 +13,19 @@ from math import isqrt
 import numpy as np
 
 
-def box_count_norm(gram: list[list[int]], target: int) -> int:
-    """Count integer vectors of squared norm ``target`` by brute box sweep.
+def _box_sweep(gram: list[list[int]], max_norm: int):
+    """Yield (left, right, norms) blocks covering every vector of norm <= max_norm.
 
     The coordinate box comes from the dual-diagonal bound: if G is positive
     definite and x'Gx <= t, then x_i^2 <= t * (G^{-1})_{ii}.  The sweep splits
     the coordinates into two halves and broadcasts the cross terms, so the
-    only arithmetic is exact int64 matrix multiplication.
+    only arithmetic is exact int64 matrix multiplication; norms[i, j] is the
+    norm of the vector left[i] followed by right[j].
     """
     n = len(gram)
     g = np.array(gram, dtype=np.int64)
     inv_diag = np.diag(np.linalg.inv(np.array(gram, dtype=float)))
-    bounds = [isqrt(int(target * d) + 1) + 1 for d in inv_diag]
+    bounds = [isqrt(int(max_norm * d) + 1) + 1 for d in inv_diag]
     half = n // 2
     left = _box_vectors(bounds[:half])
     right = _box_vectors(bounds[half:])
@@ -32,15 +33,27 @@ def box_count_norm(gram: list[list[int]], target: int) -> int:
     b = g[:half, half:]
     c = g[half:, half:]
     norm_right = np.einsum("ij,jk,ik->i", right, c, right)
-    total = 0
     chunk = max(1, (1 << 22) // max(1, len(right)))
     for start in range(0, len(left), chunk):
         piece = left[start : start + chunk]
         norm_left = np.einsum("ij,jk,ik->i", piece, a, piece)
         cross = piece @ b @ right.T
-        norms = norm_left[:, None] + 2 * cross + norm_right[None, :]
-        total += int(np.count_nonzero(norms == target))
-    return total
+        yield piece, right, norm_left[:, None] + 2 * cross + norm_right[None, :]
+
+
+def box_count_norm(gram: list[list[int]], target: int) -> int:
+    """Count integer vectors of squared norm ``target`` by brute box sweep."""
+    return sum(int(np.count_nonzero(norms == target)) for _, _, norms in _box_sweep(gram, target))
+
+
+def box_vectors_by_norm(gram: list[list[int]], max_norm: int) -> dict[int, list[list[int]]]:
+    """All nonzero vectors of norm <= max_norm, both signs, sorted, keyed by norm."""
+    out: dict[int, list[list[int]]] = {}
+    for left, right, norms in _box_sweep(gram, max_norm):
+        for i, j in zip(*np.nonzero((norms > 0) & (norms <= max_norm))):
+            vec = [int(x) for x in left[i]] + [int(x) for x in right[j]]
+            out.setdefault(int(norms[i, j]), []).append(vec)
+    return {norm: sorted(out[norm]) for norm in sorted(out)}
 
 
 def _box_vectors(bounds: list[int]) -> np.ndarray:

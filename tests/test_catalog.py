@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 from reflector.catalog import (
+    Catalog,
     default_catalog,
     definite_part,
     normalize_expr,
@@ -112,3 +113,17 @@ def test_definite_part_strips_hyperbolic_planes():
 def test_unknown_name_rejected():
     with pytest.raises((KeyError, ValueError)):
         parse_lattice("2U+Z9", CAT)
+
+
+def test_t8_builds_are_independent():
+    """Mutating one T8 Gram leaves the next build, and the expression parser, intact."""
+    cat = Catalog()
+    first = cat.build("T8")
+    original = [row[:] for row in first.gram]
+    first.gram[0][0] += 2
+    first.name = "changed"
+    again = cat.build("T8")
+    assert again is not first
+    assert again.gram == original and again.name == "T8"
+    _, definite = definite_part("2U+T8", cat)
+    assert definite is not again and definite.gram == original

@@ -9,12 +9,23 @@ from reflector.cli import main
 
 
 def run_cli(argv, capsys):
+    code, out, _ = run_cli_err(argv, capsys)
+    return code, out
+
+
+def run_cli_err(argv, capsys):
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
-    out = capsys.readouterr().out
-    return code, out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_one_line_error(code, err):
+    assert code == 1
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_lattice_report(capsys):
@@ -142,3 +153,36 @@ def test_unknown_subcommand_is_an_error(capsys):
 def test_missing_required_argument(capsys):
     code, _ = run_cli(["check", "--lattice", "2U+D4"], capsys)
     assert code not in (0, None)
+
+
+def test_eta_json_keys_are_exponents(capsys):
+    code, out = run_cli(["eta", "--precision", "6", "--format", "json"], capsys)
+    assert code == 0
+    terms = json.loads(out)["f_terms"]
+    assert terms["-1"] == 1
+    assert terms["0"] == 8
+
+
+def test_discform_without_source_is_a_one_line_error(capsys):
+    code, out, err = run_cli_err(["discform"], capsys)
+    assert_one_line_error(code, err)
+    assert "--lattice or --genus" in err
+    assert out == ""
+
+
+PRIME_COMMANDS = [
+    ["roots", "--lattice", "2U+D4"],
+    ["check", "--lattice", "2U+D4", "--c1", "1", "--cp", "1", "--k", "96"],
+    ["solve", "--lattice", "2U+D4"],
+    ["classnumber", "--rank", "6", "--c1", "1", "--cp", "1", "--k", "24", "--np", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", PRIME_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("prime", ["4", "0", "-3", "1"])
+def test_non_prime_is_a_one_line_error(argv, prime, capsys):
+    code, out, err = run_cli_err(argv + ["--prime", prime], capsys)
+    assert_one_line_error(code, err)
+    assert "is not a prime" in err
+    assert "positive definite" not in err
+    assert out == ""

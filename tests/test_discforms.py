@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reflector.catalog import default_catalog, definite_part, parse_lattice
@@ -12,6 +12,7 @@ from reflector.discforms import (
     dual_rescale_genus,
     even_overlattices,
     genus_symbol,
+    isotropic_subgroups,
     milgram_formula,
     candidate_form,
     parse_genus,
@@ -228,3 +229,14 @@ def test_even_overlattice_search_finds_the_index_two_glue():
 
 def test_even_overlattice_search_rejects_impossible_targets():
     assert even_overlattices(_e7_a1_5(), 7) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.sampled_from([1, -1]))
+def test_isotropic_lines_of_elementary_abelian_forms(p, n_p, eps):
+    """Order-p isotropic subgroups are lines: (nonzero isotropic elements) / (p - 1)."""
+    assume(p != 2 or n_p % 2 == 0)  # level-2 forms of even type have even rank
+    form = candidate_form(p, n_p, eps)
+    lines = isotropic_subgroups(form, order=p)
+    assert len(lines) * (p - 1) == form.count_norm(0)
+    assert all(len(line) == p for line in lines)

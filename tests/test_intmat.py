@@ -114,6 +114,23 @@ def test_signature_counts_match_rank(a):
     assert pos + neg == intmat.matrix_rank(g)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 6), st.integers(1, 5)).flatmap(
+        lambda shape: st.lists(
+            st.lists(st.integers(-3, 3), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        )
+    )
+)
+def test_rank_of_rectangular_matrices_matches_smith(a):
+    """Rank over Q is the number of nonzero Smith invariants, for any shape."""
+    _, d, _ = intmat.smith_normal_form(a)
+    nonzero = sum(1 for i in range(min(len(a), len(a[0]))) if d[i][i])
+    assert intmat.matrix_rank(a) == nonzero
+
+
 def test_signature_on_known_forms():
     assert intmat.signature([[2, -1], [-1, 2]]) == (2, 0, 0)
     assert intmat.signature([[0, 1], [1, 0]]) == (1, 1, 0)

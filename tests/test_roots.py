@@ -1,7 +1,10 @@
 """Root enumeration and component recognition, checked against a box sweep."""
 from __future__ import annotations
 
-from helpers import box_count_norm
+import pytest
+from helpers import box_count_norm, box_vectors_by_norm
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflector.catalog import default_catalog, definite_part, parse_lattice
 from reflector.roots import (
@@ -118,3 +121,39 @@ def test_half_orbit_convention():
     seen = {tuple(v) for v in reps}
     for v in reps:
         assert tuple(-x for x in v) not in seen
+
+
+@st.composite
+def positive_definite_grams(draw, n_max: int = 6, entry: int = 2):
+    """Grams k*I + B B^T, which are positive definite for k >= 1."""
+    n = draw(st.integers(1, n_max))
+    k = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-entry, entry), min_size=n, max_size=n)
+    b = draw(st.lists(row, min_size=n, max_size=n))
+    return [
+        [k * (i == j) + sum(x * y for x, y in zip(b[i], b[j])) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_definite_grams(), st.integers(0, 8), st.booleans())
+def test_short_vectors_equal_box_sweep_lists(gram, max_norm, half):
+    """The enumerator lists exactly the box sweep's vectors, in sorted order."""
+    want = box_vectors_by_norm(gram, max_norm)
+    if half:
+        want = {
+            norm: [v for v in vecs if next(c for c in v if c) > 0]
+            for norm, vecs in want.items()
+        }
+    assert short_vectors(gram, max_norm, half=half) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(positive_definite_grams(n_max=4), st.integers(0, 8))
+def test_short_vectors_reject_indefinite_grams(gram, max_norm):
+    """A hyperbolic plane summand makes the Gram indefinite, at any norm bound."""
+    n = len(gram)
+    indefinite = [row + [0, 0] for row in gram] + [[0] * n + [0, 1], [0] * n + [1, 0]]
+    with pytest.raises(ValueError):
+        short_vectors(indefinite, max_norm)
