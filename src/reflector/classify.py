@@ -158,7 +158,7 @@ def enumerate_genera(p: int, n_max: int = 26) -> list[GenusSymbol]:
     for n in range(4, n_max + 1, 2):
         for n_p in range(1, (n + 2) // 2 + 1):
             try:
-                eps, _ = eps_for(n - 2, p, n_p)
+                eps = eps_for(n - 2, p, n_p)
             except discforms.GenusNotRepresentable:
                 continue
             out.append(GenusSymbol(n, 2, p, n_p, eps))
@@ -187,7 +187,7 @@ def apply_bounds(p: int, n_max: int = 26):
     }
     cases = []
     for n, n_p in stored:
-        eps, _ = eps_for(n - 2, p, n_p)
+        eps = eps_for(n - 2, p, n_p)
         cases.append(GenusSymbol(n, 2, p, n_p, eps))
     return cases, mismatch
 
@@ -567,8 +567,8 @@ def verdict_table(verify: bool = False, catalog=None) -> dict:
     for p in (2, 3, 5, 7, 11, 19, 23):
         recs = classify(p, cat)
         table["primes"][p] = recs
-        _, mism = apply_bounds(p)
-        if any(mism.values()):
+        mism = recs[0].certificate.get("bound_mismatch")
+        if mism:
             mismatches[p] = mism
         for rec in recs:
             if rec.verdict == "REFLECTIVE":

@@ -9,6 +9,15 @@ a plus/minus invariant computed along two independent routes, and performs
 the overlattice constructions (isotropic subgroups, even overlattices) that
 the classification needs.
 
+Value statistics of a form come from one integer pass over D, made at most
+once per form: it counts the values x^T B x times the common denominator of
+B, and both the norm counts and the Gauss sum are read off those counts.
+The Gauss sum is compared with sqrt(|D|) zeta_8^s in Z[C_M], M = lcm(8,
+level), and a difference vanishes at zeta_M exactly when its reduction along
+the prime-power factors of M (by CRT) is zero, which takes O(M omega(M))
+integer operations (Milgram's formula: Milnor and Husemoller, Symmetric
+Bilinear Forms, 1973, appendix 4).
+
 Conventions for the plus/minus invariant at odd p: a rank-one block <2a/p>
 contributes chi_p(2a) to epsilon and a Milgram octant governed by chi_p(a);
 at p = 2 only the even (II-type) rank-two blocks occur at prime level, with
@@ -19,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
@@ -75,72 +84,58 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _mobius(n: int) -> int:
-    fac = _factorize(n)
-    if any(e > 1 for e in fac.values()):
-        return 0
-    return -1 if len(fac) % 2 else 1
+# -- the exact zero test for cyclotomic integers in the Gauss-sum comparison --
 
 
-# -- dense integer polynomial helpers for the exact Gauss-sum comparison --
+def _crt_layout(m: int) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Z/m laid out as the row-major product of its prime-power factors.
+
+    Returns pos, with pos[n] the place of n in that layout, and the axes
+    (q, q^a, stride) in layout order.
+    """
+    powers = [(q, q**a) for q, a in sorted(_factorize(m).items())]
+    axes = []
+    stride = m
+    for q, qa in powers:
+        stride //= qa
+        axes.append((q, qa, stride))
+    pos = [sum((n % qa) * st for _, qa, st in axes) for n in range(m)]
+    return pos, axes
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
+def _vanishes_at_root(coeffs: list[int], axes: list[tuple[int, int, int]]) -> bool:
+    """Whether an element of Z[C_m], in `_crt_layout` order, vanishes at zeta_m.
+
+    By CRT, Z[C_m] is the tensor product of the Z[C_{q^a}], and Z[zeta_m]
+    the tensor product of the Z[zeta_{q^a}].  Along each axis the element is
+    reduced modulo Phi_{q^a}(y) = sum_t y^(t q^(a-1)): each fibre
+    {r + t q^(a-1)} loses its top coefficient (t = q - 1) from all of its
+    members, which leaves the coefficients on the basis 1, y, ...,
+    y^(phi(q^a) - 1).  The reductions along different axes commute, so the
+    element is zero exactly when every reduced coefficient is.
+    """
+    v = coeffs[:]
+    for q, qa, stride in axes:
+        seg = qa // q * stride  # one value of t, all r and all later axes
+        block = qa * stride
+        for base in range(0, len(v), block):
+            top = base + (q - 1) * seg
+            tv = v[top : top + seg]
+            if any(tv):
+                for start in range(base, top, seg):
+                    v[start : start + seg] = [x - y for x, y in zip(v[start : start + seg], tv)]
+                v[top : top + seg] = [0] * seg
+    return not any(v)
+
+
+def _shifted(elem: dict[int, int], shifts, m: int) -> dict[int, int]:
+    """The element sum_e c_e y^e of Z[C_m] times sum_s y^s, sparse."""
+    out: dict[int, int] = {}
+    for e, c in elem.items():
+        for sh in shifts:
+            k = (e + sh) % m
+            out[k] = out.get(k, 0) + c
     return out
-
-
-def _poly_mul_mod(a: list[int], b: list[int], m: int) -> list[int]:
-    """Product in Z[x]/(x^m - 1)."""
-    out = [0] * m
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[(i + j) % m] += x * y
-    return out
-
-
-def _poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """Division with remainder by a monic integer polynomial."""
-    assert b and b[-1] == 1
-    rem = a[:]
-    deg_b = len(b) - 1
-    quot = [0] * max(1, len(a) - deg_b)
-    for i in range(len(rem) - 1, deg_b - 1, -1):
-        c = rem[i]
-        if c:
-            quot[i - deg_b] = c
-            for j, y in enumerate(b):
-                rem[i - deg_b + j] -= c * y
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
-def _cyclotomic(m: int) -> list[int]:
-    num = [1]
-    den = [1]
-    for d in range(1, m + 1):
-        if m % d == 0:
-            mu = _mobius(m // d)
-            if mu == 0:
-                continue
-            factor = [-1] + [0] * (d - 1) + [1]  # x^d - 1
-            if mu == 1:
-                num = _poly_mul(num, factor)
-            else:
-                den = _poly_mul(den, factor)
-    quot, rem = _poly_divmod(num, den)
-    assert all(c == 0 for c in rem)
-    while len(quot) > 1 and quot[-1] == 0:
-        quot.pop()
-    return quot
 
 
 @dataclass
@@ -155,6 +150,7 @@ class DiscriminantForm:
     orders: tuple[int, ...]
     bilinear: list[list[Fraction]]
     gens: list[list[int]] | None = None  # generator coordinates in Z^n / G Z^n
+    _counts: list[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.bilinear = [[Fraction(x) for x in row] for row in self.bilinear]
@@ -244,28 +240,79 @@ class DiscriminantForm:
                 b[k1 + i][k1 + j] = other.bilinear[i][j]
         return DiscriminantForm(self.orders + other.orders, b)
 
+    def _q_counts(self) -> list[int]:
+        """counts[v] = number of elements x with x^T B x * den = v mod 2 den.
+
+        One pass over D in integers, made once per form.  The walk carries
+        the partial linear forms sum_{j<i} B_tj x_j of the later coordinates
+        t, so the innermost coordinate costs O(1) per element: along it the
+        value is a quadratic in x_i, stepped by its first difference.
+        """
+        if self._counts is not None:
+            return self._counts
+        mod = 2 * self._bden
+        counts = [0] * mod
+        bnum, orders = self._bnum, self.orders
+        last = len(orders) - 1
+
+        def walk(i: int, value: int, lin: list[int]) -> None:
+            # value(x_i) = value + x_i (b x_i + 2 lin[i]), stepped by `step`
+            b = bnum[i][i]
+            step = b + 2 * lin[i]
+            if i == last:
+                for _ in range(orders[i]):
+                    counts[value % mod] += 1
+                    value += step
+                    step += 2 * b
+                return
+            row = bnum[i]
+            for _ in range(orders[i]):
+                walk(i + 1, value, lin)
+                value += step
+                step += 2 * b
+                lin = [x + y for x, y in zip(lin, row)]
+
+        if orders:
+            walk(0, 0, [0] * len(orders))
+        else:
+            counts[0] = 1
+        self._counts = counts
+        return counts
+
     def count_norm(self, target: Fraction) -> int:
         """Number of nonzero elements with q(x) = target mod 2."""
-        target = Fraction(target) % 2
-        count = 0
-        for x in self.elements():
-            if any(x) and self.q(x) == target:
-                count += 1
-        return count
+        v = Fraction(target) % 2 * self._bden
+        if v.denominator != 1:
+            return 0
+        zero = 1 if v == 0 else 0  # the zero element has q = 0
+        return self._q_counts()[v.numerator] - zero
+
+    def _gauss_vector(self, m: int) -> list[int]:
+        """vec[e] = number of elements with q(x) m / 2 = e mod m, for m a multiple of the level."""
+        vec = [0] * m
+        den2 = 2 * self._bden
+        for v, c in enumerate(self._q_counts()):
+            if c:
+                e, r = divmod(v * m, den2)
+                assert r == 0
+                vec[e] += c
+        return vec
 
     def milgram_octant(self) -> int:
         """The s in 0..7 with sum_x e^(pi i q(x)) = sqrt(|D|) zeta_8^s, exactly.
 
-        The Gauss sum and sqrt(|D|) are both written in Z[x]/(x^M - 1) for
-        M = lcm(8, level); equality of cyclotomic integers is tested by
-        divisibility by the M-th cyclotomic polynomial.
+        The Gauss sum and sqrt(|D|) zeta_8^s are both written in Z[C_M],
+        M = lcm(8, level): the Gauss sum from the counts of the one q-value
+        pass, sqrt(|D|) as a square times Gauss sums of the odd square-free
+        part and zeta_8 + zeta_8^-1 for the factor 2, with zeta_8^s and the
+        twist by i as index shifts.  Their difference is tested for
+        vanishing at zeta_M by the CRT reduction of `_vanishes_at_root`.
         """
         m = lcm(8, self.level())
-        vec = [0] * m
-        for x in self.elements():
-            e = self.q(x) * m / 2
-            assert e.denominator == 1
-            vec[int(e) % m] += 1
+        pos, axes = _crt_layout(m)
+        gauss = [0] * m
+        for e, c in enumerate(self._gauss_vector(m)):
+            gauss[pos[e]] = c
 
         size = self.order()
         fac = _factorize(size)
@@ -273,38 +320,25 @@ class DiscriminantForm:
         s_int = isqrt(size // square_free)
         assert s_int * s_int * square_free == size
 
-        target = [0] * m
-        target[0] = s_int
+        target = {0: s_int}
         t_odd = square_free
         if square_free % 2 == 0:
             t_odd //= 2
-            root2 = [0] * m
-            root2[m // 8] += 1
-            root2[-(m // 8) % m] += 1
-            target = _poly_mul_mod(target, root2, m)
+            target = _shifted(target, (m // 8, -(m // 8)), m)
         if t_odd > 1:
             assert m % t_odd == 0
-            gauss = [0] * m
             step = m // t_odd
-            for j in range(t_odd):
-                gauss[(j * j * step) % m] += 1
-            target = _poly_mul_mod(target, gauss, m)
+            target = _shifted(target, [j * j * step for j in range(t_odd)], m)
             if t_odd % 4 == 3:
                 # that Gauss sum equals i*sqrt(t); divide by i = zeta_8^2
-                twist = [0] * m
-                twist[-(m // 4) % m] = 1
-                target = _poly_mul_mod(target, twist, m)
+                target = _shifted(target, (-(m // 4),), m)
 
-        phi = _cyclotomic(m)
         for s in range(8):
-            rot = [0] * m
-            rot[(s * (m // 8)) % m] = 1
-            cand = _poly_mul_mod(target, rot, m)
-            diff = [a - b for a, b in zip(vec, cand)]
-            while len(diff) > 1 and diff[-1] == 0:
-                diff.pop()
-            _, rem = _poly_divmod(diff, phi)
-            if all(c == 0 for c in rem):
+            diff = gauss[:]
+            shift = s * (m // 8)
+            for e, c in target.items():
+                diff[pos[(e + shift) % m]] -= c
+            if _vanishes_at_root(diff, axes):
                 return s
         raise ArithmeticError("Gauss sum does not match any octant; form is degenerate")
 
@@ -366,12 +400,12 @@ def milgram_formula(p: int, n_p: int, eps: int) -> int:
     return total % 8
 
 
-def eps_for(sig_mod8: int, p: int, n_p: int) -> tuple[int, DiscriminantForm]:
+def eps_for(sig_mod8: int, p: int, n_p: int) -> int:
     """Resolve the sign invariant from the signature; raise when impossible."""
     for eps in (1, -1):
         try:
             if milgram_formula(p, n_p, eps) == sig_mod8 % 8:
-                return eps, candidate_form(p, n_p, eps)
+                return eps
         except GenusNotRepresentable:
             break
     raise GenusNotRepresentable(
@@ -482,7 +516,7 @@ def dual_rescale_genus(g: GenusSymbol) -> GenusSymbol:
     """Genus of the rescaled dual M^dual(p); an involution on symbols."""
     rank = g.pos + g.neg
     new_np = rank - g.n_p
-    eps, _ = eps_for(g.signature_mod8(), g.p, new_np)
+    eps = eps_for(g.signature_mod8(), g.p, new_np)
     return GenusSymbol(g.pos, g.neg, g.p, new_np, eps)
 
 

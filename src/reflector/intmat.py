@@ -5,10 +5,12 @@ it must be reproducible bit for bit, so matrices are plain lists of lists of
 int or Fraction and every routine here is exact.  The module provides the
 normal forms (Smith, Hermite), congruence diagonalization, and, by
 fraction-free Bareiss elimination on integer matrices, determinants, ranks,
-inverses (integer adjugate over integer determinant) and the integer-scaled
-LDL split that drives the short-vector enumerator.  Rationals appear only
-where the answer is rational: the entries of an inverse, the congruence
-diagonalization and the p-adic valuations of its pivots.
+inverses (integer adjugate over integer determinant), the integer-scaled
+LDL split that drives the short-vector enumerator, and the inertia of a
+symmetric integer matrix (symmetric elimination by congruence).  Rationals
+appear only where the answer is rational: the entries of an inverse, the
+congruence diagonalization with its p-adic pivots (the Jordan route of the
+genus symbol) and the valuations of those pivots.
 """
 
 from __future__ import annotations
@@ -306,12 +308,47 @@ def congruent_diagonal(g, p: int | None = None) -> tuple[FracMatrix, list[Fracti
     return b, diag
 
 
-def signature(g) -> tuple[int, int, int]:
-    """Inertia (positive, negative, zero count) of a symmetric matrix."""
-    _, diag = congruent_diagonal(g)
-    pos = sum(1 for d in diag if d > 0)
-    neg = sum(1 for d in diag if d < 0)
-    return pos, neg, len(diag) - pos - neg
+def signature(g: Matrix) -> tuple[int, int, int]:
+    """Inertia (positive, negative, zero count) of a symmetric integer matrix.
+
+    Symmetric elimination by congruence in integers.  A step on the pivot a
+    scales each remaining row and column by a instead of dividing by it,
+    which keeps their signs by Sylvester's law of inertia, and then divides
+    the remaining block by the previous pivot: that division is exact
+    (Bareiss), every live entry being a minor of the input, and flips the
+    signs of the block exactly when the previous pivot is negative, so the
+    pivot of the true Schur complement has the sign of a times the previous
+    pivot.  When the live diagonal vanishes but the block does not, adding
+    row and column j to row and column i puts 2 g_ij on the diagonal.
+    """
+    m = [list(row) for row in g]
+    live = list(range(len(m)))
+    prev, pos, neg = 1, 0, 0
+    while live:
+        t = next((i for i in live if m[i][i]), None)
+        if t is None:
+            pair = next(((i, j) for i in live for j in live if i < j and m[i][j]), None)
+            if pair is None:
+                break
+            t, j = pair
+            for k in live:
+                m[t][k] += m[j][k]
+            for k in live:
+                m[k][t] += m[k][j]
+        a = m[t][t]
+        if (a > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        live.remove(t)
+        top = m[t]
+        for r in live:
+            row = m[r]
+            f = row[t]
+            for s in live:
+                row[s] = (a * row[s] - f * top[s]) // prev
+        prev = a
+    return pos, neg, len(m) - pos - neg
 
 
 def matrix_rank(a: Matrix) -> int:

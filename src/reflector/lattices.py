@@ -2,9 +2,11 @@
 
 A lattice here is Z^n equipped with the symmetric bilinear form of a Gram
 matrix; "even" means every diagonal norm is even.  The class keeps the exact
-invariants needed downstream: determinant, signature, level (the smallest N
-for which N times the dual form is even), and the rescale/dual constructions
-used to move between a lattice, its dual, and their scaled copies.
+invariants needed downstream: determinant (from the degeneracy check at
+construction), signature and dual Gram (each computed once, on first use),
+level (the smallest N for which N times the dual form is even), and the
+rescale/dual constructions used to move between a lattice, its dual, and
+their scaled copies.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ class Lattice:
     gram: list[list[int]]
     name: str | None = None
     _dual_cache: list[list[Fraction]] | None = field(default=None, repr=False, compare=False)
+    _det: int = field(default=0, init=False, repr=False, compare=False)
+    _signature: tuple[int, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.gram)
@@ -33,7 +37,8 @@ class Lattice:
                     raise ValueError("Gram matrix must be symmetric")
             if self.gram[i][i] % 2 != 0:
                 raise ValueError("lattice is not even: odd diagonal norm")
-        if n and intmat.determinant(self.gram) == 0:
+        self._det = intmat.determinant(self.gram)
+        if n and self._det == 0:
             raise ValueError("Gram matrix is degenerate")
 
     @property
@@ -41,13 +46,14 @@ class Lattice:
         return len(self.gram)
 
     def det(self) -> int:
-        d = intmat.determinant(self.gram)
-        return int(d)
+        return self._det
 
     def signature(self) -> tuple[int, int]:
-        pos, neg, zero = intmat.signature(self.gram)
-        assert zero == 0
-        return pos, neg
+        if self._signature is None:
+            pos, neg, zero = intmat.signature(self.gram)
+            assert zero == 0
+            self._signature = (pos, neg)
+        return self._signature
 
     def signature_mod8(self) -> int:
         pos, neg = self.signature()

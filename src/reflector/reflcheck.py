@@ -44,17 +44,23 @@ class CheckReport:
     checks: dict[str, bool | None] = field(default_factory=dict)
 
 
-def _root_sum_matrix(lat: Lattice, vectors, weight: Fraction):
-    n = lat.rank
-    total = [[Fraction(0)] * n for _ in range(n)]
+def _root_sum_matrix(gram, vectors) -> list[list[int]]:
+    """sum_v (Gv)(Gv)^T = G (sum_v v v^T) G over the given vectors, in integers.
+
+    Roots have few nonzero coordinates, so the outer products are summed on
+    the coordinates and multiplied by G once at the end.
+    """
+    n = len(gram)
+    total = [[0] * n for _ in range(n)]
     for v in vectors:
-        gv = intmat.mat_vec(lat.gram, v)
-        for i in range(n):
-            if gv[i]:
-                row = total[i]
-                for j in range(n):
-                    row[j] += weight * gv[i] * gv[j]
-    return total
+        nonzero = [(i, x) for i, x in enumerate(v) if x]
+        for i, x in nonzero:
+            row = total[i]
+            for j, y in nonzero:
+                row[j] += x * y
+    if not vectors:  # also the rank-0 case, where mat_mul has no columns to read
+        return total
+    return intmat.mat_mul(intmat.mat_mul(gram, total), gram)
 
 
 def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckReport:
@@ -67,17 +73,14 @@ def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckRepo
     n = lat.rank
     g = lat.gram
 
-    s = _root_sum_matrix(lat, r1, Fraction(c1))
-    s2 = _root_sum_matrix(lat, r2, Fraction(cp, p * p))
-    for i in range(n):
-        for j in range(n):
-            s[i][j] += s2[i][j]
+    # p^2 times the weighted root sum c1 S1 + (cp/p^2) S2, so it stays integral
+    s1 = _root_sum_matrix(g, r1)
+    s2 = _root_sum_matrix(g, r2)
+    s = [[p * p * c1 * x + cp * y for x, y in zip(row1, row2)] for row1, row2 in zip(s1, s2)]
 
-    if all(x == 0 for row in s for x in row):
-        c = Fraction(0)
-    else:
-        c = Fraction(s[0][0], 2 * g[0][0])
-    matrix_ok = all(s[i][j] == 2 * c * g[i][j] for i in range(n) for j in range(n))
+    # s = 2 C p^2 G, with 2 C p^2 = s[0][0] / g[0][0]
+    c = Fraction(s[0][0], 2 * p * p * g[0][0]) if n else Fraction(0)
+    matrix_ok = all(s[i][j] * g[0][0] == s[0][0] * g[i][j] for i in range(n) for j in range(n))
 
     counting_ok = c == Fraction(c1 * len(r1) + cp * len(r2) + 2 * k, 24) - c1
 

@@ -2,11 +2,15 @@
 
 Everything here deliberately avoids the library's own algorithms: vector
 counts and lists come from a flat coordinate-box sweep in numpy integer
-arithmetic, power series come from naive polynomial products, and Bernoulli
-numbers come from the Akiyama-Tanigawa scheme.
+arithmetic, power series come from naive polynomial products, Bernoulli
+numbers come from the Akiyama-Tanigawa scheme, values of a discriminant form
+come from one Fraction product per element, and vanishing at a root of unity
+comes from long division by the cyclotomic polynomial.
 """
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -135,3 +139,77 @@ def legendre(a: int, p: int) -> int:
         return 0
     r = pow(a, (p - 1) // 2, p)
     return 1 if r == 1 else -1
+
+
+def q_values(orders: tuple[int, ...], bilinear) -> Counter:
+    """Multiset of q(x) = x^T B x mod 2 over all elements, one Fraction sum each."""
+    k = len(orders)
+    out: Counter = Counter()
+    for x in itertools.product(*(range(o) for o in orders)):
+        q = sum(Fraction(bilinear[i][j]) * x[i] * x[j] for i in range(k) for j in range(k))
+        out[q % 2] += 1
+    return out
+
+
+def gauss_exponents(orders: tuple[int, ...], bilinear, m: int) -> list[int]:
+    """vec[e] = number of elements with q(x) m / 2 = e mod m."""
+    vec = [0] * m
+    for q, count in q_values(orders, bilinear).items():
+        e = q * m / 2
+        assert e.denominator == 1
+        vec[int(e) % m] += count
+    return vec
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Division with remainder by a monic integer polynomial (low degree first)."""
+    assert b and b[-1] == 1
+    rem = a[:]
+    deg_b = len(b) - 1
+    quot = [0] * max(1, len(a) - deg_b)
+    for i in range(len(rem) - 1, deg_b - 1, -1):
+        c = rem[i]
+        if c:
+            quot[i - deg_b] = c
+            for j, y in enumerate(b):
+                rem[i - deg_b + j] -= c * y
+    while len(rem) > 1 and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def _mobius(n: int) -> int:
+    sign, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            sign = -sign
+        d += 1
+    return -sign if n > 1 else sign
+
+
+def cyclotomic(m: int) -> list[int]:
+    """Coefficients of the m-th cyclotomic polynomial, as prod_{d | m} (x^d - 1)^mu(m/d)."""
+    num, den = [1], [1]
+    for d in range(1, m + 1):
+        if m % d == 0 and _mobius(m // d):
+            factor = [-1] + [0] * (d - 1) + [1]  # x^d - 1
+            if _mobius(m // d) == 1:
+                num = _poly_mul(num, factor)
+            else:
+                den = _poly_mul(den, factor)
+    quot, rem = poly_divmod(num, den)
+    assert not any(rem)
+    while len(quot) > 1 and quot[-1] == 0:
+        quot.pop()
+    return quot

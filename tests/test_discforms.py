@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import cyclotomic, gauss_exponents, poly_divmod, q_values
 from reflector.catalog import default_catalog, definite_part, parse_lattice
 from reflector.discforms import (
     DiscriminantForm,
+    _crt_layout,
+    _vanishes_at_root,
     dual_rescale_genus,
     even_overlattices,
     genus_symbol,
@@ -65,6 +69,96 @@ def test_gauss_sum_octant_on_random_even_lattices(b):
         return
     form = DiscriminantForm.from_lattice(lat)
     assert form.milgram_octant() == lat.signature_mod8()
+
+
+def test_gauss_sum_octant_at_large_levels():
+    """Cyclic forms of level 38088 and 120120 (M = lcm(8, level) with many prime factors)."""
+    for n in (19044, 30030):
+        lat = Lattice([[n]])
+        assert DiscriminantForm.from_lattice(lat).milgram_octant() == lat.signature_mod8() == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 72).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+            st.booleans(),
+        )
+    )
+)
+def test_zero_test_at_roots_of_unity_matches_cyclotomic_division(args):
+    """v(zeta_m) = 0 exactly when Phi_m divides v; half the draws are multiples of Phi_m."""
+    m, coeffs, multiple = args
+    if multiple:
+        phi = cyclotomic(m)
+        wrapped = [0] * m
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(phi):
+                wrapped[(i + j) % m] += a * b
+        coeffs = wrapped
+    pos, axes = _crt_layout(m)
+    laid_out = [0] * m
+    for n, c in enumerate(coeffs):
+        laid_out[pos[n]] = c
+    _, rem = poly_divmod(coeffs, cyclotomic(m))
+    assert _vanishes_at_root(laid_out, axes) == (not any(rem))
+    if multiple:
+        assert _vanishes_at_root(laid_out, axes)
+
+
+def _random_even_lattice_form(b):
+    n = len(b)
+    gram = [
+        [2 * sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    try:
+        return DiscriminantForm.from_lattice(Lattice(gram))
+    except ValueError:
+        return None
+
+
+def _block_sum_form(blocks):
+    form = DiscriminantForm.trivial()
+    for p, n_p, eps in blocks:
+        if p == 2 and n_p % 2:
+            n_p += 1
+        form = form.direct_sum(candidate_form(p, n_p, eps))
+    return form
+
+
+FORMS = st.one_of(
+    st.integers(1, 3)
+    .flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+    .map(_random_even_lattice_form),
+    st.lists(
+        st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 2), st.sampled_from([1, -1])),
+        min_size=1,
+        max_size=3,
+    ).map(_block_sum_form),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(FORMS)
+def test_value_counts_match_per_element_enumeration(form):
+    """count_norm at every value and the Gauss-sum exponents, against one Fraction q(x) per element."""
+    assume(form is not None and form.order() <= 1000)
+    values = q_values(form.orders, form.bilinear)
+    assert sum(values.values()) == form.order()
+    for target, count in values.items():
+        assert form.count_norm(target) == count - (1 if target == 0 else 0)
+    for absent in (Fraction(1, 2 * form.order() + 1), Fraction(3, 2) + Fraction(1, 997)):
+        if absent not in values:
+            assert form.count_norm(absent) == 0
+    m = lcm(8, form.level())
+    assert form._gauss_vector(m) == gauss_exponents(form.orders, form.bilinear, m)
 
 
 def test_form_orders_multiply_in_direct_sums():

@@ -131,6 +131,32 @@ def test_rank_of_rectangular_matrices_matches_smith(a):
     assert intmat.matrix_rank(a) == nonzero
 
 
+@st.composite
+def symmetric_int_matrices(draw, n_max: int = 8):
+    """B^T D B for k <= n rows B and a diagonal D of mixed signs: singular when
+    k < n or D has zeros, indefinite when D has both signs; half the draws
+    get a zero diagonal, which needs an off-diagonal pivot."""
+    n = draw(st.integers(1, n_max))
+    k = draw(st.integers(0, n))
+    b = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=k, max_size=k))
+    d = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+    g = [[sum(b[t][i] * d[t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            g[i][i] = 0
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_int_matrices())
+def test_integer_signature_matches_rational_congruence(g):
+    """The integer inertia equals the sign count of the Fraction congruence diagonal."""
+    _, diag = intmat.congruent_diagonal(g)
+    pos = sum(1 for x in diag if x > 0)
+    neg = sum(1 for x in diag if x < 0)
+    assert intmat.signature(g) == (pos, neg, len(g) - pos - neg)
+
+
 def test_signature_on_known_forms():
     assert intmat.signature([[2, -1], [-1, 2]]) == (2, 0, 0)
     assert intmat.signature([[0, 1], [1, 0]]) == (1, 1, 0)
