@@ -194,23 +194,13 @@ def apply_bounds(p: int, n_max: int = 26):
 
 # -- elimination machinery --
 
-_ADE_PIECES = (
-    [("A%d" % r, r, r + 1) for r in range(1, 25)]
-    + [("D%d" % r, r, 4) for r in range(4, 25)]
-    + [("E6", 6, 3), ("E7", 7, 2), ("E8", 8, 1)]
-)
-
-
 def root_lattice_dets(rank: int) -> list[int]:
     """Determinants of all direct sums of ADE root lattices of a given rank."""
     dets = {0: {1}}
     for r in range(1, rank + 1):
-        found = set()
-        for name, pr, pd in _ADE_PIECES:
-            if pr <= r:
-                for d in dets[r - pr]:
-                    found.add(d * pd)
-        dets[r] = found
+        dets[r] = {
+            d * t.det for pr in range(1, r + 1) for t in roots.ade_types(pr) for d in dets[r - pr]
+        }
     return sorted(dets[rank])
 
 
@@ -589,13 +579,6 @@ def verdict_table(verify: bool = False, catalog=None) -> dict:
 # -- class numbers of reflective root data --
 
 
-_ADE_FULL = (
-    [("A%d" % r, r, r + 1, r + 1, r * (r + 1)) for r in range(1, 25)]
-    + [("D%d" % r, r, 2 * r - 2, 4, 2 * r * (r - 1)) for r in range(4, 25)]
-    + [("E6", 6, 12, 3, 72), ("E7", 7, 18, 2, 126), ("E8", 8, 30, 1, 240)]
-)  # (name, rank, coxeter, det, root count)
-
-
 def _component_menu(c: Fraction, p: int, c1: int, cp: int, max_rank: int):
     """Irreducible components compatible with a common constant C.
 
@@ -606,13 +589,12 @@ def _component_menu(c: Fraction, p: int, c1: int, cp: int, max_rank: int):
     items = []
     if p == 3 and c1 > 0 and cp > 0 and c == c1 * 3 + cp * 1:
         items.append(("G2", 2, 6, 6, 3))
-    for name, rank, cox, det, count in _ADE_FULL:
-        if rank > max_rank:
-            continue
-        if c1 > 0 and c == c1 * cox:
-            items.append((name, rank, count, 0, det))
-        if cp > 0 and c == Fraction(cp * cox, p):
-            items.append((f"{name}({p})", rank, 0, count, det * p**rank))
+    for rank in range(1, max_rank + 1):
+        for t in roots.ade_types(rank):
+            if c1 > 0 and c == c1 * t.coxeter:
+                items.append((t.name, rank, t.count, 0, t.det))
+            if cp > 0 and c == Fraction(cp * t.coxeter, p):
+                items.append((f"{t.name}({p})", rank, 0, t.count, t.det * p**rank))
     return items
 
 

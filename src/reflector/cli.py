@@ -134,14 +134,15 @@ def cmd_roots(args) -> int:
     if definite is None:
         print("lattice has no definite part", file=sys.stderr)
         return 1
-    r1, r2 = roots.reflective_roots(definite, args.prime)
     comps = roots.root_components(definite, args.prime)
+    n_short = sum(c.count_short for c in comps)
+    n_long = sum(c.count_long for c in comps)
     payload = {
-        "count_norm2": len(r1),
-        "count_norm2p": len(r2),
+        "count_norm2": n_short,
+        "count_norm2p": n_long,
         "components": [dataclasses.asdict(c) for c in comps],
     }
-    lines = [f"{len(r1)} vectors of norm 2, {len(r2)} reflective vectors of norm 2*{args.prime}"]
+    lines = [f"{n_short} vectors of norm 2, {n_long} reflective vectors of norm 2*{args.prime}"]
     for c in comps:
         lines.append(
             f"  {c.name}: rank {c.rank}, {c.count_short} short + {c.count_long} long"

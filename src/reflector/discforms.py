@@ -164,13 +164,14 @@ class DiscriminantForm:
     @classmethod
     def from_lattice(cls, lat: Lattice) -> "DiscriminantForm":
         u, d, _ = intmat.smith_normal_form(lat.gram)
-        u_inv = intmat.int_matrix(intmat.invert(u))
+        u_adj, u_det = intmat.adjugate(u)  # U is unimodular, so U^-1 = u_det * u_adj
         keep = [i for i in range(lat.rank) if abs(d[i][i]) != 1]
         orders = tuple(abs(d[i][i]) for i in keep)
-        w = [[u_inv[r][i] for i in keep] for r in range(lat.rank)]  # columns of U^-1
-        ginv = lat.dual_gram()
-        b = intmat.mat_mul(intmat.mat_mul(intmat.transpose(w), ginv), w)
-        return cls(orders, b, gens=w)
+        w = [[u_det * u_adj[r][i] for i in keep] for r in range(lat.rank)]  # columns of U^-1
+        # W^T G^-1 W = W^T adj(G) W / det(G), one division per entry
+        b = intmat.mat_mul(intmat.mat_mul(intmat.transpose(w), lat.adjugate()), w)
+        det = lat.det()
+        return cls(orders, [[Fraction(x, det) for x in row] for row in b], gens=w)
 
     @classmethod
     def trivial(cls) -> "DiscriminantForm":
@@ -650,7 +651,7 @@ def even_overlattices(
         return [Lattice([row[:] for row in lat.gram])]
     form = DiscriminantForm.from_lattice(lat)
     n = lat.rank
-    adj = intmat.int_matrix(intmat.scalar_mul(det, lat.dual_gram()))
+    adj = lat.adjugate()
     gens = form.gens
     assert gens is not None
 

@@ -16,6 +16,7 @@ genus symbol) and the valuations of those pivots.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 Matrix = list[list[int]]
 FracMatrix = list[list[Fraction]]
@@ -40,11 +41,11 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def vec_dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def scalar_mul(c, a):
@@ -122,19 +123,25 @@ def determinant(a: Matrix) -> int:
     return sign * m[n - 1][n - 1] if rank == n else 0
 
 
-def invert(a: Matrix) -> FracMatrix:
-    """Exact inverse adj(a) / det(a) of an integer matrix; raises on singular input.
+def adjugate(a: Matrix) -> tuple[Matrix, int]:
+    """(adj(a), det(a)) of a nonsingular integer matrix, so a^-1 = adj(a) / det(a).
 
-    Fraction-free Gauss-Jordan on [a | I] ends at [det I | adj], up to the
-    sign of the row swaps, so the only rational step is the final division.
+    Fraction-free Gauss-Jordan on [a | I] ends at [d I | d a^-1] with d the
+    determinant times the sign of the row swaps; raises on singular input.
     """
     n = len(a)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    m, rank, _ = _bareiss(aug, n, full=True)
+    m, rank, sign = _bareiss(aug, n, full=True)
     if rank < n:
         raise ValueError("matrix is singular")
-    det = m[n - 1][n - 1] if n else 1
-    return [[Fraction(x, det) for x in row[n:]] for row in m]
+    det = sign * m[n - 1][n - 1] if n else 1
+    return [[sign * x for x in row[n:]] for row in m], det
+
+
+def invert(a: Matrix) -> FracMatrix:
+    """Exact inverse adj(a) / det(a) of an integer matrix; raises on singular input."""
+    adj, det = adjugate(a)
+    return [[Fraction(x, det) for x in row] for row in adj]
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:

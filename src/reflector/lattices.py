@@ -3,10 +3,10 @@
 A lattice here is Z^n equipped with the symmetric bilinear form of a Gram
 matrix; "even" means every diagonal norm is even.  The class keeps the exact
 invariants needed downstream: determinant (from the degeneracy check at
-construction), signature and dual Gram (each computed once, on first use),
-level (the smallest N for which N times the dual form is even), and the
-rescale/dual constructions used to move between a lattice, its dual, and
-their scaled copies.
+construction), signature, integer adjugate and dual Gram (each computed
+once, on first use), level (the smallest N for which N times the dual form
+is even), and the rescale/dual constructions used to move between a
+lattice, its dual, and their scaled copies.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ class Lattice:
     _dual_cache: list[list[Fraction]] | None = field(default=None, repr=False, compare=False)
     _det: int = field(default=0, init=False, repr=False, compare=False)
     _signature: tuple[int, int] | None = field(default=None, init=False, repr=False, compare=False)
+    _adj: list[list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.gram)
@@ -63,9 +64,15 @@ class Lattice:
         pos, neg = self.signature()
         return neg == 0
 
+    def adjugate(self) -> list[list[int]]:
+        """The integer matrix det(G) G^-1."""
+        if self._adj is None:
+            self._adj, _ = intmat.adjugate(self.gram)
+        return self._adj
+
     def dual_gram(self) -> list[list[Fraction]]:
         if self._dual_cache is None:
-            self._dual_cache = intmat.invert(self.gram)
+            self._dual_cache = [[Fraction(x, self._det) for x in row] for row in self.adjugate()]
         return self._dual_cache
 
     def level(self) -> int:

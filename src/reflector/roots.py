@@ -7,15 +7,20 @@ roots of the remaining budget, so neither floating point nor Fraction work
 enters the search.  Root systems split into two classes relative to a prime
 p: ordinary roots of norm 2, and vectors of norm 2p that stay integral after
 division by p in the dual pairing (these reflect the lattice through
-rescaled mirrors).  Components are read off from inner-product connectivity
-and named by their root counts.
+rescaled mirrors).  Together they form one finite root system, which is
+split into irreducible components along its simple roots for the
+lexicographic order of Z^n; each component is named from its rank and root
+counts through the ADE table and the short/long patterns of B, C, F4, G2.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isqrt, lcm
+from typing import NamedTuple
 
 from . import intmat
 from .lattices import Lattice
@@ -88,18 +93,17 @@ def reflective_2p_roots(lat: Lattice, p: int) -> list[list[int]]:
     """All vectors s of norm 2p with s/p integral in the dual pairing.
 
     Such s are exactly p * G^-1 * k for norm-2 vectors k of the rescaled
-    dual Gram p * G^-1; when that matrix is not an even integral Gram there
-    are none.
+    dual Gram p * G^-1 = p adj(G) / det(G); when that matrix is not an even
+    integral Gram there are none.
     """
-    pg = [[p * x for x in row] for row in lat.dual_gram()]
-    if not intmat.is_integral(pg):
+    det = lat.det()
+    if any(p * x % det for row in lat.adjugate() for x in row):
         return []
-    pgi = intmat.int_matrix(pg)
+    pgi = [[p * x // det for x in row] for row in lat.adjugate()]
     if any(pgi[i][i] % 2 for i in range(len(pgi))):
         return []
     halves = short_vectors(pgi, 2).get(2, [])
     roots = [intmat.mat_vec(pgi, k) for k in halves]
-    roots = [[int(c) for c in s] for s in roots]
     return sorted(roots + [[-c for c in s] for s in roots])
 
 
@@ -125,14 +129,38 @@ class RootComponent:
     beta: Fraction
 
 
+class AdeType(NamedTuple):
+    """An irreducible simply laced root system and the lattice its roots span."""
+
+    name: str
+    rank: int
+    coxeter: int
+    det: int
+
+    @property
+    def count(self) -> int:
+        """Number of roots, rank times the Coxeter number."""
+        return self.rank * self.coxeter
+
+
+_E_TYPES = {6: (12, 3), 7: (18, 2), 8: (30, 1)}  # rank -> (Coxeter number, det)
+
+
+@cache
+def ade_types(rank: int) -> tuple[AdeType, ...]:
+    """The ADE table at one rank: A_n, then D_n for n >= 4, then E_6, E_7, E_8."""
+    types = [AdeType(f"A{rank}", rank, rank + 1, rank + 1)]
+    if rank >= 4:
+        types.append(AdeType(f"D{rank}", rank, 2 * rank - 2, 4))
+    if rank in _E_TYPES:
+        types.append(AdeType(f"E{rank}", rank, *_E_TYPES[rank]))
+    return tuple(types)
+
+
 def _ade_name(rank: int, count: int) -> str:
-    if count == rank * (rank + 1):
-        return f"A{rank}"
-    if rank >= 4 and count == 2 * rank * (rank - 1):
-        return f"D{rank}"
-    expected = {6: 72, 7: 126, 8: 240}
-    if rank in expected and count == expected[rank]:
-        return f"E{rank}"
+    for t in ade_types(rank):
+        if t.count == count:
+            return t.name
     raise ValueError(f"no simply laced root system of rank {rank} with {count} roots")
 
 
@@ -159,20 +187,16 @@ def _component_name(rank: int, n_short: int, n_long: int, p: int) -> str:
 
 def coxeter_number(name: str) -> int:
     base = name.split("(")[0]
-    letter, num = base[0], base[1:]
-    n = int(num)
-    if letter == "A":
-        return n + 1
+    letter, n = base[0], int(base[1:])
     if letter in ("B", "C"):
         return 2 * n
-    if letter == "D":
-        return 2 * n - 2
-    if letter == "E":
-        return {6: 12, 7: 18, 8: 30}[n]
     if letter == "F":
         return 12
     if letter == "G":
         return 6
+    for t in ade_types(n):
+        if t.name == base:
+            return t.coxeter
     raise ValueError(f"unknown root system {name!r}")
 
 
@@ -182,51 +206,73 @@ def root_components(lat: Lattice, p: int) -> list[RootComponent]:
     alpha = (short count) / rank and beta = (long count) / (p * rank) are the
     per-component coefficients of the multiplicity equations; for a simply
     laced component made of short roots, alpha is its Coxeter number.
+
+    The split runs on simple roots, which is exact because the norm-2 and
+    the reflective norm-2p vectors together form a finite, reduced,
+    crystallographic root system R (each reflection maps L, L^dual and the
+    norms onto themselves; a norm-2p root is never a rational multiple of a
+    norm-2 one; (a, b) is a multiple of (b, b) / 2 for a, b in R).  Positive
+    roots are those whose first nonzero coordinate is positive, the
+    lexicographic order of Z^n.  Walking them in ascending order, a root b
+    is simple iff no simple a found so far has b - a in R+: a non-simple b
+    has a simple a with (b, a) > 0, so b - a is a positive root and a comes
+    before b (Bourbaki, Lie groups, ch. VI, 1.6-1.7).  Components are the
+    classes of the simple roots under non-orthogonality.  A non-simple b
+    lies in the component of the a found for it, since a root is never the
+    sum of roots from two orthogonal components.  The rank of a component
+    is its number of simple roots.
     """
     r1, r2 = reflective_roots(lat, p)
-    labeled = [(v, 0) for v in r1] + [(v, 1) for v in r2]
-    m = len(labeled)
-    parent = list(range(m))
+    # a vector as one integer sum_i v_i base^(n-1-i); on vectors with every
+    # |v_i| < base / 2, as roots and differences of two roots are, this is
+    # additive, one-to-one and ordered like Z^n lexicographically
+    base = 4 * max((abs(c) for v in r1 + r2 for c in v), default=0) + 1
+
+    def pack(v: list[int]) -> int:
+        x = 0
+        for c in v:
+            x = x * base + c
+        return x
+
+    short = {x: v for v in r1 if (x := pack(v)) > 0}
+    long_ = {x: v for v in r2 if (x := pack(v)) > 0}
+    positive = short | long_
+    simple: list[int] = []
+    owner: dict[int, int] = {}  # positive root -> index of a simple root of its component
+    for b in sorted(positive):
+        # b = a + (b - a) with both positive roots puts b in the component of a
+        owner[b] = next((i for i, a in enumerate(simple) if b - a in positive), len(simple))
+        if owner[b] == len(simple):
+            simple.append(b)
+
+    g_simple = [intmat.mat_vec(lat.gram, positive[a]) for a in simple]
+    parent = list(range(len(simple)))
 
     def find(i: int) -> int:
         while parent[i] != i:
-            parent[i] = parent[parent[i]]
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
+    for i, a in enumerate(simple):
+        for j in range(i):
+            if intmat.vec_dot(positive[a], g_simple[j]):
+                parent[find(i)] = find(j)
 
-    gv = [intmat.mat_vec(lat.gram, v) for v, _ in labeled]
-    n = lat.rank
-    for i in range(m):
-        vi = labeled[i][0]
-        for j in range(i + 1, m):
-            gvj = gv[j]
-            if sum(vi[t] * gvj[t] for t in range(n)) != 0:
-                union(i, j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
+    ranks = Counter(find(i) for i in range(len(simple)))
+    n_short = Counter(find(owner[v]) for v in short)
+    n_long = Counter(find(owner[v]) for v in long_)
 
     comps = []
-    for members in groups.values():
-        vecs = [labeled[i][0] for i in members]
-        n_short = sum(1 for i in members if labeled[i][1] == 0)
-        n_long = len(members) - n_short
-        rank = span_rank(vecs)
-        name = _component_name(rank, n_short, n_long, p)
+    for c, rank in ranks.items():
+        ns, nl = 2 * n_short[c], 2 * n_long[c]
         comps.append(
             RootComponent(
-                name=name,
+                name=_component_name(rank, ns, nl, p),
                 rank=rank,
-                count_short=n_short,
-                count_long=n_long,
-                alpha=Fraction(n_short, rank),
-                beta=Fraction(n_long, p * rank),
+                count_short=ns,
+                count_long=nl,
+                alpha=Fraction(ns, rank),
+                beta=Fraction(nl, p * rank),
             )
         )
     comps.sort(key=lambda c: (c.name, c.rank, c.count_short, c.count_long))

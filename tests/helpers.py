@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own algorithms: vector
 counts and lists come from a flat coordinate-box sweep in numpy integer
 arithmetic, power series come from naive polynomial products, Bernoulli
 numbers come from the Akiyama-Tanigawa scheme, values of a discriminant form
-come from one Fraction product per element, and vanishing at a root of unity
-comes from long division by the cyclotomic polynomial.
+come from one Fraction product per element, vanishing at a root of unity
+comes from long division by the cyclotomic polynomial, and root components
+come from testing every pair of roots for a nonzero inner product.
 """
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ from fractions import Fraction
 from math import isqrt
 
 import numpy as np
+
+from reflector import roots
 
 
 def _box_sweep(gram: list[list[int]], max_norm: int):
@@ -213,3 +216,49 @@ def cyclotomic(m: int) -> list[int]:
     while len(quot) > 1 and quot[-1] == 0:
         quot.pop()
     return quot
+
+
+def pairwise_root_components(lat, p: int) -> list[roots.RootComponent]:
+    """Components of the reflective root system by union-find over all root pairs.
+
+    Two roots are joined when their inner product is nonzero, and the rank of
+    a component is the rank of the span of its roots.
+    """
+    r1, r2 = roots.reflective_roots(lat, p)
+    labeled = [(v, 0) for v in r1] + [(v, 1) for v in r2]
+    parent = list(range(len(labeled)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    gv = [[sum(g * x for g, x in zip(row, v)) for row in lat.gram] for v, _ in labeled]
+    for i, (vi, _) in enumerate(labeled):
+        for j in range(i + 1, len(labeled)):
+            if sum(x * y for x, y in zip(vi, gv[j])):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+
+    groups: dict[int, list[int]] = {}
+    for i in range(len(labeled)):
+        groups.setdefault(find(i), []).append(i)
+    comps = []
+    for members in groups.values():
+        n_short = sum(1 for i in members if labeled[i][1] == 0)
+        n_long = len(members) - n_short
+        rank = roots.span_rank([labeled[i][0] for i in members])
+        comps.append(
+            roots.RootComponent(
+                name=roots._component_name(rank, n_short, n_long, p),
+                rank=rank,
+                count_short=n_short,
+                count_long=n_long,
+                alpha=Fraction(n_short, rank),
+                beta=Fraction(n_long, p * rank),
+            )
+        )
+    comps.sort(key=lambda c: (c.name, c.rank, c.count_short, c.count_long))
+    return comps

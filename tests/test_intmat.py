@@ -83,6 +83,9 @@ def test_invert_gives_exact_inverse(a):
     det = intmat.determinant(a)
     if det == 0:
         return
+    adj, adj_det = intmat.adjugate(a)
+    assert adj_det == det
+    assert intmat.mat_mul(a, adj) == [[det * (i == j) for j in range(len(a))] for i in range(len(a))]
     inv = intmat.invert(a)
     prod = intmat.mat_mul(a, inv)
     assert prod == [

@@ -1,12 +1,14 @@
-"""Root enumeration and component recognition, checked against a box sweep."""
+"""Root enumeration and component recognition, checked against a box sweep
+and against a union-find over all pairs of roots."""
 from __future__ import annotations
 
 import pytest
-from helpers import box_count_norm, box_vectors_by_norm
-from hypothesis import given, settings
+from helpers import box_count_norm, box_vectors_by_norm, pairwise_root_components
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reflector.catalog import default_catalog, definite_part, parse_lattice
+from reflector.lattices import Lattice
 from reflector.roots import (
     coxeter_number,
     reflective_2p_roots,
@@ -157,3 +159,81 @@ def test_short_vectors_reject_indefinite_grams(gram, max_norm):
     indefinite = [row + [0, 0] for row in gram] + [[0] * n + [0, 1], [0] * n + [1, 0]]
     with pytest.raises(ValueError):
         short_vectors(indefinite, max_norm)
+
+
+# catalog pieces for random direct sums; half the draws take only pieces of
+# level dividing p, the only sums with long roots and so with mixed components
+SUM_PIECES = (
+    "A1", "A2", "A3", "A4", "A6", "D4", "D5", "D8", "E6", "E7", "E8",
+    "A2v(3)", "A4v(5)", "A6v(7)", "D4v(2)", "D8v(2)", "E6v(3)", "T4", "L7", "L11",
+    "A1(2)", "A2(3)", "D4(5)", "E8(7)",
+)
+LEVEL_P_PIECES = {
+    2: ("D4", "D8", "D12", "D4v(2)", "D8v(2)", "D12v(2)", "E8", "E8(2)"),
+    3: ("A2", "E6", "A2v(3)", "E6v(3)", "E8", "E8(3)"),
+    5: ("A4", "A4v(5)", "T4", "E8", "E8(5)"),
+    7: ("A6", "A6v(7)", "L7", "E8", "E8(7)"),
+}
+MAX_SUM_RANK = 12
+
+
+@st.composite
+def catalog_sums(draw):
+    """(lattice, p): a direct sum of catalog pieces in a random basis.
+
+    The basis change is a product of elementary moves (row i += c row j on
+    both sides of the Gram) and a coordinate permutation, so the lexicographic
+    order on the new coordinates cuts the root system along random hyperplanes.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    menu = LEVEL_P_PIECES[p] if draw(st.booleans()) else SUM_PIECES
+    terms = draw(st.lists(st.sampled_from(menu), min_size=1, max_size=3))
+    parts, rank = [], 0
+    for term in terms:
+        piece = parse_lattice(term, CAT)
+        if rank + piece.rank > MAX_SUM_RANK:
+            break
+        parts.append(term)
+        rank += piece.rank
+    gram = parse_lattice("+".join(parts), CAT).gram
+    n = len(gram)
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n > 1:
+        moves = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-1, 1))
+        for i, j, c in draw(st.lists(moves, max_size=2 * n)):
+            if i != j:
+                basis[i] = [x + c * y for x, y in zip(basis[i], basis[j])]
+    basis = draw(st.permutations(basis))
+    gram = [
+        [sum(u[a] * gram[a][b] * v[b] for a in range(n) for b in range(n)) for v in basis]
+        for u in basis
+    ]
+    return Lattice(gram), p
+
+
+def _model(expr: str, p: int):
+    return definite_part(expr, CAT)[1], p
+
+
+@settings(max_examples=60, deadline=None)
+@given(catalog_sums())
+@example(_model("D4+E8", 2))  # F4 + E8
+@example(_model("D8+E8(2)", 2))  # C8 + E8(2)
+@example(_model("D8v(2)", 2))  # B8
+@example(_model("A2+E6v(3)", 3))  # G2 + E6(3)
+@example(_model("T4+A4v(5)", 5))  # A2 + A2(5) + A4(5)
+@example(_model("L7+A6", 7))  # A1 + A1(7) + A6
+def test_simple_root_split_matches_pairwise_oracle(model):
+    """Components from simple roots equal components from all pairs of roots."""
+    lat, p = model
+    try:
+        want = pairwise_root_components(lat, p)
+    except ValueError:
+        with pytest.raises(ValueError):
+            root_components(lat, p)
+        return
+    got = root_components(lat, p)
+    assert got == want
+    r1, r2 = reflective_roots(lat, p)
+    assert sum(c.count_short for c in got) == len(r1)
+    assert sum(c.count_long for c in got) == len(r2)
