@@ -3,15 +3,22 @@
 Expressions are sums of terms like "2U+E6v(3)+2A2": an optional multiplicity,
 a base name, an optional 'v' for the dual, and an optional (m) rescale, so
 "E6v(3)" is the dual of E6 rescaled by 3.  Base names cover the hyperbolic
-plane U, the root lattices A<n>, D<n>, E6/E7/E8, the two-dimensional level-p
-lattices L<p> = [[2,1],[1,(p+1)/2]] for p = 3 mod 4, and the sporadic
-definite lattices T4 and T8.  T8 is never stored as a Gram matrix: it is
-constructed on demand as the unique nontrivial even overlattice of E7+A1(5)
-with determinant 5.
+plane U, the root lattices A<n>, D<n> (n >= 3), E6/E7/E8, the
+two-dimensional level-p lattices L<p> = [[2,1],[1,(p+1)/2]] for p = 3 mod 4,
+and the sporadic definite lattices T4 and T8.
 
-Fixed Gram matrices live in data/catalog.json; a user catalog (the --catalog
-CLI flag or the REFLECTOR_CATALOG environment variable) can add or override
-entries with the same JSON shape.
+The root lattices are derived, not stored: their Grams are the Cartan
+matrices of their Dynkin diagrams (Conway and Sloane, Sphere Packings,
+Lattices and Groups, ch. 4), built by one rule.  T8 is constructed on demand
+as the unique nontrivial even overlattice of E7+A1(5) with determinant 5.
+data/catalog.json stores only the Grams that no rule produces, U and T4; a
+user catalog (the --catalog CLI flag or the REFLECTOR_CATALOG environment
+variable) can add or override entries with the same JSON shape.
+
+Every expression goes through one term expansion, `Catalog.summands`, which
+builds each distinct term once; `Catalog.parse` puts all summands into one
+block-diagonal Gram and `definite_part` sums the summands other than the
+hyperbolic planes.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import json
 import re
 from importlib import resources
 
+from . import discforms, intmat
 from .lattices import Lattice, direct_sum
 
 _TERM_RE = re.compile(r"^(\d*)([A-Z][A-Za-z]*?\d*)(v?)(?:\((\d+)\))?$")
@@ -30,32 +38,33 @@ def _load_default_registry() -> dict:
     return json.loads(text)["lattices"]
 
 
-def _gram_A(n: int) -> list[list[int]]:
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = 2
-        if i + 1 < n:
-            g[i][i + 1] = g[i + 1][i] = -1
+def _dynkin_gram(n: int, branch: int | None) -> list[list[int]]:
+    """Cartan matrix of a simply laced Dynkin diagram on nodes 0..n-1.
+
+    Without a branch the diagram is a chain (A_n); with one, nodes 0..n-2
+    form a chain and node n-1 is attached to node `branch`: n - 3 for D_n,
+    2 for E_6, E_7 and E_8.
+    """
+    chain = n if branch is None else n - 1
+    g = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    edges = [(i, i + 1) for i in range(chain - 1)]
+    if branch is not None:
+        edges.append((branch, n - 1))
+    for i, j in edges:
+        g[i][j] = g[j][i] = -1
     return g
 
 
-def _gram_D(n: int) -> list[list[int]]:
-    # chain on nodes 0..n-2, with the last node attached to node n-3
-    if n < 3:
-        raise ValueError("D<n> needs n >= 3")
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = 2
-    for i in range(n - 2):
-        g[i][i + 1] = g[i + 1][i] = -1
-    g[n - 1][n - 3] = g[n - 3][n - 1] = -1
-    return g
+def e7_a1_overlattice(p: int, catalog: "Catalog") -> Lattice:
+    """The even overlattice of E7 + A1(p) with determinant p; exists for p = 1 mod 4.
 
-
-def _gram_L(p: int) -> list[list[int]]:
-    if p % 4 != 3:
-        raise ValueError(f"L{p} requires p = 3 mod 4 so the Gram matrix is even")
-    return [[2, 1], [1, (p + 1) // 2]]
+    Raises unless there is exactly one.
+    """
+    seed = catalog.build("E7") + catalog.build("A1").rescaled(p)
+    over = discforms.even_overlattices(seed, p)
+    if len(over) != 1:
+        raise ArithmeticError(f"expected one overlattice, found {len(over)}")
+    return over[0]
 
 
 class Catalog:
@@ -65,7 +74,7 @@ class Catalog:
         self.registry = dict(_load_default_registry())
         if extra:
             self.registry.update(extra)
-        self._t8_gram: list[list[int]] | None = None
+        self._t8_gram: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def from_file(cls, path: str) -> "Catalog":
@@ -73,35 +82,29 @@ class Catalog:
             data = json.load(fh)
         return cls(extra=data.get("lattices", {}))
 
-    def _build_t8(self) -> Lattice:
-        """A fresh T8 on each call; only the overlattice search is cached."""
-        if self._t8_gram is None:
-            from . import discforms
-
-            seed = self.build("E7").direct_sum(self.build("A1").rescaled(5))
-            over = discforms.even_overlattices(seed, 5)
-            if len(over) != 1:
-                raise ArithmeticError("expected a unique even overlattice for T8")
-            self._t8_gram = over[0].gram
-        return Lattice([row[:] for row in self._t8_gram], name="T8")
-
     def build(self, name: str) -> Lattice:
         if name in self.registry:
-            return Lattice([row[:] for row in self.registry[name]], name=name)
+            return Lattice(self.registry[name], name=name)
         if name == "T8":
-            return self._build_t8()
+            if self._t8_gram is None:
+                self._t8_gram = e7_a1_overlattice(5, self).gram
+            return Lattice(self._t8_gram, name="T8")
         m = re.fullmatch(r"([ADEL])(\d+)", name)
         if m is None:
             raise ValueError(f"unknown lattice name {name!r}")
         family, num = m.group(1), int(m.group(2))
         if family == "A" and num >= 1:
-            return Lattice(_gram_A(num), name=name)
+            return Lattice(_dynkin_gram(num, None), name=name)
         if family == "D":
-            return Lattice(_gram_D(num), name=name)
-        if family == "E":
-            raise ValueError(f"unknown lattice name {name!r}")
+            if num < 3:
+                raise ValueError("D<n> needs n >= 3")
+            return Lattice(_dynkin_gram(num, num - 3), name=name)
+        if family == "E" and name in ("E6", "E7", "E8"):
+            return Lattice(_dynkin_gram(num, 2), name=name)
         if family == "L":
-            return Lattice(_gram_L(num), name=name)
+            if num % 4 != 3:
+                raise ValueError(f"L{num} requires p = 3 mod 4 so the Gram matrix is even")
+            return Lattice([[2, 1], [1, (num + 1) // 2]], name=name)
         raise ValueError(f"unknown lattice name {name!r}")
 
     def parse_terms(self, expr: str) -> list[tuple[int, str, bool, int | None]]:
@@ -121,31 +124,29 @@ class Catalog:
             terms.append((count, m.group(2), m.group(3) == "v", scale))
         return terms
 
-    def build_term(self, name: str, dual: bool, scale: int | None) -> Lattice:
-        base = self.build(name)
-        if dual:
-            base = base.dual_rescaled(scale if scale is not None else 1)
-            label = f"{name}v({scale})" if scale is not None else f"{name}v"
-            base.name = label
-        elif scale is not None:
-            base = base.rescaled(scale)
-        return base
+    def summands(self, expr: str) -> list[tuple[str, bool, int | None, Lattice]]:
+        """(name, dual, scale, lattice) for each summand of expr, in order.
+
+        A term with multiplicity c appears c times; its lattice is built once.
+        """
+        out = []
+        for count, name, dual, scale in self.parse_terms(expr):
+            lat = self.build(name)
+            if dual:
+                lat = lat.dual_rescaled(scale or 1)
+            elif scale is not None:
+                lat = lat.rescaled(scale)
+            out += [(name, dual, scale, lat)] * count
+        return out
 
     def parse(self, expr: str) -> Lattice:
-        parts: list[Lattice] = []
-        for count, name, dual, scale in self.parse_terms(expr):
-            built = self.build_term(name, dual, scale)
-            parts.extend(built for _ in range(count))
-        out = direct_sum([Lattice([row[:] for row in p.gram]) for p in parts])
-        out.name = normalize_expr(expr)
-        return out
+        grams = [lat.gram for _, _, _, lat in self.summands(expr)]
+        return Lattice(intmat.block_diagonal(grams), name=normalize_expr(expr))
 
 
 def normalize_expr(expr: str) -> str:
-    pieces = []
-    for raw in expr.replace(" ", "").split("+"):
-        pieces.append(raw)
-    return "+".join(pieces)
+    """The expression with its spaces removed; terms are kept as written."""
+    return expr.replace(" ", "")
 
 
 _default_catalog: Catalog | None = None
@@ -165,26 +166,15 @@ def definite_part(expr: str, catalog: Catalog | None = None):
     (1 for U itself, p for U(p)) and lattice is the direct sum of the
     remaining terms, or None when nothing remains.
     """
-    cat = catalog or default_catalog()
     scales: list[int] = []
     rest: list[Lattice] = []
-    for count, name, dual, scale in cat.parse_terms(expr):
-        for _ in range(count):
-            if name == "U" and not dual:
-                scales.append(scale or 1)
-            else:
-                rest.append(cat.build_term(name, dual, scale))
-    if not rest:
-        return scales, None
-    lat = rest[0]
-    for part in rest[1:]:
-        lat = lat + part
-    return scales, lat
+    for name, dual, scale, lat in (catalog or default_catalog()).summands(expr):
+        if name == "U" and not dual:
+            scales.append(scale or 1)
+        else:
+            rest.append(lat)
+    return scales, direct_sum(rest) if rest else None
 
 
 def parse_lattice(expr: str, catalog: Catalog | None = None) -> Lattice:
     return (catalog or default_catalog()).parse(expr)
-
-
-def build_named(name: str, catalog: Catalog | None = None) -> Lattice:
-    return (catalog or default_catalog()).build(name)

@@ -28,7 +28,7 @@ from math import isqrt
 from . import catalog as cat_mod
 from . import discforms, etaq, reflcheck, roots, towers
 from .discforms import GenusSymbol, eps_for, parse_genus
-from .lattices import Lattice
+from .lattices import Lattice, direct_sum
 
 
 # -- construction tables: strongly 2-reflective forms (multiplicities (1, 0)) --
@@ -169,15 +169,16 @@ def apply_bounds(p: int, n_max: int = 26):
     """Stored case list plus a report of where the two bounds disagree.
 
     The computed filter keeps n <= 10 + 24/(p+1) and additionally removes
-    genera that split off U + U(p) when n > 2 + 48/(p+1).  The stored list
-    is authoritative; the mismatch report records both directions of
-    disagreement with the computed filter.
+    genera that split off U + U(p) when the Riemann-Roch window is empty,
+    that is when n > 2 + 48/(p+1).  The stored list is authoritative; the
+    mismatch report records both directions of disagreement with the
+    computed filter.
     """
     computed = []
     for g in enumerate_genera(p, n_max):
         if Fraction(g.pos) > 10 + Fraction(24, p + 1):
             continue
-        if discforms.splits_u_up(g) and Fraction(g.pos) > 2 + Fraction(48, p + 1):
+        if discforms.splits_u_up(g) and etaq.window_is_empty(g.pos, p):
             continue
         computed.append((g.pos, g.n_p))
     stored = stored_cases_for(p)
@@ -273,15 +274,6 @@ def _rule_for(p: int, n: int, n_p: int) -> tuple[str, str | None] | None:
     return None
 
 
-def _t8_overlattice(p: int, cat) -> Lattice:
-    """Rank-8 determinant-p overlattice of E7 + A1(p); exists for p = 1 mod 4."""
-    seed = cat.build("E7") + cat.build("A1").rescaled(p)
-    over = discforms.even_overlattices(seed, p)
-    if len(over) != 1:
-        raise ArithmeticError(f"expected one overlattice, found {len(over)}")
-    return over[0]
-
-
 def eliminate_case(
     genus: GenusSymbol, prior: dict[tuple[int, int], CaseRecord], catalog=None
 ) -> CaseRecord:
@@ -349,7 +341,7 @@ def eliminate_case(
             detail = f"every admissible model family dies beyond p = {max(cutoffs)}"
         else:
             if model == "t8-overlattice":
-                definite = _t8_overlattice(p, cat)
+                definite = cat_mod.e7_a1_overlattice(p, cat)
                 fam = reflcheck.solve_family(*_FAMILIES[(10, 1)][0])
                 cert["family_prime_cutoff"] = reflcheck.singular_filter(fam)
             else:
@@ -652,10 +644,7 @@ def _datum_lattice(datum: dict, p: int, catalog=None) -> Lattice:
             parts.append(cat.build(name[: -len(f"({p})")]).rescaled(p))
         else:
             parts.append(cat.build(name))
-    lat = parts[0]
-    for extra in parts[1:]:
-        lat = lat + extra
-    return lat
+    return direct_sum(parts)
 
 
 def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=None) -> int:

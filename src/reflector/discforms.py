@@ -220,9 +220,6 @@ class DiscriminantForm:
                 total += x[i] * sum(row[j] * y[j] for j in range(len(y)) if y[j])
         return Fraction(total, self._bden) % 1
 
-    def elements(self):
-        return itertools.product(*(range(o) for o in self.orders))
-
     def elements_of_order_dividing(self, m: int):
         ranges = []
         for o in self.orders:
@@ -231,14 +228,7 @@ class DiscriminantForm:
         return itertools.product(*ranges)
 
     def direct_sum(self, other: "DiscriminantForm") -> "DiscriminantForm":
-        k1, k2 = len(self.orders), len(other.orders)
-        b = [[Fraction(0)] * (k1 + k2) for _ in range(k1 + k2)]
-        for i in range(k1):
-            for j in range(k1):
-                b[i][j] = self.bilinear[i][j]
-        for i in range(k2):
-            for j in range(k2):
-                b[k1 + i][k1 + j] = other.bilinear[i][j]
+        b = intmat.block_diagonal([self.bilinear, other.bilinear])
         return DiscriminantForm(self.orders + other.orders, b)
 
     def _q_counts(self) -> list[int]:
@@ -366,22 +356,13 @@ def candidate_form(p: int, n_p: int, eps: int) -> DiscriminantForm:
             raise GenusNotRepresentable("level-2 forms of even type have even rank")
         u = [[Fraction(0), Fraction(1, 2)], [Fraction(1, 2), Fraction(0)]]
         v = [[Fraction(1), Fraction(1, 2)], [Fraction(1, 2), Fraction(1)]]
-        blocks = [u] * (n_p // 2)
-        if eps == -1:
-            blocks[-1] = v
-        form = DiscriminantForm((2, 2), blocks[0])
-        for blk in blocks[1:]:
-            form = form.direct_sum(DiscriminantForm((2, 2), blk))
-        return form
+        blocks = [u] * (n_p // 2 - 1) + [v if eps == -1 else u]
+        return DiscriminantForm((2,) * n_p, intmat.block_diagonal(blocks))
     chi2 = legendre(2, p)
     target_chi = eps * (chi2 if n_p % 2 else 1)
     last_a = 1 if target_chi == 1 else smallest_nonresidue(p)
-    units = [1] * (n_p - 1) + [last_a]
-    form = None
-    for a in units:
-        blk = DiscriminantForm((p,), [[Fraction(2 * a, p)]])
-        form = blk if form is None else form.direct_sum(blk)
-    return form
+    blocks = [[[Fraction(2 * a, p)]] for a in [1] * (n_p - 1) + [last_a]]
+    return DiscriminantForm((p,) * n_p, intmat.block_diagonal(blocks))
 
 
 def milgram_formula(p: int, n_p: int, eps: int) -> int:
@@ -551,24 +532,17 @@ def splits_u_up(g: GenusSymbol) -> bool:
 # -- isotropic subgroups and even overlattices --
 
 
-def isotropic_subgroups(
-    form: DiscriminantForm, order: int | None = None, budget: int = 10**6
-):
-    """Subgroups on which q vanishes identically, as sorted element tuples.
+def isotropic_subgroups(form: DiscriminantForm, order: int, budget: int = 10**6):
+    """Isotropic subgroups of the given order, as sorted element tuples.
 
-    With `order` given, only subgroups of exactly that order are returned
-    (the search restricts to elements whose order divides it).  The search
-    walks closures breadth-first and raises BudgetExceeded past `budget`
-    element operations.
+    q vanishes identically on each subgroup.  The search restricts to
+    elements whose order divides `order`, walks closures breadth-first and
+    raises BudgetExceeded past `budget` element operations.
     """
     zero = tuple(0 for _ in form.orders)
     ops = 0
     is_iso = form.is_isotropic
-
-    if order is not None:
-        pool = [x for x in form.elements_of_order_dividing(order) if any(x) and is_iso(x)]
-    else:
-        pool = [x for x in form.elements() if any(x) and is_iso(x)]
+    pool = [x for x in form.elements_of_order_dividing(order) if any(x) and is_iso(x)]
 
     def add_mod(x, y):
         return tuple((a + b) % o for a, b, o in zip(x, y, form.orders))
@@ -588,13 +562,11 @@ def isotropic_subgroups(
 
     seen = {frozenset({zero})}
     frontier = [frozenset({zero})]
-    results = []
-    if order is None or order == 1:
-        results.append(frozenset({zero}))
+    results = [frozenset({zero})] if order == 1 else []
     while frontier:
         nxt = []
         for sub in frontier:
-            if order is not None and len(sub) >= order:
+            if len(sub) >= order:
                 continue
             for x in pool:
                 if x in sub:
@@ -605,11 +577,11 @@ def isotropic_subgroups(
                 grown = closure(sub, x)
                 if grown is None or grown in seen:
                     continue
-                if order is not None and (len(grown) > order or order % len(grown) != 0):
+                if len(grown) > order or order % len(grown) != 0:
                     continue
                 seen.add(grown)
                 nxt.append(grown)
-                if order is None or len(grown) == order:
+                if len(grown) == order:
                     results.append(grown)
         frontier = nxt
     out = [tuple(sorted(sub)) for sub in results]
@@ -623,7 +595,7 @@ def _lattice_fingerprint(lat: Lattice, norm_cap: int = 4) -> tuple:
     try:
         hist = roots.short_vectors(lat.gram, norm_cap)
     except ValueError:  # not positive definite: fall back to the Gram matrix
-        return base + (tuple(tuple(row) for row in lat.gram),)
+        return base + (lat.gram,)
     counts = tuple(sorted((n, len(v)) for n, v in hist.items()))
     return base + (counts,)
 
@@ -648,7 +620,7 @@ def even_overlattices(
     if m * m != ratio:
         return []
     if m == 1:
-        return [Lattice([row[:] for row in lat.gram])]
+        return [lat]
     form = DiscriminantForm.from_lattice(lat)
     n = lat.rank
     adj = lat.adjugate()
@@ -681,5 +653,5 @@ def even_overlattices(
             continue
         seen_fp.add(fp)
         results.append(over)
-    results.sort(key=lambda l: tuple(tuple(row) for row in l.gram))
+    results.sort(key=lambda l: l.gram)
     return results

@@ -177,15 +177,13 @@ def s_transform(a: int, b: int, p: int, terms: int = 12):
     return scalar, e, series
 
 
-def lift_weight(n_p: int, p: int = 2) -> tuple[int, int]:
+def lift_weight(n_p: int) -> tuple[int, int]:
     """Weight and long-root multiplicity of the lifting at level 2.
 
     The input function produces, for each even 2 <= n_p <= 10, a reflective
     form of multiplicities (1, c2) with c2 = 2^((10 - n_p)/2) and weight
     (8 + 8 c2)/2.
     """
-    if p != 2:
-        raise ValueError("the eta-quotient lifting route is specific to p = 2")
     if n_p not in (2, 4, 6, 8, 10):
         raise ValueError(f"no lifting for n_p = {n_p}")
     c2 = 2 ** ((10 - n_p) // 2)

@@ -2,7 +2,9 @@
 
 Everything in this package reduces to linear algebra over Z and Q, and all of
 it must be reproducible bit for bit, so matrices are plain lists of lists of
-int or Fraction and every routine here is exact.  The module provides the
+int or Fraction and every routine here is exact.  Routines return new lists
+and never write into their input, which may also be the tuple-of-tuples Gram
+of a `Lattice`.  The module provides the
 normal forms (Smith, Hermite), congruence diagonalization, and, by
 fraction-free Bareiss elimination on integer matrices, determinants, ranks,
 inverses (integer adjugate over integer determinant), the integer-scaled
@@ -24,10 +26,6 @@ FracMatrix = list[list[Fraction]]
 
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def copy_matrix(a):
-    return [row[:] for row in a]
 
 
 def transpose(a):
@@ -72,8 +70,16 @@ def int_matrix(a) -> Matrix:
     return out
 
 
-def is_integral(a) -> bool:
-    return all(Fraction(x).denominator == 1 for row in a for x in row)
+def block_diagonal(blocks) -> Matrix:
+    """The block-diagonal matrix with the given square blocks, in order."""
+    n = sum(len(b) for b in blocks)
+    out = []
+    offset = 0
+    for b in blocks:
+        pad = n - offset - len(b)
+        out += [[0] * offset + list(row) + [0] * pad for row in b]
+        offset += len(b)
+    return out
 
 
 def _bareiss(a: Matrix, pivot_cols: int, full: bool = False) -> tuple[Matrix, int, int]:
@@ -150,7 +156,7 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     The diagonal entries are nonnegative and each divides the next.
     """
     m, n = len(a), len(a[0])
-    d = copy_matrix(a)
+    d = [list(row) for row in a]
     u = identity(m)
     v = identity(n)
 

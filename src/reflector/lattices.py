@@ -1,46 +1,49 @@
 """Even lattices presented by integer Gram matrices.
 
 A lattice here is Z^n equipped with the symmetric bilinear form of a Gram
-matrix; "even" means every diagonal norm is even.  The class keeps the exact
-invariants needed downstream: determinant (from the degeneracy check at
-construction), signature, integer adjugate and dual Gram (each computed
-once, on first use), level (the smallest N for which N times the dual form
-is even), and the rescale/dual constructions used to move between a
-lattice, its dual, and their scaled copies.
+matrix; "even" means every diagonal norm is even.  A `Lattice` is an
+immutable value: its Gram is a tuple of integer tuples and its name is fixed
+at construction, so equal Grams and names make equal (and hashable)
+lattices.  The determinant comes from the degeneracy check at construction;
+the signature, the integer adjugate det(G) G^-1 and the level (the smallest
+N for which N times the dual form is even) are each computed once, on first
+use.  The dual data stays in integers: the level and the rescaled dual are
+read off the adjugate and the determinant, and only `dual_gram` returns
+Fractions.  `direct_sum` puts any number of lattices into one block-diagonal
+Gram.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd
 
 from . import intmat
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lattice:
-    gram: list[list[int]]
+    gram: tuple[tuple[int, ...], ...]
     name: str | None = None
-    _dual_cache: list[list[Fraction]] | None = field(default=None, repr=False, compare=False)
-    _det: int = field(default=0, init=False, repr=False, compare=False)
-    _signature: tuple[int, int] | None = field(default=None, init=False, repr=False, compare=False)
-    _adj: list[list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.gram)
         if any(len(row) != n for row in self.gram):
             raise ValueError("Gram matrix must be square")
-        self.gram = intmat.int_matrix(self.gram)
+        gram = tuple(map(tuple, intmat.int_matrix(self.gram)))
         for i in range(n):
             for j in range(i):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-            if self.gram[i][i] % 2 != 0:
+            if gram[i][i] % 2 != 0:
                 raise ValueError("lattice is not even: odd diagonal norm")
-        self._det = intmat.determinant(self.gram)
-        if n and self._det == 0:
+        det = intmat.determinant(gram)
+        if n and det == 0:
             raise ValueError("Gram matrix is degenerate")
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "_det", det)
 
     @property
     def rank(self) -> int:
@@ -49,12 +52,14 @@ class Lattice:
     def det(self) -> int:
         return self._det
 
+    @cached_property
+    def _inertia(self) -> tuple[int, int]:
+        pos, neg, zero = intmat.signature(self.gram)
+        assert zero == 0
+        return pos, neg
+
     def signature(self) -> tuple[int, int]:
-        if self._signature is None:
-            pos, neg, zero = intmat.signature(self.gram)
-            assert zero == 0
-            self._signature = (pos, neg)
-        return self._signature
+        return self._inertia
 
     def signature_mod8(self) -> int:
         pos, neg = self.signature()
@@ -64,24 +69,29 @@ class Lattice:
         pos, neg = self.signature()
         return neg == 0
 
-    def adjugate(self) -> list[list[int]]:
+    @cached_property
+    def _adjugate(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, intmat.adjugate(self.gram)[0]))
+
+    def adjugate(self) -> tuple[tuple[int, ...], ...]:
         """The integer matrix det(G) G^-1."""
-        if self._adj is None:
-            self._adj, _ = intmat.adjugate(self.gram)
-        return self._adj
+        return self._adjugate
 
     def dual_gram(self) -> list[list[Fraction]]:
-        if self._dual_cache is None:
-            self._dual_cache = [[Fraction(x, self._det) for x in row] for row in self.adjugate()]
-        return self._dual_cache
+        return [[Fraction(x, self._det) for x in row] for row in self._adjugate]
+
+    @cached_property
+    def _level(self) -> int:
+        # the entries adj/det have the common denominator |det| / gcd(det, adj)
+        det = self._det
+        n0 = abs(det) // gcd(det, *(x for row in self._adjugate for x in row))
+        if any(n0 * self._adjugate[i][i] // det % 2 for i in range(self.rank)):
+            return 2 * n0
+        return n0
 
     def level(self) -> int:
         """Smallest N such that N times the dual quadratic form is even."""
-        inv = self.dual_gram()
-        n0 = lcm(*[x.denominator for row in inv for x in row]) if self.rank else 1
-        if any((n0 * inv[i][i]).numerator % 2 != 0 for i in range(self.rank)):
-            return 2 * n0
-        return n0
+        return self._level
 
     def norm(self, v: list[int]) -> int:
         return intmat.vec_dot(v, intmat.mat_vec(self.gram, v))
@@ -96,32 +106,24 @@ class Lattice:
         return Lattice(intmat.scalar_mul(m, self.gram), name=label)
 
     def dual_rescaled(self, m: int) -> "Lattice":
-        """The dual lattice rescaled by m, which must be integral and even."""
-        scaled = intmat.scalar_mul(m, self.dual_gram())
-        if not intmat.is_integral(scaled):
+        """The dual lattice rescaled by m, m adj(G) / det(G), which must be integral and even."""
+        det = self._det
+        if any(m * x % det for row in self._adjugate for x in row):
             raise ValueError(f"dual rescaled by {m} is not integral")
         label = f"{self.name}v({m})" if self.name else None
-        return Lattice(intmat.int_matrix(scaled), name=label)
+        return Lattice([[m * x // det for x in row] for row in self._adjugate], name=label)
 
     def direct_sum(self, other: "Lattice") -> "Lattice":
-        n, m = self.rank, other.rank
-        gram = [[0] * (n + m) for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                gram[i][j] = self.gram[i][j]
-        for i in range(m):
-            for j in range(m):
-                gram[n + i][n + j] = other.gram[i][j]
-        return Lattice(gram)
+        return direct_sum([self, other])
 
     def __add__(self, other: "Lattice") -> "Lattice":
-        return self.direct_sum(other)
+        return direct_sum([self, other])
 
 
 def direct_sum(parts: list[Lattice]) -> Lattice:
+    """The orthogonal sum of the parts as one unnamed lattice; one part is returned as is."""
     if not parts:
         raise ValueError("empty direct sum")
-    out = parts[0]
-    for part in parts[1:]:
-        out = out.direct_sum(part)
-    return out
+    if len(parts) == 1:
+        return parts[0]
+    return Lattice(intmat.block_diagonal([part.gram for part in parts]))

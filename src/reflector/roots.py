@@ -93,15 +93,14 @@ def reflective_2p_roots(lat: Lattice, p: int) -> list[list[int]]:
     """All vectors s of norm 2p with s/p integral in the dual pairing.
 
     Such s are exactly p * G^-1 * k for norm-2 vectors k of the rescaled
-    dual Gram p * G^-1 = p adj(G) / det(G); when that matrix is not an even
-    integral Gram there are none.
+    dual Gram p * G^-1 = p adj(G) / det(G); when that matrix is not integral
+    there are none.  It need not be even: outside level 1 and level p it can
+    have odd diagonal entries and norm-2 vectors at once.
     """
     det = lat.det()
     if any(p * x % det for row in lat.adjugate() for x in row):
         return []
     pgi = [[p * x // det for x in row] for row in lat.adjugate()]
-    if any(pgi[i][i] % 2 for i in range(len(pgi))):
-        return []
     halves = short_vectors(pgi, 2).get(2, [])
     roots = [intmat.mat_vec(pgi, k) for k in halves]
     return sorted(roots + [[-c for c in s] for s in roots])

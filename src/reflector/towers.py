@@ -65,55 +65,31 @@ def _raw_data() -> dict:
     return json.loads(path.read_text())
 
 
+def _load(cls, obj: dict):
+    """A dataclass from its JSON object.
+
+    Nested objects are flattened into prefixed fields ("base": {"expr": ...}
+    gives base_expr) and lists become tuples; the one list of objects,
+    Tower.steps, becomes a tuple of TowerStep.
+    """
+    flat = {}
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            flat.update((f"{key}_{k}", v) for k, v in value.items())
+        else:
+            flat[key] = value
+    for key, value in flat.items():
+        if isinstance(value, list):
+            flat[key] = tuple(_load(TowerStep, v) if isinstance(v, dict) else v for v in value)
+    return cls(**flat)
+
+
 def load_towers() -> list[Tower]:
-    out = []
-    for t in _raw_data()["towers"]:
-        steps = tuple(
-            TowerStep(
-                expr=s["expr"],
-                drop=s["drop"],
-                weight=s["weight"],
-                genus=s["genus"],
-                catalogued=s["catalogued"],
-                decomposes_into=tuple(s["decomposes_into"]) if s["decomposes_into"] else None,
-            )
-            for s in t["steps"]
-        )
-        out.append(
-            Tower(
-                name=t["name"],
-                p=t["p"],
-                c1=t["c1"],
-                cp=t["cp"],
-                base_expr=t["base"]["expr"],
-                base_weight=t["base"]["weight"],
-                base_genus=t["base"]["genus"],
-                base_catalogued=t["base"]["catalogued"],
-                steps=steps,
-            )
-        )
-    return out
+    return [_load(Tower, t) for t in _raw_data()["towers"]]
 
 
 def load_transfers() -> list[Transfer]:
-    out = []
-    for t in _raw_data()["transfers"]:
-        out.append(
-            Transfer(
-                p=t["p"],
-                from_expr=t["from"]["expr"],
-                from_c1=t["from"]["c1"],
-                from_cp=t["from"]["cp"],
-                from_k=t["from"]["k"],
-                from_genus=t["from"]["genus"],
-                to_expr=t["to"]["expr"],
-                to_c1=t["to"]["c1"],
-                to_cp=t["to"]["cp"],
-                to_k=t["to"]["k"],
-                to_genus=t["to"]["genus"],
-            )
-        )
-    return out
+    return [_load(Transfer, t) for t in _raw_data()["transfers"]]
 
 
 def pullback_weight(k: int, c1: int, cp: int, dropped: Lattice, p: int) -> int:

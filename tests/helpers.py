@@ -5,15 +5,17 @@ counts and lists come from a flat coordinate-box sweep in numpy integer
 arithmetic, power series come from naive polynomial products, Bernoulli
 numbers come from the Akiyama-Tanigawa scheme, values of a discriminant form
 come from one Fraction product per element, vanishing at a root of unity
-comes from long division by the cyclotomic polynomial, and root components
-come from testing every pair of roots for a nonzero inner product.
+comes from long division by the cyclotomic polynomial, root components
+come from testing every pair of roots for a nonzero inner product, and the
+level and rescaled duals of a lattice come from a Fraction Gauss-Jordan
+inverse of its Gram.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -262,3 +264,39 @@ def pairwise_root_components(lat, p: int) -> list[roots.RootComponent]:
         )
     comps.sort(key=lambda c: (c.name, c.rank, c.count_short, c.count_long))
     return comps
+
+
+def fraction_inverse(gram: list[list[int]]) -> list[list[Fraction]]:
+    """G^-1 by Gauss-Jordan elimination over Fraction, with row swaps."""
+    n = len(gram)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(gram)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c] != 0)
+        m[c], m[piv] = m[piv], m[c]
+        top = [x / m[c][c] for x in m[c]]
+        m[c] = top
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], top)]
+    return [row[n:] for row in m]
+
+
+def dual_level(gram: list[list[int]]) -> int:
+    """Smallest N with N G^-1 integral and of even diagonal, from the Fraction inverse."""
+    inv = fraction_inverse(gram)
+    n0 = lcm(*(x.denominator for row in inv for x in row))
+    if any((n0 * inv[i][i]).numerator % 2 for i in range(len(inv))):
+        return 2 * n0
+    return n0
+
+
+def dual_rescaled_gram(gram: list[list[int]], m: int) -> list[list[int]] | None:
+    """m G^-1 as integers when it is integral with even diagonal, else None."""
+    scaled = [[m * x for x in row] for row in fraction_inverse(gram)]
+    if any(x.denominator != 1 for row in scaled for x in row):
+        return None
+    if any(scaled[i][i].numerator % 2 for i in range(len(scaled))):
+        return None
+    return [[x.numerator for x in row] for row in scaled]

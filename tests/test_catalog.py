@@ -1,8 +1,11 @@
 """Named lattice catalog: determinants, levels, and the model expression grammar."""
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from reflector import roots
 from reflector.catalog import (
     Catalog,
     default_catalog,
@@ -116,14 +119,32 @@ def test_unknown_name_rejected():
 
 
 def test_t8_builds_are_independent():
-    """Mutating one T8 Gram leaves the next build, and the expression parser, intact."""
+    """A built T8 cannot be changed, and every build, also through the parser, is equal."""
     cat = Catalog()
     first = cat.build("T8")
-    original = [row[:] for row in first.gram]
-    first.gram[0][0] += 2
-    first.name = "changed"
+    with pytest.raises(TypeError):
+        first.gram[0][0] = 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.name = "changed"
     again = cat.build("T8")
-    assert again is not first
-    assert again.gram == original and again.name == "T8"
+    assert again == first and again.name == "T8"
     _, definite = definite_part("2U+T8", cat)
-    assert definite is not again and definite.gram == original
+    assert definite == first
+
+
+def test_catalog_grams_span_the_ade_table():
+    """Each ADE name of rank <= 12 builds the lattice whose roots are that one type.
+
+    At a prime not dividing the determinant there are no long roots, so the
+    root system is the norm-2 one: a single component with rank * Coxeter
+    number roots, on a lattice with the table's determinant.
+    """
+    for rank in range(1, 13):
+        for t in roots.ade_types(rank):
+            lat = CAT.build(t.name)
+            p = next(q for q in (2, 3, 5, 7, 11, 13) if t.det % q)
+            comps = roots.root_components(lat, p)
+            assert [(c.name, c.rank, c.count_short, c.count_long) for c in comps] == [
+                (t.name, rank, t.count, 0)
+            ], t.name
+            assert lat.det() == t.det, t.name

@@ -4,7 +4,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from helpers import dual_level, dual_rescaled_gram
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from reflector import intmat
 from reflector.lattices import Lattice, direct_sum
 
 U = Lattice([[0, 1], [1, 0]], name="U")
@@ -33,7 +37,7 @@ def test_dual_gram_inverse_relation():
 
 def test_rescaled_multiplies_gram_and_det():
     a23 = A2.rescaled(3)
-    assert a23.gram == [[6, -3], [-3, 6]]
+    assert a23.gram == ((6, -3), (-3, 6))
     assert a23.det() == 27
     assert a23.level() == 9
 
@@ -79,3 +83,29 @@ def test_nonsymmetric_gram_rejected():
 def test_odd_diagonal_rejected():
     with pytest.raises(ValueError):
         Lattice([[1, 0], [0, 2]])
+
+
+@st.composite
+def even_grams(draw, n_max: int = 6, entry: int = 3):
+    """Nondegenerate even Grams A + A^T of rank <= n_max, definite or indefinite."""
+    n = draw(st.integers(1, n_max))
+    row = st.lists(st.integers(-entry, entry), min_size=n, max_size=n)
+    a = draw(st.lists(row, min_size=n, max_size=n))
+    gram = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+    assume(intmat.determinant(gram) != 0)
+    return gram
+
+
+@settings(max_examples=150, deadline=None)
+@given(even_grams(), st.integers(1, 12))
+def test_integer_dual_data_matches_fraction_inverse(gram, m):
+    """level() and dual_rescaled(m), read off the integer adjugate, agree with G^-1 over Q."""
+    lat = Lattice(gram)
+    assert lat.level() == dual_level(gram)
+    for scale in (m, lat.level(), abs(lat.det())):
+        want = dual_rescaled_gram(gram, scale)
+        if want is None:
+            with pytest.raises(ValueError):
+                lat.dual_rescaled(scale)
+        else:
+            assert lat.dual_rescaled(scale).gram == tuple(map(tuple, want))

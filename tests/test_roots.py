@@ -82,6 +82,16 @@ def test_component_recognition_table():
         assert got == sorted(want), expr
 
 
+def test_odd_rescaled_dual_still_gives_long_roots():
+    """2A1 has level 4, and 2 G^-1 = I_2 is integral but odd: its norm-2 vectors
+    (+-1, +-1) are reflective norm-4 roots, which join the short roots into B2."""
+    lat = Lattice([[2, 0], [0, 2]])
+    assert reflective_2p_roots(lat, 2) == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
+    comps = root_components(lat, 2)
+    assert [(c.name, c.count_short, c.count_long) for c in comps] == [("B2", 4, 4)]
+    assert comps == pairwise_root_components(lat, 2)
+
+
 def test_component_counts_are_coxeter_consistent():
     """Within one component, count_short + count_long = rank * coxeter number."""
     for expr, p in (("2U+D4", 2), ("2U+A2", 3), ("2U+D8", 2), ("2U+D8v(2)", 2)):
