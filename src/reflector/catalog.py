@@ -17,8 +17,8 @@ variable) can add or override entries with the same JSON shape.
 
 Every expression goes through one term expansion, `Catalog.summands`, which
 builds each distinct term once; `Catalog.parse` puts all summands into one
-block-diagonal Gram and `definite_part` sums the summands other than the
-hyperbolic planes.
+block-diagonal Gram, `definite_part` sums the summands other than the
+hyperbolic planes, and `model_parts` gives both from a single expansion.
 """
 
 from __future__ import annotations
@@ -140,8 +140,13 @@ class Catalog:
         return out
 
     def parse(self, expr: str) -> Lattice:
-        grams = [lat.gram for _, _, _, lat in self.summands(expr)]
-        return Lattice(intmat.block_diagonal(grams), name=normalize_expr(expr))
+        return _assemble(expr, self.summands(expr))
+
+
+def _assemble(expr: str, summands) -> Lattice:
+    """All summands of expr in one block-diagonal Gram."""
+    grams = [lat.gram for _, _, _, lat in summands]
+    return Lattice(intmat.block_diagonal(grams), name=normalize_expr(expr))
 
 
 def normalize_expr(expr: str) -> str:
@@ -166,14 +171,24 @@ def definite_part(expr: str, catalog: Catalog | None = None):
     (1 for U itself, p for U(p)) and lattice is the direct sum of the
     remaining terms, or None when nothing remains.
     """
+    return _split_definite((catalog or default_catalog()).summands(expr))
+
+
+def _split_definite(summands) -> tuple[list[int], Lattice | None]:
     scales: list[int] = []
     rest: list[Lattice] = []
-    for name, dual, scale, lat in (catalog or default_catalog()).summands(expr):
+    for name, dual, scale, lat in summands:
         if name == "U" and not dual:
             scales.append(scale or 1)
         else:
             rest.append(lat)
     return scales, direct_sum(rest) if rest else None
+
+
+def model_parts(expr: str, catalog: Catalog | None = None):
+    """(parse(expr), *definite_part(expr)) from one expansion of the terms."""
+    summands = (catalog or default_catalog()).summands(expr)
+    return (_assemble(expr, summands), *_split_definite(summands))
 
 
 def parse_lattice(expr: str, catalog: Catalog | None = None) -> Lattice:

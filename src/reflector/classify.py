@@ -514,11 +514,10 @@ def verify_construction(label: str, cov: dict, catalog=None) -> dict:
     results = {}
 
     def one(model: str, c1: int, cp: int, k: int, key: str):
-        lat = cat.parse(model)
+        lat, scales, definite = cat_mod.model_parts(model, cat)
         if discforms.genus_symbol(lat, p=g.p) != g:
             results[key] = "genus-mismatch"
             return
-        scales, definite = cat_mod.definite_part(model, cat)
         if sorted(scales) == [1, 1] and definite is not None:
             rep = reflcheck.check_candidate(definite, g.p, c1, cp, k)
             results[key] = "checked" if rep.passed else "check-failed"
@@ -653,8 +652,10 @@ def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=
     Each admissible root datum generates a definite lattice; the classes are
     its even overlattices of determinant p^n_p and level p whose reflective
     root system is exactly the datum (glue vectors may create extra roots,
-    in which case the overlattice belongs to a different datum), counted up
-    to the short-vector fingerprint.
+    in which case the overlattice belongs to a different datum).  Every
+    overlattice is root system filtered, then counted up to the short-vector
+    fingerprint, so only the survivors of the filter are fingerprinted and
+    one with another root system never stands in for one with this one.
     """
     cat = catalog or cat_mod.default_catalog()
     target = p**n_p
@@ -662,17 +663,19 @@ def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=
     for datum in class_number_rootsystems(rank, p, c1, cp, k):
         if datum["det"] % target != 0 or not _is_square(datum["det"] // target):
             continue
-        lat = _datum_lattice(datum, p, cat)
-        for over in discforms.even_overlattices(lat, target, fingerprint_norm=2 * p):
+
+        def carries_datum(over: Lattice) -> bool:
             if over.level() != p:
-                continue
+                return False
             comps = roots.root_components(over, p)
-            names = sorted(c.name for c in comps)
-            if names != datum["components"]:
-                continue
-            if sum(c.count_short for c in comps) != datum["count_short"]:
-                continue
-            if sum(c.count_long for c in comps) != datum["count_long"]:
-                continue
-            total += 1
+            return (
+                sorted(c.name for c in comps) == datum["components"]
+                and sum(c.count_short for c in comps) == datum["count_short"]
+                and sum(c.count_long for c in comps) == datum["count_long"]
+            )
+
+        lat = _datum_lattice(datum, p, cat)
+        total += len(
+            discforms.even_overlattices(lat, target, fingerprint_norm=2 * p, keep=carries_datum)
+        )
     return total

@@ -31,6 +31,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from operator import add, mod, mul
+from typing import Callable
 
 from . import intmat, roots
 from .lattices import Lattice
@@ -424,11 +426,34 @@ _GENUS_RE = re.compile(
 
 
 def parse_genus(text: str) -> GenusSymbol:
+    """The genus symbol a label names; ValueError unless that genus exists.
+
+    An even genus II_{pos,neg}(p^{eps n_p}) exists exactly when p is prime,
+    the rank pos + neg is even and at least n_p, and the Milgram octant of
+    its discriminant form equals the signature pos - neg mod 8.
+    """
     m = _GENUS_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"cannot parse genus symbol {text!r}")
     pos, neg, p, sign, n_p = m.groups()
-    return GenusSymbol(int(pos), int(neg), int(p), int(n_p), 1 if sign == "+" else -1)
+    g = GenusSymbol(int(pos), int(neg), int(p), int(n_p), 1 if sign == "+" else -1)
+    rank = g.pos + g.neg
+    if not is_prime(g.p):
+        raise ValueError(f"no genus {text!r}: {g.p} is not prime")
+    if rank % 2:
+        raise ValueError(f"no genus {text!r}: even lattices have even rank, not {rank}")
+    if g.n_p > rank:
+        raise ValueError(f"no genus {text!r}: p-rank {g.n_p} exceeds the rank {rank}")
+    try:
+        octant = milgram_formula(g.p, g.n_p, g.eps)
+    except GenusNotRepresentable as exc:
+        raise ValueError(f"no genus {text!r}: {exc}") from exc
+    if octant != g.signature_mod8():
+        raise ValueError(
+            f"no genus {text!r}: Milgram octant {octant} differs from the signature "
+            f"{g.signature_mod8()} mod 8"
+        )
+    return g
 
 
 def genus_symbol(lat: Lattice, p: int | None = None) -> GenusSymbol:
@@ -535,37 +560,46 @@ def splits_u_up(g: GenusSymbol) -> bool:
 def isotropic_subgroups(form: DiscriminantForm, order: int, budget: int = 10**6):
     """Isotropic subgroups of the given order, as sorted element tuples.
 
-    q vanishes identically on each subgroup.  The search restricts to
-    elements whose order divides `order`, walks closures breadth-first and
-    raises BudgetExceeded past `budget` element operations.
+    q vanishes identically on each subgroup.  The search grows subgroups
+    breadth-first from the pool of nonzero isotropic elements whose order
+    divides `order`, carrying each subgroup's generators.  For H isotropic
+    and x isotropic, q(h + kx) = q(h) + k^2 q(x) + 2k b(h, x) mod 2, so
+    <H, x> is isotropic exactly when b(g, x) is integral for every
+    generator g of H; x is tried only then, and q is never evaluated on a
+    closure.  Every element scanned for the pool and every (subgroup,
+    element) pair tried counts as one operation, and the search raises
+    BudgetExceeded past `budget` of them, before the pool is built when its
+    scan alone would pass it.
     """
-    zero = tuple(0 for _ in form.orders)
-    ops = 0
-    is_iso = form.is_isotropic
-    pool = [x for x in form.elements_of_order_dividing(order) if any(x) and is_iso(x)]
-
-    def add_mod(x, y):
-        return tuple((a + b) % o for a, b, o in zip(x, y, form.orders))
+    orders, den = form.orders, form._bden
+    ops = prod(gcd(o, order) for o in orders)
+    if ops > budget:
+        raise BudgetExceeded(
+            f"isotropic subgroup search passed {budget} operations: "
+            f"{ops} elements of order dividing {order}"
+        )
+    zero = tuple(0 for _ in orders)
+    pool = [x for x in form.elements_of_order_dividing(order) if any(x) and form.is_isotropic(x)]
+    # den * x^T B, so den * b(g, x) is the dot product of g with it
+    pairing = {x: [sum(map(mul, x, row)) for row in form._bnum] for x in pool}
 
     def closure(base: frozenset, new):
         # <base, new> is the union of the cosets base + k*new; they repeat
-        # from the first k with k*new in base, and only they need checking
+        # from the first k with k*new in base
         elems = set(base)
         coset = list(base)
         while True:
-            coset = [add_mod(h, new) for h in coset]
+            coset = [tuple(map(mod, map(add, h, new), orders)) for h in coset]
             if coset[0] in elems:
                 return frozenset(elems)
-            if not all(map(is_iso, coset)):
-                return None
             elems.update(coset)
 
     seen = {frozenset({zero})}
-    frontier = [frozenset({zero})]
+    frontier: list[tuple[frozenset, tuple]] = [(frozenset({zero}), ())]
     results = [frozenset({zero})] if order == 1 else []
     while frontier:
         nxt = []
-        for sub in frontier:
+        for sub, gens in frontier:
             if len(sub) >= order:
                 continue
             for x in pool:
@@ -574,13 +608,16 @@ def isotropic_subgroups(form: DiscriminantForm, order: int, budget: int = 10**6)
                 ops += 1
                 if ops > budget:
                     raise BudgetExceeded(f"isotropic subgroup search passed {budget} operations")
+                px = pairing[x]
+                if any(sum(map(mul, g, px)) % den for g in gens):
+                    continue
                 grown = closure(sub, x)
-                if grown is None or grown in seen:
+                if grown in seen:
                     continue
                 if len(grown) > order or order % len(grown) != 0:
                     continue
                 seen.add(grown)
-                nxt.append(grown)
+                nxt.append((grown, gens + (x,)))
                 if len(grown) == order:
                     results.append(grown)
         frontier = nxt
@@ -601,14 +638,22 @@ def _lattice_fingerprint(lat: Lattice, norm_cap: int = 4) -> tuple:
 
 
 def even_overlattices(
-    lat: Lattice, target_det: int, budget: int = 10**6, fingerprint_norm: int = 4
+    lat: Lattice,
+    target_det: int,
+    budget: int = 10**6,
+    fingerprint_norm: int = 4,
+    keep: Callable[[Lattice], bool] | None = None,
 ) -> list[Lattice]:
-    """Even overlattices with the requested determinant, up to isometry.
+    """Even overlattices with the requested determinant, up to the fingerprint.
 
     Overlattices M with L <= M <= L^dual correspond to isotropic subgroups
-    H <= D(L), with [M : L]^2 = |det L| / |det M|.  One representative is
-    returned per fingerprint class (determinant, level, short-vector
-    histogram), matching the classification's use of "the" overlattice.
+    H <= D(L), with [M : L]^2 = |det L| / |det M|.  When `keep` is given,
+    an overlattice is dropped unless keep(M) holds, and this runs on each
+    built overlattice before the fingerprint, so rejected ones cost no
+    short-vector enumeration and cannot stand in for a kept one.  One
+    representative is returned per fingerprint class (determinant, level,
+    histogram of the vectors of norm <= fingerprint_norm), matching the
+    classification's use of "the" overlattice.
     """
     det = lat.det()
     d = abs(det)
@@ -620,7 +665,7 @@ def even_overlattices(
     if m * m != ratio:
         return []
     if m == 1:
-        return [lat]
+        return [lat] if keep is None or keep(lat) else []
     form = DiscriminantForm.from_lattice(lat)
     n = lat.rank
     adj = lat.adjugate()
@@ -648,6 +693,8 @@ def even_overlattices(
             gram2.append([x // (m * m) for x in row])
         over = Lattice(gram2)
         assert abs(over.det()) == t
+        if keep is not None and not keep(over):
+            continue
         fp = _lattice_fingerprint(over, fingerprint_norm)
         if fp in seen_fp:
             continue

@@ -90,7 +90,7 @@ def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckRepo
 
     coxeter_ok: bool | None = None
     if p >= 5 and r1 and r2 and c1 > 0 and cp > 0:
-        comps = roots.root_components(lat, p)
+        comps = roots._split_components(lat, p, r1, r2)
         shorts = [cc for cc in comps if cc.count_long == 0]
         longs = [cc for cc in comps if cc.count_short == 0]
         if len(shorts) + len(longs) != len(comps):

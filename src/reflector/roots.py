@@ -221,7 +221,13 @@ def root_components(lat: Lattice, p: int) -> list[RootComponent]:
     sum of roots from two orthogonal components.  The rank of a component
     is its number of simple roots.
     """
-    r1, r2 = reflective_roots(lat, p)
+    return _split_components(lat, p, *reflective_roots(lat, p))
+
+
+def _split_components(
+    lat: Lattice, p: int, r1: list[list[int]], r2: list[list[int]]
+) -> list[RootComponent]:
+    """`root_components` on the roots `reflective_roots(lat, p)` returned."""
     # a vector as one integer sum_i v_i base^(n-1-i); on vectors with every
     # |v_i| < base / 2, as roots and differences of two roots are, this is
     # additive, one-to-one and ordered like Z^n lexicographically

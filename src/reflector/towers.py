@@ -186,8 +186,8 @@ def replay_transfer(tr: Transfer, catalog=None) -> dict:
     mult_ok = transfer_multiplicity(tr.from_c1, tr.from_cp, tr.p) == (tr.to_c1, tr.to_cp)
     weight_ok = transfer_weight(tr.from_k, tr.p) == tr.to_k
 
-    from_lat = cat.parse(tr.from_expr)
-    to_lat = cat.parse(tr.to_expr)
+    from_lat, from_scales, from_def = cat_mod.model_parts(tr.from_expr, cat)
+    to_lat, to_scales, to_def = cat_mod.model_parts(tr.to_expr, cat)
     g_from = discforms.genus_symbol(from_lat, p=tr.p)
     g_to = discforms.genus_symbol(to_lat, p=tr.p)
     genus_ok = g_from == discforms.parse_genus(tr.from_genus) and g_to == discforms.parse_genus(
@@ -199,8 +199,6 @@ def replay_transfer(tr: Transfer, catalog=None) -> dict:
         and (g_to.pos, g_to.neg) == (g_from.pos, g_from.neg)
     )
 
-    from_scales, from_def = cat_mod.definite_part(tr.from_expr, cat)
-    to_scales, to_def = cat_mod.definite_part(tr.to_expr, cat)
     parts_ok = (
         sorted(from_scales) == sorted([1, tr.p])
         and sorted(to_scales) == [1, 1]

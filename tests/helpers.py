@@ -6,16 +6,17 @@ arithmetic, power series come from naive polynomial products, Bernoulli
 numbers come from the Akiyama-Tanigawa scheme, values of a discriminant form
 come from one Fraction product per element, vanishing at a root of unity
 comes from long division by the cyclotomic polynomial, root components
-come from testing every pair of roots for a nonzero inner product, and the
+come from testing every pair of roots for a nonzero inner product, the
 level and rescaled duals of a lattice come from a Fraction Gauss-Jordan
-inverse of its Gram.
+inverse of its Gram, and isotropic subgroups come from closures that test q
+on every element they add.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -154,6 +155,59 @@ def q_values(orders: tuple[int, ...], bilinear) -> Counter:
         q = sum(Fraction(bilinear[i][j]) * x[i] * x[j] for i in range(k) for j in range(k))
         out[q % 2] += 1
     return out
+
+
+def isotropic_subgroups_by_closure(orders: tuple[int, ...], bilinear, order: int) -> list[tuple]:
+    """Isotropic subgroups of the given order, as sorted element tuples, sorted by (size, elements).
+
+    Breadth-first closure from the nonzero isotropic elements whose order
+    divides `order`: <H, x> is built coset by coset and rejected as soon as
+    one of its elements has q != 0, with q one Fraction sum per element.
+    """
+    k = len(orders)
+
+    def q(x) -> Fraction:
+        return sum(Fraction(bilinear[i][j]) * x[i] * x[j] for i in range(k) for j in range(k)) % 2
+
+    def divides_order(x) -> bool:
+        return order % lcm(*(o // gcd(o, c) for o, c in zip(orders, x))) == 0
+
+    elements = [x for x in itertools.product(*(range(o) for o in orders)) if divides_order(x)]
+    isotropic = {x for x in elements if q(x) == 0}
+    zero = tuple([0] * k)
+    pool = [x for x in elements if x != zero and x in isotropic]
+
+    def closure(base: frozenset, new):
+        elems = set(base)
+        coset = list(base)
+        while True:
+            coset = [tuple((a + b) % o for a, b, o in zip(h, new, orders)) for h in coset]
+            if coset[0] in elems:
+                return frozenset(elems)
+            if not all(h in isotropic for h in coset):
+                return None
+            elems.update(coset)
+
+    start = frozenset({zero})
+    seen, frontier = {start}, [start]
+    results = [start] if order == 1 else []
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            if len(sub) >= order:
+                continue
+            for x in pool:
+                if x in sub:
+                    continue
+                grown = closure(sub, x)
+                if grown is None or grown in seen or order % len(grown):
+                    continue
+                seen.add(grown)
+                nxt.append(grown)
+                if len(grown) == order:
+                    results.append(grown)
+        frontier = nxt
+    return sorted((tuple(sorted(sub)) for sub in results), key=lambda sub: (len(sub), sub))
 
 
 def gauss_exponents(orders: tuple[int, ...], bilinear, m: int) -> list[int]:

@@ -10,6 +10,7 @@ from reflector.catalog import (
     Catalog,
     default_catalog,
     definite_part,
+    model_parts,
     normalize_expr,
     parse_lattice,
 )
@@ -111,6 +112,8 @@ def test_definite_part_strips_hyperbolic_planes():
     scales5, lat5 = definite_part("U+U(5)+T4", CAT)
     assert scales5 == [1, 5]
     assert lat5.rank == 4
+    for expr in ("2U+E6v(3)+2A2", "U+U(5)+T4", "2U+E8v", "U"):
+        assert model_parts(expr, CAT) == (parse_lattice(expr, CAT), *definite_part(expr, CAT))
 
 
 def test_unknown_name_rejected():

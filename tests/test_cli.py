@@ -186,3 +186,32 @@ def test_non_prime_is_a_one_line_error(argv, prime, capsys):
     assert "is not a prime" in err
     assert "positive definite" not in err
     assert out == ""
+
+
+def test_classnumber_past_the_budget_exits_three(capsys):
+    """The rank-12 datum A1(2)^12 needs a scan of 2^24 elements; the budget stops it."""
+    argv = ["classnumber", "--rank", "12", "--prime", "2", "--c1", "1", "--cp", "1",
+            "--k", "12", "--np", "4"]
+    code, out, err = run_cli_err(argv, capsys)
+    assert code == 3
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "genus, code",
+    [
+        ("II_{4,2}(3^{+9})", 1),
+        ("II_{4,2}(3^{+1})", 1),
+        ("II_{5,2}(3^{+1})", 1),
+        ("II_{4,2}(3^{-1})", 0),
+    ],
+)
+def test_discform_genus_must_exist(genus, code, capsys):
+    got, out, err = run_cli_err(["discform", "--genus", genus], capsys)
+    if code:
+        assert_one_line_error(got, err)
+        assert "no genus" in err
+    else:
+        assert got == 0 and "Milgram octant 2" in out

@@ -2,16 +2,27 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
+from time import perf_counter
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import cyclotomic, gauss_exponents, poly_divmod, q_values
+from helpers import (
+    cyclotomic,
+    gauss_exponents,
+    isotropic_subgroups_by_closure,
+    poly_divmod,
+    q_values,
+)
 from reflector.catalog import default_catalog, definite_part, parse_lattice
 from reflector.discforms import (
+    BudgetExceeded,
     DiscriminantForm,
+    GenusSymbol,
     _crt_layout,
+    _lattice_fingerprint,
     _vanishes_at_root,
     dual_rescale_genus,
     even_overlattices,
@@ -23,6 +34,7 @@ from reflector.discforms import (
     splits_u_up,
 )
 from reflector.lattices import Lattice
+from reflector.roots import root_components
 
 CAT = default_catalog()
 
@@ -244,7 +256,8 @@ def test_dual_rescale_fixed_point_labels():
 
 
 SPLIT_CASES = [
-    ("II_{22,2}(2_II^{+4})", False),
+    # II_{22,2}(2_II^{+4}) does not exist (octant 0, signature 4), so parse_genus rejects it
+    (GenusSymbol(22, 2, 2, 4, 1), False),
     ("II_{22,2}(2_II^{-2})", False),
     ("II_{18,2}(2_II^{+10})", True),
     ("II_{14,2}(2_II^{-8})", True),
@@ -257,7 +270,8 @@ SPLIT_CASES = [
 
 def test_scaled_hyperbolic_splitting_predicate():
     for label, want in SPLIT_CASES:
-        assert splits_u_up(parse_genus(label)) is want, label
+        g = label if isinstance(label, GenusSymbol) else parse_genus(label)
+        assert splits_u_up(g) is want, label
 
 
 def test_split_predicate_agrees_with_explicit_models():
@@ -334,3 +348,107 @@ def test_isotropic_lines_of_elementary_abelian_forms(p, n_p, eps):
     lines = isotropic_subgroups(form, order=p)
     assert len(lines) * (p - 1) == form.count_norm(0)
     assert all(len(line) == p for line in lines)
+
+
+# small definite sums whose discriminant groups are not elementary abelian:
+# E6(3) gives (3, 3, 3, 3, 3, 9), A1(2) gives 4, A2(3) gives (3, 9)
+ISOTROPIC_SEARCH_EXPRS = [
+    "E6(3)", "E6v(3)", "A2(3)", "A2(9)", "A1(2)", "2A1(2)", "A1(4)", "A3(2)", "D4(2)",
+    "D4(3)", "A3+A1(2)", "A2+A2(3)", "A1(2)+A2(3)", "2A2+A1(2)", "D4+A2(3)",
+]
+
+ISOTROPIC_SEARCH_FORMS = st.one_of(
+    st.sampled_from(ISOTROPIC_SEARCH_EXPRS).map(
+        lambda e: DiscriminantForm.from_lattice(parse_lattice(e, CAT))
+    ),
+    st.lists(
+        st.tuples(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.sampled_from([1, -1])),
+        min_size=1,
+        max_size=3,
+    ).map(_block_sum_form),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ISOTROPIC_SEARCH_FORMS, st.sampled_from([1, 2, 3, 4, 6, 8, 9]))
+@example(DiscriminantForm.from_lattice(parse_lattice("E6(3)", CAT)), 9)
+@example(DiscriminantForm.from_lattice(parse_lattice("2A1(2)", CAT)), 4)
+def test_isotropic_subgroups_match_closure_oracle(form, order):
+    """The orthogonality test on generators finds the subgroups that testing q on every element finds."""
+    assume(form.order() <= 3**8)
+    assume(prod(gcd(o, order) for o in form.orders) <= 3**7)
+    want = isotropic_subgroups_by_closure(form.orders, form.bilinear, order)
+    assert isotropic_subgroups(form, order) == want
+
+
+def _fingerprint_classes(lattices):
+    classes: dict = {}
+    for lat in lattices:
+        classes.setdefault(_lattice_fingerprint(lat), []).append(lat)
+    return classes
+
+
+@pytest.mark.parametrize(
+    "expr, p, target",
+    [
+        ("E6(3)+A2", 3, 3**6),  # the census datum E6(3)+G2
+        ("E6(3)", 3, 3**5),
+        ("E7+A1(5)", 5, 5),
+        ("4A2", 3, 3**2),
+    ],
+)
+def test_keep_filters_before_the_fingerprint(expr, p, target):
+    """keep= gives the unfiltered list filtered, whenever no fingerprint class straddles the filter."""
+    lat = parse_lattice(expr, CAT)
+
+    def level_p_with_roots(over):
+        return over.level() == p and bool(root_components(over, p))
+
+    built = []
+
+    def record(over):
+        built.append(over)
+        return True
+
+    full = even_overlattices(lat, target, keep=record)
+    assert full == even_overlattices(lat, target)
+    kept = even_overlattices(lat, target, keep=level_p_with_roots)
+    assert all(level_p_with_roots(over) for over in kept)
+    survivors = [over for over in built if level_p_with_roots(over)]
+    assert set(_fingerprint_classes(kept)) == set(_fingerprint_classes(survivors))
+    straddles = any(
+        len({level_p_with_roots(over) for over in members}) > 1
+        for members in _fingerprint_classes(built).values()
+    )
+    if not straddles:
+        assert kept == [over for over in full if level_p_with_roots(over)]
+
+
+def test_pool_scan_is_charged_to_the_budget():
+    """D(A1(2)^12) has 2^24 elements of order dividing 1024: the scan alone passes the budget."""
+    form = DiscriminantForm.from_lattice(parse_lattice("12A1(2)", CAT))
+    start = perf_counter()
+    with pytest.raises(BudgetExceeded):
+        isotropic_subgroups(form, order=1024, budget=1000)
+    assert perf_counter() - start < 5
+    # an anisotropic form tries no (subgroup, element) pair, yet its scan is charged
+    form = candidate_form(3, 1, 1)
+    assert isotropic_subgroups(form, order=3, budget=3) == []
+    with pytest.raises(BudgetExceeded):
+        isotropic_subgroups(form, order=3, budget=2)
+
+
+@pytest.mark.parametrize(
+    "label",
+    [
+        "II_{4,2}(3^{+9})",  # p-rank above the rank
+        "II_{4,2}(3^{+1})",  # octant 6, signature 2
+        "II_{5,2}(3^{+1})",  # odd rank
+        "II_{22,2}(2_II^{+4})",  # octant 0, signature 4
+        "II_{6,2}(2_II^{-3})",  # odd 2-rank of an even form
+        "II_{4,2}(9^{-1})",  # not a prime
+    ],
+)
+def test_parse_genus_rejects_genera_that_do_not_exist(label):
+    with pytest.raises(ValueError, match="no genus"):
+        parse_genus(label)
