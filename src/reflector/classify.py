@@ -256,6 +256,11 @@ _FAMILIES = {
 }
 
 
+def _family_cutoffs(n: int, n_p: int) -> list[int | None]:
+    """Largest surviving prime of each model family of the case (n, n_p)."""
+    return [reflcheck.singular_filter(reflcheck.solve_family(*fam)) for fam in _FAMILIES[(n, n_p)]]
+
+
 def _rule_for(p: int, n: int, n_p: int) -> tuple[str, str | None] | None:
     if (p, n, n_p) in _RULES:
         return _RULES[(p, n, n_p)]
@@ -332,10 +337,7 @@ def eliminate_case(
 
     elif tag == "singular-weight-bound":
         if model == "families":
-            cutoffs = []
-            for h1, h2, n1, rank in _FAMILIES[(n, n_p)]:
-                fam = reflcheck.solve_family(h1, h2, n1, rank)
-                cutoffs.append(reflcheck.singular_filter(fam))
+            cutoffs = _family_cutoffs(n, n_p)
             fired = all(c is not None and c < p for c in cutoffs)
             cert["family_prime_cutoffs"] = cutoffs
             detail = f"every admissible model family dies beyond p = {max(cutoffs)}"
@@ -346,14 +348,14 @@ def eliminate_case(
                 cert["family_prime_cutoff"] = reflcheck.singular_filter(fam)
             else:
                 _, definite = cat_mod.definite_part(model, cat)
-            res = reflcheck.solve_candidates(definite, p)
+            comps = roots.root_components(definite, p)
+            res = reflcheck.solve_components(comps, definite.rank)
             if res.status != "ray":
                 fired = True
                 detail = f"model admits no multiplicities at all: {res.reason}"
                 cert["solve_status"] = res.status
             else:
-                r1, _ = roots.reflective_roots(definite, p)
-                n1 = roots.span_rank(r1)
+                n1 = sum(c.rank for c in comps if c.count_short)
                 bound = Fraction(n1 * res.c1 + (definite.rank - n1) * res.cp, 2)
                 fired = Fraction(res.k) < bound
                 cert["ray"] = (res.c1, res.cp, res.k)
@@ -441,10 +443,7 @@ def classify_symbolic(class_name: str) -> list[CaseRecord]:
             )
             tag = "no-spanning-root-lattice"
         else:
-            cutoffs = []
-            for h1, h2, n1, rank in _FAMILIES[(n, n_p)]:
-                fam = reflcheck.solve_family(h1, h2, n1, rank)
-                cutoffs.append(reflcheck.singular_filter(fam))
+            cutoffs = _family_cutoffs(n, n_p)
             cert["family_prime_cutoffs"] = cutoffs
             bound = 13 if one_mod_4 else 23
             detail = (
@@ -598,6 +597,7 @@ def class_number_rootsystems(
     constant C, whose total counts satisfy the counting identity; each datum
     reports the lattice generated by its components.
     """
+    reflcheck.check_multiplicities(c1, cp)
     found = []
     for c_int in range(1, max_c + 1):
         c = Fraction(c_int)
@@ -657,6 +657,8 @@ def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=
     fingerprint, so only the survivors of the filter are fingerprinted and
     one with another root system never stands in for one with this one.
     """
+    if n_p < 0:
+        raise ValueError(f"n_p must be nonnegative, not {n_p}")
     cat = catalog or cat_mod.default_catalog()
     target = p**n_p
     total = 0

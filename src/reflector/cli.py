@@ -68,6 +68,14 @@ def _catalog(args):
     return cat_mod.default_catalog()
 
 
+def _definite(args):
+    """The positive definite part of --lattice; ValueError when it has none."""
+    _, definite = cat_mod.definite_part(args.lattice, _catalog(args))
+    if definite is None:
+        raise ValueError(f"lattice {args.lattice} has no definite part")
+    return definite
+
+
 def _add_common(sub):
     sub.add_argument("--format", choices=("json", "text"), default="text")
     sub.add_argument("--catalog", help="path to a JSON gram-matrix catalog")
@@ -129,11 +137,7 @@ def cmd_discform(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    cat = _catalog(args)
-    _, definite = cat_mod.definite_part(args.lattice, cat)
-    if definite is None:
-        print("lattice has no definite part", file=sys.stderr)
-        return 1
+    definite = _definite(args)
     comps = roots.root_components(definite, args.prime)
     n_short = sum(c.count_short for c in comps)
     n_long = sum(c.count_long for c in comps)
@@ -152,11 +156,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cat = _catalog(args)
-    _, definite = cat_mod.definite_part(args.lattice, cat)
-    if definite is None:
-        print("lattice has no definite part", file=sys.stderr)
-        return 1
+    definite = _definite(args)
     report = reflcheck.check_candidate(definite, args.prime, args.c1, args.cp, args.k)
     payload = dataclasses.asdict(report)
     payload.pop("lattice", None)
@@ -171,11 +171,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cat = _catalog(args)
-    _, definite = cat_mod.definite_part(args.lattice, cat)
-    if definite is None:
-        print("lattice has no definite part", file=sys.stderr)
-        return 1
+    definite = _definite(args)
     res = reflcheck.solve_candidates(definite, args.prime)
     payload = dataclasses.asdict(res)
     lines = [f"solve at p={args.prime}: {res.status}"]

@@ -191,9 +191,6 @@ class DiscriminantForm:
                 n = lcm(n, self.bilinear[i][j].denominator)
         return n
 
-    def q(self, x: tuple[int, ...]) -> Fraction:
-        return Fraction(self._q_num(x), self._bden) % 2
-
     def is_isotropic(self, x: tuple[int, ...]) -> bool:
         """Whether q(x) = 0, in integers."""
         return self._q_num(x) % (2 * self._bden) == 0
@@ -212,15 +209,6 @@ class DiscriminantForm:
                     if x[j]:
                         total += 2 * row[j] * xi * x[j]
         return total
-
-    def b(self, x: tuple[int, ...], y: tuple[int, ...]) -> Fraction:
-        total = 0
-        bnum = self._bnum
-        for i in range(len(x)):
-            if x[i]:
-                row = bnum[i]
-                total += x[i] * sum(row[j] * y[j] for j in range(len(y)) if y[j])
-        return Fraction(total, self._bden) % 1
 
     def elements_of_order_dividing(self, m: int):
         ranges = []
@@ -486,16 +474,10 @@ def genus_symbol(lat: Lattice, p: int | None = None) -> GenusSymbol:
     oct_actual = form.milgram_octant()
     if oct_actual != sig8:
         raise ArithmeticError("Milgram octant disagrees with the signature")
-    eps_gauss = None
-    for eps in (1, -1):
-        try:
-            if milgram_formula(p, n_p, eps) == oct_actual:
-                eps_gauss = eps
-                break
-        except GenusNotRepresentable as exc:
-            raise ArithmeticError(f"no block candidate for computed invariants: {exc}")
-    if eps_gauss is None:
-        raise ArithmeticError("no block candidate matches the Gauss-sum octant")
+    try:
+        eps_gauss = eps_for(oct_actual, p, n_p)
+    except GenusNotRepresentable as exc:
+        raise ArithmeticError(f"no block candidate matches the Gauss-sum octant: {exc}") from exc
 
     if p != 2 and n_p > 0:
         _, diag = intmat.congruent_diagonal(lat.gram, p=p)
@@ -517,14 +499,6 @@ def genus_symbol(lat: Lattice, p: int | None = None) -> GenusSymbol:
             raise ArithmeticError("sign invariant: Jordan route disagrees with Gauss route")
 
     return GenusSymbol(pos, neg, p, n_p, eps_gauss)
-
-
-def dual_rescale_genus(g: GenusSymbol) -> GenusSymbol:
-    """Genus of the rescaled dual M^dual(p); an involution on symbols."""
-    rank = g.pos + g.neg
-    new_np = rank - g.n_p
-    eps = eps_for(g.signature_mod8(), g.p, new_np)
-    return GenusSymbol(g.pos, g.neg, g.p, new_np, eps)
 
 
 def eps_u_p(p: int) -> int:

@@ -1,19 +1,24 @@
 """Multiplicity identities for reflective forms on hyperbolic-plus-definite models.
 
 All functions here see only the positive definite part K of a model
-2U + K or U + U(p) + K; the hyperbolic summands contribute no roots.  For
-multiplicities (c1, cp) on the two root classes and a proposed weight k,
-the constraints are:
+2U + K or U + U(p) + K; the hyperbolic summands contribute no roots.  They
+read the reflective root system of K once, as the positive roots R1+ (norm
+2) and R2+ (norm 2p) that `roots.positive_roots` lists, and derive the rest:
+the root counts |R1| = 2 |R1+| and |R2| = 2 |R2+|, the components, and n1,
+the rank of the span of R1.  The short roots of an irreducible root system
+span it (Bourbaki, Lie groups, ch. VI, 1), so n1 is the total rank of the
+components that hold norm-2 roots.  For multiplicities (c1, cp) on the two
+root classes and a proposed weight k, the constraints are:
 
-  * matrix identity: c1 * sum_{r in R1} (Gr)(Gr)^T + (cp/p^2) * sum_{s in R2}
-    (Gs)(Gs)^T = 2C G for a scalar C;
+  * matrix identity: c1 * sum_{r in R1+} (Gr)(Gr)^T + (cp/p^2) *
+    sum_{s in R2+} (Gs)(Gs)^T = C G for a scalar C (each +- pair gives
+    the same outer product, so this is half the identity over R1 and R2);
   * counting identity: C = (c1 |R1| + cp |R2| + 2k) / 24 - c1;
-  * singular bound: k >= (n1 c1 + (rank - n1) cp) / 2 where n1 is the rank
-    of the span of R1;
+  * singular bound: k >= (n1 c1 + (rank - n1) cp) / 2;
   * for p >= 5 with both classes present, the same constants expressed
     through Coxeter numbers h1, h2 of the short and long subsystems.
 
-solve_candidates inverts the per-component equations c1 alpha + cp beta = C
+solve_components inverts the per-component equations c1 alpha + cp beta = C
 to find which multiplicities are admissible at all, and solve_family does
 the same symbolically in the prime for one-parameter model families.
 """
@@ -63,34 +68,40 @@ def _root_sum_matrix(gram, vectors) -> list[list[int]]:
     return intmat.mat_mul(intmat.mat_mul(gram, total), gram)
 
 
-def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckReport:
-    """Verify one (c1, cp, k) triple on the definite part of a model."""
+def check_multiplicities(c1: int, cp: int) -> None:
     if c1 < 0 or cp < 0 or (c1 == 0 and cp == 0):
         raise ValueError("multiplicities must be nonnegative and not both zero")
+
+
+def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckReport:
+    """Verify one (c1, cp, k) triple on the definite part of a model."""
+    check_multiplicities(c1, cp)
     if not lat.is_positive_definite():
         raise ValueError("check_candidate expects the positive definite part of the model")
-    r1, r2 = roots.reflective_roots(lat, p)
+    r1, r2 = roots.positive_roots(lat, p)
+    comps = roots._split_components(lat, p, r1, r2)
+    n_short, n_long = 2 * len(r1), 2 * len(r2)
     n = lat.rank
     g = lat.gram
 
-    # p^2 times the weighted root sum c1 S1 + (cp/p^2) S2, so it stays integral
+    # p^2 times the weighted positive-root sum c1 S1 + (cp/p^2) S2, so it
+    # stays integral
     s1 = _root_sum_matrix(g, r1)
     s2 = _root_sum_matrix(g, r2)
     s = [[p * p * c1 * x + cp * y for x, y in zip(row1, row2)] for row1, row2 in zip(s1, s2)]
 
-    # s = 2 C p^2 G, with 2 C p^2 = s[0][0] / g[0][0]
-    c = Fraction(s[0][0], 2 * p * p * g[0][0]) if n else Fraction(0)
+    # s = C p^2 G, with C p^2 = s[0][0] / g[0][0]
+    c = Fraction(s[0][0], p * p * g[0][0]) if n else Fraction(0)
     matrix_ok = all(s[i][j] * g[0][0] == s[0][0] * g[i][j] for i in range(n) for j in range(n))
 
-    counting_ok = c == Fraction(c1 * len(r1) + cp * len(r2) + 2 * k, 24) - c1
+    counting_ok = c == Fraction(c1 * n_short + cp * n_long + 2 * k, 24) - c1
 
-    n1 = roots.span_rank(r1)
+    n1 = sum(cc.rank for cc in comps if cc.count_short)
     bound = Fraction(n1 * c1 + (n - n1) * cp, 2)
     singular_ok = Fraction(k) >= bound
 
     coxeter_ok: bool | None = None
     if p >= 5 and r1 and r2 and c1 > 0 and cp > 0:
-        comps = roots._split_components(lat, p, r1, r2)
         shorts = [cc for cc in comps if cc.count_long == 0]
         longs = [cc for cc in comps if cc.count_short == 0]
         if len(shorts) + len(longs) != len(comps):
@@ -128,8 +139,8 @@ def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckRepo
         k=k,
         passed=passed,
         c=c,
-        count_short=len(r1),
-        count_long=len(r2),
+        count_short=n_short,
+        count_long=n_long,
         span_short=n1,
         rank=n,
         checks=checks,
@@ -150,16 +161,21 @@ class SolveResult:
 
 
 def solve_candidates(lat: Lattice, p: int) -> SolveResult:
-    """Determine all multiplicities compatible with the component equations.
-
-    Returns a primitive ray when the equations pin (c1 : cp), coefficient
-    polynomials k = k1 c1 + kp cp when every component imposes the same
-    equation, and status "none" (with a reason) when no admissible positive
-    solution exists.
-    """
+    """`solve_components` on the root components of a positive definite lattice."""
     if not lat.is_positive_definite():
         raise ValueError("solve_candidates expects the positive definite part of the model")
-    comps = roots.root_components(lat, p)
+    return solve_components(roots.root_components(lat, p), lat.rank)
+
+
+def solve_components(comps: list[roots.RootComponent], rank: int) -> SolveResult:
+    """Determine all multiplicities compatible with the component equations.
+
+    `comps` are the root components of a positive definite lattice of the
+    given rank.  Returns a primitive ray when the equations pin (c1 : cp),
+    coefficient polynomials k = k1 c1 + kp cp when every component imposes
+    the same equation, and status "none" (with a reason) when no admissible
+    positive solution exists.
+    """
     n_short = sum(cc.count_short for cc in comps)
     n_long = sum(cc.count_long for cc in comps)
     if not comps:
@@ -168,7 +184,7 @@ def solve_candidates(lat: Lattice, p: int) -> SolveResult:
             reason="no roots: only c1 contributes, k = 12 c1",
             k_coeffs=(Fraction(12), Fraction(0)),
         )
-    if sum(cc.rank for cc in comps) < lat.rank:
+    if sum(cc.rank for cc in comps) < rank:
         return SolveResult(
             status="none",
             reason="roots do not span the lattice",

@@ -7,10 +7,13 @@ roots of the remaining budget, so neither floating point nor Fraction work
 enters the search.  Root systems split into two classes relative to a prime
 p: ordinary roots of norm 2, and vectors of norm 2p that stay integral after
 division by p in the dual pairing (these reflect the lattice through
-rescaled mirrors).  Together they form one finite root system, which is
-split into irreducible components along its simple roots for the
-lexicographic order of Z^n; each component is named from its rank and root
-counts through the ADE table and the short/long patterns of B, C, F4, G2.
+rescaled mirrors).  Together they form one finite root system, enumerated
+once per (lattice, prime) as its positive roots: one root per +- pair, the
+one whose first nonzero coordinate is positive.  Everything else is derived
+from them: root counts are twice their number, and the irreducible
+components come from the simple roots for the lexicographic order of Z^n,
+each named from its rank and root counts through the ADE table and the
+short/long patterns of B, C, F4, G2.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from . import intmat
 from .lattices import Lattice
 
 
-def short_vectors(gram: list[list[int]], max_norm: int, half: bool = True):
-    """Nonzero vectors of norm <= max_norm, as a dict norm -> vectors.
+def short_vectors(gram: list[list[int]], max_norm: int):
+    """Nonzero vectors of norm <= max_norm, as a dict norm -> sorted vectors.
 
-    With half=True (the default) one representative per antipodal pair is
-    returned, canonicalized so the first nonzero coordinate is positive.
-    Raises ValueError when gram is not positive definite.
+    One representative per antipodal pair is returned, the one whose first
+    nonzero coordinate is positive.  Raises ValueError when gram is not
+    positive definite.
     """
     n = len(gram)
     minors, mult = intmat.scaled_ldl(gram)
@@ -54,10 +57,7 @@ def short_vectors(gram: list[list[int]], max_norm: int, half: bool = True):
         first = next(c for c in v if c)
         if first < 0:
             v = [-c for c in v]
-        vecs = out.setdefault((budget - left) // scale, [])
-        vecs.append(v)
-        if not half:
-            vecs.append([-c for c in v])
+        out.setdefault((budget - left) // scale, []).append(v)
 
     def rec(i: int, left: int, free: bool) -> None:
         # `left` is the unspent scaled budget; `free` says every coordinate
@@ -83,37 +83,27 @@ def short_vectors(gram: list[list[int]], max_norm: int, half: bool = True):
     return {norm: out[norm] for norm in sorted(out)}
 
 
-def roots_norm2(lat: Lattice) -> list[list[int]]:
-    """All vectors of norm 2, both signs."""
-    halves = short_vectors(lat.gram, 2).get(2, [])
-    return sorted(halves + [[-c for c in v] for v in halves])
+def positive_roots(lat: Lattice, p: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The reflective root system at p, one root per +- pair, as (short, long).
 
-
-def reflective_2p_roots(lat: Lattice, p: int) -> list[list[int]]:
-    """All vectors s of norm 2p with s/p integral in the dual pairing.
-
-    Such s are exactly p * G^-1 * k for norm-2 vectors k of the rescaled
-    dual Gram p * G^-1 = p adj(G) / det(G); when that matrix is not integral
-    there are none.  It need not be even: outside level 1 and level p it can
-    have odd diagonal entries and norm-2 vectors at once.
+    Short roots are the vectors of norm 2; long roots are the vectors s of
+    norm 2p with s/p in L^dual.  Each root is given with its first nonzero
+    coordinate positive, and each list is sorted.  The long roots are exactly
+    p * G^-1 * k for norm-2 vectors k of the rescaled dual Gram
+    p * G^-1 = p adj(G) / det(G); when that matrix is not integral there are
+    none.  It need not be even: outside level 1 and level p it can have odd
+    diagonal entries and norm-2 vectors at once.
     """
+    short = short_vectors(lat.gram, 2).get(2, [])
     det = lat.det()
     if any(p * x % det for row in lat.adjugate() for x in row):
-        return []
+        return short, []
     pgi = [[p * x // det for x in row] for row in lat.adjugate()]
-    halves = short_vectors(pgi, 2).get(2, [])
-    roots = [intmat.mat_vec(pgi, k) for k in halves]
-    return sorted(roots + [[-c for c in s] for s in roots])
-
-
-def reflective_roots(lat: Lattice, p: int) -> tuple[list[list[int]], list[list[int]]]:
-    return roots_norm2(lat), reflective_2p_roots(lat, p)
-
-
-def span_rank(vectors: list[list[int]]) -> int:
-    if not vectors:
-        return 0
-    return intmat.matrix_rank([list(v) for v in vectors])
+    long_ = []
+    for k in short_vectors(pgi, 2).get(2, []):
+        s = intmat.mat_vec(pgi, k)
+        long_.append(s if next(c for c in s if c) > 0 else [-c for c in s])
+    return short, sorted(long_)
 
 
 @dataclass(frozen=True)
@@ -212,22 +202,23 @@ def root_components(lat: Lattice, p: int) -> list[RootComponent]:
     norms onto themselves; a norm-2p root is never a rational multiple of a
     norm-2 one; (a, b) is a multiple of (b, b) / 2 for a, b in R).  Positive
     roots are those whose first nonzero coordinate is positive, the
-    lexicographic order of Z^n.  Walking them in ascending order, a root b
-    is simple iff no simple a found so far has b - a in R+: a non-simple b
-    has a simple a with (b, a) > 0, so b - a is a positive root and a comes
-    before b (Bourbaki, Lie groups, ch. VI, 1.6-1.7).  Components are the
+    lexicographic order of Z^n, as `positive_roots` lists them.  Walking
+    them in ascending order, a root b is simple iff no simple a found so
+    far has b - a in R+: a non-simple b has a simple a with (b, a) > 0, so
+    b - a is a positive root and a comes before b (Bourbaki, Lie groups,
+    ch. VI, 1.6-1.7).  Components are the
     classes of the simple roots under non-orthogonality.  A non-simple b
     lies in the component of the a found for it, since a root is never the
     sum of roots from two orthogonal components.  The rank of a component
     is its number of simple roots.
     """
-    return _split_components(lat, p, *reflective_roots(lat, p))
+    return _split_components(lat, p, *positive_roots(lat, p))
 
 
 def _split_components(
     lat: Lattice, p: int, r1: list[list[int]], r2: list[list[int]]
 ) -> list[RootComponent]:
-    """`root_components` on the roots `reflective_roots(lat, p)` returned."""
+    """`root_components` on the roots `positive_roots(lat, p)` returned."""
     # a vector as one integer sum_i v_i base^(n-1-i); on vectors with every
     # |v_i| < base / 2, as roots and differences of two roots are, this is
     # additive, one-to-one and ordered like Z^n lexicographically
@@ -239,8 +230,8 @@ def _split_components(
             x = x * base + c
         return x
 
-    short = {x: v for v in r1 if (x := pack(v)) > 0}
-    long_ = {x: v for v in r2 if (x := pack(v)) > 0}
+    short = {pack(v): v for v in r1}
+    long_ = {pack(v): v for v in r2}
     positive = short | long_
     simple: list[int] = []
     owner: dict[int, int] = {}  # positive root -> index of a simple root of its component

@@ -93,12 +93,13 @@ def load_transfers() -> list[Transfer]:
 
 
 def pullback_weight(k: int, c1: int, cp: int, dropped: Lattice, p: int) -> int:
-    """Weight after pulling back along the sublattice that omits `dropped`."""
-    r1, r2 = roots.reflective_roots(dropped, p)
-    jump = Fraction(c1 * len(r1) + cp * len(r2), 2)
-    if jump.denominator != 1:
-        raise ValueError("half-integral weight jump")
-    return k + int(jump)
+    """Weight after pulling back along the sublattice that omits `dropped`.
+
+    The jump (c1 |R1| + cp |R2|) / 2 is c1 |R1+| + cp |R2+| on the positive
+    roots.
+    """
+    r1, r2 = roots.positive_roots(dropped, p)
+    return k + c1 * len(r1) + cp * len(r2)
 
 
 def transfer_multiplicity(c1: int, cp: int, p: int) -> tuple[int, int]:

@@ -6,10 +6,12 @@ arithmetic, power series come from naive polynomial products, Bernoulli
 numbers come from the Akiyama-Tanigawa scheme, values of a discriminant form
 come from one Fraction product per element, vanishing at a root of unity
 comes from long division by the cyclotomic polynomial, root components
-come from testing every pair of roots for a nonzero inner product, the
+come from testing every pair of roots, taken with both signs, for a nonzero
+inner product, span ranks come from row elimination over Z, the
 level and rescaled duals of a lattice come from a Fraction Gauss-Jordan
-inverse of its Gram, and isotropic subgroups come from closures that test q
-on every element they add.
+inverse of its Gram, isotropic subgroups come from closures that test q
+on every element they add, and the genus of a rescaled dual comes from the
+complementary p-rank and the Milgram octant.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 from reflector import roots
+from reflector.discforms import GenusSymbol, eps_for
 
 
 def _box_sweep(gram: list[list[int]], max_norm: int):
@@ -274,13 +277,59 @@ def cyclotomic(m: int) -> list[int]:
     return quot
 
 
+def span_rank(vectors: list[list[int]]) -> int:
+    """Rank of the span of integer vectors, by row elimination over Z.
+
+    Rows are kept primitive with a positive leading entry and deduplicated;
+    each pivot row clears its leading column from the others by cross
+    multiplication, so the rank is the number of pivots.
+    """
+    def primitive(row) -> tuple | None:
+        g = gcd(*row)
+        if g == 0:
+            return None
+        if next(x for x in row if x) < 0:
+            g = -g
+        return tuple(x // g for x in row)
+
+    rows = {r for v in vectors if (r := primitive(v))}
+    rank = 0
+    while rows:
+        top = rows.pop()
+        col = next(i for i, x in enumerate(top) if x)
+        rank += 1
+        rows = {
+            r for row in rows
+            if (r := primitive([top[col] * x - row[col] * y for x, y in zip(row, top)]))
+        }
+    return rank
+
+
+def signed_roots(lat, p: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The reflective roots at p with both signs, sorted: (norm 2, norm 2p).
+
+    The long roots are p G^-1 k for the norm-2 vectors k of p G^-1, with
+    G^-1 the Fraction inverse; there are none when p G^-1 is not integral.
+    """
+    def both_signs(vectors):
+        return sorted(vectors + [[-c for c in v] for v in vectors])
+
+    short = both_signs(roots.short_vectors(lat.gram, 2).get(2, []))
+    pgi = [[p * x for x in row] for row in fraction_inverse(lat.gram)]
+    if any(x.denominator != 1 for row in pgi for x in row):
+        return short, []
+    pgi = [[x.numerator for x in row] for row in pgi]
+    halves = roots.short_vectors(pgi, 2).get(2, [])
+    return short, both_signs([[sum(g * x for g, x in zip(row, k)) for row in pgi] for k in halves])
+
+
 def pairwise_root_components(lat, p: int) -> list[roots.RootComponent]:
     """Components of the reflective root system by union-find over all root pairs.
 
-    Two roots are joined when their inner product is nonzero, and the rank of
-    a component is the rank of the span of its roots.
+    Two roots of `signed_roots` are joined when their inner product is
+    nonzero, and the rank of a component is the rank of the span of its roots.
     """
-    r1, r2 = roots.reflective_roots(lat, p)
+    r1, r2 = signed_roots(lat, p)
     labeled = [(v, 0) for v in r1] + [(v, 1) for v in r2]
     parent = list(range(len(labeled)))
 
@@ -305,7 +354,7 @@ def pairwise_root_components(lat, p: int) -> list[roots.RootComponent]:
     for members in groups.values():
         n_short = sum(1 for i in members if labeled[i][1] == 0)
         n_long = len(members) - n_short
-        rank = roots.span_rank([labeled[i][0] for i in members])
+        rank = span_rank([labeled[i][0] for i in members])
         comps.append(
             roots.RootComponent(
                 name=roots._component_name(rank, n_short, n_long, p),
@@ -354,3 +403,9 @@ def dual_rescaled_gram(gram: list[list[int]], m: int) -> list[list[int]] | None:
     if any(scaled[i][i].numerator % 2 for i in range(len(scaled))):
         return None
     return [[x.numerator for x in row] for row in scaled]
+
+
+def dual_rescale_genus(g: GenusSymbol) -> GenusSymbol:
+    """Genus of the rescaled dual M^dual(p): p-rank rank - n_p, sign from the octant."""
+    new_np = g.pos + g.neg - g.n_p
+    return GenusSymbol(g.pos, g.neg, g.p, new_np, eps_for(g.signature_mod8(), g.p, new_np))

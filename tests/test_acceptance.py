@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from helpers import bernoulli_poly_3, box_count_norm, legendre
+from helpers import bernoulli_poly_3, box_count_norm, dual_rescale_genus, legendre
 from test_classify import REFLECTIVE_55
 
 from reflector import etaq
@@ -25,13 +25,12 @@ from reflector.classify import (
 )
 from reflector.discforms import (
     DiscriminantForm,
-    dual_rescale_genus,
     even_overlattices,
     parse_genus,
 )
 from reflector.lattices import Lattice
 from reflector.reflcheck import check_candidate, singular_filter, solve_candidates, solve_family
-from reflector.roots import reflective_roots, roots_norm2
+from reflector.roots import positive_roots
 from reflector.towers import load_towers, verify_all
 
 CAT = default_catalog()
@@ -52,9 +51,9 @@ def test_root_count_suite():
     ok = True
     for name, want in (("A2", 6), ("D4", 24), ("E7", 126), ("E8", 240)):
         lat = CAT.build(name)
-        ok = ok and len(roots_norm2(lat)) == want
+        ok = ok and 2 * len(positive_roots(lat, 2)[0]) == want
         ok = ok and box_count_norm(lat.gram, 2) == want
-    short, _ = reflective_roots(_definite("2U+E6v(3)"), 3)
+    short, _ = positive_roots(_definite("2U+E6v(3)"), 3)
     ok = ok and short == []
     gate("root counts 6/24/126/240 with box oracle, rescaled E6 has none", ok)
 
@@ -223,7 +222,7 @@ def test_structural_invariants():
 
     for expr, p in (("2U+T4", 5), ("2U+T8", 5), ("2U+L7", 7)):
         lat = _definite(expr)
-        short, long_ = reflective_roots(lat, p)
+        short, long_ = positive_roots(lat, p)
         for r in short:
             for s in long_:
                 ok = ok and lat.inner(r, s) == 0

@@ -1,8 +1,11 @@
 """End-to-end elimination: case lists, verdicts, and the surviving genera."""
 from __future__ import annotations
 
+import pytest
+
 from reflector.classify import (
     apply_bounds,
+    class_number,
     class_number_rootsystems,
     classify,
     classify_symbolic,
@@ -227,6 +230,21 @@ def test_class_number_root_data():
         assert d["count_long"] == 84
     assert by_components[("A3", "D7(3)")]["det"] == 34992
     assert by_components[("E6(3)", "G2", "G2")]["det"] == 19683
+
+
+@pytest.mark.parametrize(
+    "c1, cp, n_p",
+    [(1, 1, -1), (-1, 1, 3), (1, -2, 3), (0, 0, 3)],
+    ids=["negative n_p", "negative c1", "negative cp", "both zero"],
+)
+def test_class_number_rejects_invalid_data(c1, cp, n_p):
+    """A negative p-rank would make p^n_p a float; the multiplicities are the
+    ones check_candidate rejects."""
+    with pytest.raises(ValueError):
+        class_number(6, 3, c1, cp, 24, n_p)
+    if n_p >= 0:
+        with pytest.raises(ValueError):
+            class_number_rootsystems(6, 3, c1, cp, 24)
 
 
 def test_class_number_intermediate_relations():

@@ -188,6 +188,29 @@ def test_non_prime_is_a_one_line_error(argv, prime, capsys):
     assert out == ""
 
 
+CLASSNUMBER = ["classnumber", "--rank", "6", "--prime", "3", "--k", "24"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["roots", "--lattice", "2U", "--prime", "2"], "no definite part"),
+        (["check", "--lattice", "2U", "--prime", "2", "--c1", "1", "--cp", "1", "--k", "96"],
+         "no definite part"),
+        (["solve", "--lattice", "2U", "--prime", "2"], "no definite part"),
+        (CLASSNUMBER + ["--c1", "1", "--cp", "1", "--np", "-1"], "n_p"),
+        (CLASSNUMBER + ["--c1", "-1", "--cp", "1", "--np", "3"], "multiplicities"),
+        (CLASSNUMBER + ["--c1", "0", "--cp", "0", "--np", "3"], "multiplicities"),
+    ],
+    ids=["roots 2U", "check 2U", "solve 2U", "negative np", "negative c1", "zero c1 and cp"],
+)
+def test_invalid_input_is_a_one_line_error(argv, message, capsys):
+    code, out, err = run_cli_err(argv, capsys)
+    assert_one_line_error(code, err)
+    assert message in err
+    assert out == ""
+
+
 def test_classnumber_past_the_budget_exits_three(capsys):
     """The rank-12 datum A1(2)^12 needs a scan of 2^24 elements; the budget stops it."""
     argv = ["classnumber", "--rank", "12", "--prime", "2", "--c1", "1", "--cp", "1",

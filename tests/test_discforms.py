@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     cyclotomic,
+    dual_rescale_genus,
     gauss_exponents,
     isotropic_subgroups_by_closure,
     poly_divmod,
@@ -24,7 +25,6 @@ from reflector.discforms import (
     _crt_layout,
     _lattice_fingerprint,
     _vanishes_at_root,
-    dual_rescale_genus,
     even_overlattices,
     genus_symbol,
     isotropic_subgroups,

@@ -3,30 +3,38 @@ and against a union-find over all pairs of roots."""
 from __future__ import annotations
 
 import pytest
-from helpers import box_count_norm, box_vectors_by_norm, pairwise_root_components
+from helpers import (
+    box_count_norm,
+    box_vectors_by_norm,
+    pairwise_root_components,
+    signed_roots,
+    span_rank,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reflector.catalog import default_catalog, definite_part, parse_lattice
 from reflector.lattices import Lattice
+from reflector.reflcheck import check_candidate
 from reflector.roots import (
     coxeter_number,
-    reflective_2p_roots,
-    reflective_roots,
+    positive_roots,
     root_components,
-    roots_norm2,
     short_vectors,
-    span_rank,
 )
 
 CAT = default_catalog()
+
+
+def first_nonzero_positive(vectors):
+    return [v for v in vectors if next(c for c in v if c) > 0]
 
 
 def test_norm2_counts_match_box_sweep():
     """Classical counts 6, 24, 126, 240 recovered two independent ways."""
     for name, want in (("A2", 6), ("D4", 24), ("E7", 126), ("E8", 240)):
         lat = CAT.build(name)
-        assert len(roots_norm2(lat)) == want, name
+        assert 2 * len(positive_roots(lat, 2)[0]) == want, name
         assert box_count_norm(lat.gram, 2) == want, name
 
 
@@ -41,7 +49,7 @@ def test_short_vector_enumerator_against_box_sweep():
 
 def test_rescaled_root_lattice_has_no_short_roots():
     _, lat = definite_part("2U+E6v(3)", CAT)
-    short, _ = reflective_roots(lat, 3)
+    short, _ = positive_roots(lat, 3)
     assert short == []
 
 
@@ -50,7 +58,7 @@ def test_long_roots_have_divisible_inner_products():
     for expr, p in (("2U+T4", 5), ("2U+L7", 7), ("2U+A2", 3)):
         _, lat = definite_part(expr, CAT)
         n = lat.rank
-        for r in reflective_2p_roots(lat, p):
+        for r in positive_roots(lat, p)[1]:
             assert lat.norm(r) == 2 * p
             for i in range(n):
                 e = [1 if j == i else 0 for j in range(n)]
@@ -86,7 +94,8 @@ def test_odd_rescaled_dual_still_gives_long_roots():
     """2A1 has level 4, and 2 G^-1 = I_2 is integral but odd: its norm-2 vectors
     (+-1, +-1) are reflective norm-4 roots, which join the short roots into B2."""
     lat = Lattice([[2, 0], [0, 2]])
-    assert reflective_2p_roots(lat, 2) == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
+    assert positive_roots(lat, 2)[1] == [[1, -1], [1, 1]]
+    assert signed_roots(lat, 2)[1] == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
     comps = root_components(lat, 2)
     assert [(c.name, c.count_short, c.count_long) for c in comps] == [("B2", 4, 4)]
     assert comps == pairwise_root_components(lat, 2)
@@ -119,10 +128,12 @@ def test_coxeter_numbers():
 
 
 def test_span_rank_of_full_root_systems():
+    """The positive roots span the lattice, and so do the simple roots."""
     for expr, p, full_rank in (("2U+D4", 2, 4), ("2U+T4", 5, 4), ("2U+L7", 7, 2)):
         _, lat = definite_part(expr, CAT)
-        short, long_ = reflective_roots(lat, p)
+        short, long_ = positive_roots(lat, p)
         assert span_rank(short + long_) == full_rank, expr
+        assert sum(c.rank for c in root_components(lat, p)) == full_rank, expr
 
 
 def test_half_orbit_convention():
@@ -149,16 +160,15 @@ def positive_definite_grams(draw, n_max: int = 6, entry: int = 2):
 
 
 @settings(max_examples=60, deadline=None)
-@given(positive_definite_grams(), st.integers(0, 8), st.booleans())
-def test_short_vectors_equal_box_sweep_lists(gram, max_norm, half):
-    """The enumerator lists exactly the box sweep's vectors, in sorted order."""
-    want = box_vectors_by_norm(gram, max_norm)
-    if half:
-        want = {
-            norm: [v for v in vecs if next(c for c in v if c) > 0]
-            for norm, vecs in want.items()
-        }
-    assert short_vectors(gram, max_norm, half=half) == want
+@given(positive_definite_grams(), st.integers(0, 8))
+def test_short_vectors_equal_box_sweep_lists(gram, max_norm):
+    """The enumerator lists exactly the box sweep's first-nonzero-positive
+    vectors, in sorted order."""
+    want = {
+        norm: first_nonzero_positive(vecs)
+        for norm, vecs in box_vectors_by_norm(gram, max_norm).items()
+    }
+    assert short_vectors(gram, max_norm) == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -234,7 +244,8 @@ def _model(expr: str, p: int):
 @example(_model("T4+A4v(5)", 5))  # A2 + A2(5) + A4(5)
 @example(_model("L7+A6", 7))  # A1 + A1(7) + A6
 def test_simple_root_split_matches_pairwise_oracle(model):
-    """Components from simple roots equal components from all pairs of roots."""
+    """Components from simple roots equal components from all pairs of roots,
+    and the positive roots give the counts and the span rank n1."""
     lat, p = model
     try:
         want = pairwise_root_components(lat, p)
@@ -244,6 +255,11 @@ def test_simple_root_split_matches_pairwise_oracle(model):
         return
     got = root_components(lat, p)
     assert got == want
-    r1, r2 = reflective_roots(lat, p)
-    assert sum(c.count_short for c in got) == len(r1)
-    assert sum(c.count_long for c in got) == len(r2)
+    r1, r2 = positive_roots(lat, p)
+    assert sum(c.count_short for c in got) == 2 * len(r1)
+    assert sum(c.count_long for c in got) == 2 * len(r2)
+    s1, s2 = signed_roots(lat, p)
+    assert (r1, r2) == (first_nonzero_positive(s1), first_nonzero_positive(s2))
+    report = check_candidate(lat, p, 1, 1, 0)
+    assert report.span_short == span_rank(s1)
+    assert (report.count_short, report.count_long) == (len(s1), len(s2))
