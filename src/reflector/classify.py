@@ -3,20 +3,27 @@
 The pipeline: enumerate the genera that exist at all (signature parities fall
 out of the discriminant-form octants), cut the list down by the two weight
 bounds (with the rescaled-hyperbolic split deciding which bound applies),
-then run each surviving case through the elimination rules in order:
+then run every surviving case through the same six elimination rules, in
+this order, and record the first that fires:
 
-  1. norm-vector count (can force the long multiplicity to vanish),
-  2. existence of a spanning root lattice of the right determinant,
-  3. solvability of the component multiplicity equations,
-  4. the singular-weight lower bound (concretely or as a symbolic family),
-  5. the Eisenstein-coefficient obstruction through B_{3,psi},
+  1. norm-vector count: with no vectors of norm 2/p there are no long roots,
+  2. so rule 1 feeds the spanning test: the short roots alone must then span
+     a root lattice of determinant p^n_p times a square,
+  3. solvability of the component multiplicity equations on the model,
+  4. the singular-weight lower bound on the model's ray (or, for a symbolic
+     family, the largest prime where the family survives),
+  5. the Eisenstein-coefficient obstruction through B_{3,psi} (rank-2
+     definite part, p = 3 mod 4),
   6. transfer from an already-eliminated split companion.
 
-Cases that fire no rule are matched against the construction tables: the
-strongly 2-reflective and strongly 2p-reflective forms, the mixed liftings,
-and the pull-back towers and transfers that realize the remaining models.
-Primes 13 and up are covered by two symbolic residue classes; the same
-concrete machinery still runs at any individual such prime as a cross-check.
+Rules 3-5 need a model, a lattice of the genus to compute on; the models
+are the only per-case data stored here, and a case without one skips those
+rules.  A case where all its rules ran and none fired is REFLECTIVE, and is
+matched against the construction tables: the strongly 2-reflective and
+strongly 2p-reflective forms, the mixed liftings, and the pull-back towers
+and transfers that realize the remaining models.  Primes 13 and up fall in
+two symbolic residue classes, decided in closed form from the class's least
+prime; the same six rules still run at any individual such prime.
 """
 
 from __future__ import annotations
@@ -129,10 +136,21 @@ STORED_CASES = {
     23: [(4, 1), (4, 3), (6, 2), (8, 1)],
 }
 
+# class -> (least prime, {case: model}); "{p}" in a model stands for the prime,
+# "families" for the symbolic model families of `_FAMILIES`, and
+# "t8-overlattice" for the E7 + A1 overlattice of `catalog.e7_a1_overlattice`
 SYMBOLIC_CLASSES = {
-    "p = 1 mod 4, p >= 13": [(6, 1), (6, 2), (10, 1)],
-    "p = 3 mod 4, p > 23": [(4, 1), (6, 2), (8, 1)],
+    "p = 1 mod 4, p >= 13": (13, {(6, 1): None, (6, 2): "families", (10, 1): "t8-overlattice"}),
+    "p = 3 mod 4, p > 23": (31, {(4, 1): "2U+L{p}", (6, 2): "2U+2L{p}", (8, 1): None}),
 }
+
+
+def _residue_class(p: int) -> str | None:
+    """The symbolic class a prime outside `STORED_CASES` falls in, if any."""
+    for name, (least, _) in SYMBOLIC_CLASSES.items():
+        if p % 4 == least % 4 and p >= least:
+            return name
+    return None
 
 
 def stored_cases_for(p: int) -> list[tuple[int, int]]:
@@ -140,11 +158,10 @@ def stored_cases_for(p: int) -> list[tuple[int, int]]:
         return list(STORED_CASES[p])
     if not discforms.is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p % 4 == 1 and p >= 13:
-        return list(SYMBOLIC_CLASSES["p = 1 mod 4, p >= 13"])
-    if p % 4 == 3 and p > 23:
-        return list(SYMBOLIC_CLASSES["p = 3 mod 4, p > 23"])
-    raise ValueError(f"no stored case list for p = {p}")
+    name = _residue_class(p)
+    if name is None:
+        raise ValueError(f"no stored case list for p = {p}")
+    return list(SYMBOLIC_CLASSES[name][1])
 
 
 def enumerate_genera(p: int, n_max: int = 26) -> list[GenusSymbol]:
@@ -225,27 +242,27 @@ class CaseRecord:
     n_p: int
     eps: int | None
     genus: str
-    verdict: str  # "REFLECTIVE" or "NOT_REFLECTIVE"
-    reason: str | None = None
+    verdict: str = field(init=False)  # "REFLECTIVE" or "NOT_REFLECTIVE"
+    reason: str | None = None  # the rule that fired; None when none did
     detail: str = ""
     certificate: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.verdict = "NOT_REFLECTIVE" if self.reason else "REFLECTIVE"
 
-# per-case elimination rules: (reason tag, model recipe)
-_RULES: dict[tuple[int, int, int], tuple[str, str | None]] = {
-    (5, 10, 3): ("solve-empty", "2U+A4+T4"),
-    (5, 10, 5): ("solve-empty", "2U+A4v(5)+T4"),
-    (5, 14, 1): ("solve-empty", "2U+E8+A4"),
-    (5, 14, 2): ("solve-empty", "2U+E8+T4"),
-    (7, 12, 1): ("solve-empty", "2U+E8+L7"),
-    (11, 8, 1): ("no-spanning-root-lattice", None),
-    (11, 12, 1): ("solve-empty", "2U+E8+L11"),
-    (19, 4, 1): ("eisenstein-obstruction", "2U+L19"),
-    (19, 4, 3): ("split-transfer", None),
-    (19, 6, 2): ("solve-empty", "2U+2L19"),
-    (19, 8, 1): ("no-spanning-root-lattice", None),
-    (23, 6, 2): ("solve-empty", "2U+2L23"),
-    (23, 8, 1): ("no-spanning-root-lattice", None),
+
+# the model to try for rules 3-5, per stored case (p, n, n_p): a lattice of
+# the genus, given as a catalog expression
+_MODELS: dict[tuple[int, int, int], str] = {
+    (5, 10, 3): "2U+A4+T4",
+    (5, 10, 5): "2U+A4v(5)+T4",
+    (5, 14, 1): "2U+E8+A4",
+    (5, 14, 2): "2U+E8+T4",
+    (7, 12, 1): "2U+E8+L7",
+    (11, 12, 1): "2U+E8+L11",
+    (19, 4, 1): "2U+L19",
+    (19, 6, 2): "2U+2L19",
+    (23, 6, 2): "2U+2L23",
 }
 
 # model families (h1, h2, n1, rank) for symbolic singular-weight eliminations
@@ -261,147 +278,107 @@ def _family_cutoffs(n: int, n_p: int) -> list[int | None]:
     return [reflcheck.singular_filter(reflcheck.solve_family(*fam)) for fam in _FAMILIES[(n, n_p)]]
 
 
-def _rule_for(p: int, n: int, n_p: int) -> tuple[str, str | None] | None:
-    if (p, n, n_p) in _RULES:
-        return _RULES[(p, n, n_p)]
-    if p >= 13 and p % 4 == 1:
-        return {
-            (6, 1): ("no-spanning-root-lattice", None),
-            (6, 2): ("singular-weight-bound", "families"),
-            (10, 1): ("singular-weight-bound", "t8-overlattice"),
-        }.get((n, n_p))
-    if p > 23 and p % 4 == 3:
-        return {
-            (4, 1): ("singular-weight-bound", f"2U+L{p}"),
-            (6, 2): ("solve-empty", f"2U+2L{p}"),
-            (8, 1): ("no-spanning-root-lattice", None),
-        }.get((n, n_p))
-    return None
+def _model_for(p: int, n: int, n_p: int) -> str | None:
+    """The model rules 3-5 try on the case, with the prime filled in, if any."""
+    if (p, n, n_p) in _MODELS:
+        return _MODELS[(p, n, n_p)]
+    name = _residue_class(p)
+    model = SYMBOLIC_CLASSES[name][1].get((n, n_p)) if name else None
+    return model and model.format(p=p)
 
 
 def eliminate_case(
     genus: GenusSymbol, prior: dict[tuple[int, int], CaseRecord], catalog=None
 ) -> CaseRecord:
-    """Run the elimination rules on one case; REFLECTIVE when none fires.
+    """Run the six rules in order on one case; the first to fire eliminates it.
 
-    The rule to apply is looked up per case; the mathematics is then rerun
-    from scratch and the record reports whether it actually fires, so stored
-    bookkeeping cannot silently overrule a computation.
+    Every rule is a computation on the genus, its model or its split
+    companion in `prior` that could come out either way, and the record
+    names the first that fires.  When all of them run and none fires, the
+    case is REFLECTIVE and its reason is None.
     """
     cat = catalog or cat_mod.default_catalog()
     p, n, n_p = genus.p, genus.pos, genus.n_p
-    rule = _rule_for(p, n, n_p)
     cert: dict = {}
 
-    form = discforms.candidate_form(p, n_p, genus.eps)
-    long_count = form.count_norm(Fraction(2, p))
-    cert["norm_2p_vector_count"] = long_count
-
-    # with no norm-2/p classes there are no long roots, so the definite part
-    # must be spanned by an ordinary root lattice of determinant p^n_p square
-    short_only_blocked = long_count == 0 and not spanning_root_lattice_exists(
-        n - 2, p, n_p
-    )
-
-    if rule is None:
-        record = CaseRecord(
-            p=p, n=n, n_p=n_p, eps=genus.eps, genus=genus.label(),
-            verdict="REFLECTIVE", certificate=cert,
-        )
-        if short_only_blocked:
-            record.verdict = "NOT_REFLECTIVE"
-            record.reason = "no-spanning-root-lattice"
-            record.detail = "survivor unexpectedly fails the root-span check"
-        return record
-
-    tag, model = rule
-    fired = False
-    detail = ""
-
-    if tag == "no-spanning-root-lattice":
-        menu = root_lattice_dets(n - 2)
-        fired = short_only_blocked
-        cert["root_lattice_determinants"] = menu
-        detail = (
-            f"no vectors of norm 2/{p} in the discriminant form, and no rank-{n - 2} "
-            f"root lattice has determinant {p}^{n_p} times a square"
-        )
-
-    elif tag == "solve-empty":
-        _, definite = cat_mod.definite_part(model, cat)
-        res = reflcheck.solve_candidates(definite, p)
-        fired = res.status == "none"
-        cert["model"] = model
-        cert["solve_status"] = res.status
-        detail = res.reason
-
-    elif tag == "singular-weight-bound":
-        if model == "families":
-            cutoffs = _family_cutoffs(n, n_p)
-            fired = all(c is not None and c < p for c in cutoffs)
-            cert["family_prime_cutoffs"] = cutoffs
-            detail = f"every admissible model family dies beyond p = {max(cutoffs)}"
-        else:
-            if model == "t8-overlattice":
-                definite = cat_mod.e7_a1_overlattice(p, cat)
-                fam = reflcheck.solve_family(*_FAMILIES[(10, 1)][0])
-                cert["family_prime_cutoff"] = reflcheck.singular_filter(fam)
-            else:
-                _, definite = cat_mod.definite_part(model, cat)
-            comps = roots.root_components(definite, p)
-            res = reflcheck.solve_components(comps, definite.rank)
-            if res.status != "ray":
-                fired = True
-                detail = f"model admits no multiplicities at all: {res.reason}"
-                cert["solve_status"] = res.status
-            else:
-                n1 = sum(c.rank for c in comps if c.count_short)
-                bound = Fraction(n1 * res.c1 + (definite.rank - n1) * res.cp, 2)
-                fired = Fraction(res.k) < bound
-                cert["ray"] = (res.c1, res.cp, res.k)
-                cert["singular_bound"] = bound
-                detail = f"forced weight {res.k} lies below the singular bound {bound}"
-            cert["model"] = model
-
-    elif tag == "eisenstein-obstruction":
-        _, definite = cat_mod.definite_part(model, cat)
-        res = reflcheck.solve_candidates(definite, p)
-        assert res.status == "ray"
-        holds = etaq.obstruction_condition_holds(p, res.k)
-        fired = not holds
-        cert["model"] = model
-        cert["ray"] = (res.c1, res.cp, res.k)
-        cert["b3_psi"] = etaq.bernoulli_b3_psi(p)
-        detail = (
-            f"coefficient identity (3/k)(p+1)^2/B_3,psi = 1 fails for the ray weight {res.k}"
-        )
-
-    elif tag == "split-transfer":
-        splits = discforms.splits_u_up(genus)
-        companion = prior.get((n, n_p - 2))
-        companion_dead = companion is not None and companion.verdict == "NOT_REFLECTIVE"
-        pure_long_impossible = Fraction(n) > 2 + Fraction(24, p + 1)
-        fired = splits and companion_dead and pure_long_impossible
-        cert["splits_u_up"] = splits
-        cert["companion"] = companion.genus if companion else None
-        detail = (
-            "splits as U + U(p) + definite; the transferred companion is eliminated "
-            "and the purely 2p-reflective route exceeds its weight bound"
-        )
-
-    else:
-        raise ValueError(f"unknown rule tag {tag}")
-
-    if fired:
+    def record(reason: str | None = None, detail: str = "") -> CaseRecord:
         return CaseRecord(
             p=p, n=n, n_p=n_p, eps=genus.eps, genus=genus.label(),
-            verdict="NOT_REFLECTIVE", reason=tag, detail=detail, certificate=cert,
+            reason=reason, detail=detail, certificate=cert,
         )
-    return CaseRecord(
-        p=p, n=n, n_p=n_p, eps=genus.eps, genus=genus.label(),
-        verdict="REFLECTIVE", reason=f"rule-did-not-fire:{tag}", detail=detail,
-        certificate=cert,
-    )
+
+    # rules 1-2: with no norm-2/p classes there are no long roots, so the
+    # definite part must be spanned by an ordinary root lattice of
+    # determinant p^n_p times a square
+    long_count = discforms.candidate_form(p, n_p, genus.eps).count_norm(Fraction(2, p))
+    cert["norm_2p_vector_count"] = long_count
+    if long_count == 0:
+        cert["root_lattice_determinants"] = root_lattice_dets(n - 2)
+        if not spanning_root_lattice_exists(n - 2, p, n_p):
+            return record(
+                "no-spanning-root-lattice",
+                f"no vectors of norm 2/{p} in the discriminant form, and no rank-{n - 2} "
+                f"root lattice has determinant {p}^{n_p} times a square",
+            )
+
+    # rules 3-5 on the case's model
+    model = _model_for(p, n, n_p)
+    if model == "families":
+        cutoffs = _family_cutoffs(n, n_p)
+        cert["family_prime_cutoffs"] = cutoffs
+        if all(c is not None and c < p for c in cutoffs):
+            return record(
+                "singular-weight-bound",
+                f"every admissible model family dies beyond p = {max(cutoffs)}",
+            )
+    elif model:
+        cert["model"] = model
+        if model == "t8-overlattice":
+            definite = cat_mod.e7_a1_overlattice(p, cat)
+            cert["family_prime_cutoff"] = _family_cutoffs(10, 1)[0]
+        else:
+            _, definite = cat_mod.definite_part(model, cat)
+        comps = roots.root_components(definite, p)
+        res = reflcheck.solve_components(comps, definite.rank)
+        cert["solve_status"] = res.status
+        if res.status == "none":
+            return record("solve-empty", res.reason)
+        if res.status == "ray":
+            n1 = sum(c.rank for c in comps if c.count_short)
+            bound = Fraction(n1 * res.c1 + (definite.rank - n1) * res.cp, 2)
+            cert["ray"] = (res.c1, res.cp, res.k)
+            cert["singular_bound"] = bound
+            if res.k < bound:
+                return record(
+                    "singular-weight-bound",
+                    f"forced weight {res.k} lies below the singular bound {bound}",
+                )
+            if definite.rank == 2 and p % 4 == 3:
+                cert["b3_psi"] = etaq.bernoulli_b3_psi(p)
+                if not etaq.obstruction_condition_holds(p, res.k):
+                    return record(
+                        "eisenstein-obstruction",
+                        "coefficient identity (3/k)(p+1)^2/B_3,psi = 1 fails for the ray "
+                        f"weight {res.k}",
+                    )
+
+    # rule 6: a U + U(p) split transfers the verdict of the companion (n, n_p - 2)
+    splits = discforms.splits_u_up(genus)
+    companion = prior.get((n, n_p - 2))
+    cert["splits_u_up"] = splits
+    cert["companion"] = companion.genus if companion else None
+    if (
+        splits
+        and companion is not None
+        and companion.verdict == "NOT_REFLECTIVE"
+        and Fraction(n) > 2 + Fraction(24, p + 1)
+    ):
+        return record(
+            "split-transfer",
+            "splits as U + U(p) + definite; the transferred companion is eliminated "
+            "and the purely 2p-reflective route exceeds its weight bound",
+        )
+    return record()
 
 
 def classify(p: int, catalog=None) -> list[CaseRecord]:
@@ -421,52 +398,62 @@ def classify(p: int, catalog=None) -> list[CaseRecord]:
 
 
 def classify_symbolic(class_name: str) -> list[CaseRecord]:
-    """Closed-form elimination of an entire residue class of primes."""
+    """Closed-form elimination of an entire residue class of primes.
+
+    A case is eliminated only when its bound lies below the least prime of
+    the class: the largest prime factor of every root lattice determinant
+    (no model) or the cutoff of every model family.  Otherwise its record
+    is REFLECTIVE.
+    """
     if class_name not in SYMBOLIC_CLASSES:
         raise ValueError(f"unknown symbolic class {class_name!r}")
-    one_mod_4 = "1 mod 4" in class_name
+    least, models = SYMBOLIC_CLASSES[class_name]
     out = []
-    for n, n_p in SYMBOLIC_CLASSES[class_name]:
-        label = f"II_{{{n},2}}(p^{{{n_p}}})"
+    for (n, n_p), model in models.items():
         cert: dict = {}
-        if (n, n_p) in ((6, 1), (8, 1)):
+        if model is None:
             menu = root_lattice_dets(n - 2)
             largest_factor = max(
                 q for d in menu for q in range(2, d + 1) if d % q == 0 and discforms.is_prime(q)
             )
             cert["root_lattice_determinants"] = menu
             cert["largest_prime_factor"] = largest_factor
+            fired = largest_factor < least
+            tag = "no-spanning-root-lattice"
             detail = (
                 "the signature forces the norm-2/p class count 1 + chi_p(a) to vanish, "
                 f"and every rank-{n - 2} root lattice determinant is {largest_factor}-smooth, "
                 "never p times a square"
             )
-            tag = "no-spanning-root-lattice"
         else:
             cutoffs = _family_cutoffs(n, n_p)
             cert["family_prime_cutoffs"] = cutoffs
-            bound = 13 if one_mod_4 else 23
+            fired = all(c is not None and c < least for c in cutoffs)
+            tag = "singular-weight-bound"
             detail = (
                 f"symbolic families survive only up to p = {max(cutoffs)}, "
-                f"below every prime of the class (p >= {bound})"
+                f"below every prime of the class (p >= {least})"
             )
-            tag = "singular-weight-bound"
         out.append(
             CaseRecord(
-                p=None, n=n, n_p=n_p, eps=None, genus=label,
-                verdict="NOT_REFLECTIVE", reason=tag, detail=detail, certificate=cert,
+                p=None, n=n, n_p=n_p, eps=None, genus=f"II_{{{n},2}}(p^{{{n_p}}})",
+                reason=tag if fired else None, detail=detail if fired else "",
+                certificate=cert,
             )
         )
     return out
+
+
+def _genus_order(label: str) -> tuple[int, int, int]:
+    g = parse_genus(label)
+    return (g.p, g.pos, g.n_p)
 
 
 def reflective_genera() -> list[str]:
     """The classified genus labels, sorted by (p, n, n_p)."""
     labels = {g for g, _, _ in STRONGLY_2_REFLECTIVE}
     labels |= {g for g, _, _, _, _ in MIXED_REFLECTIVE}
-    parsed = [(parse_genus(s), s) for s in labels]
-    parsed.sort(key=lambda t: (t[0].p, t[0].pos, t[0].n_p))
-    return [s for _, s in parsed]
+    return sorted(labels, key=_genus_order)
 
 
 def construction_coverage() -> dict[str, dict]:
@@ -544,7 +531,7 @@ def verdict_table(verify: bool = False, catalog=None) -> dict:
     cov = construction_coverage()
     table: dict = {"primes": {}, "symbolic": {}, "reflective": [], "verification": {}}
     mismatches = {}
-    for p in (2, 3, 5, 7, 11, 19, 23):
+    for p in STORED_CASES:
         recs = classify(p, cat)
         table["primes"][p] = recs
         mism = recs[0].certificate.get("bound_mismatch")
@@ -557,7 +544,7 @@ def verdict_table(verify: bool = False, catalog=None) -> dict:
         table["symbolic"][name] = classify_symbolic(name)
     table["bound_mismatches"] = mismatches
     expected = reflective_genera()
-    table["reflective"].sort(key=lambda s: (parse_genus(s).p, parse_genus(s).pos, parse_genus(s).n_p))
+    table["reflective"].sort(key=_genus_order)
     table["count"] = len(table["reflective"])
     table["matches_construction_tables"] = table["reflective"] == expected
     if verify:

@@ -61,6 +61,14 @@ def prime(text: str) -> int:
     return p
 
 
+def precision(text: str) -> int:
+    """Number of q-expansion terms, capped because the cost grows steeply with it."""
+    terms = int(text)
+    if not 1 <= terms <= 200:
+        raise argparse.ArgumentTypeError(f"{terms} is not between 1 and 200")
+    return terms
+
+
 def _catalog(args):
     path = args.catalog or os.environ.get("REFLECTOR_CATALOG")
     if path:
@@ -299,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("eta", help="eta-quotient input form and lifting weights")
-    sp.add_argument("--precision", type=int, default=12)
+    sp.add_argument("--precision", type=precision, default=12)
     _add_common(sp)
     sp.set_defaults(func=cmd_eta)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from reflector import classify as classify_mod
 from reflector.classify import (
     apply_bounds,
     class_number,
@@ -190,6 +191,43 @@ def test_symbolic_reasons():
     recs3 = {(r.n, r.n_p): r for r in classify_symbolic("p = 3 mod 4, p > 23")}
     assert recs3[(4, 1)].reason == "singular-weight-bound"
     assert recs3[(8, 1)].reason == "no-spanning-root-lattice"
+
+
+def test_symbolic_verdict_follows_the_cutoffs(monkeypatch):
+    """A family cutoff at the class's least prime no longer eliminates the case."""
+    monkeypatch.setattr(classify_mod, "_family_cutoffs", lambda n, n_p: [31])
+    recs = {(r.n, r.n_p): r for r in classify_symbolic("p = 3 mod 4, p > 23")}
+    assert recs[(4, 1)].verdict == "REFLECTIVE"
+    assert recs[(4, 1)].reason is None
+    assert recs[(8, 1)].reason == "no-spanning-root-lattice"
+    recs1 = {(r.n, r.n_p): r for r in classify_symbolic("p = 1 mod 4, p >= 13")}
+    assert recs1[(6, 2)].verdict == recs1[(10, 1)].verdict == "REFLECTIVE"
+    assert recs1[(6, 1)].reason == "no-spanning-root-lattice"
+
+
+def test_reflective_records_ran_every_rule():
+    """REFLECTIVE means no rule fired, down to the split transfer of rule 6."""
+    for p in (2, 3, 5, 7, 11, 19, 23):
+        for rec in classify(p):
+            if rec.verdict == "REFLECTIVE":
+                assert rec.reason is None, (p, rec.genus)
+                assert {"splits_u_up", "companion"} <= set(rec.certificate), (p, rec.genus)
+
+
+def test_first_rule_to_fire_is_recorded():
+    """A model with no admissible multiplicities fires rule 3 before rule 4."""
+    for p, case in ((29, (10, 1)), (43, (4, 1))):
+        rec = {(r.n, r.n_p): r for r in classify(p)}[case]
+        assert rec.reason == "solve-empty", p
+        assert rec.certificate["solve_status"] == "none", p
+
+
+def test_verdict_comes_from_the_model(monkeypatch):
+    """Without its model, nothing eliminates II_{14,2}(5^{+1})."""
+    monkeypatch.delitem(classify_mod._MODELS, (5, 14, 1))
+    rec = {(r.n, r.n_p): r for r in classify(5)}[(14, 1)]
+    assert rec.verdict == "REFLECTIVE"
+    assert rec.reason is None
 
 
 def test_root_lattice_determinant_menu():

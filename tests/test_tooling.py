@@ -1,20 +1,33 @@
-"""The benchmark's tracer wraps library functions by name; every name must resolve."""
+"""The benchmark reaches into the library by name; every name must resolve.
+
+The tracer wraps library functions, and the workloads read the construction
+tables and the case lists, so a rename fails here rather than in a benchmark
+run.
+"""
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(monkeypatch, name: str):
+    """Load perfbench/<name>.py by path."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while the file runs
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_layers_resolve(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up in sys.modules while the file runs
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
+    tracing = _load(monkeypatch, "tracing")
     assert tracing.LAYERS
     for layer in tracing.LAYERS:
         owner = importlib.import_module(f"reflector.{layer.module}")
@@ -22,3 +35,15 @@ def test_tracer_layers_resolve(monkeypatch):
             assert hasattr(owner, part), f"{layer.name}: reflector.{layer.module}.{layer.path}"
             owner = getattr(owner, part)
         assert callable(owner), layer.name
+
+
+def test_benchmark_workloads_build(monkeypatch):
+    """One pass of every declared workload builds; no item is called."""
+    workloads = _load(monkeypatch, "workloads")
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    assert set(workloads.WORKLOADS) == {w["name"] for w in declared}
+    for name, make in workloads.WORKLOADS.items():
+        items = make(1).pass_items()
+        assert items, name
+        for item in items:
+            assert callable(item.call) and callable(item.check), item.label
