@@ -136,12 +136,22 @@ STORED_CASES = {
     23: [(4, 1), (4, 3), (6, 2), (8, 1)],
 }
 
-# class -> (least prime, {case: model}); "{p}" in a model stands for the prime,
-# "families" for the symbolic model families of `_FAMILIES`, and
-# "t8-overlattice" for the E7 + A1 overlattice of `catalog.e7_a1_overlattice`
+# class -> (least prime, {case: (model, families)}); "{p}" in a model stands
+# for the prime, "families" for a case decided by its families alone, and
+# "t8-overlattice" for the E7 + A1 overlattice of `catalog.e7_a1_overlattice`.
+# A family (h1, h2, n1, rank) is a model's root system: the Coxeter numbers of
+# its short and long components, the rank of the short ones, and the rank.
 SYMBOLIC_CLASSES = {
-    "p = 1 mod 4, p >= 13": (13, {(6, 1): None, (6, 2): "families", (10, 1): "t8-overlattice"}),
-    "p = 3 mod 4, p > 23": (31, {(4, 1): "2U+L{p}", (6, 2): "2U+2L{p}", (8, 1): None}),
+    "p = 1 mod 4, p >= 13": (13, {
+        (6, 1): (None, []),
+        (6, 2): ("families", [(2, 2, 2, 4), (3, 3, 2, 4)]),
+        (10, 1): ("t8-overlattice", [(18, 2, 7, 8)]),
+    }),
+    "p = 3 mod 4, p > 23": (31, {
+        (4, 1): ("2U+L{p}", [(2, 2, 1, 2)]),
+        (6, 2): ("2U+2L{p}", [(2, 2, 2, 4)]),
+        (8, 1): (None, []),
+    }),
 }
 
 
@@ -265,17 +275,10 @@ _MODELS: dict[tuple[int, int, int], str] = {
     (23, 6, 2): "2U+2L23",
 }
 
-# model families (h1, h2, n1, rank) for symbolic singular-weight eliminations
-_FAMILIES = {
-    (6, 2): [(2, 2, 2, 4), (3, 3, 2, 4)],
-    (10, 1): [(18, 2, 7, 8)],
-    (4, 1): [(2, 2, 1, 2)],
-}
-
-
-def _family_cutoffs(n: int, n_p: int) -> list[int | None]:
-    """Largest surviving prime of each model family of the case (n, n_p)."""
-    return [reflcheck.singular_filter(reflcheck.solve_family(*fam)) for fam in _FAMILIES[(n, n_p)]]
+def _family_cutoffs(name: str, case: tuple[int, int]) -> list[int | None]:
+    """Largest surviving prime of each model family of a case of the symbolic class."""
+    _, families = SYMBOLIC_CLASSES[name][1][case]
+    return [reflcheck.singular_filter(reflcheck.solve_family(*fam)) for fam in families]
 
 
 def _model_for(p: int, n: int, n_p: int) -> str | None:
@@ -283,7 +286,8 @@ def _model_for(p: int, n: int, n_p: int) -> str | None:
     if (p, n, n_p) in _MODELS:
         return _MODELS[(p, n, n_p)]
     name = _residue_class(p)
-    model = SYMBOLIC_CLASSES[name][1].get((n, n_p)) if name else None
+    cases = SYMBOLIC_CLASSES[name][1] if name else {}
+    model, _ = cases.get((n, n_p), (None, []))
     return model and model.format(p=p)
 
 
@@ -324,7 +328,7 @@ def eliminate_case(
     # rules 3-5 on the case's model
     model = _model_for(p, n, n_p)
     if model == "families":
-        cutoffs = _family_cutoffs(n, n_p)
+        cutoffs = _family_cutoffs(_residue_class(p), (n, n_p))
         cert["family_prime_cutoffs"] = cutoffs
         if all(c is not None and c < p for c in cutoffs):
             return record(
@@ -335,7 +339,7 @@ def eliminate_case(
         cert["model"] = model
         if model == "t8-overlattice":
             definite = cat_mod.e7_a1_overlattice(p, cat)
-            cert["family_prime_cutoff"] = _family_cutoffs(10, 1)[0]
+            cert["family_prime_cutoff"] = _family_cutoffs(_residue_class(p), (n, n_p))[0]
         else:
             _, definite = cat_mod.definite_part(model, cat)
         comps = roots.root_components(definite, p)
@@ -409,7 +413,7 @@ def classify_symbolic(class_name: str) -> list[CaseRecord]:
         raise ValueError(f"unknown symbolic class {class_name!r}")
     least, models = SYMBOLIC_CLASSES[class_name]
     out = []
-    for (n, n_p), model in models.items():
+    for (n, n_p), (model, _) in models.items():
         cert: dict = {}
         if model is None:
             menu = root_lattice_dets(n - 2)
@@ -426,7 +430,7 @@ def classify_symbolic(class_name: str) -> list[CaseRecord]:
                 "never p times a square"
             )
         else:
-            cutoffs = _family_cutoffs(n, n_p)
+            cutoffs = _family_cutoffs(class_name, (n, n_p))
             cert["family_prime_cutoffs"] = cutoffs
             fired = all(c is not None and c < least for c in cutoffs)
             tag = "singular-weight-bound"
@@ -584,6 +588,8 @@ def class_number_rootsystems(
     constant C, whose total counts satisfy the counting identity; each datum
     reports the lattice generated by its components.
     """
+    if rank < 0:
+        raise ValueError(f"rank must be nonnegative, not {rank}")
     reflcheck.check_multiplicities(c1, cp)
     found = []
     for c_int in range(1, max_c + 1):
@@ -639,10 +645,12 @@ def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=
     Each admissible root datum generates a definite lattice; the classes are
     its even overlattices of determinant p^n_p and level p whose reflective
     root system is exactly the datum (glue vectors may create extra roots,
-    in which case the overlattice belongs to a different datum).  Every
-    overlattice is root system filtered, then counted up to the short-vector
-    fingerprint, so only the survivors of the filter are fingerprinted and
-    one with another root system never stands in for one with this one.
+    in which case the overlattice belongs to a different datum).  The level
+    is read off each glue group before its overlattice is built, so only
+    level-p overlattices are built; each is root system filtered, then
+    counted up to the short-vector fingerprint, so only the survivors of
+    the filter are fingerprinted and one with another root system never
+    stands in for one with this one.
     """
     if n_p < 0:
         raise ValueError(f"n_p must be nonnegative, not {n_p}")
@@ -654,8 +662,6 @@ def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=
             continue
 
         def carries_datum(over: Lattice) -> bool:
-            if over.level() != p:
-                return False
             comps = roots.root_components(over, p)
             return (
                 sorted(c.name for c in comps) == datum["components"]
@@ -665,6 +671,8 @@ def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=
 
         lat = _datum_lattice(datum, p, cat)
         total += len(
-            discforms.even_overlattices(lat, target, fingerprint_norm=2 * p, keep=carries_datum)
+            discforms.even_overlattices(
+                lat, target, fingerprint_norm=2 * p, keep=carries_datum, level=p
+            )
         )
     return total

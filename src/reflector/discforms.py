@@ -531,6 +531,60 @@ def splits_u_up(g: GenusSymbol) -> bool:
 # -- isotropic subgroups and even overlattices --
 
 
+def _closure(base: frozenset, new: tuple, orders: tuple[int, ...]) -> frozenset:
+    """<base, new> for a subgroup `base`: the union of the cosets base + k new.
+
+    The cosets repeat from the first k with k new in base.
+    """
+    elems = set(base)
+    coset = list(base)
+    while True:
+        coset = [tuple(map(mod, map(add, h, new), orders)) for h in coset]
+        if coset[0] in elems:
+            return frozenset(elems)
+        elems.update(coset)
+
+
+def _generators(sub: tuple[tuple[int, ...], ...], orders: tuple[int, ...]) -> list[tuple]:
+    """Generators of the subgroup with elements `sub`: each element not yet spanned."""
+    gens = []
+    span = frozenset({tuple(0 for _ in orders)})
+    for h in sub:
+        if h not in span:
+            gens.append(h)
+            span = _closure(span, h, orders)
+    return gens
+
+
+def glue_level(form: DiscriminantForm, sub: tuple[tuple[int, ...], ...]) -> int:
+    """Level of H^perp / H for the isotropic subgroup H of D with elements `sub`.
+
+    H^perp / H is the discriminant form of the overlattice that H glues
+    (Nikulin), so this is that overlattice's level, read off before it is
+    built.  In integers, with den the common denominator of B: x lies in
+    H^perp when x . (den B g) = 0 mod den for every generator g of H.  Those
+    x are the last k entries of the Hermite rows that vanish on the first r,
+    for the rows [((den B g)_i over the r generators g) | e_i], i < k, and
+    [den e_j | 0], j < r.  The level is the lcm of the denominators of
+    q(x)/2 and b(x, y) over that basis, as `DiscriminantForm.level` reads
+    it off the generators of D.
+    """
+    den, bnum = form._bden, form._bnum
+    gens = _generators(sub, form.orders)
+    k, r = len(form.orders), len(gens)
+    pairings = [intmat.mat_vec(bnum, g) for g in gens]
+    rows = [[c[i] for c in pairings] + [int(i == j) for j in range(k)] for i in range(k)]
+    rows += [[den * (i == j) for j in range(r)] + [0] * k for i in range(r)]
+    perp = [row[r:] for row in intmat.row_hermite_form(rows) if not any(row[:r])]
+    n = 1
+    for i, x in enumerate(perp):
+        bx = intmat.mat_vec(bnum, x)
+        n = lcm(n, 2 * den // gcd(2 * den, sum(map(mul, x, bx))))
+        for y in perp[i + 1 :]:
+            n = lcm(n, den // gcd(den, sum(map(mul, y, bx))))
+    return n
+
+
 def isotropic_subgroups(form: DiscriminantForm, order: int, budget: int = 10**6):
     """Isotropic subgroups of the given order, as sorted element tuples.
 
@@ -557,17 +611,6 @@ def isotropic_subgroups(form: DiscriminantForm, order: int, budget: int = 10**6)
     # den * x^T B, so den * b(g, x) is the dot product of g with it
     pairing = {x: [sum(map(mul, x, row)) for row in form._bnum] for x in pool}
 
-    def closure(base: frozenset, new):
-        # <base, new> is the union of the cosets base + k*new; they repeat
-        # from the first k with k*new in base
-        elems = set(base)
-        coset = list(base)
-        while True:
-            coset = [tuple(map(mod, map(add, h, new), orders)) for h in coset]
-            if coset[0] in elems:
-                return frozenset(elems)
-            elems.update(coset)
-
     seen = {frozenset({zero})}
     frontier: list[tuple[frozenset, tuple]] = [(frozenset({zero}), ())]
     results = [frozenset({zero})] if order == 1 else []
@@ -585,7 +628,7 @@ def isotropic_subgroups(form: DiscriminantForm, order: int, budget: int = 10**6)
                 px = pairing[x]
                 if any(sum(map(mul, g, px)) % den for g in gens):
                     continue
-                grown = closure(sub, x)
+                grown = _closure(sub, x, orders)
                 if grown in seen:
                     continue
                 if len(grown) > order or order % len(grown) != 0:
@@ -598,6 +641,37 @@ def isotropic_subgroups(form: DiscriminantForm, order: int, budget: int = 10**6)
     out = [tuple(sorted(sub)) for sub in results]
     out.sort(key=lambda sub: (len(sub), sub))
     return out
+
+
+def glue_overlattice(
+    lat: Lattice, form: DiscriminantForm, sub: tuple[tuple[int, ...], ...]
+) -> Lattice:
+    """The overlattice of L glued by the isotropic subgroup of D(L) with elements `sub`.
+
+    `form` is `DiscriminantForm.from_lattice(lat)`.  The Gram is that of the
+    Hermite basis of L + (the glue vectors of H), in the coordinates of L.
+    """
+    n, m, det = lat.rank, len(sub), lat.det()
+    adj = lat.adjugate()
+    gens = form.gens
+    assert gens is not None
+    rows = [[m if i == j else 0 for j in range(n)] for i in range(n)]
+    for h in sub:
+        if not any(h):
+            continue
+        coord = [sum(gens[r][i] * h[i] for i in range(len(h))) for r in range(n)]
+        # m times the dual-coordinate vector G^-1 coord = adj coord / det
+        scaled = [m * x for x in intmat.mat_vec(adj, coord)]
+        assert all(x % det == 0 for x in scaled)
+        rows.append([x // det for x in scaled])
+    basis = intmat.row_hermite_form(rows)
+    assert len(basis) == n
+    gram_scaled = intmat.mat_mul(intmat.mat_mul(basis, lat.gram), intmat.transpose(basis))
+    gram2 = []
+    for row in gram_scaled:
+        assert all(x % (m * m) == 0 for x in row)
+        gram2.append([x // (m * m) for x in row])
+    return Lattice(gram2)
 
 
 def _lattice_fingerprint(lat: Lattice, norm_cap: int = 4) -> tuple:
@@ -617,20 +691,23 @@ def even_overlattices(
     budget: int = 10**6,
     fingerprint_norm: int = 4,
     keep: Callable[[Lattice], bool] | None = None,
+    level: int | None = None,
 ) -> list[Lattice]:
     """Even overlattices with the requested determinant, up to the fingerprint.
 
     Overlattices M with L <= M <= L^dual correspond to isotropic subgroups
-    H <= D(L), with [M : L]^2 = |det L| / |det M|.  When `keep` is given,
-    an overlattice is dropped unless keep(M) holds, and this runs on each
-    built overlattice before the fingerprint, so rejected ones cost no
+    H <= D(L), with [M : L]^2 = |det L| / |det M|.  When `level` is given,
+    a subgroup is skipped unless the level of D(M) = H^perp / H, read off H
+    by `glue_level`, equals it, before any basis or Gram of M is built; each
+    M that is built is then checked to have that level.  When `keep` is
+    given, an overlattice is dropped unless keep(M) holds, and this runs on
+    each built overlattice before the fingerprint, so rejected ones cost no
     short-vector enumeration and cannot stand in for a kept one.  One
     representative is returned per fingerprint class (determinant, level,
     histogram of the vectors of norm <= fingerprint_norm), matching the
     classification's use of "the" overlattice.
     """
-    det = lat.det()
-    d = abs(det)
+    d = abs(lat.det())
     t = abs(target_det)
     if t == 0 or d % t != 0:
         return []
@@ -639,34 +716,18 @@ def even_overlattices(
     if m * m != ratio:
         return []
     if m == 1:
+        if level is not None and lat.level() != level:
+            return []
         return [lat] if keep is None or keep(lat) else []
     form = DiscriminantForm.from_lattice(lat)
-    n = lat.rank
-    adj = lat.adjugate()
-    gens = form.gens
-    assert gens is not None
-
     results: list[Lattice] = []
     seen_fp: set = set()
     for sub in isotropic_subgroups(form, order=m, budget=budget):
-        rows = [[m if i == j else 0 for j in range(n)] for i in range(n)]
-        for h in sub:
-            if not any(h):
-                continue
-            coord = [sum(gens[r][i] * h[i] for i in range(len(h))) for r in range(n)]
-            # m times the dual-coordinate vector G^-1 coord = adj coord / det
-            scaled = [m * x for x in intmat.mat_vec(adj, coord)]
-            assert all(x % det == 0 for x in scaled)
-            rows.append([x // det for x in scaled])
-        basis = intmat.row_hermite_form(rows)
-        assert len(basis) == n
-        gram_scaled = intmat.mat_mul(intmat.mat_mul(basis, lat.gram), intmat.transpose(basis))
-        gram2 = []
-        for row in gram_scaled:
-            assert all(x % (m * m) == 0 for x in row)
-            gram2.append([x // (m * m) for x in row])
-        over = Lattice(gram2)
+        if level is not None and glue_level(form, sub) != level:
+            continue
+        over = glue_overlattice(lat, form, sub)
         assert abs(over.det()) == t
+        assert level is None or over.level() == level
         if keep is not None and not keep(over):
             continue
         fp = _lattice_fingerprint(over, fingerprint_norm)

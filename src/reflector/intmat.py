@@ -33,9 +33,8 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
     bt = transpose(b)
-    return [[sum(a[i][t] * bt[j][t] for t in range(k)) for j in range(m)] for i in range(n)]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v):

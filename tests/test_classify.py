@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 from reflector import classify as classify_mod
+from reflector.catalog import default_catalog, definite_part, e7_a1_overlattice
 from reflector.classify import (
     apply_bounds,
     class_number,
@@ -18,6 +19,7 @@ from reflector.classify import (
     verdict_table,
 )
 from reflector.discforms import parse_genus
+from reflector.roots import root_components
 
 REFLECTIVE_55 = [
     "II_{6,2}(2_II^{-2})", "II_{6,2}(2_II^{-4})",
@@ -205,6 +207,31 @@ def test_symbolic_verdict_follows_the_cutoffs(monkeypatch):
     assert recs1[(6, 1)].reason == "no-spanning-root-lattice"
 
 
+def test_symbolic_families_are_their_models_root_systems():
+    """Each family (h1, h2, n1, rank) of a symbolic case is the root system of
+    the class's model at the class's least prime, and the case's record
+    reads exactly those families."""
+    cat = default_catalog()
+    for name, (least, cases) in classify_mod.SYMBOLIC_CLASSES.items():
+        records = {(r.n, r.n_p): r for r in classify_symbolic(name)}
+        for case, (model, families) in cases.items():
+            if families:
+                assert len(records[case].certificate["family_prime_cutoffs"]) == len(families)
+            if model in (None, "families"):  # no single lattice to compare with
+                continue
+            if model == "t8-overlattice":
+                definite = e7_a1_overlattice(least, cat)
+            else:
+                _, definite = definite_part(model.format(p=least), cat)
+            comps = root_components(definite, least)
+            short = {c.count_short // c.rank for c in comps if c.count_short}
+            long = {c.count_long // c.rank for c in comps if c.count_long}
+            n1 = sum(c.rank for c in comps if c.count_short)
+            for h1, h2, fam_n1, rank in families:
+                assert ({h1}, {h2}) == (short, long), (name, case, model)
+                assert (fam_n1, rank) == (n1, definite.rank), (name, case, model)
+
+
 def test_reflective_records_ran_every_rule():
     """REFLECTIVE means no rule fired, down to the split transfer of rule 6."""
     for p in (2, 3, 5, 7, 11, 19, 23):
@@ -283,6 +310,14 @@ def test_class_number_rejects_invalid_data(c1, cp, n_p):
     if n_p >= 0:
         with pytest.raises(ValueError):
             class_number_rootsystems(6, 3, c1, cp, 24)
+
+
+def test_class_number_rejects_a_negative_rank():
+    """A negative rank has no root datum; it is an error, not class number 0."""
+    with pytest.raises(ValueError, match="rank"):
+        class_number(-4, 3, 1, 1, 12, 1)
+    with pytest.raises(ValueError, match="rank"):
+        class_number_rootsystems(-4, 3, 1, 1, 12)
 
 
 def test_class_number_intermediate_relations():

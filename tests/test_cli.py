@@ -201,11 +201,13 @@ CLASSNUMBER = ["classnumber", "--rank", "6", "--prime", "3", "--k", "24"]
         (CLASSNUMBER + ["--c1", "1", "--cp", "1", "--np", "-1"], "n_p"),
         (CLASSNUMBER + ["--c1", "-1", "--cp", "1", "--np", "3"], "multiplicities"),
         (CLASSNUMBER + ["--c1", "0", "--cp", "0", "--np", "3"], "multiplicities"),
+        (["classnumber", "--rank", "-4", "--prime", "3", "--c1", "1", "--cp", "1", "--k", "12",
+          "--np", "1"], "rank"),
         (["eta", "--precision", "1000"], "between 1 and 200"),
         (["eta", "--precision", "0"], "between 1 and 200"),
     ],
     ids=["roots 2U", "check 2U", "solve 2U", "negative np", "negative c1", "zero c1 and cp",
-         "eta precision 1000", "eta precision 0"],
+         "negative rank", "eta precision 1000", "eta precision 0"],
 )
 def test_invalid_input_is_a_one_line_error(argv, message, capsys):
     code, out, err = run_cli_err(argv, capsys)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from time import perf_counter
 
 import pytest
@@ -27,6 +27,8 @@ from reflector.discforms import (
     _vanishes_at_root,
     even_overlattices,
     genus_symbol,
+    glue_level,
+    glue_overlattice,
     isotropic_subgroups,
     milgram_formula,
     candidate_form,
@@ -422,6 +424,70 @@ def test_keep_filters_before_the_fingerprint(expr, p, target):
     )
     if not straddles:
         assert kept == [over for over in full if level_p_with_roots(over)]
+
+
+# (expression, glue orders); None takes every order m with m^2 dividing |D|.
+# The 2-adic sums have levels 2, 4 and 8 among their overlattices, so there
+# q(x)/2, not b, decides the level; E6(3)+A2 is the census datum E6(3)+G2.
+GLUE_LEVEL_CASES = [
+    ("D4(2)+2A1(2)", None),
+    ("4A1(2)", None),
+    ("D4(2)+D4(2)", [2]),
+    ("E7+A1(2)", None),
+    ("E6(3)+A2", [3]),
+    ("2A2(3)+A2", None),
+    ("A4(5)+A4", [5, 25]),
+]
+
+
+@pytest.mark.parametrize("expr, orders", GLUE_LEVEL_CASES, ids=[c[0] for c in GLUE_LEVEL_CASES])
+def test_glue_level_is_the_level_of_the_built_overlattice(expr, orders):
+    """The level of H^perp / H read off the glue group is the built overlattice's level."""
+    lat = parse_lattice(expr, CAT)
+    form = DiscriminantForm.from_lattice(lat)
+    size = form.order()
+    if orders is None:
+        orders = [m for m in range(2, isqrt(size) + 1) if size % (m * m) == 0]
+    levels = set()
+    for m in orders:
+        for sub in isotropic_subgroups(form, m):
+            over = glue_overlattice(lat, form, sub)
+            assert glue_level(form, sub) == over.level(), (expr, sub)
+            assert abs(over.det()) * m * m == size
+            levels.add(over.level())
+    if expr != "E7+A1(2)":  # its discriminant form (2, 4) has no isotropic glue
+        assert levels
+
+
+@pytest.mark.parametrize(
+    "expr, p, level, target",
+    [
+        ("E6(3)+A2", 3, 3, 3**6),
+        ("2A2(3)+A2", 3, 3, 3**3),
+        ("4A2", 3, 3, 3**2),
+        ("E7+A1(5)", 5, 5, 5),
+        ("A4(5)+A4", 5, 5, 5**4),
+        ("D4(2)+2A1(2)", 2, 8, 2**8),
+        ("D4(2)+D4(2)", 2, 4, 2**10),
+        ("4A1(2)", 2, 2, 2**2),
+    ],
+)
+def test_level_filter_equals_filtering_the_built_overlattices(expr, p, level, target):
+    """level= gives what a keep predicate testing the built lattice's level gives."""
+    lat = parse_lattice(expr, CAT)
+
+    def has_roots(over):
+        return bool(root_components(over, p))
+
+    def level_with_roots(over):
+        return over.level() == level and has_roots(over)
+
+    want = even_overlattices(lat, target, keep=level_with_roots)
+    assert want
+    assert even_overlattices(lat, target, keep=has_roots, level=level) == want
+    assert even_overlattices(lat, target, level=level) == even_overlattices(
+        lat, target, keep=lambda over: over.level() == level
+    )
 
 
 def test_pool_scan_is_charged_to_the_budget():
