@@ -183,12 +183,20 @@ class DiscriminantForm:
         return prod(self.orders) if self.orders else 1
 
     def level(self) -> int:
-        n = 1
-        k = len(self.orders)
-        for i in range(k):
-            n = lcm(n, (self.bilinear[i][i] / 2).denominator)
-            for j in range(i + 1, k):
-                n = lcm(n, self.bilinear[i][j].denominator)
+        return self._level_over(intmat.identity(len(self.orders)))
+
+    def _level_over(self, vecs: list[list[int]]) -> int:
+        """The lcm of the denominators of q(x)/2 and b(x, y) over the vectors, in integers.
+
+        Over generators of D this is the level of D; over generators of
+        H^perp, for H isotropic, it is the level of H^perp / H.
+        """
+        den, n = self._bden, 1
+        for i, x in enumerate(vecs):
+            bx = intmat.mat_vec(self._bnum, x)
+            n = lcm(n, 2 * den // gcd(2 * den, sum(map(mul, x, bx))))
+            for y in vecs[i + 1 :]:
+                n = lcm(n, den // gcd(den, sum(map(mul, y, bx))))
         return n
 
     def is_isotropic(self, x: tuple[int, ...]) -> bool:
@@ -565,9 +573,8 @@ def glue_level(form: DiscriminantForm, sub: tuple[tuple[int, ...], ...]) -> int:
     H^perp when x . (den B g) = 0 mod den for every generator g of H.  Those
     x are the last k entries of the Hermite rows that vanish on the first r,
     for the rows [((den B g)_i over the r generators g) | e_i], i < k, and
-    [den e_j | 0], j < r.  The level is the lcm of the denominators of
-    q(x)/2 and b(x, y) over that basis, as `DiscriminantForm.level` reads
-    it off the generators of D.
+    [den e_j | 0], j < r.  The level is read off that basis, as
+    `DiscriminantForm.level` reads it off the generators of D.
     """
     den, bnum = form._bden, form._bnum
     gens = _generators(sub, form.orders)
@@ -576,13 +583,7 @@ def glue_level(form: DiscriminantForm, sub: tuple[tuple[int, ...], ...]) -> int:
     rows = [[c[i] for c in pairings] + [int(i == j) for j in range(k)] for i in range(k)]
     rows += [[den * (i == j) for j in range(r)] + [0] * k for i in range(r)]
     perp = [row[r:] for row in intmat.row_hermite_form(rows) if not any(row[:r])]
-    n = 1
-    for i, x in enumerate(perp):
-        bx = intmat.mat_vec(bnum, x)
-        n = lcm(n, 2 * den // gcd(2 * den, sum(map(mul, x, bx))))
-        for y in perp[i + 1 :]:
-            n = lcm(n, den // gcd(den, sum(map(mul, y, bx))))
-    return n
+    return form._level_over(perp)
 
 
 def isotropic_subgroups(form: DiscriminantForm, order: int, budget: int = 10**6):
