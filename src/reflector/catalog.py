@@ -58,10 +58,10 @@ def _dynkin_gram(n: int, branch: int | None) -> list[list[int]]:
 def e7_a1_overlattice(p: int, catalog: "Catalog") -> Lattice:
     """The even overlattice of E7 + A1(p) with determinant p; exists for p = 1 mod 4.
 
-    Raises unless there is exactly one.
+    Raises unless exactly one glue group gives an overlattice of level p.
     """
     seed = catalog.build("E7") + catalog.build("A1").rescaled(p)
-    over = discforms.even_overlattices(seed, p)
+    over = discforms.even_overlattices(seed, p, p)
     if len(over) != 1:
         raise ArithmeticError(f"expected one overlattice, found {len(over)}")
     return over[0]

@@ -626,31 +626,17 @@ def class_number_rootsystems(
     return found
 
 
-def _datum_lattice(datum: dict, p: int, catalog=None) -> Lattice:
-    cat = catalog or cat_mod.default_catalog()
-    parts = []
-    for name in datum["components"]:
-        if name == "G2":
-            parts.append(cat.build("A2"))
-        elif name.endswith(f"({p})"):
-            parts.append(cat.build(name[: -len(f"({p})")]).rescaled(p))
-        else:
-            parts.append(cat.build(name))
-    return direct_sum(parts)
-
-
 def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=None) -> int:
-    """Number of classes of lattices carrying the given reflective data.
+    """Number of fingerprint classes of lattices carrying the given reflective data.
 
-    Each admissible root datum generates a definite lattice; the classes are
-    its even overlattices of determinant p^n_p and level p whose reflective
-    root system is exactly the datum (glue vectors may create extra roots,
-    in which case the overlattice belongs to a different datum).  The level
-    is read off each glue group before its overlattice is built, so only
-    level-p overlattices are built; each is root system filtered, then
-    counted up to the short-vector fingerprint, so only the survivors of
-    the filter are fingerprinted and one with another root system never
-    stands in for one with this one.
+    Each admissible root datum generates a definite lattice; its candidates
+    are the even overlattices of determinant p^n_p and level p, one per
+    glue group, whose reflective root system is exactly the datum (glue
+    vectors may create extra roots, in which case the overlattice belongs
+    to a different datum).  The candidates of one datum share determinant
+    and level, and they are counted by their histograms of vectors of norm
+    <= 2p.  Isometric lattices have equal histograms, so this is a lower
+    bound on the number of isometry classes, not a proof of it.
     """
     if n_p < 0:
         raise ValueError(f"n_p must be nonnegative, not {n_p}")
@@ -669,10 +655,12 @@ def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=
                 and sum(c.count_long for c in comps) == datum["count_long"]
             )
 
-        lat = _datum_lattice(datum, p, cat)
-        total += len(
-            discforms.even_overlattices(
-                lat, target, fingerprint_norm=2 * p, keep=carries_datum, level=p
-            )
-        )
+        expr = "+".join("A2" if c == "G2" else c for c in datum["components"])
+        lat = direct_sum([summand[3] for summand in cat.summands(expr)])
+        histograms = {
+            tuple(sorted((n, len(v)) for n, v in roots.short_vectors(over.gram, 2 * p).items()))
+            for over in discforms.even_overlattices(lat, target, p)
+            if carries_datum(over)
+        }
+        total += len(histograms)
     return total

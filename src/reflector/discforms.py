@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import add, mod, mul
-from typing import Callable
 
-from . import intmat, roots
+from . import intmat
 from .lattices import Lattice
 
 
@@ -675,38 +674,17 @@ def glue_overlattice(
     return Lattice(gram2)
 
 
-def _lattice_fingerprint(lat: Lattice, norm_cap: int = 4) -> tuple:
-    """Cheap isometry invariants used to deduplicate overlattices."""
-    base = (abs(lat.det()), lat.level())
-    try:
-        hist = roots.short_vectors(lat.gram, norm_cap)
-    except ValueError:  # not positive definite: fall back to the Gram matrix
-        return base + (lat.gram,)
-    counts = tuple(sorted((n, len(v)) for n, v in hist.items()))
-    return base + (counts,)
-
-
-def even_overlattices(
-    lat: Lattice,
-    target_det: int,
-    budget: int = 10**6,
-    fingerprint_norm: int = 4,
-    keep: Callable[[Lattice], bool] | None = None,
-    level: int | None = None,
-) -> list[Lattice]:
-    """Even overlattices with the requested determinant, up to the fingerprint.
+def even_overlattices(lat: Lattice, target_det: int, level: int) -> list[Lattice]:
+    """The even overlattices of the requested determinant and level, one per glue group.
 
     Overlattices M with L <= M <= L^dual correspond to isotropic subgroups
-    H <= D(L), with [M : L]^2 = |det L| / |det M|.  When `level` is given,
-    a subgroup is skipped unless the level of D(M) = H^perp / H, read off H
-    by `glue_level`, equals it, before any basis or Gram of M is built; each
-    M that is built is then checked to have that level.  When `keep` is
-    given, an overlattice is dropped unless keep(M) holds, and this runs on
-    each built overlattice before the fingerprint, so rejected ones cost no
-    short-vector enumeration and cannot stand in for a kept one.  One
-    representative is returned per fingerprint class (determinant, level,
-    histogram of the vectors of norm <= fingerprint_norm), matching the
-    classification's use of "the" overlattice.
+    H <= D(L), with [M : L]^2 = |det L| / |det M| (Nikulin).  A subgroup is
+    skipped unless the level of D(M) = H^perp / H, read off H by
+    `glue_level`, equals `level`, before any basis or Gram of M is built;
+    each M that is built is checked to have that determinant and level.
+    One overlattice is returned per glue group, in the order of
+    `isotropic_subgroups`: distinct glue groups may give isometric
+    overlattices, and no attempt is made here to tell them apart.
     """
     d = abs(lat.det())
     t = abs(target_det)
@@ -717,24 +695,13 @@ def even_overlattices(
     if m * m != ratio:
         return []
     if m == 1:
-        if level is not None and lat.level() != level:
-            return []
-        return [lat] if keep is None or keep(lat) else []
+        return [lat] if lat.level() == level else []
     form = DiscriminantForm.from_lattice(lat)
-    results: list[Lattice] = []
-    seen_fp: set = set()
-    for sub in isotropic_subgroups(form, order=m, budget=budget):
-        if level is not None and glue_level(form, sub) != level:
+    results = []
+    for sub in isotropic_subgroups(form, order=m):
+        if glue_level(form, sub) != level:
             continue
         over = glue_overlattice(lat, form, sub)
-        assert abs(over.det()) == t
-        assert level is None or over.level() == level
-        if keep is not None and not keep(over):
-            continue
-        fp = _lattice_fingerprint(over, fingerprint_norm)
-        if fp in seen_fp:
-            continue
-        seen_fp.add(fp)
+        assert abs(over.det()) == t and over.level() == level
         results.append(over)
-    results.sort(key=lambda l: l.gram)
     return results

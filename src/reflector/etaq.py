@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .discforms import legendre
@@ -209,11 +210,13 @@ def bernoulli_b3(x: Fraction) -> Fraction:
     return x**3 - Fraction(3, 2) * x**2 + x / 2
 
 
+@cache
 def bernoulli_b3_psi(p: int) -> Fraction:
     """Twisted Bernoulli number B_{3,psi} for the quadratic character mod p.
 
     Defined for p = 3 mod 4, where the character is odd and the third
-    twisted Bernoulli number is the first interesting one.
+    twisted Bernoulli number is the first interesting one.  Cached per p,
+    so the obstruction test reuses the value a certificate records.
     """
     if p % 4 != 3:
         raise ValueError("the quadratic character mod p is odd only for p = 3 mod 4")

@@ -18,12 +18,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
 from reflector import roots
-from reflector.discforms import GenusSymbol, eps_for
+from reflector.discforms import BudgetExceeded, GenusSymbol, eps_for
 
 
 def _box_sweep(gram: list[list[int]], max_norm: int):
@@ -160,13 +160,22 @@ def q_values(orders: tuple[int, ...], bilinear) -> Counter:
     return out
 
 
-def isotropic_subgroups_by_closure(orders: tuple[int, ...], bilinear, order: int) -> list[tuple]:
+def isotropic_subgroups_by_closure(
+    orders: tuple[int, ...], bilinear, order: int, budget: int = 10**6
+) -> list[tuple]:
     """Isotropic subgroups of the given order, as sorted element tuples, sorted by (size, elements).
 
     Breadth-first closure from the nonzero isotropic elements whose order
     divides `order`: <H, x> is built coset by coset and rejected as soon as
     one of its elements has q != 0, with q one Fraction sum per element.
+    Operations are counted as the library counts them, the prod gcd(o,
+    order) elements of the pool scan and then one per (subgroup, element)
+    pair tried with the element outside the subgroup, and BudgetExceeded is
+    raised past `budget` of them.
     """
+    ops = prod(gcd(o, order) for o in orders)
+    if ops > budget:
+        raise BudgetExceeded(f"pool scan of {ops} elements passes the budget {budget}")
     k = len(orders)
 
     def q(x) -> Fraction:
@@ -202,6 +211,9 @@ def isotropic_subgroups_by_closure(orders: tuple[int, ...], bilinear, order: int
             for x in pool:
                 if x in sub:
                     continue
+                ops += 1
+                if ops > budget:
+                    raise BudgetExceeded(f"closures pass the budget {budget}")
                 grown = closure(sub, x)
                 if grown is None or grown in seen or order % len(grown):
                     continue

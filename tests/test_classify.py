@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 from reflector import classify as classify_mod
+from reflector import etaq
 from reflector.catalog import default_catalog, definite_part, e7_a1_overlattice
 from reflector.classify import (
     apply_bounds,
@@ -247,6 +248,15 @@ def test_first_rule_to_fire_is_recorded():
         rec = {(r.n, r.n_p): r for r in classify(p)}[case]
         assert rec.reason == "solve-empty", p
         assert rec.certificate["solve_status"] == "none", p
+
+
+def test_rule_five_computes_b3_psi_once():
+    """The obstruction test at (19, 4, 1) reuses the B_{3,psi} its certificate records."""
+    etaq.bernoulli_b3_psi.cache_clear()
+    rec = {(r.n, r.n_p): r for r in classify(19)}[(4, 1)]
+    assert rec.reason == "eisenstein-obstruction"
+    assert rec.certificate["b3_psi"] == 66
+    assert etaq.bernoulli_b3_psi.cache_info().misses == 1
 
 
 def test_verdict_comes_from_the_model(monkeypatch):

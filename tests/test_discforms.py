@@ -23,7 +23,6 @@ from reflector.discforms import (
     DiscriminantForm,
     GenusSymbol,
     _crt_layout,
-    _lattice_fingerprint,
     _vanishes_at_root,
     even_overlattices,
     genus_symbol,
@@ -329,7 +328,7 @@ def _e7_a1_5() -> Lattice:
 
 def test_even_overlattice_search_finds_the_index_two_glue():
     """E7 + A1(5) sits inside a unique even lattice of determinant 5."""
-    found = even_overlattices(_e7_a1_5(), 5)
+    found = even_overlattices(_e7_a1_5(), 5, 5)
     assert len(found) == 1
     over = found[0]
     assert over.det() == 5
@@ -338,7 +337,7 @@ def test_even_overlattice_search_finds_the_index_two_glue():
 
 
 def test_even_overlattice_search_rejects_impossible_targets():
-    assert even_overlattices(_e7_a1_5(), 7) == []
+    assert even_overlattices(_e7_a1_5(), 7, 7) == []
 
 
 @settings(max_examples=30, deadline=None)
@@ -375,55 +374,24 @@ ISOTROPIC_SEARCH_FORMS = st.one_of(
 @given(ISOTROPIC_SEARCH_FORMS, st.sampled_from([1, 2, 3, 4, 6, 8, 9]))
 @example(DiscriminantForm.from_lattice(parse_lattice("E6(3)", CAT)), 9)
 @example(DiscriminantForm.from_lattice(parse_lattice("2A1(2)", CAT)), 4)
+@example(_block_sum_form([(2, 4, 1), (2, 2, 1), (2, 4, 1)]), 8)
 def test_isotropic_subgroups_match_closure_oracle(form, order):
-    """The orthogonality test on generators finds the subgroups that testing q on every element finds."""
+    """The orthogonality test on generators finds the subgroups that testing q on every element finds.
+
+    Both searches count operations alike and run on one budget, so they
+    return the same list or both raise BudgetExceeded.
+    """
     assume(form.order() <= 3**8)
     assume(prod(gcd(o, order) for o in form.orders) <= 3**7)
-    want = isotropic_subgroups_by_closure(form.orders, form.bilinear, order)
-    assert isotropic_subgroups(form, order) == want
 
+    def outcome(search, *args):
+        try:
+            return search(*args, budget=10**5)
+        except BudgetExceeded:
+            return BudgetExceeded
 
-def _fingerprint_classes(lattices):
-    classes: dict = {}
-    for lat in lattices:
-        classes.setdefault(_lattice_fingerprint(lat), []).append(lat)
-    return classes
-
-
-@pytest.mark.parametrize(
-    "expr, p, target",
-    [
-        ("E6(3)+A2", 3, 3**6),  # the census datum E6(3)+G2
-        ("E6(3)", 3, 3**5),
-        ("E7+A1(5)", 5, 5),
-        ("4A2", 3, 3**2),
-    ],
-)
-def test_keep_filters_before_the_fingerprint(expr, p, target):
-    """keep= gives the unfiltered list filtered, whenever no fingerprint class straddles the filter."""
-    lat = parse_lattice(expr, CAT)
-
-    def level_p_with_roots(over):
-        return over.level() == p and bool(root_components(over, p))
-
-    built = []
-
-    def record(over):
-        built.append(over)
-        return True
-
-    full = even_overlattices(lat, target, keep=record)
-    assert full == even_overlattices(lat, target)
-    kept = even_overlattices(lat, target, keep=level_p_with_roots)
-    assert all(level_p_with_roots(over) for over in kept)
-    survivors = [over for over in built if level_p_with_roots(over)]
-    assert set(_fingerprint_classes(kept)) == set(_fingerprint_classes(survivors))
-    straddles = any(
-        len({level_p_with_roots(over) for over in members}) > 1
-        for members in _fingerprint_classes(built).values()
-    )
-    if not straddles:
-        assert kept == [over for over in full if level_p_with_roots(over)]
+    want = outcome(isotropic_subgroups_by_closure, form.orders, form.bilinear, order)
+    assert outcome(isotropic_subgroups, form, order) == want
 
 
 # (expression, glue orders); None takes every order m with m^2 dividing |D|.
@@ -459,6 +427,7 @@ def test_glue_level_is_the_level_of_the_built_overlattice(expr, orders):
         assert levels
 
 
+# p is the prime each case is taken at; only the level and the target enter the filter
 @pytest.mark.parametrize(
     "expr, p, level, target",
     [
@@ -473,21 +442,23 @@ def test_glue_level_is_the_level_of_the_built_overlattice(expr, orders):
     ],
 )
 def test_level_filter_equals_filtering_the_built_overlattices(expr, p, level, target):
-    """level= gives what a keep predicate testing the built lattice's level gives."""
+    """One overlattice per glue group of the index, in search order, kept when its built level is `level`."""
     lat = parse_lattice(expr, CAT)
-
-    def has_roots(over):
-        return bool(root_components(over, p))
-
-    def level_with_roots(over):
-        return over.level() == level and has_roots(over)
-
-    want = even_overlattices(lat, target, keep=level_with_roots)
+    form = DiscriminantForm.from_lattice(lat)
+    m = isqrt(abs(lat.det()) // target)
+    built = [glue_overlattice(lat, form, sub) for sub in isotropic_subgroups(form, m)]
+    want = [over for over in built if over.level() == level]
     assert want
-    assert even_overlattices(lat, target, keep=has_roots, level=level) == want
-    assert even_overlattices(lat, target, level=level) == even_overlattices(
-        lat, target, keep=lambda over: over.level() == level
-    )
+    assert even_overlattices(lat, target, level) == want
+
+
+def test_d8_d8_glues_to_both_unimodular_lattices():
+    """D8 + D8 has six unimodular glue groups: four give E8 + E8 and two give D16+."""
+    found = even_overlattices(parse_lattice("D8+D8", CAT), 1, 1)
+    assert len(found) == 6
+    names = [sorted(c.name for c in root_components(over, 2)) for over in found]
+    assert ["E8", "E8"] in names
+    assert ["D16"] in names
 
 
 def test_pool_scan_is_charged_to_the_budget():
