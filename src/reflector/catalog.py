@@ -17,8 +17,9 @@ variable) can add or override entries with the same JSON shape.
 
 Every expression goes through one term expansion, `Catalog.summands`, which
 builds each distinct term once; `Catalog.parse` puts all summands into one
-block-diagonal Gram, `definite_part` sums the summands other than the
-hyperbolic planes, and `model_parts` gives both from a single expansion.
+block-diagonal Gram (a single term such as "E6(3)" is its own summand),
+`definite_part` sums the summands other than the hyperbolic planes, and
+`model_parts` gives both from a single expansion.
 """
 
 from __future__ import annotations
@@ -144,9 +145,12 @@ class Catalog:
 
 
 def _assemble(expr: str, summands) -> Lattice:
-    """All summands of expr in one block-diagonal Gram."""
+    """All summands of expr in one block-diagonal Gram; a lone summand of that name as is."""
+    name = normalize_expr(expr)
+    if len(summands) == 1 and summands[0][3].name == name:
+        return summands[0][3]
     grams = [lat.gram for _, _, _, lat in summands]
-    return Lattice(intmat.block_diagonal(grams), name=normalize_expr(expr))
+    return Lattice(intmat.block_diagonal(grams), name=name)
 
 
 def normalize_expr(expr: str) -> str:

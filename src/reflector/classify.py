@@ -314,7 +314,7 @@ def eliminate_case(
     # rules 1-2: with no norm-2/p classes there are no long roots, so the
     # definite part must be spanned by an ordinary root lattice of
     # determinant p^n_p times a square
-    long_count = discforms.candidate_form(p, n_p, genus.eps).count_norm(Fraction(2, p))
+    long_count = discforms.elementary_count_norm(p, n_p, genus.eps, Fraction(2, p))
     cert["norm_2p_vector_count"] = long_count
     if long_count == 0:
         cert["root_lattice_determinants"] = root_lattice_dets(n - 2)

@@ -4,10 +4,10 @@ The discriminant form of an even lattice L is the finite abelian group
 D = L^dual / L carrying the quadratic form q(x) = (x, x) mod 2Z and the
 bilinear form b(x, y) = (x, y) mod Z.  This module computes D from a Gram
 matrix through the Smith normal form, evaluates the Gauss sum of q exactly in
-a cyclotomic ring to pin its Milgram octant, classifies prime-level genera by
-a plus/minus invariant computed along two independent routes, and performs
-the overlattice constructions (isotropic subgroups, even overlattices) that
-the classification needs.
+a cyclotomic ring to pin its Milgram octant, reads prime-level genus symbols
+and the value counts of their forms off closed formulas, and performs the
+overlattice constructions (isotropic subgroups, even overlattices) that the
+classification needs.
 
 Value statistics of a form come from one integer pass over D, made at most
 once per form: it counts the values x^T B x times the common denominator of
@@ -331,52 +331,74 @@ class DiscriminantForm:
         raise ArithmeticError("Gauss sum does not match any octant; form is degenerate")
 
 
-# -- standard blocks and the formula route to Milgram octants --
+# -- standard blocks: their octants and value counts in closed form --
 
 
-def block_sig_odd(p: int, a: int) -> int:
-    """Milgram octant of the rank-one block <2a/p> at odd p."""
-    chi = legendre(a, p)
-    if p % 4 == 1:
-        return 0 if chi == 1 else 4
-    return 2 if chi == 1 else 6
+def _disc_chi(p: int, n_p: int, eps: int) -> int:
+    """chi_p(a_1 ... a_n) for the blocks <2 a_i / p> of candidate_form(p, n_p, eps);
+    GenusNotRepresentable when no form has these invariants."""
+    if n_p == 0 and eps != 1:
+        raise GenusNotRepresentable("trivial form has eps = +1")
+    if p == 2:
+        if n_p % 2 != 0:
+            raise GenusNotRepresentable("level-2 forms of even type have even rank")
+        return eps
+    return eps * (legendre(2, p) if n_p % 2 else 1)
 
 
 def candidate_form(p: int, n_p: int, eps: int) -> DiscriminantForm:
     """A discriminant form with invariants (p, n_p, eps), built from blocks."""
+    target_chi = _disc_chi(p, n_p, eps)
     if n_p == 0:
-        if eps != 1:
-            raise GenusNotRepresentable("trivial form has eps = +1")
         return DiscriminantForm.trivial()
     if p == 2:
-        if n_p % 2 != 0:
-            raise GenusNotRepresentable("level-2 forms of even type have even rank")
         u = [[Fraction(0), Fraction(1, 2)], [Fraction(1, 2), Fraction(0)]]
         v = [[Fraction(1), Fraction(1, 2)], [Fraction(1, 2), Fraction(1)]]
         blocks = [u] * (n_p // 2 - 1) + [v if eps == -1 else u]
         return DiscriminantForm((2,) * n_p, intmat.block_diagonal(blocks))
-    chi2 = legendre(2, p)
-    target_chi = eps * (chi2 if n_p % 2 else 1)
     last_a = 1 if target_chi == 1 else smallest_nonresidue(p)
     blocks = [[[Fraction(2 * a, p)]] for a in [1] * (n_p - 1) + [last_a]]
     return DiscriminantForm((p,) * n_p, intmat.block_diagonal(blocks))
 
 
-def milgram_formula(p: int, n_p: int, eps: int) -> int:
-    """Milgram octant of candidate_form(p, n_p, eps), by the block table."""
-    if n_p == 0:
-        if eps != 1:
-            raise GenusNotRepresentable("trivial form has eps = +1")
+def elementary_count_norm(p: int, n_p: int, eps: int, target: Fraction) -> int:
+    """candidate_form(p, n_p, eps).count_norm(target) in closed form, in integers.
+
+    At p = 2, q takes the value 1 on 2^(n-1) - eps 2^(n/2-1) elements of
+    2_II^{eps n} and 0 on the others.  At odd p, q(x) = 2 Q(x) / p mod 2 for
+    the form Q = sum a_i x_i^2 over F_p, whose discriminant d has
+    chi_p(d) = `_disc_chi`, and Q(x) = b has (Lidl and Niederreiter, Finite
+    Fields, Theorems 6.26 and 6.27)
+        p^(n-1) + p^((n-1)/2) chi_p((-1)^((n-1)/2) b d)    solutions, n odd,
+        p^(n-1) + nu(b) p^((n-2)/2) chi_p((-1)^(n/2) d)    solutions, n even,
+    with nu(b) = -1 for b != 0 and nu(0) = p - 1.  The zero element is not
+    counted, as in `count_norm`.
+    """
+    chi = _disc_chi(p, n_p, eps)
+    v = Fraction(target) % 2
+    if p != 2:
+        v = v * p / 2  # q(x) = v mod 2 exactly when Q(x) = v * p / 2 mod p
+    if n_p == 0 or v.denominator != 1:
         return 0
+    b, n = v.numerator, n_p
     if p == 2:
-        if n_p % 2 != 0:
-            raise GenusNotRepresentable("level-2 forms of even type have even rank")
+        ones = 2 ** (n - 1) - eps * 2 ** (n // 2 - 1)
+        return ones if b == 1 else 2**n - ones - 1
+    if n % 2:
+        count = p ** (n - 1) + p ** (n // 2) * legendre((-1) ** (n // 2) * b, p) * chi
+    else:
+        nu = p - 1 if b == 0 else -1
+        count = p ** (n - 1) + nu * p ** (n // 2 - 1) * legendre((-1) ** (n // 2), p) * chi
+    return count - (b == 0)
+
+
+def milgram_formula(p: int, n_p: int, eps: int) -> int:
+    """Milgram octant of candidate_form(p, n_p, eps): at odd p, each block <2a/p>
+    adds p - 1 mod 4, plus 4 when chi_p(a) = -1."""
+    chi = _disc_chi(p, n_p, eps)
+    if p == 2:
         return 0 if eps == 1 else 4
-    chi2 = legendre(2, p)
-    target_chi = eps * (chi2 if n_p % 2 else 1)
-    total = (n_p - 1) * block_sig_odd(p, 1)
-    total += (0 if p % 4 == 1 else 2) if target_chi == 1 else (4 if p % 4 == 1 else 6)
-    return total % 8
+    return (n_p * ((p - 1) % 4) + 2 * (1 - chi)) % 8
 
 
 def eps_for(sig_mod8: int, p: int, n_p: int) -> int:
@@ -452,60 +474,33 @@ def parse_genus(text: str) -> GenusSymbol:
 
 
 def genus_symbol(lat: Lattice, p: int | None = None) -> GenusSymbol:
-    """Genus symbol of an even lattice of prime level.
+    """Genus symbol II_{pos,neg}(p^{eps n_p}) of an even lattice of level 1 or p.
 
-    The sign invariant is computed twice: from the exact Gauss-sum octant of
-    the discriminant form matched against block candidates, and (at odd p)
-    from the Legendre product over the p-divisible entries of a p-adically
-    pivoted congruence diagonalization.  Disagreement raises.
+    For p prime, the discriminant form of such a lattice is an elementary
+    p-group of rank n_p, |det| = p^n_p, with a nondegenerate form.  These
+    forms are classified by n_p and one sign eps, and Milgram's formula ties
+    the octant of the form, fixed by (p, n_p, eps), to the signature mod 8
+    (Nikulin, Izv. Akad. Nauk SSSR 43, 1979, 1.9; 3.6 for p = 2).  So the
+    symbol is read off the lattice's cached level, determinant and signature,
+    with eps from `eps_for`.  Raises ValueError when p is not prime, when the
+    level is not 1 or p, when |det| is not a power of p, and (through
+    `eps_for`) when no sign fits the signature.
     """
     level = lat.level()
     if p is None:
         if level == 1:
             raise ValueError("unimodular lattice: pass p explicitly for a trivial symbol")
         p = level
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if level not in (1, p):
         raise ValueError(f"lattice level {level} is not 1 or the prime {p}")
-    det = abs(lat.det())
-    n_p = 0
-    d = det
-    while d % p == 0:
-        d //= p
-        n_p += 1
-    if d != 1:
-        raise ValueError(f"determinant {det} is not a power of {p}")
+    fac = _factorize(lat.det())
+    if any(q != p for q in fac):
+        raise ValueError(f"determinant {lat.det()} is not a power of {p}")
+    n_p = fac.get(p, 0)
     pos, neg = lat.signature()
-    sig8 = (pos - neg) % 8
-
-    form = DiscriminantForm.from_lattice(lat)
-    oct_actual = form.milgram_octant()
-    if oct_actual != sig8:
-        raise ArithmeticError("Milgram octant disagrees with the signature")
-    try:
-        eps_gauss = eps_for(oct_actual, p, n_p)
-    except GenusNotRepresentable as exc:
-        raise ArithmeticError(f"no block candidate matches the Gauss-sum octant: {exc}") from exc
-
-    if p != 2 and n_p > 0:
-        _, diag = intmat.congruent_diagonal(lat.gram, p=p)
-        eps_jordan = 1
-        seen = 0
-        for dval in diag:
-            v = intmat.p_valuation(dval, p)
-            if v == 0:
-                continue
-            if v != 1:
-                raise ArithmeticError(f"diagonal entry {dval} has p-valuation {v} at level p")
-            unit = dval / p
-            residue = unit.numerator * pow(unit.denominator, -1, p) % p
-            eps_jordan *= legendre(residue, p)
-            seen += 1
-        if seen != n_p:
-            raise ArithmeticError("Jordan block count disagrees with the determinant")
-        if eps_jordan != eps_gauss:
-            raise ArithmeticError("sign invariant: Jordan route disagrees with Gauss route")
-
-    return GenusSymbol(pos, neg, p, n_p, eps_gauss)
+    return GenusSymbol(pos, neg, p, n_p, eps_for(pos - neg, p, n_p))
 
 
 def eps_u_p(p: int) -> int:

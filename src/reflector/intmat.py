@@ -11,8 +11,8 @@ inverses (integer adjugate over integer determinant), the integer-scaled
 LDL split that drives the short-vector enumerator, and the inertia of a
 symmetric integer matrix (symmetric elimination by congruence).  Rationals
 appear only where the answer is rational: the entries of an inverse, the
-congruence diagonalization with its p-adic pivots (the Jordan route of the
-genus symbol) and the valuations of those pivots.
+congruence diagonalization with its p-adic pivots (the tests' Jordan-splitting
+oracle for genus signs) and the valuations of those pivots.
 """
 
 from __future__ import annotations

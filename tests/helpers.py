@@ -11,7 +11,12 @@ inner product, span ranks come from row elimination over Z, the
 level and rescaled duals of a lattice come from a Fraction Gauss-Jordan
 inverse of its Gram, isotropic subgroups come from closures that test q
 on every element they add, and the genus of a rescaled dual comes from the
-complementary p-rank and the Milgram octant.
+complementary p-rank and the Milgram octant.  The sign of a prime-level
+genus, which the library reads off the signature alone, is computed here
+along two routes that look at the Gram itself: the exact Gauss sum of the
+discriminant form, and the Legendre symbols of a p-adic Jordan splitting.
+`in_random_basis` is the change of basis that the Hypothesis strategies
+share.
 """
 from __future__ import annotations
 
@@ -21,9 +26,10 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
 import numpy as np
+from hypothesis import strategies as st
 
-from reflector import roots
-from reflector.discforms import BudgetExceeded, GenusSymbol, eps_for
+from reflector import intmat, roots
+from reflector.discforms import BudgetExceeded, DiscriminantForm, GenusSymbol, eps_for
 
 
 def _box_sweep(gram: list[list[int]], max_norm: int):
@@ -421,3 +427,53 @@ def dual_rescale_genus(g: GenusSymbol) -> GenusSymbol:
     """Genus of the rescaled dual M^dual(p): p-rank rank - n_p, sign from the octant."""
     new_np = g.pos + g.neg - g.n_p
     return GenusSymbol(g.pos, g.neg, g.p, new_np, eps_for(g.signature_mod8(), g.p, new_np))
+
+
+def eps_by_gauss_sum(lat, p: int) -> int:
+    """The sign of the genus of a level-p lattice from the Gauss sum of its discriminant form.
+
+    The Milgram octant of the Gauss sum must equal the signature mod 8; the
+    sign is the one whose block candidate has that octant.
+    """
+    form = DiscriminantForm.from_lattice(lat)
+    assert all(o == p for o in form.orders), form.orders
+    octant = form.milgram_octant()
+    assert octant == lat.signature_mod8()
+    return eps_for(octant, p, len(form.orders))
+
+
+def eps_by_jordan(lat, p: int) -> int:
+    """The sign at odd p from a p-adic Jordan splitting of the Gram.
+
+    A p-adically pivoted congruence diagonalisation splits the Gram into
+    units and p times units; the sign is the product of the Legendre symbols
+    of the units in the p-part.
+    """
+    assert p != 2
+    eps = 1
+    for entry in intmat.congruent_diagonal(lat.gram, p=p)[1]:
+        v = intmat.p_valuation(entry, p)
+        assert v in (0, 1), f"diagonal entry {entry} has p-valuation {v} at level p"
+        if v == 1:
+            unit = entry / p
+            eps *= legendre(unit.numerator * pow(unit.denominator, -1, p), p)
+    return eps
+
+
+def in_random_basis(draw, gram, coeff: int = 1) -> list[list[int]]:
+    """The Gram in a random basis, drawn with Hypothesis's `draw`.
+
+    The basis change is a product of elementary moves (row i += c row j on
+    both sides of the Gram, |c| <= coeff) and a coordinate permutation.
+    """
+    n = len(gram)
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    moves = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-coeff, coeff))
+    for i, j, c in draw(st.lists(moves, max_size=2 * n)):
+        if i != j:
+            basis[i] = [x + c * y for x, y in zip(basis[i], basis[j])]
+    basis = draw(st.permutations(basis))
+    return [
+        [sum(u[a] * gram[a][b] * v[b] for a in range(n) for b in range(n)) for v in basis]
+        for u in basis
+    ]

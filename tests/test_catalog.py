@@ -116,6 +116,18 @@ def test_definite_part_strips_hyperbolic_planes():
         assert model_parts(expr, CAT) == (parse_lattice(expr, CAT), *definite_part(expr, CAT))
 
 
+def test_parse_returns_a_lone_summand_as_is(monkeypatch):
+    """A one-term expression named as its summand is that summand, not a second build."""
+    cat = Catalog()
+    summands = cat.summands("E6(3)")
+    monkeypatch.setattr(cat, "summands", lambda expr: summands)
+    assert cat.parse("E6(3)") is summands[0][3]
+    assert cat.parse(" E6(3) ") is summands[0][3]
+    # E8v is a summand named E8v(1), so it is rebuilt under the name E8v
+    for expr in ("E6(3)", "E6v(3)", "U(5)", "E8v", "2A2"):
+        assert parse_lattice(expr, CAT).name == normalize_expr(expr)
+
+
 def test_unknown_name_rejected():
     with pytest.raises((KeyError, ValueError)):
         parse_lattice("2U+Z9", CAT)

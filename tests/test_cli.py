@@ -205,9 +205,10 @@ CLASSNUMBER = ["classnumber", "--rank", "6", "--prime", "3", "--k", "24"]
           "--np", "1"], "rank"),
         (["eta", "--precision", "1000"], "between 1 and 200"),
         (["eta", "--precision", "0"], "between 1 and 200"),
+        (["lattice", "--lattice", "A2+A4", "--prime", "3"], "level 15 is not 1 or the prime 3"),
     ],
     ids=["roots 2U", "check 2U", "solve 2U", "negative np", "negative c1", "zero c1 and cp",
-         "negative rank", "eta precision 1000", "eta precision 0"],
+         "negative rank", "eta precision 1000", "eta precision 0", "lattice of level 15"],
 )
 def test_invalid_input_is_a_one_line_error(argv, message, capsys):
     code, out, err = run_cli_err(argv, capsys)

@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 from helpers import (
     cyclotomic,
     dual_rescale_genus,
+    eps_by_gauss_sum,
+    eps_by_jordan,
     gauss_exponents,
+    in_random_basis,
     isotropic_subgroups_by_closure,
     poly_divmod,
     q_values,
@@ -21,6 +24,7 @@ from reflector.catalog import default_catalog, definite_part, parse_lattice
 from reflector.discforms import (
     BudgetExceeded,
     DiscriminantForm,
+    GenusNotRepresentable,
     GenusSymbol,
     _crt_layout,
     _vanishes_at_root,
@@ -31,6 +35,7 @@ from reflector.discforms import (
     isotropic_subgroups,
     milgram_formula,
     candidate_form,
+    elementary_count_norm,
     parse_genus,
     splits_u_up,
 )
@@ -227,6 +232,104 @@ GENUS_LABELS = [
 def test_genus_labels_of_model_lattices():
     for expr, p, label in GENUS_LABELS:
         assert genus_symbol(parse_lattice(expr, CAT), p).label() == label, expr
+
+
+# pieces of level 1 or p, so every sum of them has level 1 or p
+PRIME_LEVEL_PIECES = {
+    2: ("U", "U(2)", "D4", "D8", "D8v(2)", "E8", "E8(2)"),
+    3: ("U", "U(3)", "A2", "A2v(3)", "E6", "E6v(3)", "E8", "E8(3)"),
+    5: ("U", "U(5)", "A4", "A4v(5)", "T4", "T8"),
+    7: ("U", "U(7)", "A6", "A6v(7)", "L7"),
+    11: ("U", "U(11)", "L11", "L11v(11)"),
+    23: ("U", "U(23)", "L23", "L23v(23)"),
+}
+
+
+@st.composite
+def prime_level_sums(draw):
+    """(lattice, p): a sum of level-p catalog pieces in a random basis.
+
+    The rank is capped at 12 and |det| at 3^8, which keeps the Gauss-sum
+    oracle's walk over the discriminant group short.
+    """
+    p = draw(st.sampled_from(sorted(PRIME_LEVEL_PIECES)))
+    terms = draw(st.lists(st.sampled_from(PRIME_LEVEL_PIECES[p]), min_size=1, max_size=4))
+    parts, rank, det = [], 0, 1
+    for term in terms:
+        piece = parse_lattice(term, CAT)
+        if rank + piece.rank > 12 or det * abs(piece.det()) > 3**8:
+            continue
+        parts.append(term)
+        rank += piece.rank
+        det *= abs(piece.det())
+    assume(parts)
+    return Lattice(in_random_basis(draw, parse_lattice("+".join(parts), CAT).gram, 2)), p
+
+
+@settings(max_examples=60, deadline=None)
+@given(prime_level_sums())
+@example((parse_lattice("U+U(3)+2A2", CAT), 3))
+@example((parse_lattice("U+U(23)+L23", CAT), 23))
+@example((parse_lattice("U+E8", CAT), 5))
+def test_closed_form_genus_symbol_matches_gauss_sum_and_jordan_routes(case):
+    """The symbol read off level, determinant and signature has the sign that
+    the Gauss sum of D(L) and (at odd p) a p-adic Jordan splitting give."""
+    lat, p = case
+    g = genus_symbol(lat, p)
+    assert (g.pos, g.neg) == lat.signature()
+    assert p**g.n_p == abs(lat.det())
+    assert g.eps == eps_by_gauss_sum(lat, p)
+    if p != 2:
+        assert g.eps == eps_by_jordan(lat, p)
+
+
+class _Invariants:
+    """Stands in for a lattice whose level, determinant and signature disagree."""
+
+    def __init__(self, level, det, signature):
+        self.level = lambda: level
+        self.det = lambda: det
+        self.signature = lambda: signature
+
+
+def test_genus_symbol_raises_off_prime_level():
+    with pytest.raises(ValueError, match="level 15"):
+        genus_symbol(parse_lattice("A2+A4", CAT), 3)
+    with pytest.raises(ValueError, match="15 is not prime"):
+        genus_symbol(parse_lattice("A2+A4", CAT))
+    # a true lattice of level 3 has |det| a power of 3; the check guards the
+    # level and the determinant, computed apart, against each other
+    with pytest.raises(ValueError, match="not a power of 3"):
+        genus_symbol(_Invariants(3, 6, (2, 0)), 3)
+    with pytest.raises(GenusNotRepresentable):
+        genus_symbol(_Invariants(3, 3, (3, 0)), 3)
+
+
+def test_unimodular_lattice_with_a_prime_has_the_trivial_symbol():
+    assert genus_symbol(CAT.build("E8"), 3).label() == "II_{8,0}(3^{+0})"
+    with pytest.raises(ValueError, match="pass p"):
+        genus_symbol(CAT.build("E8"))
+
+
+def test_closed_form_counts_match_the_value_walk():
+    """elementary_count_norm equals count_norm on candidate_form at every value k/p,
+    k < 2p, and at one value of another denominator; 1,152 values in all."""
+    checked = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for n_p in range(9 if p <= 3 else 7):
+            for eps in (1, -1):
+                try:
+                    form = candidate_form(p, n_p, eps)
+                except GenusNotRepresentable:
+                    with pytest.raises(GenusNotRepresentable):
+                        elementary_count_norm(p, n_p, eps, Fraction(2, p))
+                    continue
+                for t in [Fraction(k, p) for k in range(2 * p)] + [Fraction(1, p + 2)]:
+                    assert elementary_count_norm(p, n_p, eps, t) == form.count_norm(t), (
+                        p, n_p, eps, t,
+                    )
+                    checked += 1
+    assert checked == 1152
 
 
 def test_parse_genus_round_trips_all_case_labels():

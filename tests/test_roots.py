@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     box_count_norm,
     box_vectors_by_norm,
+    in_random_basis,
     pairwise_root_components,
     signed_roots,
     span_rank,
@@ -201,9 +202,8 @@ MAX_SUM_RANK = 12
 def catalog_sums(draw):
     """(lattice, p): a direct sum of catalog pieces in a random basis.
 
-    The basis change is a product of elementary moves (row i += c row j on
-    both sides of the Gram) and a coordinate permutation, so the lexicographic
-    order on the new coordinates cuts the root system along random hyperplanes.
+    The lexicographic order on the new coordinates cuts the root system
+    along random hyperplanes.
     """
     p = draw(st.sampled_from([2, 3, 5, 7]))
     menu = LEVEL_P_PIECES[p] if draw(st.booleans()) else SUM_PIECES
@@ -215,20 +215,7 @@ def catalog_sums(draw):
             break
         parts.append(term)
         rank += piece.rank
-    gram = parse_lattice("+".join(parts), CAT).gram
-    n = len(gram)
-    basis = [[int(i == j) for j in range(n)] for i in range(n)]
-    if n > 1:
-        moves = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-1, 1))
-        for i, j, c in draw(st.lists(moves, max_size=2 * n)):
-            if i != j:
-                basis[i] = [x + c * y for x, y in zip(basis[i], basis[j])]
-    basis = draw(st.permutations(basis))
-    gram = [
-        [sum(u[a] * gram[a][b] * v[b] for a in range(n) for b in range(n)) for v in basis]
-        for u in basis
-    ]
-    return Lattice(gram), p
+    return Lattice(in_random_basis(draw, parse_lattice("+".join(parts), CAT).gram)), p
 
 
 def _model(expr: str, p: int):
