@@ -453,41 +453,35 @@ def _genus_order(label: str) -> tuple[int, int, int]:
     return (g.p, g.pos, g.n_p)
 
 
+def table_rows() -> list[tuple[str, str, int, int, int]]:
+    """Every construction-table row as (genus, model, c1, cp, k)."""
+    rows = [(g, m, 1, 0, k) for g, m, k in STRONGLY_2_REFLECTIVE]
+    rows += [(g, m, 0, 1, k) for g, m, k in STRONGLY_2P_REFLECTIVE]
+    rows += [(g, m, 1, cp, k) for g, m, k, cp, _ in MIXED_REFLECTIVE]
+    return rows
+
+
 def reflective_genera() -> list[str]:
     """The classified genus labels, sorted by (p, n, n_p)."""
-    labels = {g for g, _, _ in STRONGLY_2_REFLECTIVE}
-    labels |= {g for g, _, _, _, _ in MIXED_REFLECTIVE}
-    return sorted(labels, key=_genus_order)
+    return sorted({g for g, *_ in table_rows()}, key=_genus_order)
 
 
 def construction_coverage() -> dict[str, dict]:
-    """For each reflective genus, every construction that certifies it."""
+    """For each reflective genus, its table rows and the rows the towers derive.
+
+    "rows" maps each report key of `verify_construction` (strongly_2,
+    strongly_2p, mixed[i]) to (model, c1, cp, k); "covered" holds the
+    (c1, cp, k) that a tower step or a transfer derives
+    (`towers.covered_rows`).
+    """
     cov: dict[str, dict] = {}
-
-    def entry(label):
-        return cov.setdefault(
-            label, {"strongly_2": None, "strongly_2p": None, "mixed": [], "towers": []}
-        )
-
-    for label, model, k in STRONGLY_2_REFLECTIVE:
-        entry(label)["strongly_2"] = {"model": model, "k": k}
-    for label, model, k in STRONGLY_2P_REFLECTIVE:
-        entry(label)["strongly_2p"] = {"model": model, "k": k}
-    for label, model, k, cp, cusp in MIXED_REFLECTIVE:
-        entry(label)["mixed"].append({"model": model, "k": k, "cp": cp, "cusp": cusp})
-    for tower in towers.load_towers():
-        entry(tower.base_genus)["towers"].append(
-            {"tower": tower.name, "weight": tower.base_weight, "catalogued": tower.base_catalogued}
-        )
-        for step in tower.steps:
-            entry(step.genus)["towers"].append(
-                {
-                    "tower": tower.name,
-                    "weight": step.weight,
-                    "catalogued": step.catalogued,
-                    "decomposes_into": step.decomposes_into,
-                }
-            )
+    for label, model, c1, cp, k in table_rows():
+        rows = cov.setdefault(label, {"rows": {}, "covered": set()})["rows"]
+        pure = {(1, 0): "strongly_2", (0, 1): "strongly_2p"}.get((c1, cp))
+        key = pure or f"mixed[{sum(key.startswith('mixed') for key in rows)}]"
+        rows[key] = (model, c1, cp, k)
+    for label, c1, cp, k in towers.covered_rows():
+        cov[label]["covered"].add((c1, cp, k))
     return cov
 
 
@@ -502,37 +496,21 @@ def verify_construction(label: str, cov: dict, catalog=None) -> dict:
     cat = catalog or cat_mod.default_catalog()
     g = parse_genus(label)
     results = {}
-
-    def one(model: str, c1: int, cp: int, k: int, key: str):
+    for key, (model, c1, cp, k) in cov["rows"].items():
         lat, scales, definite = cat_mod.model_parts(model, cat)
         if discforms.genus_symbol(lat, p=g.p) != g:
             results[key] = "genus-mismatch"
-            return
-        if sorted(scales) == [1, 1] and definite is not None:
+        elif sorted(scales) == [1, 1] and definite is not None:
             rep = reflcheck.check_candidate(definite, g.p, c1, cp, k)
             results[key] = "checked" if rep.passed else "check-failed"
         else:
-            covered = any(
-                t.from_genus == label and t.from_k == k for t in towers.load_transfers()
-            ) or any(
-                (t["weight"] == k) or (t.get("decomposes_into") and k in t["decomposes_into"])
-                for t in cov["towers"]
-            )
-            results[key] = "tower-covered" if covered else "uncovered"
-
-    if cov["strongly_2"]:
-        one(cov["strongly_2"]["model"], 1, 0, cov["strongly_2"]["k"], "strongly_2")
-    if cov["strongly_2p"]:
-        one(cov["strongly_2p"]["model"], 0, 1, cov["strongly_2p"]["k"], "strongly_2p")
-    for i, row in enumerate(cov["mixed"]):
-        one(row["model"], 1, row["cp"], row["k"], f"mixed[{i}]")
+            results[key] = "tower-covered" if (c1, cp, k) in cov["covered"] else "uncovered"
     return results
 
 
 def verdict_table(verify: bool = False, catalog=None) -> dict:
     """The complete classification across all primes and residue classes."""
     cat = catalog or cat_mod.default_catalog()
-    cov = construction_coverage()
     table: dict = {"primes": {}, "symbolic": {}, "reflective": [], "verification": {}}
     mismatches = {}
     for p in STORED_CASES:
@@ -552,6 +530,7 @@ def verdict_table(verify: bool = False, catalog=None) -> dict:
     table["count"] = len(table["reflective"])
     table["matches_construction_tables"] = table["reflective"] == expected
     if verify:
+        cov = construction_coverage()
         for label in table["reflective"]:
             table["verification"][label] = verify_construction(label, cov[label], cat)
     return table

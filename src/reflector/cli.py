@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import prod
 
 from . import catalog as cat_mod
 from . import discforms, etaq, reflcheck, roots, towers
@@ -114,30 +115,29 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_discform(args) -> int:
-    if not args.genus and not args.lattice:
-        raise ValueError("discform needs --lattice or --genus")
     if args.genus:
         g = discforms.parse_genus(args.genus)
-        form = discforms.candidate_form(g.p, g.n_p, g.eps)
+        if args.prime not in (None, g.p):
+            raise ValueError(f"--prime {args.prime} is not the prime {g.p} of {args.genus}")
         p = g.p
-    else:
-        cat = _catalog(args)
-        lat = cat.parse(args.lattice)
-        form = discforms.DiscriminantForm.from_lattice(lat)
+        orders, level = [p] * g.n_p, p if g.n_p else 1
+        octant = discforms.milgram_formula(p, g.n_p, g.eps)
+        count = discforms.elementary_count_norm(p, g.n_p, g.eps, Fraction(2, p))
+    elif args.lattice:
+        form = discforms.DiscriminantForm.from_lattice(_catalog(args).parse(args.lattice))
         p = args.prime
-    payload = {
-        "orders": list(form.orders),
-        "order": form.order(),
-        "level": form.level(),
-        "milgram_octant": form.milgram_octant(),
-    }
+        orders, level, octant = list(form.orders), form.level(), form.milgram_octant()
+        count = form.count_norm(Fraction(2, p)) if p else None
+    else:
+        raise ValueError("discform needs --lattice or --genus")
+    order = prod(orders)
+    payload = {"orders": orders, "order": order, "level": level, "milgram_octant": octant}
     lines = [
-        f"discriminant form of order {form.order()}, level {form.level()}",
-        f"  cyclic orders {list(form.orders)}",
-        f"  Milgram octant {payload['milgram_octant']}",
+        f"discriminant form of order {order}, level {level}",
+        f"  cyclic orders {orders}",
+        f"  Milgram octant {octant}",
     ]
     if p:
-        count = form.count_norm(Fraction(2, p))
         payload["norm_2_over_p_count"] = count
         lines.append(f"  elements of norm 2/{p}: {count}")
     emit(payload, args.format, lines)

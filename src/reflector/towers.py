@@ -1,95 +1,46 @@
 """Quasi pull-back towers and hyperbolic-rescaling transfers.
 
-A tower starts from a reflective form of singular weight on a lattice
-U + U(p) + n*K0 and repeatedly pulls back along the inclusion obtained by
-dropping one copy of the definite summand K0; each drop raises the weight
-by (c1 |R1(K0)| + cp |R2(K0)|) / 2.  A transfer replaces the rescaled
+A tower starts from a reflective form on a lattice U + U(p) + n*K0 and
+repeatedly pulls back along the inclusion obtained by dropping one copy of
+the definite summand K0; each drop raises the weight by
+(c1 |R1(K0)| + cp |R2(K0)|) / 2.  A transfer replaces the rescaled
 hyperbolic plane U(p) by U, multiplying the long-root multiplicity by p and
-the weight by (p+1)/2.  The stored ladder data (weights, genera, which
-levels coincide with classification rows, which split as a product of the
-two pure forms) is replayed and recomputed here from scratch.
+the weight by (p+1)/2.
+
+data/towers.json stores only expressions: each tower's p, (c1, cp) and
+levels in order, and each transfer's p and source U + U(p) + K.  Every
+number is derived from the construction tables of `classify`, by
+`replay_tower` and `transfer_target`; the replays and `covered_rows`, which
+`classify.construction_coverage` reads, share them:
+  - a tower's base weight is that of the one table row with the base's genus
+    and (c1, cp); each later weight is the pull-back weight of the one
+    summand a level drops from its predecessor;
+  - each level must land on the table row of its genus with its (c1, cp, k),
+    or, at (1, 1), split as that genus's strongly 2- and 2p-reflective
+    weights;
+  - a transfer starts at the one table row of its source's genus, and its
+    2U + K target must be the table row of the target's genus.
+Genera come from `discforms.genus_symbol` on the parsed lattices.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter, defaultdict
 from fractions import Fraction
 from importlib import resources
 
 from . import catalog as cat_mod
-from . import discforms, reflcheck, roots
-from .lattices import Lattice
+from . import classify, discforms, reflcheck, roots
+from .lattices import Lattice, direct_sum
 
 
-@dataclass(frozen=True)
-class TowerStep:
-    expr: str
-    drop: str
-    weight: int
-    genus: str
-    catalogued: bool
-    decomposes_into: tuple[int, int] | None
-
-
-@dataclass(frozen=True)
-class Tower:
-    name: str
-    p: int
-    c1: int
-    cp: int
-    base_expr: str
-    base_weight: int
-    base_genus: str
-    base_catalogued: bool
-    steps: tuple[TowerStep, ...]
-
-
-@dataclass(frozen=True)
-class Transfer:
-    p: int
-    from_expr: str
-    from_c1: int
-    from_cp: int
-    from_k: int
-    from_genus: str
-    to_expr: str
-    to_c1: int
-    to_cp: int
-    to_k: int
-    to_genus: str
-
-
-def _raw_data() -> dict:
+def load() -> dict:
+    """data/towers.json: "towers", each {"name", "p", "c1", "cp", "exprs"} with its
+    base expression first, and "transfers", each {"p", "from"} with a source
+    model U + U(p) + K."""
     path = resources.files(__package__) / "data" / "towers.json"
     return json.loads(path.read_text())
-
-
-def _load(cls, obj: dict):
-    """A dataclass from its JSON object.
-
-    Nested objects are flattened into prefixed fields ("base": {"expr": ...}
-    gives base_expr) and lists become tuples; the one list of objects,
-    Tower.steps, becomes a tuple of TowerStep.
-    """
-    flat = {}
-    for key, value in obj.items():
-        if isinstance(value, dict):
-            flat.update((f"{key}_{k}", v) for k, v in value.items())
-        else:
-            flat[key] = value
-    for key, value in flat.items():
-        if isinstance(value, list):
-            flat[key] = tuple(_load(TowerStep, v) if isinstance(v, dict) else v for v in value)
-    return cls(**flat)
-
-
-def load_towers() -> list[Tower]:
-    return [_load(Tower, t) for t in _raw_data()["towers"]]
-
-
-def load_transfers() -> list[Transfer]:
-    return [_load(Transfer, t) for t in _raw_data()["transfers"]]
 
 
 def pullback_weight(k: int, c1: int, cp: int, dropped: Lattice, p: int) -> int:
@@ -113,128 +64,175 @@ def transfer_weight(k: int, p: int) -> int:
     return int(out)
 
 
-def _term_multiset(expr: str, cat) -> dict:
-    counts: dict[tuple, int] = {}
-    for count, name, dual, scale in cat.parse_terms(expr):
-        key = (name, dual, scale)
-        counts[key] = counts.get(key, 0) + count
-    return counts
+def _table_weights() -> defaultdict[tuple[str, int, int], list[int]]:
+    """The weights k of the construction-table rows, by (genus, c1, cp)."""
+    out = defaultdict(list)
+    for genus, _model, c1, cp, k in classify.table_rows():
+        out[genus, c1, cp].append(k)
+    return out
 
 
-def replay_tower(tower: Tower, catalog=None) -> list[dict]:
-    """Recompute every level of a tower and compare with the stored data.
+def _only(ks: list[int]) -> int | None:
+    return ks[0] if len(ks) == 1 else None
 
-    Each report entry records whether the stored weight equals the
-    recomputed pull-back weight, whether the stored genus matches the genus
-    symbol of the parsed lattice, whether each expression drops exactly one
-    stated summand from its predecessor, and whether split levels sum
-    correctly.  Any False marks stored data the mathematics contradicts.
+
+def _dropped(prev: list, cur: list) -> Lattice | None:
+    """The one summand of prev that cur lacks; None unless that is their only difference."""
+    terms_prev = Counter(s[:3] for s in prev)
+    terms_cur = Counter(s[:3] for s in cur)
+    gone = terms_prev - terms_cur
+    if terms_cur - terms_prev or sum(gone.values()) != 1:
+        return None
+    return next(s[3] for s in prev if s[:3] in gone)
+
+
+def replay_tower(tower: dict, catalog=None) -> list[dict]:
+    """Derive every level of a tower from the tables and judge it.
+
+    Each level reports its expression, its genus, the summand it drops
+    ("drop", None at the base), its weight, whether it lands on a table row
+    ("row"), the (strongly 2, strongly 2p) weights it splits into ("split",
+    (1, 1) only, else None), and "ok": it has a weight, and that weight lands
+    or splits.  The weight is None when the base has no single table row,
+    when a level differs from its predecessor by more than one dropped
+    summand, and at every level after either.
     """
     cat = catalog or cat_mod.default_catalog()
-    reports = []
-    base_lat = cat.parse(tower.base_expr)
-    base_genus = discforms.genus_symbol(base_lat, p=tower.p)
-    reports.append(
-        {
-            "expr": tower.base_expr,
-            "weight": tower.base_weight,
-            "weight_ok": True,
-            "genus_ok": base_genus == discforms.parse_genus(tower.base_genus),
-            "terms_ok": True,
-            "split_ok": True,
-        }
-    )
-    prev_expr = tower.base_expr
-    prev_weight = tower.base_weight
-    for step in tower.steps:
-        dropped = cat.parse(step.drop)
-        expected = pullback_weight(prev_weight, tower.c1, tower.cp, dropped, tower.p)
-        lat = cat.parse(step.expr)
-        genus_ok = discforms.genus_symbol(lat, p=tower.p) == discforms.parse_genus(step.genus)
-        prev_terms = _term_multiset(prev_expr, cat)
-        cur_terms = _term_multiset(step.expr, cat)
-        diff = {
-            key: prev_terms.get(key, 0) - cur_terms.get(key, 0)
-            for key in set(prev_terms) | set(cur_terms)
-        }
-        drop_key = next(iter(_term_multiset(step.drop, cat)))
-        terms_ok = all(v == 0 for k, v in diff.items() if k != drop_key) and diff.get(drop_key) == 1
-        split_ok = True
-        if step.decomposes_into is not None:
-            split_ok = sum(step.decomposes_into) == step.weight
-        reports.append(
+    weights = _table_weights()
+    p, c1, cp = tower["p"], tower["c1"], tower["cp"]
+    levels: list[dict] = []
+    prev, k = None, None
+    for expr in tower["exprs"]:
+        summands = cat.summands(expr)
+        lat = direct_sum([s[3] for s in summands])
+        genus = discforms.genus_symbol(lat, p=p).label()
+        drop = None
+        if prev is None:
+            k = _only(weights[genus, c1, cp])
+        else:
+            drop = _dropped(prev, summands)
+            k = None if drop is None or k is None else pullback_weight(k, c1, cp, drop, p)
+        row = k is not None and k in weights[genus, c1, cp]
+        split = None
+        if k is not None and not row and (c1, cp) == (1, 1):
+            pair = (_only(weights[genus, 1, 0]), _only(weights[genus, 0, 1]))
+            if None not in pair and sum(pair) == k:
+                split = pair
+        levels.append(
             {
-                "expr": step.expr,
-                "weight": step.weight,
-                "weight_ok": expected == step.weight,
-                "genus_ok": genus_ok,
-                "terms_ok": terms_ok,
-                "split_ok": split_ok,
+                "expr": expr,
+                "genus": genus,
+                "drop": drop.name if drop else None,
+                "weight": k,
+                "row": row,
+                "split": split,
+                "ok": row or split is not None,
             }
         )
-        prev_expr = step.expr
-        prev_weight = step.weight
-    return reports
+        prev = summands
+    return levels
 
 
-def replay_transfer(tr: Transfer, catalog=None) -> dict:
-    """Check one U(p) -> U transfer: scalings, genera, and the target model.
+def transfer_target(tr: dict, catalog=None) -> dict:
+    """Derive both sides of one U(p) -> U transfer from the tables.
+
+    The source (c1, cp, k) is that of the one table row of the source's
+    genus ("source", None when there is not exactly one); the target is
+    2U + K with `transfer_multiplicity` and `transfer_weight` applied, and
+    "row" says whether it is a table row.  "scales" are the source's
+    hyperbolic-plane scales, and "definite" is K.
+    """
+    cat = catalog or cat_mod.default_catalog()
+    weights = _table_weights()
+    p, expr = tr["p"], tr["from"]
+    lat, scales, _ = cat_mod.model_parts(expr, cat)
+    genus = discforms.genus_symbol(lat, p=p)
+    rows = [(c1, cp, k) for g, _, c1, cp, k in classify.table_rows() if g == genus.label()]
+    source = rows[0] if len(rows) == 1 else None
+    rest = [t for t in expr.replace(" ", "").split("+") if t not in ("U", f"U({p})")]
+    to_expr = "+".join(["2U"] + rest)
+    to_lat, _, definite = cat_mod.model_parts(to_expr, cat)
+    to_genus = discforms.genus_symbol(to_lat, p=p)
+    target = None
+    if source is not None:
+        c1, cp, k = source
+        target = (*transfer_multiplicity(c1, cp, p), transfer_weight(k, p))
+    return {
+        "p": p,
+        "from": expr,
+        "to": to_expr,
+        "genus": genus,
+        "to_genus": to_genus,
+        "scales": sorted(scales),
+        "definite": definite,
+        "source": source,
+        "target": target,
+        "row": target is not None and target[2] in weights[(to_genus.label(), *target[:2])],
+    }
+
+
+def replay_transfer(tr: dict, catalog=None) -> dict:
+    """Check one U(p) -> U transfer: the source's planes, the genera, the target row.
 
     The target is a 2U + K model, so its multiplicities and weight are also
     pushed through the full candidate check on K.
     """
-    cat = catalog or cat_mod.default_catalog()
-    mult_ok = transfer_multiplicity(tr.from_c1, tr.from_cp, tr.p) == (tr.to_c1, tr.to_cp)
-    weight_ok = transfer_weight(tr.from_k, tr.p) == tr.to_k
-
-    from_lat, from_scales, from_def = cat_mod.model_parts(tr.from_expr, cat)
-    to_lat, to_scales, to_def = cat_mod.model_parts(tr.to_expr, cat)
-    g_from = discforms.genus_symbol(from_lat, p=tr.p)
-    g_to = discforms.genus_symbol(to_lat, p=tr.p)
-    genus_ok = g_from == discforms.parse_genus(tr.from_genus) and g_to == discforms.parse_genus(
-        tr.to_genus
-    )
+    t = transfer_target(tr, catalog)
+    g, g_to, p = t["genus"], t["to_genus"], t["p"]
     relation_ok = (
-        g_to.n_p == g_from.n_p - 2
-        and g_to.eps == g_from.eps * discforms.eps_u_p(tr.p)
-        and (g_to.pos, g_to.neg) == (g_from.pos, g_from.neg)
+        g_to.n_p == g.n_p - 2
+        and g_to.eps == g.eps * discforms.eps_u_p(p)
+        and (g_to.pos, g_to.neg) == (g.pos, g.neg)
     )
-
-    parts_ok = (
-        sorted(from_scales) == sorted([1, tr.p])
-        and sorted(to_scales) == [1, 1]
-        and from_def is not None
-        and to_def is not None
-        and from_def.gram == to_def.gram
-    )
-
-    check = reflcheck.check_candidate(to_def, tr.p, tr.to_c1, tr.to_cp, tr.to_k)
+    check_ok = False
+    if t["target"] is not None and t["definite"] is not None:
+        check_ok = reflcheck.check_candidate(t["definite"], p, *t["target"]).passed
     return {
-        "p": tr.p,
-        "from": tr.from_expr,
-        "to": tr.to_expr,
-        "multiplicity_ok": mult_ok,
-        "weight_ok": weight_ok,
-        "genus_ok": genus_ok,
+        "p": p,
+        "from": t["from"],
+        "to": t["to"],
+        "source": t["source"],
+        "target": t["target"],
+        "scales_ok": t["scales"] == sorted([1, p]),
         "relation_ok": relation_ok,
-        "parts_ok": parts_ok,
-        "target_check_ok": check.passed,
+        "row_ok": t["row"],
+        "target_check_ok": check_ok,
     }
+
+
+def covered_rows() -> set[tuple[str, int, int, int]]:
+    """The table rows (genus, c1, cp, k) that a tower step or a transfer derives.
+
+    A step covers the row it lands on, or the two rows it splits into; a
+    base covers nothing, since its weight is read off its row.  A transfer
+    covers its source row when the target it computes is a table row.
+    """
+    data = load()
+    covered = set()
+    for tower in data["towers"]:
+        c1, cp = tower["c1"], tower["cp"]
+        for level in replay_tower(tower)[1:]:
+            if level["row"]:
+                covered.add((level["genus"], c1, cp, level["weight"]))
+            elif level["split"]:
+                s2, s2p = level["split"]
+                covered |= {(level["genus"], 1, 0, s2), (level["genus"], 0, 1, s2p)}
+    for tr in data["transfers"]:
+        t = transfer_target(tr)
+        if t["row"]:
+            covered.add((t["genus"].label(), *t["source"]))
+    return covered
 
 
 def verify_all(catalog=None) -> dict:
     """Replay every tower and transfer; True entries mean full agreement."""
-    cat = catalog or cat_mod.default_catalog()
-    towers_ok = {}
-    for tower in load_towers():
-        reports = replay_tower(tower, cat)
-        towers_ok[tower.name] = all(
-            r["weight_ok"] and r["genus_ok"] and r["terms_ok"] and r["split_ok"] for r in reports
-        )
+    data = load()
+    towers_ok = {
+        tower["name"]: all(level["ok"] for level in replay_tower(tower, catalog))
+        for tower in data["towers"]
+    }
     transfers_ok = []
-    for tr in load_transfers():
-        rep = replay_transfer(tr, cat)
-        transfers_ok.append(
-            all(v for k, v in rep.items() if k.endswith("_ok"))
-        )
+    for tr in data["transfers"]:
+        rep = replay_transfer(tr, catalog)
+        transfers_ok.append(all(v for k, v in rep.items() if k.endswith("_ok")))
     return {"towers": towers_ok, "transfers_ok": transfers_ok}

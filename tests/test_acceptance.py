@@ -31,7 +31,7 @@ from reflector.discforms import (
 from reflector.lattices import Lattice
 from reflector.reflcheck import check_candidate, singular_filter, solve_candidates, solve_family
 from reflector.roots import positive_roots
-from reflector.towers import load_towers, verify_all
+from reflector.towers import load, replay_tower, verify_all
 
 CAT = default_catalog()
 
@@ -134,29 +134,18 @@ def test_eta_tower():
 
 
 def test_pullback_ladders():
-    """The block-dropping towers replay, and catalogued steps match table rows."""
+    """The towers replay from the tables: every step lands on a row or splits."""
     result = verify_all()
-    ok = all(result["towers"].values()) and all(result["transfers_ok"])
-    ladder = next(t for t in load_towers() if t.name == "p3-short-root-ladder")
-    weights = [ladder.base_weight] + [s.weight for s in ladder.steps]
-    ok = ok and weights == [12, 15, 18]
-
-    table_k: dict[str, set[int]] = {}
-    for label, _model, k in STRONGLY_2_REFLECTIVE + STRONGLY_2P_REFLECTIVE:
-        table_k.setdefault(label, set()).add(k)
-    for label, _model, k, _cp, _cusp in MIXED_REFLECTIVE:
-        table_k.setdefault(label, set()).add(k)
-    for tower in load_towers():
-        if tower.base_catalogued:
-            ok = ok and tower.base_weight in table_k.get(tower.base_genus, set())
-        for step in tower.steps:
-            if step.catalogued:
-                ok = ok and step.weight in table_k.get(step.genus, set())
-            elif step.decomposes_into:
-                ok = ok and all(
-                    w in table_k.get(step.genus, set()) for w in step.decomposes_into
-                )
-    gate("pull-back towers replay; ladder runs 12 -> 15 -> 18; weights in tables", ok)
+    ok = all(result["towers"].values()) and result["transfers_ok"] == [True] * 11
+    ladders = {t["name"]: replay_tower(t) for t in load()["towers"]}
+    weights = {name: [level["weight"] for level in levels] for name, levels in ladders.items()}
+    ok = ok and weights["p2-pullback"] == [8, 32, 56, 80]
+    ok = ok and weights["p3-pullback"] == [6, 12, 18, 24, 30, 36]
+    ok = ok and weights["p3-short-root-ladder"] == [12, 15, 18]
+    splits = [level["split"] for levels in ladders.values() for level in levels if level["split"]]
+    ok = ok and splits == [(28, 28), (40, 40), (12, 12), (15, 15), (18, 18)]
+    ok = ok and all(level["ok"] for levels in ladders.values() for level in levels)
+    gate("pull-back towers replay; ladders 8..80, 6..36, 12 -> 15 -> 18; splits", ok)
 
 
 def test_character_sum_elimination():

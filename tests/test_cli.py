@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
+from reflector.classify import reflective_genera
 from reflector.cli import main
+from reflector.discforms import GenusNotRepresentable, GenusSymbol, candidate_form, parse_genus
 
 
 def run_cli(argv, capsys):
@@ -97,6 +101,49 @@ def test_discform_subcommand(capsys):
     assert payload["norm_2_over_p_count"] == 756
 
 
+def _walked_discform_json(p, n_p, eps):
+    """The `discform` JSON of a genus, from a walk over all p^n_p elements of its form."""
+    form = candidate_form(p, n_p, eps)
+    payload = {
+        "orders": list(form.orders),
+        "order": form.order(),
+        "level": form.level(),
+        "milgram_octant": form.milgram_octant(),
+        "norm_2_over_p_count": form.count_norm(Fraction(2, p)),
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _small_genera():
+    """A genus II_{2+s,2}(p^{eps n_p}) for every representable (p <= 7, n_p <= 4, eps)."""
+    for p in (2, 3, 5, 7):
+        for n_p in range(5):
+            for eps in (1, -1):
+                try:
+                    octant = candidate_form(p, n_p, eps).milgram_octant()
+                except GenusNotRepresentable:
+                    continue
+                yield GenusSymbol(2 + octant, 2, p, n_p, eps).label()
+
+
+def test_discform_genus_is_the_closed_form_of_the_walk(capsys):
+    labels = reflective_genera() + list(_small_genera())
+    assert len(labels) == 55 + 32
+    for label in labels:
+        code, out = run_cli(["discform", "--genus", label, "--format", "json"], capsys)
+        g = parse_genus(label)
+        assert code == 0
+        assert out.strip() == _walked_discform_json(g.p, g.n_p, g.eps), label
+
+
+def test_discform_genus_answers_fast_at_large_p_rank(capsys):
+    """3^15 elements would take tens of seconds to walk."""
+    start = time.perf_counter()
+    code, out = run_cli(["discform", "--genus", "II_{16,2}(3^{-15})"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "Milgram octant 6" in out
+
+
 def test_roots_subcommand(capsys):
     code, out = run_cli(
         ["roots", "--lattice", "2U+T4", "--prime", "5", "--format", "json"], capsys
@@ -117,8 +164,14 @@ def test_eta_subcommand(capsys):
 
 
 def test_tower_subcommand(capsys):
-    code, out = run_cli(["tower"], capsys)
+    code, out = run_cli(["tower", "--format", "json"], capsys)
     assert code == 0
+    names = ["p2-pullback", "p3-pullback", "p3-short-root-ladder", "p5-pullback",
+             "p7-pullback", "p11-pullback"]
+    assert out.strip() == json.dumps(
+        {"towers": dict.fromkeys(names, True), "transfers_ok": [True] * 11},
+        sort_keys=True, separators=(",", ":"),
+    )
 
 
 def test_classify_prime_with_eliminations_exits_two(capsys):
@@ -206,9 +259,11 @@ CLASSNUMBER = ["classnumber", "--rank", "6", "--prime", "3", "--k", "24"]
         (["eta", "--precision", "1000"], "between 1 and 200"),
         (["eta", "--precision", "0"], "between 1 and 200"),
         (["lattice", "--lattice", "A2+A4", "--prime", "3"], "level 15 is not 1 or the prime 3"),
+        (["discform", "--genus", "II_{6,2}(5^{+1})", "--prime", "3"], "not the prime 5"),
     ],
     ids=["roots 2U", "check 2U", "solve 2U", "negative np", "negative c1", "zero c1 and cp",
-         "negative rank", "eta precision 1000", "eta precision 0", "lattice of level 15"],
+         "negative rank", "eta precision 1000", "eta precision 0", "lattice of level 15",
+         "discform genus at another prime"],
 )
 def test_invalid_input_is_a_one_line_error(argv, message, capsys):
     code, out, err = run_cli_err(argv, capsys)

@@ -1,30 +1,43 @@
-"""Pull-back towers and rescaled-plane transfers replay from stored data."""
+"""Pull-back towers and rescaled-plane transfers, derived from the construction tables."""
 from __future__ import annotations
 
-from reflector import etaq
+import pytest
+
+from reflector import classify, etaq
+from reflector.classify import construction_coverage, verify_construction
 from reflector.towers import (
-    load_towers,
-    load_transfers,
-    pullback_weight,
+    covered_rows,
+    load,
     replay_tower,
+    replay_transfer,
     transfer_multiplicity,
     transfer_weight,
     verify_all,
 )
-from reflector.catalog import default_catalog
 
-CAT = default_catalog()
+TOWERS = {t["name"]: t for t in load()["towers"]}
+
+
+def _weights(name: str) -> list[int | None]:
+    return [level["weight"] for level in replay_tower(TOWERS[name])]
+
+
+def _replace_row(monkeypatch, table: str, genus: str, k: int) -> None:
+    """Give the one row of `table` with this genus the weight k."""
+    rows = getattr(classify, table)
+    (i,) = [i for i, row in enumerate(rows) if row[0] == genus]
+    changed = rows[:i] + [(*rows[i][:2], k, *rows[i][3:])] + rows[i + 1 :]
+    monkeypatch.setattr(classify, table, changed)
 
 
 def test_every_stored_tower_and_transfer_replays():
     result = verify_all()
     assert all(result["towers"].values()), result["towers"]
-    assert all(result["transfers_ok"]), result["transfers_ok"]
+    assert result["transfers_ok"] == [True] * 11
 
 
 def test_tower_names_cover_all_primes_with_towers():
-    names = {t.name for t in load_towers()}
-    assert names == {
+    assert set(TOWERS) == {
         "p2-pullback",
         "p3-pullback",
         "p3-short-root-ladder",
@@ -36,50 +49,112 @@ def test_tower_names_cover_all_primes_with_towers():
 
 def test_short_root_ladder_weights():
     """Dropping one short block at a time walks the weights 12, 15, 18."""
-    ladder = next(t for t in load_towers() if t.name == "p3-short-root-ladder")
-    weights = [ladder.base_weight] + [s.weight for s in ladder.steps]
-    assert weights == [12, 15, 18]
-
-
-def test_even_tower_base_ties_to_lift_weight():
-    p2 = next(t for t in load_towers() if t.name == "p2-pullback")
-    assert p2.base_weight == etaq.lift_weight(10)[0]
-    assert p2.base_weight == 8
+    assert _weights("p3-short-root-ladder") == [12, 15, 18]
 
 
 def test_pullback_weight_reproduces_stored_steps():
-    """Each stored step weight equals the base weight plus dropped-block counts."""
-    for tower in load_towers():
-        k, c1, cp = tower.base_weight, tower.c1, tower.cp
-        prev_expr = tower.base_expr
-        for step in tower.steps:
-            dropped = CAT.parse(step.drop)
-            k = pullback_weight(k, c1, cp, dropped, tower.p)
-            assert k == step.weight, (tower.name, step.expr)
-            prev_expr = step.expr
-
-
-def test_transfer_formulas_match_stored_rows():
-    for tr in load_transfers():
-        assert tr.to_k == transfer_weight(tr.from_k, tr.p), tr
-        assert (tr.to_c1, tr.to_cp) == transfer_multiplicity(
-            tr.from_c1, tr.from_cp, tr.p
-        ), tr
+    """The base weight from its table row, then one pull-back weight per dropped block."""
+    assert _weights("p2-pullback") == [8, 32, 56, 80]
+    assert _weights("p3-pullback") == [6, 12, 18, 24, 30, 36]
+    assert _weights("p5-pullback") == [4, 10]
+    assert _weights("p7-pullback") == [3, 5, 7]
+    assert _weights("p11-pullback") == [2, 4]
 
 
 def test_replay_reports_give_weights_per_step():
-    tower = next(t for t in load_towers() if t.name == "p3-pullback")
-    steps = replay_tower(tower)
-    assert len(steps) == len(tower.steps) + 1
-    assert all(s["weight_ok"] and s["genus_ok"] for s in steps)
+    tower = TOWERS["p3-pullback"]
+    levels = replay_tower(tower)
+    assert [level["expr"] for level in levels] == tower["exprs"]
+    assert all(level["ok"] and level["weight"] for level in levels)
 
 
-def test_decomposition_steps_list_component_weights():
-    """A step that splits into several weights records each one."""
-    found = []
-    for tower in load_towers():
-        for step in tower.steps:
-            if step.decomposes_into:
-                found.append((tower.name, step.decomposes_into))
-                assert all(isinstance(w, int) and w > 0 for w in step.decomposes_into)
-    assert found, "no stored decomposition steps"
+def test_uncatalogued_levels_split_into_the_pure_forms():
+    """A (1, 1) level off the mixed table is the product of the genus's two pure forms."""
+    splits = {
+        (name, level["expr"]): level["split"]
+        for name, tower in TOWERS.items()
+        for level in replay_tower(tower)
+        if level["split"]
+    }
+    assert splits == {
+        ("p2-pullback", "U+U(2)+2D4"): (28, 28),
+        ("p2-pullback", "U+U(2)+D4"): (40, 40),
+        ("p3-pullback", "U+U(3)+3A2"): (12, 12),
+        ("p3-pullback", "U+U(3)+2A2"): (15, 15),
+        ("p3-pullback", "U+U(3)+A2"): (18, 18),
+    }
+
+
+def test_each_step_drops_one_summand_and_lands():
+    blocks = {"p2-pullback": "D4", "p3-pullback": "A2", "p3-short-root-ladder": "A2",
+              "p5-pullback": "T4", "p7-pullback": "L7", "p11-pullback": "L11"}
+    for name, tower in TOWERS.items():
+        base, *steps = replay_tower(tower)
+        assert base["drop"] is None and base["row"]
+        for level in steps:
+            assert level["drop"] == blocks[name]
+            assert level["ok"] and (level["row"] or level["split"]), (name, level)
+
+
+def test_even_tower_base_ties_to_lift_weight():
+    assert _weights("p2-pullback")[0] == etaq.lift_weight(10)[0] == 8
+
+
+def test_transfer_formulas_match_stored_rows():
+    """Each target is 2U + K with (c1, p cp, (p + 1) k / 2) from its source row."""
+    for tr in load()["transfers"]:
+        rep = replay_transfer(tr)
+        p, (c1, cp, k) = tr["p"], rep["source"]
+        assert rep["to"] == tr["from"].replace(f"U+U({p})+", "2U+")
+        assert rep["target"] == (*transfer_multiplicity(c1, cp, p), transfer_weight(k, p))
+        assert rep["target"][:2] == (1, p)
+
+
+def test_a_base_covers_nothing_but_a_transfer_covers_its_source():
+    """U+U(11)+2L11 is only a tower base; its row is covered by its transfer to 2U+2L11."""
+    covered = covered_rows()
+    assert ("II_{6,2}(11^{-4})", 1, 1, 2) in covered
+    assert ("II_{4,2}(23^{-3})", 1, 1, 1) in covered
+    assert ("II_{18,2}(2_II^{+10})", 1, 1, 8) not in covered
+
+
+# -- each check can fail: mutate one table row or one tower --
+
+
+def test_a_wrong_mixed_row_fails_its_tower(monkeypatch):
+    _replace_row(monkeypatch, "MIXED_REFLECTIVE", "II_{14,2}(2_II^{-8})", 33)
+    result = verify_all()
+    assert result["towers"]["p2-pullback"] is False
+    assert [name for name, ok in result["towers"].items() if not ok] == ["p2-pullback"]
+
+
+def test_a_wrong_strongly_2_row_fails_the_ladder_and_is_uncovered(monkeypatch):
+    _replace_row(monkeypatch, "STRONGLY_2_REFLECTIVE", "II_{6,2}(3^{-4})", 16)
+    result = verify_all()
+    assert result["towers"]["p3-short-root-ladder"] is False
+    assert result["towers"]["p3-pullback"] is False
+    # the p3 step U+U(3)+2A2 at weight 30 no longer splits as 16 + 15, so
+    # neither pure-form row of the genus is covered
+    label = "II_{6,2}(3^{-4})"
+    status = verify_construction(label, construction_coverage()[label])
+    assert status == {"strongly_2": "uncovered", "strongly_2p": "uncovered"}
+
+
+def test_a_wrong_transfer_target_row_fails_that_transfer(monkeypatch):
+    _replace_row(monkeypatch, "MIXED_REFLECTIVE", "II_{12,2}(3^{-5})", 25)
+    assert verify_all()["transfers_ok"] == [False] + [True] * 10
+
+
+@pytest.mark.parametrize(
+    "exprs",
+    [
+        ["U+U(3)+6A2", "U+U(3)+4A2", "U+U(3)+3A2"],
+        ["U+U(3)+6A2", "U+U(3)+4A2+E6", "U+U(3)+3A2+E6"],
+    ],
+    ids=["two summands dropped", "one dropped and one added"],
+)
+def test_a_step_that_is_not_one_drop_fails(exprs):
+    tower = dict(TOWERS["p3-pullback"], exprs=exprs)
+    levels = replay_tower(tower)
+    assert [level["weight"] for level in levels] == [6, None, None]
+    assert [level["ok"] for level in levels] == [True, False, False]
