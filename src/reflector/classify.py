@@ -466,13 +466,13 @@ def reflective_genera() -> list[str]:
     return sorted({g for g, *_ in table_rows()}, key=_genus_order)
 
 
-def construction_coverage() -> dict[str, dict]:
+def construction_coverage(catalog=None) -> dict[str, dict]:
     """For each reflective genus, its table rows and the rows the towers derive.
 
     "rows" maps each report key of `verify_construction` (strongly_2,
     strongly_2p, mixed[i]) to (model, c1, cp, k); "covered" holds the
-    (c1, cp, k) that a tower step or a transfer derives
-    (`towers.covered_rows`).
+    (c1, cp, k) that a tower step or a transfer derives with the catalog's
+    lattices (`towers.covered_rows`).
     """
     cov: dict[str, dict] = {}
     for label, model, c1, cp, k in table_rows():
@@ -480,7 +480,7 @@ def construction_coverage() -> dict[str, dict]:
         pure = {(1, 0): "strongly_2", (0, 1): "strongly_2p"}.get((c1, cp))
         key = pure or f"mixed[{sum(key.startswith('mixed') for key in rows)}]"
         rows[key] = (model, c1, cp, k)
-    for label, c1, cp, k in towers.covered_rows():
+    for label, c1, cp, k in towers.covered_rows(catalog):
         cov[label]["covered"].add((c1, cp, k))
     return cov
 
@@ -530,9 +530,10 @@ def verdict_table(verify: bool = False, catalog=None) -> dict:
     table["count"] = len(table["reflective"])
     table["matches_construction_tables"] = table["reflective"] == expected
     if verify:
-        cov = construction_coverage()
+        cov = construction_coverage(cat)
+        no_rows = {"rows": {}, "covered": set()}  # a genus outside the tables
         for label in table["reflective"]:
-            table["verification"][label] = verify_construction(label, cov[label], cat)
+            table["verification"][label] = verify_construction(label, cov.get(label, no_rows), cat)
     return table
 
 
@@ -608,14 +609,16 @@ def class_number_rootsystems(
 def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=None) -> int:
     """Number of fingerprint classes of lattices carrying the given reflective data.
 
-    Each admissible root datum generates a definite lattice; its candidates
-    are the even overlattices of determinant p^n_p and level p, one per
-    glue group, whose reflective root system is exactly the datum (glue
-    vectors may create extra roots, in which case the overlattice belongs
-    to a different datum).  The candidates of one datum share determinant
-    and level, and they are counted by their histograms of vectors of norm
-    <= 2p.  Isometric lattices have equal histograms, so this is a lower
-    bound on the number of isometry classes, not a proof of it.
+    Each admissible root datum generates a definite lattice L; its
+    candidates are the even overlattices of determinant p^n_p and level p,
+    one per glue group, whose reflective root system is exactly the datum
+    (glue vectors may create extra roots, in which case the overlattice
+    belongs to a different datum).  `even_overlattices` drops the glue that
+    adds a norm-2 vector, which loses no candidate, as L is spanned by the
+    datum's roots; new long roots are caught here.  The candidates of one datum share determinant and level, and
+    they are counted by their histograms of vectors of norm <= 2p.
+    Isometric lattices have equal histograms, so this is a lower bound on
+    the number of isometry classes, not a proof of it.
     """
     if n_p < 0:
         raise ValueError(f"n_p must be nonnegative, not {n_p}")

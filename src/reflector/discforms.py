@@ -33,8 +33,10 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import add, mod, mul
 
-from . import intmat
+from . import intmat, roots
 from .lattices import Lattice
+
+BUDGET = 10**6  # default operation budget of the subgroup search
 
 
 class BudgetExceeded(RuntimeError):
@@ -151,6 +153,8 @@ class DiscriminantForm:
     orders: tuple[int, ...]
     bilinear: list[list[Fraction]]
     gens: list[list[int]] | None = None  # generator coordinates in Z^n / G Z^n
+    # the rows of the Smith transform U at the generators, read by `element_of`
+    coords: list[list[int]] | None = None
     _counts: list[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -172,7 +176,8 @@ class DiscriminantForm:
         # W^T G^-1 W = W^T adj(G) W / det(G), one division per entry
         b = intmat.mat_mul(intmat.mat_mul(intmat.transpose(w), lat.adjugate()), w)
         det = lat.det()
-        return cls(orders, [[Fraction(x, det) for x in row] for row in b], gens=w)
+        bilinear = [[Fraction(x, det) for x in row] for row in b]
+        return cls(orders, bilinear, gens=w, coords=[u[i] for i in keep])
 
     @classmethod
     def trivial(cls) -> "DiscriminantForm":
@@ -180,6 +185,11 @@ class DiscriminantForm:
 
     def order(self) -> int:
         return prod(self.orders) if self.orders else 1
+
+    def element_of(self, c: list[int]) -> tuple[int, ...]:
+        """The element that c in Z^n / G Z^n presents, the dual vector G^-1 c (needs `coords`)."""
+        assert self.coords is not None
+        return tuple(intmat.vec_dot(row, c) % o for row, o in zip(self.coords, self.orders))
 
     def level(self) -> int:
         return self._level_over(intmat.identity(len(self.orders)))
@@ -580,29 +590,41 @@ def glue_level(form: DiscriminantForm, sub: tuple[tuple[int, ...], ...]) -> int:
     return form._level_over(perp)
 
 
-def isotropic_subgroups(form: DiscriminantForm, order: int, budget: int = 10**6):
-    """Isotropic subgroups of the given order, as sorted element tuples.
-
-    q vanishes identically on each subgroup.  The search grows subgroups
-    breadth-first from the pool of nonzero isotropic elements whose order
-    divides `order`, carrying each subgroup's generators.  For H isotropic
-    and x isotropic, q(h + kx) = q(h) + k^2 q(x) + 2k b(h, x) mod 2, so
-    <H, x> is isotropic exactly when b(g, x) is integral for every
-    generator g of H; x is tried only then, and q is never evaluated on a
-    closure.  Every element scanned for the pool and every (subgroup,
-    element) pair tried counts as one operation, and the search raises
-    BudgetExceeded past `budget` of them, before the pool is built when its
-    scan alone would pass it.
-    """
-    orders, den = form.orders, form._bden
-    ops = prod(gcd(o, order) for o in orders)
+def _pool_scan(form: DiscriminantForm, order: int, budget: int) -> int:
+    """The pool scan's operations, one per element of order dividing `order`;
+    BudgetExceeded, before any element is visited, when they pass `budget`."""
+    ops = prod(gcd(o, order) for o in form.orders)
     if ops > budget:
         raise BudgetExceeded(
             f"isotropic subgroup search passed {budget} operations: "
             f"{ops} elements of order dividing {order}"
         )
+    return ops
+
+
+def isotropic_subgroups(
+    form: DiscriminantForm, order: int, budget: int = BUDGET, avoid: frozenset = frozenset()
+):
+    """Isotropic subgroups of the given order that miss `avoid`, as sorted element tuples.
+
+    q vanishes identically on each subgroup.  The search grows subgroups
+    breadth-first from the pool of nonzero isotropic elements whose order
+    divides `order` and that are not in `avoid`, carrying each subgroup's
+    generators.  For H isotropic and x isotropic, q(h + kx) = q(h) + k^2 q(x)
+    + 2k b(h, x) mod 2, so <H, x> is isotropic exactly when b(g, x) is
+    integral for every generator g of H; x is tried only then, and q is
+    never evaluated on a closure.  A closure that meets `avoid` is dropped
+    with all that would grow from it; a subgroup that misses `avoid` is
+    still reached, through its subgroups.  Every element scanned for the
+    pool and every (subgroup, element) pair tried counts as one operation,
+    and the search raises BudgetExceeded past `budget` of them, before the
+    pool is built when its scan alone would pass it (`_pool_scan`).
+    """
+    orders, den = form.orders, form._bden
+    ops = _pool_scan(form, order, budget)
     zero = tuple(0 for _ in orders)
-    pool = [x for x in form.elements_of_order_dividing(order) if any(x) and form.is_isotropic(x)]
+    pool = [x for x in form.elements_of_order_dividing(order) if any(x) and x not in avoid]
+    pool = [x for x in pool if form.is_isotropic(x)]
     # den * x^T B, so den * b(g, x) is the dot product of g with it
     pairing = {x: [sum(map(mul, x, row)) for row in form._bnum] for x in pool}
 
@@ -626,7 +648,7 @@ def isotropic_subgroups(form: DiscriminantForm, order: int, budget: int = 10**6)
                 grown = _closure(sub, x, orders)
                 if grown in seen:
                     continue
-                if len(grown) > order or order % len(grown) != 0:
+                if len(grown) > order or order % len(grown) != 0 or not grown.isdisjoint(avoid):
                     continue
                 seen.add(grown)
                 nxt.append((grown, gens + (x,)))
@@ -669,17 +691,46 @@ def glue_overlattice(
     return Lattice(gram2)
 
 
-def even_overlattices(lat: Lattice, target_det: int, level: int) -> list[Lattice]:
-    """The even overlattices of the requested determinant and level, one per glue group.
+def root_classes(lat: Lattice, form: DiscriminantForm, order: int) -> frozenset:
+    """The nonzero x in D(L) of order dividing `order` whose coset x + L holds a
+    norm-2 vector, for L definite.
 
-    Overlattices M with L <= M <= L^dual correspond to isotropic subgroups
-    H <= D(L), with [M : L]^2 = |det L| / |det M| (Nikulin).  A subgroup is
-    skipped unless the level of D(M) = H^perp / H, read off H by
-    `glue_level`, equals `level`, before any basis or Gram of M is built;
-    each M that is built is checked to have that determinant and level.
-    One overlattice is returned per glue group, in the order of
-    `isotropic_subgroups`: distinct glue groups may give isometric
-    overlattices, and no attempt is made here to tell them apart.
+    `form` is `DiscriminantForm.from_lattice(lat)`.  The dual vector G^-1 c
+    lies in `form.element_of(c)` and has norm c^T adj(G) c / det.  The c
+    whose element has order dividing `order` form the lattice C spanned by
+    G Z^n and the lifts (o / gcd(o, order)) g of the generators g of D, so
+    one `short_vectors` call on the adjugate's Gram over a basis of C finds
+    the norm-2 ones, and no dual vector outside C is enumerated.
+    """
+    det = lat.det()
+    lifts = [[o // gcd(o, order) * w[i] for w in form.gens] for i, o in enumerate(form.orders)]
+    basis = intmat.row_hermite_form([list(row) for row in lat.gram] + lifts)
+    to_c = intmat.transpose(basis)
+    gram = intmat.mat_mul(intmat.mat_mul(basis, lat.adjugate()), to_c)
+    found = set()
+    for z in roots.short_vectors(gram, 2 * det).get(2 * det, []):
+        x = form.element_of(intmat.mat_vec(to_c, z))
+        if any(x):
+            found.add(x)
+            found.add(tuple(-a % o for a, o in zip(x, form.orders)))
+    return frozenset(found)
+
+
+def even_overlattices(lat: Lattice, target_det: int, level: int) -> list[Lattice]:
+    """The root-free even overlattices of the requested determinant and level, one per glue group.
+
+    L is positive definite.  Overlattices M with L <= M <= L^dual
+    correspond to isotropic subgroups H <= D(L), with [M : L]^2 =
+    |det L| / |det M| (Nikulin).  M, the union of the cosets h + L over h
+    in H, has a norm-2 vector outside L exactly when H meets
+    `root_classes`, and the search drops those H.  The pool-size budget
+    check (`_pool_scan`) runs before `root_classes` enumerates any vector.
+    An H is skipped unless the level of D(M) = H^perp / H, read off H by
+    `glue_level`, equals `level`; each M that is built is checked to have
+    that determinant and level.  One overlattice is returned per glue
+    group, in the order of `isotropic_subgroups`: distinct glue groups may
+    give isometric overlattices, and no attempt is made here to tell them
+    apart.
     """
     d = abs(lat.det())
     t = abs(target_det)
@@ -692,8 +743,9 @@ def even_overlattices(lat: Lattice, target_det: int, level: int) -> list[Lattice
     if m == 1:
         return [lat] if lat.level() == level else []
     form = DiscriminantForm.from_lattice(lat)
+    _pool_scan(form, m, BUDGET)
     results = []
-    for sub in isotropic_subgroups(form, order=m):
+    for sub in isotropic_subgroups(form, m, avoid=root_classes(lat, form, m)):
         if glue_level(form, sub) != level:
             continue
         over = glue_overlattice(lat, form, sub)

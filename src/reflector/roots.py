@@ -78,6 +78,7 @@ def short_vectors(gram: list[list[int]], max_norm: int):
         x[i] = 0
 
     rec(n - 1, budget, True)
+    del rec  # it reaches itself through its cell, a cycle that would hold `out`
     for vecs in out.values():
         vecs.sort()
     return {norm: out[norm] for norm in sorted(out)}

@@ -200,7 +200,7 @@ def replay_transfer(tr: dict, catalog=None) -> dict:
     }
 
 
-def covered_rows() -> set[tuple[str, int, int, int]]:
+def covered_rows(catalog=None) -> set[tuple[str, int, int, int]]:
     """The table rows (genus, c1, cp, k) that a tower step or a transfer derives.
 
     A step covers the row it lands on, or the two rows it splits into; a
@@ -211,14 +211,14 @@ def covered_rows() -> set[tuple[str, int, int, int]]:
     covered = set()
     for tower in data["towers"]:
         c1, cp = tower["c1"], tower["cp"]
-        for level in replay_tower(tower)[1:]:
+        for level in replay_tower(tower, catalog)[1:]:
             if level["row"]:
                 covered.add((level["genus"], c1, cp, level["weight"]))
             elif level["split"]:
                 s2, s2p = level["split"]
                 covered |= {(level["genus"], 1, 0, s2), (level["genus"], 0, 1, s2p)}
     for tr in data["transfers"]:
-        t = transfer_target(tr)
+        t = transfer_target(tr, catalog)
         if t["row"]:
             covered.add((t["genus"].label(), *t["source"]))
     return covered

@@ -273,10 +273,13 @@ def test_invalid_input_is_a_one_line_error(argv, message, capsys):
 
 
 def test_classnumber_past_the_budget_exits_three(capsys):
-    """The rank-12 datum A1(2)^12 needs a scan of 2^24 elements; the budget stops it."""
+    """The rank-12 datum A1(2)^12 needs a scan of 2^24 elements; the budget stops it
+    before any glue vector is enumerated."""
     argv = ["classnumber", "--rank", "12", "--prime", "2", "--c1", "1", "--cp", "1",
             "--k", "12", "--np", "4"]
+    start = time.perf_counter()
     code, out, err = run_cli_err(argv, capsys)
+    assert time.perf_counter() - start < 2
     assert code == 3
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1

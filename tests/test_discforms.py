@@ -40,7 +40,7 @@ from reflector.discforms import (
     splits_u_up,
 )
 from reflector.lattices import Lattice
-from reflector.roots import root_components
+from reflector.roots import root_components, short_vectors
 
 CAT = default_catalog()
 
@@ -530,7 +530,12 @@ def test_glue_level_is_the_level_of_the_built_overlattice(expr, orders):
         assert levels
 
 
-# p is the prime each case is taken at; only the level and the target enter the filter
+def _norm_2_count(lat: Lattice) -> int:
+    return len(short_vectors(lat.gram, 2).get(2, []))
+
+
+# p is the prime each case is taken at; only the level and the target enter the
+# filter.  Several cases keep no overlattice: all of their glue adds roots.
 @pytest.mark.parametrize(
     "expr, p, level, target",
     [
@@ -542,26 +547,57 @@ def test_glue_level_is_the_level_of_the_built_overlattice(expr, orders):
         ("D4(2)+2A1(2)", 2, 8, 2**8),
         ("D4(2)+D4(2)", 2, 4, 2**10),
         ("4A1(2)", 2, 2, 2**2),
+        ("E6(3)", 3, 3, 3**3),
+        ("E6(3)", 3, 3, 3**5),
+        ("E6(3)+A2+A2", 3, 3, 3**7),
+        ("A3+D7(3)", 3, 3, 3**7),
     ],
 )
 def test_level_filter_equals_filtering_the_built_overlattices(expr, p, level, target):
-    """One overlattice per glue group of the index, in search order, kept when its built level is `level`."""
+    """One overlattice per glue group of the index, in search order, kept when its
+    built level is `level` and it has no norm-2 vector that L lacks."""
     lat = parse_lattice(expr, CAT)
     form = DiscriminantForm.from_lattice(lat)
     m = isqrt(abs(lat.det()) // target)
     built = [glue_overlattice(lat, form, sub) for sub in isotropic_subgroups(form, m)]
-    want = [over for over in built if over.level() == level]
-    assert want
+    at_level = [over for over in built if over.level() == level]
+    assert at_level
+    roots_of_lat = _norm_2_count(lat)
+    want = [over for over in at_level if _norm_2_count(over) == roots_of_lat]
     assert even_overlattices(lat, target, level) == want
 
 
 def test_d8_d8_glues_to_both_unimodular_lattices():
-    """D8 + D8 has six unimodular glue groups: four give E8 + E8 and two give D16+."""
-    found = even_overlattices(parse_lattice("D8+D8", CAT), 1, 1)
-    assert len(found) == 6
+    """D8 + D8 has six unimodular glue groups: four give E8 + E8 and two give D16+.
+
+    Each adds norm-2 vectors, so `even_overlattices` returns none of them.
+    """
+    lat = parse_lattice("D8+D8", CAT)
+    form = DiscriminantForm.from_lattice(lat)
+    subs = [sub for sub in isotropic_subgroups(form, 4) if glue_level(form, sub) == 1]
+    assert len(subs) == 6
+    found = [glue_overlattice(lat, form, sub) for sub in subs]
     names = [sorted(c.name for c in root_components(over, 2)) for over in found]
-    assert ["E8", "E8"] in names
-    assert ["D16"] in names
+    assert names.count(["E8", "E8"]) == 4
+    assert names.count(["D16"]) == 2
+    assert even_overlattices(lat, 1, 1) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(ISOTROPIC_SEARCH_FORMS, st.sampled_from([2, 3, 4, 8, 9]), st.data())
+def test_avoided_elements_drop_exactly_the_subgroups_that_meet_them(form, order, data):
+    """The search that avoids a set returns the full search's subgroups that miss it, in order."""
+    assume(form.order() <= 3**8)
+    assume(prod(gcd(o, order) for o in form.orders) <= 3**7)
+    try:
+        full = isotropic_subgroups(form, order, budget=10**5)
+    except BudgetExceeded:
+        assume(False)
+    elements = sorted({x for sub in full for x in sub if any(x)})
+    assume(elements)
+    avoid = frozenset(data.draw(st.lists(st.sampled_from(elements), max_size=4)))
+    want = [sub for sub in full if avoid.isdisjoint(sub)]
+    assert isotropic_subgroups(form, order, budget=10**5, avoid=avoid) == want
 
 
 def test_pool_scan_is_charged_to_the_budget():

@@ -2,6 +2,8 @@
 and against a union-find over all pairs of roots."""
 from __future__ import annotations
 
+import gc
+
 import pytest
 from helpers import (
     box_count_norm,
@@ -145,6 +147,19 @@ def test_half_orbit_convention():
     seen = {tuple(v) for v in reps}
     for v in reps:
         assert tuple(-x for x in v) not in seen
+
+
+def test_short_vectors_leave_no_garbage_cycle():
+    """Without the cycle collector, one call frees everything it made but its result."""
+    gram = CAT.build("E8").gram
+    gc.collect()
+    gc.disable()
+    try:
+        table = short_vectors(gram, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert sum(map(len, table.values())) == (240 + 2160) // 2
 
 
 @st.composite

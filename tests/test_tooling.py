@@ -47,3 +47,10 @@ def test_benchmark_workloads_build(monkeypatch):
         assert items, name
         for item in items:
             assert callable(item.call) and callable(item.check), item.label
+
+
+def test_census_pass_checks_clean(monkeypatch):
+    """One pass of the census workload runs, and every class number is the expected one."""
+    workloads = _load(monkeypatch, "workloads")
+    for item in workloads.WORKLOADS["census"](1).pass_items():
+        assert item.check(item.call()) == [], item.label

@@ -4,7 +4,8 @@ from __future__ import annotations
 import pytest
 
 from reflector import classify, etaq
-from reflector.classify import construction_coverage, verify_construction
+from reflector.catalog import Catalog, default_catalog
+from reflector.classify import construction_coverage, verdict_table, verify_construction
 from reflector.towers import (
     covered_rows,
     load,
@@ -116,6 +117,22 @@ def test_a_base_covers_nothing_but_a_transfer_covers_its_source():
     assert ("II_{6,2}(11^{-4})", 1, 1, 2) in covered
     assert ("II_{4,2}(23^{-3})", 1, 1, 1) in covered
     assert ("II_{18,2}(2_II^{+10})", 1, 1, 8) not in covered
+
+
+def test_coverage_is_derived_with_the_given_catalog():
+    """With T4 replaced by A4v(5) the p5 tower fails, and the U+U(5)+T4 row is not covered."""
+    a4v5 = default_catalog().build("A4").dual_rescaled(5)
+    cat = Catalog(extra={"T4": [list(row) for row in a4v5.gram]})
+    assert verify_all(cat)["towers"]["p5-pullback"] is False
+    label = "II_{6,2}(5^{-4})"  # its one row is U+U(5)+T4
+    assert verify_construction(label, construction_coverage()[label]) == {
+        "mixed[0]": "tower-covered"
+    }
+    assert verify_construction(label, construction_coverage(cat)[label]) == {
+        "mixed[0]": "uncovered"
+    }
+    status = verdict_table(verify=True, catalog=cat)["verification"][label]
+    assert "tower-covered" not in status.values()
 
 
 # -- each check can fail: mutate one table row or one tower --
