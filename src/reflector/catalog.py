@@ -9,17 +9,19 @@ and the sporadic definite lattices T4 and T8.
 
 The root lattices are derived, not stored: their Grams are the Cartan
 matrices of their Dynkin diagrams (Conway and Sloane, Sphere Packings,
-Lattices and Groups, ch. 4), built by one rule.  T8 is constructed on demand
-as the unique nontrivial even overlattice of E7+A1(5) with determinant 5.
-data/catalog.json stores only the Grams that no rule produces, U and T4; a
-user catalog (the --catalog CLI flag or the REFLECTOR_CATALOG environment
-variable) can add or override entries with the same JSON shape.
+Lattices and Groups, ch. 4), built by one rule.  T8 is the unique nontrivial
+even overlattice of E7+A1(5) with determinant 5.  data/catalog.json stores
+only the Grams that no rule produces, U and T4; a user catalog (the
+--catalog CLI flag or the REFLECTOR_CATALOG environment variable) can add or
+override entries with the same JSON shape.
 
-Every expression goes through one term expansion, `Catalog.summands`, which
-builds each distinct term once; `Catalog.parse` puts all summands into one
-block-diagonal Gram (a single term such as "E6(3)" is its own summand),
-`definite_part` sums the summands other than the hyperbolic planes, and
-`model_parts` gives both from a single expansion.
+Every expression goes through one term expansion, `Catalog.summands`.  A
+catalog builds each term (name, dual, scale) once, on first use, and hands
+the same immutable `Lattice` out afterwards, T8 included; each catalog keeps
+its own terms.  `Catalog.parse` puts all summands into one `direct_sum`
+(a single term such as "E6(3)" is its own summand), `definite_part` sums the
+summands other than the hyperbolic planes, and `model_parts` gives both from
+a single expansion.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import json
 import re
 from importlib import resources
 
-from . import discforms, intmat
+from . import discforms
 from .lattices import Lattice, direct_sum
 
 _TERM_RE = re.compile(r"^(\d*)([A-Z][A-Za-z]*?\d*)(v?)(?:\((\d+)\))?$")
@@ -75,7 +77,7 @@ class Catalog:
         self.registry = dict(_load_default_registry())
         if extra:
             self.registry.update(extra)
-        self._t8_gram: tuple[tuple[int, ...], ...] | None = None
+        self._terms: dict[tuple[str, bool, int | None], Lattice] = {}
 
     @classmethod
     def from_file(cls, path: str) -> "Catalog":
@@ -84,12 +86,26 @@ class Catalog:
         return cls(extra=data.get("lattices", {}))
 
     def build(self, name: str) -> Lattice:
+        return self._term(name, False, None)
+
+    def _term(self, name: str, dual: bool, scale: int | None) -> Lattice:
+        """The lattice of one term, built on first use and kept."""
+        key = (name, dual, scale)
+        if key not in self._terms:
+            if dual:
+                lat = self.build(name).dual_rescaled(scale or 1)
+            elif scale is not None:
+                lat = self.build(name).rescaled(scale)
+            else:
+                lat = self._build_base(name)
+            self._terms[key] = lat
+        return self._terms[key]
+
+    def _build_base(self, name: str) -> Lattice:
         if name in self.registry:
             return Lattice(self.registry[name], name=name)
         if name == "T8":
-            if self._t8_gram is None:
-                self._t8_gram = e7_a1_overlattice(5, self).gram
-            return Lattice(self._t8_gram, name="T8")
+            return Lattice(e7_a1_overlattice(5, self).gram, name="T8")
         m = re.fullmatch(r"([ADEL])(\d+)", name)
         if m is None:
             raise ValueError(f"unknown lattice name {name!r}")
@@ -128,16 +144,12 @@ class Catalog:
     def summands(self, expr: str) -> list[tuple[str, bool, int | None, Lattice]]:
         """(name, dual, scale, lattice) for each summand of expr, in order.
 
-        A term with multiplicity c appears c times; its lattice is built once.
+        A term with multiplicity c appears c times, as the one lattice the
+        catalog keeps for it.
         """
         out = []
         for count, name, dual, scale in self.parse_terms(expr):
-            lat = self.build(name)
-            if dual:
-                lat = lat.dual_rescaled(scale or 1)
-            elif scale is not None:
-                lat = lat.rescaled(scale)
-            out += [(name, dual, scale, lat)] * count
+            out += [(name, dual, scale, self._term(name, dual, scale))] * count
         return out
 
     def parse(self, expr: str) -> Lattice:
@@ -145,12 +157,8 @@ class Catalog:
 
 
 def _assemble(expr: str, summands) -> Lattice:
-    """All summands of expr in one block-diagonal Gram; a lone summand of that name as is."""
-    name = normalize_expr(expr)
-    if len(summands) == 1 and summands[0][3].name == name:
-        return summands[0][3]
-    grams = [lat.gram for _, _, _, lat in summands]
-    return Lattice(intmat.block_diagonal(grams), name=name)
+    """The direct sum of the summands of expr, named expr; a lone summand of that name as is."""
+    return direct_sum([lat for _, _, _, lat in summands], name=normalize_expr(expr))
 
 
 def normalize_expr(expr: str) -> str:

@@ -602,6 +602,7 @@ def class_number_rootsystems(
                     extend(i, remaining - menu[i][1], chosen + (menu[i],))
 
         extend(0, rank, ())
+        del extend  # it refers to itself through its cell; break the cycle
     found.sort(key=lambda d: (d["c"], d["components"]))
     return found
 
@@ -615,8 +616,9 @@ def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=
     (glue vectors may create extra roots, in which case the overlattice
     belongs to a different datum).  `even_overlattices` drops the glue that
     adds a norm-2 vector, which loses no candidate, as L is spanned by the
-    datum's roots; new long roots are caught here.  The candidates of one datum share determinant and level, and
-    they are counted by their histograms of vectors of norm <= 2p.
+    datum's roots; new long roots are caught here.  The candidates of one
+    datum share determinant and level, and they are counted by their
+    histograms of vectors of norm <= 2p.
     Isometric lattices have equal histograms, so this is a lower bound on
     the number of isometry classes, not a proof of it.
     """

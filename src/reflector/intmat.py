@@ -200,7 +200,9 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             if d[t][j] % d[t][t] != 0:
                 dirty = True
             col_op(j, t, -(d[t][j] // d[t][t]))
-        if dirty and (any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n))):
+        if dirty and (
+            any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n))
+        ):
             continue
         # pivot must divide the whole trailing block for the divisibility chain
         offender = None

@@ -4,21 +4,27 @@ A lattice here is Z^n equipped with the symmetric bilinear form of a Gram
 matrix; "even" means every diagonal norm is even.  A `Lattice` is an
 immutable value: its Gram is a tuple of integer tuples and its name is fixed
 at construction, so equal Grams and names make equal (and hashable)
-lattices.  The determinant comes from the degeneracy check at construction;
-the signature, the integer adjugate det(G) G^-1 and the level (the smallest
-N for which N times the dual form is even) are each computed once, on first
-use.  The dual data stays in integers: the level and the rescaled dual are
-read off the adjugate and the determinant, and only `dual_gram` returns
-Fractions.  `direct_sum` puts any number of lattices into one block-diagonal
-Gram.
+lattices.  The signature, the integer adjugate det(G) G^-1 and the level
+(the smallest N for which N times the dual form is even) are each computed
+once, on first use.  The dual data stays in integers: the level and the
+rescaled dual are read off the adjugate and the determinant, and only
+`dual_gram` returns Fractions.
+
+`direct_sum` puts any number of lattices into one block-diagonal Gram and
+keeps them as the sum's `parts`, which equality and hashing ignore.  A sum
+reads its invariants off its parts instead of eliminating on the whole Gram:
+det = prod det_i, adj = (+) (det / det_i) adj_i, the signatures add and the
+level is the lcm of the levels.  Every other lattice takes its determinant
+from Bareiss elimination at construction, which is also its degeneracy
+check; for a sum, the product of nonzero determinants is that check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm, prod
 
 from . import intmat
 
@@ -27,6 +33,7 @@ from . import intmat
 class Lattice:
     gram: tuple[tuple[int, ...], ...]
     name: str | None = None
+    parts: tuple[Lattice, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.gram)
@@ -39,7 +46,12 @@ class Lattice:
                     raise ValueError("Gram matrix must be symmetric")
             if gram[i][i] % 2 != 0:
                 raise ValueError("lattice is not even: odd diagonal norm")
-        det = intmat.determinant(gram)
+        if self.parts:
+            if gram != _block_diagonal([part.gram for part in self.parts]):
+                raise ValueError("Gram matrix is not the sum of the parts")
+            det = prod(part.det() for part in self.parts)
+        else:
+            det = intmat.determinant(gram)
         if n and det == 0:
             raise ValueError("Gram matrix is degenerate")
         object.__setattr__(self, "gram", gram)
@@ -54,6 +66,9 @@ class Lattice:
 
     @cached_property
     def _inertia(self) -> tuple[int, int]:
+        if self.parts:
+            inertias = [part.signature() for part in self.parts]
+            return sum(pos for pos, _ in inertias), sum(neg for _, neg in inertias)
         pos, neg, zero = intmat.signature(self.gram)
         assert zero == 0
         return pos, neg
@@ -71,6 +86,10 @@ class Lattice:
 
     @cached_property
     def _adjugate(self) -> tuple[tuple[int, ...], ...]:
+        if self.parts:
+            return _block_diagonal(
+                [intmat.scalar_mul(self._det // part.det(), part.adjugate()) for part in self.parts]
+            )
         return tuple(map(tuple, intmat.adjugate(self.gram)[0]))
 
     def adjugate(self) -> tuple[tuple[int, ...], ...]:
@@ -82,6 +101,8 @@ class Lattice:
 
     @cached_property
     def _level(self) -> int:
+        if self.parts:
+            return lcm(*(part.level() for part in self.parts))
         # the entries adj/det have the common denominator |det| / gcd(det, adj)
         det = self._det
         n0 = abs(det) // gcd(det, *(x for row in self._adjugate for x in row))
@@ -120,10 +141,18 @@ class Lattice:
         return direct_sum([self, other])
 
 
-def direct_sum(parts: list[Lattice]) -> Lattice:
-    """The orthogonal sum of the parts as one unnamed lattice; one part is returned as is."""
+def _block_diagonal(blocks) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, intmat.block_diagonal(blocks)))
+
+
+def direct_sum(parts: list[Lattice], name: str | None = None) -> Lattice:
+    """The orthogonal sum of the parts, keeping them as its `parts`.
+
+    A single part is returned as is when it already bears the name (or no
+    name is asked for); otherwise it is rebuilt under the name.
+    """
     if not parts:
         raise ValueError("empty direct sum")
-    if len(parts) == 1:
+    if len(parts) == 1 and name in (None, parts[0].name):
         return parts[0]
-    return Lattice(intmat.block_diagonal([part.gram for part in parts]))
+    return Lattice(_block_diagonal([part.gram for part in parts]), name=name, parts=tuple(parts))

@@ -147,6 +147,31 @@ def test_t8_builds_are_independent():
     assert definite == first
 
 
+def test_each_term_is_built_once_per_catalog():
+    """A catalog hands out one lattice per term, through build and the parser alike."""
+    cat = Catalog()
+    assert cat.build("E8") is cat.build("E8")
+    assert cat.parse("E6v(3)") is cat.parse("E6v(3)")
+    summands = cat.summands("2U+E6v(3)+2A2+U(3)")
+    assert summands[0][3] is summands[1][3] is cat.build("U")
+    assert summands[2][3] is cat.parse("E6v(3)")
+    assert summands[3][3] is summands[4][3] is cat.build("A2")
+    assert summands[5][3] is cat.parse("U(3)")
+
+
+def test_catalogs_share_no_terms():
+    """A catalog whose U is overridden builds its own U and its own sums with it."""
+    plain = Catalog()
+    odd = Catalog(extra={"U": [[0, 2], [2, 0]]})
+    assert plain.build("U").det() == -1
+    assert odd.build("U").det() == -4
+    assert plain.build("U").det() == -1
+    assert plain.parse("2U+A2").det() == 3
+    assert odd.parse("2U+A2").det() == 48
+    assert odd.parse("U(3)").gram == ((0, 6), (6, 0))
+    assert plain.parse("U(3)").gram == ((0, 3), (3, 0))
+
+
 def test_catalog_grams_span_the_ade_table():
     """Each ADE name of rank <= 12 builds the lattice whose roots are that one type.
 

@@ -1,6 +1,8 @@
 """End-to-end elimination: case lists, verdicts, and the surviving genera."""
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from reflector import classify as classify_mod
@@ -328,6 +330,18 @@ def test_class_number_rejects_a_negative_rank():
         class_number(-4, 3, 1, 1, 12, 1)
     with pytest.raises(ValueError, match="rank"):
         class_number_rootsystems(-4, 3, 1, 1, 12)
+
+
+def test_class_number_leaves_no_garbage_cycle():
+    """Without the cycle collector, a census class number frees everything it made."""
+    gc.collect()
+    gc.disable()
+    try:
+        count = class_number(6, 3, 1, 1, 24, 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert count == 1
 
 
 def test_class_number_intermediate_relations():

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reflector import intmat
+from reflector.catalog import default_catalog
 from reflector.lattices import Lattice, direct_sum
 
 U = Lattice([[0, 1], [1, 0]], name="U")
@@ -56,6 +57,27 @@ def test_direct_sum_concatenates_blocks():
     assert s.det() == U.det() * A2.det()
     assert s.signature() == (3, 1)
     assert s.gram[0][2] == 0 and s.gram[3][1] == 0
+
+
+def test_direct_sum_equals_the_block_diagonal_lattice():
+    """A sum keeps its parts, but equality and hashing see only the Gram and the name."""
+    cat = default_catalog()
+    parts = [U, cat.build("E8"), A2.rescaled(3), cat.parse("A4v(5)")]
+    grams = [part.gram for part in parts]
+    for name in (None, "U+E8+A2(3)+A4v(5)"):
+        summed = direct_sum(parts, name=name)
+        plain = Lattice(intmat.block_diagonal(grams), name=name)
+        assert summed.parts == tuple(parts) and plain.parts == ()
+        assert summed == plain and hash(summed) == hash(plain)
+        assert summed.det() == plain.det() and summed.level() == plain.level()
+    assert direct_sum([A2]) is A2 and direct_sum([A2], name="A2") is A2
+    renamed = direct_sum([A2], name="B")
+    assert renamed.name == "B" and renamed.gram == A2.gram and renamed.det() == 3
+
+
+def test_parts_must_add_up_to_the_gram():
+    with pytest.raises(ValueError, match="parts"):
+        Lattice(((2, -1), (-1, 2)), parts=(U,))
 
 
 def test_norm_and_inner_products():
@@ -109,3 +131,40 @@ def test_integer_dual_data_matches_fraction_inverse(gram, m):
                 lat.dual_rescaled(scale)
         else:
             assert lat.dual_rescaled(scale).gram == tuple(map(tuple, want))
+
+
+# catalog terms a sum can draw: U and its rescalings, ADE lattices rescaled
+# or dualised at their level, the level-p planes L<p> and T4
+_BASES = ["U", "A1", "A2", "A3", "A4", "A6", "D4", "D5", "D8", "E6", "E7", "E8",
+          "L3", "L7", "L11", "T4"]
+
+
+@st.composite
+def catalog_terms(draw) -> str:
+    base = draw(st.sampled_from(_BASES))
+    kind = draw(st.sampled_from(["plain", "scaled", "dual"]))
+    if kind == "scaled":
+        return f"{base}({draw(st.integers(1, 7))})"
+    if kind == "dual" and base != "U":
+        return f"{base}v({default_catalog().build(base).level()})"
+    return base
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(catalog_terms(), min_size=2, max_size=5), st.integers(1, 4))
+def test_sum_invariants_match_the_full_gram(terms, cut):
+    """det, adjugate, signature and level of a sum, read off its parts, equal the
+    same invariants computed on the whole block-diagonal Gram; also for a sum
+    of sums."""
+    cat = default_catalog()
+    whole = cat.parse("+".join(terms))
+    cut = min(cut, len(terms) - 1)
+    nested = direct_sum([cat.parse("+".join(terms[:cut])), cat.parse("+".join(terms[cut:]))])
+    assert whole.parts and nested.gram == whole.gram
+    for lat in (whole, nested):
+        adj, det = intmat.adjugate(lat.gram)
+        pos, neg, zero = intmat.signature(lat.gram)
+        assert lat.det() == det == intmat.determinant(lat.gram)
+        assert lat.adjugate() == tuple(map(tuple, adj))
+        assert lat.signature() == (pos, neg) and zero == 0
+        assert lat.level() == dual_level(lat.gram)

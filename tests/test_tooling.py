@@ -54,3 +54,17 @@ def test_census_pass_checks_clean(monkeypatch):
     workloads = _load(monkeypatch, "workloads")
     for item in workloads.WORKLOADS["census"](1).pass_items():
         assert item.check(item.call()) == [], item.label
+
+
+def test_certify_pass_checks_clean(monkeypatch):
+    """One pass of the certify workload runs, and every check on the verdict table is clean."""
+    workloads = _load(monkeypatch, "workloads")
+    for item in workloads.WORKLOADS["certify"](1).pass_items():
+        assert item.check(item.call()) == [], item.label
+
+
+def test_query_pass_checks_clean(monkeypatch):
+    """One pass of the query workload runs, and every CLI request gives the expected JSON."""
+    workloads = _load(monkeypatch, "workloads")
+    for item in workloads.WORKLOADS["query"](1).pass_items():
+        assert item.check(item.call()) == [], item.label
