@@ -4,7 +4,8 @@ Every subcommand accepts --format json|text; JSON output is canonical
 (sorted keys, no whitespace, fractions rendered as "num/den" strings).
 Exit codes: 0 on success, 1 on usage or input errors, 2 when a check fails
 or a classification contains non-reflective verdicts, 3 when an enumeration
-budget is exhausted.
+budget is exhausted.  `main(argv)` may be called repeatedly in one
+process; it builds its parser once, on first use, and reuses it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from math import prod
 
 from . import catalog as cat_mod
@@ -268,6 +270,7 @@ def cmd_classnumber(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="reflector", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

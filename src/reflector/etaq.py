@@ -1,9 +1,10 @@
 """Eta quotients, their cusp expansions, and weight data for liftings.
 
 The level-2 input function eta(tau)^-8 eta(2tau)^-8 and its image under
-tau -> -1/tau are expanded exactly as Puiseux series in q with Fraction
-coefficients.  The same module holds the arithmetic consequences used by
-the classification: the weights of the liftings produced from the input
+tau -> -1/tau are expanded exactly as Puiseux series in q with integer
+coefficients and rational exponents; only the scalar of the transform is
+rational.  The same module holds the arithmetic consequences used by the
+classification: the weights of the liftings produced from the input
 function, the dimension window coming from Riemann-Roch on the modular
 curve, and the twisted Bernoulli number B_{3,psi} whose value decides
 whether a candidate obstruction space is actually trivial.
@@ -21,14 +22,18 @@ from .discforms import legendre
 
 @dataclass
 class PuiseuxSeries:
-    """Finite q-expansion with exponents key/denom, trusted below precision."""
+    """Finite q-expansion with exponents key/denom, trusted below precision.
+
+    The coefficients are integers: every series here is a product of eta
+    factors, whose expansions are integral.
+    """
 
     denom: int
-    coeffs: dict[int, Fraction]
+    coeffs: dict[int, int]
     precision: Fraction
 
     def __post_init__(self) -> None:
-        self.coeffs = {k: Fraction(v) for k, v in self.coeffs.items() if v != 0}
+        self.coeffs = {k: v for k, v in self.coeffs.items() if v}
         self.precision = Fraction(self.precision)
 
     def leading_exponent(self) -> Fraction:
@@ -36,16 +41,7 @@ class PuiseuxSeries:
             return self.precision
         return Fraction(min(self.coeffs), self.denom)
 
-    def coefficient(self, exponent) -> Fraction:
-        e = Fraction(exponent)
-        if e >= self.precision:
-            raise ValueError(f"exponent {e} is beyond precision {self.precision}")
-        key = e * self.denom
-        if key.denominator != 1:
-            return Fraction(0)
-        return self.coeffs.get(int(key), Fraction(0))
-
-    def terms(self) -> list[tuple[Fraction, Fraction]]:
+    def terms(self) -> list[tuple[Fraction, int]]:
         return [(Fraction(k, self.denom), v) for k, v in sorted(self.coeffs.items())]
 
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
@@ -56,26 +52,18 @@ class PuiseuxSeries:
             self.precision + other.leading_exponent(),
             other.precision + self.leading_exponent(),
         )
-        out: dict[int, Fraction] = {}
-        cut = prec * d
+        out: dict[int, int] = {}
+        cut = -(-prec * d // 1)  # the integer ceiling: key < prec*d iff key < cut
         for k1, v1 in self.coeffs.items():
             for k2, v2 in other.coeffs.items():
                 key = k1 * s1 + k2 * s2
                 if key < cut:
-                    out[key] = out.get(key, Fraction(0)) + v1 * v2
+                    out[key] = out.get(key, 0) + v1 * v2
         return PuiseuxSeries(d, out, prec)
-
-    def scaled(self, factor) -> "PuiseuxSeries":
-        f = Fraction(factor)
-        return PuiseuxSeries(
-            self.denom, {k: f * v for k, v in self.coeffs.items()}, self.precision
-        )
 
     def __str__(self) -> str:
         parts = []
         for e, v in self.terms():
-            if v == 0:
-                continue
             if e == 0:
                 parts.append(f"{v}")
             else:
@@ -84,23 +72,26 @@ class PuiseuxSeries:
         return " + ".join(parts)
 
 
-def euler_factor_coeffs(r: int, terms: int) -> list[Fraction]:
-    """Coefficients of prod_n (1 - x^n)^r up to x^(terms-1)."""
+def euler_factor_coeffs(r: int, terms: int) -> list[int]:
+    """Coefficients of prod_n (1 - x^n)^r up to x^(terms-1).
+
+    The base product phi is Euler's pentagonal series, whose constant term
+    is 1, so its inverse and all powers have integer coefficients.
+    """
     if terms < 1:
         raise ValueError("need at least one term")
-    phi = [Fraction(0)] * terms
-    phi[0] = Fraction(1)
+    phi = [1] + [0] * (terms - 1)
     k = 1
     while (k * (3 * k - 1)) // 2 < terms:
-        sign = Fraction(-1 if k % 2 else 1)
+        sign = -1 if k % 2 else 1
         phi[(k * (3 * k - 1)) // 2] += sign
         e2 = (k * (3 * k + 1)) // 2
         if e2 < terms:
             phi[e2] += sign
         k += 1
 
-    def mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * terms
+    def mul(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * terms
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -110,19 +101,17 @@ def euler_factor_coeffs(r: int, terms: int) -> list[Fraction]:
                         out[i + j] += x * y
         return out
 
-    def inverse(a: list[Fraction]) -> list[Fraction]:
-        assert a[0] != 0
-        inv = [Fraction(0)] * terms
-        inv[0] = 1 / a[0]
+    def inverse(a: list[int]) -> list[int]:
+        """Inverse of a series with a[0] = 1: inv[n] = -sum_{j>=1} a[j] inv[n-j]."""
+        support = [(j, c) for j, c in enumerate(a) if j and c]
+        inv = [1] + [0] * (terms - 1)
         for n in range(1, terms):
-            s = sum(a[j] * inv[n - j] for j in range(1, n + 1))
-            inv[n] = -s / a[0]
+            inv[n] = -sum(c * inv[n - j] for j, c in support if j <= n)
         return inv
 
     base = phi if r >= 0 else inverse(phi)
     e = abs(r)
-    result = [Fraction(0)] * terms
-    result[0] = Fraction(1)
+    result = [1] + [0] * (terms - 1)
     acc = base
     while e:
         if e & 1:
@@ -138,19 +127,15 @@ def eta_quotient(factors: dict, terms: int) -> PuiseuxSeries:
     denom = 24
     for d in factors:
         denom = lcm(denom, 24 * Fraction(d).denominator)
-    series = PuiseuxSeries(denom, {0: Fraction(1)}, Fraction(10**9))
+    series = PuiseuxSeries(denom, {0: 1}, Fraction(10**9))
     for d, r in sorted(factors.items(), key=lambda t: Fraction(t[0])):
         d = Fraction(d)
+        # q^(n d + r d/24) sits at key n*step + offset; denom makes both integral
+        step, offset = d * denom, r * d * denom / 24
+        assert step.denominator == offset.denominator == 1
         coeffs = euler_factor_coeffs(r, terms)
-        shift = r * d / 24
-        fac: dict[int, Fraction] = {}
-        for n, v in enumerate(coeffs):
-            if v:
-                key = (n * d + shift) * denom
-                assert key.denominator == 1
-                fac[int(key)] = v
-        prec = terms * d + shift
-        series = series * PuiseuxSeries(denom, fac, prec)
+        fac = {n * int(step) + int(offset): v for n, v in enumerate(coeffs)}
+        series = series * PuiseuxSeries(denom, fac, terms * d + r * d / 24)
     return series
 
 

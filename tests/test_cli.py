@@ -2,11 +2,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import reflector
 from reflector.classify import reflective_genera
 from reflector.cli import main
 from reflector.discforms import GenusNotRepresentable, GenusSymbol, candidate_form, parse_genus
@@ -156,11 +161,16 @@ def test_roots_subcommand(capsys):
     assert payload["count_norm2p"] == 6
 
 
+ETA_F6 = "1*q^(-1) + 8 + 52*q^(1) + 256*q^(2) + 1122*q^(3) + 4352*q^(4) + O(q^(5))"
+ETA_F6_S = (
+    "1*q^(-1/2) + 8 + 52*q^(1/2) + 256*q^(1) + 1122*q^(3/2) + 4352*q^(2) + O(q^(5/2))"
+)
+
+
 def test_eta_subcommand(capsys):
     code, out = run_cli(["eta", "--precision", "6"], capsys)
     assert code == 0
-    assert "q^(-1)" in out
-    assert "52" in out
+    assert out.splitlines()[:2] == [f"f = {ETA_F6}", f"f|S = 16 * sqrt(2)^0 * ({ETA_F6_S})"]
 
 
 def test_tower_subcommand(capsys):
@@ -211,9 +221,41 @@ def test_missing_required_argument(capsys):
 def test_eta_json_keys_are_exponents(capsys):
     code, out = run_cli(["eta", "--precision", "6", "--format", "json"], capsys)
     assert code == 0
-    terms = json.loads(out)["f_terms"]
-    assert terms["-1"] == 1
-    assert terms["0"] == 8
+    payload = json.loads(out)
+    assert payload["f_terms"] == {"-1": 1, "0": 8, "1": 52, "2": 256, "3": 1122, "4": 4352}
+    assert payload["f"] == ETA_F6
+    assert payload["f_transformed"] == ETA_F6_S
+    assert payload["transform_scalar"] == 16
+    assert payload["transform_sqrt_power"] == 0
+
+
+def test_repeated_calls_share_no_state(capsys):
+    """One process answers each request the same, whatever ran before it."""
+    requests = [
+        ["check", "--lattice", "2U+D4"],
+        ["eta", "--precision", "6"],
+        ["eta"],
+        ["eta", "--precision", "0"],
+        # the strongly 2-reflective row II_{6,2}(2_II^{-2})
+        ["check", "--lattice", "2U+D4", "--prime", "2", "--c1", "1", "--cp", "0", "--k", "72"],
+        ["classify", "--prime", "3", "--format", "json"],
+    ]
+    first = [run_cli_err(argv, capsys) for argv in requests]
+    assert [code for code, _, _ in first] == [1, 0, 0, 1, 0, 0]
+    f_line = first[2][1].splitlines()[0]
+    assert f_line.endswith(" + O(q^(11))") and f_line.count(" + ") == 12  # the default 12 terms
+    again = [run_cli_err(argv, capsys) for argv in reversed(requests)]
+    assert again[::-1] == first
+
+
+def test_import_builds_no_parser():
+    """`import reflector` leaves the CLI out, and importing the CLI builds no parser."""
+    code = (
+        "import sys, reflector; assert 'reflector.cli' not in sys.modules; "
+        "from reflector import cli; assert cli.build_parser.cache_info().currsize == 0"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(reflector.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_discform_without_source_is_a_one_line_error(capsys):

@@ -2,10 +2,54 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from helpers import bernoulli_poly_3, euler_product_naive, legendre
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflector import etaq
+
+MAX_TERMS = 40
+
+
+@cache
+def _naive_factor(r: int) -> tuple[Fraction, ...]:
+    """prod (1 - q^m)^r to MAX_TERMS terms; its first n entries are the n-term product."""
+    return tuple(euler_product_naive(r, MAX_TERMS))
+
+
+def naive_eta_quotient(factors: dict, terms: int) -> tuple[dict[Fraction, Fraction], Fraction]:
+    """prod_d eta(d tau)^r as {exponent: Fraction coefficient} and its precision.
+
+    Each factor is q^(r d/24) times the naive Euler product in q^d, known
+    below exponent terms*d + r d/24.  The product is known below the least
+    of (precision of one factor + leading exponents of all the others).
+    A partial product drops the terms that the leading exponents of the
+    factors still to come would push past that precision.
+    """
+    factors = {Fraction(d): r for d, r in factors.items()}
+    leads = [r * d / 24 for d, r in factors.items()]
+    precs = [terms * d + lead for d, lead in zip(factors, leads)]
+    precision = min(p + sum(leads) - lead for p, lead in zip(precs, leads))
+    product = {Fraction(0): Fraction(1)}
+    for i, (d, r) in enumerate(factors.items()):
+        cut = precision - sum(leads[i + 1:])
+        factor = {n * d + leads[i]: c for n, c in enumerate(_naive_factor(r)[:terms])}
+        out: dict[Fraction, Fraction] = {}
+        for e1, c1 in product.items():
+            for e2, c2 in factor.items():
+                if e1 + e2 < cut:
+                    out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+        product = out
+    return {e: c for e, c in product.items() if c}, precision
+
+
+def assert_matches_oracle(series: etaq.PuiseuxSeries, factors: dict, terms: int) -> None:
+    assert all(type(c) is int for c in series.coeffs.values())
+    want, precision = naive_eta_quotient(factors, terms)
+    assert series.precision == precision
+    assert dict(series.terms()) == want
 
 
 def test_euler_factor_coefficients_against_naive_product():
@@ -14,6 +58,27 @@ def test_euler_factor_coefficients_against_naive_product():
         mine = etaq.euler_factor_coeffs(power, 12)
         oracle = euler_product_naive(power, 12)
         assert [Fraction(c) for c in mine] == oracle, power
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(1, 3)]),
+        st.integers(-24, 24),
+        min_size=1,
+    ),
+    st.integers(1, 30),
+)
+def test_eta_quotient_is_the_integral_naive_product(factors, terms):
+    """Integer coefficients, equal to the Fraction product of naive Euler factors."""
+    assert_matches_oracle(etaq.eta_quotient(factors, terms), factors, terms)
+
+
+def test_s_transform_against_naive_product():
+    for terms in range(1, MAX_TERMS + 1):
+        scalar, sqrt2_power, series = etaq.s_transform(-8, -8, 2, terms)
+        assert (scalar, sqrt2_power) == (16, 0)
+        assert_matches_oracle(series, {1: -8, Fraction(1, 2): -8}, terms)
 
 
 def test_base_series_principal_part_and_constant():
