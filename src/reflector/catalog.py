@@ -18,10 +18,10 @@ override entries with the same JSON shape.
 Every expression goes through one term expansion, `Catalog.summands`.  A
 catalog builds each term (name, dual, scale) once, on first use, and hands
 the same immutable `Lattice` out afterwards, T8 included; each catalog keeps
-its own terms.  `Catalog.parse` puts all summands into one `direct_sum`
-(a single term such as "E6(3)" is its own summand), `definite_part` sums the
-summands other than the hyperbolic planes, and `model_parts` gives both from
-a single expansion.
+its own terms, and its own E7 + A1(p) overlattices.  `Catalog.parse` puts
+all summands into one `direct_sum` (a single term such as "E6(3)" is its own
+summand), `definite_part` sums the summands other than the hyperbolic
+planes, and `model_parts` gives both from a single expansion.
 """
 
 from __future__ import annotations
@@ -61,13 +61,17 @@ def _dynkin_gram(n: int, branch: int | None) -> list[list[int]]:
 def e7_a1_overlattice(p: int, catalog: "Catalog") -> Lattice:
     """The even overlattice of E7 + A1(p) with determinant p; exists for p = 1 mod 4.
 
-    Raises unless exactly one glue group gives an overlattice of level p.
+    Each catalog builds it once per p and hands out the same lattice
+    afterwards.  Raises unless exactly one glue group gives an overlattice
+    of level p.
     """
-    seed = catalog.build("E7") + catalog.build("A1").rescaled(p)
-    over = discforms.even_overlattices(seed, p, p)
-    if len(over) != 1:
-        raise ArithmeticError(f"expected one overlattice, found {len(over)}")
-    return over[0]
+    if p not in catalog._e7_a1:
+        seed = catalog.build("E7") + catalog.build("A1").rescaled(p)
+        over = discforms.even_overlattices(seed, p, p)
+        if len(over) != 1:
+            raise ArithmeticError(f"expected one overlattice, found {len(over)}")
+        catalog._e7_a1[p] = over[0]
+    return catalog._e7_a1[p]
 
 
 class Catalog:
@@ -78,6 +82,7 @@ class Catalog:
         if extra:
             self.registry.update(extra)
         self._terms: dict[tuple[str, bool, int | None], Lattice] = {}
+        self._e7_a1: dict[int, Lattice] = {}  # p -> `e7_a1_overlattice(p, self)`
 
     @classmethod
     def from_file(cls, path: str) -> "Catalog":

@@ -342,13 +342,13 @@ def eliminate_case(
             cert["family_prime_cutoff"] = _family_cutoffs(_residue_class(p), (n, n_p))[0]
         else:
             _, definite = cat_mod.definite_part(model, cat)
-        comps = roots.root_components(definite, p)
-        res = reflcheck.solve_components(comps, definite.rank)
+        data = roots.root_data(definite, p)
+        res = reflcheck.solve_components(data.components, definite.rank)
         cert["solve_status"] = res.status
         if res.status == "none":
             return record("solve-empty", res.reason)
         if res.status == "ray":
-            n1 = sum(c.rank for c in comps if c.count_short)
+            n1 = data.span_short
             bound = Fraction(n1 * res.c1 + (definite.rank - n1) * res.cp, 2)
             cert["ray"] = (res.c1, res.cp, res.k)
             cert["singular_bound"] = bound

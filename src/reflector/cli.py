@@ -33,7 +33,7 @@ def _jsonable(obj):
     if isinstance(obj, Fraction):
         return obj.numerator if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -148,16 +148,15 @@ def cmd_discform(args) -> int:
 
 def cmd_roots(args) -> int:
     definite = _definite(args)
-    comps = roots.root_components(definite, args.prime)
-    n_short = sum(c.count_short for c in comps)
-    n_long = sum(c.count_long for c in comps)
+    data = roots.root_data(definite, args.prime)
+    n_short, n_long = 2 * data.positive_short, 2 * data.positive_long
     payload = {
         "count_norm2": n_short,
         "count_norm2p": n_long,
-        "components": [dataclasses.asdict(c) for c in comps],
+        "components": data.components,
     }
     lines = [f"{n_short} vectors of norm 2, {n_long} reflective vectors of norm 2*{args.prime}"]
-    for c in comps:
+    for c in data.components:
         lines.append(
             f"  {c.name}: rank {c.rank}, {c.count_short} short + {c.count_long} long"
         )
@@ -168,8 +167,9 @@ def cmd_roots(args) -> int:
 def cmd_check(args) -> int:
     definite = _definite(args)
     report = reflcheck.check_candidate(definite, args.prime, args.c1, args.cp, args.k)
-    payload = dataclasses.asdict(report)
-    payload.pop("lattice", None)
+    payload = {
+        f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.name != "lattice"
+    }
     lines = [
         f"candidate ({args.c1},{args.cp}) weight {args.k} at p={args.prime}: "
         + ("PASS" if report.passed else "FAIL")
@@ -183,7 +183,6 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     definite = _definite(args)
     res = reflcheck.solve_candidates(definite, args.prime)
-    payload = dataclasses.asdict(res)
     lines = [f"solve at p={args.prime}: {res.status}"]
     if res.status == "ray":
         lines.append(f"  multiplicities ({res.c1},{res.cp}), weight {res.k}, constant {res.c}")
@@ -192,7 +191,7 @@ def cmd_solve(args) -> int:
         lines.append(f"  weight k = {k1}*c1 + {kp}*c{args.prime} for independent multiplicities")
     else:
         lines.append(f"  {res.reason}")
-    emit(payload, args.format, lines)
+    emit(res, args.format, lines)
     return 0
 
 
@@ -236,12 +235,11 @@ def cmd_classify(args) -> int:
     cat = _catalog(args)
     if args.prime is not None:
         records = classify(args.prime, cat)
-        payload = [dataclasses.asdict(r) for r in records]
         lines = []
         for r in records:
             tail = f"  [{r.reason}]" if r.reason else ""
             lines.append(f"{r.genus}: {r.verdict}{tail}")
-        emit(payload, args.format, lines)
+        emit(records, args.format, lines)
         return 2 if any(r.verdict == "NOT_REFLECTIVE" for r in records) else 0
     table = verdict_table(verify=args.verify, catalog=cat)
     lines = [f"reflective genera: {table['count']}"]

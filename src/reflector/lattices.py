@@ -16,7 +16,9 @@ reads its invariants off its parts instead of eliminating on the whole Gram:
 det = prod det_i, adj = (+) (det / det_i) adj_i, the signatures add and the
 level is the lcm of the levels.  Every other lattice takes its determinant
 from Bareiss elimination at construction, which is also its degeneracy
-check; for a sum, the product of nonzero determinants is that check.
+check; for a sum, the product of nonzero determinants is that check.  The
+root data of `roots.root_data` are kept on the lattice too, one entry per
+prime, and a sum joins them from its parts where it can.
 """
 
 from __future__ import annotations
@@ -95,6 +97,11 @@ class Lattice:
     def adjugate(self) -> tuple[tuple[int, ...], ...]:
         """The integer matrix det(G) G^-1."""
         return self._adjugate
+
+    @cached_property
+    def root_data_memo(self) -> dict:
+        """The reflective root data by prime, filled in by `roots.root_data`."""
+        return {}
 
     def dual_gram(self) -> list[list[Fraction]]:
         return [[Fraction(x, self._det) for x in row] for row in self._adjugate]

@@ -2,17 +2,18 @@
 
 All functions here see only the positive definite part K of a model
 2U + K or U + U(p) + K; the hyperbolic summands contribute no roots.  They
-read the reflective root system of K once, as the positive roots R1+ (norm
-2) and R2+ (norm 2p) that `roots.positive_roots` lists, and derive the rest:
-the root counts |R1| = 2 |R1+| and |R2| = 2 |R2+|, the components, and n1,
-the rank of the span of R1.  The short roots of an irreducible root system
-span it (Bourbaki, Lie groups, ch. VI, 1), so n1 is the total rank of the
-components that hold norm-2 roots.  For multiplicities (c1, cp) on the two
-root classes and a proposed weight k, the constraints are:
+read the reflective root system of K from `roots.root_data`, which keeps it
+on K and, for a sum of catalog terms of level 1 or p, joins it from the
+terms: the positive roots R1+ (norm 2) and R2+ (norm 2p), giving the root
+counts |R1| = 2 |R1+| and |R2| = 2 |R2+|; the components; n1, the rank of
+the span of R1; and the root sums S1 = sum_{R1+} (Gr)(Gr)^T and
+S2 = sum_{R2+} (Gs)(Gs)^T.  For multiplicities (c1, cp) on the two root
+classes and a proposed weight k, the constraints are:
 
-  * matrix identity: c1 * sum_{r in R1+} (Gr)(Gr)^T + (cp/p^2) *
-    sum_{s in R2+} (Gs)(Gs)^T = C G for a scalar C (each +- pair gives
-    the same outer product, so this is half the identity over R1 and R2);
+  * matrix identity: c1 S1 + (cp/p^2) S2 = C G for one scalar C, checked
+    on every entry, so a sum whose parts have different constants fails
+    (each +- pair gives the same outer product, so this is half the
+    identity over R1 and R2);
   * counting identity: C = (c1 |R1| + cp |R2| + 2k) / 24 - c1;
   * singular bound: k >= (n1 c1 + (rank - n1) cp) / 2;
   * for p >= 5 with both classes present, the same constants expressed
@@ -25,11 +26,12 @@ the same symbolically in the prime for one-parameter model families.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from . import discforms, intmat, roots
+from . import discforms, roots
 from .lattices import Lattice
 
 
@@ -49,25 +51,6 @@ class CheckReport:
     checks: dict[str, bool | None] = field(default_factory=dict)
 
 
-def _root_sum_matrix(gram, vectors) -> list[list[int]]:
-    """sum_v (Gv)(Gv)^T = G (sum_v v v^T) G over the given vectors, in integers.
-
-    Roots have few nonzero coordinates, so the outer products are summed on
-    the coordinates and multiplied by G once at the end.
-    """
-    n = len(gram)
-    total = [[0] * n for _ in range(n)]
-    for v in vectors:
-        nonzero = [(i, x) for i, x in enumerate(v) if x]
-        for i, x in nonzero:
-            row = total[i]
-            for j, y in nonzero:
-                row[j] += x * y
-    if not vectors:  # also the rank-0 case, where mat_mul has no columns to read
-        return total
-    return intmat.mat_mul(intmat.mat_mul(gram, total), gram)
-
-
 def check_multiplicities(c1: int, cp: int) -> None:
     if c1 < 0 or cp < 0 or (c1 == 0 and cp == 0):
         raise ValueError("multiplicities must be nonnegative and not both zero")
@@ -78,17 +61,18 @@ def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckRepo
     check_multiplicities(c1, cp)
     if not lat.is_positive_definite():
         raise ValueError("check_candidate expects the positive definite part of the model")
-    r1, r2 = roots.positive_roots(lat, p)
-    comps = roots._split_components(lat, p, r1, r2)
-    n_short, n_long = 2 * len(r1), 2 * len(r2)
+    data = roots.root_data(lat, p)
+    comps = data.components
+    n_short, n_long = 2 * data.positive_short, 2 * data.positive_long
     n = lat.rank
     g = lat.gram
 
     # p^2 times the weighted positive-root sum c1 S1 + (cp/p^2) S2, so it
     # stays integral
-    s1 = _root_sum_matrix(g, r1)
-    s2 = _root_sum_matrix(g, r2)
-    s = [[p * p * c1 * x + cp * y for x, y in zip(row1, row2)] for row1, row2 in zip(s1, s2)]
+    s = [
+        [p * p * c1 * x + cp * y for x, y in zip(row1, row2)]
+        for row1, row2 in zip(data.s1, data.s2)
+    ]
 
     # s = C p^2 G, with C p^2 = s[0][0] / g[0][0]
     c = Fraction(s[0][0], p * p * g[0][0]) if n else Fraction(0)
@@ -96,12 +80,12 @@ def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckRepo
 
     counting_ok = c == Fraction(c1 * n_short + cp * n_long + 2 * k, 24) - c1
 
-    n1 = sum(cc.rank for cc in comps if cc.count_short)
+    n1 = data.span_short
     bound = Fraction(n1 * c1 + (n - n1) * cp, 2)
     singular_ok = Fraction(k) >= bound
 
     coxeter_ok: bool | None = None
-    if p >= 5 and r1 and r2 and c1 > 0 and cp > 0:
+    if p >= 5 and n_short and n_long and c1 > 0 and cp > 0:
         shorts = [cc for cc in comps if cc.count_long == 0]
         longs = [cc for cc in comps if cc.count_short == 0]
         if len(shorts) + len(longs) != len(comps):
@@ -164,10 +148,10 @@ def solve_candidates(lat: Lattice, p: int) -> SolveResult:
     """`solve_components` on the root components of a positive definite lattice."""
     if not lat.is_positive_definite():
         raise ValueError("solve_candidates expects the positive definite part of the model")
-    return solve_components(roots.root_components(lat, p), lat.rank)
+    return solve_components(roots.root_data(lat, p).components, lat.rank)
 
 
-def solve_components(comps: list[roots.RootComponent], rank: int) -> SolveResult:
+def solve_components(comps: Sequence[roots.RootComponent], rank: int) -> SolveResult:
     """Determine all multiplicities compatible with the component equations.
 
     `comps` are the root components of a positive definite lattice of the

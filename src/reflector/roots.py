@@ -7,10 +7,19 @@ roots of the remaining budget, so neither floating point nor Fraction work
 enters the search.  Root systems split into two classes relative to a prime
 p: ordinary roots of norm 2, and vectors of norm 2p that stay integral after
 division by p in the dual pairing (these reflect the lattice through
-rescaled mirrors).  Together they form one finite root system, enumerated
-once per (lattice, prime) as its positive roots: one root per +- pair, the
-one whose first nonzero coordinate is positive.  Everything else is derived
-from them: root counts are twice their number, and the irreducible
+rescaled mirrors).  Together they form one finite root system R, listed by
+`positive_roots` as one root per +- pair, the one whose first nonzero
+coordinate is positive.
+
+`root_data` summarises R once per (lattice, p) and keeps the result on the
+`Lattice`: the positive root counts, the irreducible components and the
+root-sum matrices that `reflcheck` reads.  On an orthogonal sum whose parts
+all have level 1 or p it joins the data of the parts, since then every root
+lies in one part (Bourbaki, Lie groups, ch. VI, 1): a norm-2 vector because
+each part is even, and a reflective norm-2p vector s because each nonzero
+piece s_i has w = s_i / p in the part's dual, so p w^2 is even and
+s_i^2 = p (p w^2) is at least 2p.  Any other lattice (an overlattice, T8, a
+sum with a part of another level) is enumerated on its whole Gram, and its
 components come from the simple roots for the lexicographic order of Z^n,
 each named from its rank and root counts through the ADE table and the
 short/long patterns of B, C, F4, G2.
@@ -190,12 +199,104 @@ def coxeter_number(name: str) -> int:
     raise ValueError(f"unknown root system {name!r}")
 
 
+class RootData(NamedTuple):
+    """The reflective root system R of a positive definite lattice at one prime.
+
+    `positive_short` and `positive_long` are |R1+| and |R2+|, the numbers of
+    positive roots of norm 2 and 2p; `components` are sorted by name, rank
+    and counts; `s1` and `s2` are sum (Gr)(Gr)^T over R1+ and over R2+.
+    """
+
+    positive_short: int
+    positive_long: int
+    components: tuple[RootComponent, ...]
+    s1: tuple[tuple[int, ...], ...]
+    s2: tuple[tuple[int, ...], ...]
+
+    @property
+    def span_short(self) -> int:
+        """n1, the rank of the span of R1.
+
+        The short roots of an irreducible root system span it, so this is
+        the total rank of the components that hold short roots.
+        """
+        return sum(c.rank for c in self.components if c.count_short)
+
+
+def root_data(lat: Lattice, p: int) -> RootData:
+    """The root data of lat at p, computed once per (lattice, p) and kept on lat.
+
+    A sum whose parts all have level 1 or p joins its parts' data (see the
+    module docstring); any other lattice is enumerated on its whole Gram.
+    """
+    memo = lat.root_data_memo
+    if p not in memo:
+        if lat.parts and all(part.level() in (1, p) for part in lat.parts):
+            memo[p] = _join([root_data(part, p) for part in lat.parts])
+        else:
+            r1, r2 = positive_roots(lat, p)
+            memo[p] = RootData(
+                positive_short=len(r1),
+                positive_long=len(r2),
+                components=tuple(_split_components(lat, p, r1, r2)),
+                s1=_root_sum_matrix(lat.gram, r1),
+                s2=_root_sum_matrix(lat.gram, r2),
+            )
+    return memo[p]
+
+
+def _join(parts: list[RootData]) -> RootData:
+    """The root data of an orthogonal sum whose roots each lie in one part."""
+    return RootData(
+        positive_short=sum(d.positive_short for d in parts),
+        positive_long=sum(d.positive_long for d in parts),
+        components=tuple(sorted((c for d in parts for c in d.components), key=_component_key)),
+        s1=_frozen(intmat.block_diagonal([d.s1 for d in parts])),
+        s2=_frozen(intmat.block_diagonal([d.s2 for d in parts])),
+    )
+
+
+def _frozen(matrix) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, matrix))
+
+
+def _root_sum_matrix(gram, vectors) -> tuple[tuple[int, ...], ...]:
+    """sum_v (Gv)(Gv)^T = G (sum_v v v^T) G over the given vectors, in integers.
+
+    Roots have few nonzero coordinates, so the outer products are summed on
+    the coordinates and multiplied by G once at the end.
+    """
+    n = len(gram)
+    total = [[0] * n for _ in range(n)]
+    for v in vectors:
+        nonzero = [(i, x) for i, x in enumerate(v) if x]
+        for i, x in nonzero:
+            row = total[i]
+            for j, y in nonzero:
+                row[j] += x * y
+    if vectors:  # the zero sum is left as is, also at rank 0, where mat_mul has no columns
+        total = intmat.mat_mul(intmat.mat_mul(gram, total), gram)
+    return _frozen(total)
+
+
 def root_components(lat: Lattice, p: int) -> list[RootComponent]:
-    """Irreducible components of the two-class reflective root system.
+    """Irreducible components of the two-class reflective root system, from `root_data`.
 
     alpha = (short count) / rank and beta = (long count) / (p * rank) are the
     per-component coefficients of the multiplicity equations; for a simply
     laced component made of short roots, alpha is its Coxeter number.
+    """
+    return list(root_data(lat, p).components)
+
+
+def _component_key(c: RootComponent):
+    return (c.name, c.rank, c.count_short, c.count_long)
+
+
+def _split_components(
+    lat: Lattice, p: int, r1: list[list[int]], r2: list[list[int]]
+) -> list[RootComponent]:
+    """The components of the root system whose positive roots are r1 and r2.
 
     The split runs on simple roots, which is exact because the norm-2 and
     the reflective norm-2p vectors together form a finite, reduced,
@@ -213,13 +314,6 @@ def root_components(lat: Lattice, p: int) -> list[RootComponent]:
     sum of roots from two orthogonal components.  The rank of a component
     is its number of simple roots.
     """
-    return _split_components(lat, p, *positive_roots(lat, p))
-
-
-def _split_components(
-    lat: Lattice, p: int, r1: list[list[int]], r2: list[list[int]]
-) -> list[RootComponent]:
-    """`root_components` on the roots `positive_roots(lat, p)` returned."""
     # a vector as one integer sum_i v_i base^(n-1-i); on vectors with every
     # |v_i| < base / 2, as roots and differences of two roots are, this is
     # additive, one-to-one and ordered like Z^n lexicographically
@@ -272,5 +366,5 @@ def _split_components(
                 beta=Fraction(nl, p * rank),
             )
         )
-    comps.sort(key=lambda c: (c.name, c.rank, c.count_short, c.count_long))
+    comps.sort(key=_component_key)
     return comps

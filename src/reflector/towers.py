@@ -49,8 +49,8 @@ def pullback_weight(k: int, c1: int, cp: int, dropped: Lattice, p: int) -> int:
     The jump (c1 |R1| + cp |R2|) / 2 is c1 |R1+| + cp |R2+| on the positive
     roots.
     """
-    r1, r2 = roots.positive_roots(dropped, p)
-    return k + c1 * len(r1) + cp * len(r2)
+    data = roots.root_data(dropped, p)
+    return k + c1 * data.positive_short + cp * data.positive_long
 
 
 def transfer_multiplicity(c1: int, cp: int, p: int) -> tuple[int, int]:

@@ -10,6 +10,7 @@ from reflector.catalog import (
     Catalog,
     default_catalog,
     definite_part,
+    e7_a1_overlattice,
     model_parts,
     normalize_expr,
     parse_lattice,
@@ -145,6 +146,19 @@ def test_t8_builds_are_independent():
     assert again == first and again.name == "T8"
     _, definite = definite_part("2U+T8", cat)
     assert definite == first
+
+
+def test_e7_a1_overlattice_is_built_once_per_catalog():
+    """Same catalog and p give the same lattice; a fresh catalog builds its own; T8 is its Gram."""
+    cat = Catalog()
+    over = e7_a1_overlattice(5, cat)
+    assert e7_a1_overlattice(5, cat) is over
+    assert cat.build("T8").gram == over.gram
+    fresh = Catalog()
+    again = e7_a1_overlattice(5, fresh)
+    assert again is not over and again == over
+    assert e7_a1_overlattice(13, cat) is not over
+    assert e7_a1_overlattice(13, cat) is e7_a1_overlattice(13, cat)
 
 
 def test_each_term_is_built_once_per_catalog():

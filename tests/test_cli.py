@@ -1,6 +1,7 @@
 """Command line surface: exit codes, text reports, and canonical JSON."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -64,6 +65,24 @@ def test_solve_json_pinned(capsys):
         '{"c":30,"c1":1,"count_long":24,"count_short":504,"cp":8,"k":24,'
         '"k_coeffs":null,"reason":"","status":"ray"}'
     )
+
+
+# `classify --prime 3 --format json` is 5375 bytes, so it is pinned by its sha256
+CLASSIFY_3_JSON_SHA256 = "268b255f1db923adb7cff649e2f9f35580d61f4f129d32fa5c47659b2e7c26bc"
+CHECK_E6_A2_JSON = (
+    '{"c":12,"c1":1,"checks":{"counting_identity":true,"coxeter_identity":null,'
+    '"matrix_identity":true,"singular_bound":true},"count_long":6,"count_short":78,'
+    '"cp":9,"k":90,"p":3,"passed":true,"rank":8,"span_short":8}\n'
+)
+
+
+def test_record_json_is_pinned(capsys):
+    """Classification records and a check report keep their canonical JSON byte for byte."""
+    code, out = run_cli(["classify", "--prime", "3", "--format", "json"], capsys)
+    assert code == 0 and len(out) == 5375
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_3_JSON_SHA256
+    argv = ["check", "--lattice", "2U+E6+A2", "--prime", "3", "--c1", "1", "--cp", "9", "--k", "90"]
+    assert run_cli(argv + ["--format", "json"], capsys) == (0, CHECK_E6_A2_JSON)
 
 
 def test_check_pass_and_fail_exit_codes(capsys):

@@ -82,6 +82,15 @@ def test_wrong_weight_fails():
     assert not rep.passed
 
 
+def test_matrix_identity_fails_across_parts_with_different_constants():
+    """E8 (C = 30) and A2 (C = 3) each pass alone; their sum has no one C."""
+    assert check_candidate(_definite("2U+E8+A2"), 3, 1, 0, 12).checks["matrix_identity"] is False
+    for expr, c in (("E8", 30), ("A2", 3)):
+        rep = check_candidate(CAT.build(expr), 3, 1, 0, 12)
+        assert rep.checks["matrix_identity"] is True, expr
+        assert rep.c == c, expr
+
+
 def test_wrong_multiplicity_fails():
     rep = check_candidate(_definite("2U+T4"), 5, 1, 4, 30)
     assert not rep.passed

@@ -3,6 +3,7 @@ and against a union-find over all pairs of roots."""
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 
 import pytest
 from helpers import (
@@ -16,13 +17,15 @@ from helpers import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reflector.catalog import default_catalog, definite_part, parse_lattice
-from reflector.lattices import Lattice
+from reflector import roots
+from reflector.catalog import Catalog, default_catalog, definite_part, parse_lattice
+from reflector.lattices import Lattice, direct_sum
 from reflector.reflcheck import check_candidate
 from reflector.roots import (
     coxeter_number,
     positive_roots,
     root_components,
+    root_data,
     short_vectors,
 )
 
@@ -265,3 +268,112 @@ def test_simple_root_split_matches_pairwise_oracle(model):
     report = check_candidate(lat, p, 1, 1, 0)
     assert report.span_short == span_rank(s1)
     assert (report.count_short, report.count_long) == (len(s1), len(s2))
+
+
+# -- root data joined from the parts of a sum --
+
+ADDITIVE_PRIMES = (2, 3, 5, 7, 11, 23)
+
+
+def _level_pieces(p: int) -> tuple[str, ...]:
+    """A_n, D_n, E_n, their v(p) and (p) forms, and L_p: the terms of level 1 or p."""
+    names = [f"A{n}" for n in range(1, MAX_SUM_RANK + 1)]
+    names += [f"D{n}" for n in range(4, MAX_SUM_RANK + 1)] + ["E6", "E7", "E8"]
+    names += [f"L{p}"] if p % 4 == 3 else []
+    out = []
+    for name in names:
+        for term in (name, f"{name}v({p})", f"{name}({p})"):
+            try:
+                lat = CAT.summands(term)[0][3]
+            except ValueError:  # a dual that is not integral or not even
+                continue
+            if lat.level() in (1, p):
+                out.append(term)
+    return tuple(out)
+
+
+LEVEL_PIECES = {p: _level_pieces(p) for p in ADDITIVE_PRIMES}
+
+
+@contextmanager
+def _short_vector_calls():
+    """The arguments of each `roots.short_vectors` call made inside the block."""
+    calls = []
+    inner = roots.short_vectors
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roots, "short_vectors", lambda *args: calls.append(args) or inner(*args))
+        yield calls
+
+
+def _sum_of(terms, cat=CAT) -> Lattice:
+    """The terms as the parts of one sum, even a single term."""
+    return direct_sum([s[3] for s in cat.summands("+".join(terms))], name="sum")
+
+
+@st.composite
+def level_p_sums(draw):
+    """(terms, p): 1-4 catalog pieces of level 1 or p, of total rank <= 12."""
+    p = draw(st.sampled_from(ADDITIVE_PRIMES))
+    terms, rank = [], 0
+    for term in draw(st.lists(st.sampled_from(LEVEL_PIECES[p]), min_size=1, max_size=4)):
+        piece = CAT.summands(term)[0][3]
+        if rank + piece.rank <= MAX_SUM_RANK:
+            terms.append(term)
+            rank += piece.rank
+    return terms, p
+
+
+@settings(max_examples=40, deadline=None)
+@given(level_p_sums())
+@example((["E8", "D4"], 2))  # E8 + F4
+@example((["D4", "D4v(2)", "E8(2)"], 2))
+@example((["A2", "E6v(3)", "A2v(3)"], 3))  # G2 + E6(3) + A2(3)
+@example((["A4", "A4v(5)"], 5))
+@example((["L7", "A6", "L7"], 7))
+@example((["A10"], 11))
+@example((["L23", "E8(23)"], 23))
+def test_root_data_of_a_sum_joins_its_parts(model):
+    """On a sum of level-1-or-p pieces the joined data equal the whole-Gram data:
+    counts, components, S1 and S2; once the parts are known, nothing is enumerated."""
+    terms, p = model
+    lat = _sum_of(terms)
+    for part in lat.parts:
+        root_data(part, p)
+    with _short_vector_calls() as calls:
+        joined = root_data(lat, p)
+    assert not calls
+    whole = root_data(Lattice(lat.gram), p)
+    assert joined == whole, (terms, p)
+    assert sum(c.count_short for c in joined.components) == 2 * joined.positive_short
+    assert sum(c.count_long for c in joined.components) == 2 * joined.positive_long
+
+
+@pytest.mark.parametrize("terms, p", [(["A2", "A1"], 5), (["D4", "A2"], 3)])
+def test_a_part_of_another_level_takes_the_whole_gram(terms, p):
+    """A2 + A1 has parts of level 3 and 4, D4 + A2 of level 2 and 3: not joined, still equal."""
+    lat = _sum_of(terms, Catalog())
+    assert any(part.level() not in (1, p) for part in lat.parts)
+    for part in lat.parts:
+        root_data(part, p)
+    with _short_vector_calls() as calls:
+        got = root_data(lat, p)
+    assert calls
+    assert got == root_data(Lattice(lat.gram), p)
+
+
+def test_root_data_are_enumerated_once_per_term_and_prime():
+    """A second call on a term, or a call on a new sum of known terms, enumerates nothing."""
+    cat = Catalog()
+    e8 = cat.build("E8")
+    first = root_data(e8, 3)
+    root_data(cat.build("A2"), 3)
+    with _short_vector_calls() as calls:
+        assert root_data(e8, 3) is first
+        _, definite = definite_part("2U+E8+A2", cat)
+        assert root_data(definite, 3).positive_short == 120 + 3
+        root_data(cat.parse("E8+2A2"), 3)
+        root_components(definite_part("2U+2A2+E8", cat)[1], 3)
+    assert not calls
+    with _short_vector_calls() as calls:
+        root_data(e8, 5)
+    assert len(calls) == 2  # a new prime: norm-2 vectors of G and of 5 G^-1
