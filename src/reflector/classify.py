@@ -540,53 +540,39 @@ def verdict_table(verify: bool = False, catalog=None) -> dict:
 # -- class numbers of reflective root data --
 
 
-def _component_menu(c: Fraction, p: int, c1: int, cp: int, max_rank: int):
-    """Irreducible components compatible with a common constant C.
-
-    Items are (label, rank, short roots, long roots, det of the lattice the
-    component generates); G2 components generate A2, long components X(p)
-    generate the rescaled lattice.
-    """
-    items = []
-    if p == 3 and c1 > 0 and cp > 0 and c == c1 * 3 + cp * 1:
-        items.append(("G2", 2, 6, 6, 3))
-    for rank in range(1, max_rank + 1):
-        for t in roots.ade_types(rank):
-            if c1 > 0 and c == c1 * t.coxeter:
-                items.append((t.name, rank, t.count, 0, t.det))
-            if cp > 0 and c == Fraction(cp * t.coxeter, p):
-                items.append((f"{t.name}({p})", rank, 0, t.count, t.det * p**rank))
-    return items
-
-
-def class_number_rootsystems(
-    rank: int, p: int, c1: int, cp: int, k: int, max_c: int = 40
-) -> list[dict]:
+def class_number_rootsystems(rank: int, p: int, c1: int, cp: int, k: int) -> list[dict]:
     """All reflective root data of the given rank, multiplicities, and weight.
 
-    A root datum is a multiset of irreducible components sharing one
-    constant C, whose total counts satisfy the counting identity; each datum
-    reports the lattice generated by its components.
+    A root datum is a multiset of irreducible components from
+    `roots.component_types` sharing one constant C = c1 alpha + cp beta,
+    whose total counts satisfy the counting identity; each datum reports the
+    determinant of the lattice its components span.  C ranges over exactly
+    the values c1 alpha + cp beta of the table entries of rank <= `rank`,
+    fractions included, with no upper limit.  C = 0 is among them when c1
+    or cp is 0: at cp = 0 every component made of long roots alone has
+    C = 0 (at c1 = 0, every one made of short roots alone).  At cp = 0 and
+    k = 12 c1 the counting identity holds for all of them, so every
+    long-only datum of the rank is listed.
     """
     if rank < 0:
         raise ValueError(f"rank must be nonnegative, not {rank}")
     reflcheck.check_multiplicities(c1, cp)
+    menus: dict[Fraction, list] = {}
+    for r in range(1, rank + 1):
+        for comp, _, det in roots.component_types(r, p):
+            menus.setdefault(c1 * comp.alpha + cp * comp.beta, []).append((comp, det))
     found = []
-    for c_int in range(1, max_c + 1):
-        c = Fraction(c_int)
-        menu = _component_menu(c, p, c1, cp, rank)
-        if not menu:
-            continue
+    for c, menu in menus.items():
 
         def extend(start: int, remaining: int, chosen: tuple):
             if remaining == 0:
-                a = sum(item[2] for item in chosen)
-                b = sum(item[3] for item in chosen)
+                a = sum(comp.count_short for comp, _ in chosen)
+                b = sum(comp.count_long for comp, _ in chosen)
                 if c == Fraction(c1 * a + cp * b + 2 * k, 24) - c1:
                     det = 1
-                    for item in chosen:
-                        det *= item[4]
-                    names = sorted(item[0] for item in chosen)
+                    for _, d in chosen:
+                        det *= d
+                    names = sorted(comp.name for comp, _ in chosen)
                     found.append(
                         {
                             "c": c,
@@ -598,8 +584,8 @@ def class_number_rootsystems(
                     )
                 return
             for i in range(start, len(menu)):
-                if menu[i][1] <= remaining:
-                    extend(i, remaining - menu[i][1], chosen + (menu[i],))
+                if menu[i][0].rank <= remaining:
+                    extend(i, remaining - menu[i][0].rank, chosen + (menu[i],))
 
         extend(0, rank, ())
         del extend  # it refers to itself through its cell; break the cycle
@@ -610,9 +596,10 @@ def class_number_rootsystems(
 def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=None) -> int:
     """Number of fingerprint classes of lattices carrying the given reflective data.
 
-    Each admissible root datum generates a definite lattice L; its
-    candidates are the even overlattices of determinant p^n_p and level p,
-    one per glue group, whose reflective root system is exactly the datum
+    Each admissible root datum spans a definite lattice L, the sum of its
+    components' spans in `roots.component_types`; its candidates are the
+    even overlattices of determinant p^n_p and level p, one per glue group,
+    whose reflective root system is exactly the datum
     (glue vectors may create extra roots, in which case the overlattice
     belongs to a different datum).  `even_overlattices` drops the glue that
     adds a norm-2 vector, which loses no candidate, as L is spanned by the
@@ -626,6 +613,9 @@ def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=
         raise ValueError(f"n_p must be nonnegative, not {n_p}")
     cat = catalog or cat_mod.default_catalog()
     target = p**n_p
+    spans = {
+        comp.name: span for r in range(1, rank + 1) for comp, span, _ in roots.component_types(r, p)
+    }
     total = 0
     for datum in class_number_rootsystems(rank, p, c1, cp, k):
         if datum["det"] % target != 0 or not _is_square(datum["det"] // target):
@@ -639,7 +629,7 @@ def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=
                 and sum(c.count_long for c in comps) == datum["count_long"]
             )
 
-        expr = "+".join("A2" if c == "G2" else c for c in datum["components"])
+        expr = "+".join(spans[c] for c in datum["components"])
         lat = direct_sum([summand[3] for summand in cat.summands(expr)])
         histograms = {
             tuple(sorted((n, len(v)) for n, v in roots.short_vectors(over.gram, 2 * p).items()))

@@ -91,8 +91,9 @@ def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckRepo
         if len(shorts) + len(longs) != len(comps):
             coxeter_ok = False
         else:
-            h1s = {roots.coxeter_number(cc.name) for cc in shorts}
-            h2s = {roots.coxeter_number(cc.name) for cc in longs}
+            # the Coxeter number of a short component is alpha, of a long one p beta
+            h1s = {cc.alpha for cc in shorts}
+            h2s = {p * cc.beta for cc in longs}
             if len(h1s) != 1 or len(h2s) != 1:
                 coxeter_ok = False
             else:

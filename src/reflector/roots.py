@@ -20,9 +20,14 @@ each part is even, and a reflective norm-2p vector s because each nonzero
 piece s_i has w = s_i / p in the part's dual, so p w^2 is even and
 s_i^2 = p (p w^2) is at least 2p.  Any other lattice (an overlattice, T8, a
 sum with a part of another level) is enumerated on its whole Gram, and its
-components come from the simple roots for the lexicographic order of Z^n,
-each named from its rank and root counts through the ADE table and the
-short/long patterns of B, C, F4, G2.
+components come from the simple roots for the lexicographic order of Z^n.
+
+`component_types(rank, p)` is the one table of irreducible reflective root
+systems: the ADE types, their rescalings X(p), B_n, C_n and F4 at p = 2, and
+G2 at p = 3, each with its root counts, its coefficients alpha and beta, and
+the lattice its roots span.  The simple-root split looks each component up
+there by rank and root counts, `reflcheck` reads Coxeter numbers off it, and
+`classify` draws the class-number menu and the spanned lattices from it.
 """
 
 from __future__ import annotations
@@ -156,47 +161,38 @@ def ade_types(rank: int) -> tuple[AdeType, ...]:
     return tuple(types)
 
 
-def _ade_name(rank: int, count: int) -> str:
+@cache
+def component_types(rank: int, p: int) -> tuple[tuple[RootComponent, str, int], ...]:
+    """The irreducible reflective root systems of one rank at p, as (component, span, det).
+
+    `span` is the catalog expression of the lattice the roots span and `det`
+    its determinant.  The table holds every ADE type X made of short roots,
+    which spans X; every X(p) made of long roots, which spans X(p); at p = 2,
+    B_n (n >= 2) spanning nA1, C_n (n >= 3) spanning D_n and F4 spanning D4;
+    and at p = 3, G2 spanning A2.  B_n has short roots +-e_i of norm 2 and
+    long roots +-e_i +- e_j of norm 4; C_n the reverse, with short roots
+    +-e_i +- e_j and long roots +-2e_i.  The Coxeter number of a component
+    is alpha when it has only short roots and p beta when it has only long
+    ones, and (count_short + count_long) / rank in general.
+    """
+
+    def entry(name: str, n_short: int, n_long: int, span: str, det: int):
+        alpha, beta = Fraction(n_short, rank), Fraction(n_long, p * rank)
+        return RootComponent(name, rank, n_short, n_long, alpha, beta), span, det
+
+    types = []
     for t in ade_types(rank):
-        if t.count == count:
-            return t.name
-    raise ValueError(f"no simply laced root system of rank {rank} with {count} roots")
-
-
-def _component_name(rank: int, n_short: int, n_long: int, p: int) -> str:
-    if n_long == 0:
-        return _ade_name(rank, n_short)
-    if n_short == 0:
-        return f"{_ade_name(rank, n_long)}({p})"
-    if p == 2:
-        if rank == 2 and n_short == 4 and n_long == 4:
-            return "B2"
-        if rank == 4 and n_short == 24 and n_long == 24:
-            return "F4"
-        if n_short == 2 * rank and n_long == 2 * rank * (rank - 1):
-            return f"B{rank}"
-        if n_short == 2 * rank * (rank - 1) and n_long == 2 * rank:
-            return f"C{rank}"
-    if p == 3 and rank == 2 and n_short == 6 and n_long == 6:
-        return "G2"
-    raise ValueError(
-        f"unrecognized component: rank {rank}, {n_short} short and {n_long} long roots at p={p}"
-    )
-
-
-def coxeter_number(name: str) -> int:
-    base = name.split("(")[0]
-    letter, n = base[0], int(base[1:])
-    if letter in ("B", "C"):
-        return 2 * n
-    if letter == "F":
-        return 12
-    if letter == "G":
-        return 6
-    for t in ade_types(n):
-        if t.name == base:
-            return t.coxeter
-    raise ValueError(f"unknown root system {name!r}")
+        types.append(entry(t.name, t.count, 0, t.name, t.det))
+        types.append(entry(f"{t.name}({p})", 0, t.count, f"{t.name}({p})", t.det * p**rank))
+    if p == 2 and rank >= 2:
+        types.append(entry(f"B{rank}", 2 * rank, 2 * rank * (rank - 1), f"{rank}A1", 2**rank))
+    if p == 2 and rank >= 3:
+        types.append(entry(f"C{rank}", 2 * rank * (rank - 1), 2 * rank, f"D{rank}", 4))
+    if p == 2 and rank == 4:
+        types.append(entry("F4", 24, 24, "D4", 4))
+    if p == 3 and rank == 2:
+        types.append(entry("G2", 6, 6, "A2", 3))
+    return tuple(types)
 
 
 class RootData(NamedTuple):
@@ -312,7 +308,8 @@ def _split_components(
     classes of the simple roots under non-orthogonality.  A non-simple b
     lies in the component of the a found for it, since a root is never the
     sum of roots from two orthogonal components.  The rank of a component
-    is its number of simple roots.
+    is its number of simple roots, and the component is the
+    `component_types` entry with that rank and its root counts.
     """
     # a vector as one integer sum_i v_i base^(n-1-i); on vectors with every
     # |v_i| < base / 2, as roots and differences of two roots are, this is
@@ -355,16 +352,16 @@ def _split_components(
 
     comps = []
     for c, rank in ranks.items():
-        ns, nl = 2 * n_short[c], 2 * n_long[c]
-        comps.append(
-            RootComponent(
-                name=_component_name(rank, ns, nl, p),
-                rank=rank,
-                count_short=ns,
-                count_long=nl,
-                alpha=Fraction(ns, rank),
-                beta=Fraction(nl, p * rank),
-            )
+        counts = (2 * n_short[c], 2 * n_long[c])
+        comp = next(
+            (t for t, _, _ in component_types(rank, p) if (t.count_short, t.count_long) == counts),
+            None,
         )
+        if comp is None:
+            raise ValueError(
+                f"unrecognized component: rank {rank}, {counts[0]} short and {counts[1]} long"
+                f" roots at p={p}"
+            )
+        comps.append(comp)
     comps.sort(key=_component_key)
     return comps

@@ -346,6 +346,8 @@ def pairwise_root_components(lat, p: int) -> list[roots.RootComponent]:
 
     Two roots of `signed_roots` are joined when their inner product is
     nonzero, and the rank of a component is the rank of the span of its roots.
+    Each component takes the name of the `roots.component_types` entry with
+    its rank and root counts; ValueError when there is none.
     """
     r1, r2 = signed_roots(lat, p)
     labeled = [(v, 0) for v in r1] + [(v, 1) for v in r2]
@@ -373,9 +375,16 @@ def pairwise_root_components(lat, p: int) -> list[roots.RootComponent]:
         n_short = sum(1 for i in members if labeled[i][1] == 0)
         n_long = len(members) - n_short
         rank = span_rank([labeled[i][0] for i in members])
+        names = [
+            t.name
+            for t, _, _ in roots.component_types(rank, p)
+            if (t.count_short, t.count_long) == (n_short, n_long)
+        ]
+        if not names:
+            raise ValueError(f"no table entry of rank {rank} with {n_short} + {n_long} roots")
         comps.append(
             roots.RootComponent(
-                name=roots._component_name(rank, n_short, n_long, p),
+                name=names[0],
                 rank=rank,
                 count_short=n_short,
                 count_long=n_long,

@@ -19,6 +19,7 @@ from reflector.classify import (
     root_lattice_dets,
     spanning_root_lattice_exists,
     stored_cases_for,
+    table_rows,
     verdict_table,
 )
 from reflector.discforms import parse_genus
@@ -302,11 +303,63 @@ def test_class_number_root_data():
     assert ("A3", "D7(3)") in by_components
     assert ("E6(3)", "G2", "G2") in by_components
     for d in data:
+        assert set(d) == {"c", "components", "count_short", "count_long", "det"}
         assert d["c"] == 4
         assert d["count_short"] == 12
         assert d["count_long"] == 84
     assert by_components[("A3", "D7(3)")]["det"] == 34992
     assert by_components[("E6(3)", "G2", "G2")]["det"] == 19683
+
+
+# 2U rows whose datum is B_n, C_n or F4 at p = 2, G2 at p = 3, or long roots
+# alone at cp = 0 (C = 0), as (model, c1, cp)
+OWN_DATUM_ROWS = [
+    ("2U+D4", 1, 0), ("2U+D8", 1, 0), ("2U+2D4", 1, 0), ("2U+D8v(2)", 1, 0),
+    ("2U+D4", 0, 1), ("2U+2D4", 0, 1), ("2U+D8v(2)", 0, 1),
+    ("2U+E8+D4", 1, 8), ("2U+D8+D4", 1, 4), ("2U+D8v(2)+D4", 1, 1),
+    ("2U+A2", 1, 0), ("2U+2A2", 1, 0), ("2U+3A2", 1, 0), ("2U+E6v(3)", 1, 0),
+    ("2U+A2", 0, 1), ("2U+2A2", 0, 1), ("2U+3A2", 0, 1),
+    ("2U+A4v(5)", 1, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "model, c1, cp", OWN_DATUM_ROWS, ids=[f"{m} ({a},{b})" for m, a, b in OWN_DATUM_ROWS]
+)
+def test_a_two_u_row_counts_its_own_datum(model, c1, cp):
+    """The lattice K of a row 2U + K carries its own root datum, so its class
+    number at the row's rank, prime, multiplicities, weight and p-rank is >= 1."""
+    [(label, k)] = [(g, kk) for g, m, a, b, kk in table_rows() if (m, a, b) == (model, c1, cp)]
+    genus = parse_genus(label)
+    _, lat = definite_part(model)
+    datum = sorted(c.name for c in root_components(lat, genus.p))
+    data = class_number_rootsystems(lat.rank, genus.p, c1, cp, k)
+    assert datum in [d["components"] for d in data]
+    assert class_number(lat.rank, genus.p, c1, cp, k, genus.n_p) >= 1
+
+
+def test_the_menu_reaches_constants_past_forty():
+    """E8 at c1 = 2 has C = 2 h(E8) = 60; C has no upper limit."""
+    assert ["E8"] in [d["components"] for d in class_number_rootsystems(8, 3, 2, 0, 504)]
+
+
+# the 23 Niemeier root systems (Conway and Sloane, Sphere Packings, Lattices
+# and Groups, ch. 16), as {component: multiplicity}
+NIEMEIER = [
+    {"D24": 1}, {"D16": 1, "E8": 1}, {"E8": 3}, {"A24": 1}, {"D12": 2}, {"A17": 1, "E7": 1},
+    {"D10": 1, "E7": 2}, {"A15": 1, "D9": 1}, {"D8": 3}, {"A12": 2},
+    {"A11": 1, "D7": 1, "E6": 1}, {"E6": 4}, {"A9": 2, "D6": 1}, {"D6": 4}, {"A8": 3},
+    {"A7": 2, "D5": 2}, {"A6": 4}, {"A5": 4, "D4": 1}, {"D4": 6}, {"A4": 6}, {"A3": 8},
+    {"A2": 12}, {"A1": 24},
+]
+
+
+def test_short_root_data_of_rank_24_are_the_niemeier_root_systems():
+    """At (c1, cp, k) = (1, 0, 12) the data without long roots are the rank-24
+    root systems whose components share one Coxeter number h = C."""
+    data = class_number_rootsystems(24, 3, 1, 0, 12)
+    got = sorted(d["components"] for d in data if d["count_long"] == 0)
+    assert got == sorted(sorted(n for n, m in r.items() for _ in range(m)) for r in NIEMEIER)
 
 
 @pytest.mark.parametrize(

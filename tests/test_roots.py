@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 from helpers import (
@@ -22,7 +23,7 @@ from reflector.catalog import Catalog, default_catalog, definite_part, parse_lat
 from reflector.lattices import Lattice, direct_sum
 from reflector.reflcheck import check_candidate
 from reflector.roots import (
-    coxeter_number,
+    component_types,
     positive_roots,
     root_components,
     root_data,
@@ -107,30 +108,44 @@ def test_odd_rescaled_dual_still_gives_long_roots():
     assert comps == pairwise_root_components(lat, 2)
 
 
+# the classical Coxeter numbers (Bourbaki, Lie groups, ch. VI, planches)
+COXETER_NUMBERS = {
+    "A1": 2,
+    "A2": 3,
+    "A4": 5,
+    "G2": 6,
+    "D4": 6,
+    "F4": 12,
+    "E6": 12,
+    "B8": 16,
+    "C8": 16,
+    "E7": 18,
+    "E8": 30,
+}
+
+
+def table_entry(name: str, p: int):
+    """The `component_types` entry named `name` at p, as (component, span, det)."""
+    rank = int(name.split("(")[0][1:])
+    return next(e for e in component_types(rank, p) if e[0].name == name)
+
+
 def test_component_counts_are_coxeter_consistent():
-    """Within one component, count_short + count_long = rank * coxeter number."""
+    """Within one component, count_short + count_long = rank * coxeter number,
+    and the component is its table entry."""
     for expr, p in (("2U+D4", 2), ("2U+A2", 3), ("2U+D8", 2), ("2U+D8v(2)", 2)):
         _, lat = definite_part(expr, CAT)
         for c in root_components(lat, p):
-            assert c.count_short + c.count_long == c.rank * coxeter_number(c.name)
+            assert c == table_entry(c.name, p)[0]
+            assert c.count_short + c.count_long == c.rank * COXETER_NUMBERS[c.name]
 
 
 def test_coxeter_numbers():
-    table = {
-        "A1": 2,
-        "A2": 3,
-        "A4": 5,
-        "G2": 6,
-        "D4": 6,
-        "F4": 12,
-        "E6": 12,
-        "B8": 16,
-        "C8": 16,
-        "E7": 18,
-        "E8": 30,
-    }
-    for name, h in table.items():
-        assert coxeter_number(name) == h, name
+    """(short + long) / rank of each table entry is its Coxeter number; the
+    non-simply laced ones live at p = 2 (B, C, F) and p = 3 (G)."""
+    for name, h in COXETER_NUMBERS.items():
+        comp, _, _ = table_entry(name, 3 if name == "G2" else 2)
+        assert Fraction(comp.count_short + comp.count_long, comp.rank) == h, name
 
 
 def test_span_rank_of_full_root_systems():
@@ -260,6 +275,8 @@ def test_simple_root_split_matches_pairwise_oracle(model):
         return
     got = root_components(lat, p)
     assert got == want
+    for c in got:  # name, counts, alpha and beta are those of a table entry
+        assert c in [t for t, _, _ in component_types(c.rank, p)]
     r1, r2 = positive_roots(lat, p)
     assert sum(c.count_short for c in got) == 2 * len(r1)
     assert sum(c.count_long for c in got) == 2 * len(r2)
