@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 from . import catalog as cat_mod
 from . import discforms, etaq, reflcheck, roots, towers
@@ -552,7 +552,9 @@ def class_number_rootsystems(rank: int, p: int, c1: int, cp: int, k: int) -> lis
     or cp is 0: at cp = 0 every component made of long roots alone has
     C = 0 (at c1 = 0, every one made of short roots alone).  At cp = 0 and
     k = 12 c1 the counting identity holds for all of them, so every
-    long-only datum of the rank is listed.
+    long-only datum of the rank is listed.  The search visits one node per
+    partial multiset, on an explicit stack, and raises
+    `discforms.BudgetExceeded` past `discforms.BUDGET` nodes.
     """
     if rank < 0:
         raise ValueError(f"rank must be nonnegative, not {rank}")
@@ -562,33 +564,47 @@ def class_number_rootsystems(rank: int, p: int, c1: int, cp: int, k: int) -> lis
         for comp, _, det in roots.component_types(r, p):
             menus.setdefault(c1 * comp.alpha + cp * comp.beta, []).append((comp, det))
     found = []
+    nodes = 0
     for c, menu in menus.items():
-
-        def extend(start: int, remaining: int, chosen: tuple):
-            if remaining == 0:
-                a = sum(comp.count_short for comp, _ in chosen)
-                b = sum(comp.count_long for comp, _ in chosen)
-                if c == Fraction(c1 * a + cp * b + 2 * k, 24) - c1:
-                    det = 1
-                    for _, d in chosen:
-                        det *= d
-                    names = sorted(comp.name for comp, _ in chosen)
-                    found.append(
-                        {
-                            "c": c,
-                            "components": names,
-                            "count_short": a,
-                            "count_long": b,
-                            "det": det,
-                        }
-                    )
-                return
-            for i in range(start, len(menu)):
-                if menu[i][0].rank <= remaining:
-                    extend(i, remaining - menu[i][0].rank, chosen + (menu[i],))
-
-        extend(0, rank, ())
-        del extend  # it refers to itself through its cell; break the cycle
+        # depth first over the multisets of menu entries taken in menu order,
+        # on an explicit stack of [next entry to try, rank left, short count,
+        # long count] frames, one per node; `chosen` holds the entries taken
+        chosen: list[tuple] = []
+        stack = [[0, rank, 0, 0]]
+        nodes += 1
+        while stack:
+            frame = stack[-1]
+            i, remaining, a, b = frame
+            while i < len(menu) and menu[i][0].rank > remaining:
+                i += 1
+            if i == len(menu):
+                stack.pop()
+                if chosen:
+                    chosen.pop()
+                continue
+            frame[0] = i + 1
+            nodes += 1
+            if nodes > discforms.BUDGET:
+                raise discforms.BudgetExceeded(
+                    f"root datum search passed {discforms.BUDGET} nodes at rank {rank}"
+                )
+            comp = menu[i][0]
+            chosen.append(menu[i])
+            a, b = a + comp.count_short, b + comp.count_long
+            if remaining > comp.rank:
+                stack.append([i, remaining - comp.rank, a, b])
+                continue
+            if c == Fraction(c1 * a + cp * b + 2 * k, 24) - c1:
+                found.append(
+                    {
+                        "c": c,
+                        "components": sorted(entry.name for entry, _ in chosen),
+                        "count_short": a,
+                        "count_long": b,
+                        "det": prod(det for _, det in chosen),
+                    }
+                )
+            chosen.pop()
     found.sort(key=lambda d: (d["c"], d["components"]))
     return found
 

@@ -9,6 +9,13 @@ and the value counts of their forms off closed formulas, and performs the
 overlattice constructions (isotropic subgroups, even overlattices) that the
 classification needs.
 
+The discriminant form of a lattice is computed once and kept on the
+`Lattice` (`discriminant_form`), and so is the table of classes whose
+cosets hold a vector of norm <= 2, with their minimum norms
+(`short_cosets`).  The root classes that a glue group must miss are added
+up from the tables of the parts of an orthogonal sum, so the dual of a sum
+is never enumerated as a whole, and a catalog term is enumerated once.
+
 Value statistics of a form come from one integer pass over D, made at most
 once per form: it counts the values x^T B x times the common denominator of
 B, and both the norm counts and the Gauss sum are read off those counts.
@@ -691,29 +698,119 @@ def glue_overlattice(
     return Lattice(gram2)
 
 
-def root_classes(lat: Lattice, form: DiscriminantForm, order: int) -> frozenset:
-    """The nonzero x in D(L) of order dividing `order` whose coset x + L holds a
-    norm-2 vector, for L definite.
+def discriminant_form(lat: Lattice) -> DiscriminantForm:
+    """`DiscriminantForm.from_lattice(lat)`, computed once per lattice and kept on it."""
+    memo = lat.discform_memo
+    if "form" not in memo:
+        memo["form"] = DiscriminantForm.from_lattice(lat)
+    return memo["form"]
 
-    `form` is `DiscriminantForm.from_lattice(lat)`.  The dual vector G^-1 c
-    lies in `form.element_of(c)` and has norm c^T adj(G) c / det.  The c
-    whose element has order dividing `order` form the lattice C spanned by
-    G Z^n and the lifts (o / gcd(o, order)) g of the generators g of D, so
-    one `short_vectors` call on the adjugate's Gram over a basis of C finds
-    the norm-2 ones, and no dual vector outside C is enumerated.
+
+def short_cosets(lat: Lattice) -> dict[int, dict[int, list[tuple[int, ...]]]]:
+    """The nonzero x in D(L) whose coset x + L holds a vector of norm <= 2, for L
+    positive definite, by the order of x and then by det(L) times the
+    minimum norm of x + L.
+
+    Computed once per lattice and kept on it.  The dual vector G^-1 c lies
+    in `element_of(c)` and has norm c^T adj(G) c / det, so one
+    `short_vectors` call on the adjugate lists every dual vector of norm
+    <= 2, in increasing norm; x and -x are recorded together.
     """
-    det = lat.det()
-    lifts = [[o // gcd(o, order) * w[i] for w in form.gens] for i, o in enumerate(form.orders)]
-    basis = intmat.row_hermite_form([list(row) for row in lat.gram] + lifts)
-    to_c = intmat.transpose(basis)
-    gram = intmat.mat_mul(intmat.mat_mul(basis, lat.adjugate()), to_c)
-    found = set()
-    for z in roots.short_vectors(gram, 2 * det).get(2 * det, []):
-        x = form.element_of(intmat.mat_vec(to_c, z))
-        if any(x):
-            found.add(x)
-            found.add(tuple(-a % o for a, o in zip(x, form.orders)))
-    return frozenset(found)
+    memo = lat.discform_memo
+    if "short" not in memo:
+        form = discriminant_form(lat)
+        table: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+        seen = set()
+        for norm, vecs in roots.short_vectors(lat.adjugate(), 2 * lat.det()).items():
+            for c in vecs:
+                x = form.element_of(c)
+                if any(x) and x not in seen:
+                    pair = {x, tuple(-a % o for a, o in zip(x, form.orders))}
+                    seen |= pair
+                    x_order = lcm(*(o // gcd(o, a) for a, o in zip(x, form.orders)))
+                    table.setdefault(x_order, {}).setdefault(norm, []).extend(sorted(pair))
+        memo["short"] = table
+    return memo["short"]
+
+
+def root_classes(lat: Lattice, order: int) -> frozenset:
+    """The nonzero x in D(L) of order dividing `order` whose coset x + L holds a
+    norm-2 vector, for L positive definite, from the cosets of its parts.
+
+    L is the orthogonal sum of its parts P (L itself when it is not a sum),
+    so D(L) is the sum of the D(P), and the minimum norm of x + L is the sum
+    of the minima of the part cosets x_P + P (Conway and Sloane, Sphere
+    Packings, Lattices and Groups, ch. 4 and 16).  L is even, so every norm
+    in x + L is 2 q(x) mod 2.  Hence a nonzero x holds a norm-2 vector
+    exactly when its part minima add up to 2: a sum below 2 could reach 2
+    only by adding 2 on a part whose minimum is 0, and then x would be 0.
+
+    Each part's `short_cosets` are read once per part (and kept on it);
+    those of order dividing `order` are grouped by minimum, as an integer
+    over the lcm of the part determinants.  A pass over the parts then
+    keeps, by the norm spent so far, the partial sums in D(L) (the
+    `discriminant_form` of L) from which the later parts can still reach
+    exactly 2.  A part class enters D(L) through the images of the part's
+    generators, the identity when the part is L, and only when its minimum
+    is used.
+    """
+    parts = lat.parts or (lat,)
+    form = discriminant_form(lat)
+    orders = form.orders
+    den = lcm(*(part.det() for part in parts))
+    steps = []  # (part, its first coordinate in L, part classes by scaled minimum)
+    offset = 0
+    for part in parts:
+        start, offset = offset, offset + part.rank
+        if gcd(part.det(), order) == 1:  # no nonzero class of D(P) has order dividing it
+            continue
+        by_norm: dict[int, list[tuple[int, ...]]] = {}
+        for x_order, by_min in short_cosets(part).items():
+            if order % x_order == 0:
+                for norm, xs in by_min.items():
+                    by_norm.setdefault(norm * (den // part.det()), []).extend(xs)
+        steps.append((part, start, by_norm))
+    # left[i]: the norms the parts of steps[i:] can still add, up to 2
+    left = [{0}]
+    for _, _, by_norm in reversed(steps):
+        left.append({s + t for s in left[-1] for t in (0, *by_norm) if s + t <= 2 * den})
+    left.reverse()
+    zero = tuple(0 for _ in orders)
+    spent = {0: {zero}}
+    for i, (part, start, by_norm) in enumerate(steps):
+        if part is lat:
+            mapped = by_norm
+        else:
+            pform = discriminant_form(part)
+            pad = [0] * start, [0] * (lat.rank - start - part.rank)
+            images = [
+                form.element_of(pad[0] + [row[j] for row in pform.gens] + pad[1])
+                for j in range(len(pform.orders))
+            ]
+            # per coordinate of D(L): its order and its coefficients in the images
+            cols = list(zip(orders, zip(*images)))
+            mapped = {}
+        grown: dict[int, set] = {}
+        for s, elems in spent.items():
+            for t in (0, *by_norm):
+                if 2 * den - s - t not in left[i + 1]:
+                    continue
+                bucket = grown.setdefault(s + t, set())
+                if t == 0:
+                    bucket.update(elems)
+                    continue
+                if t not in mapped:
+                    mapped[t] = [
+                        tuple(sum(map(mul, x, col)) % o for o, col in cols) for x in by_norm[t]
+                    ]
+                if elems == {zero}:
+                    bucket.update(mapped[t])
+                else:
+                    bucket.update(
+                        tuple(map(mod, map(add, e, y), orders)) for e in elems for y in mapped[t]
+                    )
+        spent = grown
+    return frozenset(spent.get(2 * den, ()))
 
 
 def even_overlattices(lat: Lattice, target_det: int, level: int) -> list[Lattice]:
@@ -723,8 +820,10 @@ def even_overlattices(lat: Lattice, target_det: int, level: int) -> list[Lattice
     correspond to isotropic subgroups H <= D(L), with [M : L]^2 =
     |det L| / |det M| (Nikulin).  M, the union of the cosets h + L over h
     in H, has a norm-2 vector outside L exactly when H meets
-    `root_classes`, and the search drops those H.  The pool-size budget
-    check (`_pool_scan`) runs before `root_classes` enumerates any vector.
+    `root_classes`, and the search drops those H.  The steps run in this
+    order: the pool-size budget check (`_pool_scan`) on L's
+    `discriminant_form`; then `root_classes`, which enumerates vectors only
+    for parts of L whose `short_cosets` are not yet kept; then the search.
     An H is skipped unless the level of D(M) = H^perp / H, read off H by
     `glue_level`, equals `level`; each M that is built is checked to have
     that determinant and level.  One overlattice is returned per glue
@@ -742,10 +841,10 @@ def even_overlattices(lat: Lattice, target_det: int, level: int) -> list[Lattice
         return []
     if m == 1:
         return [lat] if lat.level() == level else []
-    form = DiscriminantForm.from_lattice(lat)
+    form = discriminant_form(lat)
     _pool_scan(form, m, BUDGET)
     results = []
-    for sub in isotropic_subgroups(form, m, avoid=root_classes(lat, form, m)):
+    for sub in isotropic_subgroups(form, m, avoid=root_classes(lat, m)):
         if glue_level(form, sub) != level:
             continue
         over = glue_overlattice(lat, form, sub)

@@ -18,7 +18,11 @@ level is the lcm of the levels.  Every other lattice takes its determinant
 from Bareiss elimination at construction, which is also its degeneracy
 check; for a sum, the product of nonzero determinants is that check.  The
 root data of `roots.root_data` are kept on the lattice too, one entry per
-prime, and a sum joins them from its parts where it can.
+prime, and a sum joins them from its parts where it can.  So are the
+discriminant form of `discforms.discriminant_form` and the table of cosets
+x + L that hold a vector of norm <= 2, from which `discforms.root_classes`
+assembles the root classes of a sum part by part.  Neither memo refers back
+to its lattice.
 """
 
 from __future__ import annotations
@@ -101,6 +105,11 @@ class Lattice:
     @cached_property
     def root_data_memo(self) -> dict:
         """The reflective root data by prime, filled in by `roots.root_data`."""
+        return {}
+
+    @cached_property
+    def discform_memo(self) -> dict:
+        """The discriminant form and its short coset classes, filled in by `discforms`."""
         return {}
 
     def dual_gram(self) -> list[list[Fraction]]:

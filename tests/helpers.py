@@ -10,8 +10,9 @@ come from testing every pair of roots, taken with both signs, for a nonzero
 inner product, span ranks come from row elimination over Z, the
 level and rescaled duals of a lattice come from a Fraction Gauss-Jordan
 inverse of its Gram, isotropic subgroups come from closures that test q
-on every element they add, and the genus of a rescaled dual comes from the
-complementary p-rank and the Milgram octant.  The sign of a prime-level
+on every element they add, the root classes of a discriminant form come
+from the norm-2 vectors of the whole dual, and the genus of a rescaled
+dual comes from the complementary p-rank and the Milgram octant.  The sign of a prime-level
 genus, which the library reads off the signature alone, is computed here
 along two routes that look at the Gram itself: the exact Gauss sum of the
 discriminant form, and the Legendre symbols of a p-adic Jordan splitting.
@@ -22,10 +23,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from reflector import intmat, roots
@@ -229,6 +232,32 @@ def isotropic_subgroups_by_closure(
                     results.append(grown)
         frontier = nxt
     return sorted((tuple(sorted(sub)) for sub in results), key=lambda sub: (len(sub), sub))
+
+
+def root_classes_by_dual_enumeration(lat, form: DiscriminantForm, order: int) -> frozenset:
+    """The nonzero x in D(L) of order dividing `order` whose coset x + L holds a
+    norm-2 vector, for L positive definite, from the norm-2 vectors of the
+    whole dual of L that lie in those cosets.
+
+    `form` is `DiscriminantForm.from_lattice(lat)`.  The dual vector G^-1 c
+    lies in `form.element_of(c)` and has norm c^T adj(G) c / det.  The c
+    whose element has order dividing `order` form the lattice C spanned by
+    G Z^n and the lifts (o / gcd(o, order)) g of the generators g of D, and
+    one `short_vectors` call on the adjugate's Gram over a Hermite basis of
+    C finds the norm-2 ones; no part of L is looked at on its own.
+    """
+    det = lat.det()
+    lifts = [[o // gcd(o, order) * w[i] for w in form.gens] for i, o in enumerate(form.orders)]
+    basis = intmat.row_hermite_form([list(row) for row in lat.gram] + lifts)
+    to_c = intmat.transpose(basis)
+    gram = intmat.mat_mul(intmat.mat_mul(basis, lat.adjugate()), to_c)
+    found = set()
+    for z in roots.short_vectors(gram, 2 * det).get(2 * det, []):
+        x = form.element_of(intmat.mat_vec(to_c, z))
+        if any(x):
+            found.add(x)
+            found.add(tuple(-a % o for a, o in zip(x, form.orders)))
+    return frozenset(found)
 
 
 def gauss_exponents(orders: tuple[int, ...], bilinear, m: int) -> list[int]:
@@ -486,3 +515,13 @@ def in_random_basis(draw, gram, coeff: int = 1) -> list[list[int]]:
         [sum(u[a] * gram[a][b] * v[b] for a in range(n) for b in range(n)) for v in basis]
         for u in basis
     ]
+
+
+@contextmanager
+def short_vector_calls():
+    """The arguments of each `roots.short_vectors` call made inside the block."""
+    calls = []
+    inner = roots.short_vectors
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roots, "short_vectors", lambda *args: calls.append(args) or inner(*args))
+        yield calls

@@ -6,7 +6,7 @@ import gc
 import pytest
 
 from reflector import classify as classify_mod
-from reflector import etaq
+from reflector import discforms, etaq
 from reflector.catalog import default_catalog, definite_part, e7_a1_overlattice
 from reflector.classify import (
     apply_bounds,
@@ -360,6 +360,17 @@ def test_short_root_data_of_rank_24_are_the_niemeier_root_systems():
     data = class_number_rootsystems(24, 3, 1, 0, 12)
     got = sorted(d["components"] for d in data if d["count_long"] == 0)
     assert got == sorted(sorted(n for n, m in r.items() for _ in range(m)) for r in NIEMEIER)
+
+
+@pytest.mark.parametrize("p, listed, nodes", [(3, 10493, 38986), (2, 12109, 46469)])
+def test_root_datum_search_is_charged_by_node(monkeypatch, p, listed, nodes):
+    """Every long-only datum of rank 24 is listed within the budget; the search
+    visits `nodes` partial multisets, and one node fewer raises."""
+    monkeypatch.setattr(discforms, "BUDGET", nodes)
+    assert len(class_number_rootsystems(24, p, 1, 0, 12)) == listed
+    monkeypatch.setattr(discforms, "BUDGET", nodes - 1)
+    with pytest.raises(discforms.BudgetExceeded):
+        class_number_rootsystems(24, p, 1, 0, 12)
 
 
 @pytest.mark.parametrize(

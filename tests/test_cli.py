@@ -347,6 +347,20 @@ def test_classnumber_past_the_budget_exits_three(capsys):
     assert out == ""
 
 
+def test_classnumber_of_a_huge_rank_exits_three(capsys):
+    """At rank 2000 the root datum search passes its node budget, on an explicit
+    stack, long before Python's recursion limit could matter."""
+    argv = ["classnumber", "--rank", "2000", "--prime", "3", "--c1", "1", "--cp", "1",
+            "--k", "12", "--np", "1"]
+    start = time.perf_counter()
+    code, out, err = run_cli_err(argv, capsys)
+    assert time.perf_counter() - start < 10
+    assert code == 3
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "genus, code",
     [

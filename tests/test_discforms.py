@@ -19,8 +19,10 @@ from helpers import (
     isotropic_subgroups_by_closure,
     poly_divmod,
     q_values,
+    root_classes_by_dual_enumeration,
+    short_vector_calls,
 )
-from reflector.catalog import default_catalog, definite_part, parse_lattice
+from reflector.catalog import Catalog, default_catalog, definite_part, parse_lattice
 from reflector.discforms import (
     BudgetExceeded,
     DiscriminantForm,
@@ -37,6 +39,7 @@ from reflector.discforms import (
     candidate_form,
     elementary_count_norm,
     parse_genus,
+    root_classes,
     splits_u_up,
 )
 from reflector.lattices import Lattice
@@ -598,6 +601,79 @@ def test_avoided_elements_drop_exactly_the_subgroups_that_meet_them(form, order,
     avoid = frozenset(data.draw(st.lists(st.sampled_from(elements), max_size=4)))
     want = [sub for sub in full if avoid.isdisjoint(sub)]
     assert isotropic_subgroups(form, order, budget=10**5, avoid=avoid) == want
+
+
+# -- root classes from per-part coset minima --
+
+MAX_ROOT_CLASS_RANK = 10
+
+
+def _root_class_pieces() -> tuple[str, ...]:
+    """A_n, D_n, E_n, their (p) and v(p) forms at p = 2, 3, 5, 7, and L7, L11,
+    each of |det| below 10^6."""
+    names = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
+    terms = ["L7", "L11"] + [
+        term
+        for name in names
+        for term in [name] + [f"{name}{dual}({p})" for p in (2, 3, 5, 7) for dual in ("", "v")]
+    ]
+    out = []
+    for term in terms:
+        try:
+            lat = CAT.summands(term)[0][3]
+        except ValueError:  # a dual that is not integral or not even
+            continue
+        if lat.det() < 10**6:
+            out.append(term)
+    return tuple(out)
+
+
+ROOT_CLASS_PIECES = _root_class_pieces()
+
+
+@st.composite
+def root_class_cases(draw):
+    """(expression, order): 1-4 catalog pieces of total rank <= 10 and |det| below
+    10^6, so that the whole-dual oracle runs in well under a second, and an order
+    in {2, 3, 4, 5, 9} that shares a prime with det when one does."""
+    terms, rank, det = [], 0, 1
+    for term in draw(st.lists(st.sampled_from(ROOT_CLASS_PIECES), min_size=1, max_size=4)):
+        piece = CAT.summands(term)[0][3]
+        if rank + piece.rank <= MAX_ROOT_CLASS_RANK and det * piece.det() < 10**6:
+            terms.append(term)
+            rank += piece.rank
+            det *= piece.det()
+    orders = [m for m in (2, 3, 4, 5, 9) if gcd(m, det) > 1] or [2, 3, 4, 5, 9]
+    return "+".join(terms), draw(st.sampled_from(orders))
+
+
+@settings(max_examples=100, deadline=None)
+@given(root_class_cases())
+@example(("E6(3)+A2", 3))
+@example(("3A1+A5(3)", 4))
+@example(("E6(3)", 9))
+@example(("E7+A1(5)", 5))
+def test_root_classes_match_whole_dual_enumeration(case):
+    """Adding up the coset minima of the parts finds the classes that the norm-2
+    vectors of the whole dual find."""
+    expr, order = case
+    lat = parse_lattice(expr, CAT)
+    want = root_classes_by_dual_enumeration(lat, DiscriminantForm.from_lattice(lat), order)
+    assert root_classes(lat, order) == want
+
+
+def test_root_classes_enumerate_each_term_once():
+    """Once a term's coset table is kept, a sum of known terms enumerates no vector."""
+    cat = Catalog()
+    first = root_classes(cat.parse("E6(3)+A2"), 3)
+    glue = even_overlattices(cat.parse("E7+A1(5)"), 5, 5)  # order 2: E7's table
+    assert len(first) == 780 and len(glue) == 1
+    with short_vector_calls() as calls:
+        assert root_classes(cat.parse("E6(3)+A2"), 3) == first
+        assert root_classes(cat.parse("E6(3)"), 9)
+        assert root_classes(cat.parse("A2+E6(3)+A2"), 3)
+        assert even_overlattices(cat.parse("E7+A1(5)"), 5, 5) == glue
+    assert not calls
 
 
 def test_pool_scan_is_charged_to_the_budget():

@@ -3,7 +3,6 @@ and against a union-find over all pairs of roots."""
 from __future__ import annotations
 
 import gc
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -12,6 +11,7 @@ from helpers import (
     box_vectors_by_norm,
     in_random_basis,
     pairwise_root_components,
+    short_vector_calls,
     signed_roots,
     span_rank,
 )
@@ -312,16 +312,6 @@ def _level_pieces(p: int) -> tuple[str, ...]:
 LEVEL_PIECES = {p: _level_pieces(p) for p in ADDITIVE_PRIMES}
 
 
-@contextmanager
-def _short_vector_calls():
-    """The arguments of each `roots.short_vectors` call made inside the block."""
-    calls = []
-    inner = roots.short_vectors
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(roots, "short_vectors", lambda *args: calls.append(args) or inner(*args))
-        yield calls
-
-
 def _sum_of(terms, cat=CAT) -> Lattice:
     """The terms as the parts of one sum, even a single term."""
     return direct_sum([s[3] for s in cat.summands("+".join(terms))], name="sum")
@@ -356,7 +346,7 @@ def test_root_data_of_a_sum_joins_its_parts(model):
     lat = _sum_of(terms)
     for part in lat.parts:
         root_data(part, p)
-    with _short_vector_calls() as calls:
+    with short_vector_calls() as calls:
         joined = root_data(lat, p)
     assert not calls
     whole = root_data(Lattice(lat.gram), p)
@@ -372,7 +362,7 @@ def test_a_part_of_another_level_takes_the_whole_gram(terms, p):
     assert any(part.level() not in (1, p) for part in lat.parts)
     for part in lat.parts:
         root_data(part, p)
-    with _short_vector_calls() as calls:
+    with short_vector_calls() as calls:
         got = root_data(lat, p)
     assert calls
     assert got == root_data(Lattice(lat.gram), p)
@@ -384,13 +374,13 @@ def test_root_data_are_enumerated_once_per_term_and_prime():
     e8 = cat.build("E8")
     first = root_data(e8, 3)
     root_data(cat.build("A2"), 3)
-    with _short_vector_calls() as calls:
+    with short_vector_calls() as calls:
         assert root_data(e8, 3) is first
         _, definite = definite_part("2U+E8+A2", cat)
         assert root_data(definite, 3).positive_short == 120 + 3
         root_data(cat.parse("E8+2A2"), 3)
         root_components(definite_part("2U+2A2+E8", cat)[1], 3)
     assert not calls
-    with _short_vector_calls() as calls:
+    with short_vector_calls() as calls:
         root_data(e8, 5)
     assert len(calls) == 2  # a new prime: norm-2 vectors of G and of 5 G^-1
