@@ -123,28 +123,35 @@ MIXED_REFLECTIVE = [
 
 # -- the case universe after both weight bounds, per prime (class) --
 
-STORED_CASES = {
-    2: [(6, 2), (6, 4), (10, 2), (10, 4), (10, 6), (14, 2), (14, 4), (14, 6), (14, 8),
-        (18, 2), (18, 4), (18, 6), (18, 8), (18, 10), (22, 2)],
-    3: [(4, 1), (4, 3), (6, 2), (6, 4), (8, 1), (8, 3), (8, 5), (10, 2), (10, 4), (10, 6),
-        (12, 1), (12, 3), (12, 5), (12, 7), (14, 2), (14, 4), (14, 6), (14, 8), (20, 1)],
-    5: [(6, 1), (6, 2), (6, 3), (6, 4), (10, 1), (10, 2), (10, 3), (10, 4), (10, 5), (10, 6),
-        (14, 1), (14, 2)],
-    7: [(4, 1), (4, 3), (6, 2), (6, 4), (8, 1), (8, 3), (8, 5), (12, 1)],
-    11: [(4, 1), (4, 3), (6, 2), (6, 4), (8, 1), (12, 1)],
-    19: [(4, 1), (4, 3), (6, 2), (8, 1)],
-    23: [(4, 1), (4, 3), (6, 2), (8, 1)],
+# prime -> {case (n, n_p): model}; the model is the lattice rules 3-5 try,
+# given as a catalog expression, or None for a case with no model
+STORED_CASES: dict[int, dict[tuple[int, int], str | None]] = {
+    2: dict.fromkeys([(6, 2), (6, 4), (10, 2), (10, 4), (10, 6), (14, 2), (14, 4), (14, 6),
+                      (14, 8), (18, 2), (18, 4), (18, 6), (18, 8), (18, 10), (22, 2)]),
+    3: dict.fromkeys([(4, 1), (4, 3), (6, 2), (6, 4), (8, 1), (8, 3), (8, 5), (10, 2), (10, 4),
+                      (10, 6), (12, 1), (12, 3), (12, 5), (12, 7), (14, 2), (14, 4), (14, 6),
+                      (14, 8), (20, 1)]),
+    5: {(6, 1): None, (6, 2): None, (6, 3): None, (6, 4): None, (10, 1): None, (10, 2): None,
+        (10, 3): "2U+A4+T4", (10, 4): None, (10, 5): "2U+A4v(5)+T4", (10, 6): None,
+        (14, 1): "2U+E8+A4", (14, 2): "2U+E8+T4"},
+    7: {(4, 1): None, (4, 3): None, (6, 2): None, (6, 4): None, (8, 1): None, (8, 3): None,
+        (8, 5): None, (12, 1): "2U+E8+L7"},
+    11: {(4, 1): None, (4, 3): None, (6, 2): None, (6, 4): None, (8, 1): None,
+         (12, 1): "2U+E8+L11"},
+    19: {(4, 1): "2U+L19", (4, 3): None, (6, 2): "2U+2L19", (8, 1): None},
+    23: {(4, 1): None, (4, 3): None, (6, 2): "2U+2L23", (8, 1): None},
 }
 
 # class -> (least prime, {case: (model, families)}); "{p}" in a model stands
-# for the prime, "families" for a case decided by its families alone, and
-# "t8-overlattice" for the E7 + A1 overlattice of `catalog.e7_a1_overlattice`.
-# A family (h1, h2, n1, rank) is a model's root system: the Coxeter numbers of
-# its short and long components, the rank of the short ones, and the rank.
+# for the prime, and "t8-overlattice" for the E7 + A1 overlattice of
+# `catalog.e7_a1_overlattice`.  A family (h1, h2, n1, rank) is a model's root
+# system: the Coxeter numbers of its short and long components, the rank of
+# the short ones, and the rank; a case with families but no model is decided
+# by their cutoffs alone.
 SYMBOLIC_CLASSES = {
     "p = 1 mod 4, p >= 13": (13, {
         (6, 1): (None, []),
-        (6, 2): ("families", [(2, 2, 2, 4), (3, 3, 2, 4)]),
+        (6, 2): (None, [(2, 2, 2, 4), (3, 3, 2, 4)]),
         (10, 1): ("t8-overlattice", [(18, 2, 7, 8)]),
     }),
     "p = 3 mod 4, p > 23": (31, {
@@ -155,23 +162,21 @@ SYMBOLIC_CLASSES = {
 }
 
 
-def _residue_class(p: int) -> str | None:
-    """The symbolic class a prime outside `STORED_CASES` falls in, if any."""
-    for name, (least, _) in SYMBOLIC_CLASSES.items():
+def case_table(p: int) -> dict[tuple[int, int], tuple[str | None, list]]:
+    """Each case (n, n_p) at the prime p, with its model (prime filled in) and families."""
+    if p in STORED_CASES:
+        return {case: (model, []) for case, model in STORED_CASES[p].items()}
+    if not discforms.is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    for least, cases in SYMBOLIC_CLASSES.values():
         if p % 4 == least % 4 and p >= least:
-            return name
-    return None
+            return {case: (model and model.format(p=p), fams) for case, (model, fams)
+                    in cases.items()}
+    raise ValueError(f"no stored case list for p = {p}")
 
 
 def stored_cases_for(p: int) -> list[tuple[int, int]]:
-    if p in STORED_CASES:
-        return list(STORED_CASES[p])
-    if not discforms.is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    name = _residue_class(p)
-    if name is None:
-        raise ValueError(f"no stored case list for p = {p}")
-    return list(SYMBOLIC_CLASSES[name][1])
+    return list(case_table(p))
 
 
 def enumerate_genera(p: int, n_max: int = 26) -> list[GenusSymbol]:
@@ -261,36 +266,6 @@ class CaseRecord:
         self.verdict = "NOT_REFLECTIVE" if self.reason else "REFLECTIVE"
 
 
-# the model to try for rules 3-5, per stored case (p, n, n_p): a lattice of
-# the genus, given as a catalog expression
-_MODELS: dict[tuple[int, int, int], str] = {
-    (5, 10, 3): "2U+A4+T4",
-    (5, 10, 5): "2U+A4v(5)+T4",
-    (5, 14, 1): "2U+E8+A4",
-    (5, 14, 2): "2U+E8+T4",
-    (7, 12, 1): "2U+E8+L7",
-    (11, 12, 1): "2U+E8+L11",
-    (19, 4, 1): "2U+L19",
-    (19, 6, 2): "2U+2L19",
-    (23, 6, 2): "2U+2L23",
-}
-
-def _family_cutoffs(name: str, case: tuple[int, int]) -> list[int | None]:
-    """Largest surviving prime of each model family of a case of the symbolic class."""
-    _, families = SYMBOLIC_CLASSES[name][1][case]
-    return [reflcheck.singular_filter(reflcheck.solve_family(*fam)) for fam in families]
-
-
-def _model_for(p: int, n: int, n_p: int) -> str | None:
-    """The model rules 3-5 try on the case, with the prime filled in, if any."""
-    if (p, n, n_p) in _MODELS:
-        return _MODELS[(p, n, n_p)]
-    name = _residue_class(p)
-    cases = SYMBOLIC_CLASSES[name][1] if name else {}
-    model, _ = cases.get((n, n_p), (None, []))
-    return model and model.format(p=p)
-
-
 def eliminate_case(
     genus: GenusSymbol, prior: dict[tuple[int, int], CaseRecord], catalog=None
 ) -> CaseRecord:
@@ -325,10 +300,10 @@ def eliminate_case(
                 f"root lattice has determinant {p}^{n_p} times a square",
             )
 
-    # rules 3-5 on the case's model
-    model = _model_for(p, n, n_p)
-    if model == "families":
-        cutoffs = _family_cutoffs(_residue_class(p), (n, n_p))
+    # rules 3-5 on the case's model, or on its families when it has none
+    model, families = case_table(p).get((n, n_p), (None, []))
+    cutoffs = [reflcheck.family_cutoff(*fam) for fam in families]
+    if model is None and families:
         cert["family_prime_cutoffs"] = cutoffs
         if all(c is not None and c < p for c in cutoffs):
             return record(
@@ -339,7 +314,7 @@ def eliminate_case(
         cert["model"] = model
         if model == "t8-overlattice":
             definite = cat_mod.e7_a1_overlattice(p, cat)
-            cert["family_prime_cutoff"] = _family_cutoffs(_residue_class(p), (n, n_p))[0]
+            cert["family_prime_cutoff"] = cutoffs[0]
         else:
             _, definite = cat_mod.definite_part(model, cat)
         data = roots.root_data(definite, p)
@@ -406,20 +381,18 @@ def classify_symbolic(class_name: str) -> list[CaseRecord]:
 
     A case is eliminated only when its bound lies below the least prime of
     the class: the largest prime factor of every root lattice determinant
-    (no model) or the cutoff of every model family.  Otherwise its record
+    (no family) or the cutoff of every model family.  Otherwise its record
     is REFLECTIVE.
     """
     if class_name not in SYMBOLIC_CLASSES:
         raise ValueError(f"unknown symbolic class {class_name!r}")
-    least, models = SYMBOLIC_CLASSES[class_name]
+    least, cases = SYMBOLIC_CLASSES[class_name]
     out = []
-    for (n, n_p), (model, _) in models.items():
+    for (n, n_p), (_, families) in cases.items():
         cert: dict = {}
-        if model is None:
+        if not families:
             menu = root_lattice_dets(n - 2)
-            largest_factor = max(
-                q for d in menu for q in range(2, d + 1) if d % q == 0 and discforms.is_prime(q)
-            )
+            largest_factor = max(q for d in menu for q in discforms._factorize(d))
             cert["root_lattice_determinants"] = menu
             cert["largest_prime_factor"] = largest_factor
             fired = largest_factor < least
@@ -430,7 +403,7 @@ def classify_symbolic(class_name: str) -> list[CaseRecord]:
                 "never p times a square"
             )
         else:
-            cutoffs = _family_cutoffs(class_name, (n, n_p))
+            cutoffs = [reflcheck.family_cutoff(*fam) for fam in families]
             cert["family_prime_cutoffs"] = cutoffs
             fired = all(c is not None and c < least for c in cutoffs)
             tag = "singular-weight-bound"
@@ -612,7 +585,16 @@ def class_number_rootsystems(rank: int, p: int, c1: int, cp: int, k: int) -> lis
 def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=None) -> int:
     """Number of fingerprint classes of lattices carrying the given reflective data.
 
-    Each admissible root datum spans a definite lattice L, the sum of its
+    `count_classes` over the root data that `class_number_rootsystems` lists.
+    """
+    return count_classes(class_number_rootsystems(rank, p, c1, cp, k), rank, p, n_p, catalog)
+
+
+def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -> int:
+    """Number of fingerprint classes of lattices carrying one of the root data.
+
+    `data` are root data of the given rank at p, as `class_number_rootsystems`
+    lists them.  Each datum spans a definite lattice L, the sum of its
     components' spans in `roots.component_types`; its candidates are the
     even overlattices of determinant p^n_p and level p, one per glue group,
     whose reflective root system is exactly the datum
@@ -633,7 +615,7 @@ def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=
         comp.name: span for r in range(1, rank + 1) for comp, span, _ in roots.component_types(r, p)
     }
     total = 0
-    for datum in class_number_rootsystems(rank, p, c1, cp, k):
+    for datum in data:
         if datum["det"] % target != 0 or not _is_square(datum["det"] // target):
             continue
 

@@ -21,12 +21,7 @@ from math import prod
 
 from . import catalog as cat_mod
 from . import discforms, etaq, reflcheck, roots, towers
-from .classify import (
-    class_number,
-    class_number_rootsystems,
-    classify,
-    verdict_table,
-)
+from .classify import class_number_rootsystems, classify, count_classes, verdict_table
 
 
 def _jsonable(obj):
@@ -256,7 +251,7 @@ def cmd_classify(args) -> int:
 def cmd_classnumber(args) -> int:
     cat = _catalog(args)
     data = class_number_rootsystems(args.rank, args.prime, args.c1, args.cp, args.k)
-    count = class_number(args.rank, args.prime, args.c1, args.cp, args.k, args.np, cat)
+    count = count_classes(data, args.rank, args.prime, args.np, cat)
     payload = {"root_data": data, "class_number": count}
     lines = []
     for datum in data:

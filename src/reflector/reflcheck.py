@@ -20,7 +20,7 @@ classes and a proposed weight k, the constraints are:
     through Coxeter numbers h1, h2 of the short and long subsystems.
 
 solve_components inverts the per-component equations c1 alpha + cp beta = C
-to find which multiplicities are admissible at all, and solve_family does
+to find which multiplicities are admissible at all, and family_cutoff does
 the same symbolically in the prime for one-parameter model families.
 """
 
@@ -232,65 +232,19 @@ def solve_components(comps: Sequence[roots.RootComponent], rank: int) -> SolveRe
     )
 
 
-@dataclass(frozen=True)
-class LinPoly:
-    """Affine function a + b*P of a symbolic prime P, with exact coefficients."""
+def family_cutoff(h1: int, h2: int, n1: int, rank: int) -> int | None:
+    """Largest prime where a one-parameter family of models meets the singular bound.
 
-    const: Fraction
-    coeff: Fraction
-
-    def __call__(self, prime: int) -> Fraction:
-        return self.const + self.coeff * prime
-
-    def __str__(self) -> str:
-        return f"{self.const} + {self.coeff}*P"
-
-
-@dataclass(frozen=True)
-class FamilySolution:
-    """Symbolic multiplicity solution for a one-parameter family of models.
-
-    The family fixes c1 = 1, Coxeter numbers h1 (short) and h2 (long), the
-    short span n1 and the total rank; the prime stays symbolic.
+    The family fixes c1 = 1, the Coxeter numbers h1 (short) and h2 (long),
+    the short span n1 and the rank, and leaves the prime P symbolic.  Then
+    cp = (h1/h2) P, the weight is k(P) = 12 (h1 + 1) - n1 h1/2 + h1 (n1 - rank) P/2
+    and the singular bound is (n1 + (rank - n1) cp)/2, so k(P) - bound(P) is
+    affine in P.  Its slope is negative for every family in scope, so the
+    family survives exactly up to the root; primes above the returned value
+    are eliminated.
     """
-
-    h1: int
-    h2: int
-    n1: int
-    rank: int
-    cp: LinPoly
-    k: LinPoly
-    singular_bound: LinPoly
-
-
-def solve_family(h1: int, h2: int, n1: int, rank: int) -> FamilySolution:
-    cp = LinPoly(Fraction(0), Fraction(h1, h2))
-    k = LinPoly(
-        Fraction(12 * (h1 + 1)) - Fraction(n1 * h1, 2),
-        Fraction(h1 * (n1 - rank), 2),
-    )
-    bound = LinPoly(
-        Fraction(n1, 2),
-        Fraction((rank - n1) * h1, 2 * h2),
-    )
-    return FamilySolution(h1=h1, h2=h2, n1=n1, rank=rank, cp=cp, k=k, singular_bound=bound)
-
-
-def singular_filter(family: FamilySolution) -> int | None:
-    """Largest prime where the family's weight meets the singular bound.
-
-    The difference k(P) - bound(P) is affine with negative slope for every
-    family in scope, so admissibility is a cutoff in P; primes above the
-    returned value are eliminated.
-    """
-    diff_const = family.k.const - family.singular_bound.const
-    diff_coeff = family.k.coeff - family.singular_bound.coeff
-    if diff_coeff >= 0:
+    const = 12 * (h1 + 1) - Fraction(n1 * (h1 + 1), 2)
+    slope = Fraction(h1 * (n1 - rank) * (h2 + 1), 2 * h2)
+    if slope >= 0:
         raise ValueError("family bound does not decrease in the prime")
-    limit = diff_const / (-diff_coeff)
-    p_max = int(limit)  # floor for positive rationals
-    best = None
-    for q in range(2, p_max + 1):
-        if discforms.is_prime(q):
-            best = q
-    return best
+    return next((q for q in range(const // -slope, 1, -1) if discforms.is_prime(q)), None)

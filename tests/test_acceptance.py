@@ -29,7 +29,7 @@ from reflector.discforms import (
     parse_genus,
 )
 from reflector.lattices import Lattice
-from reflector.reflcheck import check_candidate, singular_filter, solve_candidates, solve_family
+from reflector.reflcheck import check_candidate, family_cutoff, solve_candidates
 from reflector.roots import positive_roots
 from reflector.towers import load, replay_tower, verify_all
 
@@ -110,11 +110,7 @@ def test_solved_families():
     for expr, p in (("2U+E8+L7", 7), ("2U+A4+T4", 5)):
         res = solve_candidates(_definite(expr), p)
         ok = ok and res.status == "none"
-    cutoffs = [
-        singular_filter(solve_family(2, 2, 1, 2)),
-        singular_filter(solve_family(2, 2, 2, 4)),
-        singular_filter(solve_family(18, 2, 7, 8)),
-    ]
+    cutoffs = [family_cutoff(2, 2, 1, 2), family_cutoff(2, 2, 2, 4), family_cutoff(18, 2, 7, 8)]
     ok = ok and cutoffs == [23, 11, 11]
     gate("family solver: rays, empty systems, singular cutoffs 23/11/11", ok)
 

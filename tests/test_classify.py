@@ -6,7 +6,7 @@ import gc
 import pytest
 
 from reflector import classify as classify_mod
-from reflector import discforms, etaq
+from reflector import discforms, etaq, reflcheck
 from reflector.catalog import default_catalog, definite_part, e7_a1_overlattice
 from reflector.classify import (
     apply_bounds,
@@ -201,7 +201,7 @@ def test_symbolic_reasons():
 
 def test_symbolic_verdict_follows_the_cutoffs(monkeypatch):
     """A family cutoff at the class's least prime no longer eliminates the case."""
-    monkeypatch.setattr(classify_mod, "_family_cutoffs", lambda n, n_p: [31])
+    monkeypatch.setattr(reflcheck, "family_cutoff", lambda *family: 31)
     recs = {(r.n, r.n_p): r for r in classify_symbolic("p = 3 mod 4, p > 23")}
     assert recs[(4, 1)].verdict == "REFLECTIVE"
     assert recs[(4, 1)].reason is None
@@ -221,7 +221,7 @@ def test_symbolic_families_are_their_models_root_systems():
         for case, (model, families) in cases.items():
             if families:
                 assert len(records[case].certificate["family_prime_cutoffs"]) == len(families)
-            if model in (None, "families"):  # no single lattice to compare with
+            if model is None:  # no single lattice to compare with
                 continue
             if model == "t8-overlattice":
                 definite = e7_a1_overlattice(least, cat)
@@ -264,7 +264,7 @@ def test_rule_five_computes_b3_psi_once():
 
 def test_verdict_comes_from_the_model(monkeypatch):
     """Without its model, nothing eliminates II_{14,2}(5^{+1})."""
-    monkeypatch.delitem(classify_mod._MODELS, (5, 14, 1))
+    monkeypatch.setitem(classify_mod.STORED_CASES[5], (14, 1), None)
     rec = {(r.n, r.n_p): r for r in classify(5)}[(14, 1)]
     assert rec.verdict == "REFLECTIVE"
     assert rec.reason is None

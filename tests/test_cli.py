@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import reflector
+from reflector import classify as classify_mod
+from reflector import cli
 from reflector.classify import reflective_genera
 from reflector.cli import main
 from reflector.discforms import GenusNotRepresentable, GenusSymbol, candidate_form, parse_genus
@@ -331,6 +333,28 @@ def test_invalid_input_is_a_one_line_error(argv, message, capsys):
     assert_one_line_error(code, err)
     assert message in err
     assert out == ""
+
+
+def test_classnumber_searches_the_root_data_once(monkeypatch, capsys):
+    """`classnumber` prints the root data and counts their classes from one search."""
+    calls = []
+    search = classify_mod.class_number_rootsystems
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(classify_mod, "class_number_rootsystems", counted)
+    monkeypatch.setattr(cli, "class_number_rootsystems", counted)
+    code, out = run_cli(["classnumber", "--rank", "8", "--prime", "3", "--c1", "1", "--cp", "1",
+                         "--k", "18", "--np", "6"], capsys)
+    assert code == 0
+    assert calls == [(8, 3, 1, 1, 18)]
+    assert out.splitlines() == [
+        "root datum A1+A1+A1+A5(3): C = 2, det 11664",
+        "root datum E6(3)+G2: C = 4, det 6561",
+        "class number 1",
+    ]
 
 
 def test_classnumber_past_the_budget_exits_three(capsys):

@@ -6,13 +6,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflector.catalog import default_catalog, definite_part
-from reflector.reflcheck import (
-    check_candidate,
-    singular_filter,
-    solve_candidates,
-    solve_family,
-)
+from reflector import discforms, roots
+from reflector.catalog import default_catalog, definite_part, e7_a1_overlattice
+from reflector.reflcheck import check_candidate, family_cutoff, solve_candidates, solve_components
 
 CAT = default_catalog()
 
@@ -174,17 +170,40 @@ FAMILY_CUTOFFS = [
 
 
 def test_symbolic_families_and_singular_cutoffs():
-    """Weight k(P) = a + bP stays above the singular bound only up to the cutoff."""
-    for (h1, h2, n1, rank), (k0, k1), cutoff in FAMILY_CUTOFFS:
-        fam = solve_family(h1, h2, n1, rank)
-        assert (fam.k.const, fam.k.coeff) == (Fraction(k0), Fraction(k1))
-        assert fam.cp.const == 0
-        assert singular_filter(fam) == cutoff
+    """A family's weight k(P) = a + bP meets the singular bound up to its cutoff prime."""
+    for family, _, cutoff in FAMILY_CUTOFFS:
+        assert family_cutoff(*family) == cutoff
+
+
+# family -> (residue of its primes mod 4, its model's definite part at p)
+FAMILY_MODELS = {
+    (2, 2, 1, 2): (3, lambda p: _definite(f"2U+L{p}")),
+    (2, 2, 2, 4): (3, lambda p: _definite(f"2U+2L{p}")),
+    (18, 2, 7, 8): (1, lambda p: e7_a1_overlattice(p, CAT)),
+}
 
 
 def test_family_specializations_match_concrete_solver():
-    fam = solve_family(2, 2, 1, 2)
-    for p, expr in ((7, "2U+L7"), (19, "2U+L19"), (23, "2U+L23")):
-        res = solve_candidates(_definite(expr), p)
-        assert res.k == fam.k.const + fam.k.coeff * p
-        assert res.cp == fam.cp.const + fam.cp.coeff * p
+    """At every prime 5 <= p < 200 of a family's residue class, the concrete
+    solver on the family's model gives a ray whose weight meets the singular
+    bound exactly when p is at most the family's cutoff; a ray is the
+    family's (cp, k) = ((h1/h2) p, a + bp) times c1."""
+    for (h1, h2, n1, rank), (k0, k1), _ in FAMILY_CUTOFFS:
+        if (h1, h2, n1, rank) not in FAMILY_MODELS:
+            continue
+        residue, model = FAMILY_MODELS[(h1, h2, n1, rank)]
+        cutoff = family_cutoff(h1, h2, n1, rank)
+        for p in range(5, 200):
+            if p % 4 != residue or not discforms.is_prime(p):
+                continue
+            lat = model(p)
+            data = roots.root_data(lat, p)
+            res = solve_components(data.components, lat.rank)
+            meets = False
+            if res.status == "ray":
+                assert (data.span_short, lat.rank) == (n1, rank), p
+                assert h2 * res.cp == h1 * p * res.c1, p
+                assert res.k == (k0 + k1 * p) * res.c1, p
+                bound = Fraction(n1 * res.c1 + (rank - n1) * res.cp, 2)
+                meets = res.k >= bound
+            assert meets == (p <= cutoff), ((h1, h2, n1, rank), p)
