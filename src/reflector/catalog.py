@@ -18,10 +18,16 @@ override entries with the same JSON shape.
 Every expression goes through one term expansion, `Catalog.summands`.  A
 catalog builds each term (name, dual, scale) once, on first use, and hands
 the same immutable `Lattice` out afterwards, T8 included; each catalog keeps
-its own terms, and its own E7 + A1(p) overlattices.  `Catalog.parse` puts
-all summands into one `direct_sum` (a single term such as "E6(3)" is its own
-summand), `definite_part` sums the summands other than the hyperbolic
-planes, and `model_parts` gives both from a single expansion.
+its own terms, and its own E7 + A1(p) overlattices.  It keeps each model
+expression the same way, once per normalised expression: the `model_parts`
+triple of the sum of all its summands (`Catalog.parse`; a single term such
+as "E6(3)" is its own summand), its hyperbolic-plane scales, and the sum of
+the other summands (`definite_part`).  So a model's root data and
+discriminant form, which its lattice keeps, are computed once per catalog.
+An expression or a root lattice whose rank r has r^2 > `discforms.BUDGET`
+raises `BudgetExceeded` before any Gram is built, and is not kept.
+`classify.count_classes` builds its per-datum sums from `summands` and
+keeps none: they are many per call and never repeat within one.
 """
 
 from __future__ import annotations
@@ -58,6 +64,14 @@ def _dynkin_gram(n: int, branch: int | None) -> list[list[int]]:
     return g
 
 
+def _charge_rank(rank: int, expr: str) -> None:
+    """Refuse, before it is built, a Gram of rank r with r^2 > `discforms.BUDGET` entries."""
+    if rank * rank > discforms.BUDGET:
+        raise discforms.BudgetExceeded(
+            f"{expr!r} has rank {rank}, a Gram of more than {discforms.BUDGET} entries"
+        )
+
+
 def e7_a1_overlattice(p: int, catalog: "Catalog") -> Lattice:
     """The even overlattice of E7 + A1(p) with determinant p; exists for p = 1 mod 4.
 
@@ -83,6 +97,7 @@ class Catalog:
             self.registry.update(extra)
         self._terms: dict[tuple[str, bool, int | None], Lattice] = {}
         self._e7_a1: dict[int, Lattice] = {}  # p -> `e7_a1_overlattice(p, self)`
+        self._models: dict[str, tuple[Lattice, list[int], Lattice | None]] = {}
 
     @classmethod
     def from_file(cls, path: str) -> "Catalog":
@@ -115,6 +130,8 @@ class Catalog:
         if m is None:
             raise ValueError(f"unknown lattice name {name!r}")
         family, num = m.group(1), int(m.group(2))
+        if family in ("A", "D"):
+            _charge_rank(num, name)
         if family == "A" and num >= 1:
             return Lattice(_dynkin_gram(num, None), name=name)
         if family == "D":
@@ -150,20 +167,34 @@ class Catalog:
         """(name, dual, scale, lattice) for each summand of expr, in order.
 
         A term with multiplicity c appears c times, as the one lattice the
-        catalog keeps for it.
+        catalog keeps for it.  Raises `BudgetExceeded` when the total rank r
+        has r^2 > `discforms.BUDGET`, before the list is made.
         """
-        out = []
-        for count, name, dual, scale in self.parse_terms(expr):
-            out += [(name, dual, scale, self._term(name, dual, scale))] * count
-        return out
+        terms = [(count, (name, dual, scale, self._term(name, dual, scale)))
+                 for count, name, dual, scale in self.parse_terms(expr)]
+        _charge_rank(sum(count * summand[3].rank for count, summand in terms), expr)
+        return [summand for count, summand in terms for _ in range(count)]
+
+    def model_parts(self, expr: str) -> tuple[Lattice, list[int], Lattice | None]:
+        """(parse(expr), *definite_part(expr)), assembled once per normalised expression.
+
+        Every call hands out the same triple, the scales list included.
+        """
+        key = normalize_expr(expr)
+        if key not in self._models:
+            summands = self.summands(key)
+            scales = [scale or 1 for name, dual, scale, _ in summands if name == "U" and not dual]
+            rest = [lat for name, dual, _, lat in summands if name != "U" or dual]
+            self._models[key] = (
+                direct_sum([lat for _, _, _, lat in summands], name=key),
+                scales,
+                direct_sum(rest) if rest else None,
+            )
+        return self._models[key]
 
     def parse(self, expr: str) -> Lattice:
-        return _assemble(expr, self.summands(expr))
-
-
-def _assemble(expr: str, summands) -> Lattice:
-    """The direct sum of the summands of expr, named expr; a lone summand of that name as is."""
-    return direct_sum([lat for _, _, _, lat in summands], name=normalize_expr(expr))
+        """The direct sum of the summands of expr, named expr; a lone summand of that name as is."""
+        return self.model_parts(expr)[0]
 
 
 def normalize_expr(expr: str) -> str:
@@ -188,24 +219,12 @@ def definite_part(expr: str, catalog: Catalog | None = None):
     (1 for U itself, p for U(p)) and lattice is the direct sum of the
     remaining terms, or None when nothing remains.
     """
-    return _split_definite((catalog or default_catalog()).summands(expr))
-
-
-def _split_definite(summands) -> tuple[list[int], Lattice | None]:
-    scales: list[int] = []
-    rest: list[Lattice] = []
-    for name, dual, scale, lat in summands:
-        if name == "U" and not dual:
-            scales.append(scale or 1)
-        else:
-            rest.append(lat)
-    return scales, direct_sum(rest) if rest else None
+    return (catalog or default_catalog()).model_parts(expr)[1:]
 
 
 def model_parts(expr: str, catalog: Catalog | None = None):
-    """(parse(expr), *definite_part(expr)) from one expansion of the terms."""
-    summands = (catalog or default_catalog()).summands(expr)
-    return (_assemble(expr, summands), *_split_definite(summands))
+    """(parse(expr), *definite_part(expr)), kept by the catalog; see `Catalog.model_parts`."""
+    return (catalog or default_catalog()).model_parts(expr)
 
 
 def parse_lattice(expr: str, catalog: Catalog | None = None) -> Lattice:

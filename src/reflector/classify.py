@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import isqrt, prod
 
 from . import catalog as cat_mod
@@ -197,26 +198,35 @@ def enumerate_genera(p: int, n_max: int = 26) -> list[GenusSymbol]:
     return out
 
 
+@cache
+def _bounded_cases(p: int, n_max: int) -> frozenset[tuple[int, int]]:
+    """The cases (n, n_p) of `enumerate_genera(p, n_max)` that the two bounds keep.
+
+    The weight bound n <= 10 + 24/(p+1) is tested in integers, as
+    n (p+1) <= 10 (p+1) + 24; a genus that splits off U + U(p) is also
+    dropped when the Riemann-Roch window is empty, that is when
+    n > 2 + 48/(p+1).  Computed once per (p, n_max).
+    """
+    return frozenset(
+        (g.pos, g.n_p)
+        for g in enumerate_genera(p, n_max)
+        if g.pos * (p + 1) <= 10 * (p + 1) + 24
+        and not (discforms.splits_u_up(g) and etaq.window_is_empty(g.pos, p))
+    )
+
+
 def apply_bounds(p: int, n_max: int = 26):
     """Stored case list plus a report of where the two bounds disagree.
 
-    The computed filter keeps n <= 10 + 24/(p+1) and additionally removes
-    genera that split off U + U(p) when the Riemann-Roch window is empty,
-    that is when n > 2 + 48/(p+1).  The stored list is authoritative; the
-    mismatch report records both directions of disagreement with the
-    computed filter.
+    The computed filter is `_bounded_cases`.  The stored list is
+    authoritative, and read on every call; the mismatch report records both
+    directions of disagreement with the computed filter.
     """
-    computed = []
-    for g in enumerate_genera(p, n_max):
-        if Fraction(g.pos) > 10 + Fraction(24, p + 1):
-            continue
-        if discforms.splits_u_up(g) and etaq.window_is_empty(g.pos, p):
-            continue
-        computed.append((g.pos, g.n_p))
+    computed = _bounded_cases(p, n_max)
     stored = stored_cases_for(p)
     mismatch = {
-        "kept_despite_filter": sorted(set(stored) - set(computed)),
-        "dropped_despite_filter": sorted(set(computed) - set(stored)),
+        "kept_despite_filter": sorted(set(stored) - computed),
+        "dropped_despite_filter": sorted(computed - set(stored)),
     }
     cases = []
     for n, n_p in stored:

@@ -11,7 +11,9 @@ data/towers.json stores only expressions: each tower's p, (c1, cp) and
 levels in order, and each transfer's p and source U + U(p) + K.  Every
 number is derived from the construction tables of `classify`, by
 `replay_tower` and `transfer_target`; the replays and `covered_rows`, which
-`classify.construction_coverage` reads, share them:
+`classify.construction_coverage` reads, share them.  `covered_rows` and
+`verify_all` read the tables once per call, so a change to them shows in
+the next call:
   - a tower's base weight is that of the one table row with the base's genus
     and (c1, cp); each later weight is the pull-back weight of the one
     summand a level drops from its predecessor;
@@ -20,7 +22,8 @@ number is derived from the construction tables of `classify`, by
     weights;
   - a transfer starts at the one table row of its source's genus, and its
     2U + K target must be the table row of the target's genus.
-Genera come from `discforms.genus_symbol` on the parsed lattices.
+Genera come from `discforms.genus_symbol` on the lattices the catalog keeps
+for each expression.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from importlib import resources
 
 from . import catalog as cat_mod
 from . import classify, discforms, reflcheck, roots
-from .lattices import Lattice, direct_sum
+from .lattices import Lattice
 
 
 def load() -> dict:
@@ -64,12 +67,17 @@ def transfer_weight(k: int, p: int) -> int:
     return int(out)
 
 
-def _table_weights() -> defaultdict[tuple[str, int, int], list[int]]:
-    """The weights k of the construction-table rows, by (genus, c1, cp)."""
+def _table() -> defaultdict[str, list[tuple[int, int, int]]]:
+    """The (c1, cp, k) of the construction-table rows, by genus, in table order."""
     out = defaultdict(list)
     for genus, _model, c1, cp, k in classify.table_rows():
-        out[genus, c1, cp].append(k)
+        out[genus].append((c1, cp, k))
     return out
+
+
+def _weights(table, genus: str, c1: int, cp: int) -> list[int]:
+    """The weights k of the table rows of this genus with multiplicities (c1, cp)."""
+    return [k for a, b, k in table.get(genus, ()) if (a, b) == (c1, cp)]
 
 
 def _only(ks: list[int]) -> int | None:
@@ -86,7 +94,7 @@ def _dropped(prev: list, cur: list) -> Lattice | None:
     return next(s[3] for s in prev if s[:3] in gone)
 
 
-def replay_tower(tower: dict, catalog=None) -> list[dict]:
+def replay_tower(tower: dict, catalog=None, table=None) -> list[dict]:
     """Derive every level of a tower from the tables and judge it.
 
     Each level reports its expression, its genus, the summand it drops
@@ -95,27 +103,27 @@ def replay_tower(tower: dict, catalog=None) -> list[dict]:
     (1, 1) only, else None), and "ok": it has a weight, and that weight lands
     or splits.  The weight is None when the base has no single table row,
     when a level differs from its predecessor by more than one dropped
-    summand, and at every level after either.
+    summand, and at every level after either.  `table` is `_table()`, read
+    afresh when not given.
     """
     cat = catalog or cat_mod.default_catalog()
-    weights = _table_weights()
+    table = _table() if table is None else table
     p, c1, cp = tower["p"], tower["c1"], tower["cp"]
     levels: list[dict] = []
     prev, k = None, None
     for expr in tower["exprs"]:
         summands = cat.summands(expr)
-        lat = direct_sum([s[3] for s in summands])
-        genus = discforms.genus_symbol(lat, p=p).label()
+        genus = discforms.genus_symbol(cat.parse(expr), p=p).label()
         drop = None
         if prev is None:
-            k = _only(weights[genus, c1, cp])
+            k = _only(_weights(table, genus, c1, cp))
         else:
             drop = _dropped(prev, summands)
             k = None if drop is None or k is None else pullback_weight(k, c1, cp, drop, p)
-        row = k is not None and k in weights[genus, c1, cp]
+        row = k is not None and k in _weights(table, genus, c1, cp)
         split = None
         if k is not None and not row and (c1, cp) == (1, 1):
-            pair = (_only(weights[genus, 1, 0]), _only(weights[genus, 0, 1]))
+            pair = (_only(_weights(table, genus, 1, 0)), _only(_weights(table, genus, 0, 1)))
             if None not in pair and sum(pair) == k:
                 split = pair
         levels.append(
@@ -133,25 +141,26 @@ def replay_tower(tower: dict, catalog=None) -> list[dict]:
     return levels
 
 
-def transfer_target(tr: dict, catalog=None) -> dict:
+def transfer_target(tr: dict, catalog=None, table=None) -> dict:
     """Derive both sides of one U(p) -> U transfer from the tables.
 
     The source (c1, cp, k) is that of the one table row of the source's
     genus ("source", None when there is not exactly one); the target is
     2U + K with `transfer_multiplicity` and `transfer_weight` applied, and
     "row" says whether it is a table row.  "scales" are the source's
-    hyperbolic-plane scales, and "definite" is K.
+    hyperbolic-plane scales, and "definite" is K.  `table` is `_table()`,
+    read afresh when not given.
     """
     cat = catalog or cat_mod.default_catalog()
-    weights = _table_weights()
+    table = _table() if table is None else table
     p, expr = tr["p"], tr["from"]
-    lat, scales, _ = cat_mod.model_parts(expr, cat)
+    lat, scales, _ = cat.model_parts(expr)
     genus = discforms.genus_symbol(lat, p=p)
-    rows = [(c1, cp, k) for g, _, c1, cp, k in classify.table_rows() if g == genus.label()]
+    rows = table.get(genus.label(), [])
     source = rows[0] if len(rows) == 1 else None
     rest = [t for t in expr.replace(" ", "").split("+") if t not in ("U", f"U({p})")]
     to_expr = "+".join(["2U"] + rest)
-    to_lat, _, definite = cat_mod.model_parts(to_expr, cat)
+    to_lat, _, definite = cat.model_parts(to_expr)
     to_genus = discforms.genus_symbol(to_lat, p=p)
     target = None
     if source is not None:
@@ -167,17 +176,17 @@ def transfer_target(tr: dict, catalog=None) -> dict:
         "definite": definite,
         "source": source,
         "target": target,
-        "row": target is not None and target[2] in weights[(to_genus.label(), *target[:2])],
+        "row": target is not None and target[2] in _weights(table, to_genus.label(), *target[:2]),
     }
 
 
-def replay_transfer(tr: dict, catalog=None) -> dict:
+def replay_transfer(tr: dict, catalog=None, table=None) -> dict:
     """Check one U(p) -> U transfer: the source's planes, the genera, the target row.
 
     The target is a 2U + K model, so its multiplicities and weight are also
     pushed through the full candidate check on K.
     """
-    t = transfer_target(tr, catalog)
+    t = transfer_target(tr, catalog, table)
     g, g_to, p = t["genus"], t["to_genus"], t["p"]
     relation_ok = (
         g_to.n_p == g.n_p - 2
@@ -207,18 +216,18 @@ def covered_rows(catalog=None) -> set[tuple[str, int, int, int]]:
     base covers nothing, since its weight is read off its row.  A transfer
     covers its source row when the target it computes is a table row.
     """
-    data = load()
+    data, table = load(), _table()
     covered = set()
     for tower in data["towers"]:
         c1, cp = tower["c1"], tower["cp"]
-        for level in replay_tower(tower, catalog)[1:]:
+        for level in replay_tower(tower, catalog, table)[1:]:
             if level["row"]:
                 covered.add((level["genus"], c1, cp, level["weight"]))
             elif level["split"]:
                 s2, s2p = level["split"]
                 covered |= {(level["genus"], 1, 0, s2), (level["genus"], 0, 1, s2p)}
     for tr in data["transfers"]:
-        t = transfer_target(tr, catalog)
+        t = transfer_target(tr, catalog, table)
         if t["row"]:
             covered.add((t["genus"].label(), *t["source"]))
     return covered
@@ -226,13 +235,13 @@ def covered_rows(catalog=None) -> set[tuple[str, int, int, int]]:
 
 def verify_all(catalog=None) -> dict:
     """Replay every tower and transfer; True entries mean full agreement."""
-    data = load()
+    data, table = load(), _table()
     towers_ok = {
-        tower["name"]: all(level["ok"] for level in replay_tower(tower, catalog))
+        tower["name"]: all(level["ok"] for level in replay_tower(tower, catalog, table))
         for tower in data["towers"]
     }
     transfers_ok = []
     for tr in data["transfers"]:
-        rep = replay_transfer(tr, catalog)
+        rep = replay_transfer(tr, catalog, table)
         transfers_ok.append(all(v for k, v in rep.items() if k.endswith("_ok")))
     return {"towers": towers_ok, "transfers_ok": transfers_ok}

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from reflector import intmat, roots
+from reflector import intmat, lattices, roots
 from reflector.discforms import BudgetExceeded, DiscriminantForm, GenusSymbol, eps_for
 
 
@@ -525,3 +525,18 @@ def short_vector_calls():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(roots, "short_vectors", lambda *args: calls.append(args) or inner(*args))
         yield calls
+
+
+@contextmanager
+def lattice_builds():
+    """(name, rank) of each `Lattice` constructed inside the block, counted on entry."""
+    built = []
+    inner = lattices.Lattice.__post_init__
+
+    def counted(lat):
+        built.append((lat.name, len(lat.gram)))
+        inner(lat)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattices.Lattice, "__post_init__", counted)
+        yield built

@@ -5,7 +5,8 @@ import dataclasses
 
 import pytest
 
-from reflector import roots
+from helpers import lattice_builds
+from reflector import discforms, roots
 from reflector.catalog import (
     Catalog,
     default_catalog,
@@ -184,6 +185,56 @@ def test_catalogs_share_no_terms():
     assert odd.parse("2U+A2").det() == 48
     assert odd.parse("U(3)").gram == ((0, 6), (6, 0))
     assert plain.parse("U(3)").gram == ((0, 3), (3, 0))
+
+
+def test_each_model_is_assembled_once_per_catalog():
+    """parse, model_parts and definite_part hand out the one entry a catalog keeps per
+    normalised expression; a second catalog assembles its own."""
+    cat = Catalog()
+    parts = cat.model_parts("2U+E6v(3)+2A2")
+    assert cat.model_parts("2U + E6v(3)+2A2") is parts
+    assert model_parts("2U+E6v(3)+2A2", cat) is parts
+    assert cat.parse("2U+E6v(3)+2A2") is parts[0]
+    assert cat.parse("2U+E6v(3)+2A2") is cat.parse("2U+E6v(3)+2A2")
+    scales, definite = definite_part("2U+E6v(3)+2A2", cat)
+    assert scales is parts[1] and definite is parts[2]
+    other = Catalog().model_parts("2U+E6v(3)+2A2")
+    assert other == parts
+    assert all(mine is not theirs for mine, theirs in zip(other[::2], parts[::2]))
+    with lattice_builds() as built:
+        cat.parse("2U+E6v(3)+2A2")
+        definite_part("2U+E6v(3)+2A2", cat)
+    assert built == []
+
+
+def test_a_user_catalog_assembles_its_own_models():
+    """With T4 overridden, U+U(5)+T4 is built from the override, not read from the
+    default catalog's entry."""
+    shared = default_catalog().parse("U+U(5)+T4")
+    a4v5 = default_catalog().build("A4").dual_rescaled(5)
+    user = Catalog(extra={"T4": [list(row) for row in a4v5.gram]})
+    own = user.parse("U+U(5)+T4")
+    assert own is not shared and own.gram != shared.gram
+    _, definite = definite_part("U+U(5)+T4", user)
+    assert definite.gram == a4v5.gram
+    assert definite_part("U+U(5)+T4")[1].gram == CAT.build("T4").gram
+
+
+def test_an_oversized_expression_is_refused_before_its_gram(monkeypatch):
+    """A total rank r with r^2 > discforms.BUDGET raises before any Gram is built, and
+    the refused expression is not kept.  Its terms are built beforehand, so any
+    lattice built inside would be the refused one."""
+    cat = Catalog()
+    cat.build("A1"), cat.build("A2")
+    monkeypatch.setattr(discforms, "BUDGET", 15)
+    for expr in ("4A1", "2A1+A2", "A4"):
+        with lattice_builds() as built, pytest.raises(discforms.BudgetExceeded):
+            cat.parse(expr)
+        assert built == [], expr
+        assert expr not in cat._models
+    assert cat.parse("3A1").rank == 3
+    monkeypatch.undo()
+    assert cat.parse("4A1").rank == 4
 
 
 def test_catalog_grams_span_the_ade_table():

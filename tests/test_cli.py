@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -85,6 +86,45 @@ def test_record_json_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_3_JSON_SHA256
     argv = ["check", "--lattice", "2U+E6+A2", "--prime", "3", "--c1", "1", "--cp", "9", "--k", "90"]
     assert run_cli(argv + ["--format", "json"], capsys) == (0, CHECK_E6_A2_JSON)
+
+
+# the certified table and the tower replay, pinned byte for byte
+CLASSIFY_VERIFY_JSON_SHA256 = "0230d9ce63db3e57181db0947106faf48ec1ad204b5354d46938504506d89e53"
+TOWER_JSON_SHA256 = "a5527e7274274605aa02f27533ff82317d378500db5440bcce0df396b9e84a3d"
+
+
+def test_certified_table_and_tower_json_are_pinned(capsys):
+    for argv, size, digest in (
+        (["classify", "--verify"], 23902, CLASSIFY_VERIFY_JSON_SHA256),
+        (["tower"], 209, TOWER_JSON_SHA256),
+    ):
+        code, out = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0 and len(out) == size, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "expr, code", [("99999A1", 3), ("A99999", 3), ("1001A1", 3), ("1000A1", 0)]
+)
+def test_an_oversized_lattice_exits_three_before_its_gram(expr, code):
+    """99999A1 would need a Gram of 10^10 entries.  In a process capped at 1 GiB of
+    address space it is refused by its rank with one line and exit 3; 1000A1, at
+    10^6 = discforms.BUDGET entries, is still built."""
+    env = {**os.environ, "PYTHONPATH": str(Path(reflector.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "reflector.cli", "lattice", "--lattice", expr],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 3:
+        assert proc.stdout == "" and proc.stderr.startswith("budget exceeded: ")
+        assert len(proc.stderr.splitlines()) == 1
+    else:
+        assert "rank 1000, signature (1000,0)" in proc.stdout
 
 
 def test_check_pass_and_fail_exit_codes(capsys):

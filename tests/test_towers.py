@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import lattice_builds
 from reflector import classify, etaq
 from reflector.catalog import Catalog, default_catalog
 from reflector.classify import construction_coverage, verdict_table, verify_construction
@@ -160,6 +161,35 @@ def test_a_wrong_strongly_2_row_fails_the_ladder_and_is_uncovered(monkeypatch):
 def test_a_wrong_transfer_target_row_fails_that_transfer(monkeypatch):
     _replace_row(monkeypatch, "MIXED_REFLECTIVE", "II_{12,2}(3^{-5})", 25)
     assert verify_all()["transfers_ok"] == [False] + [True] * 10
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        test_a_wrong_mixed_row_fails_its_tower,
+        test_a_wrong_strongly_2_row_fails_the_ladder_and_is_uncovered,
+        test_a_wrong_transfer_target_row_fails_that_transfer,
+    ],
+    ids=lambda test: test.__name__.removeprefix("test_"),
+)
+def test_a_mutation_fails_after_a_warm_certified_table(mutation, monkeypatch):
+    """The lattices the catalog keeps carry no table row: after a full certified
+    table and replay, each mutated row still fails its towers."""
+    verdict_table(verify=True)
+    verify_all()
+    mutation(monkeypatch)
+
+
+def test_a_warm_certify_pass_builds_no_lattice():
+    """Once the certified table and the replay have run, running both again builds
+    no lattice: every model is read from the catalog."""
+    verdict_table(verify=True)
+    verify_all()
+    with lattice_builds() as built:
+        table = verdict_table(verify=True)
+        replay = verify_all()
+    assert built == []
+    assert table["count"] == 55 and all(replay["towers"].values())
 
 
 @pytest.mark.parametrize(
