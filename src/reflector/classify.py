@@ -35,7 +35,7 @@ from math import isqrt, prod
 
 from . import catalog as cat_mod
 from . import discforms, etaq, reflcheck, roots, towers
-from .discforms import GenusSymbol, eps_for, parse_genus
+from .discforms import GenusSymbol, existing_genus, parse_genus
 from .lattices import Lattice, direct_sum
 
 
@@ -180,71 +180,69 @@ def stored_cases_for(p: int) -> list[tuple[int, int]]:
     return list(case_table(p))
 
 
-def enumerate_genera(p: int, n_max: int = 26) -> list[GenusSymbol]:
-    """All genera II_{n,2}(p^{n_p}) with 4 <= n <= n_max, up to dual rescaling.
+N_MAX = 26  # the largest n of an enumerated genus II_{n,2}
+
+
+def enumerate_genera(p: int) -> list[GenusSymbol]:
+    """All genera II_{n,2}(p^{n_p}) with 4 <= n <= N_MAX, up to dual rescaling.
 
     n_p runs over 1..(n+2)/2; the dual representative with larger n_p is the
-    rescaled dual lattice and classifies identically.  Existence is decided
-    by whether any sign matches the Milgram octant.
+    rescaled dual lattice and classifies identically.  A genus is listed
+    with the sign for which it exists (`discforms.existing_genus`).
     """
-    out = []
-    for n in range(4, n_max + 1, 2):
-        for n_p in range(1, (n + 2) // 2 + 1):
-            try:
-                eps = eps_for(n - 2, p, n_p)
-            except discforms.GenusNotRepresentable:
-                continue
-            out.append(GenusSymbol(n, 2, p, n_p, eps))
-    return out
+    cases = [(n, n_p) for n in range(4, N_MAX + 1, 2) for n_p in range(1, (n + 2) // 2 + 1)]
+    return [g for g in (existing_genus(n, 2, p, n_p) for n, n_p in cases) if g is not None]
 
 
 @cache
-def _bounded_cases(p: int, n_max: int) -> frozenset[tuple[int, int]]:
-    """The cases (n, n_p) of `enumerate_genera(p, n_max)` that the two bounds keep.
+def _bounded_cases(p: int) -> frozenset[tuple[int, int]]:
+    """The cases (n, n_p) of `enumerate_genera(p)` that the two bounds keep.
 
     The weight bound n <= 10 + 24/(p+1) is tested in integers, as
     n (p+1) <= 10 (p+1) + 24; a genus that splits off U + U(p) is also
     dropped when the Riemann-Roch window is empty, that is when
-    n > 2 + 48/(p+1).  Computed once per (p, n_max).
+    n > 2 + 48/(p+1).  Computed once per p.
     """
     return frozenset(
         (g.pos, g.n_p)
-        for g in enumerate_genera(p, n_max)
+        for g in enumerate_genera(p)
         if g.pos * (p + 1) <= 10 * (p + 1) + 24
         and not (discforms.splits_u_up(g) and etaq.window_is_empty(g.pos, p))
     )
 
 
-def apply_bounds(p: int, n_max: int = 26):
+def apply_bounds(p: int):
     """Stored case list plus a report of where the two bounds disagree.
 
     The computed filter is `_bounded_cases`.  The stored list is
     authoritative, and read on every call; the mismatch report records both
     directions of disagreement with the computed filter.
     """
-    computed = _bounded_cases(p, n_max)
+    computed = _bounded_cases(p)
     stored = stored_cases_for(p)
     mismatch = {
         "kept_despite_filter": sorted(set(stored) - computed),
         "dropped_despite_filter": sorted(computed - set(stored)),
     }
-    cases = []
-    for n, n_p in stored:
-        eps = eps_for(n - 2, p, n_p)
-        cases.append(GenusSymbol(n, 2, p, n_p, eps))
-    return cases, mismatch
+    return [existing_genus(n, 2, p, n_p) for n, n_p in stored], mismatch
 
 
 # -- elimination machinery --
 
 def root_lattice_dets(rank: int) -> list[int]:
-    """Determinants of all direct sums of ADE root lattices of a given rank."""
-    dets = {0: {1}}
-    for r in range(1, rank + 1):
-        dets[r] = {
-            d * t.det for pr in range(1, r + 1) for t in roots.ade_types(pr) for d in dets[r - pr]
-        }
-    return sorted(dets[rank])
+    """Determinants of all direct sums of ADE root lattices of a given rank, a new list."""
+    return sorted(_root_lattice_dets(rank))
+
+
+@cache
+def _root_lattice_dets(rank: int) -> frozenset[int]:
+    """The set of `root_lattice_dets`, once per rank: an ADE lattice of rank r plus a sum."""
+    if rank == 0:
+        return frozenset({1})
+    return frozenset(
+        d * t.det for r in range(1, rank + 1) for t in roots.ade_types(r)
+        for d in _root_lattice_dets(rank - r)
+    )
 
 
 def _is_square(n: int) -> bool:

@@ -9,6 +9,11 @@ and the value counts of their forms off closed formulas, and performs the
 overlattice constructions (isotropic subgroups, even overlattices) that the
 classification needs.
 
+Whether a symbol names an even genus is decided in one place,
+`GenusSymbol.why_absent`, which `parse_genus` (once per label),
+`existing_genus` and `splits_u_up` read; the U(p) -> U map on symbols is
+`GenusSymbol.transfer`.
+
 The discriminant form of a lattice is computed once and kept on the
 `Lattice` (`discriminant_form`), and so is the table of classes whose
 cosets hold a vector of norm <= 2, with their minimum norms
@@ -35,8 +40,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm, prod
 from operator import add, mod, mul
 
@@ -418,19 +424,6 @@ def milgram_formula(p: int, n_p: int, eps: int) -> int:
     return (n_p * ((p - 1) % 4) + 2 * (1 - chi)) % 8
 
 
-def eps_for(sig_mod8: int, p: int, n_p: int) -> int:
-    """Resolve the sign invariant from the signature; raise when impossible."""
-    for eps in (1, -1):
-        try:
-            if milgram_formula(p, n_p, eps) == sig_mod8 % 8:
-                return eps
-        except GenusNotRepresentable:
-            break
-    raise GenusNotRepresentable(
-        f"no even-lattice genus with signature {sig_mod8} mod 8, p={p}, n_p={n_p}"
-    )
-
-
 # -- genus symbols at prime level --
 
 
@@ -453,40 +446,59 @@ class GenusSymbol:
     def __str__(self) -> str:
         return self.label()
 
+    def why_absent(self) -> str | None:
+        """Why no even genus has this symbol, or None: it exists exactly when p is prime,
+        the rank pos + neg is even and at least n_p >= 0, and a form with invariants
+        (p, n_p, eps) has the Milgram octant pos - neg mod 8 (Nikulin 1979, 1.9-1.10)."""
+        rank, sig = self.pos + self.neg, self.signature_mod8()
+        if not is_prime(self.p):
+            return f"{self.p} is not prime"
+        if rank % 2:
+            return f"even lattices have even rank, not {rank}"
+        if self.n_p < 0:
+            return f"p-rank {self.n_p} is negative"
+        if self.n_p > rank:
+            return f"p-rank {self.n_p} exceeds the rank {rank}"
+        try:
+            octant = milgram_formula(self.p, self.n_p, self.eps)
+        except GenusNotRepresentable as exc:
+            return str(exc)
+        if octant != sig:
+            return f"Milgram octant {octant} differs from the signature {sig} mod 8"
+        return None
+
+    def transfer(self) -> GenusSymbol:
+        """The genus after U(p) -> U: D(U(p)), of p-rank 2, leaves the discriminant form."""
+        sign = 1 if self.p == 2 else legendre(-1, self.p)  # the sign of D(U(p))
+        return replace(self, n_p=self.n_p - 2, eps=self.eps * sign)
+
+
+def existing_genus(pos: int, neg: int, p: int, n_p: int) -> GenusSymbol | None:
+    """The genus II_{pos,neg}(p^{eps n_p}) of the one sign eps that exists, or None."""
+    for eps in (1, -1):
+        g = GenusSymbol(pos, neg, p, n_p, eps)
+        if g.why_absent() is None:
+            return g
+    return None
+
 
 _GENUS_RE = re.compile(
     r"II_\{?(\d+),(\d+)\}?\((\d+)(?:_\{?II\}?)?\^\{?([+-])(\d+)\}?\)"
 )
 
 
+@cache
 def parse_genus(text: str) -> GenusSymbol:
-    """The genus symbol a label names; ValueError unless that genus exists.
-
-    An even genus II_{pos,neg}(p^{eps n_p}) exists exactly when p is prime,
-    the rank pos + neg is even and at least n_p, and the Milgram octant of
-    its discriminant form equals the signature pos - neg mod 8.
-    """
+    """The genus symbol a label names, parsed once per text (the symbol is immutable);
+    ValueError unless that genus exists (`GenusSymbol.why_absent`)."""
     m = _GENUS_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"cannot parse genus symbol {text!r}")
     pos, neg, p, sign, n_p = m.groups()
     g = GenusSymbol(int(pos), int(neg), int(p), int(n_p), 1 if sign == "+" else -1)
-    rank = g.pos + g.neg
-    if not is_prime(g.p):
-        raise ValueError(f"no genus {text!r}: {g.p} is not prime")
-    if rank % 2:
-        raise ValueError(f"no genus {text!r}: even lattices have even rank, not {rank}")
-    if g.n_p > rank:
-        raise ValueError(f"no genus {text!r}: p-rank {g.n_p} exceeds the rank {rank}")
-    try:
-        octant = milgram_formula(g.p, g.n_p, g.eps)
-    except GenusNotRepresentable as exc:
-        raise ValueError(f"no genus {text!r}: {exc}") from exc
-    if octant != g.signature_mod8():
-        raise ValueError(
-            f"no genus {text!r}: Milgram octant {octant} differs from the signature "
-            f"{g.signature_mod8()} mod 8"
-        )
+    why = g.why_absent()
+    if why:
+        raise ValueError(f"no genus {text!r}: {why}")
     return g
 
 
@@ -499,9 +511,9 @@ def genus_symbol(lat: Lattice, p: int | None = None) -> GenusSymbol:
     the octant of the form, fixed by (p, n_p, eps), to the signature mod 8
     (Nikulin, Izv. Akad. Nauk SSSR 43, 1979, 1.9; 3.6 for p = 2).  So the
     symbol is read off the lattice's cached level, determinant and signature,
-    with eps from `eps_for`.  Raises ValueError when p is not prime, when the
-    level is not 1 or p, when |det| is not a power of p, and (through
-    `eps_for`) when no sign fits the signature.
+    with the sign of `existing_genus`.  Raises ValueError when p is not prime,
+    when the level is not 1 or p, when |det| is not a power of p, and
+    GenusNotRepresentable when no sign gives a genus.
     """
     level = lat.level()
     if p is None:
@@ -517,34 +529,20 @@ def genus_symbol(lat: Lattice, p: int | None = None) -> GenusSymbol:
         raise ValueError(f"determinant {lat.det()} is not a power of {p}")
     n_p = fac.get(p, 0)
     pos, neg = lat.signature()
-    return GenusSymbol(pos, neg, p, n_p, eps_for(pos - neg, p, n_p))
-
-
-def eps_u_p(p: int) -> int:
-    """Sign invariant of the discriminant form of the rescaled hyperbolic plane."""
-    return 1 if p == 2 else legendre(-1, p)
+    g = existing_genus(pos, neg, p, n_p)
+    if g is None:
+        raise GenusNotRepresentable(f"no sign gives a genus II_{{{pos},{neg}}}({p}^{{{n_p}}})")
+    return g
 
 
 def splits_u_up(g: GenusSymbol) -> bool:
-    """Whether the genus admits a model U + U(p) + (positive definite part).
+    """Whether the genus admits a model U + U(p) + (definite part).
 
-    Splitting off U is automatic for the signatures in scope; splitting the
-    rescaled plane U(p) requires a definite complement of rank n - 2 whose
-    discriminant form complements D(U(p)) inside D, which reduces to a
-    rank/sign/octant feasibility check on block candidates.
+    Splitting off U is automatic for the signatures in scope; U(p) splits
+    off exactly when its definite complement, of signature (pos - 2,
+    neg - 2) and the form left by `GenusSymbol.transfer`, exists.
     """
-    m = g.n_p - 2
-    rank_complement = (g.pos - 2) + (g.neg - 2)
-    if m < 0 or rank_complement < m:
-        return False
-    eps_c = g.eps * eps_u_p(g.p)
-    target = (g.pos - 2 - (g.neg - 2)) % 8
-    if m == 0:
-        return target == 0 and eps_c == 1
-    try:
-        return milgram_formula(g.p, m, eps_c) == target
-    except GenusNotRepresentable:
-        return False
+    return replace(g.transfer(), pos=g.pos - 2, neg=g.neg - 2).why_absent() is None
 
 
 # -- isotropic subgroups and even overlattices --

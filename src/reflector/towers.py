@@ -84,14 +84,14 @@ def _only(ks: list[int]) -> int | None:
     return ks[0] if len(ks) == 1 else None
 
 
-def _dropped(prev: list, cur: list) -> Lattice | None:
-    """The one summand of prev that cur lacks; None unless that is their only difference."""
-    terms_prev = Counter(s[:3] for s in prev)
-    terms_cur = Counter(s[:3] for s in cur)
-    gone = terms_prev - terms_cur
-    if terms_cur - terms_prev or sum(gone.values()) != 1:
+def _dropped(prev: Lattice, cur: Lattice) -> Lattice | None:
+    """The one part (a catalog term's lattice) of prev that cur lacks; None unless
+    that is their only difference."""
+    parts_prev, parts_cur = Counter(prev.parts or (prev,)), Counter(cur.parts or (cur,))
+    gone = parts_prev - parts_cur
+    if parts_cur - parts_prev or sum(gone.values()) != 1:
         return None
-    return next(s[3] for s in prev if s[:3] in gone)
+    return next(iter(gone))
 
 
 def replay_tower(tower: dict, catalog=None, table=None) -> list[dict]:
@@ -112,13 +112,13 @@ def replay_tower(tower: dict, catalog=None, table=None) -> list[dict]:
     levels: list[dict] = []
     prev, k = None, None
     for expr in tower["exprs"]:
-        summands = cat.summands(expr)
-        genus = discforms.genus_symbol(cat.parse(expr), p=p).label()
+        lat = cat.parse(expr)
+        genus = discforms.genus_symbol(lat, p=p).label()
         drop = None
         if prev is None:
             k = _only(_weights(table, genus, c1, cp))
         else:
-            drop = _dropped(prev, summands)
+            drop = _dropped(prev, lat)
             k = None if drop is None or k is None else pullback_weight(k, c1, cp, drop, p)
         row = k is not None and k in _weights(table, genus, c1, cp)
         split = None
@@ -137,7 +137,7 @@ def replay_tower(tower: dict, catalog=None, table=None) -> list[dict]:
                 "ok": row or split is not None,
             }
         )
-        prev = summands
+        prev = lat
     return levels
 
 
@@ -188,11 +188,6 @@ def replay_transfer(tr: dict, catalog=None, table=None) -> dict:
     """
     t = transfer_target(tr, catalog, table)
     g, g_to, p = t["genus"], t["to_genus"], t["p"]
-    relation_ok = (
-        g_to.n_p == g.n_p - 2
-        and g_to.eps == g.eps * discforms.eps_u_p(p)
-        and (g_to.pos, g_to.neg) == (g.pos, g.neg)
-    )
     check_ok = False
     if t["target"] is not None and t["definite"] is not None:
         check_ok = reflcheck.check_candidate(t["definite"], p, *t["target"]).passed
@@ -203,7 +198,7 @@ def replay_transfer(tr: dict, catalog=None, table=None) -> dict:
         "source": t["source"],
         "target": t["target"],
         "scales_ok": t["scales"] == sorted([1, p]),
-        "relation_ok": relation_ok,
+        "relation_ok": g_to == g.transfer(),
         "row_ok": t["row"],
         "target_check_ok": check_ok,
     }

@@ -16,6 +16,11 @@ dual comes from the complementary p-rank and the Milgram octant.  The sign of a 
 genus, which the library reads off the signature alone, is computed here
 along two routes that look at the Gram itself: the exact Gauss sum of the
 discriminant form, and the Legendre symbols of a p-adic Jordan splitting.
+The existence of a genus, its sign, the U + U(p) split and the genus list
+of the classification are also written out here branch by branch, each
+condition tested on its own (`genus_rejection`, `eps_for`,
+`splits_u_up_by_cases`, `genera_by_octant`), as an oracle for the one rule
+of `GenusSymbol.why_absent`.
 `in_random_basis` is the change of basis that the Hypothesis strategies
 share.
 """
@@ -32,7 +37,14 @@ import pytest
 from hypothesis import strategies as st
 
 from reflector import intmat, lattices, roots
-from reflector.discforms import BudgetExceeded, DiscriminantForm, GenusSymbol, eps_for
+from reflector.discforms import (
+    BudgetExceeded,
+    DiscriminantForm,
+    GenusNotRepresentable,
+    GenusSymbol,
+    is_prime,
+    milgram_formula,
+)
 
 
 def _box_sweep(gram: list[list[int]], max_norm: int):
@@ -459,6 +471,70 @@ def dual_rescaled_gram(gram: list[list[int]], m: int) -> list[list[int]] | None:
     if any(scaled[i][i].numerator % 2 for i in range(len(scaled))):
         return None
     return [[x.numerator for x in row] for row in scaled]
+
+
+def eps_for(sig_mod8: int, p: int, n_p: int) -> int:
+    """The sign whose block candidate has the octant sig_mod8; GenusNotRepresentable if none."""
+    for eps in (1, -1):
+        try:
+            if milgram_formula(p, n_p, eps) == sig_mod8 % 8:
+                return eps
+        except GenusNotRepresentable:
+            break
+    raise GenusNotRepresentable(
+        f"no even-lattice genus with signature {sig_mod8} mod 8, p={p}, n_p={n_p}"
+    )
+
+
+def genus_rejection(g: GenusSymbol) -> str | None:
+    """Why `parse_genus` must reject the label of g (the text after "no genus ...: "), or None."""
+    rank = g.pos + g.neg
+    if not is_prime(g.p):
+        return f"{g.p} is not prime"
+    if rank % 2:
+        return f"even lattices have even rank, not {rank}"
+    if g.n_p > rank:
+        return f"p-rank {g.n_p} exceeds the rank {rank}"
+    try:
+        octant = milgram_formula(g.p, g.n_p, g.eps)
+    except GenusNotRepresentable as exc:
+        return str(exc)
+    if octant != g.signature_mod8():
+        return (
+            f"Milgram octant {octant} differs from the signature "
+            f"{g.signature_mod8()} mod 8"
+        )
+    return None
+
+
+def splits_u_up_by_cases(g: GenusSymbol) -> bool:
+    """Whether a definite complement of U + U(p) fits: p-rank, rank, then octant or
+    the trivial form, with the rank's parity left unchecked."""
+    m = g.n_p - 2
+    rank_complement = (g.pos - 2) + (g.neg - 2)
+    if m < 0 or rank_complement < m:
+        return False
+    eps_c = g.eps * (1 if g.p == 2 else legendre(-1, g.p))
+    target = (g.pos - 2 - (g.neg - 2)) % 8
+    if m == 0:
+        return target == 0 and eps_c == 1
+    try:
+        return milgram_formula(g.p, m, eps_c) == target
+    except GenusNotRepresentable:
+        return False
+
+
+def genera_by_octant(p: int, n_max: int = 26) -> list[GenusSymbol]:
+    """The genera II_{n,2}(p^{eps n_p}), 4 <= n <= n_max, 1 <= n_p <= (n+2)/2, by `eps_for`."""
+    out = []
+    for n in range(4, n_max + 1, 2):
+        for n_p in range(1, (n + 2) // 2 + 1):
+            try:
+                eps = eps_for(n - 2, p, n_p)
+            except GenusNotRepresentable:
+                continue
+            out.append(GenusSymbol(n, 2, p, n_p, eps))
+    return out
 
 
 def dual_rescale_genus(g: GenusSymbol) -> GenusSymbol:

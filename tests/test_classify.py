@@ -7,7 +7,7 @@ import pytest
 
 from reflector import classify as classify_mod
 from reflector import discforms, etaq, reflcheck
-from reflector.catalog import default_catalog, definite_part, e7_a1_overlattice
+from reflector.catalog import Catalog, default_catalog, definite_part, e7_a1_overlattice
 from reflector.classify import (
     apply_bounds,
     class_number,
@@ -24,6 +24,7 @@ from reflector.classify import (
 )
 from reflector.discforms import parse_genus
 from reflector.roots import root_components
+from reflector.towers import verify_all
 
 REFLECTIVE_55 = [
     "II_{6,2}(2_II^{-2})", "II_{6,2}(2_II^{-4})",
@@ -276,6 +277,34 @@ def test_root_lattice_determinant_menu():
     assert dets6[0] == 3 and 7 in dets6
     for d in dets6:
         assert max(_prime_factors(d)) <= 7
+
+
+def test_root_lattice_determinants_are_a_new_list_per_call():
+    """The menu is computed once per rank; a certificate that holds it shares it with no other."""
+    first = root_lattice_dets(6)
+    first.append(0)
+    assert root_lattice_dets(6) == first[:-1]
+    assert root_lattice_dets(0) == [1]
+
+
+def test_warm_certify_pass_parses_no_label_and_expands_no_expression(monkeypatch):
+    """After one verdict table and tower replay, a second pair parses no genus label
+    and expands no expression into its terms."""
+    verdict_table(verify=True)
+    verify_all()
+    expanded = []
+    summands = Catalog.summands
+
+    def counted(self, expr):
+        expanded.append(expr)
+        return summands(self, expr)
+
+    monkeypatch.setattr(Catalog, "summands", counted)
+    misses = parse_genus.cache_info().misses
+    verdict_table(verify=True)
+    verify_all()
+    assert parse_genus.cache_info().misses == misses
+    assert expanded == []
 
 
 def _prime_factors(n):

@@ -441,3 +441,26 @@ def test_discform_genus_must_exist(genus, code, capsys):
         assert "no genus" in err
     else:
         assert got == 0 and "Milgram octant 2" in out
+
+
+@pytest.mark.parametrize(
+    "genus, message",
+    [
+        ("II_{4,2}(3^{+x})", "cannot parse genus symbol 'II_{4,2}(3^{+x})'"),
+        ("II_{4,2}(9^{-1})", "no genus 'II_{4,2}(9^{-1})': 9 is not prime"),
+        ("II_{5,2}(3^{+1})", "no genus 'II_{5,2}(3^{+1})': even lattices have even rank, not 7"),
+        ("II_{4,2}(3^{+9})", "no genus 'II_{4,2}(3^{+9})': p-rank 9 exceeds the rank 6"),
+        ("II_{6,2}(3^{-0})", "no genus 'II_{6,2}(3^{-0})': trivial form has eps = +1"),
+        ("II_{6,2}(2_II^{-3})",
+         "no genus 'II_{6,2}(2_II^{-3})': level-2 forms of even type have even rank"),
+        ("II_{4,2}(3^{+1})",
+         "no genus 'II_{4,2}(3^{+1})': Milgram octant 6 differs from the signature 2 mod 8"),
+    ],
+    ids=["unparsable", "non-prime", "odd rank", "p-rank above the rank", "eps - at n_p 0",
+         "odd n_p at p 2", "wrong octant"],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_discform_genus_rejections_are_pinned(genus, message, fmt, capsys):
+    """Each kind of rejection of `--genus` prints its own one line, in either format."""
+    code, out, err = run_cli_err(["discform", "--genus", genus, "--format", fmt], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")

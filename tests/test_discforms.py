@@ -16,12 +16,15 @@ from helpers import (
     eps_by_gauss_sum,
     eps_by_jordan,
     gauss_exponents,
+    genera_by_octant,
+    genus_rejection,
     in_random_basis,
     isotropic_subgroups_by_closure,
     poly_divmod,
     q_values,
     root_classes_by_dual_enumeration,
     short_vector_calls,
+    splits_u_up_by_cases,
 )
 from reflector.catalog import Catalog, default_catalog, definite_part, parse_lattice
 from reflector.discforms import (
@@ -35,6 +38,7 @@ from reflector.discforms import (
     genus_symbol,
     glue_level,
     glue_overlattice,
+    is_prime,
     isotropic_subgroups,
     milgram_formula,
     candidate_form,
@@ -342,6 +346,49 @@ def test_parse_genus_round_trips_all_case_labels():
     for p in (2, 3, 5, 7, 11, 19, 23):
         for g in enumerate_genera(p):
             assert parse_genus(g.label()) == g
+
+
+PRIMES_BELOW_60 = [p for p in range(60) if is_prime(p)]
+
+
+def test_existence_rule_agrees_with_its_conditions_one_by_one():
+    """29,376 symbols: every prime p < 60, pos <= 26, neg in {0, 2}, 0 <= n_p <=
+    pos + neg + 1 and both signs.  `parse_genus` accepts exactly the symbols
+    that `genus_rejection` accepts, and rejects the others with its message;
+    on every genus that exists, `splits_u_up` agrees with `splits_u_up_by_cases`."""
+    checked, accepted, split = 0, 0, 0
+    for p in PRIMES_BELOW_60:
+        for pos in range(27):
+            for neg in (0, 2):
+                for n_p in range(pos + neg + 2):
+                    for eps in (1, -1):
+                        g = GenusSymbol(pos, neg, p, n_p, eps)
+                        label, want = g.label(), genus_rejection(g)
+                        checked += 1
+                        if want is not None:
+                            with pytest.raises(ValueError) as exc:
+                                parse_genus(label)
+                            assert str(exc.value) == f"no genus {label!r}: {want}"
+                            continue
+                        assert parse_genus(label) == g
+                        assert splits_u_up(g) is splits_u_up_by_cases(g), label
+                        accepted += 1
+                        split += splits_u_up(g)
+    assert (checked, accepted, split) == (29376, 3370, 2495)
+
+
+def test_enumerated_genera_agree_with_the_octant_oracle():
+    from reflector.classify import enumerate_genera
+
+    for p in PRIMES_BELOW_60:
+        assert enumerate_genera(p) == genera_by_octant(p), p
+
+
+def test_transfer_replaces_u_p_by_u():
+    """U + U(p) + K and 2U + K have the same signature; D(U(p)) leaves the form."""
+    for expr, p in (("U+U(3)+2A2", 3), ("U+U(5)+T4", 5), ("U+U(7)+L7", 7), ("U+U(2)+D4", 2)):
+        g = genus_symbol(parse_lattice(expr, CAT), p)
+        assert g.transfer() == genus_symbol(parse_lattice(expr.replace(f"U({p})", "U"), CAT), p)
 
 
 def test_dual_rescale_is_an_involution():
