@@ -21,9 +21,12 @@ cosets hold a vector of norm <= 2, with their minimum norms
 up from the tables of the parts of an orthogonal sum, so the dual of a sum
 is never enumerated as a whole, and a catalog term is enumerated once.
 
-Value statistics of a form come from one integer pass over D, made at most
-once per form: it counts the values x^T B x times the common denominator of
-B, and both the norm counts and the Gauss sum are read off those counts.
+Value statistics of a form come from one integer walk over D (`_walk`),
+made at most once per form and refused past WALK_BUDGET elements: it counts
+the values x^T B x times the common denominator of B, and both the norm
+counts and the Gauss sum are read off those counts.  The pool of the
+isotropic subgroup search is the same walk over the elements of order
+dividing the subgroup order, keeping those of value 0.
 The Gauss sum is compared with sqrt(|D|) zeta_8^s in Z[C_M], M = lcm(8,
 level), and a difference vanishes at zeta_M exactly when its reduction along
 the prime-power factors of M (by CRT) is zero, which takes O(M omega(M))
@@ -38,7 +41,6 @@ epsilon + for the hyperbolic block and - when one anisotropic block enters.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -50,6 +52,7 @@ from . import intmat, roots
 from .lattices import Lattice
 
 BUDGET = 10**6  # default operation budget of the subgroup search
+WALK_BUDGET = 5 * 10**6  # the most elements the value walk over one form visits
 
 
 class BudgetExceeded(RuntimeError):
@@ -154,6 +157,51 @@ def _shifted(elem: dict[int, int], shifts, m: int) -> dict[int, int]:
     return out
 
 
+def _walk(bnum, box, modulus: int, counts: list[int] | None = None) -> list[tuple[int, ...]]:
+    """The x of a box with v(x) = x^T A x = 0 mod `modulus`, A = bnum, in integers;
+    with `counts`, adds one to counts[v(x)] for every x instead.
+
+    Axis i runs over x_i = 0, s_i, ..., (n_i - 1) s_i, box[i] = (n_i, s_i), in
+    `itertools.product` order.  An entry of the explicit stack is an axis with
+    the value, the partial linear forms lin[t] = sum_j A_tj x_j of the later
+    axes t and the coordinates before it.  Along an axis the value is a
+    quadratic, stepped by its first difference, so the last axis costs O(1)
+    per element, and only the hits become tuples.
+    """
+    if not box:  # one element, (), of value 0
+        if counts is None:
+            return [()]
+        counts[0] += 1
+        return []
+    hits, last = [], len(box) - 1
+    # per axis: its size and stride, s^2 A_ii, and s A_it for the later axes t
+    axes = [(n, s, s * s * bnum[i][i], [s * a for a in bnum[i][i + 1 :]])
+            for i, (n, s) in enumerate(box)]
+    stack = [(0, 0, [0] * len(box), ())]  # lin holds lin[t] for t >= the axis
+    while stack:
+        i, value, lin, prefix = stack.pop()
+        n, s, b, row = axes[i]
+        step = (b + 2 * s * lin[0]) % modulus  # v(x + s e_i) - v(x) at x_i = 0
+        if i == last:
+            for x in range(0, n * s, s):
+                if counts is not None:
+                    counts[value % modulus] += 1
+                elif not value % modulus:
+                    hits.append(prefix + (x,))
+                value += step
+                step += 2 * b
+            continue
+        lin = lin[1:]
+        children = []
+        for x in range(0, n * s, s):
+            children.append((i + 1, value % modulus, lin, prefix + (x,) if counts is None else ()))
+            value += step
+            step += 2 * b
+            lin = [u + v for u, v in zip(lin, row)]
+        stack.extend(reversed(children))
+    return hits
+
+
 @dataclass
 class DiscriminantForm:
     """Finite quadratic module presented by generator orders and a Gram matrix.
@@ -221,32 +269,6 @@ class DiscriminantForm:
                 n = lcm(n, den // gcd(den, sum(map(mul, y, bx))))
         return n
 
-    def is_isotropic(self, x: tuple[int, ...]) -> bool:
-        """Whether q(x) = 0, in integers."""
-        return self._q_num(x) % (2 * self._bden) == 0
-
-    def _q_num(self, x: tuple[int, ...]) -> int:
-        """x^T B x times the common denominator of B."""
-        total = 0
-        bnum = self._bnum
-        k = len(x)
-        for i in range(k):
-            xi = x[i]
-            if xi:
-                row = bnum[i]
-                total += row[i] * xi * xi
-                for j in range(i + 1, k):
-                    if x[j]:
-                        total += 2 * row[j] * xi * x[j]
-        return total
-
-    def elements_of_order_dividing(self, m: int):
-        ranges = []
-        for o in self.orders:
-            step = o // gcd(o, m)
-            ranges.append(range(0, o, step))
-        return itertools.product(*ranges)
-
     def direct_sum(self, other: "DiscriminantForm") -> "DiscriminantForm":
         b = intmat.block_diagonal([self.bilinear, other.bilinear])
         return DiscriminantForm(self.orders + other.orders, b)
@@ -254,41 +276,18 @@ class DiscriminantForm:
     def _q_counts(self) -> list[int]:
         """counts[v] = number of elements x with x^T B x * den = v mod 2 den.
 
-        One pass over D in integers, made once per form.  The walk carries
-        the partial linear forms sum_{j<i} B_tj x_j of the later coordinates
-        t, so the innermost coordinate costs O(1) per element: along it the
-        value is a quadratic in x_i, stepped by its first difference.
+        One pass of `_walk` over D, made once per form.  It raises
+        BudgetExceeded before it starts when |D| passes WALK_BUDGET = 5 * 10^6
+        elements (13^6 = 4,826,809 is walked, 7^8 = 5,764,801 refused), and
+        so do `count_norm` and `milgram_octant`, which read these counts.
         """
-        if self._counts is not None:
-            return self._counts
-        mod = 2 * self._bden
-        counts = [0] * mod
-        bnum, orders = self._bnum, self.orders
-        last = len(orders) - 1
-
-        def walk(i: int, value: int, lin: list[int]) -> None:
-            # value(x_i) = value + x_i (b x_i + 2 lin[i]), stepped by `step`
-            b = bnum[i][i]
-            step = b + 2 * lin[i]
-            if i == last:
-                for _ in range(orders[i]):
-                    counts[value % mod] += 1
-                    value += step
-                    step += 2 * b
-                return
-            row = bnum[i]
-            for _ in range(orders[i]):
-                walk(i + 1, value, lin)
-                value += step
-                step += 2 * b
-                lin = [x + y for x, y in zip(lin, row)]
-
-        if orders:
-            walk(0, 0, [0] * len(orders))
-        else:
-            counts[0] = 1
-        self._counts = counts
-        return counts
+        if self._counts is None:
+            if self.order() > WALK_BUDGET:
+                raise BudgetExceeded(f"value walk of {self.order()} elements passes {WALK_BUDGET}")
+            counts = [0] * (2 * self._bden)
+            _walk(self._bnum, [(o, 1) for o in self.orders], len(counts), counts)
+            self._counts = counts
+        return self._counts
 
     def count_norm(self, target: Fraction) -> int:
         """Number of nonzero elements with q(x) = target mod 2."""
@@ -300,9 +299,10 @@ class DiscriminantForm:
 
     def _gauss_vector(self, m: int) -> list[int]:
         """vec[e] = number of elements with q(x) m / 2 = e mod m, for m a multiple of the level."""
+        counts = self._q_counts()
         vec = [0] * m
         den2 = 2 * self._bden
-        for v, c in enumerate(self._q_counts()):
+        for v, c in enumerate(counts):
             if c:
                 e, r = divmod(v * m, den2)
                 assert r == 0
@@ -320,9 +320,10 @@ class DiscriminantForm:
         vanishing at zeta_M by the CRT reduction of `_vanishes_at_root`.
         """
         m = lcm(8, self.level())
+        vec = self._gauss_vector(m)  # first, for its walk's size check
         pos, axes = _crt_layout(m)
         gauss = [0] * m
-        for e, c in enumerate(self._gauss_vector(m)):
+        for e, c in enumerate(vec):
             gauss[pos[e]] = c
 
         size = self.order()
@@ -607,6 +608,13 @@ def _pool_scan(form: DiscriminantForm, order: int, budget: int) -> int:
     return ops
 
 
+def isotropic_pool(form: DiscriminantForm, order: int) -> list[tuple[int, ...]]:
+    """The nonzero isotropic x of order dividing `order`, in `itertools.product` order: one
+    `_walk` of the box with step o_i / gcd(o_i, order) on axis i, whose first hit is 0."""
+    box = [(gcd(o, order), o // gcd(o, order)) for o in form.orders]
+    return _walk(form._bnum, box, 2 * form._bden)[1:]
+
+
 def isotropic_subgroups(
     form: DiscriminantForm, order: int, budget: int = BUDGET, avoid: frozenset = frozenset()
 ):
@@ -614,11 +622,12 @@ def isotropic_subgroups(
 
     q vanishes identically on each subgroup.  The search grows subgroups
     breadth-first from the pool of nonzero isotropic elements whose order
-    divides `order` and that are not in `avoid`, carrying each subgroup's
-    generators.  For H isotropic and x isotropic, q(h + kx) = q(h) + k^2 q(x)
-    + 2k b(h, x) mod 2, so <H, x> is isotropic exactly when b(g, x) is
-    integral for every generator g of H; x is tried only then, and q is
-    never evaluated on a closure.  A closure that meets `avoid` is dropped
+    divides `order` and that are not in `avoid` (`isotropic_pool`, the
+    integer walk of the value counts), carrying each subgroup's generators.
+    For H isotropic and x isotropic, q(h + kx) = q(h) + k^2 q(x) + 2k b(h, x)
+    mod 2, so <H, x> is isotropic exactly when b(g, x) is integral for every
+    generator g of H; x is tried only then, and q is never evaluated on a
+    closure.  A closure that meets `avoid` is dropped
     with all that would grow from it; a subgroup that misses `avoid` is
     still reached, through its subgroups.  Every element scanned for the
     pool and every (subgroup, element) pair tried counts as one operation,
@@ -628,8 +637,7 @@ def isotropic_subgroups(
     orders, den = form.orders, form._bden
     ops = _pool_scan(form, order, budget)
     zero = tuple(0 for _ in orders)
-    pool = [x for x in form.elements_of_order_dividing(order) if any(x) and x not in avoid]
-    pool = [x for x in pool if form.is_isotropic(x)]
+    pool = [x for x in isotropic_pool(form, order) if x not in avoid]
     # den * x^T B, so den * b(g, x) is the dot product of g with it
     pairing = {x: [sum(map(mul, x, row)) for row in form._bnum] for x in pool}
 

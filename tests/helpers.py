@@ -181,6 +181,18 @@ def q_values(orders: tuple[int, ...], bilinear) -> Counter:
     return out
 
 
+def isotropic_elements(orders: tuple[int, ...], bilinear) -> list[tuple[tuple[int, ...], int]]:
+    """(x, order of x) for the nonzero x with q(x) = 0, in `itertools.product` order:
+    the order of x as an lcm, and q(x) one Fraction sum each, as in `q_values`."""
+    b = [[Fraction(v) for v in row] for row in bilinear]
+    out = []
+    for x in itertools.product(*(range(o) for o in orders)):
+        q = sum(b[i][j] * xi * xj for i, xi in enumerate(x) if xi for j, xj in enumerate(x) if xj)
+        if any(x) and q % 2 == 0:
+            out.append((x, lcm(*(o // gcd(o, c) for o, c in zip(orders, x)))))
+    return out
+
+
 def isotropic_subgroups_by_closure(
     orders: tuple[int, ...], bilinear, order: int, budget: int = 10**6
 ) -> list[tuple]:

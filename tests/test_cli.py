@@ -411,6 +411,17 @@ def test_classnumber_past_the_budget_exits_three(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("expr", ["A4(101)", "A2(1000003)", "A1(1000000007)"])
+def test_discform_past_the_walk_cap_exits_three(expr, capsys):
+    """These forms have 5 * 101^4, 3 * 1000003^2 and 2 * 1000000007 elements; the value
+    walk refuses them before it starts, and before the Gauss sum lays out Z/lcm(8, level)."""
+    start = time.perf_counter()
+    code, out, err = run_cli_err(["discform", "--lattice", expr, "--prime", "7"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("budget exceeded: value walk of ") and len(err.splitlines()) == 1
+
+
 def test_classnumber_of_a_huge_rank_exits_three(capsys):
     """At rank 2000 the root datum search passes its node budget, on an explicit
     stack, long before Python's recursion limit could matter."""

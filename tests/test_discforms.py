@@ -1,6 +1,7 @@
 """Finite quadratic modules: Gauss sums, genus symbols, splittings, overlattices."""
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm, prod
@@ -19,6 +20,7 @@ from helpers import (
     genera_by_octant,
     genus_rejection,
     in_random_basis,
+    isotropic_elements,
     isotropic_subgroups_by_closure,
     poly_divmod,
     q_values,
@@ -26,6 +28,7 @@ from helpers import (
     short_vector_calls,
     splits_u_up_by_cases,
 )
+from reflector import discforms
 from reflector.catalog import Catalog, default_catalog, definite_part, parse_lattice
 from reflector.discforms import (
     BudgetExceeded,
@@ -39,6 +42,7 @@ from reflector.discforms import (
     glue_level,
     glue_overlattice,
     is_prime,
+    isotropic_pool,
     isotropic_subgroups,
     milgram_formula,
     candidate_form,
@@ -185,6 +189,56 @@ def test_value_counts_match_per_element_enumeration(form):
             assert form.count_norm(absent) == 0
     m = lcm(8, form.level())
     assert form._gauss_vector(m) == gauss_exponents(form.orders, form.bilinear, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(FORMS)
+@example(DiscriminantForm.from_lattice(parse_lattice("A1+A1+A1+A5(3)", CAT)))
+@example(DiscriminantForm.from_lattice(parse_lattice("A4(5)+A4", CAT)))
+@example(DiscriminantForm.from_lattice(parse_lattice("E6(3)", CAT)))
+def test_isotropic_pool_matches_per_element_filter(form):
+    """For every divisor m of the exponent, the walked pool is, in order, the nonzero
+    elements of order dividing m with q(x) = 0, one Fraction q(x) per element.
+
+    The examples mix orders on one form: (3, 6, 6, 6, 18), (5, 5, 5, 5, 25) and
+    (3, 3, 3, 3, 3, 9).
+    """
+    assume(form is not None and form.order() <= 16000)
+    isotropic = isotropic_elements(form.orders, form.bilinear)
+    exponent = lcm(*form.orders)
+    for m in (d for d in range(1, exponent + 1) if exponent % d == 0):
+        assert isotropic_pool(form, m) == [x for x, o in isotropic if m % o == 0], m
+
+
+def test_value_walk_and_pool_leave_no_garbage_cycle():
+    """Without the cycle collector, the value walk and the subgroup search on a fresh
+    form free everything they made."""
+    lat = parse_lattice("E6(3)", CAT)
+    gc.collect()
+    gc.disable()
+    try:
+        form = DiscriminantForm.from_lattice(lat)
+        octant = form.milgram_octant()
+        subgroups = isotropic_subgroups(form, 9)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert octant == 6 and len(subgroups) == 400
+
+
+def test_value_walk_is_refused_past_its_cap(monkeypatch):
+    """|D| above WALK_BUDGET raises BudgetExceeded before the walk; |D| at it is walked."""
+    big = candidate_form(7, 8, 1)  # 7^8 = 5,764,801 elements
+    start = perf_counter()
+    for read in (big.milgram_octant, lambda: big.count_norm(Fraction(2, 7))):
+        with pytest.raises(BudgetExceeded, match="value walk of 5764801 elements"):
+            read()
+    assert perf_counter() - start < 1
+    monkeypatch.setattr(discforms, "WALK_BUDGET", 3**7)
+    assert DiscriminantForm.from_lattice(parse_lattice("E6(3)", CAT)).milgram_octant() == 6
+    monkeypatch.setattr(discforms, "WALK_BUDGET", 3**7 - 1)
+    with pytest.raises(BudgetExceeded):
+        DiscriminantForm.from_lattice(parse_lattice("E6(3)", CAT)).milgram_octant()
 
 
 def test_form_orders_multiply_in_direct_sums():
