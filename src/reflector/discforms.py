@@ -15,11 +15,13 @@ Whether a symbol names an even genus is decided in one place,
 `GenusSymbol.transfer`.
 
 The discriminant form of a lattice is computed once and kept on the
-`Lattice` (`discriminant_form`), and so is the table of classes whose
-cosets hold a vector of norm <= 2, with their minimum norms
-(`short_cosets`).  The root classes that a glue group must miss are added
-up from the tables of the parts of an orthogonal sum, so the dual of a sum
-is never enumerated as a whole, and a catalog term is enumerated once.
+`Lattice` (`discriminant_form`); for an orthogonal sum it is the direct sum
+of the parts' forms, presented part by part, so only a lattice that is not
+a sum runs a Smith form.  So is the table of classes whose cosets hold a
+vector of norm <= 2, with their minimum norms (`short_cosets`).  The root
+classes that a glue group must miss are concatenated from the tables of
+the parts of an orthogonal sum, so the dual of a sum is never enumerated as
+a whole, and a catalog term is enumerated once.
 
 Value statistics of a form come from one integer walk over D (`_walk`),
 made at most once per form and refused past WALK_BUDGET elements: it counts
@@ -44,7 +46,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import gcd, isqrt, lcm, prod
 from operator import add, mod, mul
 
@@ -206,9 +208,11 @@ def _walk(bnum, box, modulus: int, counts: list[int] | None = None) -> list[tupl
 class DiscriminantForm:
     """Finite quadratic module presented by generator orders and a Gram matrix.
 
-    orders are the invariant factors (> 1); bilinear is the rational Gram of
-    the generators in the dual pairing, so q(x) = x^T B x mod 2 and
-    b(x, y) = x^T B y mod 1 for integer coefficient vectors x, y.
+    orders are the generator orders (> 1): the invariant factors for
+    `from_lattice`, the orders of both summands in turn for `direct_sum`;
+    bilinear is the rational Gram of the generators in the dual pairing, so
+    q(x) = x^T B x mod 2 and b(x, y) = x^T B y mod 1 for integer coefficient
+    vectors x, y.
     """
 
     orders: tuple[int, ...]
@@ -270,8 +274,14 @@ class DiscriminantForm:
         return n
 
     def direct_sum(self, other: "DiscriminantForm") -> "DiscriminantForm":
+        """D + D', with `gens` and `coords` block diagonal when both forms carry them."""
         b = intmat.block_diagonal([self.bilinear, other.bilinear])
-        return DiscriminantForm(self.orders + other.orders, b)
+        if self.gens is None or other.gens is None:
+            return DiscriminantForm(self.orders + other.orders, b)
+        n1, n2, k1, k2 = len(self.gens), len(other.gens), len(self.orders), len(other.orders)
+        gens = [row + [0] * k2 for row in self.gens] + [[0] * k1 + row for row in other.gens]
+        coords = [row + [0] * n2 for row in self.coords] + [[0] * n1 + row for row in other.coords]
+        return DiscriminantForm(self.orders + other.orders, b, gens=gens, coords=coords)
 
     def _q_counts(self) -> list[int]:
         """counts[v] = number of elements x with x^T B x * den = v mod 2 den.
@@ -678,8 +688,10 @@ def glue_overlattice(
 ) -> Lattice:
     """The overlattice of L glued by the isotropic subgroup of D(L) with elements `sub`.
 
-    `form` is `DiscriminantForm.from_lattice(lat)`.  The Gram is that of the
-    Hermite basis of L + (the glue vectors of H), in the coordinates of L.
+    `form` is `discriminant_form(lat)`, or any presentation of D(L) that
+    carries `gens`.  The Gram is that of the Hermite basis of L + (the glue
+    vectors of H), in the coordinates of L, so it depends on the subgroup of
+    L^dual / L and not on its presentation.
     """
     n, m, det = lat.rank, len(sub), lat.det()
     adj = lat.adjugate()
@@ -705,10 +717,19 @@ def glue_overlattice(
 
 
 def discriminant_form(lat: Lattice) -> DiscriminantForm:
-    """`DiscriminantForm.from_lattice(lat)`, computed once per lattice and kept on it."""
+    """D(L), computed once per lattice and kept on it.
+
+    An orthogonal sum gets the direct sum of its parts' forms, presented part
+    by part, since D(L1 + L2) = D(L1) + D(L2) (Nikulin, Izv. Akad. Nauk SSSR
+    43, 1979, 1.1), so a sum of known parts runs no Smith form; any other
+    lattice gets `DiscriminantForm.from_lattice(lat)`.
+    """
     memo = lat.discform_memo
     if "form" not in memo:
-        memo["form"] = DiscriminantForm.from_lattice(lat)
+        if lat.parts:
+            memo["form"] = reduce(DiscriminantForm.direct_sum, map(discriminant_form, lat.parts))
+        else:
+            memo["form"] = DiscriminantForm.from_lattice(lat)
     return memo["form"]
 
 
@@ -751,70 +772,37 @@ def root_classes(lat: Lattice, order: int) -> frozenset:
     exactly when its part minima add up to 2: a sum below 2 could reach 2
     only by adding 2 on a part whose minimum is 0, and then x would be 0.
 
-    Each part's `short_cosets` are read once per part (and kept on it);
-    those of order dividing `order` are grouped by minimum, as an integer
-    over the lcm of the part determinants.  A pass over the parts then
-    keeps, by the norm spent so far, the partial sums in D(L) (the
-    `discriminant_form` of L) from which the later parts can still reach
-    exactly 2.  A part class enters D(L) through the images of the part's
-    generators, the identity when the part is L, and only when its minimum
-    is used.
+    `discriminant_form(L)` presents D(L) part by part, so an element of D(L)
+    is the concatenation of one element of each D(P).  Each part's
+    `short_cosets` are read once per part (and kept on it); those of order
+    dividing `order` are grouped by minimum, as an integer over the lcm of
+    the part determinants, and each part adds its zero at minimum 0.  A pass
+    over the parts then keeps, by the norm spent so far, the prefixes from
+    which the later parts can still reach exactly 2.
     """
     parts = lat.parts or (lat,)
-    form = discriminant_form(lat)
-    orders = form.orders
     den = lcm(*(part.det() for part in parts))
-    steps = []  # (part, its first coordinate in L, part classes by scaled minimum)
-    offset = 0
+    steps = []  # per part: its zero, and its classes by scaled minimum
     for part in parts:
-        start, offset = offset, offset + part.rank
-        if gcd(part.det(), order) == 1:  # no nonzero class of D(P) has order dividing it
-            continue
         by_norm: dict[int, list[tuple[int, ...]]] = {}
-        for x_order, by_min in short_cosets(part).items():
-            if order % x_order == 0:
-                for norm, xs in by_min.items():
-                    by_norm.setdefault(norm * (den // part.det()), []).extend(xs)
-        steps.append((part, start, by_norm))
+        if gcd(part.det(), order) > 1:  # else no nonzero class of D(P) has order dividing it
+            for x_order, by_min in short_cosets(part).items():
+                if order % x_order == 0:
+                    for norm, xs in by_min.items():
+                        by_norm.setdefault(norm * (den // part.det()), []).extend(xs)
+        steps.append(((0,) * len(discriminant_form(part).orders), by_norm))
     # left[i]: the norms the parts of steps[i:] can still add, up to 2
     left = [{0}]
-    for _, _, by_norm in reversed(steps):
+    for _, by_norm in reversed(steps):
         left.append({s + t for s in left[-1] for t in (0, *by_norm) if s + t <= 2 * den})
     left.reverse()
-    zero = tuple(0 for _ in orders)
-    spent = {0: {zero}}
-    for i, (part, start, by_norm) in enumerate(steps):
-        if part is lat:
-            mapped = by_norm
-        else:
-            pform = discriminant_form(part)
-            pad = [0] * start, [0] * (lat.rank - start - part.rank)
-            images = [
-                form.element_of(pad[0] + [row[j] for row in pform.gens] + pad[1])
-                for j in range(len(pform.orders))
-            ]
-            # per coordinate of D(L): its order and its coefficients in the images
-            cols = list(zip(orders, zip(*images)))
-            mapped = {}
+    spent = {0: {()}}
+    for i, (zero, by_norm) in enumerate(steps):
         grown: dict[int, set] = {}
-        for s, elems in spent.items():
-            for t in (0, *by_norm):
-                if 2 * den - s - t not in left[i + 1]:
-                    continue
-                bucket = grown.setdefault(s + t, set())
-                if t == 0:
-                    bucket.update(elems)
-                    continue
-                if t not in mapped:
-                    mapped[t] = [
-                        tuple(sum(map(mul, x, col)) % o for o, col in cols) for x in by_norm[t]
-                    ]
-                if elems == {zero}:
-                    bucket.update(mapped[t])
-                else:
-                    bucket.update(
-                        tuple(map(mod, map(add, e, y), orders)) for e in elems for y in mapped[t]
-                    )
+        for s, prefixes in spent.items():
+            for t, xs in ((0, [zero]), *by_norm.items()):
+                if 2 * den - s - t in left[i + 1]:
+                    grown.setdefault(s + t, set()).update(e + x for e in prefixes for x in xs)
         spent = grown
     return frozenset(spent.get(2 * den, ()))
 

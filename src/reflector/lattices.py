@@ -19,10 +19,11 @@ from Bareiss elimination at construction, which is also its degeneracy
 check; for a sum, the product of nonzero determinants is that check.  The
 root data of `roots.root_data` are kept on the lattice too, one entry per
 prime, and a sum joins them from its parts where it can.  So are the
-discriminant form of `discforms.discriminant_form` and the table of cosets
-x + L that hold a vector of norm <= 2, from which `discforms.root_classes`
-assembles the root classes of a sum part by part.  Neither memo refers back
-to its lattice.
+discriminant form of `discforms.discriminant_form`, which for a sum is the
+direct sum of its parts' forms, D(L1 + L2) = D(L1) + D(L2), and the table
+of cosets x + L that hold a vector of norm <= 2, from which
+`discforms.root_classes` concatenates the root classes of a sum part by
+part.  Neither memo refers back to its lattice.
 """
 
 from __future__ import annotations

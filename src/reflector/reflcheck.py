@@ -7,13 +7,15 @@ on K and, for a sum of catalog terms of level 1 or p, joins it from the
 terms: the positive roots R1+ (norm 2) and R2+ (norm 2p), giving the root
 counts |R1| = 2 |R1+| and |R2| = 2 |R2+|; the components; n1, the rank of
 the span of R1; and the root sums S1 = sum_{R1+} (Gr)(Gr)^T and
-S2 = sum_{R2+} (Gs)(Gs)^T.  For multiplicities (c1, cp) on the two root
-classes and a proposed weight k, the constraints are:
+S2 = sum_{R2+} (Gs)(Gs)^T, kept as one (G, S1, S2) block per part.  For
+multiplicities (c1, cp) on the two root classes and a proposed weight k,
+the constraints are:
 
-  * matrix identity: c1 S1 + (cp/p^2) S2 = C G for one scalar C, checked
-    on every entry, so a sum whose parts have different constants fails
-    (each +- pair gives the same outer product, so this is half the
-    identity over R1 and R2);
+  * matrix identity: c1 S1 + (cp/p^2) S2 = C G for one scalar C.  Both
+    sides are block diagonal over the blocks of the root data, so it is
+    checked on every block, with C read off the first; a sum whose parts
+    have different constants fails (each +- pair gives the same outer
+    product, so this is half the identity over R1 and R2);
   * counting identity: C = (c1 |R1| + cp |R2| + 2k) / 24 - c1;
   * singular bound: k >= (n1 c1 + (rank - n1) cp) / 2;
   * for p >= 5 with both classes present, the same constants expressed
@@ -65,18 +67,24 @@ def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckRepo
     comps = data.components
     n_short, n_long = 2 * data.positive_short, 2 * data.positive_long
     n = lat.rank
-    g = lat.gram
 
-    # p^2 times the weighted positive-root sum c1 S1 + (cp/p^2) S2, so it
-    # stays integral
-    s = [
-        [p * p * c1 * x + cp * y for x, y in zip(row1, row2)]
-        for row1, row2 in zip(data.s1, data.s2)
+    # per block, p^2 times the weighted positive-root sum c1 S1 + (cp/p^2) S2,
+    # so it stays integral, next to the block's Gram
+    blocks = [
+        (g, [[p * p * c1 * x + cp * y for x, y in zip(*rows)] for rows in zip(s1, s2)])
+        for g, s1, s2 in data.blocks
+        if g
     ]
 
-    # s = C p^2 G, with C p^2 = s[0][0] / g[0][0]
-    c = Fraction(s[0][0], p * p * g[0][0]) if n else Fraction(0)
-    matrix_ok = all(s[i][j] * g[0][0] == s[0][0] * g[i][j] for i in range(n) for j in range(n))
+    # s = C p^2 G on every block, with C p^2 = s[0][0] / g[0][0] on the first
+    g00, s00 = (blocks[0][0][0][0], blocks[0][1][0][0]) if blocks else (1, 0)
+    c = Fraction(s00, p * p * g00)
+    matrix_ok = all(
+        x * g00 == s00 * y
+        for g, s in blocks
+        for srow, grow in zip(s, g)
+        for x, y in zip(srow, grow)
+    )
 
     counting_ok = c == Fraction(c1 * n_short + cp * n_long + 2 * k, 24) - c1
 

@@ -13,12 +13,12 @@ coordinate is positive.
 
 `root_data` summarises R once per (lattice, p) and keeps the result on the
 `Lattice`: the positive root counts, the irreducible components and the
-root-sum matrices that `reflcheck` reads.  On an orthogonal sum whose parts
-all have level 1 or p it joins the data of the parts, since then every root
-lies in one part (Bourbaki, Lie groups, ch. VI, 1): a norm-2 vector because
-each part is even, and a reflective norm-2p vector s because each nonzero
-piece s_i has w = s_i / p in the part's dual, so p w^2 is even and
-s_i^2 = p (p w^2) is at least 2p.  Any other lattice (an overlattice, T8, a
+root-sum matrices that `reflcheck` reads, one block per part.  On an
+orthogonal sum whose parts all have level 1 or p it joins the data of the
+parts, since then every root lies in one part (Bourbaki, Lie groups, ch.
+VI, 1): a norm-2 vector because each part is even, and a reflective norm-2p
+vector s because each nonzero piece s_i has w = s_i / p in the part's dual,
+so p w^2 is even and s_i^2 = p (p w^2) is at least 2p.  Any other lattice (an overlattice, T8, a
 sum with a part of another level) is enumerated on its whole Gram, and its
 components come from the simple roots for the lexicographic order of Z^n.
 
@@ -200,14 +200,16 @@ class RootData(NamedTuple):
 
     `positive_short` and `positive_long` are |R1+| and |R2+|, the numbers of
     positive roots of norm 2 and 2p; `components` are sorted by name, rank
-    and counts; `s1` and `s2` are sum (Gr)(Gr)^T over R1+ and over R2+.
+    and counts.  `blocks` holds one (G, S1, S2) per enumerated part, in the
+    order of the parts: its Gram G, and S1 and S2, sum (Gr)(Gr)^T over the
+    part's roots in R1+ and in R2+.  Every root lies in one part, so the
+    root sums of the whole lattice are block diagonal with these blocks.
     """
 
     positive_short: int
     positive_long: int
     components: tuple[RootComponent, ...]
-    s1: tuple[tuple[int, ...], ...]
-    s2: tuple[tuple[int, ...], ...]
+    blocks: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
 
     @property
     def span_short(self) -> int:
@@ -223,7 +225,8 @@ def root_data(lat: Lattice, p: int) -> RootData:
     """The root data of lat at p, computed once per (lattice, p) and kept on lat.
 
     A sum whose parts all have level 1 or p joins its parts' data (see the
-    module docstring); any other lattice is enumerated on its whole Gram.
+    module docstring); any other lattice is enumerated on its whole Gram,
+    which is then its one block.
     """
     memo = lat.root_data_memo
     if p not in memo:
@@ -235,8 +238,9 @@ def root_data(lat: Lattice, p: int) -> RootData:
                 positive_short=len(r1),
                 positive_long=len(r2),
                 components=tuple(_split_components(lat, p, r1, r2)),
-                s1=_root_sum_matrix(lat.gram, r1),
-                s2=_root_sum_matrix(lat.gram, r2),
+                blocks=(
+                    (lat.gram, _root_sum_matrix(lat.gram, r1), _root_sum_matrix(lat.gram, r2)),
+                ),
             )
     return memo[p]
 
@@ -247,13 +251,8 @@ def _join(parts: list[RootData]) -> RootData:
         positive_short=sum(d.positive_short for d in parts),
         positive_long=sum(d.positive_long for d in parts),
         components=tuple(sorted((c for d in parts for c in d.components), key=_component_key)),
-        s1=_frozen(intmat.block_diagonal([d.s1 for d in parts])),
-        s2=_frozen(intmat.block_diagonal([d.s2 for d in parts])),
+        blocks=tuple(block for d in parts for block in d.blocks),
     )
-
-
-def _frozen(matrix) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, matrix))
 
 
 def _root_sum_matrix(gram, vectors) -> tuple[tuple[int, ...], ...]:
@@ -272,7 +271,7 @@ def _root_sum_matrix(gram, vectors) -> tuple[tuple[int, ...], ...]:
                 row[j] += x * y
     if vectors:  # the zero sum is left as is, also at rank 0, where mat_mul has no columns
         total = intmat.mat_mul(intmat.mat_mul(gram, total), gram)
-    return _frozen(total)
+    return tuple(map(tuple, total))
 
 
 def root_components(lat: Lattice, p: int) -> list[RootComponent]:

@@ -263,8 +263,10 @@ def root_classes_by_dual_enumeration(lat, form: DiscriminantForm, order: int) ->
     norm-2 vector, for L positive definite, from the norm-2 vectors of the
     whole dual of L that lie in those cosets.
 
-    `form` is `DiscriminantForm.from_lattice(lat)`.  The dual vector G^-1 c
-    lies in `form.element_of(c)` and has norm c^T adj(G) c / det.  The c
+    `form` is any presentation of D(L) that carries `gens` and `coords`:
+    `DiscriminantForm.from_lattice(lat)`, or the part-by-part
+    `discriminant_form(lat)` of a sum.  The dual vector G^-1 c lies in
+    `form.element_of(c)` and has norm c^T adj(G) c / det.  The c
     whose element has order dividing `order` form the lattice C spanned by
     G Z^n and the lifts (o / gcd(o, order)) g of the generators g of D, and
     one `short_vectors` call on the adjugate's Gram over a Hermite basis of
@@ -612,6 +614,16 @@ def short_vector_calls():
     inner = roots.short_vectors
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(roots, "short_vectors", lambda *args: calls.append(args) or inner(*args))
+        yield calls
+
+
+@contextmanager
+def smith_calls():
+    """The arguments of each `intmat.smith_normal_form` call made inside the block."""
+    calls = []
+    inner = intmat.smith_normal_form
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intmat, "smith_normal_form", lambda *args: calls.append(args) or inner(*args))
         yield calls
 
 

@@ -26,9 +26,10 @@ from helpers import (
     q_values,
     root_classes_by_dual_enumeration,
     short_vector_calls,
+    smith_calls,
     splits_u_up_by_cases,
 )
-from reflector import discforms
+from reflector import discforms, lattices
 from reflector.catalog import Catalog, default_catalog, definite_part, parse_lattice
 from reflector.discforms import (
     BudgetExceeded,
@@ -662,7 +663,7 @@ def test_level_filter_equals_filtering_the_built_overlattices(expr, p, level, ta
     """One overlattice per glue group of the index, in search order, kept when its
     built level is `level` and it has no norm-2 vector that L lacks."""
     lat = parse_lattice(expr, CAT)
-    form = DiscriminantForm.from_lattice(lat)
+    form = discforms.discriminant_form(lat)  # the presentation the search walks
     m = isqrt(abs(lat.det()) // target)
     built = [glue_overlattice(lat, form, sub) for sub in isotropic_subgroups(form, m)]
     at_level = [over for over in built if over.level() == level]
@@ -801,7 +802,7 @@ def test_root_classes_match_whole_dual_enumeration(case):
     vectors of the whole dual find."""
     expr, order = case
     lat = parse_lattice(expr, CAT)
-    want = root_classes_by_dual_enumeration(lat, DiscriminantForm.from_lattice(lat), order)
+    want = root_classes_by_dual_enumeration(lat, discforms.discriminant_form(lat), order)
     assert root_classes(lat, order) == want
 
 
@@ -817,6 +818,82 @@ def test_root_classes_enumerate_each_term_once():
         assert root_classes(cat.parse("A2+E6(3)+A2"), 3)
         assert even_overlattices(cat.parse("E7+A1(5)"), 5, 5) == glue
     assert not calls
+
+
+def test_a_sum_of_warm_terms_runs_no_smith_form_and_maps_no_class(monkeypatch):
+    """D(L) of a sum is the sum of its terms' kept forms, and its root classes are
+    concatenations of the terms' classes: no Smith form and no `element_of`."""
+    lat = Catalog().parse("A2+E6(3)+A2")
+    for part in lat.parts:
+        root_classes(part, 3)
+    mapped, inner = [], DiscriminantForm.element_of
+    monkeypatch.setattr(DiscriminantForm, "element_of", lambda *a: mapped.append(a) or inner(*a))
+    with smith_calls() as calls:
+        assert even_overlattices(lat, 3**5, 3) == []  # every glue group of order 9 adds roots
+        assert len(even_overlattices(lat, 3**7, 3)) == 1
+        assert len(root_classes(lat, 3)) == 1608
+    assert not calls and not mapped
+
+
+# terms of coprime, unimodular and prime-power determinant; `nested_sums` sums them
+SUM_TERMS = [
+    "E8", "A1", "A2", "L3", "L7", "A3", "D4", "E6", "E7", "A4",
+    "A1(2)", "A1(3)", "A2(2)", "A2(3)", "D4(2)", "E6(3)",
+]
+
+
+def _nested_sum(groups) -> Lattice:
+    """The sum of the groups, each group one term or the sum of its terms."""
+    parts = [lattices.direct_sum([CAT.parse(t) for t in group]) for group in groups]
+    return lattices.direct_sum(parts, name="sum")
+
+
+@st.composite
+def nested_sums(draw):
+    """1-3 groups of 1-2 terms, kept while |D| stays at most 3^8."""
+    groups, det = [], 1
+    for drawn in draw(st.lists(st.lists(st.sampled_from(SUM_TERMS), min_size=1, max_size=2),
+                               min_size=1, max_size=3)):
+        group = []
+        for term in drawn:
+            term_det = abs(CAT.parse(term).det())
+            if det * term_det <= 3**8:
+                group.append(term)
+                det *= term_det
+        if group:
+            groups.append(tuple(group))
+    return tuple(groups)
+
+
+def _glue_grams(lat: Lattice, form: DiscriminantForm, m: int):
+    """The sorted Grams of the overlattices that the order-m isotropic subgroups glue."""
+    try:
+        subs = isotropic_subgroups(form, m, budget=2 * 10**4)
+    except BudgetExceeded:
+        return "budget"
+    return sorted(glue_overlattice(lat, form, sub).gram for sub in subs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nested_sums())
+@example((("E8",), ("A1", "A2")))
+@example((("L3", "L7"),))
+@example((("A1", "A2"), ("E6(3)",), ("E8",)))
+@example((("A2(3)", "A2"), ("A1(2)", "A1(2)")))
+def test_a_sum_presented_part_by_part_agrees_with_its_smith_form(groups):
+    """`discriminant_form` of a sum (the parts' forms, part by part) and the Smith form
+    of its whole Gram have the same order, level, octant and value counts, and glue
+    the same overlattices at every order whose pool has at most 3^7 elements."""
+    lat = _nested_sum(groups)
+    by_parts, smith = discforms.discriminant_form(lat), DiscriminantForm.from_lattice(lat)
+    order, level = smith.order(), smith.level()
+    assert (by_parts.order(), by_parts.level()) == (order, level)
+    assert by_parts.milgram_octant() == smith.milgram_octant()
+    for value in (Fraction(2 * j, level) for j in range(level)):
+        assert by_parts.count_norm(value) == smith.count_norm(value), value
+    for m in range(2, isqrt(order) + 1):
+        if order % (m * m) == 0 and prod(gcd(o, m) for o in smith.orders) <= 3**7:
+            assert _glue_grams(lat, by_parts, m) == _glue_grams(lat, smith, m), (groups, m)
 
 
 def test_pool_scan_is_charged_to_the_budget():

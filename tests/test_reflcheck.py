@@ -79,8 +79,11 @@ def test_wrong_weight_fails():
 
 
 def test_matrix_identity_fails_across_parts_with_different_constants():
-    """E8 (C = 30) and A2 (C = 3) each pass alone; their sum has no one C."""
-    assert check_candidate(_definite("2U+E8+A2"), 3, 1, 0, 12).checks["matrix_identity"] is False
+    """E8 (C = 30) and A2 (C = 3) each pass alone; their sum has no one C, and its
+    report carries the C of its first part."""
+    for expr, c in (("2U+E8+A2", 30), ("2U+A2+E8", 3)):
+        rep = check_candidate(_definite(expr), 3, 1, 0, 12)
+        assert rep.checks["matrix_identity"] is False and rep.c == c, expr
     for expr, c in (("E8", 30), ("A2", 3)):
         rep = check_candidate(CAT.build(expr), 3, 1, 0, 12)
         assert rep.checks["matrix_identity"] is True, expr

@@ -2,6 +2,7 @@
 and against a union-find over all pairs of roots."""
 from __future__ import annotations
 
+import dataclasses
 import gc
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from reflector import roots
 from reflector.catalog import Catalog, default_catalog, definite_part, parse_lattice
+from reflector.intmat import block_diagonal
 from reflector.lattices import Lattice, direct_sum
 from reflector.reflcheck import check_candidate
 from reflector.roots import (
@@ -341,7 +343,8 @@ def level_p_sums(draw):
 @example((["L23", "E8(23)"], 23))
 def test_root_data_of_a_sum_joins_its_parts(model):
     """On a sum of level-1-or-p pieces the joined data equal the whole-Gram data:
-    counts, components, S1 and S2; once the parts are known, nothing is enumerated."""
+    counts and components, and blocks that assemble to the whole-Gram S1 and S2;
+    once the parts are known, nothing is enumerated."""
     terms, p = model
     lat = _sum_of(terms)
     for part in lat.parts:
@@ -350,9 +353,36 @@ def test_root_data_of_a_sum_joins_its_parts(model):
         joined = root_data(lat, p)
     assert not calls
     whole = root_data(Lattice(lat.gram), p)
-    assert joined == whole, (terms, p)
+    for name in ("positive_short", "positive_long", "components"):
+        assert getattr(joined, name) == getattr(whole, name), (terms, p, name)
+    [(gram, s1, s2)] = whole.blocks
+    assert [g for g, _, _ in joined.blocks] == [part.gram for part in lat.parts]
+    for i, want in ((0, gram), (1, s1), (2, s2)):
+        assembled = block_diagonal([block[i] for block in joined.blocks])
+        assert assembled == [list(row) for row in want], (terms, p)
     assert sum(c.count_short for c in joined.components) == 2 * joined.positive_short
     assert sum(c.count_long for c in joined.components) == 2 * joined.positive_long
+
+
+MULTIPLICITIES = [(c1, cp) for c1 in range(4) for cp in range(4) if c1 or cp]
+
+
+@settings(max_examples=40, deadline=None)
+@given(level_p_sums(), st.sampled_from(MULTIPLICITIES), st.integers(0, 150))
+@example((["A2", "E8"], 3), (1, 0), 45)  # C = 3 on A2 and 30 on E8
+@example((["E8", "A2"], 3), (1, 0), 180)
+@example((["E6", "A2"], 3), (1, 9), 90)  # 2U+E6+A2, where the identity holds
+@example((["D4", "E8", "D4"], 2), (1, 8), 144)
+@example((["A4", "A4v(5)"], 5), (0, 1), 2)
+def test_check_candidate_by_blocks_equals_the_whole_gram(model, mult, k):
+    """The identity tested block by block gives the report of the one-block whole Gram
+    in every field but the name, also where the parts' constants differ."""
+    terms, p = model
+    lat = _sum_of(terms)
+    got = dataclasses.asdict(check_candidate(lat, p, *mult, k))
+    want = dataclasses.asdict(check_candidate(Lattice(lat.gram), p, *mult, k))
+    assert got.pop("lattice") == "sum" and want.pop("lattice") == ""
+    assert got == want, (terms, p, mult, k)
 
 
 @pytest.mark.parametrize("terms, p", [(["A2", "A1"], 5), (["D4", "A2"], 3)])

@@ -68,3 +68,31 @@ def test_query_pass_checks_clean(monkeypatch):
     workloads = _load(monkeypatch, "workloads")
     for item in workloads.WORKLOADS["query"](1).pass_items():
         assert item.check(item.call()) == [], item.label
+
+
+def test_traced_passes_report_their_work(monkeypatch):
+    """A traced census pass counts its 2 classes, every traced candidate check of a
+    certify pass passes, and uninstalling restores every name the tracer rebound."""
+    tracing = _load(monkeypatch, "tracing")
+    workloads = _load(monkeypatch, "workloads")
+    census = workloads.WORKLOADS["census"](1).pass_items()
+    certify = workloads.WORKLOADS["certify"](1).pass_items()
+    holders = tracing._reflector_modules()
+    holders += [v for m in holders for v in vars(m).values()
+                if isinstance(v, type) and v.__module__.startswith("reflector.")]
+    before = [(holder, dict(vars(holder))) for holder in holders]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for item in census + certify:
+            assert item.check(item.call()) == [], item.label
+    finally:
+        tracer.uninstall()
+    for holder, names in before:
+        now = vars(holder)
+        assert all(now[name] is value for name, value in names.items()), holder
+    metrics = tracer.metrics(1, lambda start, end: end - start)
+    assert metrics["classify.class_number.calls"] == len(census)
+    assert metrics["classify.class_number.classes"] == 2
+    assert metrics["reflcheck.check_candidate.calls"] > 0
+    assert metrics["reflcheck.check_candidate.passed"] == metrics["reflcheck.check_candidate.calls"]
