@@ -112,21 +112,30 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_discform(args) -> int:
+    """The form of --genus, or of --lattice: where the lattice has a prime-level genus
+    the octant and norm count are read off it, as for --genus; other forms are walked."""
     if args.genus:
         g = discforms.parse_genus(args.genus)
         if args.prime not in (None, g.p):
             raise ValueError(f"--prime {args.prime} is not the prime {g.p} of {args.genus}")
         p = g.p
         orders, level = [p] * g.n_p, p if g.n_p else 1
-        octant = discforms.milgram_formula(p, g.n_p, g.eps)
-        count = discforms.elementary_count_norm(p, g.n_p, g.eps, Fraction(2, p))
     elif args.lattice:
-        form = discforms.DiscriminantForm.from_lattice(_catalog(args).parse(args.lattice))
-        p = args.prime
-        orders, level, octant = list(form.orders), form.level(), form.milgram_octant()
-        count = form.count_norm(Fraction(2, p)) if p else None
+        lat = _catalog(args).parse(args.lattice)
+        form = discforms.DiscriminantForm.from_lattice(lat)
+        p, orders, level = args.prime, list(form.orders), form.level()
+        try:
+            g = discforms.genus_symbol(lat, p)
+        except ValueError:  # not of level 1 or p, or |det| not a power of p
+            g = None
+        if g is None:
+            octant = form.milgram_octant()
+            count = form.count_norm(Fraction(2, p)) if p else None
     else:
         raise ValueError("discform needs --lattice or --genus")
+    if g is not None:
+        octant = discforms.milgram_formula(g.p, g.n_p, g.eps)
+        count = discforms.elementary_count_norm(g.p, g.n_p, g.eps, Fraction(2, p)) if p else None
     order = prod(orders)
     payload = {"orders": orders, "order": order, "level": level, "milgram_octant": octant}
     lines = [

@@ -28,7 +28,9 @@ made at most once per form and refused past WALK_BUDGET elements: it counts
 the values x^T B x times the common denominator of B, and both the norm
 counts and the Gauss sum are read off those counts.  The pool of the
 isotropic subgroup search is the same walk over the elements of order
-dividing the subgroup order, keeping those of value 0.
+dividing the subgroup order, keeping those of value 0; on a direct sum it
+is joined by value from the kept walks of the forms it was built from, so a
+sum of known forms walks nothing (`isotropic_pool`).
 The Gauss sum is compared with sqrt(|D|) zeta_8^s in Z[C_M], M = lcm(8,
 level), and a difference vanishes at zeta_M exactly when its reduction along
 the prime-power factors of M (by CRT) is zero, which takes O(M omega(M))
@@ -44,6 +46,7 @@ epsilon + for the hyperbolic block and - when one anisotropic block enters.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, reduce
@@ -159,21 +162,27 @@ def _shifted(elem: dict[int, int], shifts, m: int) -> dict[int, int]:
     return out
 
 
-def _walk(bnum, box, modulus: int, counts: list[int] | None = None) -> list[tuple[int, ...]]:
+def _walk(bnum, box, modulus: int, counts: list[int] | None = None,
+          groups: defaultdict[int, list] | None = None) -> list[tuple[int, ...]]:
     """The x of a box with v(x) = x^T A x = 0 mod `modulus`, A = bnum, in integers;
-    with `counts`, adds one to counts[v(x)] for every x instead.
+    with `counts`, adds one to counts[v(x)] for every x instead, and with
+    `groups`, appends every x to groups[v(x)] instead.
 
     Axis i runs over x_i = 0, s_i, ..., (n_i - 1) s_i, box[i] = (n_i, s_i), in
     `itertools.product` order.  An entry of the explicit stack is an axis with
     the value, the partial linear forms lin[t] = sum_j A_tj x_j of the later
     axes t and the coordinates before it.  Along an axis the value is a
     quadratic, stepped by its first difference, so the last axis costs O(1)
-    per element, and only the hits become tuples.
+    per element, and only the hits (or, with `groups`, all elements) become
+    tuples.
     """
     if not box:  # one element, (), of value 0
-        if counts is None:
+        if counts is not None:
+            counts[0] += 1
+        elif groups is not None:
+            groups[0].append(())
+        else:
             return [()]
-        counts[0] += 1
         return []
     hits, last = [], len(box) - 1
     # per axis: its size and stride, s^2 A_ii, and s A_it for the later axes t
@@ -188,6 +197,8 @@ def _walk(bnum, box, modulus: int, counts: list[int] | None = None) -> list[tupl
             for x in range(0, n * s, s):
                 if counts is not None:
                     counts[value % modulus] += 1
+                elif groups is not None:
+                    groups[value % modulus].append(prefix + (x,))
                 elif not value % modulus:
                     hits.append(prefix + (x,))
                 value += step
@@ -212,7 +223,10 @@ class DiscriminantForm:
     `from_lattice`, the orders of both summands in turn for `direct_sum`;
     bilinear is the rational Gram of the generators in the dual pairing, so
     q(x) = x^T B x mod 2 and b(x, y) = x^T B y mod 1 for integer coefficient
-    vectors x, y.
+    vectors x, y.  The integer form is den B = _bnum, den = _bden the common
+    denominator of B: read off `bilinear`, or assembled by `direct_sum` from
+    its summands', which also records the forms the sum was built from in
+    `_leaves` (empty on any other form).
     """
 
     orders: tuple[int, ...]
@@ -220,9 +234,16 @@ class DiscriminantForm:
     gens: list[list[int]] | None = None  # generator coordinates in Z^n / G Z^n
     # the rows of the Smith transform U at the generators, read by `element_of`
     coords: list[list[int]] | None = None
+    _bden: int = field(default=1, repr=False, compare=False)
+    _bnum: list[list[int]] | None = field(default=None, repr=False, compare=False)
+    _leaves: tuple[DiscriminantForm, ...] = field(default=(), repr=False, compare=False)
     _counts: list[int] | None = field(default=None, init=False, repr=False, compare=False)
+    # per order m, the (value, elements) groups of `_by_value`
+    _groups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self._bnum is not None:
+            return
         self.bilinear = [[Fraction(x) for x in row] for row in self.bilinear]
         den = 1
         for row in self.bilinear:
@@ -274,14 +295,37 @@ class DiscriminantForm:
         return n
 
     def direct_sum(self, other: "DiscriminantForm") -> "DiscriminantForm":
-        """D + D', with `gens` and `coords` block diagonal when both forms carry them."""
-        b = intmat.block_diagonal([self.bilinear, other.bilinear])
-        if self.gens is None or other.gens is None:
-            return DiscriminantForm(self.orders + other.orders, b)
-        n1, n2, k1, k2 = len(self.gens), len(other.gens), len(self.orders), len(other.orders)
-        gens = [row + [0] * k2 for row in self.gens] + [[0] * k1 + row for row in other.gens]
-        coords = [row + [0] * n2 for row in self.coords] + [[0] * n1 + row for row in other.coords]
-        return DiscriminantForm(self.orders + other.orders, b, gens=gens, coords=coords)
+        """D + D', with `gens` and `coords` block diagonal when both forms carry them.
+
+        The integer form is block diagonal too, each block scaled from its
+        summand's denominator to their lcm, so no entry is normalised again.
+        """
+        k1, k2 = len(self.orders), len(other.orders)
+        zero = Fraction(0)
+        b = [row + [zero] * k2 for row in self.bilinear]
+        b += [[zero] * k1 + row for row in other.bilinear]
+        den = lcm(self._bden, other._bden)
+        s1, s2 = den // self._bden, den // other._bden
+        bnum = [[s1 * x for x in row] + [0] * k2 for row in self._bnum]
+        bnum += [[0] * k1 + [s2 * x for x in row] for row in other._bnum]
+        gens = coords = None
+        if self.gens is not None and other.gens is not None:
+            n1, n2 = len(self.gens), len(other.gens)
+            gens = [row + [0] * k2 for row in self.gens] + [[0] * k1 + row for row in other.gens]
+            coords = [row + [0] * n2 for row in self.coords]
+            coords += [[0] * n1 + row for row in other.coords]
+        leaves = (self._leaves or (self,)) + (other._leaves or (other,))
+        return DiscriminantForm(self.orders + other.orders, b, gens, coords,
+                                _bden=den, _bnum=bnum, _leaves=leaves)
+
+    def _by_value(self, order: int) -> list[tuple[int, list[tuple[int, ...]]]]:
+        """The elements of order dividing `order`, in walk order, grouped by their value
+        x^T (den B) x mod 2 den, as (value, elements) pairs: one `_walk` per order, kept."""
+        if order not in self._groups:
+            groups = defaultdict(list)
+            _walk(self._bnum, _torsion_box(self.orders, order), 2 * self._bden, groups=groups)
+            self._groups[order] = list(groups.items())
+        return self._groups[order]
 
     def _q_counts(self) -> list[int]:
         """counts[v] = number of elements x with x^T B x * den = v mod 2 den.
@@ -618,11 +662,48 @@ def _pool_scan(form: DiscriminantForm, order: int, budget: int) -> int:
     return ops
 
 
+def _torsion_box(orders: tuple[int, ...], order: int) -> list[tuple[int, int]]:
+    """The elements of order dividing `order`, as a `_walk` box: step o_i / gcd(o_i, order)."""
+    return [(gcd(o, order), o // gcd(o, order)) for o in orders]
+
+
 def isotropic_pool(form: DiscriminantForm, order: int) -> list[tuple[int, ...]]:
-    """The nonzero isotropic x of order dividing `order`, in `itertools.product` order: one
-    `_walk` of the box with step o_i / gcd(o_i, order) on axis i, whose first hit is 0."""
-    box = [(gcd(o, order), o // gcd(o, order)) for o in form.orders]
-    return _walk(form._bnum, box, 2 * form._bden)[1:]
+    """The nonzero isotropic x of order dividing `order`, in `itertools.product` order.
+
+    A form that is not a direct sum walks its `_torsion_box` once (`_walk`),
+    keeping value 0; the first hit is 0.  A direct sum joins its leaves by
+    value instead, since D(L1 + L2) = D(L1) + D(L2) (Nikulin 1979, 1.1;
+    Conway and Sloane, Sphere Packings, Lattices and Groups, ch. 16): an
+    element is a concatenation (x_1, ..., x_k) of leaf elements, and with
+    v_i = x_i^T (den_i B_i) x_i, as each leaf keeps them (`_by_value`), its
+    value is sum_i v_i den / den_i mod 2 den.  The value groups of all
+    leaves but the largest are combined, and the largest leaf's group of
+    the complementary value completes each combination.  Every box axis
+    ascends, so `itertools.product` order is lexicographic order, and
+    sorting the concatenations gives the walk's list.
+    """
+    modulus = 2 * form._bden
+    if not form._leaves:
+        return _walk(form._bnum, _torsion_box(form.orders, order), modulus)[1:]
+    tables = [[(v * (form._bden // leaf._bden), xs) for v, xs in leaf._by_value(order)]
+              for leaf in form._leaves]
+    sizes = [sum(len(xs) for _, xs in table) for table in tables]
+    big = sizes.index(max(sizes))
+    complement = dict(tables[big])
+    combos = [(0, [])]  # the scaled value so far, and one value group per leaf
+    for i, table in enumerate(tables):
+        if i != big:
+            combos = [((s + v) % modulus, chosen + [xs]) for s, chosen in combos for v, xs in table]
+    pool = []
+    for s, chosen in combos:
+        if -s % modulus in complement:
+            chosen.insert(big, complement[-s % modulus])
+            elements = [()]
+            for xs in chosen:
+                elements = [e + x for e in elements for x in xs]
+            pool += elements
+    pool.sort()
+    return pool[1:]
 
 
 def isotropic_subgroups(

@@ -5,9 +5,10 @@ All functions here see only the positive definite part K of a model
 read the reflective root system of K from `roots.root_data`, which keeps it
 on K and, for a sum of catalog terms of level 1 or p, joins it from the
 terms: the positive roots R1+ (norm 2) and R2+ (norm 2p), giving the root
-counts |R1| = 2 |R1+| and |R2| = 2 |R2+|; the components; n1, the rank of
-the span of R1; and the root sums S1 = sum_{R1+} (Gr)(Gr)^T and
-S2 = sum_{R2+} (Gs)(Gs)^T, kept as one (G, S1, S2) block per part.  For
+counts |R1| = 2 |R1+| and |R2| = 2 |R2+|; the components; and n1, the rank
+of the span of R1.  `check_candidate` alone reads the root sums
+S1 = sum_{R1+} (Gr)(Gr)^T and S2 = sum_{R2+} (Gs)(Gs)^T, kept as one
+(G, S1, S2) block per part by `roots.root_sums`.  For
 multiplicities (c1, cp) on the two root classes and a proposed weight k,
 the constraints are:
 
@@ -72,7 +73,7 @@ def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckRepo
     # so it stays integral, next to the block's Gram
     blocks = [
         (g, [[p * p * c1 * x + cp * y for x, y in zip(*rows)] for rows in zip(s1, s2)])
-        for g, s1, s2 in data.blocks
+        for g, s1, s2 in roots.root_sums(lat, p)
         if g
     ]
 

@@ -12,11 +12,12 @@ rescaled mirrors).  Together they form one finite root system R, listed by
 coordinate is positive.
 
 `root_data` summarises R once per (lattice, p) and keeps the result on the
-`Lattice`: the positive root counts, the irreducible components and the
-root-sum matrices that `reflcheck` reads, one block per part.  On an
-orthogonal sum whose parts all have level 1 or p it joins the data of the
-parts, since then every root lies in one part (Bourbaki, Lie groups, ch.
-VI, 1): a norm-2 vector because each part is even, and a reflective norm-2p
+`Lattice`: the positive root counts and the irreducible components.  The
+root-sum matrices that `reflcheck` reads, one block per part, come from
+`root_sums` on first use and are kept beside them.  On an orthogonal sum
+whose parts all have level 1 or p, both are joined from the parts' data,
+since then every root lies in one part (Bourbaki, Lie groups, ch. VI, 1):
+a norm-2 vector because each part is even, and a reflective norm-2p
 vector s because each nonzero piece s_i has w = s_i / p in the part's dual,
 so p w^2 is even and s_i^2 = p (p w^2) is at least 2p.  Any other lattice (an overlattice, T8, a
 sum with a part of another level) is enumerated on its whole Gram, and its
@@ -200,16 +201,12 @@ class RootData(NamedTuple):
 
     `positive_short` and `positive_long` are |R1+| and |R2+|, the numbers of
     positive roots of norm 2 and 2p; `components` are sorted by name, rank
-    and counts.  `blocks` holds one (G, S1, S2) per enumerated part, in the
-    order of the parts: its Gram G, and S1 and S2, sum (Gr)(Gr)^T over the
-    part's roots in R1+ and in R2+.  Every root lies in one part, so the
-    root sums of the whole lattice are block diagonal with these blocks.
+    and counts.
     """
 
     positive_short: int
     positive_long: int
     components: tuple[RootComponent, ...]
-    blocks: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
 
     @property
     def span_short(self) -> int:
@@ -221,16 +218,21 @@ class RootData(NamedTuple):
         return sum(c.rank for c in self.components if c.count_short)
 
 
+def _joins_parts(lat: Lattice, p: int) -> bool:
+    """Whether every root of lat at p lies in one of its parts (see the module docstring)."""
+    return bool(lat.parts) and all(part.level() in (1, p) for part in lat.parts)
+
+
 def root_data(lat: Lattice, p: int) -> RootData:
     """The root data of lat at p, computed once per (lattice, p) and kept on lat.
 
-    A sum whose parts all have level 1 or p joins its parts' data (see the
-    module docstring); any other lattice is enumerated on its whole Gram,
-    which is then its one block.
+    A sum whose parts all have level 1 or p joins its parts' data; any other
+    lattice is enumerated on its whole Gram, and its positive roots are kept
+    until `root_sums` reads them.
     """
     memo = lat.root_data_memo
     if p not in memo:
-        if lat.parts and all(part.level() in (1, p) for part in lat.parts):
+        if _joins_parts(lat, p):
             memo[p] = _join([root_data(part, p) for part in lat.parts])
         else:
             r1, r2 = positive_roots(lat, p)
@@ -238,10 +240,8 @@ def root_data(lat: Lattice, p: int) -> RootData:
                 positive_short=len(r1),
                 positive_long=len(r2),
                 components=tuple(_split_components(lat, p, r1, r2)),
-                blocks=(
-                    (lat.gram, _root_sum_matrix(lat.gram, r1), _root_sum_matrix(lat.gram, r2)),
-                ),
             )
+            memo[p, "roots"] = r1, r2
     return memo[p]
 
 
@@ -251,8 +251,30 @@ def _join(parts: list[RootData]) -> RootData:
         positive_short=sum(d.positive_short for d in parts),
         positive_long=sum(d.positive_long for d in parts),
         components=tuple(sorted((c for d in parts for c in d.components), key=_component_key)),
-        blocks=tuple(block for d in parts for block in d.blocks),
     )
+
+
+def root_sums(lat: Lattice, p: int) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
+    """One (G, S1, S2) per enumerated part of lat at p, in the order of the parts.
+
+    G is the part's Gram, and S1 and S2 are sum (Gr)(Gr)^T over the part's
+    roots in R1+ and in R2+.  Every root lies in one part, so the root sums
+    of the whole lattice are block diagonal with these blocks.  Computed
+    once per (lattice, p), on first use, and kept on lat: a sum of level 1
+    or p concatenates its parts' blocks, and any other lattice is its own
+    one block, summed over the roots that `root_data` kept.
+    """
+    memo = lat.root_data_memo
+    if (p, "sums") not in memo:
+        if _joins_parts(lat, p):
+            memo[p, "sums"] = tuple(block for part in lat.parts for block in root_sums(part, p))
+        else:
+            root_data(lat, p)
+            r1, r2 = memo.pop((p, "roots"))
+            memo[p, "sums"] = (
+                (lat.gram, _root_sum_matrix(lat.gram, r1), _root_sum_matrix(lat.gram, r2)),
+            )
+    return memo[p, "sums"]
 
 
 def _root_sum_matrix(gram, vectors) -> tuple[tuple[int, ...], ...]:

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own algorithms: vector
 counts and lists come from a flat coordinate-box sweep in numpy integer
 arithmetic, power series come from naive polynomial products, Bernoulli
 numbers come from the Akiyama-Tanigawa scheme, values of a discriminant form
-come from one Fraction product per element, vanishing at a root of unity
+come from one Fraction product per element (the isotropic ones from one
+exact int64 product per element), vanishing at a root of unity
 comes from long division by the cyclotomic polynomial, root components
 come from testing every pair of roots, taken with both signs, for a nonzero
 inner product, span ranks come from row elimination over Z, the
@@ -36,7 +37,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from reflector import intmat, lattices, roots
+from reflector import discforms, intmat, lattices, roots
 from reflector.discforms import (
     BudgetExceeded,
     DiscriminantForm,
@@ -183,14 +184,16 @@ def q_values(orders: tuple[int, ...], bilinear) -> Counter:
 
 def isotropic_elements(orders: tuple[int, ...], bilinear) -> list[tuple[tuple[int, ...], int]]:
     """(x, order of x) for the nonzero x with q(x) = 0, in `itertools.product` order:
-    the order of x as an lcm, and q(x) one Fraction sum each, as in `q_values`."""
+    the order of x as an lcm, and den q(x) = x^T (den B) x one exact int64 product
+    each (numpy), den the common denominator of the Fraction entries of B."""
     b = [[Fraction(v) for v in row] for row in bilinear]
-    out = []
-    for x in itertools.product(*(range(o) for o in orders)):
-        q = sum(b[i][j] * xi * xj for i, xi in enumerate(x) if xi for j, xj in enumerate(x) if xj)
-        if any(x) and q % 2 == 0:
-            out.append((x, lcm(*(o // gcd(o, c) for o, c in zip(orders, x)))))
-    return out
+    den = lcm(1, *(v.denominator for row in b for v in row))
+    a = np.array([[int(v * den) for v in row] for row in b], dtype=np.int64).reshape(len(b), len(b))
+    elems = list(itertools.product(*(range(o) for o in orders)))
+    x = np.array(elems, dtype=np.int64).reshape(len(elems), len(orders))
+    hits = np.flatnonzero(np.einsum("ij,jk,ik->i", x, a, x) % (2 * den) == 0)
+    return [(elems[i], lcm(*(o // gcd(o, c) for o, c in zip(orders, elems[i]))))
+            for i in hits if any(elems[i])]
 
 
 def isotropic_subgroups_by_closure(
@@ -624,6 +627,21 @@ def smith_calls():
     inner = intmat.smith_normal_form
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(intmat, "smith_normal_form", lambda *args: calls.append(args) or inner(*args))
+        yield calls
+
+
+@contextmanager
+def walk_calls():
+    """The box of each `discforms._walk` call made inside the block."""
+    calls = []
+    inner = discforms._walk
+
+    def counted(bnum, box, *args, **kwargs):
+        calls.append(box)
+        return inner(bnum, box, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discforms, "_walk", counted)
         yield calls
 
 

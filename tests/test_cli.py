@@ -18,7 +18,14 @@ from reflector import classify as classify_mod
 from reflector import cli
 from reflector.classify import reflective_genera
 from reflector.cli import main
-from reflector.discforms import GenusNotRepresentable, GenusSymbol, candidate_form, parse_genus
+from reflector.catalog import default_catalog
+from reflector.discforms import (
+    DiscriminantForm,
+    GenusNotRepresentable,
+    GenusSymbol,
+    candidate_form,
+    parse_genus,
+)
 
 
 def run_cli(argv, capsys):
@@ -420,6 +427,31 @@ def test_discform_past_the_walk_cap_exits_three(expr, capsys):
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
     assert err.startswith("budget exceeded: value walk of ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("expr, p", [("E6(3)", 3), ("2U+A4v(5)", 5), ("U+U(2)+D4", 2),
+                                      ("2U+L7", 7), ("E8", 3)])
+def test_discform_of_a_prime_level_lattice_is_its_walk(expr, p, capsys):
+    """Where the lattice has a genus symbol at p, the octant and norm count read off it
+    are those of the walk over its discriminant form."""
+    form = DiscriminantForm.from_lattice(default_catalog().parse(expr))
+    want = {"orders": list(form.orders), "order": form.order(), "level": form.level(),
+            "milgram_octant": form.milgram_octant(),
+            "norm_2_over_p_count": form.count_norm(Fraction(2, p))}
+    code, out = run_cli(["discform", "--lattice", expr, "--prime", str(p), "--format", "json"],
+                        capsys)
+    assert code == 0 and json.loads(out) == want
+
+
+def test_discform_of_e8_7_reads_its_genus(capsys):
+    """7^8 elements pass the walk cap, but E8(7) has level 7: its genus answers at once."""
+    start = time.perf_counter()
+    code, out = run_cli(["discform", "--lattice", "E8(7)", "--prime", "7", "--format", "json"],
+                        capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert json.loads(out) == {"orders": [7] * 8, "order": 7**8, "level": 7, "milgram_octant": 0,
+                               "norm_2_over_p_count": 7**7 - 7**3}
 
 
 def test_classnumber_of_a_huge_rank_exits_three(capsys):

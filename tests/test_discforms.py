@@ -28,6 +28,7 @@ from helpers import (
     short_vector_calls,
     smith_calls,
     splits_u_up_by_cases,
+    walk_calls,
 )
 from reflector import discforms, lattices
 from reflector.catalog import Catalog, default_catalog, definite_part, parse_lattice
@@ -894,6 +895,36 @@ def test_a_sum_presented_part_by_part_agrees_with_its_smith_form(groups):
     for m in range(2, isqrt(order) + 1):
         if order % (m * m) == 0 and prod(gcd(o, m) for o in smith.orders) <= 3**7:
             assert _glue_grams(lat, by_parts, m) == _glue_grams(lat, smith, m), (groups, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nested_sums())
+@example((("A1", "A1"), ("A1", "A5(3)")))  # leaves of orders 2 and (3, 3, 3, 3, 18)
+@example((("E6(3)",), ("A2",)))  # den 9 next to den 3
+@example((("A3",), ("D7(3)",)))  # orders 4 and (3, 3, 3, 3, 3, 12)
+@example((("E6(3)", "A1"),))  # at m = 3 and 9, A1 adds only its zero
+def test_pool_of_a_sum_is_the_walk_of_its_whole_box(groups):
+    """The pool of a sum, joined from its leaves' value groups, is, in order and for
+    every divisor m of the exponent, the nonzero elements of order dividing m with
+    q(x) = 0, one Fraction q(x) per element of the whole form."""
+    form = discforms.discriminant_form(_nested_sum(groups))
+    isotropic = isotropic_elements(form.orders, form.bilinear)
+    exponent = lcm(*form.orders)
+    for m in (d for d in range(1, exponent + 1) if exponent % d == 0):
+        assert isotropic_pool(form, m) == [x for x, o in isotropic if m % o == 0], (groups, m)
+
+
+def test_a_sum_of_joined_terms_walks_nothing():
+    """Once its terms' value groups are kept, the pool of a fresh sum is a join: no walk,
+    and the glue groups are those of the whole form's Smith presentation."""
+    cat = Catalog()
+    isotropic_pool(discforms.discriminant_form(cat.parse("E6(3)+A2")), 3)
+    lat = cat.parse("A2+E6(3)+A2")
+    with walk_calls() as calls:
+        subs = isotropic_subgroups(discforms.discriminant_form(lat), 3)
+    assert not calls
+    smith = DiscriminantForm.from_lattice(lat)
+    assert len(subs) == len(isotropic_subgroups(smith, 3)) == 1093
 
 
 def test_pool_scan_is_charged_to_the_budget():

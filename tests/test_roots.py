@@ -29,6 +29,7 @@ from reflector.roots import (
     positive_roots,
     root_components,
     root_data,
+    root_sums,
     short_vectors,
 )
 
@@ -350,15 +351,14 @@ def test_root_data_of_a_sum_joins_its_parts(model):
     for part in lat.parts:
         root_data(part, p)
     with short_vector_calls() as calls:
-        joined = root_data(lat, p)
+        joined, joined_sums = root_data(lat, p), root_sums(lat, p)
     assert not calls
-    whole = root_data(Lattice(lat.gram), p)
-    for name in ("positive_short", "positive_long", "components"):
-        assert getattr(joined, name) == getattr(whole, name), (terms, p, name)
-    [(gram, s1, s2)] = whole.blocks
-    assert [g for g, _, _ in joined.blocks] == [part.gram for part in lat.parts]
+    whole = Lattice(lat.gram)
+    assert root_data(whole, p) == joined, terms
+    [(gram, s1, s2)] = root_sums(whole, p)
+    assert [g for g, _, _ in joined_sums] == [part.gram for part in lat.parts]
     for i, want in ((0, gram), (1, s1), (2, s2)):
-        assembled = block_diagonal([block[i] for block in joined.blocks])
+        assembled = block_diagonal([block[i] for block in joined_sums])
         assert assembled == [list(row) for row in want], (terms, p)
     assert sum(c.count_short for c in joined.components) == 2 * joined.positive_short
     assert sum(c.count_long for c in joined.components) == 2 * joined.positive_long
