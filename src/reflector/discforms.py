@@ -27,10 +27,11 @@ Value statistics of a form come from one integer walk over D (`_walk`),
 made at most once per form and refused past WALK_BUDGET elements: it counts
 the values x^T B x times the common denominator of B, and both the norm
 counts and the Gauss sum are read off those counts.  The pool of the
-isotropic subgroup search is the same walk over the elements of order
-dividing the subgroup order, keeping those of value 0; on a direct sum it
-is joined by value from the kept walks of the forms it was built from, so a
-sum of known forms walks nothing (`isotropic_pool`).
+isotropic subgroup search is joined by value from the forms a direct sum
+was built from (a form that is not a sum is its own one part): each such
+form walks its elements of order dividing the subgroup order once, groups
+them by value and keeps the groups, so a sum of known forms walks nothing
+(`isotropic_pool`).
 The Gauss sum is compared with sqrt(|D|) zeta_8^s in Z[C_M], M = lcm(8,
 level), and a difference vanishes at zeta_M exactly when its reduction along
 the prime-power factors of M (by CRT) is zero, which takes O(M omega(M))
@@ -163,28 +164,24 @@ def _shifted(elem: dict[int, int], shifts, m: int) -> dict[int, int]:
 
 
 def _walk(bnum, box, modulus: int, counts: list[int] | None = None,
-          groups: defaultdict[int, list] | None = None) -> list[tuple[int, ...]]:
-    """The x of a box with v(x) = x^T A x = 0 mod `modulus`, A = bnum, in integers;
-    with `counts`, adds one to counts[v(x)] for every x instead, and with
-    `groups`, appends every x to groups[v(x)] instead.
+          groups: defaultdict[int, list] | None = None) -> None:
+    """Adds one to counts[v(x)] for every x of a box, v(x) = x^T A x mod `modulus`,
+    A = bnum, in integers; with `groups` instead, appends x to groups[v(x)].
 
     Axis i runs over x_i = 0, s_i, ..., (n_i - 1) s_i, box[i] = (n_i, s_i), in
     `itertools.product` order.  An entry of the explicit stack is an axis with
     the value, the partial linear forms lin[t] = sum_j A_tj x_j of the later
-    axes t and the coordinates before it.  Along an axis the value is a
-    quadratic, stepped by its first difference, so the last axis costs O(1)
-    per element, and only the hits (or, with `groups`, all elements) become
-    tuples.
+    axes t and the coordinates before it (kept only with `groups`).  Along an
+    axis the value is a quadratic, stepped by its first difference, so the
+    last axis costs O(1) per element.
     """
     if not box:  # one element, (), of value 0
         if counts is not None:
             counts[0] += 1
-        elif groups is not None:
-            groups[0].append(())
         else:
-            return [()]
-        return []
-    hits, last = [], len(box) - 1
+            groups[0].append(())
+        return
+    last = len(box) - 1
     # per axis: its size and stride, s^2 A_ii, and s A_it for the later axes t
     axes = [(n, s, s * s * bnum[i][i], [s * a for a in bnum[i][i + 1 :]])
             for i, (n, s) in enumerate(box)]
@@ -197,10 +194,8 @@ def _walk(bnum, box, modulus: int, counts: list[int] | None = None,
             for x in range(0, n * s, s):
                 if counts is not None:
                     counts[value % modulus] += 1
-                elif groups is not None:
+                else:
                     groups[value % modulus].append(prefix + (x,))
-                elif not value % modulus:
-                    hits.append(prefix + (x,))
                 value += step
                 step += 2 * b
             continue
@@ -212,7 +207,6 @@ def _walk(bnum, box, modulus: int, counts: list[int] | None = None,
             step += 2 * b
             lin = [u + v for u, v in zip(lin, row)]
         stack.extend(reversed(children))
-    return hits
 
 
 @dataclass
@@ -238,7 +232,7 @@ class DiscriminantForm:
     _bnum: list[list[int]] | None = field(default=None, repr=False, compare=False)
     _leaves: tuple[DiscriminantForm, ...] = field(default=(), repr=False, compare=False)
     _counts: list[int] | None = field(default=None, init=False, repr=False, compare=False)
-    # per order m, the (value, elements) groups of `_by_value`
+    # per torsion box, the (value, elements) groups of `_by_value`
     _groups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -320,12 +314,18 @@ class DiscriminantForm:
 
     def _by_value(self, order: int) -> list[tuple[int, list[tuple[int, ...]]]]:
         """The elements of order dividing `order`, in walk order, grouped by their value
-        x^T (den B) x mod 2 den, as (value, elements) pairs: one `_walk` per order, kept."""
-        if order not in self._groups:
+        x^T (den B) x mod 2 den, as (value, elements) pairs.
+
+        One `_walk` per torsion box, kept on the form and keyed by the box
+        sizes gcd(o_i, order), so orders with the same box share one table.
+        """
+        box = _torsion_box(self.orders, order)
+        key = tuple(n for n, _ in box)
+        if key not in self._groups:
             groups = defaultdict(list)
-            _walk(self._bnum, _torsion_box(self.orders, order), 2 * self._bden, groups=groups)
-            self._groups[order] = list(groups.items())
-        return self._groups[order]
+            _walk(self._bnum, box, 2 * self._bden, groups=groups)
+            self._groups[key] = list(groups.items())
+        return self._groups[key]
 
     def _q_counts(self) -> list[int]:
         """counts[v] = number of elements x with x^T B x * den = v mod 2 den.
@@ -670,23 +670,22 @@ def _torsion_box(orders: tuple[int, ...], order: int) -> list[tuple[int, int]]:
 def isotropic_pool(form: DiscriminantForm, order: int) -> list[tuple[int, ...]]:
     """The nonzero isotropic x of order dividing `order`, in `itertools.product` order.
 
-    A form that is not a direct sum walks its `_torsion_box` once (`_walk`),
-    keeping value 0; the first hit is 0.  A direct sum joins its leaves by
-    value instead, since D(L1 + L2) = D(L1) + D(L2) (Nikulin 1979, 1.1;
-    Conway and Sloane, Sphere Packings, Lattices and Groups, ch. 16): an
-    element is a concatenation (x_1, ..., x_k) of leaf elements, and with
+    The pool is joined by value from the leaves of the form, the forms a
+    direct sum was built from (a form that is not a sum is its own one
+    leaf), since D(L1 + L2) = D(L1) + D(L2) (Nikulin 1979, 1.1; Conway and
+    Sloane, Sphere Packings, Lattices and Groups, ch. 16): an element is a
+    concatenation (x_1, ..., x_k) of leaf elements, and with
     v_i = x_i^T (den_i B_i) x_i, as each leaf keeps them (`_by_value`), its
     value is sum_i v_i den / den_i mod 2 den.  The value groups of all
     leaves but the largest are combined, and the largest leaf's group of
     the complementary value completes each combination.  Every box axis
     ascends, so `itertools.product` order is lexicographic order, and
-    sorting the concatenations gives the walk's list.
+    sorting the concatenations gives the order of a walk over the whole
+    box; the first element is 0.
     """
     modulus = 2 * form._bden
-    if not form._leaves:
-        return _walk(form._bnum, _torsion_box(form.orders, order), modulus)[1:]
     tables = [[(v * (form._bden // leaf._bden), xs) for v, xs in leaf._by_value(order)]
-              for leaf in form._leaves]
+              for leaf in form._leaves or (form,)]
     sizes = [sum(len(xs) for _, xs in table) for table in tables]
     big = sizes.index(max(sizes))
     complement = dict(tables[big])

@@ -18,8 +18,8 @@ level is the lcm of the levels.  Every other lattice takes its determinant
 from Bareiss elimination at construction, which is also its degeneracy
 check; for a sum, the product of nonzero determinants is that check.  The
 root data of `roots.root_data` are kept on the lattice too, one entry per
-prime, with the root sums of `roots.root_sums` once they are read, and a
-sum joins both from its parts where it can.  So are the
+prime, and so are the root sums of `roots.root_sums` once they are read;
+a sum joins both from its parts where it can.  So are the
 discriminant form of `discforms.discriminant_form`, which for a sum is the
 direct sum of its parts' forms, D(L1 + L2) = D(L1) + D(L2), and the table
 of cosets x + L that hold a vector of norm <= 2, from which
@@ -106,7 +106,12 @@ class Lattice:
 
     @cached_property
     def root_data_memo(self) -> dict:
-        """The reflective root data by prime and their root sums, filled in by `roots`."""
+        """The reflective root data by prime, filled in by `roots.root_data`."""
+        return {}
+
+    @cached_property
+    def root_sums_memo(self) -> dict:
+        """The root sums by prime, filled in by `roots.root_sums`."""
         return {}
 
     @cached_property

@@ -13,15 +13,16 @@ coordinate is positive.
 
 `root_data` summarises R once per (lattice, p) and keeps the result on the
 `Lattice`: the positive root counts and the irreducible components.  The
-root-sum matrices that `reflcheck` reads, one block per part, come from
-`root_sums` on first use and are kept beside them.  On an orthogonal sum
-whose parts all have level 1 or p, both are joined from the parts' data,
-since then every root lies in one part (Bourbaki, Lie groups, ch. VI, 1):
-a norm-2 vector because each part is even, and a reflective norm-2p
-vector s because each nonzero piece s_i has w = s_i / p in the part's dual,
-so p w^2 is even and s_i^2 = p (p w^2) is at least 2p.  Any other lattice (an overlattice, T8, a
-sum with a part of another level) is enumerated on its whole Gram, and its
-components come from the simple roots for the lexicographic order of Z^n.
+root-sum matrices that `reflcheck` alone reads, one block per part, come
+from `root_sums` on first use and are kept in a memo of their own.  On an
+orthogonal sum whose parts all have level 1 or p, both are joined from the
+parts' data, since then every root lies in one part (Bourbaki, Lie groups,
+ch. VI, 1): a norm-2 vector because each part is even, and a reflective
+norm-2p vector s because each nonzero piece s_i has w = s_i / p in the
+part's dual, so p w^2 is even and s_i^2 = p (p w^2) is at least 2p.  Any
+other lattice (an overlattice, T8, a sum with a part of another level) is
+enumerated on its whole Gram, and its components come from the simple
+roots for the lexicographic order of Z^n.
 
 `component_types(rank, p)` is the one table of irreducible reflective root
 systems: the ADE types, their rescalings X(p), B_n, C_n and F4 at p = 2, and
@@ -227,8 +228,7 @@ def root_data(lat: Lattice, p: int) -> RootData:
     """The root data of lat at p, computed once per (lattice, p) and kept on lat.
 
     A sum whose parts all have level 1 or p joins its parts' data; any other
-    lattice is enumerated on its whole Gram, and its positive roots are kept
-    until `root_sums` reads them.
+    lattice is enumerated on its whole Gram.
     """
     memo = lat.root_data_memo
     if p not in memo:
@@ -241,7 +241,6 @@ def root_data(lat: Lattice, p: int) -> RootData:
                 positive_long=len(r2),
                 components=tuple(_split_components(lat, p, r1, r2)),
             )
-            memo[p, "roots"] = r1, r2
     return memo[p]
 
 
@@ -262,19 +261,16 @@ def root_sums(lat: Lattice, p: int) -> tuple[tuple[tuple[tuple[int, ...], ...], 
     of the whole lattice are block diagonal with these blocks.  Computed
     once per (lattice, p), on first use, and kept on lat: a sum of level 1
     or p concatenates its parts' blocks, and any other lattice is its own
-    one block, summed over the roots that `root_data` kept.
+    one block, summed over its positive roots, enumerated again.
     """
-    memo = lat.root_data_memo
-    if (p, "sums") not in memo:
+    memo = lat.root_sums_memo
+    if p not in memo:
         if _joins_parts(lat, p):
-            memo[p, "sums"] = tuple(block for part in lat.parts for block in root_sums(part, p))
+            memo[p] = tuple(block for part in lat.parts for block in root_sums(part, p))
         else:
-            root_data(lat, p)
-            r1, r2 = memo.pop((p, "roots"))
-            memo[p, "sums"] = (
-                (lat.gram, _root_sum_matrix(lat.gram, r1), _root_sum_matrix(lat.gram, r2)),
-            )
-    return memo[p, "sums"]
+            r1, r2 = positive_roots(lat, p)
+            memo[p] = ((lat.gram, _root_sum_matrix(lat.gram, r1), _root_sum_matrix(lat.gram, r2)),)
+    return memo[p]
 
 
 def _root_sum_matrix(gram, vectors) -> tuple[tuple[int, ...], ...]:

@@ -903,6 +903,7 @@ def test_a_sum_presented_part_by_part_agrees_with_its_smith_form(groups):
 @example((("E6(3)",), ("A2",)))  # den 9 next to den 3
 @example((("A3",), ("D7(3)",)))  # orders 4 and (3, 3, 3, 3, 3, 12)
 @example((("E6(3)", "A1"),))  # at m = 3 and 9, A1 adds only its zero
+@example((("D7(3)",),))  # not a sum: the form is its own one leaf
 def test_pool_of_a_sum_is_the_walk_of_its_whole_box(groups):
     """The pool of a sum, joined from its leaves' value groups, is, in order and for
     every divisor m of the exponent, the nonzero elements of order dividing m with
@@ -925,6 +926,16 @@ def test_a_sum_of_joined_terms_walks_nothing():
     assert not calls
     smith = DiscriminantForm.from_lattice(lat)
     assert len(subs) == len(isotropic_subgroups(smith, 3)) == 1093
+
+
+def test_a_form_walks_each_torsion_box_once():
+    """A form that is not a sum keeps its value groups per torsion box: D(E6(3)) has
+    orders (3, 3, 3, 3, 3, 9), so m = 27 has the box of m = 9 and walks nothing."""
+    form = DiscriminantForm.from_lattice(parse_lattice("E6(3)", CAT))
+    with walk_calls() as calls:
+        pools = [isotropic_pool(form, m) for m in (3, 9, 27, 3, 9)]
+    assert calls == [discforms._torsion_box(form.orders, m) for m in (3, 9)]
+    assert pools[2] == pools[1] == pools[4] and pools[0] == pools[3]
 
 
 def test_pool_scan_is_charged_to_the_budget():

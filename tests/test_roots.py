@@ -349,7 +349,7 @@ def test_root_data_of_a_sum_joins_its_parts(model):
     terms, p = model
     lat = _sum_of(terms)
     for part in lat.parts:
-        root_data(part, p)
+        root_data(part, p), root_sums(part, p)
     with short_vector_calls() as calls:
         joined, joined_sums = root_data(lat, p), root_sums(lat, p)
     assert not calls
