@@ -25,8 +25,8 @@ a whole, and a catalog term is enumerated once.
 
 Value statistics of a form come from one integer walk over D (`_walk`),
 made at most once per form and refused past WALK_BUDGET elements: it counts
-the values x^T B x times the common denominator of B, and both the norm
-counts and the Gauss sum are read off those counts.  The pool of the
+the values x^T bnum x mod 2 den of the form's integer Gram bnum = den B,
+and both the norm counts and the Gauss sum are read off those counts.  The pool of the
 isotropic subgroup search is joined by value from the forms a direct sum
 was built from (a form that is not a sum is its own one part): each such
 form walks its elements of order dividing the subgroup order once, groups
@@ -211,40 +211,28 @@ def _walk(bnum, box, modulus: int, counts: list[int] | None = None,
 
 @dataclass
 class DiscriminantForm:
-    """Finite quadratic module presented by generator orders and a Gram matrix.
+    """Finite quadratic module presented by generator orders and an integer Gram.
 
     orders are the generator orders (> 1): the invariant factors for
-    `from_lattice`, the orders of both summands in turn for `direct_sum`;
-    bilinear is the rational Gram of the generators in the dual pairing, so
+    `from_lattice`, the orders of both summands in turn for `direct_sum`.
+    The Gram B of the generators in the dual pairing is rational, so
     q(x) = x^T B x mod 2 and b(x, y) = x^T B y mod 1 for integer coefficient
-    vectors x, y.  The integer form is den B = _bnum, den = _bden the common
-    denominator of B: read off `bilinear`, or assembled by `direct_sum` from
-    its summands', which also records the forms the sum was built from in
-    `_leaves` (empty on any other form).
+    vectors x, y; it is presented as bnum = den B, with den > 0 the common
+    denominator of B in lowest terms (gcd(den, entries of bnum) = 1).
+    `direct_sum` also records the forms the sum was built from in `_leaves`
+    (empty on any other form).
     """
 
     orders: tuple[int, ...]
-    bilinear: list[list[Fraction]]
+    den: int
+    bnum: list[list[int]]
     gens: list[list[int]] | None = None  # generator coordinates in Z^n / G Z^n
     # the rows of the Smith transform U at the generators, read by `element_of`
     coords: list[list[int]] | None = None
-    _bden: int = field(default=1, repr=False, compare=False)
-    _bnum: list[list[int]] | None = field(default=None, repr=False, compare=False)
     _leaves: tuple[DiscriminantForm, ...] = field(default=(), repr=False, compare=False)
     _counts: list[int] | None = field(default=None, init=False, repr=False, compare=False)
     # per torsion box, the (value, elements) groups of `_by_value`
     _groups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self._bnum is not None:
-            return
-        self.bilinear = [[Fraction(x) for x in row] for row in self.bilinear]
-        den = 1
-        for row in self.bilinear:
-            for x in row:
-                den = lcm(den, x.denominator)
-        self._bden = den
-        self._bnum = [[int(x * den) for x in row] for row in self.bilinear]
 
     @classmethod
     def from_lattice(cls, lat: Lattice) -> "DiscriminantForm":
@@ -253,15 +241,16 @@ class DiscriminantForm:
         keep = [i for i in range(lat.rank) if abs(d[i][i]) != 1]
         orders = tuple(abs(d[i][i]) for i in keep)
         w = [[u_det * u_adj[r][i] for i in keep] for r in range(lat.rank)]  # columns of U^-1
-        # W^T G^-1 W = W^T adj(G) W / det(G), one division per entry
+        # B = W^T adj(G) W / det(G), in lowest terms over g = gcd(det, b) with det's sign
         b = intmat.mat_mul(intmat.mat_mul(intmat.transpose(w), lat.adjugate()), w)
         det = lat.det()
-        bilinear = [[Fraction(x, det) for x in row] for row in b]
-        return cls(orders, bilinear, gens=w, coords=[u[i] for i in keep])
+        g = gcd(det, *(x for row in b for x in row)) * (1 if det > 0 else -1)
+        bnum = [[x // g for x in row] for row in b]
+        return cls(orders, det // g, bnum, gens=w, coords=[u[i] for i in keep])
 
     @classmethod
     def trivial(cls) -> "DiscriminantForm":
-        return cls((), [])
+        return cls((), 1, [])
 
     def order(self) -> int:
         return prod(self.orders) if self.orders else 1
@@ -280,9 +269,9 @@ class DiscriminantForm:
         Over generators of D this is the level of D; over generators of
         H^perp, for H isotropic, it is the level of H^perp / H.
         """
-        den, n = self._bden, 1
+        den, n = self.den, 1
         for i, x in enumerate(vecs):
-            bx = intmat.mat_vec(self._bnum, x)
+            bx = intmat.mat_vec(self.bnum, x)
             n = lcm(n, 2 * den // gcd(2 * den, sum(map(mul, x, bx))))
             for y in vecs[i + 1 :]:
                 n = lcm(n, den // gcd(den, sum(map(mul, y, bx))))
@@ -291,17 +280,14 @@ class DiscriminantForm:
     def direct_sum(self, other: "DiscriminantForm") -> "DiscriminantForm":
         """D + D', with `gens` and `coords` block diagonal when both forms carry them.
 
-        The integer form is block diagonal too, each block scaled from its
-        summand's denominator to their lcm, so no entry is normalised again.
+        The integer Gram is block diagonal too, each block scaled from its
+        summand's denominator to their lcm, so it stays in lowest terms.
         """
         k1, k2 = len(self.orders), len(other.orders)
-        zero = Fraction(0)
-        b = [row + [zero] * k2 for row in self.bilinear]
-        b += [[zero] * k1 + row for row in other.bilinear]
-        den = lcm(self._bden, other._bden)
-        s1, s2 = den // self._bden, den // other._bden
-        bnum = [[s1 * x for x in row] + [0] * k2 for row in self._bnum]
-        bnum += [[0] * k1 + [s2 * x for x in row] for row in other._bnum]
+        den = lcm(self.den, other.den)
+        s1, s2 = den // self.den, den // other.den
+        bnum = [[s1 * x for x in row] + [0] * k2 for row in self.bnum]
+        bnum += [[0] * k1 + [s2 * x for x in row] for row in other.bnum]
         gens = coords = None
         if self.gens is not None and other.gens is not None:
             n1, n2 = len(self.gens), len(other.gens)
@@ -309,12 +295,12 @@ class DiscriminantForm:
             coords = [row + [0] * n2 for row in self.coords]
             coords += [[0] * n1 + row for row in other.coords]
         leaves = (self._leaves or (self,)) + (other._leaves or (other,))
-        return DiscriminantForm(self.orders + other.orders, b, gens, coords,
-                                _bden=den, _bnum=bnum, _leaves=leaves)
+        return DiscriminantForm(self.orders + other.orders, den, bnum, gens, coords,
+                                _leaves=leaves)
 
     def _by_value(self, order: int) -> list[tuple[int, list[tuple[int, ...]]]]:
         """The elements of order dividing `order`, in walk order, grouped by their value
-        x^T (den B) x mod 2 den, as (value, elements) pairs.
+        x^T bnum x mod 2 den, as (value, elements) pairs.
 
         One `_walk` per torsion box, kept on the form and keyed by the box
         sizes gcd(o_i, order), so orders with the same box share one table.
@@ -323,7 +309,7 @@ class DiscriminantForm:
         key = tuple(n for n, _ in box)
         if key not in self._groups:
             groups = defaultdict(list)
-            _walk(self._bnum, box, 2 * self._bden, groups=groups)
+            _walk(self.bnum, box, 2 * self.den, groups=groups)
             self._groups[key] = list(groups.items())
         return self._groups[key]
 
@@ -338,14 +324,14 @@ class DiscriminantForm:
         if self._counts is None:
             if self.order() > WALK_BUDGET:
                 raise BudgetExceeded(f"value walk of {self.order()} elements passes {WALK_BUDGET}")
-            counts = [0] * (2 * self._bden)
-            _walk(self._bnum, [(o, 1) for o in self.orders], len(counts), counts)
+            counts = [0] * (2 * self.den)
+            _walk(self.bnum, [(o, 1) for o in self.orders], len(counts), counts)
             self._counts = counts
         return self._counts
 
     def count_norm(self, target: Fraction) -> int:
         """Number of nonzero elements with q(x) = target mod 2."""
-        v = Fraction(target) % 2 * self._bden
+        v = Fraction(target) % 2 * self.den
         if v.denominator != 1:
             return 0
         zero = 1 if v == 0 else 0  # the zero element has q = 0
@@ -355,7 +341,7 @@ class DiscriminantForm:
         """vec[e] = number of elements with q(x) m / 2 = e mod m, for m a multiple of the level."""
         counts = self._q_counts()
         vec = [0] * m
-        den2 = 2 * self._bden
+        den2 = 2 * self.den
         for v, c in enumerate(counts):
             if c:
                 e, r = divmod(v * m, den2)
@@ -429,14 +415,13 @@ def candidate_form(p: int, n_p: int, eps: int) -> DiscriminantForm:
     target_chi = _disc_chi(p, n_p, eps)
     if n_p == 0:
         return DiscriminantForm.trivial()
-    if p == 2:
-        u = [[Fraction(0), Fraction(1, 2)], [Fraction(1, 2), Fraction(0)]]
-        v = [[Fraction(1), Fraction(1, 2)], [Fraction(1, 2), Fraction(1)]]
+    if p == 2:  # den 2: the blocks u = [[0, 1/2], [1/2, 0]] and v = [[1, 1/2], [1/2, 1]]
+        u, v = [[0, 1], [1, 0]], [[2, 1], [1, 2]]
         blocks = [u] * (n_p // 2 - 1) + [v if eps == -1 else u]
-        return DiscriminantForm((2,) * n_p, intmat.block_diagonal(blocks))
+        return DiscriminantForm((2,) * n_p, 2, intmat.block_diagonal(blocks))
     last_a = 1 if target_chi == 1 else smallest_nonresidue(p)
-    blocks = [[[Fraction(2 * a, p)]] for a in [1] * (n_p - 1) + [last_a]]
-    return DiscriminantForm((p,) * n_p, intmat.block_diagonal(blocks))
+    blocks = [[[2 * a]] for a in [1] * (n_p - 1) + [last_a]]
+    return DiscriminantForm((p,) * n_p, p, intmat.block_diagonal(blocks))
 
 
 def elementary_count_norm(p: int, n_p: int, eps: int, target: Fraction) -> int:
@@ -633,14 +618,14 @@ def glue_level(form: DiscriminantForm, sub: tuple[tuple[int, ...], ...]) -> int:
 
     H^perp / H is the discriminant form of the overlattice that H glues
     (Nikulin), so this is that overlattice's level, read off before it is
-    built.  In integers, with den the common denominator of B: x lies in
-    H^perp when x . (den B g) = 0 mod den for every generator g of H.  Those
-    x are the last k entries of the Hermite rows that vanish on the first r,
-    for the rows [((den B g)_i over the r generators g) | e_i], i < k, and
+    built.  In integers, on the form's bnum = den B: x lies in H^perp when
+    x . (bnum g) = 0 mod den for every generator g of H.  Those x are the
+    last k entries of the Hermite rows that vanish on the first r, for the
+    rows [((bnum g)_i over the r generators g) | e_i], i < k, and
     [den e_j | 0], j < r.  The level is read off that basis, as
     `DiscriminantForm.level` reads it off the generators of D.
     """
-    den, bnum = form._bden, form._bnum
+    den, bnum = form.den, form.bnum
     gens = _generators(sub, form.orders)
     k, r = len(form.orders), len(gens)
     pairings = [intmat.mat_vec(bnum, g) for g in gens]
@@ -653,7 +638,7 @@ def glue_level(form: DiscriminantForm, sub: tuple[tuple[int, ...], ...]) -> int:
 def _pool_scan(form: DiscriminantForm, order: int, budget: int) -> int:
     """The pool scan's operations, one per element of order dividing `order`;
     BudgetExceeded, before any element is visited, when they pass `budget`."""
-    ops = prod(gcd(o, order) for o in form.orders)
+    ops = prod(n for n, _ in _torsion_box(form.orders, order))
     if ops > budget:
         raise BudgetExceeded(
             f"isotropic subgroup search passed {budget} operations: "
@@ -683,8 +668,8 @@ def isotropic_pool(form: DiscriminantForm, order: int) -> list[tuple[int, ...]]:
     sorting the concatenations gives the order of a walk over the whole
     box; the first element is 0.
     """
-    modulus = 2 * form._bden
-    tables = [[(v * (form._bden // leaf._bden), xs) for v, xs in leaf._by_value(order)]
+    modulus = 2 * form.den
+    tables = [[(v * (form.den // leaf.den), xs) for v, xs in leaf._by_value(order)]
               for leaf in form._leaves or (form,)]
     sizes = [sum(len(xs) for _, xs in table) for table in tables]
     big = sizes.index(max(sizes))
@@ -724,12 +709,12 @@ def isotropic_subgroups(
     and the search raises BudgetExceeded past `budget` of them, before the
     pool is built when its scan alone would pass it (`_pool_scan`).
     """
-    orders, den = form.orders, form._bden
+    orders, den = form.orders, form.den
     ops = _pool_scan(form, order, budget)
     zero = tuple(0 for _ in orders)
     pool = [x for x in isotropic_pool(form, order) if x not in avoid]
     # den * x^T B, so den * b(g, x) is the dot product of g with it
-    pairing = {x: [sum(map(mul, x, row)) for row in form._bnum] for x in pool}
+    pairing = {x: [sum(map(mul, x, row)) for row in form.bnum] for x in pool}
 
     seen = {frozenset({zero})}
     frontier: list[tuple[frozenset, tuple]] = [(frozenset({zero}), ())]

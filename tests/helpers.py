@@ -5,7 +5,8 @@ counts and lists come from a flat coordinate-box sweep in numpy integer
 arithmetic, power series come from naive polynomial products, Bernoulli
 numbers come from the Akiyama-Tanigawa scheme, values of a discriminant form
 come from one Fraction product per element (the isotropic ones from one
-exact int64 product per element), vanishing at a root of unity
+exact int64 product per element) on the Gram of its generators in the dual
+pairing (`dual_pairing`), vanishing at a root of unity
 comes from long division by the cyclotomic polynomial, root components
 come from testing every pair of roots, taken with both signs, for a nonzero
 inner product, span ranks come from row elimination over Z, the
@@ -170,6 +171,18 @@ def legendre(a: int, p: int) -> int:
         return 0
     r = pow(a, (p - 1) // 2, p)
     return 1 if r == 1 else -1
+
+
+def dual_pairing(lat, form: DiscriminantForm) -> list[list[Fraction]]:
+    """gens^T G^-1 gens in Fractions, G^-1 = `lat.dual_gram()`: the Gram of the
+    generators of D(L) in the dual pairing, read off the lattice and not off
+    the form's own Gram.  `form` is `DiscriminantForm.from_lattice(lat)`, or
+    the part-by-part `discriminant_form(lat)` of a sum, whose `gens` are
+    block diagonal."""
+    w, dual = form.gens, lat.dual_gram()
+    n, k = len(w), len(form.orders)
+    return [[sum(w[r][i] * dual[r][s] * w[s][j] for r in range(n) for s in range(n))
+             for j in range(k)] for i in range(k)]
 
 
 def q_values(orders: tuple[int, ...], bilinear) -> Counter:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     cyclotomic,
+    dual_pairing,
     dual_rescale_genus,
     eps_by_gauss_sum,
     eps_by_jordan,
@@ -22,6 +23,7 @@ from helpers import (
     in_random_basis,
     isotropic_elements,
     isotropic_subgroups_by_closure,
+    legendre,
     poly_divmod,
     q_values,
     root_classes_by_dual_enumeration,
@@ -140,14 +142,20 @@ def test_zero_test_at_roots_of_unity_matches_cyclotomic_division(args):
         assert _vanishes_at_root(laid_out, axes)
 
 
-def _random_even_lattice_form(b):
+def _lattice_case(lat):
+    """The Smith presentation of D(L), and the Gram of its generators read off L."""
+    form = DiscriminantForm.from_lattice(lat)
+    return form, dual_pairing(lat, form)
+
+
+def _random_even_lattice_case(b):
     n = len(b)
     gram = [
         [2 * sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
     try:
-        return DiscriminantForm.from_lattice(Lattice(gram))
+        return _lattice_case(Lattice(gram))
     except ValueError:
         return None
 
@@ -161,6 +169,35 @@ def _block_sum_form(blocks):
     return form
 
 
+def _block_sum_gram(blocks):
+    """The Fraction Gram of `_block_sum_form(blocks)`, assembled from the standard
+    blocks: at odd p, n_p blocks <2a/p>, a = 1 but for the last, a nonresidue when
+    eps chi_p(2)^n_p = -1; at p = 2, u = [[0, 1/2], [1/2, 0]] with the last one
+    v = [[1, 1/2], [1/2, 1]] when eps = -1."""
+    half = Fraction(1, 2)
+    grams = []
+    for p, n_p, eps in blocks:
+        if p == 2:
+            n_p += n_p % 2
+            u, v = [[0, half], [half, 0]], [[1, half], [half, 1]]
+            grams += [u] * (n_p // 2 - 1) + [v if eps == -1 else u]
+        else:
+            last = 1 if eps * legendre(2, p) ** n_p == 1 else next(
+                a for a in range(2, p) if legendre(a, p) == -1)
+            grams += [[[Fraction(2 * a, p)]] for a in [1] * (n_p - 1) + [last]]
+    k = sum(map(len, grams))
+    gram = []
+    for g in grams:
+        left = len(gram)
+        gram += [[0] * left + row + [0] * (k - left - len(g)) for row in g]
+    return gram
+
+
+def _block_sum_case(blocks):
+    return _block_sum_form(blocks), _block_sum_gram(blocks)
+
+
+# (form, the Fraction Gram of its generators, built apart from the form) pairs
 FORMS = st.one_of(
     st.integers(1, 3)
     .flatmap(
@@ -168,21 +205,22 @@ FORMS = st.one_of(
             st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n
         )
     )
-    .map(_random_even_lattice_form),
+    .map(_random_even_lattice_case),
     st.lists(
         st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 2), st.sampled_from([1, -1])),
         min_size=1,
         max_size=3,
-    ).map(_block_sum_form),
+    ).map(_block_sum_case),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(FORMS)
-def test_value_counts_match_per_element_enumeration(form):
+def test_value_counts_match_per_element_enumeration(case):
     """count_norm at every value and the Gauss-sum exponents, against one Fraction q(x) per element."""
-    assume(form is not None and form.order() <= 1000)
-    values = q_values(form.orders, form.bilinear)
+    assume(case is not None and case[0].order() <= 1000)
+    form, gram = case
+    values = q_values(form.orders, gram)
     assert sum(values.values()) == form.order()
     for target, count in values.items():
         assert form.count_norm(target) == count - (1 if target == 0 else 0)
@@ -190,23 +228,24 @@ def test_value_counts_match_per_element_enumeration(form):
         if absent not in values:
             assert form.count_norm(absent) == 0
     m = lcm(8, form.level())
-    assert form._gauss_vector(m) == gauss_exponents(form.orders, form.bilinear, m)
+    assert form._gauss_vector(m) == gauss_exponents(form.orders, gram, m)
 
 
 @settings(max_examples=30, deadline=None)
 @given(FORMS)
-@example(DiscriminantForm.from_lattice(parse_lattice("A1+A1+A1+A5(3)", CAT)))
-@example(DiscriminantForm.from_lattice(parse_lattice("A4(5)+A4", CAT)))
-@example(DiscriminantForm.from_lattice(parse_lattice("E6(3)", CAT)))
-def test_isotropic_pool_matches_per_element_filter(form):
+@example(_lattice_case(parse_lattice("A1+A1+A1+A5(3)", CAT)))
+@example(_lattice_case(parse_lattice("A4(5)+A4", CAT)))
+@example(_lattice_case(parse_lattice("E6(3)", CAT)))
+def test_isotropic_pool_matches_per_element_filter(case):
     """For every divisor m of the exponent, the walked pool is, in order, the nonzero
     elements of order dividing m with q(x) = 0, one Fraction q(x) per element.
 
     The examples mix orders on one form: (3, 6, 6, 6, 18), (5, 5, 5, 5, 25) and
     (3, 3, 3, 3, 3, 9).
     """
-    assume(form is not None and form.order() <= 16000)
-    isotropic = isotropic_elements(form.orders, form.bilinear)
+    assume(case is not None and case[0].order() <= 16000)
+    form, gram = case
+    isotropic = isotropic_elements(form.orders, gram)
     exponent = lcm(*form.orders)
     for m in (d for d in range(1, exponent + 1) if exponent % d == 0):
         assert isotropic_pool(form, m) == [x for x, o in isotropic if m % o == 0], m
@@ -568,29 +607,29 @@ ISOTROPIC_SEARCH_EXPRS = [
     "D4(3)", "A3+A1(2)", "A2+A2(3)", "A1(2)+A2(3)", "2A2+A1(2)", "D4+A2(3)",
 ]
 
+# (form, the Fraction Gram of its generators, built apart from the form) pairs
 ISOTROPIC_SEARCH_FORMS = st.one_of(
-    st.sampled_from(ISOTROPIC_SEARCH_EXPRS).map(
-        lambda e: DiscriminantForm.from_lattice(parse_lattice(e, CAT))
-    ),
+    st.sampled_from(ISOTROPIC_SEARCH_EXPRS).map(lambda e: _lattice_case(parse_lattice(e, CAT))),
     st.lists(
         st.tuples(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.sampled_from([1, -1])),
         min_size=1,
         max_size=3,
-    ).map(_block_sum_form),
+    ).map(_block_sum_case),
 )
 
 
 @settings(max_examples=40, deadline=None)
 @given(ISOTROPIC_SEARCH_FORMS, st.sampled_from([1, 2, 3, 4, 6, 8, 9]))
-@example(DiscriminantForm.from_lattice(parse_lattice("E6(3)", CAT)), 9)
-@example(DiscriminantForm.from_lattice(parse_lattice("2A1(2)", CAT)), 4)
-@example(_block_sum_form([(2, 4, 1), (2, 2, 1), (2, 4, 1)]), 8)
-def test_isotropic_subgroups_match_closure_oracle(form, order):
+@example(_lattice_case(parse_lattice("E6(3)", CAT)), 9)
+@example(_lattice_case(parse_lattice("2A1(2)", CAT)), 4)
+@example(_block_sum_case([(2, 4, 1), (2, 2, 1), (2, 4, 1)]), 8)
+def test_isotropic_subgroups_match_closure_oracle(case, order):
     """The orthogonality test on generators finds the subgroups that testing q on every element finds.
 
     Both searches count operations alike and run on one budget, so they
     return the same list or both raise BudgetExceeded.
     """
+    form, gram = case
     assume(form.order() <= 3**8)
     assume(prod(gcd(o, order) for o in form.orders) <= 3**7)
 
@@ -600,7 +639,7 @@ def test_isotropic_subgroups_match_closure_oracle(form, order):
         except BudgetExceeded:
             return BudgetExceeded
 
-    want = outcome(isotropic_subgroups_by_closure, form.orders, form.bilinear, order)
+    want = outcome(isotropic_subgroups_by_closure, form.orders, gram, order)
     assert outcome(isotropic_subgroups, form, order) == want
 
 
@@ -849,6 +888,13 @@ def _nested_sum(groups) -> Lattice:
     return lattices.direct_sum(parts, name="sum")
 
 
+def _sum_case(groups):
+    """The part-by-part form of the sum, and the Gram of its generators read off the sum."""
+    lat = _nested_sum(groups)
+    form = discforms.discriminant_form(lat)
+    return form, dual_pairing(lat, form)
+
+
 @st.composite
 def nested_sums(draw):
     """1-3 groups of 1-2 terms, kept while |D| stays at most 3^8."""
@@ -908,11 +954,62 @@ def test_pool_of_a_sum_is_the_walk_of_its_whole_box(groups):
     """The pool of a sum, joined from its leaves' value groups, is, in order and for
     every divisor m of the exponent, the nonzero elements of order dividing m with
     q(x) = 0, one Fraction q(x) per element of the whole form."""
-    form = discforms.discriminant_form(_nested_sum(groups))
-    isotropic = isotropic_elements(form.orders, form.bilinear)
+    form, gram = _sum_case(groups)
+    isotropic = isotropic_elements(form.orders, gram)
     exponent = lcm(*form.orders)
     for m in (d for d in range(1, exponent + 1) if exponent % d == 0):
         assert isotropic_pool(form, m) == [x for x, o in isotropic if m % o == 0], (groups, m)
+
+
+@st.composite
+def even_lattice_cases(draw):
+    """A form of a random even lattice of rank 1-4, definite or not, or None when
+    its Gram is singular."""
+    n = draw(st.integers(1, 4))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    try:
+        return _lattice_case(Lattice(gram))
+    except ValueError:
+        return None
+
+
+def _candidate_case(p, n_p, eps):
+    n_p += n_p % 2 if p == 2 else 0
+    return candidate_form(p, n_p, eps), _block_sum_gram([(p, n_p, eps)])
+
+
+PRESENTED_TERMS = CATALOG_NAMES + SUM_TERMS + ["U", "U(2)", "U(5)", "D8v(2)", "E6v(3)"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.sampled_from(PRESENTED_TERMS).map(lambda t: _lattice_case(parse_lattice(t, CAT))),
+    even_lattice_cases(),
+    nested_sums().map(_sum_case),
+    st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.sampled_from([1, -1]))
+    .map(lambda args: _candidate_case(*args)),
+))
+@example(_lattice_case(parse_lattice("D4", CAT)))  # B has denominator 2, det 4
+@example(_lattice_case(Lattice([[2, 3], [3, 2]])))  # det -5
+@example(_lattice_case(parse_lattice("U(2)", CAT)))  # det -4
+@example(_sum_case((("A1", "A2"),)))  # den 2 next to den 3
+@example(_sum_case((("E6(3)",), ("A2",))))  # den 9 next to den 3
+@example(_candidate_case(2, 4, -1))
+@example(_candidate_case(7, 3, -1))
+def test_a_form_is_presented_by_an_integer_gram_in_lowest_terms(case):
+    """den and every entry of bnum are ints, den > 0, gcd(den, bnum) = 1, and bnum / den
+    is the Gram of the generators built apart from the form: read off the lattice by
+    `dual_pairing`, or assembled from the standard blocks."""
+    assume(case is not None)
+    form, gram = case
+    entries = [x for row in form.bnum for x in row]
+    assert type(form.den) is int and all(type(x) is int for x in entries)
+    assert form.den > 0 and gcd(form.den, *entries) == 1
+    assert [[Fraction(x, form.den) for x in row] for row in form.bnum] == gram
 
 
 def test_a_sum_of_joined_terms_walks_nothing():
