@@ -24,23 +24,19 @@ from . import discforms, etaq, reflcheck, roots, towers
 from .classify import class_number_rootsystems, classify, count_classes, verdict_table
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """What json cannot encode itself: a Fraction as an int or "num/den", a
+    dataclass as its fields, anything else as its str."""
     if isinstance(obj, Fraction):
         return obj.numerator if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     return str(obj)
 
 
 def emit(payload, fmt: str, text_lines) -> None:
     if fmt == "json":
-        print(json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":")))
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_json_default))
     else:
         for line in text_lines:
             print(line)
@@ -246,6 +242,8 @@ def cmd_classify(args) -> int:
         emit(records, args.format, lines)
         return 2 if any(r.verdict == "NOT_REFLECTIVE" for r in records) else 0
     table = verdict_table(verify=args.verify, catalog=cat)
+    for key in ("primes", "bound_mismatches"):  # canonical JSON sorts every key as text
+        table[key] = {str(p): v for p, v in table[key].items()}
     lines = [f"reflective genera: {table['count']}"]
     for label in table["reflective"]:
         lines.append(f"  {label}")

@@ -1,21 +1,24 @@
 """Eta quotients, their cusp expansions, and weight data for liftings.
 
-The level-2 input function eta(tau)^-8 eta(2tau)^-8 and its image under
-tau -> -1/tau are expanded exactly as Puiseux series in q with integer
-coefficients and rational exponents; only the scalar of the transform is
-rational.  The same module holds the arithmetic consequences used by the
-classification: the weights of the liftings produced from the input
-function, the dimension window coming from Riemann-Roch on the modular
-curve, and the twisted Bernoulli number B_{3,psi} whose value decides
-whether a candidate obstruction space is actually trivial.
+An eta quotient prod_d eta(d tau)^{r_d} is expanded exactly, in integers,
+by the recurrence that its logarithmic derivative gives (see
+`eta_quotient`); d may be a fraction such as 1/p, so the exponents are
+rational and the result is a Puiseux series in q.  The level-2 input
+function eta(tau)^-8 eta(2tau)^-8 and its image under tau -> -1/tau are
+two such quotients; only the scalar of the transform is rational.  The
+same module holds the arithmetic consequences used by the classification:
+the weights of the liftings produced from the input function, the
+dimension window coming from Riemann-Roch on the modular curve, and the
+twisted Bernoulli number B_{3,psi} whose value decides whether a candidate
+obstruction space is actually trivial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import lcm
+from functools import cache, reduce
+from math import gcd, lcm
 
 from .discforms import legendre
 
@@ -36,30 +39,8 @@ class PuiseuxSeries:
         self.coeffs = {k: v for k, v in self.coeffs.items() if v}
         self.precision = Fraction(self.precision)
 
-    def leading_exponent(self) -> Fraction:
-        if not self.coeffs:
-            return self.precision
-        return Fraction(min(self.coeffs), self.denom)
-
     def terms(self) -> list[tuple[Fraction, int]]:
         return [(Fraction(k, self.denom), v) for k, v in sorted(self.coeffs.items())]
-
-    def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        d = lcm(self.denom, other.denom)
-        s1 = d // self.denom
-        s2 = d // other.denom
-        prec = min(
-            self.precision + other.leading_exponent(),
-            other.precision + self.leading_exponent(),
-        )
-        out: dict[int, int] = {}
-        cut = -(-prec * d // 1)  # the integer ceiling: key < prec*d iff key < cut
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                key = k1 * s1 + k2 * s2
-                if key < cut:
-                    out[key] = out.get(key, 0) + v1 * v2
-        return PuiseuxSeries(d, out, prec)
 
     def __str__(self) -> str:
         parts = []
@@ -72,71 +53,43 @@ class PuiseuxSeries:
         return " + ".join(parts)
 
 
-def euler_factor_coeffs(r: int, terms: int) -> list[int]:
-    """Coefficients of prod_n (1 - x^n)^r up to x^(terms-1).
+def eta_quotient(factors: dict, terms: int) -> PuiseuxSeries:
+    """Expansion of prod_d eta(d*tau)^{r_d}; d may be a Fraction like 1/p.
 
-    The base product phi is Euler's pentagonal series, whose constant term
-    is 1, so its inverse and all powers have integer coefficients.
+    In x = q^(1/denom) the quotient is x^lead * g with
+    g = prod_d prod_{n>=1} (1 - x^(s_d n))^{r_d} and s_d = d*denom.  Taking
+    x g'/g gives k g_k = -sum_{j=1..k} c_j g_{k-j}, where
+    c_j = sum_{s_d | j} r_d s_d sigma(j/s_d); g has integer coefficients,
+    so the division is exact.  g lives on multiples of t = gcd(s_d), so
+    the recurrence steps in units of t.  The expansion is known below
+    sum_d r_d d/24 + terms * min(d): each factor eta(d tau)^{r_d} is taken
+    to `terms` terms, factors with r_d = 0 included.
     """
     if terms < 1:
         raise ValueError("need at least one term")
-    phi = [1] + [0] * (terms - 1)
-    k = 1
-    while (k * (3 * k - 1)) // 2 < terms:
-        sign = -1 if k % 2 else 1
-        phi[(k * (3 * k - 1)) // 2] += sign
-        e2 = (k * (3 * k + 1)) // 2
-        if e2 < terms:
-            phi[e2] += sign
-        k += 1
-
-    def mul(a: list[int], b: list[int]) -> list[int]:
-        out = [0] * terms
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if i + j >= terms:
-                        break
-                    if y:
-                        out[i + j] += x * y
-        return out
-
-    def inverse(a: list[int]) -> list[int]:
-        """Inverse of a series with a[0] = 1: inv[n] = -sum_{j>=1} a[j] inv[n-j]."""
-        support = [(j, c) for j, c in enumerate(a) if j and c]
-        inv = [1] + [0] * (terms - 1)
-        for n in range(1, terms):
-            inv[n] = -sum(c * inv[n - j] for j, c in support if j <= n)
-        return inv
-
-    base = phi if r >= 0 else inverse(phi)
-    e = abs(r)
-    result = [1] + [0] * (terms - 1)
-    acc = base
-    while e:
-        if e & 1:
-            result = mul(result, acc)
-        e >>= 1
-        if e:
-            acc = mul(acc, acc)
-    return result
-
-
-def eta_quotient(factors: dict, terms: int) -> PuiseuxSeries:
-    """Expansion of prod_d eta(d*tau)^{r_d}; d may be a Fraction like 1/p."""
-    denom = 24
-    for d in factors:
-        denom = lcm(denom, 24 * Fraction(d).denominator)
-    series = PuiseuxSeries(denom, {0: 1}, Fraction(10**9))
-    for d, r in sorted(factors.items(), key=lambda t: Fraction(t[0])):
-        d = Fraction(d)
-        # q^(n d + r d/24) sits at key n*step + offset; denom makes both integral
-        step, offset = d * denom, r * d * denom / 24
-        assert step.denominator == offset.denominator == 1
-        coeffs = euler_factor_coeffs(r, terms)
-        fac = {n * int(step) + int(offset): v for n, v in enumerate(coeffs)}
-        series = series * PuiseuxSeries(denom, fac, terms * d + r * d / 24)
-    return series
+    factors = {Fraction(d): r for d, r in factors.items()}
+    if not factors or min(factors) <= 0:
+        raise ValueError("need at least one eta factor, each eta(d tau) with d > 0")
+    denom = lcm(*(24 * d.denominator for d in factors))
+    steps = {int(d * denom): r for d, r in factors.items()}
+    t = reduce(gcd, steps)
+    lead = sum(r * s for s, r in steps.items()) // 24
+    n = terms * min(steps) // t
+    sigma = [0] * n
+    for a in range(1, n):
+        for b in range(a, n, a):
+            sigma[b] += a
+    c = [0] * n
+    for s, r in steps.items():
+        s //= t
+        for j in range(s, n, s):
+            c[j] += r * s * sigma[j // s]
+    support = [(j, cj) for j, cj in enumerate(c) if cj]
+    g = [1] + [0] * (n - 1)
+    for k in range(1, n):
+        g[k] = -sum(cj * g[k - j] for j, cj in support if j <= k) // k
+    coeffs = {lead + k * t: v for k, v in enumerate(g)}
+    return PuiseuxSeries(denom, coeffs, Fraction(lead + terms * min(steps), denom))
 
 
 def f_series(terms: int = 12) -> PuiseuxSeries:

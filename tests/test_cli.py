@@ -297,6 +297,21 @@ def test_eta_json_keys_are_exponents(capsys):
     assert payload["transform_sqrt_power"] == 0
 
 
+# `eta --format json` at the two ends of --precision, pinned by size and sha256
+ETA_JSON_PINS = {
+    1: (252, "8ea21f314bc117d5c82ee841669b0df8acb17c5d70fe4ab53ca5d62ac3701ff3"),
+    200: (22144, "86927f577d224e321eeff590eff3e7f75869ee478100c02ce57bb68752c95fe9"),
+}
+
+
+@pytest.mark.parametrize("terms", sorted(ETA_JSON_PINS))
+def test_eta_json_is_pinned_at_the_ends_of_its_range(terms, capsys):
+    code, out = run_cli(["eta", "--precision", str(terms), "--format", "json"], capsys)
+    size, digest = ETA_JSON_PINS[terms]
+    assert code == 0 and len(out) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_repeated_calls_share_no_state(capsys):
     """One process answers each request the same, whatever ran before it."""
     requests = [

@@ -5,12 +5,14 @@ from fractions import Fraction
 from functools import cache
 
 from helpers import bernoulli_poly_3, euler_product_naive, legendre
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflector import etaq
 
-MAX_TERMS = 40
+MAX_TERMS = 60
+DS = [1, 2, 3, 5, 7, 11, 23]
 
 
 @cache
@@ -53,25 +55,46 @@ def assert_matches_oracle(series: etaq.PuiseuxSeries, factors: dict, terms: int)
 
 
 def test_euler_factor_coefficients_against_naive_product():
-    """Both routes expand prod (1 - q^m)^r; the library one must agree termwise."""
+    """eta(tau)^r is q^(r/24) times prod (1 - q^m)^r, termwise the naive product."""
     for power in (1, 2, 24, -1, -8, -24):
-        mine = etaq.euler_factor_coeffs(power, 12)
+        series = etaq.eta_quotient({1: power}, 12)
         oracle = euler_product_naive(power, 12)
-        assert [Fraction(c) for c in mine] == oracle, power
+        shifted = {n + Fraction(power, 24): c for n, c in enumerate(oracle) if c}
+        assert dict(series.terms()) == shifted, power
+        assert series.precision == 12 + Fraction(power, 24), power
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.dictionaries(
-        st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(1, 3)]),
+        st.sampled_from(DS + [Fraction(1, d) for d in DS[1:]]),
         st.integers(-24, 24),
         min_size=1,
+        max_size=5,  # keeps the naive Fraction product of the oracle to seconds
     ),
-    st.integers(1, 30),
+    st.integers(1, MAX_TERMS),
 )
 def test_eta_quotient_is_the_integral_naive_product(factors, terms):
     """Integer coefficients, equal to the Fraction product of naive Euler factors."""
     assert_matches_oracle(etaq.eta_quotient(factors, terms), factors, terms)
+
+
+@pytest.mark.parametrize("p, k0", [(2, 8), (3, 6), (5, 4), (7, 3), (11, 2), (23, 1)])
+def test_singular_weight_inputs(p, k0):
+    """eta(tau)^-k0 eta(p tau)^-k0, with k0 (p + 1) = 24, is q^-1 + k0 + O(q)."""
+    series = etaq.eta_quotient({1: -k0, p: -k0}, 2)
+    assert series.terms() == [(-1, 1), (0, k0)]
+    assert series.precision == 1
+    assert str(series) == f"1*q^(-1) + {k0} + O(q^(1))"
+
+
+def test_eta_quotient_input_checks():
+    for terms in (0, -1):
+        with pytest.raises(ValueError):
+            etaq.eta_quotient({1: -8, 2: -8}, terms)
+    for factors in ({}, {0: 1}, {-1: 2}, {1: 2, 0: 0}):
+        with pytest.raises(ValueError):
+            etaq.eta_quotient(factors, 12)
 
 
 def test_s_transform_against_naive_product():
