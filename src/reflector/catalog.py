@@ -81,10 +81,12 @@ def e7_a1_overlattice(p: int, catalog: "Catalog") -> Lattice:
     """
     if p not in catalog._e7_a1:
         seed = catalog.build("E7") + catalog.build("A1").rescaled(p)
-        over = discforms.even_overlattices(seed, p, p)
-        if len(over) != 1:
-            raise ArithmeticError(f"expected one overlattice, found {len(over)}")
-        catalog._e7_a1[p] = over[0]
+        glue = discforms.even_overlattices(seed, p, p)
+        if len(glue) != 1:
+            raise ArithmeticError(f"expected one overlattice, found {len(glue)}")
+        over = discforms.glue_overlattice(seed, discforms.discriminant_form(seed), glue[0])
+        assert abs(over.det()) == p and over.level() == p
+        catalog._e7_a1[p] = over
     return catalog._e7_a1[p]
 
 

@@ -36,7 +36,7 @@ from math import isqrt, prod
 from . import catalog as cat_mod
 from . import discforms, etaq, reflcheck, roots, towers
 from .discforms import GenusSymbol, existing_genus, parse_genus
-from .lattices import Lattice, direct_sum
+from .lattices import direct_sum
 
 
 # -- construction tables: strongly 2-reflective forms (multiplicities (1, 0)) --
@@ -539,6 +539,8 @@ def class_number_rootsystems(rank: int, p: int, c1: int, cp: int, k: int) -> lis
     """
     if rank < 0:
         raise ValueError(f"rank must be nonnegative, not {rank}")
+    if not discforms.is_prime(p):
+        raise ValueError(f"{p} is not prime")
     reflcheck.check_multiplicities(c1, cp)
     menus: dict[Fraction, list] = {}
     for r in range(1, rank + 1):
@@ -598,6 +600,15 @@ def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=
     return count_classes(class_number_rootsystems(rank, p, c1, cp, k), rank, p, n_p, catalog)
 
 
+def _carries(comps: list[roots.RootComponent], datum: dict) -> bool:
+    """Whether components make up the datum: its names, short count and long count."""
+    return (
+        sorted(c.name for c in comps) == datum["components"]
+        and sum(c.count_short for c in comps) == datum["count_short"]
+        and sum(c.count_long for c in comps) == datum["count_long"]
+    )
+
+
 def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -> int:
     """Number of fingerprint classes of lattices carrying one of the root data.
 
@@ -605,15 +616,18 @@ def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -
     lists them.  Each datum spans a definite lattice L, the sum of its
     components' spans in `roots.component_types`; its candidates are the
     even overlattices of determinant p^n_p and level p, one per glue group,
-    whose reflective root system is exactly the datum
-    (glue vectors may create extra roots, in which case the overlattice
-    belongs to a different datum).  `even_overlattices` drops the glue that
-    adds a norm-2 vector, which loses no candidate, as L is spanned by the
-    datum's roots; new long roots are caught here.  The candidates of one
-    datum share determinant and level, and they are counted by their
-    histograms of vectors of norm <= 2p.
-    Isometric lattices have equal histograms, so this is a lower bound on
-    the number of isometry classes, not a proof of it.
+    whose reflective root system is exactly the datum (glue vectors may
+    create extra roots, in which case the overlattice belongs to a
+    different datum).  `even_overlattices` drops the glue that adds a
+    norm-2 vector, which loses no candidate, as L is spanned by the datum's
+    roots.  Whether a glue group carries the datum is read off D(L) by
+    `discforms.glue_components`, in integers, with no overlattice built.
+    A datum with at most one such group adds its number of groups.  The
+    overlattices of a datum with two or more are built, checked to have
+    determinant p^n_p and level p, and counted by their histograms of
+    vectors of norm <= 2p.  Isometric lattices have equal histograms, so
+    this is a lower bound on the number of isometry classes, not a proof
+    of it.
     """
     if n_p < 0:
         raise ValueError(f"n_p must be nonnegative, not {n_p}")
@@ -626,21 +640,19 @@ def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -
     for datum in data:
         if datum["det"] % target != 0 or not _is_square(datum["det"] // target):
             continue
-
-        def carries_datum(over: Lattice) -> bool:
-            comps = roots.root_components(over, p)
-            return (
-                sorted(c.name for c in comps) == datum["components"]
-                and sum(c.count_short for c in comps) == datum["count_short"]
-                and sum(c.count_long for c in comps) == datum["count_long"]
-            )
-
         expr = "+".join(spans[c] for c in datum["components"])
         lat = direct_sum([summand[3] for summand in cat.summands(expr)])
-        histograms = {
-            tuple(sorted((n, len(v)) for n, v in roots.short_vectors(over.gram, 2 * p).items()))
-            for over in discforms.even_overlattices(lat, target, p)
-            if carries_datum(over)
-        }
+        glue = [sub for sub in discforms.even_overlattices(lat, target, p)
+                if _carries(discforms.glue_components(lat, p, sub), datum)]
+        if len(glue) < 2:
+            total += len(glue)
+            continue
+        form = discforms.discriminant_form(lat)
+        histograms = set()
+        for sub in glue:
+            over = discforms.glue_overlattice(lat, form, sub)
+            assert abs(over.det()) == target and over.level() == p
+            norms = roots.short_vectors(over.gram, 2 * p)
+            histograms.add(tuple(sorted((n, len(v)) for n, v in norms.items())))
         total += len(histograms)
     return total

@@ -17,11 +17,16 @@ Whether a symbol names an even genus is decided in one place,
 The discriminant form of a lattice is computed once and kept on the
 `Lattice` (`discriminant_form`); for an orthogonal sum it is the direct sum
 of the parts' forms, presented part by part, so only a lattice that is not
-a sum runs a Smith form.  So is the table of classes whose cosets hold a
-vector of norm <= 2, with their minimum norms (`short_cosets`).  The root
-classes that a glue group must miss are concatenated from the tables of
-the parts of an orthogonal sum, so the dual of a sum is never enumerated as
-a whole, and a catalog term is enumerated once.
+a sum runs a Smith form.  So is one enumeration of the dual vectors of
+norm <= 2 (`short_duals`): the classes whose cosets hold such a vector,
+with their minimum norms, the roots, and the dual vectors of norm <= 1.
+The root classes that a glue group must miss, and the dual vectors of
+norm 2/p that become long roots of a glue overlattice, are concatenated
+from the tables of the parts of an orthogonal sum, so the dual of a sum is
+never enumerated as a whole, and a catalog term is enumerated once.  The
+root system of a glue overlattice is read off its glue group in D(L)
+(`glue_components`), so deciding which glue carries a root datum builds
+no overlattice.
 
 Value statistics of a form come from one integer walk over D (`_walk`),
 made at most once per form and refused past WALK_BUDGET elements: it counts
@@ -53,6 +58,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, isqrt, lcm, prod
 from operator import add, mod, mul
+from typing import NamedTuple
 
 from . import intmat, roots
 from .lattices import Lattice
@@ -798,31 +804,78 @@ def discriminant_form(lat: Lattice) -> DiscriminantForm:
     return memo["form"]
 
 
-def short_cosets(lat: Lattice) -> dict[int, dict[int, list[tuple[int, ...]]]]:
-    """The nonzero x in D(L) whose coset x + L holds a vector of norm <= 2, for L
-    positive definite, by the order of x and then by det(L) times the
-    minimum norm of x + L.
+class ShortDuals(NamedTuple):
+    """The dual vectors of norm <= 2 of a positive definite L, as `short_duals` keeps them.
 
-    Computed once per lattice and kept on it.  The dual vector G^-1 c lies
-    in `element_of(c)` and has norm c^T adj(G) c / det, so one
-    `short_vectors` call on the adjugate lists every dual vector of norm
-    <= 2, in increasing norm; x and -x are recorded together.
+    `cosets` holds the nonzero x in D(L) whose coset x + L holds a vector
+    of norm <= 2, by the order of x and then by det(L) times the minimum
+    norm of x + L, with x and -x together.  `roots` holds G r for the
+    norm-2 vectors r of L, one per +- pair, the first nonzero coordinate
+    positive.  `pieces` holds, by det(L) times their norm, the dual vectors
+    w of norm <= 1 (2/p <= 1 at every prime p), both signs, each as its
+    coordinates G w and its class in D(L).
+    """
+
+    cosets: dict[int, dict[int, list[tuple[int, ...]]]]
+    roots: list[list[int]]
+    pieces: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]
+
+
+def short_duals(lat: Lattice) -> ShortDuals:
+    """The `ShortDuals` of L, computed once per lattice and kept on it.
+
+    The dual vector G^-1 c lies in `element_of(c)` and has norm
+    c^T adj(G) c / det, so one `short_vectors` call on the adjugate lists
+    every dual vector of norm <= 2, in increasing norm; those of class 0
+    and norm 2 are the roots of L.
     """
     memo = lat.discform_memo
     if "short" not in memo:
         form = discriminant_form(lat)
-        table: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+        det = lat.det()
+        cosets: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+        own_roots, pieces = [], {}
         seen = set()
-        for norm, vecs in roots.short_vectors(lat.adjugate(), 2 * lat.det()).items():
+        for norm, vecs in roots.short_vectors(lat.adjugate(), 2 * det).items():
             for c in vecs:
                 x = form.element_of(c)
-                if any(x) and x not in seen:
-                    pair = {x, tuple(-a % o for a, o in zip(x, form.orders))}
-                    seen |= pair
+                if not any(x):  # a vector of L: of norm 2, as L is even
+                    own_roots.append(c)
+                    continue
+                neg = tuple(-a % o for a, o in zip(x, form.orders))
+                if norm <= det:
+                    pieces.setdefault(norm, []).extend(
+                        [(tuple(c), x), (tuple(-a for a in c), neg)])
+                if x not in seen:
+                    seen |= {x, neg}
                     x_order = lcm(*(o // gcd(o, a) for a, o in zip(x, form.orders)))
-                    table.setdefault(x_order, {}).setdefault(norm, []).extend(sorted(pair))
-        memo["short"] = table
+                    cosets.setdefault(x_order, {}).setdefault(norm, []).extend(sorted({x, neg}))
+        memo["short"] = ShortDuals(cosets, own_roots, pieces)
     return memo["short"]
+
+
+def _part_sums(steps, target: int) -> list[tuple]:
+    """The concatenations of one piece per part whose scaled norms add up to `target`.
+
+    steps[i] is (the zero piece of part i, {scaled norm: its pieces}), each
+    piece a tuple.  A pass over the parts keeps, by the norm spent so far,
+    the prefixes from which the later parts can still reach `target`
+    exactly.
+    """
+    # left[i]: the norms the parts of steps[i:] can still add, up to target
+    left = [{0}]
+    for _, by_norm in reversed(steps):
+        left.append({s + t for s in left[-1] for t in (0, *by_norm) if s + t <= target})
+    left.reverse()
+    spent = {0: [()]}
+    for i, (zero, by_norm) in enumerate(steps):
+        grown: dict[int, list] = {}
+        for s, prefixes in spent.items():
+            for t, xs in ((0, [zero]), *by_norm.items()):
+                if target - s - t in left[i + 1]:
+                    grown.setdefault(s + t, []).extend(e + x for e in prefixes for x in xs)
+        spent = grown
+    return spent.get(target, [])
 
 
 def root_classes(lat: Lattice, order: int) -> frozenset:
@@ -839,11 +892,10 @@ def root_classes(lat: Lattice, order: int) -> frozenset:
 
     `discriminant_form(L)` presents D(L) part by part, so an element of D(L)
     is the concatenation of one element of each D(P).  Each part's
-    `short_cosets` are read once per part (and kept on it); those of order
-    dividing `order` are grouped by minimum, as an integer over the lcm of
-    the part determinants, and each part adds its zero at minimum 0.  A pass
-    over the parts then keeps, by the norm spent so far, the prefixes from
-    which the later parts can still reach exactly 2.
+    `short_duals` cosets are read once per part (and kept on it); those of
+    order dividing `order` are grouped by minimum, as an integer over the
+    lcm of the part determinants, and each part adds its zero at minimum 0;
+    `_part_sums` concatenates those whose minima add up to exactly 2.
     """
     parts = lat.parts or (lat,)
     den = lcm(*(part.det() for part in parts))
@@ -851,29 +903,82 @@ def root_classes(lat: Lattice, order: int) -> frozenset:
     for part in parts:
         by_norm: dict[int, list[tuple[int, ...]]] = {}
         if gcd(part.det(), order) > 1:  # else no nonzero class of D(P) has order dividing it
-            for x_order, by_min in short_cosets(part).items():
+            for x_order, by_min in short_duals(part).cosets.items():
                 if order % x_order == 0:
                     for norm, xs in by_min.items():
                         by_norm.setdefault(norm * (den // part.det()), []).extend(xs)
         steps.append(((0,) * len(discriminant_form(part).orders), by_norm))
-    # left[i]: the norms the parts of steps[i:] can still add, up to 2
-    left = [{0}]
-    for _, by_norm in reversed(steps):
-        left.append({s + t for s in left[-1] for t in (0, *by_norm) if s + t <= 2 * den})
-    left.reverse()
-    spent = {0: {()}}
-    for i, (zero, by_norm) in enumerate(steps):
-        grown: dict[int, set] = {}
-        for s, prefixes in spent.items():
-            for t, xs in ((0, [zero]), *by_norm.items()):
-                if 2 * den - s - t in left[i + 1]:
-                    grown.setdefault(s + t, set()).update(e + x for e in prefixes for x in xs)
-        spent = grown
-    return frozenset(spent.get(2 * den, ()))
+    return frozenset(_part_sums(steps, 2 * den))
 
 
-def even_overlattices(lat: Lattice, target_det: int, level: int) -> list[Lattice]:
-    """The root-free even overlattices of the requested determinant and level, one per glue group.
+def _glue_roots(lat: Lattice, p: int):
+    """The positive norm-2 roots of L, and by class c of D(L) the vectors p w for the
+    dual vectors w of norm 2/p in c, all as coordinates G v, one per +- pair.
+
+    Computed once per (lattice, p) and kept on L.  Every norm-2 vector of
+    an orthogonal sum lies in one part, as the parts are even.  A dual
+    vector of L is the concatenation of one dual vector of each part, and
+    its norm is the sum of theirs, so the vectors of norm 2/p are
+    concatenated from the parts' `short_duals` pieces by `_part_sums`, as
+    `root_classes` concatenates classes.  A vector is kept with its first
+    nonzero coordinate positive.
+    """
+    memo = lat.discform_memo
+    if ("roots", p) not in memo:
+        parts = lat.parts or (lat,)
+        den = lcm(p, *(part.det() for part in parts))
+        short, steps, offset = [], [], 0
+        for part in parts:
+            table, det = short_duals(part), part.det()
+            pad = [0] * (lat.rank - offset - part.rank)
+            short += [[0] * offset + r + pad for r in table.roots]
+            offset += part.rank
+            zero = ((0,) * part.rank, (0,) * len(discriminant_form(part).orders))
+            steps.append(((zero,), {norm * (den // det): [(w,) for w in ws]
+                                    for norm, ws in table.pieces.items() if p * norm <= 2 * det}))
+        long_by_class: dict[tuple[int, ...], list[list[int]]] = {}
+        for pieces in _part_sums(steps, 2 * den // p):
+            c = [a for piece, _ in pieces for a in piece]
+            if next(a for a in c if a) > 0:
+                x = tuple(a for _, cls in pieces for a in cls)
+                long_by_class.setdefault(x, []).append([p * a for a in c])
+        memo[("roots", p)] = short, long_by_class
+    return memo[("roots", p)]
+
+
+def glue_components(
+    lat: Lattice, p: int, sub: tuple[tuple[int, ...], ...]
+) -> list[roots.RootComponent]:
+    """The components of R(M) at p for the overlattice M of L that a root-free glue
+    group glues, read off D(L) with no overlattice built.
+
+    `sub` is an isotropic subgroup H of `discriminant_form(L)` that misses
+    `root_classes`, as `even_overlattices` returns them, so the norm-2
+    roots of M are those of L.  A long root v of M, of norm 2p with
+    (v, M) in pZ, is p w for a dual vector w of L of norm 2/p; with c the
+    class of w, v lies in M exactly when p c lies in H, and w lies in
+    M^dual exactly when c lies in H^perp (Nikulin 1979, 1.4:
+    M^dual / L = H^perp).  In integers, c is in H^perp when
+    c . (bnum g) = 0 mod den for every generator g of H.  All roots are
+    written in L's dual coordinates G v, where L's adjugate is det(L)
+    times the pairing, and `roots.split_components` splits them.
+    """
+    short, long_by_class = _glue_roots(lat, p)
+    form = discriminant_form(lat)
+    members = set(sub)
+    pairings = [intmat.mat_vec(form.bnum, g) for g in _generators(sub, form.orders)]
+    long_ = []
+    for x, vecs in long_by_class.items():
+        if (tuple(p * a % o for a, o in zip(x, form.orders)) in members
+                and not any(intmat.vec_dot(x, g) % form.den for g in pairings)):
+            long_ += vecs
+    return roots.split_components(lat.adjugate(), p, short, long_)
+
+
+def even_overlattices(
+    lat: Lattice, target_det: int, level: int
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The root-free glue groups of the requested determinant and level, as sorted elements.
 
     L is positive definite.  Overlattices M with L <= M <= L^dual
     correspond to isotropic subgroups H <= D(L), with [M : L]^2 =
@@ -882,13 +987,14 @@ def even_overlattices(lat: Lattice, target_det: int, level: int) -> list[Lattice
     `root_classes`, and the search drops those H.  The steps run in this
     order: the pool-size budget check (`_pool_scan`) on L's
     `discriminant_form`; then `root_classes`, which enumerates vectors only
-    for parts of L whose `short_cosets` are not yet kept; then the search.
-    An H is skipped unless the level of D(M) = H^perp / H, read off H by
-    `glue_level`, equals `level`; each M that is built is checked to have
-    that determinant and level.  One overlattice is returned per glue
-    group, in the order of `isotropic_subgroups`: distinct glue groups may
-    give isometric overlattices, and no attempt is made here to tell them
-    apart.
+    for parts of L whose `short_duals` are not yet kept; then the search.
+    An H is kept only when the level of D(M) = H^perp / H, read off H by
+    `glue_level`, equals `level`.  The groups come in the order of
+    `isotropic_subgroups`, as subgroups of `discriminant_form(L)`; at index 1
+    the one group is {0}.  No overlattice is built: `glue_overlattice`
+    builds one, and `glue_components` reads its root system off D(L).
+    Distinct glue groups may give isometric overlattices, and no attempt is
+    made here to tell them apart.
     """
     d = abs(lat.det())
     t = abs(target_det)
@@ -898,15 +1004,9 @@ def even_overlattices(lat: Lattice, target_det: int, level: int) -> list[Lattice
     m = isqrt(ratio)
     if m * m != ratio:
         return []
-    if m == 1:
-        return [lat] if lat.level() == level else []
     form = discriminant_form(lat)
+    if m == 1:
+        return [((0,) * len(form.orders),)] if lat.level() == level else []
     _pool_scan(form, m, BUDGET)
-    results = []
-    for sub in isotropic_subgroups(form, m, avoid=root_classes(lat, m)):
-        if glue_level(form, sub) != level:
-            continue
-        over = glue_overlattice(lat, form, sub)
-        assert abs(over.det()) == t and over.level() == level
-        results.append(over)
-    return results
+    return [sub for sub in isotropic_subgroups(form, m, avoid=root_classes(lat, m))
+            if glue_level(form, sub) == level]

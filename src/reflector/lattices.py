@@ -21,10 +21,11 @@ root data of `roots.root_data` are kept on the lattice too, one entry per
 prime, and so are the root sums of `roots.root_sums` once they are read;
 a sum joins both from its parts where it can.  So are the
 discriminant form of `discforms.discriminant_form`, which for a sum is the
-direct sum of its parts' forms, D(L1 + L2) = D(L1) + D(L2), and the table
-of cosets x + L that hold a vector of norm <= 2, from which
-`discforms.root_classes` concatenates the root classes of a sum part by
-part.  Neither memo refers back to its lattice.
+direct sum of its parts' forms, D(L1 + L2) = D(L1) + D(L2), and the
+enumeration of the dual vectors of norm <= 2 (`discforms.short_duals`),
+from which `discforms.root_classes` and `discforms.glue_components`
+concatenate the root classes and the long roots of a sum part by part.
+Neither memo refers back to its lattice.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ class Lattice:
 
     @cached_property
     def discform_memo(self) -> dict:
-        """The discriminant form and its short coset classes, filled in by `discforms`."""
+        """The discriminant form, the short dual vectors and the glue roots by prime, filled
+        in by `discforms`."""
         return {}
 
     def dual_gram(self) -> list[list[Fraction]]:

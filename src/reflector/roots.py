@@ -22,7 +22,10 @@ norm-2p vector s because each nonzero piece s_i has w = s_i / p in the
 part's dual, so p w^2 is even and s_i^2 = p (p w^2) is at least 2p.  Any
 other lattice (an overlattice, T8, a sum with a part of another level) is
 enumerated on its whole Gram, and its components come from the simple
-roots for the lexicographic order of Z^n.
+roots for the lexicographic order of Z^n (`split_components`).  The same
+split reads the root system of a glue overlattice off D(L), with its roots
+in L's dual coordinates, where no overlattice is built
+(`discforms.glue_components`).
 
 `component_types(rank, p)` is the one table of irreducible reflective root
 systems: the ADE types, their rescalings X(p), B_n, C_n and F4 at p = 2, and
@@ -239,7 +242,7 @@ def root_data(lat: Lattice, p: int) -> RootData:
             memo[p] = RootData(
                 positive_short=len(r1),
                 positive_long=len(r2),
-                components=tuple(_split_components(lat, p, r1, r2)),
+                components=tuple(split_components(lat.gram, p, r1, r2)),
             )
     return memo[p]
 
@@ -306,10 +309,16 @@ def _component_key(c: RootComponent):
     return (c.name, c.rank, c.count_short, c.count_long)
 
 
-def _split_components(
-    lat: Lattice, p: int, r1: list[list[int]], r2: list[list[int]]
+def split_components(
+    gram, p: int, r1: list[list[int]], r2: list[list[int]]
 ) -> list[RootComponent]:
     """The components of the root system whose positive roots are r1 and r2.
+
+    The roots are integer vectors in any basis where adding roots adds
+    coordinates, and `gram` is a positive multiple of the pairing in that
+    basis: a lattice's Gram for roots in its own coordinates, or its
+    adjugate for roots written as G v, in dual coordinates.  Only whether
+    two roots pair to zero is read off it.
 
     The split runs on simple roots, which is exact because the norm-2 and
     the reflective norm-2p vectors together form a finite, reduced,
@@ -317,7 +326,8 @@ def _split_components(
     norms onto themselves; a norm-2p root is never a rational multiple of a
     norm-2 one; (a, b) is a multiple of (b, b) / 2 for a, b in R).  Positive
     roots are those whose first nonzero coordinate is positive, the
-    lexicographic order of Z^n, as `positive_roots` lists them.  Walking
+    lexicographic order of Z^n, and r1 and r2 must list them so, as
+    `positive_roots` and `discforms.glue_components` do.  Walking
     them in ascending order, a root b is simple iff no simple a found so
     far has b - a in R+: a non-simple b has a simple a with (b, a) > 0, so
     b - a is a positive root and a comes before b (Bourbaki, Lie groups,
@@ -350,7 +360,7 @@ def _split_components(
         if owner[b] == len(simple):
             simple.append(b)
 
-    g_simple = [intmat.mat_vec(lat.gram, positive[a]) for a in simple]
+    g_simple = [intmat.mat_vec(gram, positive[a]) for a in simple]
     parent = list(range(len(simple)))
 
     def find(i: int) -> int:

@@ -13,7 +13,9 @@ inner product, span ranks come from row elimination over Z, the
 level and rescaled duals of a lattice come from a Fraction Gauss-Jordan
 inverse of its Gram, isotropic subgroups come from closures that test q
 on every element they add, the root classes of a discriminant form come
-from the norm-2 vectors of the whole dual, and the genus of a rescaled
+from the norm-2 vectors of the whole dual, whether a glue group carries a
+root datum comes from the root components of its built overlattice
+(`carries_datum`), and the genus of a rescaled
 dual comes from the complementary p-rank and the Milgram octant.  The sign of a prime-level
 genus, which the library reads off the signature alone, is computed here
 along two routes that look at the Gram itself: the exact Gauss sum of the
@@ -467,6 +469,21 @@ def pairwise_root_components(lat, p: int) -> list[roots.RootComponent]:
     return comps
 
 
+def carries_datum(over, p: int, datum: dict) -> bool:
+    """Whether a built lattice carries a root datum of `class_number_rootsystems`.
+
+    The oracle for the glue groups that `count_classes` keeps: the
+    `roots.root_components` of the built overlattice, compared with the
+    datum by sorted names, then short count, then long count.
+    """
+    comps = roots.root_components(over, p)
+    return (
+        sorted(c.name for c in comps) == datum["components"]
+        and sum(c.count_short for c in comps) == datum["count_short"]
+        and sum(c.count_long for c in comps) == datum["count_long"]
+    )
+
+
 def fraction_inverse(gram: list[list[int]]) -> list[list[Fraction]]:
     """G^-1 by Gauss-Jordan elimination over Fraction, with row swaps."""
     n = len(gram)
@@ -640,6 +657,16 @@ def smith_calls():
     inner = intmat.smith_normal_form
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(intmat, "smith_normal_form", lambda *args: calls.append(args) or inner(*args))
+        yield calls
+
+
+@contextmanager
+def glue_overlattice_calls():
+    """The arguments of each `discforms.glue_overlattice` call made inside the block."""
+    calls = []
+    inner = discforms.glue_overlattice
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discforms, "glue_overlattice", lambda *args: calls.append(args) or inner(*args))
         yield calls
 
 

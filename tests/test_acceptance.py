@@ -25,7 +25,9 @@ from reflector.classify import (
 )
 from reflector.discforms import (
     DiscriminantForm,
+    discriminant_form,
     even_overlattices,
+    glue_overlattice,
     parse_genus,
 )
 from reflector.lattices import Lattice
@@ -102,7 +104,8 @@ def test_solved_families():
         ok = ok and res.status == "ray"
         ok = ok and res.cp == p * res.c1 and res.k == (34 - 2 * p) * res.c1
     base = CAT.build("E7").direct_sum(Lattice([[2 * 5]], name="A1(5)"))
-    over = even_overlattices(base, 5, 5)
+    over = [glue_overlattice(base, discriminant_form(base), sub)
+            for sub in even_overlattices(base, 5, 5)]
     ok = ok and len(over) == 1
     res = solve_candidates(over[0], 5)
     ok = ok and res.status == "ray"

@@ -5,8 +5,9 @@ import gc
 
 import pytest
 
+from helpers import carries_datum, glue_overlattice_calls, short_vector_calls
 from reflector import classify as classify_mod
-from reflector import discforms, etaq, reflcheck
+from reflector import discforms, etaq, reflcheck, roots
 from reflector.catalog import Catalog, default_catalog, definite_part, e7_a1_overlattice
 from reflector.classify import (
     apply_bounds,
@@ -23,6 +24,7 @@ from reflector.classify import (
     verdict_table,
 )
 from reflector.discforms import parse_genus
+from reflector.lattices import direct_sum
 from reflector.roots import root_components
 from reflector.towers import verify_all
 
@@ -423,6 +425,56 @@ def test_class_number_rejects_a_negative_rank():
         class_number(-4, 3, 1, 1, 12, 1)
     with pytest.raises(ValueError, match="rank"):
         class_number_rootsystems(-4, 3, 1, 1, 12)
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, -3, 0])
+def test_class_number_rejects_a_non_prime(p):
+    """p^n_p is a level only at a prime p: 1, 4, 9 and -3 returned 0, and 0 divided by zero."""
+    with pytest.raises(ValueError, match="not prime"):
+        class_number(4, p, 1, 1, 12, 1)
+    with pytest.raises(ValueError, match="not prime"):
+        class_number_rootsystems(4, p, 1, 1, 12)
+
+
+# the class numbers of the census workload, with their values
+CENSUS = [((8, 3, 1, 1, 18, 6), 1), ((6, 3, 1, 1, 24, 3), 0), ((6, 3, 1, 1, 24, 5), 1)]
+
+
+def test_a_warm_census_pass_enumerates_and_builds_nothing():
+    """Once a catalog has seen the census, a pass over it again calls `short_vectors`
+    and `glue_overlattice` no more: every glue group is decided on D(L)."""
+    cat = Catalog()
+    assert [class_number(*args, catalog=cat) for args, _ in CENSUS] == [n for _, n in CENSUS]
+    with short_vector_calls() as calls, glue_overlattice_calls() as built:
+        assert [class_number(*args, catalog=cat) for args, _ in CENSUS] == [n for _, n in CENSUS]
+    assert not calls and not built
+
+
+def test_the_rank_ten_count_builds_only_the_glue_that_carries_a_datum():
+    """A3 + D7(3) has two glue groups that carry its datum, so both overlattices are
+    built and told apart by their histograms (they have one); E6(3) + 2G2 has one
+    group, counted without a build."""
+    with glue_overlattice_calls() as built:
+        assert class_number(10, 3, 1, 1, 12, 7) == 2
+    assert len(built) == 2
+
+
+# (8, 2, 1, 1, 28, 6) has a root-free glue group of level 2 that carries no datum
+@pytest.mark.parametrize(
+    "args", [(10, 3, 1, 1, 12, 7), (8, 2, 1, 1, 28, 6)] + [args for args, _ in CENSUS])
+def test_the_glue_that_carries_a_datum_is_the_glue_whose_overlattice_carries_it(args):
+    """The datum test on D(L) keeps the glue groups whose built overlattice
+    carries the datum (`carries_datum`)."""
+    rank, p, c1, cp, k, n_p = args
+    spans = {c.name: span for r in range(1, rank + 1) for c, span, _ in roots.component_types(r, p)}
+    for datum in class_number_rootsystems(rank, p, c1, cp, k):
+        expr = "+".join(spans[c] for c in datum["components"])
+        lat = direct_sum([summand[3] for summand in default_catalog().summands(expr)])
+        form = discforms.discriminant_form(lat)
+        for sub in discforms.even_overlattices(lat, p**n_p, p):
+            over = discforms.glue_overlattice(lat, form, sub)
+            assert classify_mod._carries(discforms.glue_components(lat, p, sub), datum) == (
+                carries_datum(over, p, datum)), (datum["components"], sub)
 
 
 def test_class_number_leaves_no_garbage_cycle():

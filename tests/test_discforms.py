@@ -5,6 +5,7 @@ import gc
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 from time import perf_counter
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    box_vectors_by_norm,
     cyclotomic,
     dual_pairing,
     dual_rescale_genus,
@@ -43,6 +45,7 @@ from reflector.discforms import (
     _vanishes_at_root,
     even_overlattices,
     genus_symbol,
+    glue_components,
     glue_level,
     glue_overlattice,
     is_prime,
@@ -579,7 +582,7 @@ def test_even_overlattice_search_finds_the_index_two_glue():
     """E7 + A1(5) sits inside a unique even lattice of determinant 5."""
     found = even_overlattices(_e7_a1_5(), 5, 5)
     assert len(found) == 1
-    over = found[0]
+    over = glue_overlattice(_e7_a1_5(), discforms.discriminant_form(_e7_a1_5()), found[0])
     assert over.det() == 5
     assert over.level() == 5
     assert over.is_positive_definite()
@@ -682,23 +685,23 @@ def _norm_2_count(lat: Lattice) -> int:
 
 # p is the prime each case is taken at; only the level and the target enter the
 # filter.  Several cases keep no overlattice: all of their glue adds roots.
-@pytest.mark.parametrize(
-    "expr, p, level, target",
-    [
-        ("E6(3)+A2", 3, 3, 3**6),
-        ("2A2(3)+A2", 3, 3, 3**3),
-        ("4A2", 3, 3, 3**2),
-        ("E7+A1(5)", 5, 5, 5),
-        ("A4(5)+A4", 5, 5, 5**4),
-        ("D4(2)+2A1(2)", 2, 8, 2**8),
-        ("D4(2)+D4(2)", 2, 4, 2**10),
-        ("4A1(2)", 2, 2, 2**2),
-        ("E6(3)", 3, 3, 3**3),
-        ("E6(3)", 3, 3, 3**5),
-        ("E6(3)+A2+A2", 3, 3, 3**7),
-        ("A3+D7(3)", 3, 3, 3**7),
-    ],
-)
+LEVEL_FILTER_CASES = [
+    ("E6(3)+A2", 3, 3, 3**6),
+    ("2A2(3)+A2", 3, 3, 3**3),
+    ("4A2", 3, 3, 3**2),
+    ("E7+A1(5)", 5, 5, 5),
+    ("A4(5)+A4", 5, 5, 5**4),
+    ("D4(2)+2A1(2)", 2, 8, 2**8),
+    ("D4(2)+D4(2)", 2, 4, 2**10),
+    ("4A1(2)", 2, 2, 2**2),
+    ("E6(3)", 3, 3, 3**3),
+    ("E6(3)", 3, 3, 3**5),
+    ("E6(3)+A2+A2", 3, 3, 3**7),
+    ("A3+D7(3)", 3, 3, 3**7),
+]
+
+
+@pytest.mark.parametrize("expr, p, level, target", LEVEL_FILTER_CASES)
 def test_level_filter_equals_filtering_the_built_overlattices(expr, p, level, target):
     """One overlattice per glue group of the index, in search order, kept when its
     built level is `level` and it has no norm-2 vector that L lacks."""
@@ -710,7 +713,103 @@ def test_level_filter_equals_filtering_the_built_overlattices(expr, p, level, ta
     assert at_level
     roots_of_lat = _norm_2_count(lat)
     want = [over for over in at_level if _norm_2_count(over) == roots_of_lat]
-    assert even_overlattices(lat, target, level) == want
+    got = [glue_overlattice(lat, form, sub) for sub in even_overlattices(lat, target, level)]
+    assert got == want
+
+
+# the level-filter cases of level p; 8A1, the span of the B8 datum at p = 2; and
+# D8+D8 and 6A2, where glue must leave classes of norm 2/p out of H^perp to kill
+# long roots.  `root_components` reads long roots only at level 1 or p.
+GLUE_ROOT_CASES = [case for case in LEVEL_FILTER_CASES if case[1] == case[2]]
+GLUE_ROOT_CASES += [("8A1", 2, 2, 2**6), ("D8+D8", 2, 2, 2**2), ("6A2", 3, 3, 3**4)]
+
+
+@pytest.mark.parametrize("expr, p, level, target", GLUE_ROOT_CASES)
+def test_glue_components_are_those_of_the_built_overlattice(expr, p, level, target):
+    """The root system read off D(L) for each glue group is `root_components` of
+    the overlattice the group glues."""
+    lat = parse_lattice(expr, CAT)
+    form = discforms.discriminant_form(lat)
+    for sub in even_overlattices(lat, target, level):
+        over = glue_overlattice(lat, form, sub)
+        assert glue_components(lat, p, sub) == root_components(over, p), sub
+
+
+@pytest.mark.parametrize("expr, p, level, target", [c for c in LEVEL_FILTER_CASES if c[1] != c[2]])
+def test_glue_components_find_the_long_roots_at_other_levels(expr, p, level, target):
+    """At levels 4 and 8, where a class c in H^perp can have p c outside H, the long
+    roots read off D(L) are the vectors v of norm 2p of the built overlattice with
+    (v, M) in pZ, found by a box sweep."""
+    lat = parse_lattice(expr, CAT)
+    form = discforms.discriminant_form(lat)
+    for sub in even_overlattices(lat, target, level):
+        gram = [list(row) for row in glue_overlattice(lat, form, sub).gram]
+        want = [v for v in box_vectors_by_norm(gram, 2 * p).get(2 * p, [])
+                if all(sum(map(mul, row, v)) % p == 0 for row in gram)]
+        assert sum(c.count_long for c in glue_components(lat, p, sub)) == len(want), sub
+
+
+def test_the_long_roots_of_8a1_glue_are_split_across_two_parts():
+    """The 56 positive long roots of the B8 glue of 8A1 each sit in two A1 parts.
+
+    A dual vector of one A1 has norm c^2 / 2, never 2/p = 1, so only a sum
+    of two parts reaches it: the pieces of the long roots must be joined
+    across the parts of L.
+    """
+    lat = parse_lattice("8A1", CAT)
+    [sub] = even_overlattices(lat, 2**6, 2)
+    assert [c.name for c in glue_components(lat, 2, sub)] == ["B8"]
+    _, long_by_class = discforms._glue_roots(lat, 2)
+    long_ = [v for vecs in long_by_class.values() for v in vecs]
+    assert len(long_) == 56
+    assert all(sum(1 for a in v if a) == 2 for v in long_)  # each A1 is one coordinate
+
+
+# terms at p whose sums often glue to level p: lattices of determinant a power of
+# p, their rescalings by p, and A1, whose dual vectors of norm 1/2 join across parts
+GLUE_ROOT_TERMS = {
+    2: ["A1", "D4", "E7", "A1(2)", "D4(2)"],
+    3: ["A2", "E6", "A1(3)", "A2(3)", "E6(3)"],
+    5: ["A1", "A4", "A1(5)", "A4(5)"],
+    7: ["A1", "A6", "L7", "A1(7)"],
+}
+
+
+@st.composite
+def glue_root_sums(draw):
+    """(expression, p) for a sum of 1-5 terms at p = 2, 3, 5 or 7, with |det| <= 3^8."""
+    p = draw(st.sampled_from(sorted(GLUE_ROOT_TERMS)))
+    terms, det = [], 1
+    for term in draw(st.lists(st.sampled_from(GLUE_ROOT_TERMS[p]), min_size=1, max_size=5)):
+        term_det = CAT.parse(term).det()
+        if det * term_det <= 3**8:  # every single term fits
+            terms.append(term)
+            det *= term_det
+    return "+".join(terms), p
+
+
+@settings(max_examples=30, deadline=None)
+@given(glue_root_sums())
+@example(("A1+A1+A1+A1+A1+A1+A1+A1", 2))
+@example(("A2(3)+A2+A1(3)", 3))
+@example(("A4(5)+A4", 5))
+def test_glue_components_match_the_built_overlattice_on_small_sums(case):
+    """On every root-free glue group of level p and every index, D(L) and the built
+    overlattice give one root system."""
+    expr, p = case
+    lat = parse_lattice(expr, CAT)
+    form = discforms.discriminant_form(lat)
+    det = lat.det()
+    for m in range(1, isqrt(det) + 1):
+        if det % (m * m):
+            continue
+        try:
+            glue = even_overlattices(lat, det // (m * m), p)
+        except BudgetExceeded:
+            continue
+        for sub in glue:
+            over = glue_overlattice(lat, form, sub)
+            assert glue_components(lat, p, sub) == root_components(over, p), (m, sub)
 
 
 def test_d8_d8_glues_to_both_unimodular_lattices():
