@@ -22,12 +22,13 @@ its own terms, and its own E7 + A1(p) overlattices.  It keeps each model
 expression the same way, once per normalised expression: the `model_parts`
 triple of the sum of all its summands (`Catalog.parse`; a single term such
 as "E6(3)" is its own summand), its hyperbolic-plane scales, and the sum of
-the other summands (`definite_part`).  So a model's root data and
-discriminant form, which its lattice keeps, are computed once per catalog.
-An expression or a root lattice whose rank r has r^2 > `discforms.BUDGET`
-raises `BudgetExceeded` before any Gram is built, and is not kept.
-`classify.count_classes` builds its per-datum sums from `summands` and
-keeps none: they are many per call and never repeat within one.
+the other summands (`definite_part`), which is the sum itself when there
+is no hyperbolic plane.  So a model's root data and discriminant form,
+which its lattice keeps, are computed once per catalog.  The lattices that
+`classify.count_classes` spans by its root data are kept the same way, one
+per datum expression, for as long as the catalog lives.  An expression or
+a root lattice whose rank r has r^2 > `discforms.BUDGET` raises
+`BudgetExceeded` before any Gram is built, and is not kept.
 """
 
 from __future__ import annotations
@@ -187,11 +188,12 @@ class Catalog:
             summands = self.summands(key)
             scales = [scale or 1 for name, dual, scale, _ in summands if name == "U" and not dual]
             rest = [lat for name, dual, _, lat in summands if name != "U" or dual]
-            self._models[key] = (
-                direct_sum([lat for _, _, _, lat in summands], name=key),
-                scales,
-                direct_sum(rest) if rest else None,
-            )
+            whole = direct_sum([lat for _, _, _, lat in summands], name=key)
+            if len(rest) == len(summands):  # no hyperbolic plane: the sum is its own definite part
+                definite = whole
+            else:
+                definite = direct_sum(rest) if rest else None
+            self._models[key] = (whole, scales, definite)
         return self._models[key]
 
     def parse(self, expr: str) -> Lattice:

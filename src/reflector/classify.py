@@ -28,15 +28,16 @@ prime; the same six rules still run at any individual such prime.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import isqrt, prod
+from types import MappingProxyType
 
 from . import catalog as cat_mod
 from . import discforms, etaq, reflcheck, roots, towers
 from .discforms import GenusSymbol, existing_genus, parse_genus
-from .lattices import direct_sum
 
 
 # -- construction tables: strongly 2-reflective forms (multiplicities (1, 0)) --
@@ -521,20 +522,47 @@ def verdict_table(verify: bool = False, catalog=None) -> dict:
 # -- class numbers of reflective root data --
 
 
+@cache
+def _component_table(rank: int, p: int) -> Mapping[str, tuple[roots.RootComponent, str, int]]:
+    """Every `roots.component_types` entry of rank <= `rank` at p, as name -> (component,
+    span, det), in table order; built once per (rank, p), read-only."""
+    return MappingProxyType({comp.name: (comp, span, det) for r in range(1, rank + 1)
+                             for comp, span, det in roots.component_types(r, p)})
+
+
+@cache
+def _datum_menus(rank: int, p: int, c1: int, cp: int) -> tuple[tuple[Fraction, tuple], ...]:
+    """The menus of `class_number_rootsystems`, built once per (rank, p, c1, cp).
+
+    One (C, menu) per value C = c1 alpha + cp beta of `_component_table(rank,
+    p)`, in order of first appearance; a menu lists the entries with that C
+    in table order, so by ascending rank, each as the integers (rank,
+    count_short, count_long, name, det) that the search reads.
+    """
+    menus: dict[Fraction, list[tuple]] = {}
+    for comp, _, det in _component_table(rank, p).values():
+        menus.setdefault(c1 * comp.alpha + cp * comp.beta, []).append(
+            (comp.rank, comp.count_short, comp.count_long, comp.name, det))
+    return tuple((c, tuple(menu)) for c, menu in menus.items())
+
+
 def class_number_rootsystems(rank: int, p: int, c1: int, cp: int, k: int) -> list[dict]:
     """All reflective root data of the given rank, multiplicities, and weight.
 
     A root datum is a multiset of irreducible components from
     `roots.component_types` sharing one constant C = c1 alpha + cp beta,
-    whose total counts satisfy the counting identity; each datum reports the
-    determinant of the lattice its components span.  C ranges over exactly
-    the values c1 alpha + cp beta of the table entries of rank <= `rank`,
-    fractions included, with no upper limit.  C = 0 is among them when c1
-    or cp is 0: at cp = 0 every component made of long roots alone has
-    C = 0 (at c1 = 0, every one made of short roots alone).  At cp = 0 and
-    k = 12 c1 the counting identity holds for all of them, so every
-    long-only datum of the rank is listed.  The search visits one node per
-    partial multiset, on an explicit stack, and raises
+    whose total counts a (short) and b (long) satisfy the counting identity
+    C = (c1 a + cp b + 2k) / 24 - c1; each datum reports the determinant of
+    the lattice its components span.  C ranges over exactly the values
+    c1 alpha + cp beta of the table entries of rank <= `rank`, fractions
+    included, with no upper limit.  C = 0 is among them when c1 or cp is 0:
+    at cp = 0 every component made of long roots alone has C = 0 (at c1 = 0,
+    every one made of short roots alone).  At cp = 0 and k = 12 c1 the
+    counting identity holds for all of them, so every long-only datum of the
+    rank is listed.  The menus of entries per C are built once per (rank, p,
+    c1, cp) (`_datum_menus`), and the identity is tested in integers, as
+    24 num(C) = (c1 a + cp b + 2k - 24 c1) den(C).  The search visits one
+    node per partial multiset, on an explicit stack, and raises
     `discforms.BudgetExceeded` past `discforms.BUDGET` nodes.
     """
     if rank < 0:
@@ -542,13 +570,12 @@ def class_number_rootsystems(rank: int, p: int, c1: int, cp: int, k: int) -> lis
     if not discforms.is_prime(p):
         raise ValueError(f"{p} is not prime")
     reflcheck.check_multiplicities(c1, cp)
-    menus: dict[Fraction, list] = {}
-    for r in range(1, rank + 1):
-        for comp, _, det in roots.component_types(r, p):
-            menus.setdefault(c1 * comp.alpha + cp * comp.beta, []).append((comp, det))
+    budget = discforms.BUDGET
+    shift = 2 * k - 24 * c1
     found = []
     nodes = 0
-    for c, menu in menus.items():
+    for c, menu in _datum_menus(rank, p, c1, cp):
+        num, den, size = c.numerator, c.denominator, len(menu)
         # depth first over the multisets of menu entries taken in menu order,
         # on an explicit stack of [next entry to try, rank left, short count,
         # long count] frames, one per node; `chosen` holds the entries taken
@@ -558,33 +585,31 @@ def class_number_rootsystems(rank: int, p: int, c1: int, cp: int, k: int) -> lis
         while stack:
             frame = stack[-1]
             i, remaining, a, b = frame
-            while i < len(menu) and menu[i][0].rank > remaining:
-                i += 1
-            if i == len(menu):
+            if i == size or menu[i][0] > remaining:  # the menu ascends by rank
                 stack.pop()
                 if chosen:
                     chosen.pop()
                 continue
             frame[0] = i + 1
             nodes += 1
-            if nodes > discforms.BUDGET:
+            if nodes > budget:
                 raise discforms.BudgetExceeded(
-                    f"root datum search passed {discforms.BUDGET} nodes at rank {rank}"
+                    f"root datum search passed {budget} nodes at rank {rank}"
                 )
-            comp = menu[i][0]
-            chosen.append(menu[i])
-            a, b = a + comp.count_short, b + comp.count_long
-            if remaining > comp.rank:
-                stack.append([i, remaining - comp.rank, a, b])
+            entry = menu[i]
+            chosen.append(entry)
+            a, b = a + entry[1], b + entry[2]
+            if remaining > entry[0]:
+                stack.append([i, remaining - entry[0], a, b])
                 continue
-            if c == Fraction(c1 * a + cp * b + 2 * k, 24) - c1:
+            if 24 * num == (c1 * a + cp * b + shift) * den:
                 found.append(
                     {
                         "c": c,
-                        "components": sorted(entry.name for entry, _ in chosen),
+                        "components": sorted(e[3] for e in chosen),
                         "count_short": a,
                         "count_long": b,
-                        "det": prod(det for _, det in chosen),
+                        "det": prod(e[4] for e in chosen),
                     }
                 )
             chosen.pop()
@@ -614,7 +639,10 @@ def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -
 
     `data` are root data of the given rank at p, as `class_number_rootsystems`
     lists them.  Each datum spans a definite lattice L, the sum of its
-    components' spans in `roots.component_types`; its candidates are the
+    components' spans in `roots.component_types`, which the catalog builds
+    once per expression and keeps (`Catalog.parse`), so that the discriminant
+    form, dual vectors, root classes and long roots that L keeps serve every
+    later call with the same datum; its candidates are the
     even overlattices of determinant p^n_p and level p, one per glue group,
     whose reflective root system is exactly the datum (glue vectors may
     create extra roots, in which case the overlattice belongs to a
@@ -633,15 +661,12 @@ def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -
         raise ValueError(f"n_p must be nonnegative, not {n_p}")
     cat = catalog or cat_mod.default_catalog()
     target = p**n_p
-    spans = {
-        comp.name: span for r in range(1, rank + 1) for comp, span, _ in roots.component_types(r, p)
-    }
+    table = _component_table(rank, p)
     total = 0
     for datum in data:
         if datum["det"] % target != 0 or not _is_square(datum["det"] // target):
             continue
-        expr = "+".join(spans[c] for c in datum["components"])
-        lat = direct_sum([summand[3] for summand in cat.summands(expr)])
+        lat = cat.parse("+".join(table[c][1] for c in datum["components"]))
         glue = [sub for sub in discforms.even_overlattices(lat, target, p)
                 if _carries(discforms.glue_components(lat, p, sub), datum)]
         if len(glue) < 2:

@@ -895,20 +895,25 @@ def root_classes(lat: Lattice, order: int) -> frozenset:
     `short_duals` cosets are read once per part (and kept on it); those of
     order dividing `order` are grouped by minimum, as an integer over the
     lcm of the part determinants, and each part adds its zero at minimum 0;
-    `_part_sums` concatenates those whose minima add up to exactly 2.
+    `_part_sums` concatenates those whose minima add up to exactly 2.  The
+    set is computed once per (lattice, order) and kept on L, as the glue
+    roots of `_glue_roots` are.
     """
-    parts = lat.parts or (lat,)
-    den = lcm(*(part.det() for part in parts))
-    steps = []  # per part: its zero, and its classes by scaled minimum
-    for part in parts:
-        by_norm: dict[int, list[tuple[int, ...]]] = {}
-        if gcd(part.det(), order) > 1:  # else no nonzero class of D(P) has order dividing it
-            for x_order, by_min in short_duals(part).cosets.items():
-                if order % x_order == 0:
-                    for norm, xs in by_min.items():
-                        by_norm.setdefault(norm * (den // part.det()), []).extend(xs)
-        steps.append(((0,) * len(discriminant_form(part).orders), by_norm))
-    return frozenset(_part_sums(steps, 2 * den))
+    memo = lat.discform_memo
+    if ("classes", order) not in memo:
+        parts = lat.parts or (lat,)
+        den = lcm(*(part.det() for part in parts))
+        steps = []  # per part: its zero, and its classes by scaled minimum
+        for part in parts:
+            by_norm: dict[int, list[tuple[int, ...]]] = {}
+            if gcd(part.det(), order) > 1:  # else no nonzero class of D(P) has order dividing it
+                for x_order, by_min in short_duals(part).cosets.items():
+                    if order % x_order == 0:
+                        for norm, xs in by_min.items():
+                            by_norm.setdefault(norm * (den // part.det()), []).extend(xs)
+            steps.append(((0,) * len(discriminant_form(part).orders), by_norm))
+        memo[("classes", order)] = frozenset(_part_sums(steps, 2 * den))
+    return memo[("classes", order)]
 
 
 def _glue_roots(lat: Lattice, p: int):

@@ -24,7 +24,8 @@ discriminant form of `discforms.discriminant_form`, which for a sum is the
 direct sum of its parts' forms, D(L1 + L2) = D(L1) + D(L2), and the
 enumeration of the dual vectors of norm <= 2 (`discforms.short_duals`),
 from which `discforms.root_classes` and `discforms.glue_components`
-concatenate the root classes and the long roots of a sum part by part.
+concatenate the root classes and the long roots of a sum part by part;
+both are kept as well, the classes by order and the long roots by prime.
 Neither memo refers back to its lattice.
 """
 
@@ -117,8 +118,8 @@ class Lattice:
 
     @cached_property
     def discform_memo(self) -> dict:
-        """The discriminant form, the short dual vectors and the glue roots by prime, filled
-        in by `discforms`."""
+        """The discriminant form, the short dual vectors, the root classes by order and the
+        glue roots by prime, filled in by `discforms`."""
         return {}
 
     def dual_gram(self) -> list[list[Fraction]]:

@@ -41,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from . import intmat
@@ -107,22 +107,28 @@ def positive_roots(lat: Lattice, p: int) -> tuple[list[list[int]], list[list[int
     """The reflective root system at p, one root per +- pair, as (short, long).
 
     Short roots are the vectors of norm 2; long roots are the vectors s of
-    norm 2p with s/p in L^dual.  Each root is given with its first nonzero
-    coordinate positive, and each list is sorted.  The long roots are exactly
-    p * G^-1 * k for norm-2 vectors k of the rescaled dual Gram
-    p * G^-1 = p adj(G) / det(G); when that matrix is not integral there are
-    none.  It need not be even: outside level 1 and level p it can have odd
-    diagonal entries and norm-2 vectors at once.
+    norm 2p with s/p in L^dual, that is with G s = 0 mod p.  Each root is
+    given with its first nonzero coordinate positive, and each list is
+    sorted.  Write the rescaled dual Gram p G^-1 = p adj(G) / det(G) in
+    lowest terms as M / e.  A long root is s = p G^-1 k = M k / e for
+    k = G s / p in Z^n, with k^T M k = 2e, so the long roots are M k / e for
+    the vectors k of that norm for M, kept when M k / e is integral.  At
+    level 1 and level p, e = 1: p G^-1 is integral, each norm-2 vector k of
+    it gives a long root, and the search runs up to norm 2 only.  M need
+    not be even: it can have odd diagonal entries and norm-2 vectors at
+    once.
     """
     short = short_vectors(lat.gram, 2).get(2, [])
-    det = lat.det()
-    if any(p * x % det for row in lat.adjugate() for x in row):
-        return short, []
-    pgi = [[p * x // det for x in row] for row in lat.adjugate()]
+    det, adj = lat.det(), lat.adjugate()
+    g = gcd(det, *(p * x for row in adj for x in row))
+    e = det // g
+    m = [[p * x // g for x in row] for row in adj]
     long_ = []
-    for k in short_vectors(pgi, 2).get(2, []):
-        s = intmat.mat_vec(pgi, k)
-        long_.append(s if next(c for c in s if c) > 0 else [-c for c in s])
+    for k in short_vectors(m, 2 * e).get(2 * e, []):
+        s = intmat.mat_vec(m, k)
+        if not any(x % e for x in s):
+            s = [x // e for x in s]
+            long_.append(s if next(c for c in s if c) > 0 else [-c for c in s])
     return short, sorted(long_)
 
 

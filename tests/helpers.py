@@ -7,7 +7,8 @@ numbers come from the Akiyama-Tanigawa scheme, values of a discriminant form
 come from one Fraction product per element (the isotropic ones from one
 exact int64 product per element) on the Gram of its generators in the dual
 pairing (`dual_pairing`), vanishing at a root of unity
-comes from long division by the cyclotomic polynomial, root components
+comes from long division by the cyclotomic polynomial, long roots come
+from the Fraction inverse at every level (`signed_roots`), root components
 come from testing every pair of roots, taken with both signs, for a nonzero
 inner product, span ranks come from row elimination over Z, the
 level and rescaled duals of a lattice come from a Fraction Gauss-Jordan
@@ -15,7 +16,9 @@ inverse of its Gram, isotropic subgroups come from closures that test q
 on every element they add, the root classes of a discriminant form come
 from the norm-2 vectors of the whole dual, whether a glue group carries a
 root datum comes from the root components of its built overlattice
-(`carries_datum`), and the genus of a rescaled
+(`carries_datum`), the root data of a rank and weight come from a search
+over Fraction menus rebuilt on every call (`root_data_by_fractions`), and
+the genus of a rescaled
 dual comes from the complementary p-rank and the Milgram octant.  The sign of a prime-level
 genus, which the library reads off the signature alone, is computed here
 along two routes that look at the Gram itself: the exact Gauss sum of the
@@ -399,19 +402,27 @@ def span_rank(vectors: list[list[int]]) -> int:
 def signed_roots(lat, p: int) -> tuple[list[list[int]], list[list[int]]]:
     """The reflective roots at p with both signs, sorted: (norm 2, norm 2p).
 
-    The long roots are p G^-1 k for the norm-2 vectors k of p G^-1, with
-    G^-1 the Fraction inverse; there are none when p G^-1 is not integral.
+    Read off the definition at every level: a long root is a vector s of L
+    of norm 2p with s/p in the dual, so s = p G^-1 c for the c = G s / p in
+    Z^n with c^T G^-1 c = 2/p.  The c are enumerated on den G^-1, with G^-1
+    the Fraction inverse and den the lcm of its denominators, and s is kept
+    when it is integral.
     """
     def both_signs(vectors):
         return sorted(vectors + [[-c for c in v] for v in vectors])
 
-    short = both_signs(roots.short_vectors(lat.gram, 2).get(2, []))
-    pgi = [[p * x for x in row] for row in fraction_inverse(lat.gram)]
-    if any(x.denominator != 1 for row in pgi for x in row):
-        return short, []
-    pgi = [[x.numerator for x in row] for row in pgi]
-    halves = roots.short_vectors(pgi, 2).get(2, [])
-    return short, both_signs([[sum(g * x for g, x in zip(row, k)) for row in pgi] for k in halves])
+    short = roots.short_vectors(lat.gram, 2).get(2, [])
+    inv = fraction_inverse(lat.gram)
+    den = lcm(*(x.denominator for row in inv for x in row))
+    long_ = []
+    if 2 * den % p == 0:
+        bound = 2 * den // p
+        scaled = [[int(x * den) for x in row] for row in inv]
+        for c in roots.short_vectors(scaled, bound).get(bound, []):
+            s = [p * sum(x * y for x, y in zip(row, c)) for row in inv]
+            if all(x.denominator == 1 for x in s):
+                long_.append([int(x) for x in s])
+    return both_signs(short), both_signs(long_)
 
 
 def pairwise_root_components(lat, p: int) -> list[roots.RootComponent]:
@@ -482,6 +493,58 @@ def carries_datum(over, p: int, datum: dict) -> bool:
         and sum(c.count_short for c in comps) == datum["count_short"]
         and sum(c.count_long for c in comps) == datum["count_long"]
     )
+
+
+def root_data_by_fractions(rank: int, p: int, c1: int, cp: int, k: int) -> tuple[list[dict], int]:
+    """The root data of `classify.class_number_rootsystems`, and the nodes its search visits.
+
+    The oracle for the integer menus: the menus are rebuilt on every call,
+    keyed by the Fraction C = c1 alpha + cp beta of each
+    `roots.component_types` entry, and the counting identity is compared as
+    Fractions at every leaf.  The nodes are counted as the library charges
+    them, one per menu and one per partial multiset, with no budget.
+    """
+    menus: dict[Fraction, list] = {}
+    for r in range(1, rank + 1):
+        for comp, _, det in roots.component_types(r, p):
+            menus.setdefault(c1 * comp.alpha + cp * comp.beta, []).append((comp, det))
+    found = []
+    nodes = 0
+    for c, menu in menus.items():
+        chosen: list[tuple] = []
+        stack = [[0, rank, 0, 0]]
+        nodes += 1
+        while stack:
+            frame = stack[-1]
+            i, remaining, a, b = frame
+            while i < len(menu) and menu[i][0].rank > remaining:
+                i += 1
+            if i == len(menu):
+                stack.pop()
+                if chosen:
+                    chosen.pop()
+                continue
+            frame[0] = i + 1
+            nodes += 1
+            comp = menu[i][0]
+            chosen.append(menu[i])
+            a, b = a + comp.count_short, b + comp.count_long
+            if remaining > comp.rank:
+                stack.append([i, remaining - comp.rank, a, b])
+                continue
+            if c == Fraction(c1 * a + cp * b + 2 * k, 24) - c1:
+                found.append(
+                    {
+                        "c": c,
+                        "components": sorted(entry.name for entry, _ in chosen),
+                        "count_short": a,
+                        "count_long": b,
+                        "det": prod(det for _, det in chosen),
+                    }
+                )
+            chosen.pop()
+    found.sort(key=lambda d: (d["c"], d["components"]))
+    return found, nodes
 
 
 def fraction_inverse(gram: list[list[int]]) -> list[list[Fraction]]:
@@ -647,6 +710,17 @@ def short_vector_calls():
     inner = roots.short_vectors
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(roots, "short_vectors", lambda *args: calls.append(args) or inner(*args))
+        yield calls
+
+
+@contextmanager
+def part_sums_calls():
+    """The target of each `discforms._part_sums` call made inside the block."""
+    calls = []
+    inner = discforms._part_sums
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discforms, "_part_sums",
+                      lambda steps, target: calls.append(target) or inner(steps, target))
         yield calls
 
 

@@ -5,7 +5,16 @@ import gc
 
 import pytest
 
-from helpers import carries_datum, glue_overlattice_calls, short_vector_calls
+from helpers import (
+    carries_datum,
+    glue_overlattice_calls,
+    lattice_builds,
+    part_sums_calls,
+    root_data_by_fractions,
+    short_vector_calls,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reflector import classify as classify_mod
 from reflector import discforms, etaq, reflcheck, roots
 from reflector.catalog import Catalog, default_catalog, definite_part, e7_a1_overlattice
@@ -404,6 +413,28 @@ def test_root_datum_search_is_charged_by_node(monkeypatch, p, listed, nodes):
         class_number_rootsystems(24, p, 1, 0, 12)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    rank=st.integers(0, 12),
+    p=st.sampled_from([2, 3, 5, 7, 11]),
+    mults=st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
+    k=st.integers(0, 60),
+)
+def test_integer_menus_match_the_fraction_search(rank, p, mults, k):
+    """The search over the kept integer menus lists the data of a search over
+    Fraction menus, and visits the same nodes: at a budget of that many it
+    finishes, and at one fewer it raises."""
+    c1, cp = mults
+    want, nodes = root_data_by_fractions(rank, p, c1, cp, k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discforms, "BUDGET", nodes)
+        assert class_number_rootsystems(rank, p, c1, cp, k) == want
+        if nodes:  # a rank-0 search has no menu and visits nothing
+            patch.setattr(discforms, "BUDGET", nodes - 1)
+            with pytest.raises(discforms.BudgetExceeded):
+                class_number_rootsystems(rank, p, c1, cp, k)
+
+
 @pytest.mark.parametrize(
     "c1, cp, n_p",
     [(1, 1, -1), (-1, 1, 3), (1, -2, 3), (0, 0, 3)],
@@ -441,13 +472,16 @@ CENSUS = [((8, 3, 1, 1, 18, 6), 1), ((6, 3, 1, 1, 24, 3), 0), ((6, 3, 1, 1, 24, 
 
 
 def test_a_warm_census_pass_enumerates_and_builds_nothing():
-    """Once a catalog has seen the census, a pass over it again calls `short_vectors`
-    and `glue_overlattice` no more: every glue group is decided on D(L)."""
+    """Once a catalog has seen the census, a pass over it again calls `short_vectors`,
+    `glue_overlattice` and `_part_sums` no more and constructs no `Lattice`: every
+    glue group is decided on D(L), and each datum's lattice, with its root classes
+    and long roots, is the one the catalog keeps."""
     cat = Catalog()
     assert [class_number(*args, catalog=cat) for args, _ in CENSUS] == [n for _, n in CENSUS]
-    with short_vector_calls() as calls, glue_overlattice_calls() as built:
+    with (short_vector_calls() as calls, glue_overlattice_calls() as built,
+          part_sums_calls() as sums, lattice_builds() as lattices):
         assert [class_number(*args, catalog=cat) for args, _ in CENSUS] == [n for _, n in CENSUS]
-    assert not calls and not built
+    assert not calls and not built and not sums and not lattices
 
 
 def test_the_rank_ten_count_builds_only_the_glue_that_carries_a_datum():

@@ -229,6 +229,14 @@ def test_roots_subcommand(capsys):
     assert payload["count_norm2p"] == 6
 
 
+def test_roots_off_level_p_counts_the_long_roots(capsys):
+    """D4(2) + 2A1(2) has level 8, where 2 G^-1 is not integral: at p = 2 its 14
+    positive long roots are reported, as 28 vectors with both signs."""
+    code, out = run_cli(["roots", "--lattice", "D4(2)+2A1(2)", "--prime", "2"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "0 vectors of norm 2, 28 reflective vectors of norm 2*2"
+
+
 ETA_F6 = "1*q^(-1) + 8 + 52*q^(1) + 256*q^(2) + 1122*q^(3) + 4352*q^(4) + O(q^(5))"
 ETA_F6_S = (
     "1*q^(-1/2) + 8 + 52*q^(1/2) + 256*q^(1) + 1122*q^(3/2) + 4352*q^(2) + O(q^(5/2))"

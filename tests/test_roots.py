@@ -19,9 +19,9 @@ from helpers import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reflector import roots
+from reflector import discforms, roots
 from reflector.catalog import Catalog, default_catalog, definite_part, parse_lattice
-from reflector.intmat import block_diagonal
+from reflector.intmat import block_diagonal, mat_vec
 from reflector.lattices import Lattice, direct_sum
 from reflector.reflcheck import check_candidate
 from reflector.roots import (
@@ -109,6 +109,47 @@ def test_odd_rescaled_dual_still_gives_long_roots():
     comps = root_components(lat, 2)
     assert [(c.name, c.count_short, c.count_long) for c in comps] == [("B2", 4, 4)]
     assert comps == pairwise_root_components(lat, 2)
+
+
+def box_long_roots(lat, p: int) -> list[list[int]]:
+    """The vectors s of norm 2p with G s = 0 mod p, both signs, sorted, by box sweep."""
+    return [s for s in box_vectors_by_norm(lat.gram, 2 * p).get(2 * p, [])
+            if not any(x % p for x in mat_vec(lat.gram, s))]
+
+
+def test_long_roots_off_level_p_are_found():
+    """D4(2) + 2A1(2) has level 8, where 2 G^-1 is not integral; its long roots at
+    p = 2 are the 12 positive roots of D4(2) and one per A1(2), 14 in all."""
+    lat = definite_part("D4(2)+2A1(2)", CAT)[1]
+    assert lat.level() == 8
+    r1, r2 = positive_roots(lat, 2)
+    assert (r1, len(r2)) == ([], 14)
+    box = box_long_roots(lat, 2)
+    assert signed_roots(lat, 2)[1] == box and first_nonzero_positive(box) == r2
+    got = [(c.name, c.count_long) for c in root_components(lat, 2)]
+    assert got == [("A1(2)", 2), ("A1(2)", 2), ("D4(2)", 24)]
+    assert root_components(lat, 2) == pairwise_root_components(lat, 2)
+
+
+def test_long_roots_of_level_4_glue_agree_with_glue_components():
+    """The 9 root-free index-2 glue groups of level 4 on D4(2) + D4(2) each give a
+    D8(2) with 56 positive long roots at p = 2, as the box sweep finds them and
+    as `discforms.glue_components` reads them off D(L) with no overlattice built."""
+    lat = parse_lattice("D4(2)+D4(2)", CAT)
+    form = discforms.discriminant_form(lat)
+    glue = discforms.even_overlattices(lat, 4**5, 4)
+    assert len(glue) == 9
+    for i, sub in enumerate(glue):
+        over = discforms.glue_overlattice(lat, form, sub)
+        assert over.level() == 4
+        r1, r2 = positive_roots(over, 2)
+        assert (r1, len(r2)) == ([], 56)
+        assert first_nonzero_positive(signed_roots(over, 2)[1]) == r2
+        if i == 0:  # one box sweep of a rank-8 overlattice is enough
+            assert signed_roots(over, 2)[1] == box_long_roots(over, 2)
+        comps = root_components(over, 2)
+        assert [(c.name, c.count_long) for c in comps] == [("D8(2)", 112)]
+        assert comps == discforms.glue_components(lat, 2, sub)
 
 
 # the classical Coxeter numbers (Bourbaki, Lie groups, ch. VI, planches)
