@@ -20,7 +20,7 @@ from .discforms import (
 )
 from .lattices import Lattice
 from .reflcheck import check_candidate, solve_candidates
-from .roots import positive_roots, root_components
+from .roots import root_components
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "genus_symbol",
     "parse_genus",
     "parse_lattice",
-    "positive_roots",
     "reflective_genera",
     "root_components",
     "solve_candidates",

@@ -13,7 +13,7 @@ Lattices and Groups, ch. 4), built by one rule.  T8 is the unique nontrivial
 even overlattice of E7+A1(5) with determinant 5.  data/catalog.json stores
 only the Grams that no rule produces, U and T4; a user catalog (the
 --catalog CLI flag or the REFLECTOR_CATALOG environment variable) can add or
-override entries with the same JSON shape.
+override entries with the same JSON shape; any other shape raises ValueError.
 
 Every expression goes through one term expansion, `Catalog.summands`.  A
 catalog builds each term (name, dual, scale) once, on first use, and hands
@@ -96,8 +96,13 @@ class Catalog:
 
     def __init__(self, extra: dict | None = None):
         self.registry = dict(_load_default_registry())
-        if extra:
-            self.registry.update(extra)
+        if not isinstance(extra or {}, dict):
+            raise ValueError("catalog lattices must map names to Gram matrices")
+        for name, gram in (extra or {}).items():
+            if not (isinstance(gram, list) and all(
+                    isinstance(row, list) and all(type(x) is int for x in row) for row in gram)):
+                raise ValueError(f"catalog entry {name!r} is not a list of lists of integers")
+        self.registry.update(extra or {})
         self._terms: dict[tuple[str, bool, int | None], Lattice] = {}
         self._e7_a1: dict[int, Lattice] = {}  # p -> `e7_a1_overlattice(p, self)`
         self._models: dict[str, tuple[Lattice, list[int], Lattice | None]] = {}
@@ -106,6 +111,8 @@ class Catalog:
     def from_file(cls, path: str) -> "Catalog":
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"catalog {path} is not a JSON object")
         return cls(extra=data.get("lattices", {}))
 
     def build(self, name: str) -> Lattice:

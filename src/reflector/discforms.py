@@ -18,15 +18,14 @@ The discriminant form of a lattice is computed once and kept on the
 `Lattice` (`discriminant_form`); for an orthogonal sum it is the direct sum
 of the parts' forms, presented part by part, so only a lattice that is not
 a sum runs a Smith form.  So is one enumeration of the dual vectors of
-norm <= 2 (`short_duals`): the classes whose cosets hold such a vector,
-with their minimum norms, the roots, and the dual vectors of norm <= 1.
-The root classes that a glue group must miss, and the dual vectors of
-norm 2/p that become long roots of a glue overlattice, are concatenated
-from the tables of the parts of an orthogonal sum, so the dual of a sum is
-never enumerated as a whole, and a catalog term is enumerated once.  The
-root system of a glue overlattice is read off its glue group in D(L)
-(`glue_components`), so deciding which glue carries a root datum builds
-no overlattice.
+norm <= 2 (`short_duals`), of which it keeps the classes whose cosets hold
+such a vector, with their minimum norms.  The root classes that a glue
+group must miss are concatenated from these tables of the parts of an
+orthogonal sum, and the dual vectors of norm 2/p that become long roots of
+a glue overlattice from the parts' root tables (`roots.dual_roots`), so
+the dual of a sum is never enumerated as a whole.  The root system of a
+glue overlattice is read off its glue group in D(L) (`glue_components`),
+so deciding which glue carries a root datum builds no overlattice.
 
 Value statistics of a form come from one integer walk over D (`_walk`),
 made at most once per form and refused past WALK_BUDGET elements: it counts
@@ -58,7 +57,6 @@ from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, isqrt, lcm, prod
 from operator import add, mod, mul
-from typing import NamedTuple
 
 from . import intmat, roots
 from .lattices import Lattice
@@ -804,78 +802,33 @@ def discriminant_form(lat: Lattice) -> DiscriminantForm:
     return memo["form"]
 
 
-class ShortDuals(NamedTuple):
-    """The dual vectors of norm <= 2 of a positive definite L, as `short_duals` keeps them.
+def short_duals(lat: Lattice) -> dict[int, dict[int, list[tuple[int, ...]]]]:
+    """The nonzero x in D(L) whose coset x + L holds a vector of norm <= 2, for L
+    positive definite, by the order of x and then by det(L) times the minimum
+    norm of x + L, with x and -x together.
 
-    `cosets` holds the nonzero x in D(L) whose coset x + L holds a vector
-    of norm <= 2, by the order of x and then by det(L) times the minimum
-    norm of x + L, with x and -x together.  `roots` holds G r for the
-    norm-2 vectors r of L, one per +- pair, the first nonzero coordinate
-    positive.  `pieces` holds, by det(L) times their norm, the dual vectors
-    w of norm <= 1 (2/p <= 1 at every prime p), both signs, each as its
-    coordinates G w and its class in D(L).
-    """
-
-    cosets: dict[int, dict[int, list[tuple[int, ...]]]]
-    roots: list[list[int]]
-    pieces: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]
-
-
-def short_duals(lat: Lattice) -> ShortDuals:
-    """The `ShortDuals` of L, computed once per lattice and kept on it.
-
-    The dual vector G^-1 c lies in `element_of(c)` and has norm
-    c^T adj(G) c / det, so one `short_vectors` call on the adjugate lists
-    every dual vector of norm <= 2, in increasing norm; those of class 0
-    and norm 2 are the roots of L.
+    Computed once per lattice and kept on it.  The dual vector G^-1 c lies
+    in `element_of(c)` and has norm c^T adj(G) c / det, so one
+    `short_vectors` call on the adjugate lists every dual vector of norm
+    <= 2, in increasing norm, and the first one met in a class has the
+    minimum norm of its coset.
     """
     memo = lat.discform_memo
     if "short" not in memo:
         form = discriminant_form(lat)
         det = lat.det()
         cosets: dict[int, dict[int, list[tuple[int, ...]]]] = {}
-        own_roots, pieces = [], {}
         seen = set()
         for norm, vecs in roots.short_vectors(lat.adjugate(), 2 * det).items():
             for c in vecs:
                 x = form.element_of(c)
-                if not any(x):  # a vector of L: of norm 2, as L is even
-                    own_roots.append(c)
-                    continue
-                neg = tuple(-a % o for a, o in zip(x, form.orders))
-                if norm <= det:
-                    pieces.setdefault(norm, []).extend(
-                        [(tuple(c), x), (tuple(-a for a in c), neg)])
-                if x not in seen:
+                if any(x) and x not in seen:  # class 0 holds the vectors of L
+                    neg = tuple(-a % o for a, o in zip(x, form.orders))
                     seen |= {x, neg}
                     x_order = lcm(*(o // gcd(o, a) for a, o in zip(x, form.orders)))
                     cosets.setdefault(x_order, {}).setdefault(norm, []).extend(sorted({x, neg}))
-        memo["short"] = ShortDuals(cosets, own_roots, pieces)
+        memo["short"] = cosets
     return memo["short"]
-
-
-def _part_sums(steps, target: int) -> list[tuple]:
-    """The concatenations of one piece per part whose scaled norms add up to `target`.
-
-    steps[i] is (the zero piece of part i, {scaled norm: its pieces}), each
-    piece a tuple.  A pass over the parts keeps, by the norm spent so far,
-    the prefixes from which the later parts can still reach `target`
-    exactly.
-    """
-    # left[i]: the norms the parts of steps[i:] can still add, up to target
-    left = [{0}]
-    for _, by_norm in reversed(steps):
-        left.append({s + t for s in left[-1] for t in (0, *by_norm) if s + t <= target})
-    left.reverse()
-    spent = {0: [()]}
-    for i, (zero, by_norm) in enumerate(steps):
-        grown: dict[int, list] = {}
-        for s, prefixes in spent.items():
-            for t, xs in ((0, [zero]), *by_norm.items()):
-                if target - s - t in left[i + 1]:
-                    grown.setdefault(s + t, []).extend(e + x for e in prefixes for x in xs)
-        spent = grown
-    return spent.get(target, [])
 
 
 def root_classes(lat: Lattice, order: int) -> frozenset:
@@ -895,7 +848,7 @@ def root_classes(lat: Lattice, order: int) -> frozenset:
     `short_duals` cosets are read once per part (and kept on it); those of
     order dividing `order` are grouped by minimum, as an integer over the
     lcm of the part determinants, and each part adds its zero at minimum 0;
-    `_part_sums` concatenates those whose minima add up to exactly 2.  The
+    `roots.part_sums` concatenates those whose minima add up to exactly 2.  The
     set is computed once per (lattice, order) and kept on L, as the glue
     roots of `_glue_roots` are.
     """
@@ -907,12 +860,12 @@ def root_classes(lat: Lattice, order: int) -> frozenset:
         for part in parts:
             by_norm: dict[int, list[tuple[int, ...]]] = {}
             if gcd(part.det(), order) > 1:  # else no nonzero class of D(P) has order dividing it
-                for x_order, by_min in short_duals(part).cosets.items():
+                for x_order, by_min in short_duals(part).items():
                     if order % x_order == 0:
                         for norm, xs in by_min.items():
                             by_norm.setdefault(norm * (den // part.det()), []).extend(xs)
             steps.append(((0,) * len(discriminant_form(part).orders), by_norm))
-        memo[("classes", order)] = frozenset(_part_sums(steps, 2 * den))
+        memo[("classes", order)] = frozenset(roots.part_sums(steps, 2 * den))
     return memo[("classes", order)]
 
 
@@ -920,33 +873,17 @@ def _glue_roots(lat: Lattice, p: int):
     """The positive norm-2 roots of L, and by class c of D(L) the vectors p w for the
     dual vectors w of norm 2/p in c, all as coordinates G v, one per +- pair.
 
-    Computed once per (lattice, p) and kept on L.  Every norm-2 vector of
-    an orthogonal sum lies in one part, as the parts are even.  A dual
-    vector of L is the concatenation of one dual vector of each part, and
-    its norm is the sum of theirs, so the vectors of norm 2/p are
-    concatenated from the parts' `short_duals` pieces by `_part_sums`, as
-    `root_classes` concatenates classes.  A vector is kept with its first
-    nonzero coordinate positive.
+    Read off `roots.dual_roots`, which concatenates them from the root
+    tables of the parts of L; each dual vector G^-1 c gets its class
+    `element_of(c)`.  Computed once per (lattice, p) and kept on L.
     """
     memo = lat.discform_memo
     if ("roots", p) not in memo:
-        parts = lat.parts or (lat,)
-        den = lcm(p, *(part.det() for part in parts))
-        short, steps, offset = [], [], 0
-        for part in parts:
-            table, det = short_duals(part), part.det()
-            pad = [0] * (lat.rank - offset - part.rank)
-            short += [[0] * offset + r + pad for r in table.roots]
-            offset += part.rank
-            zero = ((0,) * part.rank, (0,) * len(discriminant_form(part).orders))
-            steps.append(((zero,), {norm * (den // det): [(w,) for w in ws]
-                                    for norm, ws in table.pieces.items() if p * norm <= 2 * det}))
+        form = discriminant_form(lat)
+        short, duals = roots.dual_roots(lat, p)
         long_by_class: dict[tuple[int, ...], list[list[int]]] = {}
-        for pieces in _part_sums(steps, 2 * den // p):
-            c = [a for piece, _ in pieces for a in piece]
-            if next(a for a in c if a) > 0:
-                x = tuple(a for _, cls in pieces for a in cls)
-                long_by_class.setdefault(x, []).append([p * a for a in c])
+        for c in duals:
+            long_by_class.setdefault(form.element_of(c), []).append([p * a for a in c])
         memo[("roots", p)] = short, long_by_class
     return memo[("roots", p)]
 

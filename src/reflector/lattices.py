@@ -16,17 +16,17 @@ reads its invariants off its parts instead of eliminating on the whole Gram:
 det = prod det_i, adj = (+) (det / det_i) adj_i, the signatures add and the
 level is the lcm of the levels.  Every other lattice takes its determinant
 from Bareiss elimination at construction, which is also its degeneracy
-check; for a sum, the product of nonzero determinants is that check.  The
-root data of `roots.root_data` are kept on the lattice too, one entry per
-prime, and so are the root sums of `roots.root_sums` once they are read;
-a sum joins both from its parts where it can.  So are the
-discriminant form of `discforms.discriminant_form`, which for a sum is the
-direct sum of its parts' forms, D(L1 + L2) = D(L1) + D(L2), and the
-enumeration of the dual vectors of norm <= 2 (`discforms.short_duals`),
-from which `discforms.root_classes` and `discforms.glue_components`
-concatenate the root classes and the long roots of a sum part by part;
-both are kept as well, the classes by order and the long roots by prime.
-Neither memo refers back to its lattice.
+check; for a sum, the product of nonzero determinants is that check.  A
+lattice also keeps what the other modules compute on it, in one memo per
+module: the root table of `roots.root_table` (its roots, and its dual
+vectors of norm <= 2/p by norm bound), from which the roots of a sum are
+concatenated part by part; the root data of `roots.root_data` and, once
+they are read, the root sums of `roots.root_sums`, one entry per prime,
+which a sum joins from its parts where it can; and the discriminant form
+of `discforms.discriminant_form`, which for a sum is the direct sum of its
+parts' forms, D(L1 + L2) = D(L1) + D(L2), with the coset minima of
+`discforms.short_duals`, the root classes by order and the glue roots by
+prime.  No memo refers back to its lattice.
 """
 
 from __future__ import annotations
@@ -107,19 +107,14 @@ class Lattice:
         return self._adjugate
 
     @cached_property
-    def root_data_memo(self) -> dict:
-        """The reflective root data by prime, filled in by `roots.root_data`."""
-        return {}
-
-    @cached_property
-    def root_sums_memo(self) -> dict:
-        """The root sums by prime, filled in by `roots.root_sums`."""
+    def roots_memo(self) -> dict:
+        """The root table, and the root data and root sums by prime, filled in by `roots`."""
         return {}
 
     @cached_property
     def discform_memo(self) -> dict:
-        """The discriminant form, the short dual vectors, the root classes by order and the
-        glue roots by prime, filled in by `discforms`."""
+        """The discriminant form, the coset minima, the root classes by order and the glue
+        roots by prime, filled in by `discforms`."""
         return {}
 
     def dual_gram(self) -> list[list[Fraction]]:

@@ -7,25 +7,29 @@ roots of the remaining budget, so neither floating point nor Fraction work
 enters the search.  Root systems split into two classes relative to a prime
 p: ordinary roots of norm 2, and vectors of norm 2p that stay integral after
 division by p in the dual pairing (these reflect the lattice through
-rescaled mirrors).  Together they form one finite root system R, listed by
-`positive_roots` as one root per +- pair, the one whose first nonzero
-coordinate is positive.
+rescaled mirrors).  Together they form one finite root system R.
+
+Each lattice enumerates its roots once, and its dual vectors of norm
+<= 2/p once per prime, and keeps both as its `root_table`, all written in
+dual coordinates G v.  A long root is p w for a dual vector w of norm 2/p,
+so R is read off these tables: the dual vectors of norm 2/p of an
+orthogonal sum are concatenated from its parts' tables (`dual_roots`),
+and the long roots of L are the p w that lie in L (`_trivial_glue_roots`);
+those of a glue overlattice of L are read off D(L) from the same
+concatenation, with no overlattice built (`discforms.glue_components`).
 
 `root_data` summarises R once per (lattice, p) and keeps the result on the
 `Lattice`: the positive root counts and the irreducible components.  The
 root-sum matrices that `reflcheck` alone reads, one block per part, come
-from `root_sums` on first use and are kept in a memo of their own.  On an
+from `root_sums` on first use and are kept there too.  On an
 orthogonal sum whose parts all have level 1 or p, both are joined from the
 parts' data, since then every root lies in one part (Bourbaki, Lie groups,
 ch. VI, 1): a norm-2 vector because each part is even, and a reflective
 norm-2p vector s because each nonzero piece s_i has w = s_i / p in the
 part's dual, so p w^2 is even and s_i^2 = p (p w^2) is at least 2p.  Any
 other lattice (an overlattice, T8, a sum with a part of another level) is
-enumerated on its whole Gram, and its components come from the simple
-roots for the lexicographic order of Z^n (`split_components`).  The same
-split reads the root system of a glue overlattice off D(L), with its roots
-in L's dual coordinates, where no overlattice is built
-(`discforms.glue_components`).
+one block, and its components come from the simple roots for the
+lexicographic order of its dual coordinates (`split_components`).
 
 `component_types(rank, p)` is the one table of irreducible reflective root
 systems: the ADE types, their rescalings X(p), B_n, C_n and F4 at p = 2, and
@@ -41,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from typing import NamedTuple
 
 from . import intmat
@@ -103,33 +107,95 @@ def short_vectors(gram: list[list[int]], max_norm: int):
     return {norm: out[norm] for norm in sorted(out)}
 
 
-def positive_roots(lat: Lattice, p: int) -> tuple[list[list[int]], list[list[int]]]:
-    """The reflective root system at p, one root per +- pair, as (short, long).
+def root_table(lat: Lattice, p: int) -> tuple[list[list[int]], dict[int, list[tuple[int, ...]]]]:
+    """The roots of L and its dual vectors of norm <= 2/p, enumerated once and kept on L.
 
-    Short roots are the vectors of norm 2; long roots are the vectors s of
-    norm 2p with s/p in L^dual, that is with G s = 0 mod p.  Each root is
-    given with its first nonzero coordinate positive, and each list is
-    sorted.  Write the rescaled dual Gram p G^-1 = p adj(G) / det(G) in
-    lowest terms as M / e.  A long root is s = p G^-1 k = M k / e for
-    k = G s / p in Z^n, with k^T M k = 2e, so the long roots are M k / e for
-    the vectors k of that norm for M, kept when M k / e is integral.  At
-    level 1 and level p, e = 1: p G^-1 is integral, each norm-2 vector k of
-    it gives a long root, and the search runs up to norm 2 only.  M need
-    not be even: it can have odd diagonal entries and norm-2 vectors at
-    once.
+    Returns (roots, duals).  `roots` holds G r for the norm-2 vectors r of
+    L, one per +- pair, the first nonzero coordinate of G r positive.
+    `duals` holds, by det(L) times their norm, the dual vectors w of norm
+    <= 2/p, both signs, each as its coordinates c = G w: the dual vector
+    G^-1 c has norm c^T adj(G) c / det, so they are the vectors of norm
+    <= 2 det / p for the adjugate.  The roots are enumerated once per
+    lattice, and the dual vectors once per bound 2 det // p, which primes
+    with the same bound share.
     """
-    short = short_vectors(lat.gram, 2).get(2, [])
-    det, adj = lat.det(), lat.adjugate()
-    g = gcd(det, *(p * x for row in adj for x in row))
-    e = det // g
-    m = [[p * x // g for x in row] for row in adj]
-    long_ = []
-    for k in short_vectors(m, 2 * e).get(2 * e, []):
-        s = intmat.mat_vec(m, k)
-        if not any(x % e for x in s):
-            s = [x // e for x in s]
-            long_.append(s if next(c for c in s if c) > 0 else [-c for c in s])
-    return short, sorted(long_)
+    memo = lat.roots_memo
+    if "roots" not in memo:
+        memo["roots"] = [_first_positive(intmat.mat_vec(lat.gram, r))
+                         for r in short_vectors(lat.gram, 2).get(2, [])]
+    key = ("duals", 2 * lat.det() // p)
+    if key not in memo:
+        memo[key] = {norm: [tuple(c) for c in vecs] + [tuple(-a for a in c) for c in vecs]
+                     for norm, vecs in short_vectors(lat.adjugate(), key[1]).items()}
+    return memo["roots"], memo[key]
+
+
+def _first_positive(v: list[int]) -> list[int]:
+    return v if next(c for c in v if c) > 0 else [-c for c in v]
+
+
+def part_sums(steps, target: int) -> list[tuple]:
+    """The concatenations of one piece per part whose scaled norms add up to `target`.
+
+    steps[i] is (the zero piece of part i, {scaled norm: its pieces}), each
+    piece a tuple.  A pass over the parts keeps, by the norm spent so far,
+    the prefixes from which the later parts can still reach `target`
+    exactly.
+    """
+    # left[i]: the norms the parts of steps[i:] can still add, up to target
+    left = [{0}]
+    for _, by_norm in reversed(steps):
+        left.append({s + t for s in left[-1] for t in (0, *by_norm) if s + t <= target})
+    left.reverse()
+    spent = {0: [()]}
+    for i, (zero, by_norm) in enumerate(steps):
+        grown: dict[int, list] = {}
+        for s, prefixes in spent.items():
+            for t, xs in ((0, [zero]), *by_norm.items()):
+                if target - s - t in left[i + 1]:
+                    grown.setdefault(s + t, []).extend(e + x for e in prefixes for x in xs)
+        spent = grown
+    return spent.get(target, [])
+
+
+def dual_roots(lat: Lattice, p: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The positive norm-2 roots of L and its dual vectors of norm 2/p, as (short, duals).
+
+    Both are written as coordinates G v, one per +- pair, the first nonzero
+    coordinate positive.  L is the orthogonal sum of its parts (L itself
+    when it is not a sum), each with its `root_table`.  Every norm-2 vector
+    of L lies in one part, as the parts are even.  A dual vector of L is
+    the concatenation of one dual vector of each part, and its norm is the
+    sum of theirs, so the dual vectors of norm 2/p are the concatenations
+    (`part_sums`) of part dual vectors whose norms add up to exactly 2/p;
+    they can span several parts.
+    """
+    parts = lat.parts or (lat,)
+    den = lcm(p, *(part.det() for part in parts))
+    short, steps, offset = [], [], 0
+    for part in parts:
+        own, duals = root_table(part, p)
+        pad = [0] * (lat.rank - offset - part.rank)
+        short += [[0] * offset + r + pad for r in own]
+        offset += part.rank
+        scale = den // part.det()
+        steps.append(((0,) * part.rank, {norm * scale: ws for norm, ws in duals.items()}))
+    duals = [list(c) for c in part_sums(steps, 2 * den // p) if next(a for a in c if a) > 0]
+    return short, duals
+
+
+def _trivial_glue_roots(lat: Lattice, p: int) -> tuple[list[list[int]], list[list[int]]]:
+    """R1+ and R2+ of L at p, as coordinates G v, the first nonzero coordinate positive.
+
+    A long root is a vector s of L of norm 2p with s/p in L^dual, so it is
+    p w for a dual vector w of norm 2/p with p w in L: with c = G w, one
+    with p adj(G) c = 0 mod det(G).  This is `discforms.glue_components` at
+    the trivial glue group, with no discriminant form.
+    """
+    short, duals = dual_roots(lat, p)
+    adj, det = lat.adjugate(), lat.det()
+    return short, [[p * a for a in c] for c in duals
+                   if not any(p * x % det for x in intmat.mat_vec(adj, c))]
 
 
 @dataclass(frozen=True)
@@ -237,20 +303,20 @@ def root_data(lat: Lattice, p: int) -> RootData:
     """The root data of lat at p, computed once per (lattice, p) and kept on lat.
 
     A sum whose parts all have level 1 or p joins its parts' data; any other
-    lattice is enumerated on its whole Gram.
+    lattice reads its roots off its parts' root tables (`_trivial_glue_roots`).
     """
-    memo = lat.root_data_memo
-    if p not in memo:
+    memo, key = lat.roots_memo, ("data", p)
+    if key not in memo:
         if _joins_parts(lat, p):
-            memo[p] = _join([root_data(part, p) for part in lat.parts])
+            memo[key] = _join([root_data(part, p) for part in lat.parts])
         else:
-            r1, r2 = positive_roots(lat, p)
-            memo[p] = RootData(
+            r1, r2 = _trivial_glue_roots(lat, p)
+            memo[key] = RootData(
                 positive_short=len(r1),
                 positive_long=len(r2),
-                components=tuple(split_components(lat.gram, p, r1, r2)),
+                components=tuple(split_components(lat.adjugate(), p, r1, r2)),
             )
-    return memo[p]
+    return memo[key]
 
 
 def _join(parts: list[RootData]) -> RootData:
@@ -270,34 +336,27 @@ def root_sums(lat: Lattice, p: int) -> tuple[tuple[tuple[tuple[int, ...], ...], 
     of the whole lattice are block diagonal with these blocks.  Computed
     once per (lattice, p), on first use, and kept on lat: a sum of level 1
     or p concatenates its parts' blocks, and any other lattice is its own
-    one block, summed over its positive roots, enumerated again.
+    one block, summed over the roots that `root_data` reads, as G r.
     """
-    memo = lat.root_sums_memo
-    if p not in memo:
+    memo, key = lat.roots_memo, ("sums", p)
+    if key not in memo:
         if _joins_parts(lat, p):
-            memo[p] = tuple(block for part in lat.parts for block in root_sums(part, p))
+            memo[key] = tuple(block for part in lat.parts for block in root_sums(part, p))
         else:
-            r1, r2 = positive_roots(lat, p)
-            memo[p] = ((lat.gram, _root_sum_matrix(lat.gram, r1), _root_sum_matrix(lat.gram, r2)),)
-    return memo[p]
+            r1, r2 = _trivial_glue_roots(lat, p)
+            memo[key] = ((lat.gram, _outer_sum(r1, lat.rank), _outer_sum(r2, lat.rank)),)
+    return memo[key]
 
 
-def _root_sum_matrix(gram, vectors) -> tuple[tuple[int, ...], ...]:
-    """sum_v (Gv)(Gv)^T = G (sum_v v v^T) G over the given vectors, in integers.
-
-    Roots have few nonzero coordinates, so the outer products are summed on
-    the coordinates and multiplied by G once at the end.
-    """
-    n = len(gram)
+def _outer_sum(vectors: list[list[int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """sum_u u u^T over the given vectors of length n, in integers."""
     total = [[0] * n for _ in range(n)]
-    for v in vectors:
-        nonzero = [(i, x) for i, x in enumerate(v) if x]
+    for u in vectors:
+        nonzero = [(i, x) for i, x in enumerate(u) if x]
         for i, x in nonzero:
             row = total[i]
             for j, y in nonzero:
                 row[j] += x * y
-    if vectors:  # the zero sum is left as is, also at rank 0, where mat_mul has no columns
-        total = intmat.mat_mul(intmat.mat_mul(gram, total), gram)
     return tuple(map(tuple, total))
 
 
@@ -333,7 +392,7 @@ def split_components(
     norm-2 one; (a, b) is a multiple of (b, b) / 2 for a, b in R).  Positive
     roots are those whose first nonzero coordinate is positive, the
     lexicographic order of Z^n, and r1 and r2 must list them so, as
-    `positive_roots` and `discforms.glue_components` do.  Walking
+    `root_data` and `discforms.glue_components` do.  Walking
     them in ascending order, a root b is simple iff no simple a found so
     far has b - a in R+: a non-simple b has a simple a with (b, a) > 0, so
     b - a is a positive root and a comes before b (Bourbaki, Lie groups,

@@ -715,11 +715,11 @@ def short_vector_calls():
 
 @contextmanager
 def part_sums_calls():
-    """The target of each `discforms._part_sums` call made inside the block."""
+    """The target of each `roots.part_sums` call made inside the block."""
     calls = []
-    inner = discforms._part_sums
+    inner = roots.part_sums
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(discforms, "_part_sums",
+        patch.setattr(roots, "part_sums",
                       lambda steps, target: calls.append(target) or inner(steps, target))
         yield calls
 

@@ -30,9 +30,10 @@ from reflector.discforms import (
     glue_overlattice,
     parse_genus,
 )
+from reflector.intmat import mat_vec, vec_dot
 from reflector.lattices import Lattice
 from reflector.reflcheck import check_candidate, family_cutoff, solve_candidates
-from reflector.roots import positive_roots
+from reflector.roots import _trivial_glue_roots, root_data, root_table
 from reflector.towers import load, replay_tower, verify_all
 
 CAT = default_catalog()
@@ -53,10 +54,10 @@ def test_root_count_suite():
     ok = True
     for name, want in (("A2", 6), ("D4", 24), ("E7", 126), ("E8", 240)):
         lat = CAT.build(name)
-        ok = ok and 2 * len(positive_roots(lat, 2)[0]) == want
+        ok = ok and 2 * len(root_table(lat, 2)[0]) == want
+        ok = ok and 2 * root_data(lat, 2).positive_short == want
         ok = ok and box_count_norm(lat.gram, 2) == want
-    short, _ = positive_roots(_definite("2U+E6v(3)"), 3)
-    ok = ok and short == []
+    ok = ok and root_table(_definite("2U+E6v(3)"), 3)[0] == []
     gate("root counts 6/24/126/240 with box oracle, rescaled E6 has none", ok)
 
 
@@ -210,10 +211,12 @@ def test_structural_invariants():
 
     for expr, p in (("2U+T4", 5), ("2U+T8", 5), ("2U+L7", 7)):
         lat = _definite(expr)
-        short, long_ = positive_roots(lat, p)
+        # roots as G v, where det(G) times the pairing is the adjugate
+        short, long_ = _trivial_glue_roots(lat, p)
         for r in short:
+            adj_r = mat_vec(lat.adjugate(), r)
             for s in long_:
-                ok = ok and lat.inner(r, s) == 0
+                ok = ok and vec_dot(adj_r, s) == 0
 
     for t in (1, 2, 3, 7):
         rep = check_candidate(_definite("2U+T4"), 5, t, 5 * t, 30 * t)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+from collections import Counter
 
 import pytest
 
@@ -473,7 +474,7 @@ CENSUS = [((8, 3, 1, 1, 18, 6), 1), ((6, 3, 1, 1, 24, 3), 0), ((6, 3, 1, 1, 24, 
 
 def test_a_warm_census_pass_enumerates_and_builds_nothing():
     """Once a catalog has seen the census, a pass over it again calls `short_vectors`,
-    `glue_overlattice` and `_part_sums` no more and constructs no `Lattice`: every
+    `glue_overlattice` and `roots.part_sums` no more and constructs no `Lattice`: every
     glue group is decided on D(L), and each datum's lattice, with its root classes
     and long roots, is the one the catalog keeps."""
     cat = Catalog()
@@ -482,6 +483,27 @@ def test_a_warm_census_pass_enumerates_and_builds_nothing():
           part_sums_calls() as sums, lattice_builds() as lattices):
         assert [class_number(*args, catalog=cat) for args, _ in CENSUS] == [n for _, n in CENSUS]
     assert not calls and not built and not sums and not lattices
+
+
+def test_a_cold_verdict_table_enumerates_each_gram_once():
+    """A fresh catalog's certified verdict table and tower replay call `short_vectors`
+    at most once per (Gram, bound): each term keeps its roots and its short dual
+    vectors, and a model that is not joined from its parts reads them off its parts.
+
+    The one exception is a coincidence of the catalog: for a term X of determinant
+    p, the term Xv(p) = p X^dual has X's adjugate as its Gram, so the roots of
+    Xv(p) and the dual vectors of norm <= 2/p of X are one enumeration, (adj X, 2),
+    made once for each of the two terms.
+    """
+    cat = Catalog()
+    with short_vector_calls() as calls:
+        verdict_table(verify=True, catalog=cat)
+        verify_all(cat)
+    counts = Counter((tuple(map(tuple, gram)), bound) for gram, bound in calls)
+    terms = list(cat._terms.values())
+    twins = {(t.gram, 2) for t in terms} & {(t.adjugate(), 2) for t in terms}
+    assert {key: n for key, n in counts.items() if n > 1 and key not in twins} == {}
+    assert all(counts[key] <= 2 for key in twins)
 
 
 def test_the_rank_ten_count_builds_only_the_glue_that_carries_a_datum():

@@ -405,6 +405,34 @@ def test_invalid_input_is_a_one_line_error(argv, message, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"lattices": {"X": 5}}', "'X' is not a list of lists of integers"),
+        ('{"lattices": [1, 2]}', "must map names to Gram matrices"),
+        ("[1]", "is not a JSON object"),
+        ('{"lattices": {"X": [[null]]}}', "'X' is not a list of lists of integers"),
+    ],
+    ids=["entry not a list", "lattices not an object", "top level not an object", "null entry"],
+)
+def test_a_malformed_user_catalog_is_a_one_line_error(text, message, via, tmp_path,
+                                                      monkeypatch, capsys):
+    """A user catalog of the wrong shape, named by --catalog or REFLECTOR_CATALOG, exits 1
+    with one line on stderr, never a traceback."""
+    path = tmp_path / "catalog.json"
+    path.write_text(text)
+    argv = ["lattice", "--lattice", "2U+X", "--prime", "3"]
+    if via == "flag":
+        argv += ["--catalog", str(path)]
+    else:
+        monkeypatch.setenv("REFLECTOR_CATALOG", str(path))
+    code, out, err = run_cli_err(argv, capsys)
+    assert_one_line_error(code, err)
+    assert message in err
+    assert out == ""
+
+
 def test_classnumber_searches_the_root_data_once(monkeypatch, capsys):
     """`classnumber` prints the root data and counts their classes from one search."""
     calls = []

@@ -25,11 +25,12 @@ from reflector.intmat import block_diagonal, mat_vec
 from reflector.lattices import Lattice, direct_sum
 from reflector.reflcheck import check_candidate
 from reflector.roots import (
+    _trivial_glue_roots,
     component_types,
-    positive_roots,
     root_components,
     root_data,
     root_sums,
+    root_table,
     short_vectors,
 )
 
@@ -40,11 +41,24 @@ def first_nonzero_positive(vectors):
     return [v for v in vectors if next(c for c in v if c) > 0]
 
 
+def through_g(lat, signed):
+    """Vectors v of L listed with both signs, as their dual coordinates G v, the first
+    nonzero coordinate positive, sorted."""
+    return sorted(first_nonzero_positive([mat_vec(lat.gram, v) for v in signed]))
+
+
+def table_roots(lat, p):
+    """R1+ and R2+ of lat at p as the root tables give them, as G v, sorted."""
+    r1, r2 = _trivial_glue_roots(lat, p)
+    return sorted(r1), sorted(r2)
+
+
 def test_norm2_counts_match_box_sweep():
     """Classical counts 6, 24, 126, 240 recovered two independent ways."""
     for name, want in (("A2", 6), ("D4", 24), ("E7", 126), ("E8", 240)):
         lat = CAT.build(name)
-        assert 2 * len(positive_roots(lat, 2)[0]) == want, name
+        assert 2 * len(root_table(lat, 2)[0]) == want, name
+        assert 2 * root_data(lat, 2).positive_short == want, name
         assert box_count_norm(lat.gram, 2) == want, name
 
 
@@ -59,20 +73,23 @@ def test_short_vector_enumerator_against_box_sweep():
 
 def test_rescaled_root_lattice_has_no_short_roots():
     _, lat = definite_part("2U+E6v(3)", CAT)
-    short, _ = positive_roots(lat, 3)
-    assert short == []
+    assert root_table(lat, 3)[0] == []
+    assert root_data(lat, 3).positive_short == 0
 
 
 def test_long_roots_have_divisible_inner_products():
-    """Norm 2p roots must pair with the whole lattice in multiples of p."""
+    """Norm 2p roots must pair with the whole lattice in multiples of p: a long root
+    G r of the table is G times a vector r of L, of norm 2p, with G r = 0 mod p."""
     for expr, p in (("2U+T4", 5), ("2U+L7", 7), ("2U+A2", 3)):
         _, lat = definite_part(expr, CAT)
-        n = lat.rank
-        for r in positive_roots(lat, p)[1]:
+        long_ = table_roots(lat, p)[1]
+        assert long_
+        for u in long_:
+            scaled = mat_vec(lat.adjugate(), u)
+            assert all(x % lat.det() == 0 for x in scaled)
+            r = [x // lat.det() for x in scaled]
             assert lat.norm(r) == 2 * p
-            for i in range(n):
-                e = [1 if j == i else 0 for j in range(n)]
-                assert lat.inner(r, e) % p == 0
+            assert all(x % p == 0 for x in u)
 
 
 COMPONENT_TABLE = [
@@ -104,8 +121,9 @@ def test_odd_rescaled_dual_still_gives_long_roots():
     """2A1 has level 4, and 2 G^-1 = I_2 is integral but odd: its norm-2 vectors
     (+-1, +-1) are reflective norm-4 roots, which join the short roots into B2."""
     lat = Lattice([[2, 0], [0, 2]])
-    assert positive_roots(lat, 2)[1] == [[1, -1], [1, 1]]
+    assert table_roots(lat, 2)[1] == [[2, -2], [2, 2]]
     assert signed_roots(lat, 2)[1] == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
+    assert through_g(lat, signed_roots(lat, 2)[1]) == [[2, -2], [2, 2]]
     comps = root_components(lat, 2)
     assert [(c.name, c.count_short, c.count_long) for c in comps] == [("B2", 4, 4)]
     assert comps == pairwise_root_components(lat, 2)
@@ -122,10 +140,10 @@ def test_long_roots_off_level_p_are_found():
     p = 2 are the 12 positive roots of D4(2) and one per A1(2), 14 in all."""
     lat = definite_part("D4(2)+2A1(2)", CAT)[1]
     assert lat.level() == 8
-    r1, r2 = positive_roots(lat, 2)
+    r1, r2 = table_roots(lat, 2)
     assert (r1, len(r2)) == ([], 14)
     box = box_long_roots(lat, 2)
-    assert signed_roots(lat, 2)[1] == box and first_nonzero_positive(box) == r2
+    assert signed_roots(lat, 2)[1] == box and through_g(lat, box) == r2
     got = [(c.name, c.count_long) for c in root_components(lat, 2)]
     assert got == [("A1(2)", 2), ("A1(2)", 2), ("D4(2)", 24)]
     assert root_components(lat, 2) == pairwise_root_components(lat, 2)
@@ -142,9 +160,9 @@ def test_long_roots_of_level_4_glue_agree_with_glue_components():
     for i, sub in enumerate(glue):
         over = discforms.glue_overlattice(lat, form, sub)
         assert over.level() == 4
-        r1, r2 = positive_roots(over, 2)
+        r1, r2 = table_roots(over, 2)
         assert (r1, len(r2)) == ([], 56)
-        assert first_nonzero_positive(signed_roots(over, 2)[1]) == r2
+        assert through_g(over, signed_roots(over, 2)[1]) == r2
         if i == 0:  # one box sweep of a rank-8 overlattice is enough
             assert signed_roots(over, 2)[1] == box_long_roots(over, 2)
         comps = root_components(over, 2)
@@ -196,7 +214,7 @@ def test_span_rank_of_full_root_systems():
     """The positive roots span the lattice, and so do the simple roots."""
     for expr, p, full_rank in (("2U+D4", 2, 4), ("2U+T4", 5, 4), ("2U+L7", 7, 2)):
         _, lat = definite_part(expr, CAT)
-        short, long_ = positive_roots(lat, p)
+        short, long_ = table_roots(lat, p)  # G is invertible, so G v spans as v does
         assert span_rank(short + long_) == full_rank, expr
         assert sum(c.rank for c in root_components(lat, p)) == full_rank, expr
 
@@ -321,11 +339,11 @@ def test_simple_root_split_matches_pairwise_oracle(model):
     assert got == want
     for c in got:  # name, counts, alpha and beta are those of a table entry
         assert c in [t for t, _, _ in component_types(c.rank, p)]
-    r1, r2 = positive_roots(lat, p)
+    r1, r2 = table_roots(lat, p)
     assert sum(c.count_short for c in got) == 2 * len(r1)
     assert sum(c.count_long for c in got) == 2 * len(r2)
     s1, s2 = signed_roots(lat, p)
-    assert (r1, r2) == (first_nonzero_positive(s1), first_nonzero_positive(s2))
+    assert (r1, r2) == (through_g(lat, s1), through_g(lat, s2))
     report = check_candidate(lat, p, 1, 1, 0)
     assert report.span_short == span_rank(s1)
     assert (report.count_short, report.count_long) == (len(s1), len(s2))
@@ -426,17 +444,60 @@ def test_check_candidate_by_blocks_equals_the_whole_gram(model, mult, k):
     assert got == want, (terms, p, mult, k)
 
 
+@st.composite
+def any_level_sums(draw):
+    """(terms, p): 1-4 catalog terms of total rank <= 12, of any level at p."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    menu = SUM_PIECES + LEVEL_P_PIECES[p] + ("D4(2)", "A1(2)", "A1(3)", "A1(5)", "A1(7)")
+    terms, rank = [], 0
+    for term in draw(st.lists(st.sampled_from(menu), min_size=1, max_size=4)):
+        piece = CAT.summands(term)[0][3]
+        if rank + piece.rank <= MAX_SUM_RANK:
+            terms.append(term)
+            rank += piece.rank
+    return terms, p
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_level_sums())
+@example((["D4(2)", "A1(2)", "A1(2)"], 2))  # level 8: 14 long roots, none joined
+@example((["A1"] * 8, 2))  # level 4: B8, its long roots across two parts
+@example((["A2", "A1"], 5))
+@example((["D4", "E8(2)"], 2))  # joined: F4 + E8(2)
+@example((["A4", "A4v(5)"], 5))
+def test_root_data_are_the_glue_components_at_the_trivial_group(model):
+    """The root data of a sum, joined from its parts or read off their root tables, are
+    the components that `glue_components` reads off D(L) at H = {0}, with the same
+    short and long counts."""
+    terms, p = model
+    lat = _sum_of(terms)
+    zero = (0,) * len(discforms.discriminant_form(lat).orders)
+    try:
+        data = root_data(lat, p)
+    except ValueError:
+        with pytest.raises(ValueError):
+            discforms.glue_components(lat, p, (zero,))
+        return
+    comps = discforms.glue_components(lat, p, (zero,))
+    assert data.components == tuple(comps), (terms, p)
+    assert sum(c.count_short for c in comps) == 2 * data.positive_short
+    assert sum(c.count_long for c in comps) == 2 * data.positive_long
+
+
 @pytest.mark.parametrize("terms, p", [(["A2", "A1"], 5), (["D4", "A2"], 3)])
 def test_a_part_of_another_level_takes_the_whole_gram(terms, p):
-    """A2 + A1 has parts of level 3 and 4, D4 + A2 of level 2 and 3: not joined, still equal."""
+    """A2 + A1 has parts of level 3 and 4, D4 + A2 of level 2 and 3: not joined, but read
+    off the parts' root tables as one block on the whole Gram, so once the parts are
+    known nothing is enumerated; still equal to the data of the whole Gram."""
     lat = _sum_of(terms, Catalog())
     assert any(part.level() not in (1, p) for part in lat.parts)
     for part in lat.parts:
         root_data(part, p)
     with short_vector_calls() as calls:
-        got = root_data(lat, p)
-    assert calls
+        got, sums = root_data(lat, p), root_sums(lat, p)
+    assert not calls
     assert got == root_data(Lattice(lat.gram), p)
+    assert sums == root_sums(Lattice(lat.gram), p) and sums[0][0] == lat.gram
 
 
 def test_root_data_are_enumerated_once_per_term_and_prime():
@@ -454,4 +515,7 @@ def test_root_data_are_enumerated_once_per_term_and_prime():
     assert not calls
     with short_vector_calls() as calls:
         root_data(e8, 5)
-    assert len(calls) == 2  # a new prime: norm-2 vectors of G and of 5 G^-1
+    assert not calls  # a new prime with the same bound 2 det // p = 0 as p = 3
+    with short_vector_calls() as calls:
+        root_data(e8, 2)
+    assert calls == [(e8.adjugate(), 1)]  # a new bound: the dual vectors of norm <= 2/2
