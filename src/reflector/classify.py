@@ -246,6 +246,12 @@ def _root_lattice_dets(rank: int) -> frozenset[int]:
     )
 
 
+@cache
+def _largest_det_factor(rank: int) -> int:
+    """The largest prime factor of any `root_lattice_dets(rank)`, once per rank."""
+    return max(q for d in _root_lattice_dets(rank) for q in discforms._factorize(d))
+
+
 def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
@@ -359,7 +365,7 @@ def eliminate_case(
         splits
         and companion is not None
         and companion.verdict == "NOT_REFLECTIVE"
-        and Fraction(n) > 2 + Fraction(24, p + 1)
+        and (n - 2) * (p + 1) > 24
     ):
         return record(
             "split-transfer",
@@ -400,9 +406,8 @@ def classify_symbolic(class_name: str) -> list[CaseRecord]:
     for (n, n_p), (_, families) in cases.items():
         cert: dict = {}
         if not families:
-            menu = root_lattice_dets(n - 2)
-            largest_factor = max(q for d in menu for q in discforms._factorize(d))
-            cert["root_lattice_determinants"] = menu
+            largest_factor = _largest_det_factor(n - 2)
+            cert["root_lattice_determinants"] = root_lattice_dets(n - 2)
             cert["largest_prime_factor"] = largest_factor
             fired = largest_factor < least
             tag = "no-spanning-root-lattice"

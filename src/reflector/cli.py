@@ -50,7 +50,11 @@ class _Parser(argparse.ArgumentParser):
 
 def prime(text: str) -> int:
     p = int(text)
-    if not discforms.is_prime(p):
+    try:
+        is_prime = discforms.is_prime(p)
+    except ValueError as exc:  # too large to decide
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not is_prime:
         raise argparse.ArgumentTypeError(f"{p} is not a prime")
     return p
 

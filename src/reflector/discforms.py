@@ -12,7 +12,14 @@ classification needs.
 Whether a symbol names an even genus is decided in one place,
 `GenusSymbol.why_absent`, which `parse_genus` (once per label),
 `existing_genus` and `splits_u_up` read; the U(p) -> U map on symbols is
-`GenusSymbol.transfer`.
+`GenusSymbol.transfer`.  The per-genus invariants are cached functions of
+ints, a Fraction or a frozen `GenusSymbol`, so each is computed once per
+process: `existing_genus`, `elementary_count_norm`, `milgram_formula`,
+`splits_u_up`, and `genus_symbol`, keyed by the lattice's level,
+determinant and signature and p (never by the lattice), with n_p found by
+dividing p out of the determinant.  `why_absent` and `label` are not cached,
+as most symbols they see are probed once.  `is_prime` runs trial division
+below 2^20 and deterministic Miller-Rabin above, up to MR_LIMIT.
 
 The discriminant form of a lattice is computed once and kept on the
 `Lattice` (`discriminant_form`); for an orthogonal sum it is the direct sum
@@ -102,14 +109,39 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+# the first 13 primes; as Miller-Rabin bases they decide every n below MR_LIMIT
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Trial division below 2^20, deterministic Miller-Rabin from there up to
+    MR_LIMIT (about 3.317 10^24); ValueError above it, where no finite set of
+    bases is proven."""
+    if n < 2**20:
+        d = 2
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 1
+        return n >= 2
+    if n >= MR_LIMIT:
+        raise ValueError(f"cannot decide whether {n} is prime: it exceeds {MR_LIMIT}")
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _MR_BASES:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -428,6 +460,7 @@ def candidate_form(p: int, n_p: int, eps: int) -> DiscriminantForm:
     return DiscriminantForm((p,) * n_p, p, intmat.block_diagonal(blocks))
 
 
+@cache
 def elementary_count_norm(p: int, n_p: int, eps: int, target: Fraction) -> int:
     """candidate_form(p, n_p, eps).count_norm(target) in closed form, in integers.
 
@@ -459,6 +492,7 @@ def elementary_count_norm(p: int, n_p: int, eps: int, target: Fraction) -> int:
     return count - (b == 0)
 
 
+@cache
 def milgram_formula(p: int, n_p: int, eps: int) -> int:
     """Milgram octant of candidate_form(p, n_p, eps): at odd p, each block <2a/p>
     adds p - 1 mod 4, plus 4 when chi_p(a) = -1."""
@@ -517,6 +551,7 @@ class GenusSymbol:
         return replace(self, n_p=self.n_p - 2, eps=self.eps * sign)
 
 
+@cache
 def existing_genus(pos: int, neg: int, p: int, n_p: int) -> GenusSymbol | None:
     """The genus II_{pos,neg}(p^{eps n_p}) of the one sign eps that exists, or None."""
     for eps in (1, -1):
@@ -555,7 +590,9 @@ def genus_symbol(lat: Lattice, p: int | None = None) -> GenusSymbol:
     the octant of the form, fixed by (p, n_p, eps), to the signature mod 8
     (Nikulin, Izv. Akad. Nauk SSSR 43, 1979, 1.9; 3.6 for p = 2).  So the
     symbol is read off the lattice's cached level, determinant and signature,
-    with the sign of `existing_genus`.  Raises ValueError when p is not prime,
+    with n_p the number of times p divides det and the sign of
+    `existing_genus`, once per (level, det, signature, p): the lattice itself
+    is not the key.  Raises ValueError when p is not prime,
     when the level is not 1 or p, when |det| is not a power of p, and
     GenusNotRepresentable when no sign gives a genus.
     """
@@ -564,21 +601,28 @@ def genus_symbol(lat: Lattice, p: int | None = None) -> GenusSymbol:
         if level == 1:
             raise ValueError("unimodular lattice: pass p explicitly for a trivial symbol")
         p = level
+    return _genus_symbol(level, lat.det(), *lat.signature(), p)
+
+
+@cache
+def _genus_symbol(level: int, det: int, pos: int, neg: int, p: int) -> GenusSymbol:
+    """`genus_symbol` of a lattice with these invariants, once per (level, det, pos, neg, p)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if level not in (1, p):
         raise ValueError(f"lattice level {level} is not 1 or the prime {p}")
-    fac = _factorize(lat.det())
-    if any(q != p for q in fac):
-        raise ValueError(f"determinant {lat.det()} is not a power of {p}")
-    n_p = fac.get(p, 0)
-    pos, neg = lat.signature()
+    n_p, rest = 0, abs(det)
+    while rest > 1 and rest % p == 0:
+        n_p, rest = n_p + 1, rest // p
+    if rest != 1:
+        raise ValueError(f"determinant {det} is not a power of {p}")
     g = existing_genus(pos, neg, p, n_p)
     if g is None:
         raise GenusNotRepresentable(f"no sign gives a genus II_{{{pos},{neg}}}({p}^{{{n_p}}})")
     return g
 
 
+@cache
 def splits_u_up(g: GenusSymbol) -> bool:
     """Whether the genus admits a model U + U(p) + (definite part).
 

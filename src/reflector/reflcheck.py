@@ -6,7 +6,7 @@ read the reflective root system of K from `roots.root_data`, which keeps it
 on K and, for a sum of catalog terms of level 1 or p, joins it from the
 terms: the positive roots R1+ (norm 2) and R2+ (norm 2p), giving the root
 counts |R1| = 2 |R1+| and |R2| = 2 |R2+|; the components; and n1, the rank
-of the span of R1.  `check_candidate` alone reads the root sums
+of the span of R1.  `block_relations` alone reads the root sums
 S1 = sum_{R1+} (Gr)(Gr)^T and S2 = sum_{R2+} (Gs)(Gs)^T, kept as one
 (G, S1, S2) block per part by `roots.root_sums`.  For
 multiplicities (c1, cp) on the two root classes and a proposed weight k,
@@ -16,7 +16,14 @@ the constraints are:
     sides are block diagonal over the blocks of the root data, so it is
     checked on every block, with C read off the first; a sum whose parts
     have different constants fails (each +- pair gives the same outer
-    product, so this is half the identity over R1 and R2);
+    product, so this is half the identity over R1 and R2).  Times g00 p^2 it
+    is linear in (c1 g00, cp g00, s00), where g00 and s00 = p^2 c1 S1_00 +
+    cp S2_00 are the first block's top-left entries, one integer row per
+    entry.  `block_relations` reduces those rows once per (lattice, p) to
+    their row Hermite form, at most 3 rows with the same null space, so a
+    check applies at most 3 integer relations.  C is not one scalar per
+    block for T4 and T8 at p = 5, L7, L11 and L23 (their S1 and S2 are not
+    multiples of G), so no scalar shortcut replaces the relations;
   * counting identity: C = (c1 |R1| + cp |R2| + 2k) / 24 - c1;
   * singular bound: k >= (n1 c1 + (rank - n1) cp) / 2;
   * for p >= 5 with both classes present, the same constants expressed
@@ -32,9 +39,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
-from . import discforms, roots
+from . import discforms, intmat, roots
 from .lattices import Lattice
 
 
@@ -69,29 +77,18 @@ def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckRepo
     n_short, n_long = 2 * data.positive_short, 2 * data.positive_long
     n = lat.rank
 
-    # per block, p^2 times the weighted positive-root sum c1 S1 + (cp/p^2) S2,
-    # so it stays integral, next to the block's Gram
-    blocks = [
-        (g, [[p * p * c1 * x + cp * y for x, y in zip(*rows)] for rows in zip(s1, s2)])
-        for g, s1, s2 in roots.root_sums(lat, p)
-        if g
-    ]
-
-    # s = C p^2 G on every block, with C p^2 = s[0][0] / g[0][0] on the first
-    g00, s00 = (blocks[0][0][0][0], blocks[0][1][0][0]) if blocks else (1, 0)
+    # s = p^2 c1 S1 + cp S2 = C p^2 G on every block, with C p^2 = s00 / g00 read
+    # off the first; g00 s - s00 G = 0 is the relations applied to (c1 g00, cp g00, s00)
+    (g00, s1_00, s2_00), relations = block_relations(lat, p)
+    s00 = p * p * c1 * s1_00 + cp * s2_00
     c = Fraction(s00, p * p * g00)
-    matrix_ok = all(
-        x * g00 == s00 * y
-        for g, s in blocks
-        for srow, grow in zip(s, g)
-        for x, y in zip(srow, grow)
-    )
+    matrix_ok = all(a * c1 * g00 + b * cp * g00 + d * s00 == 0 for a, b, d in relations)
 
-    counting_ok = c == Fraction(c1 * n_short + cp * n_long + 2 * k, 24) - c1
+    # c = s00 / (p^2 g00) against (c1 |R1| + cp |R2| + 2k) / 24 - c1, in integers
+    counting_ok = 24 * s00 == p * p * g00 * (c1 * n_short + cp * n_long + 2 * k - 24 * c1)
 
     n1 = data.span_short
-    bound = Fraction(n1 * c1 + (n - n1) * cp, 2)
-    singular_ok = Fraction(k) >= bound
+    singular_ok = 2 * k >= n1 * c1 + (n - n1) * cp
 
     coxeter_ok: bool | None = None
     if p >= 5 and n_short and n_long and c1 > 0 and cp > 0:
@@ -139,6 +136,32 @@ def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckRepo
         rank=n,
         checks=checks,
     )
+
+
+def block_relations(lat: Lattice, p: int):
+    """((G00, S1_00, S2_00), rows): the matrix identity at p as at most 3 integer rows.
+
+    The identity reads g00 (p^2 c1 S1 + cp S2) - s00 G = 0 on every block,
+    with s00 = p^2 c1 S1_00 + cp S2_00 and g00 = G_00 on the first, so it is
+    linear in (c1 g00, cp g00, s00): it holds exactly when that vector pairs
+    to 0 with every row (p^2 S1_ij, S2_ij, -G_ij), i <= j, of every block.
+    Those rows have the same rational null space as their row Hermite form,
+    which has at most 3 rows.  Computed once per (lattice, p), on first use,
+    and kept in lat.roots_memo next to the root sums, with the first block's
+    entries (1, 0, 0) for a lattice without blocks.
+    """
+    memo, key = lat.roots_memo, ("relations", p)
+    if key not in memo:
+        blocks = [block for block in roots.root_sums(lat, p) if block[0]]
+        rows = {
+            (p * p * x, y, -z)
+            for g, s1, s2 in blocks
+            for i in range(len(g))
+            for x, y, z in zip(s1[i][i:], s2[i][i:], g[i][i:])
+        }
+        first = tuple(m[0][0] for m in blocks[0]) if blocks else (1, 0, 0)
+        memo[key] = first, tuple(map(tuple, intmat.row_hermite_form(list(map(list, rows)))))
+    return memo[key]
 
 
 @dataclass
@@ -241,6 +264,7 @@ def solve_components(comps: Sequence[roots.RootComponent], rank: int) -> SolveRe
     )
 
 
+@cache
 def family_cutoff(h1: int, h2: int, n1: int, rank: int) -> int | None:
     """Largest prime where a one-parameter family of models meets the singular bound.
 

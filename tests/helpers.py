@@ -17,7 +17,9 @@ on every element they add, the root classes of a discriminant form come
 from the norm-2 vectors of the whole dual, whether a glue group carries a
 root datum comes from the root components of its built overlattice
 (`carries_datum`), the root data of a rank and weight come from a search
-over Fraction menus rebuilt on every call (`root_data_by_fractions`), and
+over Fraction menus rebuilt on every call (`root_data_by_fractions`), the
+matrix identity of a candidate check comes entry by entry from root sums
+over `signed_roots` of the whole Gram (`check_candidate_entrywise`), and
 the genus of a rescaled
 dual comes from the complementary p-rank and the Milgram octant.  The sign of a prime-level
 genus, which the library reads off the signature alone, is computed here
@@ -37,13 +39,14 @@ import itertools
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from reflector import discforms, intmat, lattices, roots
+from reflector import discforms, intmat, lattices, reflcheck, roots
 from reflector.discforms import (
     BudgetExceeded,
     DiscriminantForm,
@@ -478,6 +481,65 @@ def pairwise_root_components(lat, p: int) -> list[roots.RootComponent]:
         )
     comps.sort(key=lambda c: (c.name, c.rank, c.count_short, c.count_long))
     return comps
+
+
+@cache
+def root_sums_by_enumeration(lat, p: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(S1, S2) = sum (Gr)(Gr)^T over the positive roots of norm 2 and of norm 2p of
+    the whole lattice, from `signed_roots`: half the sum over both signs, as r and
+    -r give the same outer product.  Kept per (lattice, p)."""
+    n = lat.rank
+    sums = []
+    for signed in signed_roots(lat, p):
+        total = [[0] * n for _ in range(n)]
+        for r in signed:
+            u = [sum(g * x for g, x in zip(row, r)) for row in lat.gram]
+            for i in range(n):
+                for j in range(n):
+                    total[i][j] += u[i] * u[j]
+        sums.append([[x // 2 for x in row] for row in total])
+    return sums[0], sums[1]
+
+
+def check_candidate_entrywise(lat, p: int, c1: int, cp: int, k: int):
+    """`reflcheck.check_candidate` with its matrix identity tested entry by entry.
+
+    s = p^2 c1 S1 + cp S2 is compared with C p^2 G on every entry of the whole
+    Gram, with C p^2 = s_00 / G_00, on the root sums of
+    `root_sums_by_enumeration`; the other checks are written out as in
+    `check_candidate`, in Fractions, on its counts, span and components.
+    """
+    reflcheck.check_multiplicities(c1, cp)
+    data = roots.root_data(lat, p)
+    comps, n, n1 = data.components, lat.rank, data.span_short
+    n_short, n_long = 2 * data.positive_short, 2 * data.positive_long
+    s1, s2 = root_sums_by_enumeration(lat, p)
+    s = [[p * p * c1 * x + cp * y for x, y in zip(r1, r2)] for r1, r2 in zip(s1, s2)]
+    g00, s00 = (lat.gram[0][0], s[0][0]) if n else (1, 0)
+    c = Fraction(s00, p * p * g00)
+    matrix_ok = all(x * g00 == s00 * y for srow, grow in zip(s, lat.gram)
+                    for x, y in zip(srow, grow))
+    counting_ok = c == Fraction(c1 * n_short + cp * n_long + 2 * k, 24) - c1
+    singular_ok = Fraction(k) >= Fraction(n1 * c1 + (n - n1) * cp, 2)
+    coxeter_ok = None
+    if p >= 5 and n_short and n_long and c1 > 0 and cp > 0:
+        shorts = [cc for cc in comps if cc.count_long == 0]
+        longs = [cc for cc in comps if cc.count_short == 0]
+        h1s, h2s = {cc.alpha for cc in shorts}, {p * cc.beta for cc in longs}
+        if len(shorts) + len(longs) != len(comps) or len(h1s) != 1 or len(h2s) != 1:
+            coxeter_ok = False
+        else:
+            h1, h2 = h1s.pop(), h2s.pop()
+            k_formula = c1 * (12 * (h1 + 1) + Fraction((p - 1) * n1 * h1, 2)
+                              - Fraction(n * p * h1, 2))
+            coxeter_ok = c == c1 * h1 and c == Fraction(cp * h2, p) and k == k_formula
+    checks = {"matrix_identity": matrix_ok, "counting_identity": counting_ok,
+              "singular_bound": singular_ok, "coxeter_identity": coxeter_ok}
+    return reflcheck.CheckReport(
+        lattice=lat.name or "", p=p, c1=c1, cp=cp, k=k,
+        passed=all(v for v in checks.values() if v is not None), c=c,
+        count_short=n_short, count_long=n_long, span_short=n1, rank=n, checks=checks,
+    )
 
 
 def carries_datum(over, p: int, datum: dict) -> bool:

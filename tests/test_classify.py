@@ -17,7 +17,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reflector import classify as classify_mod
-from reflector import discforms, etaq, reflcheck, roots
+from reflector import discforms, etaq, intmat, reflcheck, roots
 from reflector.catalog import Catalog, default_catalog, definite_part, e7_a1_overlattice
 from reflector.classify import (
     apply_bounds,
@@ -317,6 +317,36 @@ def test_warm_certify_pass_parses_no_label_and_expands_no_expression(monkeypatch
     verify_all()
     assert parse_genus.cache_info().misses == misses
     assert expanded == []
+
+
+def test_warm_certify_caches_follow_the_tables_and_reduce_nothing_twice(monkeypatch):
+    """On one catalog: a 2U row whose k is changed between two verified tables fails
+    its check, and passes again once the change is undone, so no cache keeps a
+    verdict that reads the tables.  A warm table and tower replay then reduce no
+    block identity (`intmat.row_hermite_form`) and factorise nothing."""
+    cat = Catalog()
+    rows = [("STRONGLY_2_REFLECTIVE", "II_{6,2}(2_II^{-2})", "strongly_2"),
+            ("MIXED_REFLECTIVE", "II_{6,2}(5^{-2})", "mixed[0]")]
+    for name, label, key in rows:
+        assert verdict_table(verify=True, catalog=cat)["verification"][label][key] == "checked"
+        changed = [(g, m, k + 1, *rest) if g == label else (g, m, k, *rest)
+                   for g, m, k, *rest in getattr(classify_mod, name)]
+        with monkeypatch.context() as patch:
+            patch.setattr(classify_mod, name, changed)
+            verification = verdict_table(verify=True, catalog=cat)["verification"]
+            assert verification[label][key] == "check-failed", label
+        assert verdict_table(verify=True, catalog=cat)["verification"][label][key] == "checked"
+
+    verify_all(cat)
+    calls = Counter()
+    for module, name in ((intmat, "row_hermite_form"), (discforms, "_factorize")):
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, inner=inner, name=name: (
+            calls.update([name]) or inner(*args)))
+    table = verdict_table(verify=True, catalog=cat)
+    replay = verify_all(cat)
+    assert table["count"] == 55 and all(replay["towers"].values())
+    assert calls == Counter()
 
 
 def _prime_factors(n):

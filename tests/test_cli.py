@@ -15,7 +15,7 @@ import pytest
 
 import reflector
 from reflector import classify as classify_mod
-from reflector import cli
+from reflector import cli, discforms
 from reflector.classify import reflective_genera
 from reflector.cli import main
 from reflector.catalog import default_catalog
@@ -270,6 +270,31 @@ def test_classify_prime_all_reflective_exits_zero(capsys):
     code, out = run_cli(["classify", "--prime", "2"], capsys)
     assert code == 0
     assert out.count("REFLECTIVE") >= 15
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["classify", "--prime", "1000000000000000003"], 2),
+        (["lattice", "--lattice", "2U+E8(1000000000000000003)", "--prime",
+          "1000000000000000003"], 0),
+    ],
+    ids=["classify", "lattice"],
+)
+def test_a_large_prime_is_answered_in_seconds(argv, code):
+    """Primality by Miller-Rabin and n_p by dividing p out of det: neither command
+    runs trial division up to sqrt(p) = 10^9."""
+    env = {**os.environ, "PYTHONPATH": str(Path(reflector.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "reflector.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_prime_past_the_proven_bound_is_a_one_line_error(capsys):
+    code, out, err = run_cli_err(["classify", "--prime", str(discforms.MR_LIMIT)], capsys)
+    assert_one_line_error(code, err)
+    assert "cannot decide whether" in err and out == ""
 
 
 def test_solve_text_report(capsys):

@@ -411,6 +411,63 @@ def test_genus_symbol_raises_off_prime_level():
         genus_symbol(_Invariants(3, 3, (3, 0)), 3)
 
 
+def test_genus_symbol_reads_n_p_off_a_huge_determinant():
+    """n_p is the number of times p divides det, found without factorising det: at
+    p = 10^18 + 3 the determinant of 2U + E8(p) has 146 digits."""
+    p = 10**18 + 3
+    assert genus_symbol(parse_lattice(f"2U+E8({p})", CAT), p).label() == (
+        f"II_{{10,2}}({p}^{{+8}})"
+    )
+    with pytest.raises(ValueError, match="not a power of 3"):
+        genus_symbol(_Invariants(3, 3**40 * 2, (2, 0)), 3)
+    with pytest.raises(ValueError, match="not a power of 3"):
+        genus_symbol(_Invariants(3, 0, (2, 0)), 3)
+
+
+def _sieve(n: int) -> list[bool]:
+    """Eratosthenes: entry m says whether m < n is prime."""
+    flags = [False, False] + [True] * (n - 2)
+    for d in range(2, isqrt(n - 1) + 1):
+        if flags[d]:
+            flags[d * d::d] = [False] * len(range(d * d, n, d))
+    return flags
+
+
+def test_is_prime_agrees_with_a_sieve_below_ten_to_the_fifth():
+    assert [is_prime(n) for n in range(10**5)] == _sieve(10**5)
+
+
+def test_is_prime_agrees_with_trial_division_across_two_to_the_twenty():
+    """The Miller-Rabin branch starts at 2^20; every n near it is checked."""
+    for n in range(2**20 - 1000, 2**20 + 3000):
+        assert is_prime(n) == (n > 1 and all(n % d for d in range(2, isqrt(n) + 1))), n
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        (3215031751, False),  # strong pseudoprime to the bases 2, 3, 5, 7
+        (3825123056546413051, False),  # to every prime base up to 23
+        (318665857834031151167461, False),  # to every prime base up to 37
+        (149491 * 747451 * 34233211, False),  # the factors of the one above 10^18
+        (2**61 - 1, True),
+        (10**18 + 3, True),
+        (10**18 + 9, True),
+        (discforms.MR_LIMIT - 2, False),  # divisible by 17
+        (discforms.MR_LIMIT - 168, True),  # the largest prime below the bound
+    ],
+)
+def test_is_prime_on_strong_pseudoprimes_and_large_primes(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_is_prime_refuses_beyond_its_proven_bound():
+    with pytest.raises(ValueError, match="cannot decide"):
+        is_prime(discforms.MR_LIMIT)
+    with pytest.raises(ValueError, match="cannot decide"):
+        is_prime(2**89 - 1)
+
+
 def test_unimodular_lattice_with_a_prime_has_the_trivial_symbol():
     assert genus_symbol(CAT.build("E8"), 3).label() == "II_{8,0}(3^{+0})"
     with pytest.raises(ValueError, match="pass p"):

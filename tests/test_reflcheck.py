@@ -1,14 +1,25 @@
 """Candidate verification and multiplicity solving on construction models."""
 from __future__ import annotations
 
+from dataclasses import asdict
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import check_candidate_entrywise, root_sums_by_enumeration
 from reflector import discforms, roots
 from reflector.catalog import default_catalog, definite_part, e7_a1_overlattice
-from reflector.reflcheck import check_candidate, family_cutoff, solve_candidates, solve_components
+from reflector.classify import table_rows
+from reflector.discforms import parse_genus
+from reflector.reflcheck import (
+    block_relations,
+    check_candidate,
+    family_cutoff,
+    solve_candidates,
+    solve_components,
+)
 
 CAT = default_catalog()
 
@@ -103,6 +114,80 @@ def test_check_is_invariant_under_ray_scaling(t):
     assert rep.passed
     bad = check_candidate(_definite("2U+T4"), 5, t, 5 * t, 30 * t + 1)
     assert not bad.passed
+
+
+TWO_U_ROWS = [
+    (model, parse_genus(label).p, c1, cp, k)
+    for label, model, c1, cp, k in table_rows()
+    if model.startswith("2U+")
+]
+PERTURBATIONS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1), (1, 1, 0)]
+
+
+def test_every_row_and_its_perturbations_match_the_entrywise_check():
+    """check_candidate, which tests each block's identity as at most 3 integer
+    relations, gives the report of the entrywise check on all 55 2U rows, at the
+    row's own (c1, cp, k), at five shifted triples and at twice the triple."""
+    matrix_true = 0
+    for expr, p, c1, cp, k in TWO_U_ROWS:
+        lat = _definite(expr)
+        triples = [(c1 + a, cp + b, k + d) for a, b, d in PERTURBATIONS]
+        for triple in triples + [(2 * c1, 2 * cp, 2 * k)]:
+            rep = check_candidate(lat, p, *triple)
+            assert asdict(rep) == asdict(check_candidate_entrywise(lat, p, *triple)), (
+                expr, triple)
+            matrix_true += rep.checks["matrix_identity"]
+    assert 0 < matrix_true < 7 * len(TWO_U_ROWS)
+
+
+@pytest.mark.parametrize("expr, p", [("T4", 5), ("T8", 5), ("L7", 7), ("L11", 11), ("L23", 23)])
+def test_five_blocks_have_root_sums_that_are_not_multiples_of_the_gram(expr, p):
+    """On these blocks S1 and S2 are not both multiples of G, so the identity is not
+    one scalar per block; it still reduces to at most 3 relations."""
+    lat = CAT.build(expr)
+    s1, s2 = root_sums_by_enumeration(lat, p)
+    g = lat.gram
+
+    def multiple_of_g(s):
+        return all(x * g[0][0] == s[0][0] * y for sr, gr in zip(s, g) for x, y in zip(sr, gr))
+
+    assert not (multiple_of_g(s1) and multiple_of_g(s2))
+    _, relations = block_relations(lat, p)
+    assert 1 <= len(relations) <= 3
+
+
+ORACLE_TERMS = ["A1", "A2", "D4", "E6", "E8", "A4", "A6", "T4", "T8", "L7", "L11", "L23",
+                "A1(2)", "D4(2)", "A2(3)", "E6v(3)", "A4v(5)", "A6v(7)", "D8v(2)"]
+
+
+@st.composite
+def _candidates(draw):
+    """A sum of 1-3 catalog terms at a prime that need not be its level, with the
+    solver's ray (or (1, p, 24) when there is none), shifted by -1, 0 or 1."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 23]))
+    expr = "+".join(draw(st.lists(st.sampled_from(ORACLE_TERMS), min_size=1, max_size=3)))
+    lat = CAT.parse(expr)
+    res = solve_candidates(lat, p)
+    base = (res.c1, res.cp, res.k) if res.status == "ray" else (1, p, 24)
+    c1, cp, k = (x + draw(st.integers(-1, 1)) for x in base)
+    assume(c1 >= 0 and cp >= 0 and c1 + cp > 0)
+    return expr, p, c1, cp, k
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_candidates())
+@example(("T4", 5, 1, 5, 30))
+@example(("T8", 5, 1, 45, 120))
+@example(("L7+L7", 7, 1, 7, 20))
+@example(("L11", 11, 1, 11, 24))
+@example(("L23", 23, 1, 23, 12))
+@example(("A2+A4", 3, 1, 1, 12))
+@example(("E8+A2", 3, 1, 0, 12))
+def test_check_candidate_matches_the_entrywise_check(case):
+    expr, p, c1, cp, k = case
+    lat = CAT.parse(expr)
+    assert asdict(check_candidate(lat, p, c1, cp, k)) == asdict(
+        check_candidate_entrywise(lat, p, c1, cp, k))
 
 
 SOLVE_RAYS = [
