@@ -18,7 +18,9 @@ override entries with the same JSON shape; any other shape raises ValueError.
 Every expression goes through one term expansion, `Catalog.summands`.  A
 catalog builds each term (name, dual, scale) once, on first use, and hands
 the same immutable `Lattice` out afterwards, T8 included; each catalog keeps
-its own terms, and its own E7 + A1(p) overlattices.  It keeps each model
+its own terms, and its own E7 + A1(p) overlattices.  A dual term whose
+Gram is its base's adjugate, Xv(p) for X of determinant p, shares X's
+short-vector enumeration (`roots.share_table`).  It keeps each model
 expression the same way, once per normalised expression: the `model_parts`
 triple of the sum of all its summands (`Catalog.parse`; a single term such
 as "E6(3)" is its own summand), its hyperbolic-plane scales, and the sum of
@@ -37,7 +39,7 @@ import json
 import re
 from importlib import resources
 
-from . import discforms
+from . import discforms, roots
 from .lattices import Lattice, direct_sum
 
 _TERM_RE = re.compile(r"^(\d*)([A-Z][A-Za-z]*?\d*)(v?)(?:\((\d+)\))?$")
@@ -123,7 +125,9 @@ class Catalog:
         key = (name, dual, scale)
         if key not in self._terms:
             if dual:
-                lat = self.build(name).dual_rescaled(scale or 1)
+                base = self.build(name)
+                lat = base.dual_rescaled(scale or 1)
+                roots.share_table(base, lat)  # Xv(p) for X of determinant p
             elif scale is not None:
                 lat = self.build(name).rescaled(scale)
             else:

@@ -282,14 +282,15 @@ class CaseRecord:
 
 
 def eliminate_case(
-    genus: GenusSymbol, prior: dict[tuple[int, int], CaseRecord], catalog=None
+    genus: GenusSymbol, prior: dict[tuple[int, int], CaseRecord], catalog=None, cases=None
 ) -> CaseRecord:
     """Run the six rules in order on one case; the first to fire eliminates it.
 
     Every rule is a computation on the genus, its model or its split
     companion in `prior` that could come out either way, and the record
     names the first that fires.  When all of them run and none fires, the
-    case is REFLECTIVE and its reason is None.
+    case is REFLECTIVE and its reason is None.  `cases` is `case_table(p)`,
+    read afresh when not given.
     """
     cat = catalog or cat_mod.default_catalog()
     p, n, n_p = genus.p, genus.pos, genus.n_p
@@ -304,7 +305,7 @@ def eliminate_case(
     # rules 1-2: with no norm-2/p classes there are no long roots, so the
     # definite part must be spanned by an ordinary root lattice of
     # determinant p^n_p times a square
-    long_count = discforms.elementary_count_norm(p, n_p, genus.eps, Fraction(2, p))
+    long_count = discforms.norm_2p_count(p, n_p, genus.eps)
     cert["norm_2p_vector_count"] = long_count
     if long_count == 0:
         cert["root_lattice_determinants"] = root_lattice_dets(n - 2)
@@ -316,7 +317,8 @@ def eliminate_case(
             )
 
     # rules 3-5 on the case's model, or on its families when it has none
-    model, families = case_table(p).get((n, n_p), (None, []))
+    cases = case_table(p) if cases is None else cases
+    model, families = cases.get((n, n_p), (None, []))
     cutoffs = [reflcheck.family_cutoff(*fam) for fam in families]
     if model is None and families:
         cert["family_prime_cutoffs"] = cutoffs
@@ -332,13 +334,12 @@ def eliminate_case(
             cert["family_prime_cutoff"] = cutoffs[0]
         else:
             _, definite = cat_mod.definite_part(model, cat)
-        data = roots.root_data(definite, p)
-        res = reflcheck.solve_components(data.components, definite.rank)
+        res = reflcheck.solve_candidates(definite, p)
         cert["solve_status"] = res.status
         if res.status == "none":
             return record("solve-empty", res.reason)
         if res.status == "ray":
-            n1 = data.span_short
+            n1 = roots.root_data(definite, p).span_short
             bound = Fraction(n1 * res.c1 + (definite.rank - n1) * res.cp, 2)
             cert["ray"] = (res.c1, res.cp, res.k)
             cert["singular_bound"] = bound
@@ -378,11 +379,12 @@ def eliminate_case(
 def classify(p: int, catalog=None) -> list[CaseRecord]:
     """Full concrete classification at one prime."""
     cat = catalog or cat_mod.default_catalog()
-    cases, mismatch = apply_bounds(p)
+    genera, mismatch = apply_bounds(p)
+    cases = case_table(p)
     records: dict[tuple[int, int], CaseRecord] = {}
     out = []
-    for genus in sorted(cases, key=lambda g: (g.pos, g.n_p)):
-        rec = eliminate_case(genus, records, cat)
+    for genus in sorted(genera, key=lambda g: (g.pos, g.n_p)):
+        rec = eliminate_case(genus, records, cat, cases)
         records[(genus.pos, genus.n_p)] = rec
         out.append(rec)
     if any(v for v in mismatch.values()):

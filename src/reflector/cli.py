@@ -75,11 +75,12 @@ def _catalog(args):
 
 
 def _definite(args):
-    """The positive definite part of --lattice; ValueError when it has none."""
-    _, definite = cat_mod.definite_part(args.lattice, _catalog(args))
+    """The hyperbolic-plane scales and the positive definite part of --lattice;
+    ValueError when it has no definite part."""
+    scales, definite = cat_mod.definite_part(args.lattice, _catalog(args))
     if definite is None:
         raise ValueError(f"lattice {args.lattice} has no definite part")
-    return definite
+    return scales, definite
 
 
 def _add_common(sub):
@@ -135,7 +136,7 @@ def cmd_discform(args) -> int:
         raise ValueError("discform needs --lattice or --genus")
     if g is not None:
         octant = discforms.milgram_formula(g.p, g.n_p, g.eps)
-        count = discforms.elementary_count_norm(g.p, g.n_p, g.eps, Fraction(2, p)) if p else None
+        count = discforms.norm_2p_count(g.p, g.n_p, g.eps) if p else None
     order = prod(orders)
     payload = {"orders": orders, "order": order, "level": level, "milgram_octant": octant}
     lines = [
@@ -151,7 +152,7 @@ def cmd_discform(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    definite = _definite(args)
+    _, definite = _definite(args)
     data = roots.root_data(definite, args.prime)
     n_short, n_long = 2 * data.positive_short, 2 * data.positive_long
     payload = {
@@ -169,7 +170,15 @@ def cmd_roots(args) -> int:
 
 
 def cmd_check(args) -> int:
-    definite = _definite(args)
+    """Exit 1 on a model with a plane U(m), m > 1: the candidate check reads the
+    definite part alone, which misses the mirrors inside the rescaled plane."""
+    scales, definite = _definite(args)
+    scale = max(scales, default=1)
+    if scale > 1:
+        raise ValueError(
+            f"{args.lattice} has the plane U({scale}), whose mirrors the candidate check "
+            "does not model; `reflector tower` replays such rows"
+        )
     report = reflcheck.check_candidate(definite, args.prime, args.c1, args.cp, args.k)
     payload = {
         f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.name != "lattice"
@@ -185,7 +194,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    definite = _definite(args)
+    _, definite = _definite(args)
     res = reflcheck.solve_candidates(definite, args.prime)
     lines = [f"solve at p={args.prime}: {res.status}"]
     if res.status == "ray":

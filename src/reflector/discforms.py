@@ -14,12 +14,13 @@ Whether a symbol names an even genus is decided in one place,
 `existing_genus` and `splits_u_up` read; the U(p) -> U map on symbols is
 `GenusSymbol.transfer`.  The per-genus invariants are cached functions of
 ints, a Fraction or a frozen `GenusSymbol`, so each is computed once per
-process: `existing_genus`, `elementary_count_norm`, `milgram_formula`,
-`splits_u_up`, and `genus_symbol`, keyed by the lattice's level,
-determinant and signature and p (never by the lattice), with n_p found by
-dividing p out of the determinant.  `why_absent` and `label` are not cached,
-as most symbols they see are probed once.  `is_prime` runs trial division
-below 2^20 and deterministic Miller-Rabin above, up to MR_LIMIT.
+process: `existing_genus`, `elementary_count_norm` (and `norm_2p_count`,
+its value at 2/p keyed by ints alone), `milgram_formula`, `splits_u_up`,
+and `genus_symbol`, keyed by the lattice's level, determinant and
+signature and p (never by the lattice), with n_p found by dividing p out
+of the determinant.  `why_absent` and `label` are not cached, as most
+symbols they see are probed once.  `is_prime` runs trial division below
+2^20 and deterministic Miller-Rabin above, up to MR_LIMIT.
 
 The discriminant form of a lattice is computed once and kept on the
 `Lattice` (`discriminant_form`); for an orthogonal sum it is the direct sum
@@ -490,6 +491,12 @@ def elementary_count_norm(p: int, n_p: int, eps: int, target: Fraction) -> int:
         nu = p - 1 if b == 0 else -1
         count = p ** (n - 1) + nu * p ** (n // 2 - 1) * legendre((-1) ** (n // 2), p) * chi
     return count - (b == 0)
+
+
+@cache
+def norm_2p_count(p: int, n_p: int, eps: int) -> int:
+    """`elementary_count_norm` at 2/p, the number of elements of norm 2/p, cached by ints."""
+    return elementary_count_norm(p, n_p, eps, Fraction(2, p))
 
 
 @cache

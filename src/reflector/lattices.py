@@ -22,13 +22,16 @@ module: the root table of `roots.root_table` (its roots, and its dual
 vectors of norm <= 2/p by norm bound), from which the roots of a sum are
 concatenated part by part; the root data of `roots.root_data` and, once
 they are read, the root sums of `roots.root_sums`, one entry per prime,
-which a sum joins from its parts where it can; the matrix identity of
-`reflcheck.check_candidate` as at most 3 integer relations with the first
-block's entries (`reflcheck.block_relations`), one entry per prime; and the
-discriminant form of `discforms.discriminant_form`, which for a sum is the
-direct sum of its parts' forms, D(L1 + L2) = D(L1) + D(L2), with the coset
-minima of `discforms.short_duals`, the root classes by order and the glue
-roots by prime.  No memo refers back to its lattice.
+which a sum joins from its parts where it can; what
+`reflcheck.check_candidate` reads, its root counts, ranks, Coxeter pair and
+matrix identity as at most 3 integer relations (`reflcheck.check_profile`),
+and the result of `reflcheck.solve_candidates`, one entry each per prime;
+for Xv(p), until its roots are read, the term X whose dual vectors they are
+read off (`roots.share_table`); and the discriminant form of
+`discforms.discriminant_form`, which for a sum is the direct sum of its
+parts' forms, D(L1 + L2) = D(L1) + D(L2), with the coset minima of
+`discforms.short_duals`, the root classes by order and the glue roots by
+prime.  No memo refers back to its lattice.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ class Lattice:
     @cached_property
     def roots_memo(self) -> dict:
         """The root table, and the root data and root sums by prime, filled in by `roots`;
-        the block relations by prime, filled in by `reflcheck`."""
+        the check profile and the solve result by prime, filled in by `reflcheck`."""
         return {}
 
     @cached_property

@@ -19,19 +19,27 @@ the constraints are:
     product, so this is half the identity over R1 and R2).  Times g00 p^2 it
     is linear in (c1 g00, cp g00, s00), where g00 and s00 = p^2 c1 S1_00 +
     cp S2_00 are the first block's top-left entries, one integer row per
-    entry.  `block_relations` reduces those rows once per (lattice, p) to
-    their row Hermite form, at most 3 rows with the same null space, so a
-    check applies at most 3 integer relations.  C is not one scalar per
-    block for T4 and T8 at p = 5, L7, L11 and L23 (their S1 and S2 are not
-    multiples of G), so no scalar shortcut replaces the relations;
+    entry.  `block_relations` reduces those rows to their row Hermite form,
+    at most 3 rows with the same null space, so a check applies at most 3
+    integer relations.  C is not one scalar per block for T4 and T8 at
+    p = 5, L7, L11 and L23 (their S1 and S2 are not multiples of G), so no
+    scalar shortcut replaces the relations;
   * counting identity: C = (c1 |R1| + cp |R2| + 2k) / 24 - c1;
   * singular bound: k >= (n1 c1 + (rank - n1) cp) / 2;
   * for p >= 5 with both classes present, the same constants expressed
-    through Coxeter numbers h1, h2 of the short and long subsystems.
+    through Coxeter numbers h1, h2 of the short and long subsystems:
+    C = c1 h1 = cp h2 / p and k = c1 (12 (h1 + 1) + ((p - 1) n1 - rank p) h1 / 2).
+
+Everything a check reads of the lattice, the root counts, n1, the rank, the
+first block's entries, the relations and (h1, h2), is its `check_profile`,
+computed once per (lattice, p) and kept on the lattice, so a check is a few
+integer products and comparisons; only the reported C is a Fraction.
 
 solve_components inverts the per-component equations c1 alpha + cp beta = C
-to find which multiplicities are admissible at all, and family_cutoff does
-the same symbolically in the prime for one-parameter model families.
+to find which multiplicities are admissible at all; `solve_candidates`
+keeps its result on the lattice, once per (lattice, p), as a frozen
+`SolveResult` that every caller shares.  family_cutoff does the same
+symbolically in the prime for one-parameter model families.
 """
 
 from __future__ import annotations
@@ -67,53 +75,60 @@ def check_multiplicities(c1: int, cp: int) -> None:
         raise ValueError("multiplicities must be nonnegative and not both zero")
 
 
+def check_profile(lat: Lattice, p: int):
+    """(|R1|, |R2|, n1, rank, (G00, S1_00, S2_00), relations, coxeter): what
+    `check_candidate` reads of a positive definite lattice at p.
+
+    The first block's entries and the relations are `block_relations`;
+    coxeter is the pair (h1, h2) of Coxeter numbers of the short and the
+    long components, or None unless every component is made of short roots
+    alone or of long roots alone, with one Coxeter number for each kind.
+    Computed once per (lattice, p) and kept on lat.
+    """
+    memo, key = lat.roots_memo, ("profile", p)
+    if key not in memo:
+        data = roots.root_data(lat, p)
+        comps = data.components
+        # a component of one root length is an ADE type, whose root count is its rank
+        # times its Coxeter number: alpha for short roots, p beta for long ones
+        h1s = {cc.count_short // cc.rank for cc in comps if not cc.count_long}
+        h2s = {cc.count_long // cc.rank for cc in comps if not cc.count_short}
+        split = all(not (cc.count_short and cc.count_long) for cc in comps)
+        coxeter = (*h1s, *h2s) if split and len(h1s) == len(h2s) == 1 else None
+        memo[key] = (2 * data.positive_short, 2 * data.positive_long, data.span_short,
+                     lat.rank, *block_relations(lat, p), coxeter)
+    return memo[key]
+
+
 def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckReport:
-    """Verify one (c1, cp, k) triple on the definite part of a model."""
+    """Verify one (c1, cp, k) triple on the definite part of a model, in integers."""
     check_multiplicities(c1, cp)
     if not lat.is_positive_definite():
         raise ValueError("check_candidate expects the positive definite part of the model")
-    data = roots.root_data(lat, p)
-    comps = data.components
-    n_short, n_long = 2 * data.positive_short, 2 * data.positive_long
-    n = lat.rank
+    n_short, n_long, n1, n, first, relations, coxeter = check_profile(lat, p)
 
     # s = p^2 c1 S1 + cp S2 = C p^2 G on every block, with C p^2 = s00 / g00 read
     # off the first; g00 s - s00 G = 0 is the relations applied to (c1 g00, cp g00, s00)
-    (g00, s1_00, s2_00), relations = block_relations(lat, p)
+    g00, s1_00, s2_00 = first
     s00 = p * p * c1 * s1_00 + cp * s2_00
-    c = Fraction(s00, p * p * g00)
     matrix_ok = all(a * c1 * g00 + b * cp * g00 + d * s00 == 0 for a, b, d in relations)
 
-    # c = s00 / (p^2 g00) against (c1 |R1| + cp |R2| + 2k) / 24 - c1, in integers
+    # C = s00 / (p^2 g00) against (c1 |R1| + cp |R2| + 2k) / 24 - c1
     counting_ok = 24 * s00 == p * p * g00 * (c1 * n_short + cp * n_long + 2 * k - 24 * c1)
 
-    n1 = data.span_short
     singular_ok = 2 * k >= n1 * c1 + (n - n1) * cp
 
+    # C = c1 h1 = cp h2 / p and k = c1 (12 (h1 + 1) + ((p - 1) n1 - n p) h1 / 2)
     coxeter_ok: bool | None = None
     if p >= 5 and n_short and n_long and c1 > 0 and cp > 0:
-        shorts = [cc for cc in comps if cc.count_long == 0]
-        longs = [cc for cc in comps if cc.count_short == 0]
-        if len(shorts) + len(longs) != len(comps):
-            coxeter_ok = False
-        else:
-            # the Coxeter number of a short component is alpha, of a long one p beta
-            h1s = {cc.alpha for cc in shorts}
-            h2s = {p * cc.beta for cc in longs}
-            if len(h1s) != 1 or len(h2s) != 1:
-                coxeter_ok = False
-            else:
-                h1, h2 = h1s.pop(), h2s.pop()
-                k_formula = c1 * (
-                    12 * (h1 + 1)
-                    + Fraction((p - 1) * n1 * h1, 2)
-                    - Fraction(n * p * h1, 2)
-                )
-                coxeter_ok = (
-                    c == c1 * h1
-                    and c == Fraction(cp * h2, p)
-                    and Fraction(k) == k_formula
-                )
+        coxeter_ok = coxeter is not None
+        if coxeter_ok:
+            h1, h2 = coxeter
+            coxeter_ok = (
+                s00 == p * p * g00 * c1 * h1
+                and s00 == p * g00 * cp * h2
+                and 2 * k == c1 * (24 * (h1 + 1) + ((p - 1) * n1 - n * p) * h1)
+            )
 
     checks = {
         "matrix_identity": matrix_ok,
@@ -129,7 +144,7 @@ def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckRepo
         cp=cp,
         k=k,
         passed=passed,
-        c=c,
+        c=Fraction(s00, p * p * g00),
         count_short=n_short,
         count_long=n_long,
         span_short=n1,
@@ -146,25 +161,22 @@ def block_relations(lat: Lattice, p: int):
     linear in (c1 g00, cp g00, s00): it holds exactly when that vector pairs
     to 0 with every row (p^2 S1_ij, S2_ij, -G_ij), i <= j, of every block.
     Those rows have the same rational null space as their row Hermite form,
-    which has at most 3 rows.  Computed once per (lattice, p), on first use,
-    and kept in lat.roots_memo next to the root sums, with the first block's
-    entries (1, 0, 0) for a lattice without blocks.
+    which has at most 3 rows.  The first block's entries are (1, 0, 0) for a
+    lattice without blocks.  `check_profile` calls this once per (lattice,
+    p) and keeps the result.
     """
-    memo, key = lat.roots_memo, ("relations", p)
-    if key not in memo:
-        blocks = [block for block in roots.root_sums(lat, p) if block[0]]
-        rows = {
-            (p * p * x, y, -z)
-            for g, s1, s2 in blocks
-            for i in range(len(g))
-            for x, y, z in zip(s1[i][i:], s2[i][i:], g[i][i:])
-        }
-        first = tuple(m[0][0] for m in blocks[0]) if blocks else (1, 0, 0)
-        memo[key] = first, tuple(map(tuple, intmat.row_hermite_form(list(map(list, rows)))))
-    return memo[key]
+    blocks = [block for block in roots.root_sums(lat, p) if block[0]]
+    rows = {
+        (p * p * x, y, -z)
+        for g, s1, s2 in blocks
+        for i in range(len(g))
+        for x, y, z in zip(s1[i][i:], s2[i][i:], g[i][i:])
+    }
+    first = tuple(m[0][0] for m in blocks[0]) if blocks else (1, 0, 0)
+    return first, tuple(map(tuple, intmat.row_hermite_form(list(map(list, rows)))))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveResult:
     status: str  # "none", "ray", or "underdetermined"
     reason: str = ""
@@ -178,10 +190,14 @@ class SolveResult:
 
 
 def solve_candidates(lat: Lattice, p: int) -> SolveResult:
-    """`solve_components` on the root components of a positive definite lattice."""
+    """`solve_components` on the root components of a positive definite lattice,
+    computed once per (lattice, p) and kept on lat."""
     if not lat.is_positive_definite():
         raise ValueError("solve_candidates expects the positive definite part of the model")
-    return solve_components(roots.root_data(lat, p).components, lat.rank)
+    memo, key = lat.roots_memo, ("solve", p)
+    if key not in memo:
+        memo[key] = solve_components(roots.root_data(lat, p).components, lat.rank)
+    return memo[key]
 
 
 def solve_components(comps: Sequence[roots.RootComponent], rank: int) -> SolveResult:

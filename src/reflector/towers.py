@@ -11,9 +11,10 @@ data/towers.json stores only expressions: each tower's p, (c1, cp) and
 levels in order, and each transfer's p and source U + U(p) + K.  Every
 number is derived from the construction tables of `classify`, by
 `replay_tower` and `transfer_target`; the replays and `covered_rows`, which
-`classify.construction_coverage` reads, share them.  `covered_rows` and
-`verify_all` read the tables once per call, so a change to them shows in
-the next call:
+`classify.construction_coverage` reads, share them.  The file is read and
+parsed once per process, and `load` hands each caller its own copy, so no
+caller's change reaches the replays.  `covered_rows` and `verify_all` read
+the tables once per call, so a change to them shows in the next call:
   - a tower's base weight is that of the one table row with the base's genus
     and (c1, cp); each later weight is the pull-back weight of the one
     summand a level drops from its predecessor;
@@ -30,7 +31,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from fractions import Fraction
+from copy import deepcopy
+from functools import cache
 from importlib import resources
 
 from . import catalog as cat_mod
@@ -38,12 +40,17 @@ from . import classify, discforms, reflcheck, roots
 from .lattices import Lattice
 
 
+@cache
+def _stored() -> dict:
+    """data/towers.json, read and parsed once per process; never handed out."""
+    return json.loads((resources.files(__package__) / "data" / "towers.json").read_text())
+
+
 def load() -> dict:
     """data/towers.json: "towers", each {"name", "p", "c1", "cp", "exprs"} with its
     base expression first, and "transfers", each {"p", "from"} with a source
-    model U + U(p) + K."""
-    path = resources.files(__package__) / "data" / "towers.json"
-    return json.loads(path.read_text())
+    model U + U(p) + K.  Each call hands out a new copy of the one parse."""
+    return deepcopy(_stored())
 
 
 def pullback_weight(k: int, c1: int, cp: int, dropped: Lattice, p: int) -> int:
@@ -61,10 +68,9 @@ def transfer_multiplicity(c1: int, cp: int, p: int) -> tuple[int, int]:
 
 
 def transfer_weight(k: int, p: int) -> int:
-    out = Fraction(k * (p + 1), 2)
-    if out.denominator != 1:
+    if k * (p + 1) % 2:
         raise ValueError("transfer weight is not integral")
-    return int(out)
+    return k * (p + 1) // 2
 
 
 def _table() -> defaultdict[str, list[tuple[int, int, int]]]:
@@ -211,7 +217,7 @@ def covered_rows(catalog=None) -> set[tuple[str, int, int, int]]:
     base covers nothing, since its weight is read off its row.  A transfer
     covers its source row when the target it computes is a table row.
     """
-    data, table = load(), _table()
+    data, table = _stored(), _table()
     covered = set()
     for tower in data["towers"]:
         c1, cp = tower["c1"], tower["cp"]
@@ -230,7 +236,7 @@ def covered_rows(catalog=None) -> set[tuple[str, int, int, int]]:
 
 def verify_all(catalog=None) -> dict:
     """Replay every tower and transfer; True entries mean full agreement."""
-    data, table = load(), _table()
+    data, table = _stored(), _table()
     towers_ok = {
         tower["name"]: all(level["ok"] for level in replay_tower(tower, catalog, table))
         for tower in data["towers"]

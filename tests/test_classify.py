@@ -20,6 +20,7 @@ from reflector import classify as classify_mod
 from reflector import discforms, etaq, intmat, reflcheck, roots
 from reflector.catalog import Catalog, default_catalog, definite_part, e7_a1_overlattice
 from reflector.classify import (
+    CaseRecord,
     apply_bounds,
     class_number,
     class_number_rootsystems,
@@ -276,11 +277,20 @@ def test_rule_five_computes_b3_psi_once():
 
 
 def test_verdict_comes_from_the_model(monkeypatch):
-    """Without its model, nothing eliminates II_{14,2}(5^{+1})."""
-    monkeypatch.setitem(classify_mod.STORED_CASES[5], (14, 1), None)
-    rec = {(r.n, r.n_p): r for r in classify(5)}[(14, 1)]
-    assert rec.verdict == "REFLECTIVE"
-    assert rec.reason is None
+    """Without its model, nothing eliminates II_{14,2}(5^{+1}).  No call keeps the
+    case table: after a warm classify(5), removing the model flips the verdict, and
+    restoring it flips the verdict back."""
+
+    def record() -> CaseRecord:
+        return {(r.n, r.n_p): r for r in classify(5)}[(14, 1)]
+
+    assert record().verdict == "NOT_REFLECTIVE"
+    with monkeypatch.context() as patch:
+        patch.setitem(classify_mod.STORED_CASES[5], (14, 1), None)
+        rec = record()
+        assert rec.verdict == "REFLECTIVE"
+        assert rec.reason is None
+    assert record().verdict == "NOT_REFLECTIVE"
 
 
 def test_root_lattice_determinant_menu():
@@ -322,8 +332,9 @@ def test_warm_certify_pass_parses_no_label_and_expands_no_expression(monkeypatch
 def test_warm_certify_caches_follow_the_tables_and_reduce_nothing_twice(monkeypatch):
     """On one catalog: a 2U row whose k is changed between two verified tables fails
     its check, and passes again once the change is undone, so no cache keeps a
-    verdict that reads the tables.  A warm table and tower replay then reduce no
-    block identity (`intmat.row_hermite_form`) and factorise nothing."""
+    verdict that reads the tables.  A warm table and tower replay then compute no
+    check profile (`reflcheck.block_relations`, `intmat.row_hermite_form`) and no
+    solve result (`reflcheck.solve_components`), and factorise nothing."""
     cat = Catalog()
     rows = [("STRONGLY_2_REFLECTIVE", "II_{6,2}(2_II^{-2})", "strongly_2"),
             ("MIXED_REFLECTIVE", "II_{6,2}(5^{-2})", "mixed[0]")]
@@ -339,7 +350,8 @@ def test_warm_certify_caches_follow_the_tables_and_reduce_nothing_twice(monkeypa
 
     verify_all(cat)
     calls = Counter()
-    for module, name in ((intmat, "row_hermite_form"), (discforms, "_factorize")):
+    for module, name in ((intmat, "row_hermite_form"), (discforms, "_factorize"),
+                         (reflcheck, "block_relations"), (reflcheck, "solve_components")):
         inner = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, inner=inner, name=name: (
             calls.update([name]) or inner(*args)))
@@ -520,10 +532,9 @@ def test_a_cold_verdict_table_enumerates_each_gram_once():
     at most once per (Gram, bound): each term keeps its roots and its short dual
     vectors, and a model that is not joined from its parts reads them off its parts.
 
-    The one exception is a coincidence of the catalog: for a term X of determinant
-    p, the term Xv(p) = p X^dual has X's adjugate as its Gram, so the roots of
-    Xv(p) and the dual vectors of norm <= 2/p of X are one enumeration, (adj X, 2),
-    made once for each of the two terms.
+    That holds for the twins too: for a term X of determinant p, the term
+    Xv(p) = p X^dual has X's adjugate as its Gram, so the roots of Xv(p) and the
+    dual vectors of norm <= 2/p of X are one enumeration, (adj X, 2), made once.
     """
     cat = Catalog()
     with short_vector_calls() as calls:
@@ -532,8 +543,8 @@ def test_a_cold_verdict_table_enumerates_each_gram_once():
     counts = Counter((tuple(map(tuple, gram)), bound) for gram, bound in calls)
     terms = list(cat._terms.values())
     twins = {(t.gram, 2) for t in terms} & {(t.adjugate(), 2) for t in terms}
-    assert {key: n for key, n in counts.items() if n > 1 and key not in twins} == {}
-    assert all(counts[key] <= 2 for key in twins)
+    assert len(twins) == 3 and all(counts[key] == 1 for key in twins)
+    assert {key: n for key, n in counts.items() if n > 1} == {}
 
 
 def test_the_rank_ten_count_builds_only_the_glue_that_carries_a_datum():

@@ -149,6 +149,22 @@ def test_check_pass_and_fail_exit_codes(capsys):
     assert "FAIL" in out_bad
 
 
+def test_check_refuses_a_model_with_a_rescaled_plane(capsys):
+    """Every U + U(p) + K table row is certified, by its towers and transfers; the
+    candidate check does not model the rescaled plane, so `check` exits 1 with one
+    line that points to `reflector tower`, while `solve` still answers."""
+    rows = [(m, parse_genus(g).p, c1, cp, k) for g, m, c1, cp, k in classify_mod.table_rows()
+            if not m.startswith("2U+")]
+    assert len(rows) == 12
+    for model, p, c1, cp, k in rows:
+        code, out, err = run_cli_err(["check", "--lattice", model, "--prime", str(p), "--c1",
+                                      str(c1), "--cp", str(cp), "--k", str(k)], capsys)
+        assert_one_line_error(code, err)
+        assert out == "" and f"U({p})" in err and "`reflector tower`" in err, model
+        code, _ = run_cli(["solve", "--lattice", model, "--prime", str(p)], capsys)
+        assert code == 0, model
+
+
 def test_check_json_shape(capsys):
     code, out = run_cli(
         [

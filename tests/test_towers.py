@@ -192,6 +192,18 @@ def test_a_warm_certify_pass_builds_no_lattice():
     assert table["count"] == 55 and all(replay["towers"].values())
 
 
+def test_a_change_to_the_loaded_data_reaches_no_replay():
+    """`load` hands out a copy: reversing every tower and dropping every transfer in
+    what it returns changes neither the next replay nor the next load."""
+    before = verify_all(), covered_rows()
+    data = load()
+    for tower in data["towers"]:
+        tower["exprs"].reverse()
+    data["transfers"].clear()
+    assert load() != data
+    assert (verify_all(), covered_rows()) == before
+
+
 @pytest.mark.parametrize(
     "exprs",
     [
