@@ -28,9 +28,13 @@ the other summands (`definite_part`), which is the sum itself when there
 is no hyperbolic plane.  So a model's root data and discriminant form,
 which its lattice keeps, are computed once per catalog.  The lattices that
 `classify.count_classes` spans by its root data are kept the same way, one
-per datum expression, for as long as the catalog lives.  An expression or
-a root lattice whose rank r has r^2 > `discforms.BUDGET` raises
-`BudgetExceeded` before any Gram is built, and is not kept.
+per datum expression, for as long as the catalog lives.  Facts read off
+those lattices alone, such as the tower and transfer plans of `towers` and
+the genus and definite part of each table model in
+`classify.verify_construction`, are kept per catalog by `Catalog.kept`,
+under keys that name the expressions and p.  An expression or a root
+lattice whose rank r has r^2 > `discforms.BUDGET` raises `BudgetExceeded`
+before any Gram is built, and is not kept.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from __future__ import annotations
 import json
 import re
 from importlib import resources
+from typing import Callable
 
 from . import discforms, roots
 from .lattices import Lattice, direct_sum
@@ -108,6 +113,7 @@ class Catalog:
         self._terms: dict[tuple[str, bool, int | None], Lattice] = {}
         self._e7_a1: dict[int, Lattice] = {}  # p -> `e7_a1_overlattice(p, self)`
         self._models: dict[str, tuple[Lattice, list[int], Lattice | None]] = {}
+        self._kept: dict[tuple, object] = {}
 
     @classmethod
     def from_file(cls, path: str) -> "Catalog":
@@ -206,6 +212,17 @@ class Catalog:
                 definite = direct_sum(rest) if rest else None
             self._models[key] = (whole, scales, definite)
         return self._models[key]
+
+    def kept(self, key: tuple, build: Callable[[], object]):
+        """build(), made on the first call with this key and kept while the catalog lives.
+
+        For facts that depend on nothing but the catalog's lattices, such as
+        the tower and transfer plans of `towers`; every call hands out the
+        same value, which its readers must not change.
+        """
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
 
     def parse(self, expr: str) -> Lattice:
         """The direct sum of the summands of expr, named expr; a lone summand of that name as is."""

@@ -38,6 +38,7 @@ from types import MappingProxyType
 from . import catalog as cat_mod
 from . import discforms, etaq, reflcheck, roots, towers
 from .discforms import GenusSymbol, existing_genus, parse_genus
+from .lattices import Lattice
 
 
 # -- construction tables: strongly 2-reflective forms (multiplicities (1, 0)) --
@@ -256,10 +257,12 @@ def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
+@cache
 def spanning_root_lattice_exists(rank: int, p: int, n_p: int) -> bool:
-    """Whether some root lattice of this rank has determinant p^n_p * square."""
+    """Whether some root lattice of this rank has determinant p^n_p * square, once per
+    (rank, p, n_p)."""
     target = p**n_p
-    for d in root_lattice_dets(rank):
+    for d in _root_lattice_dets(rank):
         if d % target == 0 and _is_square(d // target):
             return True
     return False
@@ -474,22 +477,32 @@ def construction_coverage(catalog=None) -> dict[str, dict]:
     return cov
 
 
+def _model_facts(cat, model: str, p: int) -> tuple[GenusSymbol, bool, Lattice | None]:
+    """(genus at p, whether the hyperbolic-plane scales are exactly [1, 1],
+    definite part) of a table model, read off the catalog's lattices."""
+    lat, scales, definite = cat.model_parts(model)
+    return discforms.genus_symbol(lat, p=p), sorted(scales) == [1, 1], definite
+
+
 def verify_construction(label: str, cov: dict, catalog=None) -> dict:
     """Re-verify every table row certifying one genus.
 
     2U + K models run through the full candidate check; U + U(p) + K models
     are certified by the towers and transfers instead (their multiplicity
     identities involve mirrors inside the rescaled plane, which the
-    definite-part check deliberately does not model).
+    definite-part check deliberately does not model).  Each model's genus,
+    planes and definite part are read once per (catalog, model, p)
+    (`_model_facts`); its row's (c1, cp, k) is judged on every call.
     """
     cat = catalog or cat_mod.default_catalog()
     g = parse_genus(label)
     results = {}
     for key, (model, c1, cp, k) in cov["rows"].items():
-        lat, scales, definite = cat_mod.model_parts(model, cat)
-        if discforms.genus_symbol(lat, p=g.p) != g:
+        genus, two_u, definite = cat.kept(
+            ("model", model, g.p), lambda: _model_facts(cat, model, g.p))
+        if genus != g:
             results[key] = "genus-mismatch"
-        elif sorted(scales) == [1, 1] and definite is not None:
+        elif two_u and definite is not None:
             rep = reflcheck.check_candidate(definite, g.p, c1, cp, k)
             results[key] = "checked" if rep.passed else "check-failed"
         else:

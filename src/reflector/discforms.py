@@ -18,9 +18,10 @@ process: `existing_genus`, `elementary_count_norm` (and `norm_2p_count`,
 its value at 2/p keyed by ints alone), `milgram_formula`, `splits_u_up`,
 and `genus_symbol`, keyed by the lattice's level, determinant and
 signature and p (never by the lattice), with n_p found by dividing p out
-of the determinant.  `why_absent` and `label` are not cached, as most
-symbols they see are probed once.  `is_prime` runs trial division below
-2^20 and deterministic Miller-Rabin above, up to MR_LIMIT.
+of the determinant.  `why_absent` is not cached, as most symbols it sees
+are probed once; `label` is formatted once per symbol and kept on it.
+`is_prime` runs trial division below 2^20 and deterministic Miller-Rabin
+above, up to MR_LIMIT.
 
 The discriminant form of a lattice is computed once and kept on the
 `Lattice` (`discriminant_form`); for an orthogonal sum it is the direct sum
@@ -62,7 +63,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from math import gcd, isqrt, lcm, prod
 from operator import add, mod, mul
 
@@ -512,6 +513,12 @@ def milgram_formula(p: int, n_p: int, eps: int) -> int:
 # -- genus symbols at prime level --
 
 
+def _format_label(g: GenusSymbol) -> str:
+    sign = "+" if g.eps == 1 else "-"
+    inner = f"2_II^{{{sign}{g.n_p}}}" if g.p == 2 else f"{g.p}^{{{sign}{g.n_p}}}"
+    return f"II_{{{g.pos},{g.neg}}}({inner})"
+
+
 @dataclass(frozen=True)
 class GenusSymbol:
     pos: int
@@ -524,9 +531,12 @@ class GenusSymbol:
         return (self.pos - self.neg) % 8
 
     def label(self) -> str:
-        sign = "+" if self.eps == 1 else "-"
-        inner = f"2_II^{{{sign}{self.n_p}}}" if self.p == 2 else f"{self.p}^{{{sign}{self.n_p}}}"
-        return f"II_{{{self.pos},{self.neg}}}({inner})"
+        """II_{pos,neg}(p^{eps n_p}), formatted once per symbol."""
+        return self._label
+
+    @cached_property
+    def _label(self) -> str:
+        return _format_label(self)
 
     def __str__(self) -> str:
         return self.label()

@@ -3,9 +3,10 @@
 A tower starts from a reflective form on a lattice U + U(p) + n*K0 and
 repeatedly pulls back along the inclusion obtained by dropping one copy of
 the definite summand K0; each drop raises the weight by
-(c1 |R1(K0)| + cp |R2(K0)|) / 2.  A transfer replaces the rescaled
-hyperbolic plane U(p) by U, multiplying the long-root multiplicity by p and
-the weight by (p+1)/2.
+(c1 |R1(K0)| + cp |R2(K0)|) / 2, which is c1 |R1+(K0)| + cp |R2+(K0)| on
+the positive roots.  A transfer replaces the rescaled hyperbolic plane U(p)
+by U, multiplying the long-root multiplicity by p and the weight by
+(p+1)/2.
 
 data/towers.json stores only expressions: each tower's p, (c1, cp) and
 levels in order, and each transfer's p and source U + U(p) + K.  Every
@@ -13,8 +14,20 @@ number is derived from the construction tables of `classify`, by
 `replay_tower` and `transfer_target`; the replays and `covered_rows`, which
 `classify.construction_coverage` reads, share them.  The file is read and
 parsed once per process, and `load` hands each caller its own copy, so no
-caller's change reaches the replays.  `covered_rows` and `verify_all` read
-the tables once per call, so a change to them shows in the next call:
+caller's change reaches the replays.
+
+Each replay is a plan and a judgment.  The plan holds what the tables
+cannot change, and the catalog keeps it (`Catalog.kept`) once per (p,
+expressions), so a user catalog has plans of its own:
+  - for each level of a tower, its expression, its genus label, and the
+    one summand it drops from its predecessor with that summand's numbers
+    of positive short and long roots (None at the base, and when the level
+    differs from its predecessor by more than one dropped summand);
+  - for each transfer, the source's genus, its 2U + K target and the
+    target's genus, the sorted hyperbolic-plane scales and the definite
+    part K.
+The judgment reads the tables afresh on every call of `covered_rows` and
+`verify_all`, so a change to them shows in the next call:
   - a tower's base weight is that of the one table row with the base's genus
     and (c1, cp); each later weight is the pull-back weight of the one
     summand a level drops from its predecessor;
@@ -23,8 +36,9 @@ the tables once per call, so a change to them shows in the next call:
     weights;
   - a transfer starts at the one table row of its source's genus, and its
     2U + K target must be the table row of the target's genus.
-Genera come from `discforms.genus_symbol` on the lattices the catalog keeps
-for each expression.
+Every call hands out new dicts and lists, never a plan's own.  Genera come
+from `discforms.genus_symbol` on the lattices the catalog keeps for each
+expression.
 """
 
 from __future__ import annotations
@@ -51,16 +65,6 @@ def load() -> dict:
     base expression first, and "transfers", each {"p", "from"} with a source
     model U + U(p) + K.  Each call hands out a new copy of the one parse."""
     return deepcopy(_stored())
-
-
-def pullback_weight(k: int, c1: int, cp: int, dropped: Lattice, p: int) -> int:
-    """Weight after pulling back along the sublattice that omits `dropped`.
-
-    The jump (c1 |R1| + cp |R2|) / 2 is c1 |R1+| + cp |R2+| on the positive
-    roots.
-    """
-    data = roots.root_data(dropped, p)
-    return k + c1 * data.positive_short + cp * data.positive_long
 
 
 def transfer_multiplicity(c1: int, cp: int, p: int) -> tuple[int, int]:
@@ -100,6 +104,24 @@ def _dropped(prev: Lattice, cur: Lattice) -> Lattice | None:
     return next(iter(gone))
 
 
+def _tower_plan(cat, p: int, exprs: tuple[str, ...]) -> tuple[tuple, ...]:
+    """(expr, genus label, drop) for each level of a tower: drop is (name,
+    positive short roots, positive long roots) of the one summand the level
+    drops from its predecessor, None at the base and when there is no such
+    summand."""
+    plan, prev = [], None
+    for expr in exprs:
+        lat = cat.parse(expr)
+        genus = discforms.genus_symbol(lat, p=p).label()
+        drop = None if prev is None else _dropped(prev, lat)
+        if drop is not None:
+            data = roots.root_data(drop, p)
+            drop = (drop.name, data.positive_short, data.positive_long)
+        plan.append((expr, genus, drop))
+        prev = lat
+    return tuple(plan)
+
+
 def replay_tower(tower: dict, catalog=None, table=None) -> list[dict]:
     """Derive every level of a tower from the tables and judge it.
 
@@ -110,22 +132,19 @@ def replay_tower(tower: dict, catalog=None, table=None) -> list[dict]:
     or splits.  The weight is None when the base has no single table row,
     when a level differs from its predecessor by more than one dropped
     summand, and at every level after either.  `table` is `_table()`, read
-    afresh when not given.
+    afresh when not given; the rest comes from the catalog's plan.
     """
     cat = catalog or cat_mod.default_catalog()
     table = _table() if table is None else table
-    p, c1, cp = tower["p"], tower["c1"], tower["cp"]
+    p, c1, cp, exprs = tower["p"], tower["c1"], tower["cp"], tuple(tower["exprs"])
+    plan = cat.kept(("tower", p, exprs), lambda: _tower_plan(cat, p, exprs))
     levels: list[dict] = []
-    prev, k = None, None
-    for expr in tower["exprs"]:
-        lat = cat.parse(expr)
-        genus = discforms.genus_symbol(lat, p=p).label()
-        drop = None
-        if prev is None:
+    k = None
+    for i, (expr, genus, drop) in enumerate(plan):
+        if i == 0:
             k = _only(_weights(table, genus, c1, cp))
-        else:
-            drop = _dropped(prev, lat)
-            k = None if drop is None or k is None else pullback_weight(k, c1, cp, drop, p)
+        elif k is not None:
+            k = None if drop is None else k + c1 * drop[1] + cp * drop[2]
         row = k is not None and k in _weights(table, genus, c1, cp)
         split = None
         if k is not None and not row and (c1, cp) == (1, 1):
@@ -136,15 +155,25 @@ def replay_tower(tower: dict, catalog=None, table=None) -> list[dict]:
             {
                 "expr": expr,
                 "genus": genus,
-                "drop": drop.name if drop else None,
+                "drop": drop[0] if drop else None,
                 "weight": k,
                 "row": row,
                 "split": split,
                 "ok": row or split is not None,
             }
         )
-        prev = lat
     return levels
+
+
+def _transfer_plan(cat, p: int, expr: str) -> tuple:
+    """(genus, to_expr, to_genus, sorted scales, definite part) of the transfer
+    from U + U(p) + K to 2U + K."""
+    lat, scales, _ = cat.model_parts(expr)
+    genus = discforms.genus_symbol(lat, p=p)
+    rest = [t for t in expr.replace(" ", "").split("+") if t not in ("U", f"U({p})")]
+    to_expr = "+".join(["2U"] + rest)
+    to_lat, _, definite = cat.model_parts(to_expr)
+    return genus, to_expr, discforms.genus_symbol(to_lat, p=p), tuple(sorted(scales)), definite
 
 
 def transfer_target(tr: dict, catalog=None, table=None) -> dict:
@@ -155,19 +184,15 @@ def transfer_target(tr: dict, catalog=None, table=None) -> dict:
     2U + K with `transfer_multiplicity` and `transfer_weight` applied, and
     "row" says whether it is a table row.  "scales" are the source's
     hyperbolic-plane scales, and "definite" is K.  `table` is `_table()`,
-    read afresh when not given.
+    read afresh when not given; the rest comes from the catalog's plan.
     """
     cat = catalog or cat_mod.default_catalog()
     table = _table() if table is None else table
     p, expr = tr["p"], tr["from"]
-    lat, scales, _ = cat.model_parts(expr)
-    genus = discforms.genus_symbol(lat, p=p)
+    genus, to_expr, to_genus, scales, definite = cat.kept(
+        ("transfer", p, expr), lambda: _transfer_plan(cat, p, expr))
     rows = table.get(genus.label(), [])
     source = rows[0] if len(rows) == 1 else None
-    rest = [t for t in expr.replace(" ", "").split("+") if t not in ("U", f"U({p})")]
-    to_expr = "+".join(["2U"] + rest)
-    to_lat, _, definite = cat.model_parts(to_expr)
-    to_genus = discforms.genus_symbol(to_lat, p=p)
     target = None
     if source is not None:
         c1, cp, k = source
@@ -178,7 +203,7 @@ def transfer_target(tr: dict, catalog=None, table=None) -> dict:
         "to": to_expr,
         "genus": genus,
         "to_genus": to_genus,
-        "scales": sorted(scales),
+        "scales": list(scales),
         "definite": definite,
         "source": source,
         "target": target,

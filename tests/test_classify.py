@@ -17,7 +17,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reflector import classify as classify_mod
-from reflector import discforms, etaq, intmat, reflcheck, roots
+from reflector import discforms, etaq, intmat, reflcheck, roots, towers
 from reflector.catalog import Catalog, default_catalog, definite_part, e7_a1_overlattice
 from reflector.classify import (
     CaseRecord,
@@ -334,7 +334,9 @@ def test_warm_certify_caches_follow_the_tables_and_reduce_nothing_twice(monkeypa
     its check, and passes again once the change is undone, so no cache keeps a
     verdict that reads the tables.  A warm table and tower replay then compute no
     check profile (`reflcheck.block_relations`, `intmat.row_hermite_form`) and no
-    solve result (`reflcheck.solve_components`), and factorise nothing."""
+    solve result (`reflcheck.solve_components`), factorise nothing, find no dropped
+    summand (`towers._dropped`), format no genus label, and neither the replays nor
+    `verify_construction` read a model or a genus off the catalog."""
     cat = Catalog()
     rows = [("STRONGLY_2_REFLECTIVE", "II_{6,2}(2_II^{-2})", "strongly_2"),
             ("MIXED_REFLECTIVE", "II_{6,2}(5^{-2})", "mixed[0]")]
@@ -351,10 +353,29 @@ def test_warm_certify_caches_follow_the_tables_and_reduce_nothing_twice(monkeypa
     verify_all(cat)
     calls = Counter()
     for module, name in ((intmat, "row_hermite_form"), (discforms, "_factorize"),
-                         (reflcheck, "block_relations"), (reflcheck, "solve_components")):
+                         (reflcheck, "block_relations"), (reflcheck, "solve_components"),
+                         (towers, "_dropped"), (discforms, "_format_label")):
         inner = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, inner=inner, name=name: (
             calls.update([name]) or inner(*args)))
+    inside = []  # the replay or row check being run, innermost last
+
+    def within(fn):
+        def wrapped(*args, **kwargs):
+            inside.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapped
+
+    for module, name in ((classify_mod, "verify_construction"), (towers, "replay_tower"),
+                         (towers, "transfer_target")):
+        monkeypatch.setattr(module, name, within(getattr(module, name)))
+    for holder, name in ((Catalog, "model_parts"), (discforms, "genus_symbol")):
+        inner = getattr(holder, name)
+        monkeypatch.setattr(holder, name, lambda *args, inner=inner, name=name, **kwargs: (
+            inside and calls.update([name]) or inner(*args, **kwargs)))
     table = verdict_table(verify=True, catalog=cat)
     replay = verify_all(cat)
     assert table["count"] == 55 and all(replay["towers"].values())

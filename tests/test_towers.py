@@ -13,6 +13,7 @@ from reflector.towers import (
     replay_tower,
     replay_transfer,
     transfer_multiplicity,
+    transfer_target,
     transfer_weight,
     verify_all,
 )
@@ -121,19 +122,32 @@ def test_a_base_covers_nothing_but_a_transfer_covers_its_source():
 
 
 def test_coverage_is_derived_with_the_given_catalog():
-    """With T4 replaced by A4v(5) the p5 tower fails, and the U+U(5)+T4 row is not covered."""
+    """With T4 replaced by A4v(5) the p5 tower fails, and the U+U(5)+T4 row is not covered.
+
+    The default catalog runs warm first; then user catalogs are built and
+    discarded in turn, A4v(5) and T4's own Gram alternating, and then the
+    default catalog runs again: each run reads its own lattices, whichever
+    catalog ran before it, even one that a discarded catalog's memory now holds.
+    """
+    label = "II_{6,2}(5^{-4})"  # its one row is U+U(5)+T4, at k = 10
+    verify_all(), covered_rows(), verdict_table(verify=True)
+    default = verify_all(), covered_rows(), construction_coverage()[label]
+    assert default[0]["towers"]["p5-pullback"] is True
+    assert verify_construction(label, default[2]) == {"mixed[0]": "tower-covered"}
+    t4 = default_catalog().build("T4")
     a4v5 = default_catalog().build("A4").dual_rescaled(5)
-    cat = Catalog(extra={"T4": [list(row) for row in a4v5.gram]})
-    assert verify_all(cat)["towers"]["p5-pullback"] is False
-    label = "II_{6,2}(5^{-4})"  # its one row is U+U(5)+T4
-    assert verify_construction(label, construction_coverage()[label]) == {
-        "mixed[0]": "tower-covered"
-    }
-    assert verify_construction(label, construction_coverage(cat)[label]) == {
-        "mixed[0]": "uncovered"
-    }
-    status = verdict_table(verify=True, catalog=cat)["verification"][label]
-    assert "tower-covered" not in status.values()
+    extras = [({"T4": [list(row) for row in lat.gram]}, lat is t4) for lat in [a4v5, t4] * 4]
+    for extra, covered in extras:
+        cat = Catalog(extra)
+        assert verify_all(cat)["towers"]["p5-pullback"] is covered
+        assert ((label, 1, 1, 10) in covered_rows(cat)) is covered
+        assert verify_construction(label, construction_coverage(cat)[label]) == {
+            "mixed[0]": "tower-covered" if covered else "uncovered"
+        }
+        status = verdict_table(verify=True, catalog=cat)["verification"][label]
+        assert ("tower-covered" in status.values()) is covered
+        del cat  # its memory is free for the next catalog
+    assert (verify_all(), covered_rows(), construction_coverage()[label]) == default
 
 
 # -- each check can fail: mutate one table row or one tower --
@@ -194,14 +208,31 @@ def test_a_warm_certify_pass_builds_no_lattice():
 
 def test_a_change_to_the_loaded_data_reaches_no_replay():
     """`load` hands out a copy: reversing every tower and dropping every transfer in
-    what it returns changes neither the next replay nor the next load."""
-    before = verify_all(), covered_rows()
+    what it returns changes neither the next replay nor the next load.  Nor does a
+    change to what a replay returns: each call hands out new levels, scales and
+    reports, never the plan the catalog keeps."""
     data = load()
+    before = (verify_all(), covered_rows(),
+              [replay_tower(tower) for tower in data["towers"]],
+              [transfer_target(tr) for tr in data["transfers"]])
     for tower in data["towers"]:
         tower["exprs"].reverse()
     data["transfers"].clear()
     assert load() != data
-    assert (verify_all(), covered_rows()) == before
+    for tower in load()["towers"]:
+        levels = replay_tower(tower)
+        for level in levels:
+            level.update(expr="", genus="", drop="E8", weight=0, row=False)
+        levels.reverse()
+    for tr in load()["transfers"]:
+        t = transfer_target(tr)
+        t["scales"].reverse()
+        t["scales"].append(0)
+        t.update(source=None, target=None, row=False)
+    fresh = load()
+    assert (verify_all(), covered_rows(),
+            [replay_tower(tower) for tower in fresh["towers"]],
+            [transfer_target(tr) for tr in fresh["transfers"]]) == before
 
 
 @pytest.mark.parametrize(
