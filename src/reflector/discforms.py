@@ -44,7 +44,11 @@ isotropic subgroup search is joined by value from the forms a direct sum
 was built from (a form that is not a sum is its own one part): each such
 form walks its elements of order dividing the subgroup order once, groups
 them by value and keeps the groups, so a sum of known forms walks nothing
-(`isotropic_pool`).
+(`isotropic_pool`).  For a glue search on L, each part's groups are also
+split by the coset minimum of their elements, read off the part's
+`short_duals`, and the join skips every combination whose minima add up
+to 2, so the pool it hands the search holds no root class and none is
+ever concatenated (`root_free_pool`).
 The Gauss sum is compared with sqrt(|D|) zeta_8^s in Z[C_M], M = lcm(8,
 level), and a difference vanishes at zeta_M exactly when its reduction along
 the prime-power factors of M (by CRT) is zero, which takes O(M omega(M))
@@ -63,7 +67,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, partial, reduce
 from math import gcd, isqrt, lcm, prod
 from operator import add, mod, mul
 
@@ -269,7 +273,7 @@ class DiscriminantForm:
     coords: list[list[int]] | None = None
     _leaves: tuple[DiscriminantForm, ...] = field(default=(), repr=False, compare=False)
     _counts: list[int] | None = field(default=None, init=False, repr=False, compare=False)
-    # per torsion box, the (value, elements) groups of `_by_value`
+    # per torsion box, whether it is split by minima, and the groups of `_by_value`
     _groups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -336,20 +340,35 @@ class DiscriminantForm:
         return DiscriminantForm(self.orders + other.orders, den, bnum, gens, coords,
                                 _leaves=leaves)
 
-    def _by_value(self, order: int) -> list[tuple[int, list[tuple[int, ...]]]]:
+    def _by_value(self, order: int, minima=None) -> list[tuple[int, int | None, list]]:
         """The elements of order dividing `order`, in walk order, grouped by their value
-        x^T bnum x mod 2 den, as (value, elements) pairs.
+        x^T bnum x mod 2 den and their minimum, as (value, minimum, elements) triples.
 
-        One `_walk` per torsion box, kept on the form and keyed by the box
-        sizes gcd(o_i, order), so orders with the same box share one table.
+        `minima()` maps each class x of D(P), for the lattice P whose form
+        this is, whose coset x + P holds a vector of norm <= 2 to det(P)
+        times the minimum norm of x + P, and the zero class to 0
+        (`_coset_minima`); every other element has minimum None.  Without
+        `minima` every minimum is None.  One `_walk` per torsion box, kept on
+        the form and keyed by the box sizes gcd(o_i, order), so orders with
+        the same box share one table; a table kept without minima is split
+        in place the first time they are given, so a form keeps one table
+        per box.
         """
         box = _torsion_box(self.orders, order)
         key = tuple(n for n, _ in box)
-        if key not in self._groups:
-            groups = defaultdict(list)
-            _walk(self.bnum, box, 2 * self.den, groups=groups)
-            self._groups[key] = list(groups.items())
-        return self._groups[key]
+        split, groups = self._groups.get(key, (False, None))
+        if groups is None:
+            by_value = defaultdict(list)
+            _walk(self.bnum, box, 2 * self.den, groups=by_value)
+            groups = [(v, None, xs) for v, xs in by_value.items()]
+        if minima is not None and not split:
+            mins, by_min = minima(), defaultdict(list)
+            for v, _, xs in groups:
+                for x in xs:
+                    by_min[v, mins.get(x)].append(x)
+            groups, split = [(v, n, xs) for (v, n), xs in by_min.items()], True
+        self._groups[key] = split, groups
+        return groups
 
     def _q_counts(self) -> list[int]:
         """counts[v] = number of elements x with x^T B x * den = v mod 2 den.
@@ -726,44 +745,86 @@ def isotropic_pool(form: DiscriminantForm, order: int) -> list[tuple[int, ...]]:
     Sloane, Sphere Packings, Lattices and Groups, ch. 16): an element is a
     concatenation (x_1, ..., x_k) of leaf elements, and with
     v_i = x_i^T (den_i B_i) x_i, as each leaf keeps them (`_by_value`), its
-    value is sum_i v_i den / den_i mod 2 den.  The value groups of all
-    leaves but the largest are combined, and the largest leaf's group of
-    the complementary value completes each combination.  Every box axis
+    value is sum_i v_i den / den_i mod 2 den (`_join`).  `root_free_pool`
+    joins the same groups without the root classes of a lattice.
+    """
+    tables = [[(v * (form.den // leaf.den), 0, xs) for v, _, xs in leaf._by_value(order)]
+              for leaf in form._leaves or (form,)]
+    return _join(2 * form.den, tables)
+
+
+def root_free_pool(lat: Lattice, order: int) -> list[tuple[int, ...]]:
+    """`isotropic_pool(discriminant_form(L), order)` without the `root_classes` of L,
+    in the same order; no root class is concatenated.
+
+    The leaves of D(L) are the forms of the parts of L (`_leaf_parts`), and
+    the minimum norm of a coset x + L is the sum of the minima of its part
+    cosets, so x is a root class exactly when those add up to 2 (see
+    `root_classes`).  Each leaf keeps its value groups split by the coset
+    minimum of their elements, read off the part's `short_duals` and scaled,
+    as `root_classes` scales them, to the lcm of the part determinants
+    (`_by_value`, `_coset_minima`); a minimum above 2 counts as one past 2.
+    The join skips every combination of groups whose minima add up to
+    exactly 2.
+    """
+    form = discriminant_form(lat)
+    parts = _leaf_parts(lat)
+    den = lcm(*(part.det() for part in parts))
+    tables = []
+    for leaf, part in zip(form._leaves or (form,), parts):
+        groups = leaf._by_value(order, partial(_coset_minima, part, order))
+        tables.append([(v * (form.den // leaf.den),
+                        2 * den + 1 if n is None else n * (den // part.det()), xs)
+                       for v, n, xs in groups])
+    return _join(2 * form.den, tables, 2 * den)
+
+
+def _join(modulus: int, tables, target: int | None = None) -> list[tuple[int, ...]]:
+    """The concatenations of one element per table whose values add up to 0 mod
+    `modulus` and whose minima do not add up to `target`, sorted, without the first.
+
+    tables[i] holds (value, minimum, elements) groups.  The groups of all
+    tables but the largest are combined, and the largest table's groups of
+    the complementary value complete each combination.  Every box axis
     ascends, so `itertools.product` order is lexicographic order, and
     sorting the concatenations gives the order of a walk over the whole
-    box; the first element is 0.
+    box; the first element is 0, whose minima are all 0.
     """
-    modulus = 2 * form.den
-    tables = [[(v * (form.den // leaf.den), xs) for v, xs in leaf._by_value(order)]
-              for leaf in form._leaves or (form,)]
-    sizes = [sum(len(xs) for _, xs in table) for table in tables]
+    sizes = [sum(len(xs) for _, _, xs in table) for table in tables]
     big = sizes.index(max(sizes))
-    complement = dict(tables[big])
-    combos = [(0, [])]  # the scaled value so far, and one value group per leaf
+    complement = defaultdict(list)
+    for v, n, xs in tables[big]:
+        complement[v].append((n, xs))
+    combos = [(0, 0, [])]  # the value and the minimum so far, and one group per table
     for i, table in enumerate(tables):
         if i != big:
-            combos = [((s + v) % modulus, chosen + [xs]) for s, chosen in combos for v, xs in table]
+            combos = [((s + v) % modulus, low + n, chosen + [xs])
+                      for s, low, chosen in combos for v, n, xs in table]
     pool = []
-    for s, chosen in combos:
-        if -s % modulus in complement:
-            chosen.insert(big, complement[-s % modulus])
+    for s, low, chosen in combos:
+        for n, xs in complement.get(-s % modulus, ()):
+            if low + n == target:
+                continue
             elements = [()]
-            for xs in chosen:
-                elements = [e + x for e in elements for x in xs]
+            for group in chosen[:big] + [xs] + chosen[big:]:
+                elements = [e + x for e in elements for x in group]
             pool += elements
     pool.sort()
     return pool[1:]
 
 
 def isotropic_subgroups(
-    form: DiscriminantForm, order: int, budget: int = BUDGET, avoid: frozenset = frozenset()
+    form: DiscriminantForm, order: int, budget: int = BUDGET, avoid: frozenset = frozenset(),
+    pool: list[tuple[int, ...]] | None = None,
 ):
     """Isotropic subgroups of the given order that miss `avoid`, as sorted element tuples.
 
     q vanishes identically on each subgroup.  The search grows subgroups
     breadth-first from the pool of nonzero isotropic elements whose order
-    divides `order` and that are not in `avoid` (`isotropic_pool`, the
-    integer walk of the value counts), carrying each subgroup's generators.
+    divides `order` and that are not in `avoid`, carrying each subgroup's
+    generators.  That pool is `pool` when the caller gives it (as
+    `even_overlattices` gives `root_free_pool`), and otherwise
+    `isotropic_pool` filtered by `avoid`.
     For H isotropic and x isotropic, q(h + kx) = q(h) + k^2 q(x) + 2k b(h, x)
     mod 2, so <H, x> is isotropic exactly when b(g, x) is integral for every
     generator g of H; x is tried only then, and q is never evaluated on a
@@ -777,7 +838,8 @@ def isotropic_subgroups(
     orders, den = form.orders, form.den
     ops = _pool_scan(form, order, budget)
     zero = tuple(0 for _ in orders)
-    pool = [x for x in isotropic_pool(form, order) if x not in avoid]
+    if pool is None:
+        pool = [x for x in isotropic_pool(form, order) if x not in avoid]
     # den * x^T B, so den * b(g, x) is the dot product of g with it
     pairing = {x: [sum(map(mul, x, row)) for row in form.bnum] for x in pool}
 
@@ -930,6 +992,25 @@ def root_classes(lat: Lattice, order: int) -> frozenset:
     return memo[("classes", order)]
 
 
+def _leaf_parts(lat: Lattice) -> tuple[Lattice, ...]:
+    """The lattices whose forms are the leaves of `discriminant_form(L)`, in order:
+    the parts of L, each split into its own parts (L itself when it is not a sum)."""
+    return tuple(leaf for part in lat.parts for leaf in _leaf_parts(part)) or (lat,)
+
+
+def _coset_minima(part: Lattice, order: int) -> dict[tuple[int, ...], int]:
+    """det(P) times the minimum norm of x + P, by class x of D(P), for the zero class
+    and the classes of `short_duals`, which miss no coset of minimum <= 2; only the
+    zero class when no nonzero class of D(P) has order dividing `order`, as
+    `root_classes` reads them."""
+    minima = {(0,) * len(discriminant_form(part).orders): 0}
+    if gcd(part.det(), order) > 1:
+        for by_min in short_duals(part).values():
+            for norm, xs in by_min.items():
+                minima.update(dict.fromkeys(xs, norm))
+    return minima
+
+
 def _glue_roots(lat: Lattice, p: int):
     """The positive norm-2 roots of L, and by class c of D(L) the vectors p w for the
     dual vectors w of norm 2/p in c, all as coordinates G v, one per +- pair.
@@ -990,7 +1071,10 @@ def even_overlattices(
     `root_classes`, and the search drops those H.  The steps run in this
     order: the pool-size budget check (`_pool_scan`) on L's
     `discriminant_form`; then `root_classes`, which enumerates vectors only
-    for parts of L whose `short_duals` are not yet kept; then the search.
+    for parts of L whose `short_duals` are not yet kept; then the search,
+    over `root_free_pool`, which is the walked pool without those classes
+    and never concatenates one, and with the closures that meet them
+    dropped, as two non-root elements can span a root class.
     An H is kept only when the level of D(M) = H^perp / H, read off H by
     `glue_level`, equals `level`.  The groups come in the order of
     `isotropic_subgroups`, as subgroups of `discriminant_form(L)`; at index 1
@@ -1011,5 +1095,6 @@ def even_overlattices(
     if m == 1:
         return [((0,) * len(form.orders),)] if lat.level() == level else []
     _pool_scan(form, m, BUDGET)
-    return [sub for sub in isotropic_subgroups(form, m, avoid=root_classes(lat, m))
+    avoid = root_classes(lat, m)
+    return [sub for sub in isotropic_subgroups(form, m, avoid=avoid, pool=root_free_pool(lat, m))
             if glue_level(form, sub) == level]

@@ -822,6 +822,22 @@ def walk_calls():
 
 
 @contextmanager
+def joined_pools():
+    """The size of each pool that `discforms._join` concatenates inside the block."""
+    sizes = []
+    inner = discforms._join
+
+    def counted(*args):
+        pool = inner(*args)
+        sizes.append(len(pool))
+        return pool
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discforms, "_join", counted)
+        yield sizes
+
+
+@contextmanager
 def lattice_builds():
     """(name, rank) of each `Lattice` constructed inside the block, counted on entry."""
     built = []

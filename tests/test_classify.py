@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     carries_datum,
     glue_overlattice_calls,
+    joined_pools,
     lattice_builds,
     part_sums_calls,
     root_data_by_fractions,
@@ -539,13 +540,17 @@ def test_a_warm_census_pass_enumerates_and_builds_nothing():
     """Once a catalog has seen the census, a pass over it again calls `short_vectors`,
     `glue_overlattice` and `roots.part_sums` no more and constructs no `Lattice`: every
     glue group is decided on D(L), and each datum's lattice, with its root classes
-    and long roots, is the one the catalog keeps."""
+    and long roots, is the one the catalog keeps.  Nor does it concatenate a root
+    class: the pools joined for A1+A1+A1+A5(3) at order 4, E6(3)+A2 at 3, E6(3) at 9
+    and E6(3) at 3 hold 1, 2, 2 and 2 elements, where the walked pools hold 1, 782,
+    242 and 242."""
     cat = Catalog()
     assert [class_number(*args, catalog=cat) for args, _ in CENSUS] == [n for _, n in CENSUS]
     with (short_vector_calls() as calls, glue_overlattice_calls() as built,
-          part_sums_calls() as sums, lattice_builds() as lattices):
+          part_sums_calls() as sums, lattice_builds() as lattices, joined_pools() as pools):
         assert [class_number(*args, catalog=cat) for args, _ in CENSUS] == [n for _, n in CENSUS]
     assert not calls and not built and not sums and not lattices
+    assert pools == [1, 2, 2, 2]
 
 
 def test_a_cold_verdict_table_enumerates_each_gram_once():

@@ -56,6 +56,7 @@ from reflector.discforms import (
     elementary_count_norm,
     parse_genus,
     root_classes,
+    root_free_pool,
     splits_u_up,
 )
 from reflector.lattices import Lattice
@@ -845,7 +846,7 @@ def glue_root_sums(draw):
     return "+".join(terms), p
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(glue_root_sums())
 @example(("A1+A1+A1+A1+A1+A1+A1+A1", 2))
 @example(("A2(3)+A2+A1(3)", 3))
@@ -867,6 +868,71 @@ def test_glue_components_match_the_built_overlattice_on_small_sums(case):
         for sub in glue:
             over = glue_overlattice(lat, form, sub)
             assert glue_components(lat, p, sub) == root_components(over, p), (m, sub)
+
+
+def _filtered_pool(lat, order):
+    """The walked pool of D(L) without the root classes of L, in order."""
+    form = discforms.discriminant_form(lat)
+    return [x for x in isotropic_pool(form, order) if x not in root_classes(lat, order)]
+
+
+def _filtered_glue(lat, order, level):
+    """The glue groups of the search over the filtered pool, kept at `level`."""
+    form = discforms.discriminant_form(lat)
+    found = isotropic_subgroups(form, order, avoid=root_classes(lat, order))
+    return [sub for sub in found if glue_level(form, sub) == level]
+
+
+def _assert_root_free_pool_is_filtered(lat, order, level):
+    """`root_free_pool` against the filtered pool, and `even_overlattices` against the
+    search over it; returns the pool."""
+    pool = root_free_pool(lat, order)
+    assert pool == _filtered_pool(lat, order) == root_free_pool(lat, order)
+    target = lat.det() // (order * order)
+    assert even_overlattices(lat, target, level) == _filtered_glue(lat, order, level)
+    return pool
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(glue_root_sums())
+@example(("A4(5)+A4", 5))
+def test_the_root_free_pool_is_the_filtered_pool_on_small_sums(case):
+    """At every index whose pool passes the budget check, the join that skips root
+    classes gives the walked pool without them, in order, and the same glue groups."""
+    expr, p = case
+    lat = parse_lattice(expr, CAT)
+    det = lat.det()
+    for m in range(2, isqrt(det) + 1):
+        if det % (m * m) == 0:
+            try:
+                _assert_root_free_pool_is_filtered(lat, m, p)
+            except BudgetExceeded:
+                continue
+
+
+# (expression, order, root-free pool size): the census searches, the two rank-10
+# datum lattices (A3 + D7(3) glues at order 4), and a sum of sums
+ROOT_FREE_POOLS = [
+    ("E6(3)+A2", 3, 2), ("E6(3)", 3, 2), ("E6(3)", 9, 2), ("A1+A1+A1+A5(3)", 4, 1),
+    ("A3+D7(3)", 3, 0), ("A3+D7(3)", 4, 5), ("E6(3)+A2+A2", 3, 578), (("E6(3)+A2", "A2"), 3, 578),
+]
+
+
+@pytest.mark.parametrize(
+    "expr, order, size", ROOT_FREE_POOLS,
+    ids=lambda v: "+".join(f"({t})" for t in v) if isinstance(v, tuple) else None)
+@pytest.mark.parametrize("plain_first", [False, True])
+def test_the_root_free_pool_is_the_filtered_pool(expr, order, size, plain_first):
+    """On a fresh catalog, whether the terms' value groups are first walked for a plain
+    pool or for the root-free pool, the root-free pool is the filtered pool."""
+    cat = Catalog()
+    if isinstance(expr, tuple):
+        lat = lattices.direct_sum([cat.parse(part) for part in expr], name="sum")
+    else:
+        lat = cat.parse(expr)
+    if plain_first:
+        isotropic_pool(discforms.discriminant_form(lat), order)
+    assert len(_assert_root_free_pool_is_filtered(lat, order, 3)) == size
 
 
 def test_d8_d8_glues_to_both_unimodular_lattices():

@@ -15,10 +15,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load(monkeypatch, name: str):
-    """Load perfbench/<name>.py by path."""
-    path = ROOT / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+def _load(monkeypatch, name: str, folder: str = "perfbench"):
+    """Load <folder>/<name>.py by path."""
+    path = ROOT / folder / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{folder}_{name}", path)
     module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules while the file runs
     monkeypatch.setitem(sys.modules, spec.name, module)
@@ -96,3 +96,17 @@ def test_traced_passes_report_their_work(monkeypatch):
     assert metrics["classify.class_number.classes"] == 2
     assert metrics["reflcheck.check_candidate.calls"] > 0
     assert metrics["reflcheck.check_candidate.passed"] == metrics["reflcheck.check_candidate.calls"]
+
+
+def test_the_sweep_covers_the_2u_rows_and_runs_one(monkeypatch):
+    """tools/sweep_2u.py sweeps the 55 2U rows of the tables, and a cheap row runs in
+    its own process to its class number."""
+    from reflector.classify import table_rows
+
+    sweep = _load(monkeypatch, "sweep_2u", "tools")
+    want = [row for row in table_rows() if row[1].startswith("2U+")]
+    assert sweep.rows() == want and len(want) == 55
+    row = next(row for row in want if row[1] == "2U+A2")
+    record = sweep.run_row(row, cap=30)
+    assert (record["exit"], record["count"]) == (0, 1)
+    assert record["wall_s"] > 0 and record["maxrss_mb"] > 0
