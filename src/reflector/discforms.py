@@ -206,9 +206,10 @@ def _shifted(elem: dict[int, int], shifts, m: int) -> dict[int, int]:
 
 
 def _walk(bnum, box, modulus: int, counts: list[int] | None = None,
-          groups: defaultdict[int, list] | None = None) -> None:
+          groups: defaultdict[tuple, list] | None = None, minima: dict | None = None) -> None:
     """Adds one to counts[v(x)] for every x of a box, v(x) = x^T A x mod `modulus`,
-    A = bnum, in integers; with `groups` instead, appends x to groups[v(x)].
+    A = bnum, in integers; with `groups` instead, appends x to
+    groups[v(x), minima.get(x)] (no `minima` reads as an empty one).
 
     Axis i runs over x_i = 0, s_i, ..., (n_i - 1) s_i, box[i] = (n_i, s_i), in
     `itertools.product` order.  An entry of the explicit stack is an axis with
@@ -217,11 +218,12 @@ def _walk(bnum, box, modulus: int, counts: list[int] | None = None,
     axis the value is a quadratic, stepped by its first difference, so the
     last axis costs O(1) per element.
     """
+    mins = minima or {}
     if not box:  # one element, (), of value 0
         if counts is not None:
             counts[0] += 1
         else:
-            groups[0].append(())
+            groups[0, mins.get(())].append(())
         return
     last = len(box) - 1
     # per axis: its size and stride, s^2 A_ii, and s A_it for the later axes t
@@ -237,7 +239,8 @@ def _walk(bnum, box, modulus: int, counts: list[int] | None = None,
                 if counts is not None:
                     counts[value % modulus] += 1
                 else:
-                    groups[value % modulus].append(prefix + (x,))
+                    elem = prefix + (x,)
+                    groups[value % modulus, mins.get(elem)].append(elem)
                 value += step
                 step += 2 * b
             continue
@@ -350,18 +353,21 @@ class DiscriminantForm:
         (`_coset_minima`); every other element has minimum None.  Without
         `minima` every minimum is None.  One `_walk` per torsion box, kept on
         the form and keyed by the box sizes gcd(o_i, order), so orders with
-        the same box share one table; a table kept without minima is split
-        in place the first time they are given, so a form keeps one table
-        per box.
+        the same box share one table.  A box walked with `minima` is grouped
+        by both in that one walk; a table kept without minima is split in
+        place the first time they are given, so a form keeps one table per
+        box.
         """
         box = _torsion_box(self.orders, order)
         key = tuple(n for n, _ in box)
         split, groups = self._groups.get(key, (False, None))
         if groups is None:
-            by_value = defaultdict(list)
-            _walk(self.bnum, box, 2 * self.den, groups=by_value)
-            groups = [(v, None, xs) for v, xs in by_value.items()]
-        if minima is not None and not split:
+            walked = defaultdict(list)
+            _walk(self.bnum, box, 2 * self.den, groups=walked,
+                  minima=None if minima is None else minima())
+            groups = [(v, n, xs) for (v, n), xs in walked.items()]
+            split = minima is not None
+        elif minima is not None and not split:
             mins, by_min = minima(), defaultdict(list)
             for v, _, xs in groups:
                 for x in xs:

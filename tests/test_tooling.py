@@ -107,6 +107,6 @@ def test_the_sweep_covers_the_2u_rows_and_runs_one(monkeypatch):
     want = [row for row in table_rows() if row[1].startswith("2U+")]
     assert sweep.rows() == want and len(want) == 55
     row = next(row for row in want if row[1] == "2U+A2")
-    record = sweep.run_row(row, cap=30)
+    record = sweep.run_row(row)
     assert (record["exit"], record["count"]) == (0, 1)
     assert record["wall_s"] > 0 and record["maxrss_mb"] > 0

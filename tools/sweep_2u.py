@@ -1,6 +1,6 @@
 """The hard-row sweep: the class number of every 2U row, each in its own process.
 
-    python3 tools/sweep_2u.py [--cap 30] [--src DIR] [--model MODEL ...] [--out FILE]
+    python3 tools/sweep_2u.py [--src DIR] [--out FILE]
 
 Run it from anywhere.  It reads the rows from the tables of this checkout
 and by default runs them with its library too (./src; --src names another
@@ -9,7 +9,7 @@ II_{n,2}(p^{eps n_p}), it runs
 
     python -m reflector.cli classnumber --rank n-2 --prime p --c1 --cp --k --np n_p --format json
 
-in a fresh interpreter, stops it after --cap seconds, and records the exit
+in a fresh interpreter, stops it after CAP = 30 seconds, and records the exit
 code (None when the cap stopped it), the class number it printed, its wall
 time and its peak resident memory (`ru_maxrss` of the child, read by
 `os.wait4`), with the first line of its standard error when it failed.  One
@@ -37,6 +37,8 @@ if str(SRC) not in sys.path:
 from reflector import classify  # noqa: E402
 from reflector.discforms import parse_genus  # noqa: E402
 
+CAP = 30  # seconds per row
+
 
 def rows() -> list[tuple[str, str, int, int, int]]:
     """The 2U rows of `classify.table_rows()`, as (genus, model, c1, cp, k), in table order."""
@@ -51,8 +53,8 @@ def classnumber_argv(row) -> list[str]:
             "--cp", str(cp), "--k", str(k), "--np", str(g.n_p), "--format", "json"]
 
 
-def run_row(row, cap: float, src: Path = SRC) -> dict:
-    """One row's class number in a child process stopped after `cap` seconds."""
+def run_row(row, src: Path = SRC) -> dict:
+    """One row's class number in a child process stopped after CAP seconds."""
     genus, model, c1, cp, k = row
     argv = [sys.executable, "-m", "reflector.cli", *classnumber_argv(row)]
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -64,7 +66,7 @@ def run_row(row, cap: float, src: Path = SRC) -> dict:
             if pid:
                 code = child.returncode = os.waitstatus_to_exitcode(status)
                 break
-            if time.perf_counter() - start > cap:
+            if time.perf_counter() - start > CAP:
                 child.kill()
                 _, status, usage = os.wait4(child.pid, 0)
                 child.returncode = os.waitstatus_to_exitcode(status)
@@ -79,7 +81,7 @@ def run_row(row, cap: float, src: Path = SRC) -> dict:
               "count": json.loads(stdout)["class_number"] if code == 0 else None,
               "wall_s": round(wall_s, 3), "maxrss_mb": round(usage.ru_maxrss / 1024, 2)}
     if code is None:
-        record["message"] = f"stopped after {cap} s"
+        record["message"] = f"stopped after {CAP} s"
     elif code != 0:
         record["message"] = stderr.splitlines()[0] if stderr else ""
     return record
@@ -87,17 +89,14 @@ def run_row(row, cap: float, src: Path = SRC) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--cap", type=float, default=30.0, help="seconds per row")
     parser.add_argument("--src", type=Path, default=SRC,
                         help="the directory of the reflector package that runs the rows")
-    parser.add_argument("--model", action="append", help="run only these models")
     parser.add_argument("--out", type=Path, help="write every record to this JSON file")
     args = parser.parse_args(argv)
     src = args.src.resolve()
-    selected = [row for row in rows() if not args.model or row[1] in args.model]
     records = []
-    for row in selected:
-        records.append(run_row(row, args.cap, src))
+    for row in rows():
+        records.append(run_row(row, src))
         print(json.dumps(records[-1]), flush=True)
     if args.out:
         args.out.write_text(json.dumps(records, indent=1) + "\n")
