@@ -661,12 +661,12 @@ def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -
     lists them.  Each datum spans a definite lattice L, the sum of its
     components' spans in `roots.component_types`, which the catalog builds
     once per expression and keeps (`Catalog.parse`), so that the discriminant
-    form, dual vectors, root classes and long roots that L keeps serve every
-    later call with the same datum; its candidates are the
-    even overlattices of determinant p^n_p and level p, one per glue group,
-    whose reflective root system is exactly the datum (glue vectors may
-    create extra roots, in which case the overlattice belongs to a
-    different datum).  `even_overlattices` drops the glue that adds a
+    form and its value groups, the coset minima of its terms and the long
+    roots that L keeps serve every later call with the same datum; its
+    candidates are the even overlattices of determinant p^n_p and level p,
+    one per glue group, whose reflective root system is exactly the datum
+    (glue vectors may create extra roots, in which case the overlattice
+    belongs to a different datum).  `even_overlattices` drops the glue that adds a
     norm-2 vector, which loses no candidate, as L is spanned by the datum's
     roots.  Whether a glue group carries the datum is read off D(L) by
     `discforms.glue_components`, in integers, with no overlattice built.

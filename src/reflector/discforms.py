@@ -29,12 +29,13 @@ of the parts' forms, presented part by part, so only a lattice that is not
 a sum runs a Smith form.  So is one enumeration of the dual vectors of
 norm <= 2 (`short_duals`), of which it keeps the classes whose cosets hold
 such a vector, with their minimum norms.  The root classes that a glue
-group must miss are concatenated from these tables of the parts of an
-orthogonal sum, and the dual vectors of norm 2/p that become long roots of
-a glue overlattice from the parts' root tables (`roots.dual_roots`), so
-the dual of a sum is never enumerated as a whole.  The root system of a
-glue overlattice is read off its glue group in D(L) (`glue_components`),
-so deciding which glue carries a root datum builds no overlattice.
+group must miss are told apart by adding up the minima in these tables
+of the parts of an orthogonal sum, and the dual vectors of norm 2/p that
+become long roots of a glue overlattice are concatenated from the parts'
+root tables (`roots.dual_roots`), so the dual of a sum is never
+enumerated as a whole.  The root system of a glue overlattice is read
+off its glue group in D(L) (`glue_components`), so deciding which glue
+carries a root datum builds no overlattice.
 
 Value statistics of a form come from one integer walk over D (`_walk`),
 made at most once per form and refused past WALK_BUDGET elements: it counts
@@ -48,7 +49,9 @@ them by value and keeps the groups, so a sum of known forms walks nothing
 split by the coset minimum of their elements, read off the part's
 `short_duals`, and the join skips every combination whose minima add up
 to 2, so the pool it hands the search holds no root class and none is
-ever concatenated (`root_free_pool`).
+ever concatenated (`root_free_pool`).  The search keeps a closure only
+while each of its elements is in that pool, so no set of root classes is
+built.
 The Gauss sum is compared with sqrt(|D|) zeta_8^s in Z[C_M], M = lcm(8,
 level), and a difference vanishes at zeta_M exactly when its reduction along
 the prime-power factors of M (by CRT) is zero, which takes O(M omega(M))
@@ -276,7 +279,7 @@ class DiscriminantForm:
     coords: list[list[int]] | None = None
     _leaves: tuple[DiscriminantForm, ...] = field(default=(), repr=False, compare=False)
     _counts: list[int] | None = field(default=None, init=False, repr=False, compare=False)
-    # per torsion box, whether it is split by minima, and the groups of `_by_value`
+    # the groups of `_by_value`, per torsion box and whether minima were given
     _groups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -352,29 +355,17 @@ class DiscriminantForm:
         times the minimum norm of x + P, and the zero class to 0
         (`_coset_minima`); every other element has minimum None.  Without
         `minima` every minimum is None.  One `_walk` per torsion box, kept on
-        the form and keyed by the box sizes gcd(o_i, order), so orders with
-        the same box share one table.  A box walked with `minima` is grouped
-        by both in that one walk; a table kept without minima is split in
-        place the first time they are given, so a form keeps one table per
-        box.
+        the form and keyed by the box sizes gcd(o_i, order) and whether
+        `minima` was given, so orders with the same box share one table.
         """
         box = _torsion_box(self.orders, order)
-        key = tuple(n for n, _ in box)
-        split, groups = self._groups.get(key, (False, None))
-        if groups is None:
+        key = tuple(n for n, _ in box), minima is not None
+        if key not in self._groups:
             walked = defaultdict(list)
             _walk(self.bnum, box, 2 * self.den, groups=walked,
                   minima=None if minima is None else minima())
-            groups = [(v, n, xs) for (v, n), xs in walked.items()]
-            split = minima is not None
-        elif minima is not None and not split:
-            mins, by_min = minima(), defaultdict(list)
-            for v, _, xs in groups:
-                for x in xs:
-                    by_min[v, mins.get(x)].append(x)
-            groups, split = [(v, n, xs) for (v, n), xs in by_min.items()], True
-        self._groups[key] = split, groups
-        return groups
+            self._groups[key] = [(v, n, xs) for (v, n), xs in walked.items()]
+        return self._groups[key]
 
     def _q_counts(self) -> list[int]:
         """counts[v] = number of elements x with x^T B x * den = v mod 2 den.
@@ -752,7 +743,7 @@ def isotropic_pool(form: DiscriminantForm, order: int) -> list[tuple[int, ...]]:
     concatenation (x_1, ..., x_k) of leaf elements, and with
     v_i = x_i^T (den_i B_i) x_i, as each leaf keeps them (`_by_value`), its
     value is sum_i v_i den / den_i mod 2 den (`_join`).  `root_free_pool`
-    joins the same groups without the root classes of a lattice.
+    joins them, split by coset minimum, without a lattice's root classes.
     """
     tables = [[(v * (form.den // leaf.den), 0, xs) for v, _, xs in leaf._by_value(order)]
               for leaf in form._leaves or (form,)]
@@ -760,18 +751,23 @@ def isotropic_pool(form: DiscriminantForm, order: int) -> list[tuple[int, ...]]:
 
 
 def root_free_pool(lat: Lattice, order: int) -> list[tuple[int, ...]]:
-    """`isotropic_pool(discriminant_form(L), order)` without the `root_classes` of L,
-    in the same order; no root class is concatenated.
+    """`isotropic_pool(discriminant_form(L), order)` without the root classes of L,
+    the x whose coset x + L holds a norm-2 vector, for L positive definite, in
+    the same order; no root class is concatenated.
 
-    The leaves of D(L) are the forms of the parts of L (`_leaf_parts`), and
-    the minimum norm of a coset x + L is the sum of the minima of its part
-    cosets, so x is a root class exactly when those add up to 2 (see
-    `root_classes`).  Each leaf keeps its value groups split by the coset
-    minimum of their elements, read off the part's `short_duals` and scaled,
-    as `root_classes` scales them, to the lcm of the part determinants
-    (`_by_value`, `_coset_minima`); a minimum above 2 counts as one past 2.
-    The join skips every combination of groups whose minima add up to
-    exactly 2.
+    The leaves of D(L) are the forms of the parts P of L (`_leaf_parts`),
+    so an element of D(L) is the concatenation of one element of each
+    D(P), and the minimum norm of x + L is the sum of the minima of the
+    part cosets x_P + P (Conway and Sloane, Sphere Packings, Lattices and
+    Groups, ch. 4 and 16).  L is even, so every norm in x + L is 2 q(x)
+    mod 2.  Hence a nonzero x holds a norm-2 vector exactly when its part
+    minima add up to 2: a sum below 2 could reach 2 only by adding 2 on a
+    part whose minimum is 0, and then x would be 0.  Each leaf keeps its
+    value groups split by the coset minimum of their elements, read off
+    the part's `short_duals` and scaled to the lcm of the part
+    determinants (`_by_value`, `_coset_minima`); a minimum above 2 counts
+    as one past 2.  The join skips every combination of groups whose
+    minima add up to exactly 2.
     """
     form = discriminant_form(lat)
     parts = _leaf_parts(lat)
@@ -820,32 +816,34 @@ def _join(modulus: int, tables, target: int | None = None) -> list[tuple[int, ..
 
 
 def isotropic_subgroups(
-    form: DiscriminantForm, order: int, budget: int = BUDGET, avoid: frozenset = frozenset(),
+    form: DiscriminantForm, order: int, budget: int = BUDGET,
     pool: list[tuple[int, ...]] | None = None,
 ):
-    """Isotropic subgroups of the given order that miss `avoid`, as sorted element tuples.
+    """Isotropic subgroups of the given order whose nonzero elements are all in the
+    pool, as sorted element tuples.
 
     q vanishes identically on each subgroup.  The search grows subgroups
-    breadth-first from the pool of nonzero isotropic elements whose order
-    divides `order` and that are not in `avoid`, carrying each subgroup's
-    generators.  That pool is `pool` when the caller gives it (as
-    `even_overlattices` gives `root_free_pool`), and otherwise
-    `isotropic_pool` filtered by `avoid`.
+    breadth-first from the pool, carrying each subgroup's generators.  The
+    pool is `isotropic_pool`, the nonzero isotropic elements whose order
+    divides `order`, unless the caller gives a part of it (as
+    `even_overlattices` gives `root_free_pool`).
     For H isotropic and x isotropic, q(h + kx) = q(h) + k^2 q(x) + 2k b(h, x)
     mod 2, so <H, x> is isotropic exactly when b(g, x) is integral for every
     generator g of H; x is tried only then, and q is never evaluated on a
-    closure.  A closure that meets `avoid` is dropped
-    with all that would grow from it; a subgroup that misses `avoid` is
-    still reached, through its subgroups.  Every element scanned for the
-    pool and every (subgroup, element) pair tried counts as one operation,
-    and the search raises BudgetExceeded past `budget` of them, before the
-    pool is built when its scan alone would pass it (`_pool_scan`).
+    closure.  A closure of order dividing `order` is isotropic, so each of
+    its nonzero elements is in `isotropic_pool`; it is kept only when they
+    are all in the pool, and one that leaves the pool is dropped with all
+    that would grow from it.  A subgroup inside the pool is still reached,
+    through its subgroups.  Every element scanned for the pool and every
+    (subgroup, element) pair tried counts as one operation, and the search
+    raises BudgetExceeded past `budget` of them, before the pool is built
+    when its scan alone would pass it (`_pool_scan`).
     """
     orders, den = form.orders, form.den
     ops = _pool_scan(form, order, budget)
     zero = tuple(0 for _ in orders)
     if pool is None:
-        pool = [x for x in isotropic_pool(form, order) if x not in avoid]
+        pool = isotropic_pool(form, order)
     # den * x^T B, so den * b(g, x) is the dot product of g with it
     pairing = {x: [sum(map(mul, x, row)) for row in form.bnum] for x in pool}
 
@@ -869,8 +867,8 @@ def isotropic_subgroups(
                 grown = _closure(sub, x, orders)
                 if grown in seen:
                     continue
-                if len(grown) > order or order % len(grown) != 0 or not grown.isdisjoint(avoid):
-                    continue
+                if order % len(grown) or not pairing.keys() >= grown - sub:
+                    continue  # its order does not divide `order`, or it leaves the pool
                 seen.add(grown)
                 nxt.append((grown, gens + (x,)))
                 if len(grown) == order:
@@ -931,10 +929,10 @@ def discriminant_form(lat: Lattice) -> DiscriminantForm:
     return memo["form"]
 
 
-def short_duals(lat: Lattice) -> dict[int, dict[int, list[tuple[int, ...]]]]:
+def short_duals(lat: Lattice) -> dict[int, list[tuple[int, ...]]]:
     """The nonzero x in D(L) whose coset x + L holds a vector of norm <= 2, for L
-    positive definite, by the order of x and then by det(L) times the minimum
-    norm of x + L, with x and -x together.
+    positive definite, by det(L) times the minimum norm of x + L, with x and -x
+    together.
 
     Computed once per lattice and kept on it.  The dual vector G^-1 c lies
     in `element_of(c)` and has norm c^T adj(G) c / det, so one
@@ -945,57 +943,17 @@ def short_duals(lat: Lattice) -> dict[int, dict[int, list[tuple[int, ...]]]]:
     memo = lat.discform_memo
     if "short" not in memo:
         form = discriminant_form(lat)
-        det = lat.det()
-        cosets: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+        cosets: dict[int, list[tuple[int, ...]]] = {}
         seen = set()
-        for norm, vecs in roots.short_vectors(lat.adjugate(), 2 * det).items():
+        for norm, vecs in roots.short_vectors(lat.adjugate(), 2 * lat.det()).items():
             for c in vecs:
                 x = form.element_of(c)
                 if any(x) and x not in seen:  # class 0 holds the vectors of L
                     neg = tuple(-a % o for a, o in zip(x, form.orders))
                     seen |= {x, neg}
-                    x_order = lcm(*(o // gcd(o, a) for a, o in zip(x, form.orders)))
-                    cosets.setdefault(x_order, {}).setdefault(norm, []).extend(sorted({x, neg}))
+                    cosets.setdefault(norm, []).extend(sorted({x, neg}))
         memo["short"] = cosets
     return memo["short"]
-
-
-def root_classes(lat: Lattice, order: int) -> frozenset:
-    """The nonzero x in D(L) of order dividing `order` whose coset x + L holds a
-    norm-2 vector, for L positive definite, from the cosets of its parts.
-
-    L is the orthogonal sum of its parts P (L itself when it is not a sum),
-    so D(L) is the sum of the D(P), and the minimum norm of x + L is the sum
-    of the minima of the part cosets x_P + P (Conway and Sloane, Sphere
-    Packings, Lattices and Groups, ch. 4 and 16).  L is even, so every norm
-    in x + L is 2 q(x) mod 2.  Hence a nonzero x holds a norm-2 vector
-    exactly when its part minima add up to 2: a sum below 2 could reach 2
-    only by adding 2 on a part whose minimum is 0, and then x would be 0.
-
-    `discriminant_form(L)` presents D(L) part by part, so an element of D(L)
-    is the concatenation of one element of each D(P).  Each part's
-    `short_duals` cosets are read once per part (and kept on it); those of
-    order dividing `order` are grouped by minimum, as an integer over the
-    lcm of the part determinants, and each part adds its zero at minimum 0;
-    `roots.part_sums` concatenates those whose minima add up to exactly 2.  The
-    set is computed once per (lattice, order) and kept on L, as the glue
-    roots of `_glue_roots` are.
-    """
-    memo = lat.discform_memo
-    if ("classes", order) not in memo:
-        parts = lat.parts or (lat,)
-        den = lcm(*(part.det() for part in parts))
-        steps = []  # per part: its zero, and its classes by scaled minimum
-        for part in parts:
-            by_norm: dict[int, list[tuple[int, ...]]] = {}
-            if gcd(part.det(), order) > 1:  # else no nonzero class of D(P) has order dividing it
-                for x_order, by_min in short_duals(part).items():
-                    if order % x_order == 0:
-                        for norm, xs in by_min.items():
-                            by_norm.setdefault(norm * (den // part.det()), []).extend(xs)
-            steps.append(((0,) * len(discriminant_form(part).orders), by_norm))
-        memo[("classes", order)] = frozenset(roots.part_sums(steps, 2 * den))
-    return memo[("classes", order)]
 
 
 def _leaf_parts(lat: Lattice) -> tuple[Lattice, ...]:
@@ -1007,13 +965,12 @@ def _leaf_parts(lat: Lattice) -> tuple[Lattice, ...]:
 def _coset_minima(part: Lattice, order: int) -> dict[tuple[int, ...], int]:
     """det(P) times the minimum norm of x + P, by class x of D(P), for the zero class
     and the classes of `short_duals`, which miss no coset of minimum <= 2; only the
-    zero class when no nonzero class of D(P) has order dividing `order`, as
-    `root_classes` reads them."""
+    zero class when no nonzero class of D(P) has order dividing `order`, so a part
+    coprime to it enumerates nothing."""
     minima = {(0,) * len(discriminant_form(part).orders): 0}
     if gcd(part.det(), order) > 1:
-        for by_min in short_duals(part).values():
-            for norm, xs in by_min.items():
-                minima.update(dict.fromkeys(xs, norm))
+        for norm, xs in short_duals(part).items():
+            minima.update(dict.fromkeys(xs, norm))
     return minima
 
 
@@ -1042,9 +999,9 @@ def glue_components(
     """The components of R(M) at p for the overlattice M of L that a root-free glue
     group glues, read off D(L) with no overlattice built.
 
-    `sub` is an isotropic subgroup H of `discriminant_form(L)` that misses
-    `root_classes`, as `even_overlattices` returns them, so the norm-2
-    roots of M are those of L.  A long root v of M, of norm 2p with
+    `sub` is an isotropic subgroup H of `discriminant_form(L)` inside
+    `root_free_pool` (with 0), as `even_overlattices` returns them, so the
+    norm-2 roots of M are those of L.  A long root v of M, of norm 2p with
     (v, M) in pZ, is p w for a dual vector w of L of norm 2/p; with c the
     class of w, v lies in M exactly when p c lies in H, and w lies in
     M^dual exactly when c lies in H^perp (Nikulin 1979, 1.4:
@@ -1073,14 +1030,13 @@ def even_overlattices(
     L is positive definite.  Overlattices M with L <= M <= L^dual
     correspond to isotropic subgroups H <= D(L), with [M : L]^2 =
     |det L| / |det M| (Nikulin).  M, the union of the cosets h + L over h
-    in H, has a norm-2 vector outside L exactly when H meets
-    `root_classes`, and the search drops those H.  The steps run in this
-    order: the pool-size budget check (`_pool_scan`) on L's
-    `discriminant_form`; then `root_classes`, which enumerates vectors only
-    for parts of L whose `short_duals` are not yet kept; then the search,
-    over `root_free_pool`, which is the walked pool without those classes
-    and never concatenates one, and with the closures that meet them
-    dropped, as two non-root elements can span a root class.
+    in H, has a norm-2 vector outside L exactly when H holds a root class,
+    and the search drops those H.  The steps run in this order: the
+    pool-size budget check (`_pool_scan`) on L's `discriminant_form`; then
+    `root_free_pool`, which enumerates vectors only for parts of L whose
+    `short_duals` are not yet kept; then the search over that pool, which
+    keeps a closure only while every element is in it, as two elements
+    that are not root classes can span one.
     An H is kept only when the level of D(M) = H^perp / H, read off H by
     `glue_level`, equals `level`.  The groups come in the order of
     `isotropic_subgroups`, as subgroups of `discriminant_form(L)`; at index 1
@@ -1101,6 +1057,5 @@ def even_overlattices(
     if m == 1:
         return [((0,) * len(form.orders),)] if lat.level() == level else []
     _pool_scan(form, m, BUDGET)
-    avoid = root_classes(lat, m)
-    return [sub for sub in isotropic_subgroups(form, m, avoid=avoid, pool=root_free_pool(lat, m))
+    return [sub for sub in isotropic_subgroups(form, m, pool=root_free_pool(lat, m))
             if glue_level(form, sub) == level]

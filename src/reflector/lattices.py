@@ -30,8 +30,8 @@ for Xv(p), until its roots are read, the term X whose dual vectors they are
 read off (`roots.share_table`); and the discriminant form of
 `discforms.discriminant_form`, which for a sum is the direct sum of its
 parts' forms, D(L1 + L2) = D(L1) + D(L2), with the coset minima of
-`discforms.short_duals`, the root classes by order and the glue roots by
-prime.  No memo refers back to its lattice.
+`discforms.short_duals` and the glue roots by prime.  No memo refers back
+to its lattice.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ class Lattice:
 
     @cached_property
     def discform_memo(self) -> dict:
-        """The discriminant form, the coset minima, the root classes by order and the glue
-        roots by prime, filled in by `discforms`."""
+        """The discriminant form, the coset minima and the glue roots by prime, filled in
+        by `discforms`."""
         return {}
 
     def dual_gram(self) -> list[list[Fraction]]:

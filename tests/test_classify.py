@@ -539,11 +539,11 @@ CENSUS = [((8, 3, 1, 1, 18, 6), 1), ((6, 3, 1, 1, 24, 3), 0), ((6, 3, 1, 1, 24, 
 def test_a_warm_census_pass_enumerates_and_builds_nothing():
     """Once a catalog has seen the census, a pass over it again calls `short_vectors`,
     `glue_overlattice` and `roots.part_sums` no more and constructs no `Lattice`: every
-    glue group is decided on D(L), and each datum's lattice, with its root classes
-    and long roots, is the one the catalog keeps.  Nor does it concatenate a root
-    class: the pools joined for A1+A1+A1+A5(3) at order 4, E6(3)+A2 at 3, E6(3) at 9
-    and E6(3) at 3 hold 1, 2, 2 and 2 elements, where the walked pools hold 1, 782,
-    242 and 242."""
+    glue group is decided on D(L), and each datum's lattice, with its terms' coset
+    minima and its long roots, is the one the catalog keeps.  Nor does it concatenate
+    a root class: the pools joined for A1+A1+A1+A5(3) at order 4, E6(3)+A2 at 3,
+    E6(3) at 9 and E6(3) at 3 hold 1, 2, 2 and 2 elements, where the walked pools
+    hold 1, 782, 242 and 242."""
     cat = Catalog()
     assert [class_number(*args, catalog=cat) for args, _ in CENSUS] == [n for _, n in CENSUS]
     with (short_vector_calls() as calls, glue_overlattice_calls() as built,

@@ -26,6 +26,7 @@ from helpers import (
     isotropic_elements,
     isotropic_subgroups_by_closure,
     legendre,
+    part_sums_calls,
     poly_divmod,
     q_values,
     root_classes_by_dual_enumeration,
@@ -55,7 +56,6 @@ from reflector.discforms import (
     candidate_form,
     elementary_count_norm,
     parse_genus,
-    root_classes,
     root_free_pool,
     splits_u_up,
 )
@@ -871,15 +871,17 @@ def test_glue_components_match_the_built_overlattice_on_small_sums(case):
 
 
 def _filtered_pool(lat, order):
-    """The walked pool of D(L) without the root classes of L, in order."""
+    """The walked pool of D(L) without the root classes that the norm-2 vectors of the
+    whole dual of L find, in order."""
     form = discforms.discriminant_form(lat)
-    return [x for x in isotropic_pool(form, order) if x not in root_classes(lat, order)]
+    classes = root_classes_by_dual_enumeration(lat, form, order)
+    return [x for x in isotropic_pool(form, order) if x not in classes]
 
 
 def _filtered_glue(lat, order, level):
     """The glue groups of the search over the filtered pool, kept at `level`."""
     form = discforms.discriminant_form(lat)
-    found = isotropic_subgroups(form, order, avoid=root_classes(lat, order))
+    found = isotropic_subgroups(form, order, pool=_filtered_pool(lat, order))
     return [sub for sub in found if glue_level(form, sub) == level]
 
 
@@ -998,15 +1000,17 @@ def avoid_search_cases(draw):
     return form, order, full
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(avoid_search_cases(), st.data())
 def test_avoided_elements_drop_exactly_the_subgroups_that_meet_them(case, data):
-    """The search that avoids a set returns the full search's subgroups that miss it, in order."""
+    """The search over the walked pool without a set returns the full search's
+    subgroups that miss it, in order."""
     form, order, full = case
     elements = sorted({x for sub in full for x in sub if any(x)})
     avoid = frozenset(data.draw(st.lists(st.sampled_from(elements), max_size=4)))
     want = [sub for sub in full if avoid.isdisjoint(sub)]
-    assert isotropic_subgroups(form, order, budget=10**5, avoid=avoid) == want
+    pool = [x for x in isotropic_pool(form, order) if x not in avoid]
+    assert isotropic_subgroups(form, order, budget=10**5, pool=pool) == want
 
 
 # -- root classes from per-part coset minima --
@@ -1053,48 +1057,57 @@ def root_class_cases(draw):
     return "+".join(terms), draw(st.sampled_from(orders))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(root_class_cases())
 @example(("E6(3)+A2", 3))
 @example(("3A1+A5(3)", 4))
 @example(("E6(3)", 9))
 @example(("E7+A1(5)", 5))
 def test_root_classes_match_whole_dual_enumeration(case):
-    """Adding up the coset minima of the parts finds the classes that the norm-2
-    vectors of the whole dual find."""
+    """Adding up the coset minima of the parts leaves out of the walked pool exactly
+    the classes that the norm-2 vectors of the whole dual find."""
     expr, order = case
     lat = parse_lattice(expr, CAT)
-    want = root_classes_by_dual_enumeration(lat, discforms.discriminant_form(lat), order)
-    assert root_classes(lat, order) == want
+    assert root_free_pool(lat, order) == _filtered_pool(lat, order)
 
 
 def test_root_classes_enumerate_each_term_once():
     """Once a term's coset table is kept, a sum of known terms enumerates no vector."""
     cat = Catalog()
-    first = root_classes(cat.parse("E6(3)+A2"), 3)
+    first = root_free_pool(cat.parse("E6(3)+A2"), 3)
     glue = even_overlattices(cat.parse("E7+A1(5)"), 5, 5)  # order 2: E7's table
-    assert len(first) == 780 and len(glue) == 1
+    assert len(first) == 2 and len(glue) == 1
     with short_vector_calls() as calls:
-        assert root_classes(cat.parse("E6(3)+A2"), 3) == first
-        assert root_classes(cat.parse("E6(3)"), 9)
-        assert root_classes(cat.parse("A2+E6(3)+A2"), 3)
+        assert root_free_pool(cat.parse("E6(3)+A2"), 3) == first
+        assert root_free_pool(cat.parse("E6(3)"), 9)
+        assert root_free_pool(cat.parse("A2+E6(3)+A2"), 3)
         assert even_overlattices(cat.parse("E7+A1(5)"), 5, 5) == glue
     assert not calls
 
 
 def test_a_sum_of_warm_terms_runs_no_smith_form_and_maps_no_class(monkeypatch):
-    """D(L) of a sum is the sum of its terms' kept forms, and its root classes are
-    concatenations of the terms' classes: no Smith form and no `element_of`."""
+    """D(L) of a sum is the sum of its terms' kept forms, and its root-free pool is
+    joined from the terms' kept minima: no Smith form and no `element_of`."""
     lat = Catalog().parse("A2+E6(3)+A2")
     for part in lat.parts:
-        root_classes(part, 3)
+        root_free_pool(part, 3)
     mapped, inner = [], DiscriminantForm.element_of
     monkeypatch.setattr(DiscriminantForm, "element_of", lambda *a: mapped.append(a) or inner(*a))
     with smith_calls() as calls:
         assert even_overlattices(lat, 3**5, 3) == []  # every glue group of order 9 adds roots
         assert len(even_overlattices(lat, 3**7, 3)) == 1
-        assert len(root_classes(lat, 3)) == 1608
+        assert len(root_free_pool(lat, 3)) == 578
     assert not calls and not mapped
+
+
+def test_a_cold_glue_search_builds_no_root_class_set():
+    """On a fresh catalog, the glue searches of E6(3)+A2 at index 3 and of A3+D7(3)
+    at index 4 call `roots.part_sums` not once: no set of root classes is built."""
+    cat = Catalog()
+    with part_sums_calls() as sums:
+        assert len(even_overlattices(cat.parse("E6(3)+A2"), 3**6, 3)) == 1
+        assert len(even_overlattices(cat.parse("A3+D7(3)"), 3**7, 3)) == 2
+    assert sums == []
 
 
 # terms of coprime, unimodular and prime-power determinant; `nested_sums` sums them
