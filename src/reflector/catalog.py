@@ -84,8 +84,8 @@ def e7_a1_overlattice(p: int, catalog: "Catalog") -> Lattice:
     """The even overlattice of E7 + A1(p) with determinant p; exists for p = 1 mod 4.
 
     Each catalog builds it once per p and hands out the same lattice
-    afterwards.  Raises unless exactly one glue group gives an overlattice
-    of level p.
+    afterwards.  Raises ArithmeticError unless exactly one glue group gives
+    an overlattice of level p, and unless that one has determinant p.
     """
     if p not in catalog._e7_a1:
         seed = catalog.build("E7") + catalog.build("A1").rescaled(p)
@@ -93,7 +93,8 @@ def e7_a1_overlattice(p: int, catalog: "Catalog") -> Lattice:
         if len(glue) != 1:
             raise ArithmeticError(f"expected one overlattice, found {len(glue)}")
         over = discforms.glue_overlattice(seed, discforms.discriminant_form(seed), glue[0])
-        assert abs(over.det()) == p and over.level() == p
+        if abs(over.det()) != p or over.level() != p:
+            raise ArithmeticError(f"E7+A1({p}) overlattice is not of determinant and level {p}")
         catalog._e7_a1[p] = over
     return catalog._e7_a1[p]
 

@@ -661,8 +661,8 @@ def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -
     lists them.  Each datum spans a definite lattice L, the sum of its
     components' spans in `roots.component_types`, which the catalog builds
     once per expression and keeps (`Catalog.parse`), so that the discriminant
-    form and its value groups, the coset minima of its terms and the long
-    roots that L keeps serve every later call with the same datum; its
+    form, the value groups and coset minima of its terms and the long roots
+    that L keeps serve every later call with the same datum; its
     candidates are the even overlattices of determinant p^n_p and level p,
     one per glue group, whose reflective root system is exactly the datum
     (glue vectors may create extra roots, in which case the overlattice
@@ -696,7 +696,9 @@ def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -
         histograms = set()
         for sub in glue:
             over = discforms.glue_overlattice(lat, form, sub)
-            assert abs(over.det()) == target and over.level() == p
+            if abs(over.det()) != target or over.level() != p:
+                raise ArithmeticError(f"glue overlattice of {lat.name} is not of determinant "
+                                      f"{target} and level {p}")
             norms = roots.short_vectors(over.gram, 2 * p)
             histograms.add(tuple(sorted((n, len(v)) for n, v in norms.items())))
         total += len(histograms)

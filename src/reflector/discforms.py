@@ -40,18 +40,17 @@ carries a root datum builds no overlattice.
 Value statistics of a form come from one integer walk over D (`_walk`),
 made at most once per form and refused past WALK_BUDGET elements: it counts
 the values x^T bnum x mod 2 den of the form's integer Gram bnum = den B,
-and both the norm counts and the Gauss sum are read off those counts.  The pool of the
-isotropic subgroup search is joined by value from the forms a direct sum
-was built from (a form that is not a sum is its own one part): each such
-form walks its elements of order dividing the subgroup order once, groups
-them by value and keeps the groups, so a sum of known forms walks nothing
-(`isotropic_pool`).  For a glue search on L, each part's groups are also
-split by the coset minimum of their elements, read off the part's
-`short_duals`, and the join skips every combination whose minima add up
-to 2, so the pool it hands the search holds no root class and none is
-ever concatenated (`root_free_pool`).  The search keeps a closure only
-while each of its elements is in that pool, so no set of root classes is
-built.
+and both the norm counts and the Gauss sum are read off those counts.  A form
+keeps nothing else: the pool of the isotropic subgroup search on a bare form
+is one more walk, of its elements of order dividing the subgroup order, kept
+nowhere (`isotropic_pool`).  A glue search on L joins its pool by value from
+the parts of L (L itself when it is not a sum): each part keeps one table per
+torsion box, its elements grouped by value and by coset minimum, read off
+the part's `short_duals` (`_value_groups`), so a sum of known parts walks
+nothing, and the join skips every combination whose minima add up to 2, so
+the pool it hands the search holds no root class and none is ever
+concatenated (`root_free_pool`).  The search keeps a closure only while each
+of its elements is in that pool, so no set of root classes is built.
 The Gauss sum is compared with sqrt(|D|) zeta_8^s in Z[C_M], M = lcm(8,
 level), and a difference vanishes at zeta_M exactly when its reduction along
 the prime-power factors of M (by CRT) is zero, which takes O(M omega(M))
@@ -70,7 +69,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, reduce
 from math import gcd, isqrt, lcm, prod
 from operator import add, mod, mul
 
@@ -267,8 +266,6 @@ class DiscriminantForm:
     q(x) = x^T B x mod 2 and b(x, y) = x^T B y mod 1 for integer coefficient
     vectors x, y; it is presented as bnum = den B, with den > 0 the common
     denominator of B in lowest terms (gcd(den, entries of bnum) = 1).
-    `direct_sum` also records the forms the sum was built from in `_leaves`
-    (empty on any other form).
     """
 
     orders: tuple[int, ...]
@@ -277,10 +274,7 @@ class DiscriminantForm:
     gens: list[list[int]] | None = None  # generator coordinates in Z^n / G Z^n
     # the rows of the Smith transform U at the generators, read by `element_of`
     coords: list[list[int]] | None = None
-    _leaves: tuple[DiscriminantForm, ...] = field(default=(), repr=False, compare=False)
     _counts: list[int] | None = field(default=None, init=False, repr=False, compare=False)
-    # the groups of `_by_value`, per torsion box and whether minima were given
-    _groups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_lattice(cls, lat: Lattice) -> "DiscriminantForm":
@@ -342,30 +336,7 @@ class DiscriminantForm:
             gens = [row + [0] * k2 for row in self.gens] + [[0] * k1 + row for row in other.gens]
             coords = [row + [0] * n2 for row in self.coords]
             coords += [[0] * n1 + row for row in other.coords]
-        leaves = (self._leaves or (self,)) + (other._leaves or (other,))
-        return DiscriminantForm(self.orders + other.orders, den, bnum, gens, coords,
-                                _leaves=leaves)
-
-    def _by_value(self, order: int, minima=None) -> list[tuple[int, int | None, list]]:
-        """The elements of order dividing `order`, in walk order, grouped by their value
-        x^T bnum x mod 2 den and their minimum, as (value, minimum, elements) triples.
-
-        `minima()` maps each class x of D(P), for the lattice P whose form
-        this is, whose coset x + P holds a vector of norm <= 2 to det(P)
-        times the minimum norm of x + P, and the zero class to 0
-        (`_coset_minima`); every other element has minimum None.  Without
-        `minima` every minimum is None.  One `_walk` per torsion box, kept on
-        the form and keyed by the box sizes gcd(o_i, order) and whether
-        `minima` was given, so orders with the same box share one table.
-        """
-        box = _torsion_box(self.orders, order)
-        key = tuple(n for n, _ in box), minima is not None
-        if key not in self._groups:
-            walked = defaultdict(list)
-            _walk(self.bnum, box, 2 * self.den, groups=walked,
-                  minima=None if minima is None else minima())
-            self._groups[key] = [(v, n, xs) for (v, n), xs in walked.items()]
-        return self._groups[key]
+        return DiscriminantForm(self.orders + other.orders, den, bnum, gens, coords)
 
     def _q_counts(self) -> list[int]:
         """counts[v] = number of elements x with x^T B x * den = v mod 2 den.
@@ -734,20 +705,11 @@ def _torsion_box(orders: tuple[int, ...], order: int) -> list[tuple[int, int]]:
 
 
 def isotropic_pool(form: DiscriminantForm, order: int) -> list[tuple[int, ...]]:
-    """The nonzero isotropic x of order dividing `order`, in `itertools.product` order.
-
-    The pool is joined by value from the leaves of the form, the forms a
-    direct sum was built from (a form that is not a sum is its own one
-    leaf), since D(L1 + L2) = D(L1) + D(L2) (Nikulin 1979, 1.1; Conway and
-    Sloane, Sphere Packings, Lattices and Groups, ch. 16): an element is a
-    concatenation (x_1, ..., x_k) of leaf elements, and with
-    v_i = x_i^T (den_i B_i) x_i, as each leaf keeps them (`_by_value`), its
-    value is sum_i v_i den / den_i mod 2 den (`_join`).  `root_free_pool`
-    joins them, split by coset minimum, without a lattice's root classes.
-    """
-    tables = [[(v * (form.den // leaf.den), 0, xs) for v, _, xs in leaf._by_value(order)]
-              for leaf in form._leaves or (form,)]
-    return _join(2 * form.den, tables)
+    """The nonzero isotropic x of order dividing `order`, in `itertools.product` order:
+    the value-0 group of one `_walk` of the form's torsion box, kept nowhere."""
+    groups = defaultdict(list)
+    _walk(form.bnum, _torsion_box(form.orders, order), 2 * form.den, groups=groups)
+    return groups[0, None][1:]
 
 
 def root_free_pool(lat: Lattice, order: int) -> list[tuple[int, ...]]:
@@ -755,33 +717,33 @@ def root_free_pool(lat: Lattice, order: int) -> list[tuple[int, ...]]:
     the x whose coset x + L holds a norm-2 vector, for L positive definite, in
     the same order; no root class is concatenated.
 
-    The leaves of D(L) are the forms of the parts P of L (`_leaf_parts`),
-    so an element of D(L) is the concatenation of one element of each
-    D(P), and the minimum norm of x + L is the sum of the minima of the
-    part cosets x_P + P (Conway and Sloane, Sphere Packings, Lattices and
+    D(L) is presented part by part over the parts P of L (L itself when it
+    is not a sum), since D(L1 + L2) = D(L1) + D(L2) (Nikulin 1979, 1.1), so
+    an element of D(L) is the concatenation of one element of each D(P),
+    and the minimum norm of x + L is the sum of the minima of the part
+    cosets x_P + P (Conway and Sloane, Sphere Packings, Lattices and
     Groups, ch. 4 and 16).  L is even, so every norm in x + L is 2 q(x)
     mod 2.  Hence a nonzero x holds a norm-2 vector exactly when its part
     minima add up to 2: a sum below 2 could reach 2 only by adding 2 on a
-    part whose minimum is 0, and then x would be 0.  Each leaf keeps its
-    value groups split by the coset minimum of their elements, read off
-    the part's `short_duals` and scaled to the lcm of the part
-    determinants (`_by_value`, `_coset_minima`); a minimum above 2 counts
-    as one past 2.  The join skips every combination of groups whose
-    minima add up to exactly 2.
+    part whose minimum is 0, and then x would be 0.  Each part keeps its
+    value groups split by coset minimum (`_value_groups`); here the values
+    v_P = x_P^T (den_P B_P) x_P are scaled to v_P den / den_P mod 2 den and
+    the minima to the lcm of the part determinants, with a minimum above 2
+    counted as one past 2.  The join skips every combination of groups
+    whose minima add up to exactly 2 (`_join`).
     """
     form = discriminant_form(lat)
-    parts = _leaf_parts(lat)
+    parts = lat.parts or (lat,)
     den = lcm(*(part.det() for part in parts))
     tables = []
-    for leaf, part in zip(form._leaves or (form,), parts):
-        groups = leaf._by_value(order, partial(_coset_minima, part, order))
-        tables.append([(v * (form.den // leaf.den),
-                        2 * den + 1 if n is None else n * (den // part.det()), xs)
-                       for v, n, xs in groups])
+    for part in parts:
+        scale = form.den // discriminant_form(part).den
+        tables.append([(v * scale, 2 * den + 1 if n is None else n * (den // part.det()), xs)
+                       for v, n, xs in _value_groups(part, order)])
     return _join(2 * form.den, tables, 2 * den)
 
 
-def _join(modulus: int, tables, target: int | None = None) -> list[tuple[int, ...]]:
+def _join(modulus: int, tables, target: int) -> list[tuple[int, ...]]:
     """The concatenations of one element per table whose values add up to 0 mod
     `modulus` and whose minima do not add up to `target`, sorted, without the first.
 
@@ -956,12 +918,6 @@ def short_duals(lat: Lattice) -> dict[int, list[tuple[int, ...]]]:
     return memo["short"]
 
 
-def _leaf_parts(lat: Lattice) -> tuple[Lattice, ...]:
-    """The lattices whose forms are the leaves of `discriminant_form(L)`, in order:
-    the parts of L, each split into its own parts (L itself when it is not a sum)."""
-    return tuple(leaf for part in lat.parts for leaf in _leaf_parts(part)) or (lat,)
-
-
 def _coset_minima(part: Lattice, order: int) -> dict[tuple[int, ...], int]:
     """det(P) times the minimum norm of x + P, by class x of D(P), for the zero class
     and the classes of `short_duals`, which miss no coset of minimum <= 2; only the
@@ -972,6 +928,23 @@ def _coset_minima(part: Lattice, order: int) -> dict[tuple[int, ...], int]:
         for norm, xs in short_duals(part).items():
             minima.update(dict.fromkeys(xs, norm))
     return minima
+
+
+def _value_groups(part: Lattice, order: int) -> list[tuple[int, int | None, list]]:
+    """The elements of D(P) of order dividing `order`, in walk order, as (value, coset
+    minimum, elements) groups: value x^T bnum x mod 2 den, minimum from `_coset_minima`
+    (None off its classes).  One `_walk` per torsion box, kept on P and keyed by the
+    box sizes alone: a box of size 1 holds only 0, and any other meets a prime of
+    det(P), where `_coset_minima` is the same at every order."""
+    form = discriminant_form(part)
+    box = _torsion_box(form.orders, order)
+    key = ("groups", tuple(n for n, _ in box))
+    memo = part.discform_memo
+    if key not in memo:
+        walked = defaultdict(list)
+        _walk(form.bnum, box, 2 * form.den, groups=walked, minima=_coset_minima(part, order))
+        memo[key] = [(v, n, xs) for (v, n), xs in walked.items()]
+    return memo[key]
 
 
 def _glue_roots(lat: Lattice, p: int):

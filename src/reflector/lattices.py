@@ -30,8 +30,9 @@ for Xv(p), until its roots are read, the term X whose dual vectors they are
 read off (`roots.share_table`); and the discriminant form of
 `discforms.discriminant_form`, which for a sum is the direct sum of its
 parts' forms, D(L1 + L2) = D(L1) + D(L2), with the coset minima of
-`discforms.short_duals` and the glue roots by prime.  No memo refers back
-to its lattice.
+`discforms.short_duals`, the glue roots by prime and the value groups
+per torsion box that `discforms.root_free_pool` joins.  No memo refers
+back to its lattice.
 """
 
 from __future__ import annotations

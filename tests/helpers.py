@@ -13,9 +13,11 @@ come from testing every pair of roots, taken with both signs, for a nonzero
 inner product, span ranks come from row elimination over Z, the
 level and rescaled duals of a lattice come from a Fraction Gauss-Jordan
 inverse of its Gram, isotropic subgroups come from closures that test q
-on every element they add, the root classes of a discriminant form come
-from the norm-2 vectors of the whole dual, whether a glue group carries a
-root datum comes from the root components of its built overlattice
+on every element they add and, on elementary abelian forms, from the
+closed count of totally singular subspaces (`totally_singular_spaces`),
+the root classes of a discriminant form come from the norm-2 vectors of
+the whole dual, whether a glue group carries a root datum comes from the
+root components of its built overlattice
 (`carries_datum`), the root data of a rank and weight come from a search
 over Fraction menus rebuilt on every call (`root_data_by_fractions`), the
 matrix identity of a candidate check comes entry by entry from root sums
@@ -215,6 +217,34 @@ def isotropic_elements(orders: tuple[int, ...], bilinear) -> list[tuple[tuple[in
     hits = np.flatnonzero(np.einsum("ij,jk,ik->i", x, a, x) % (2 * den) == 0)
     return [(elems[i], lcm(*(o // gcd(o, c) for o, c in zip(orders, elems[i]))))
             for i in hits if any(elems[i])]
+
+
+def witt_index(p: int, n: int, eps: int, disc: int) -> int:
+    """The Witt index w of a nondegenerate quadratic space of dimension n over F_p: at
+    odd p the form sum a_i x_i^2 with disc = prod a_i, at p = 2 (n even) the space
+    2_II^{eps n}, whose anisotropic block enters when eps = -1 (`disc` unused).
+
+    w = (n - 1)/2 for n odd; for n even, w = n/2 when the space is hyperbolic,
+    that is when (-1)^(n/2) disc is a square mod p (p odd) or eps = + (p = 2),
+    and n/2 - 1 otherwise.
+    """
+    if n % 2:
+        return (n - 1) // 2
+    hyperbolic = eps == 1 if p == 2 else legendre((-1) ** (n // 2) * disc, p) == 1
+    return n // 2 if hyperbolic else n // 2 - 1
+
+
+def totally_singular_spaces(p: int, n: int, w: int, k: int) -> int:
+    """The number of totally singular k-spaces of a nondegenerate quadratic space of
+    dimension n and Witt index w over F_p,
+    prod_{i<k} (p^(w-i) - 1)(p^(n-w-1-i) + 1) / (p^(i+1) - 1)
+    (D. E. Taylor, The Geometry of the Classical Groups, 1992); 0 when k > w."""
+    if k > w:
+        return 0
+    num = prod((p ** (w - i) - 1) * (p ** (n - w - 1 - i) + 1) for i in range(k))
+    den = prod(p ** (i + 1) - 1 for i in range(k))
+    assert num % den == 0
+    return num // den
 
 
 def isotropic_subgroups_by_closure(

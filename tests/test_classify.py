@@ -18,7 +18,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reflector import classify as classify_mod
-from reflector import discforms, etaq, intmat, reflcheck, roots, towers
+from reflector import cli, discforms, etaq, intmat, reflcheck, roots, towers
 from reflector.catalog import Catalog, default_catalog, definite_part, e7_a1_overlattice
 from reflector.classify import (
     CaseRecord,
@@ -580,6 +580,23 @@ def test_the_rank_ten_count_builds_only_the_glue_that_carries_a_datum():
     with glue_overlattice_calls() as built:
         assert class_number(10, 3, 1, 1, 12, 7) == 2
     assert len(built) == 2
+
+
+def test_a_wrong_glue_overlattice_is_an_arithmetic_error(monkeypatch, capsys):
+    """The determinant and level of each built overlattice are checked with a raise,
+    not an assert, so the checks hold under `python -O`: when `glue_overlattice`
+    returns the glued lattice itself, the rank-10 count and the E7 + A1(5)
+    overlattice raise ArithmeticError, and the CLI exits 1 with one line."""
+    monkeypatch.setattr(discforms, "glue_overlattice", lambda lat, form, sub: lat)
+    with pytest.raises(ArithmeticError, match="determinant 2187 and level 3"):
+        class_number(10, 3, 1, 1, 12, 7, catalog=Catalog())
+    with pytest.raises(ArithmeticError, match="determinant and level 5"):
+        e7_a1_overlattice(5, Catalog())
+    argv = ["classnumber", "--rank", "10", "--prime", "3", "--c1", "1", "--cp", "1",
+            "--k", "12", "--np", "7"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: glue overlattice of") and err.count("\n") == 1
 
 
 # (8, 2, 1, 1, 28, 6) has a root-free glue group of level 2 that carries no datum

@@ -100,13 +100,29 @@ def test_traced_passes_report_their_work(monkeypatch):
 
 def test_the_sweep_covers_the_2u_rows_and_runs_one(monkeypatch):
     """tools/sweep_2u.py sweeps the 55 2U rows of the tables, and a cheap row runs in
-    its own process to its class number."""
+    its own process to its class number.  The sweep module imports no library, the
+    untimed warm-up fills the sweep's bytecode cache with the library's modules,
+    and the timed child finds every module it imports there: it may write
+    bytecode, yet the cache is unchanged."""
     from reflector.classify import table_rows
 
+    monkeypatch.delitem(sys.modules, "reflector")
     sweep = _load(monkeypatch, "sweep_2u", "tools")
+    assert "reflector" not in sys.modules
     want = [row for row in table_rows() if row[1].startswith("2U+")]
-    assert sweep.rows() == want and len(want) == 55
-    row = next(row for row in want if row[1] == "2U+A2")
-    record = sweep.run_row(row)
+    found = sweep.rows()
+    assert [row[:5] for row in found] == want and len(want) == 55
+    row = next(row for row in found if row[1] == "2U+A2")
+    assert sweep.classnumber_argv(row)[:5] == ["classnumber", "--rank", "2", "--prime", "3"]
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    with sweep.bytecode_cache(sweep.SRC) as cache:
+        def stamps():
+            return {p: p.stat().st_mtime_ns for p in Path(cache).rglob("*.pyc")}
+
+        warm = stamps()
+        names = {p.name.split(".")[0] for p in warm if p.parent.name == "reflector"}
+        assert {"__init__", "cli", "classify", "discforms", "roots"} <= names
+        record = sweep.run_row(row, sweep.SRC, cache)
+        assert stamps() == warm
     assert (record["exit"], record["count"]) == (0, 1)
     assert record["wall_s"] > 0 and record["maxrss_mb"] > 0
