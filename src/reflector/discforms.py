@@ -50,7 +50,9 @@ the part's `short_duals` (`_value_groups`), so a sum of known parts walks
 nothing, and the join skips every combination whose minima add up to 2, so
 the pool it hands the search holds no root class and none is ever
 concatenated (`root_free_pool`).  The search keeps a closure only while each
-of its elements is in that pool, so no set of root classes is built.
+of its elements is in that pool, so no set of root classes is built.  It is
+depth first, and it extends each subgroup only by the next of its greedy
+generators, so it builds each subgroup once and keeps no set of those seen.
 The Gauss sum is compared with sqrt(|D|) zeta_8^s in Z[C_M], M = lcm(8,
 level), and a difference vanishes at zeta_M exactly when its reduction along
 the prime-power factors of M (by CRT) is zero, which takes O(M omega(M))
@@ -655,7 +657,8 @@ def _closure(base: frozenset, new: tuple, orders: tuple[int, ...]) -> frozenset:
 
 
 def _generators(sub: tuple[tuple[int, ...], ...], orders: tuple[int, ...]) -> list[tuple]:
-    """Generators of the subgroup with elements `sub`: each element not yet spanned."""
+    """The greedy generators of the subgroup with sorted elements `sub`: each element
+    not yet spanned, the sequence that `isotropic_subgroups` extends."""
     gens = []
     span = frozenset({tuple(0 for _ in orders)})
     for h in sub:
@@ -784,61 +787,58 @@ def isotropic_subgroups(
     """Isotropic subgroups of the given order whose nonzero elements are all in the
     pool, as sorted element tuples.
 
-    q vanishes identically on each subgroup.  The search grows subgroups
-    breadth-first from the pool, carrying each subgroup's generators.  The
-    pool is `isotropic_pool`, the nonzero isotropic elements whose order
-    divides `order`, unless the caller gives a part of it (as
-    `even_overlattices` gives `root_free_pool`).
-    For H isotropic and x isotropic, q(h + kx) = q(h) + k^2 q(x) + 2k b(h, x)
-    mod 2, so <H, x> is isotropic exactly when b(g, x) is integral for every
-    generator g of H; x is tried only then, and q is never evaluated on a
-    closure.  A closure of order dividing `order` is isotropic, so each of
-    its nonzero elements is in `isotropic_pool`; it is kept only when they
-    are all in the pool, and one that leaves the pool is dropped with all
-    that would grow from it.  A subgroup inside the pool is still reached,
-    through its subgroups.  Every element scanned for the pool and every
-    (subgroup, element) pair tried counts as one operation, and the search
-    raises BudgetExceeded past `budget` of them, before the pool is built
+    q vanishes identically on each subgroup.  The pool is `isotropic_pool`,
+    the nonzero isotropic elements whose order divides `order`, unless the
+    caller gives a part of it (as `even_overlattices` gives
+    `root_free_pool`).  For H isotropic and x isotropic, q(h + kx) = q(h) +
+    k^2 q(x) + 2k b(h, x) mod 2, so <H, x> is isotropic exactly when b(g, x)
+    is integral for every generator g of H; x is tried only then, and q is
+    never evaluated on a closure.  A closure of order dividing `order` is
+    isotropic, so each of its nonzero elements is in `isotropic_pool`; it is
+    kept only when they are all in the pool.
+
+    The search is depth first, on the greedy generators that each subgroup
+    H has exactly once, g_(i+1) the least element of H outside <g_1, ...,
+    g_i> (`_generators`).  A subgroup S is extended by x only when x comes
+    after S's last generator in the sorted pool and x is the least element of
+    <S, x> outside S, so <S, x> is reached once, from its greedy prefix,
+    and nothing is reached twice (B. D. McKay, Isomorph-free
+    exhaustive generation, J. Algorithms 26, 1998).  This holds in every
+    finite abelian group.  Every element scanned for the pool counts as one
+    operation, and each subgroup S below `order` that the search extends
+    counts |pool| - |S| + 1, one per (S, pool element outside S) pair: a
+    total that does not depend on the order of the pool, so whether a search
+    passes its budget does not depend on how D is presented.  The search
+    raises BudgetExceeded past `budget` operations, before the pool is built
     when its scan alone would pass it (`_pool_scan`).
     """
     orders, den = form.orders, form.den
     ops = _pool_scan(form, order, budget)
-    zero = tuple(0 for _ in orders)
-    if pool is None:
-        pool = isotropic_pool(form, order)
+    pool = sorted(isotropic_pool(form, order) if pool is None else pool)
     # den * x^T B, so den * b(g, x) is the dot product of g with it
     pairing = {x: [sum(map(mul, x, row)) for row in form.bnum] for x in pool}
 
-    seen = {frozenset({zero})}
-    frontier: list[tuple[frozenset, tuple]] = [(frozenset({zero}), ())]
-    results = [frozenset({zero})] if order == 1 else []
-    while frontier:
-        nxt = []
-        for sub, gens in frontier:
-            if len(sub) >= order:
+    # each entry: a subgroup, its greedy generators, and where its candidates start in the pool
+    stack = [(frozenset({tuple(0 for _ in orders)}), (), 0)]
+    results = []
+    while stack:
+        sub, gens, start = stack.pop()
+        if len(sub) == order:
+            results.append(sub)
+        if len(sub) >= order:
+            continue
+        ops += len(pool) - len(sub) + 1
+        if ops > budget:
+            raise BudgetExceeded(f"isotropic subgroup search passed {budget} operations")
+        for after, x in enumerate(pool[start:], start + 1):
+            if x in sub or any(sum(map(mul, g, pairing[x])) % den for g in gens):
                 continue
-            for x in pool:
-                if x in sub:
-                    continue
-                ops += 1
-                if ops > budget:
-                    raise BudgetExceeded(f"isotropic subgroup search passed {budget} operations")
-                px = pairing[x]
-                if any(sum(map(mul, g, px)) % den for g in gens):
-                    continue
-                grown = _closure(sub, x, orders)
-                if grown in seen:
-                    continue
-                if order % len(grown) or not pairing.keys() >= grown - sub:
-                    continue  # its order does not divide `order`, or it leaves the pool
-                seen.add(grown)
-                nxt.append((grown, gens + (x,)))
-                if len(grown) == order:
-                    results.append(grown)
-        frontier = nxt
-    out = [tuple(sorted(sub)) for sub in results]
-    out.sort(key=lambda sub: (len(sub), sub))
-    return out
+            grown = _closure(sub, x, orders)
+            new = grown - sub
+            if order % len(grown) or min(new) != x or not pairing.keys() >= new:
+                continue  # its order does not divide `order`, x is not next, or it leaves the pool
+            stack.append((grown, gens + (x,), after))
+    return sorted(map(tuple, map(sorted, results)), key=lambda sub: (len(sub), sub))
 
 
 def glue_overlattice(
@@ -847,31 +847,27 @@ def glue_overlattice(
     """The overlattice of L glued by the isotropic subgroup of D(L) with elements `sub`.
 
     `form` is `discriminant_form(lat)`, or any presentation of D(L) that
-    carries `gens`.  The Gram is that of the Hermite basis of L + (the glue
-    vectors of H), in the coordinates of L, so it depends on the subgroup of
-    L^dual / L and not on its presentation.
+    carries `gens` (ValueError otherwise).  The Gram is that of the Hermite
+    basis of L + (the glue vectors of H), in the coordinates of L, so it
+    depends on the subgroup of L^dual / L and not on its presentation.  A
+    subgroup that is not isotropic raises ArithmeticError, under `python -O` too.
     """
     n, m, det = lat.rank, len(sub), lat.det()
-    adj = lat.adjugate()
-    gens = form.gens
-    assert gens is not None
-    rows = [[m if i == j else 0 for j in range(n)] for i in range(n)]
-    for h in sub:
-        if not any(h):
-            continue
-        coord = [sum(gens[r][i] * h[i] for i in range(len(h))) for r in range(n)]
-        # m times the dual-coordinate vector G^-1 coord = adj coord / det
-        scaled = [m * x for x in intmat.mat_vec(adj, coord)]
-        assert all(x % det == 0 for x in scaled)
-        rows.append([x // det for x in scaled])
-    basis = intmat.row_hermite_form(rows)
-    assert len(basis) == n
-    gram_scaled = intmat.mat_mul(intmat.mat_mul(basis, lat.gram), intmat.transpose(basis))
-    gram2 = []
-    for row in gram_scaled:
-        assert all(x % (m * m) == 0 for x in row)
-        gram2.append([x // (m * m) for x in row])
-    return Lattice(gram2)
+    if form.gens is None:
+        raise ValueError("a glue overlattice needs a form that carries gens")
+    # m times the dual-coordinate vectors G^-1 w = adj w / det of the glue vectors w
+    glue = [[m * x for x in intmat.mat_vec(lat.adjugate(), intmat.mat_vec(form.gens, h))]
+            for h in sub if any(h)]
+    if any(x % det for row in glue for x in row):
+        raise ArithmeticError("a glue vector is not in the dual lattice")
+    basis = intmat.row_hermite_form([[m * (i == j) for j in range(n)] for i in range(n)]
+                                    + [[x // det for x in row] for row in glue])
+    if len(basis) != n:
+        raise ArithmeticError(f"the glue overlattice is not of rank {n}")
+    gram = intmat.mat_mul(intmat.mat_mul(basis, lat.gram), intmat.transpose(basis))
+    if any(x % (m * m) for row in gram for x in row):
+        raise ArithmeticError("the glue is not integral: the subgroup is not isotropic")
+    return Lattice([[x // (m * m) for x in row] for row in gram])
 
 
 def discriminant_form(lat: Lattice) -> DiscriminantForm:

@@ -7,8 +7,7 @@ at construction, so equal Grams and names make equal (and hashable)
 lattices.  The signature, the integer adjugate det(G) G^-1 and the level
 (the smallest N for which N times the dual form is even) are each computed
 once, on first use.  The dual data stays in integers: the level and the
-rescaled dual are read off the adjugate and the determinant, and only
-`dual_gram` returns Fractions.
+rescaled dual are read off the adjugate and the determinant.
 
 `direct_sum` puts any number of lattices into one block-diagonal Gram and
 keeps them as the sum's `parts`, which equality and hashing ignore.  A sum
@@ -38,7 +37,6 @@ back to its lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 
@@ -123,9 +121,6 @@ class Lattice:
         """The discriminant form, the coset minima and the glue roots by prime, filled in
         by `discforms`."""
         return {}
-
-    def dual_gram(self) -> list[list[Fraction]]:
-        return [[Fraction(x, self._det) for x in row] for row in self._adjugate]
 
     @cached_property
     def _level(self) -> int:

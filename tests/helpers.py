@@ -184,12 +184,12 @@ def legendre(a: int, p: int) -> int:
 
 
 def dual_pairing(lat, form: DiscriminantForm) -> list[list[Fraction]]:
-    """gens^T G^-1 gens in Fractions, G^-1 = `lat.dual_gram()`: the Gram of the
-    generators of D(L) in the dual pairing, read off the lattice and not off
-    the form's own Gram.  `form` is `DiscriminantForm.from_lattice(lat)`, or
+    """gens^T G^-1 gens in Fractions, G^-1 = `fraction_inverse(lat.gram)`: the Gram
+    of the generators of D(L) in the dual pairing, read off the lattice and not
+    off the form's own Gram.  `form` is `DiscriminantForm.from_lattice(lat)`, or
     the part-by-part `discriminant_form(lat)` of a sum, whose `gens` are
     block diagonal."""
-    w, dual = form.gens, lat.dual_gram()
+    w, dual = form.gens, fraction_inverse(lat.gram)
     n, k = len(w), len(form.orders)
     return [[sum(w[r][i] * dual[r][s] * w[s][j] for r in range(n) for s in range(n))
              for j in range(k)] for i in range(k)]

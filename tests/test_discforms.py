@@ -652,6 +652,17 @@ def test_even_overlattice_search_rejects_impossible_targets():
     assert even_overlattices(_e7_a1_5(), 7, 7) == []
 
 
+def test_glue_overlattice_refuses_a_subgroup_that_is_not_isotropic():
+    """D(A2) = Z/3 has q = 2/3 on its generator, so the whole group glues no
+    integral overlattice; the checks raise, so they hold under `python -O` too.
+    A form without `gens` cannot place its glue vectors."""
+    a2 = CAT.parse("A2")
+    with pytest.raises(ArithmeticError):
+        glue_overlattice(a2, discforms.discriminant_form(a2), ((0,), (1,), (2,)))
+    with pytest.raises(ValueError):
+        glue_overlattice(a2, candidate_form(3, 1, 1), ((0,),))
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.sampled_from([1, -1]))
 def test_isotropic_lines_of_elementary_abelian_forms(p, n_p, eps):
@@ -711,6 +722,30 @@ def test_isotropic_subgroups_match_closure_oracle(case, order):
 
     want = outcome(isotropic_subgroups_by_closure, form.orders, gram, order)
     assert outcome(isotropic_subgroups, form, order) == want
+
+
+@pytest.mark.parametrize("expr, order, pool", [("4D4", 4, root_free_pool), ("E6(3)", 9, None)])
+def test_the_search_extends_each_subgroup_by_its_next_greedy_generator(
+        expr, order, pool, monkeypatch):
+    """Every closure <S, x> the search builds has x after the last greedy generator
+    of S, so each subgroup is built from its greedy prefix alone and none twice,
+    whatever the order of the pool it is given."""
+    lat = Catalog().parse(expr)
+    form = discforms.discriminant_form(lat)
+    pool = pool(lat, order) if pool else isotropic_pool(form, order)
+    closure, calls = discforms._closure, []
+
+    def recorded(base, new, orders):
+        calls.append((base, new))
+        return closure(base, new, orders)
+
+    monkeypatch.setattr(discforms, "_closure", recorded)
+    found = isotropic_subgroups(form, order, pool=pool[::-1])
+    monkeypatch.undo()
+    assert found and calls
+    for base, new in calls:
+        assert len(base) == 1 or new > discforms._generators(tuple(sorted(base)), form.orders)[-1]
+    assert isotropic_subgroups(form, order, pool=pool) == found
 
 
 # (expression, glue orders); None takes every order m with m^2 dividing |D|.

@@ -4,7 +4,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from helpers import dual_level, dual_rescaled_gram
+from helpers import dual_level, dual_rescaled_gram, fraction_inverse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -29,11 +29,14 @@ def test_level_is_smallest_dual_denominator_clearer():
 
 
 def test_dual_gram_inverse_relation():
-    dg = A2.dual_gram()
-    assert dg == [
-        [Fraction(2, 3), Fraction(1, 3)],
-        [Fraction(1, 3), Fraction(2, 3)],
-    ]
+    """G adj(G) = det(G) I in integers, on a leaf and on a sum, whose adjugate is
+    read off its parts; adj(G) / det(G) is the Fraction inverse."""
+    assert A2.adjugate() == ((2, 1), (1, 2))
+    for lat in (A2, direct_sum([A2, U])):
+        det, n = lat.det(), lat.rank
+        assert intmat.mat_mul(lat.gram, lat.adjugate()) == [
+            [det * (i == j) for j in range(n)] for i in range(n)]
+    assert fraction_inverse(A2.gram) == [[Fraction(x, 3) for x in row] for row in A2.adjugate()]
 
 
 def test_rescaled_multiplies_gram_and_det():
