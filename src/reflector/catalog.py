@@ -28,13 +28,13 @@ the other summands (`definite_part`), which is the sum itself when there
 is no hyperbolic plane.  So a model's root data and discriminant form,
 which its lattice keeps, are computed once per catalog.  The lattices that
 `classify.count_classes` spans by its root data are kept the same way, one
-per datum expression, for as long as the catalog lives.  Facts read off
-those lattices alone, such as the tower and transfer plans of `towers` and
-the genus and definite part of each table model in
-`classify.verify_construction`, are kept per catalog by `Catalog.kept`,
-under keys that name the expressions and p.  An expression or a root
-lattice whose rank r has r^2 > `discforms.BUDGET` raises `BudgetExceeded`
-before any Gram is built, and is not kept.
+per datum expression, for as long as the catalog lives.  So are facts read
+off those lattices alone, such as the tower and transfer plans of `towers`
+and the genus and definite part of each table model in
+`classify.verify_construction`.  A catalog keeps all of these in its one
+`memo`, through `lattices.kept`, by function and arguments.  An expression
+or a root lattice whose rank r has r^2 > `discforms.BUDGET` raises
+`BudgetExceeded` before any Gram is built, and is not kept.
 """
 
 from __future__ import annotations
@@ -42,10 +42,9 @@ from __future__ import annotations
 import json
 import re
 from importlib import resources
-from typing import Callable
 
 from . import discforms, roots
-from .lattices import Lattice, direct_sum
+from .lattices import Lattice, direct_sum, kept
 
 _TERM_RE = re.compile(r"^(\d*)([A-Z][A-Za-z]*?\d*)(v?)(?:\((\d+)\))?$")
 
@@ -87,16 +86,19 @@ def e7_a1_overlattice(p: int, catalog: "Catalog") -> Lattice:
     afterwards.  Raises ArithmeticError unless exactly one glue group gives
     an overlattice of level p, and unless that one has determinant p.
     """
-    if p not in catalog._e7_a1:
-        seed = catalog.build("E7") + catalog.build("A1").rescaled(p)
-        glue = discforms.even_overlattices(seed, p, p)
-        if len(glue) != 1:
-            raise ArithmeticError(f"expected one overlattice, found {len(glue)}")
-        over = discforms.glue_overlattice(seed, discforms.discriminant_form(seed), glue[0])
-        if abs(over.det()) != p or over.level() != p:
-            raise ArithmeticError(f"E7+A1({p}) overlattice is not of determinant and level {p}")
-        catalog._e7_a1[p] = over
-    return catalog._e7_a1[p]
+    return _e7a1_glue(catalog, p)
+
+
+@kept
+def _e7a1_glue(catalog: "Catalog", p: int) -> Lattice:
+    seed = catalog.build("E7") + catalog.build("A1").rescaled(p)
+    glue = discforms.even_overlattices(seed, p, p)
+    if len(glue) != 1:
+        raise ArithmeticError(f"expected one overlattice, found {len(glue)}")
+    over = discforms.glue_overlattice(seed, discforms.discriminant_form(seed), glue[0])
+    if abs(over.det()) != p or over.level() != p:
+        raise ArithmeticError(f"E7+A1({p}) overlattice is not of determinant and level {p}")
+    return over
 
 
 class Catalog:
@@ -111,10 +113,7 @@ class Catalog:
                     isinstance(row, list) and all(type(x) is int for x in row) for row in gram)):
                 raise ValueError(f"catalog entry {name!r} is not a list of lists of integers")
         self.registry.update(extra or {})
-        self._terms: dict[tuple[str, bool, int | None], Lattice] = {}
-        self._e7_a1: dict[int, Lattice] = {}  # p -> `e7_a1_overlattice(p, self)`
-        self._models: dict[str, tuple[Lattice, list[int], Lattice | None]] = {}
-        self._kept: dict[tuple, object] = {}
+        self.memo: dict = {}  # what `kept` functions have built on this catalog
 
     @classmethod
     def from_file(cls, path: str) -> "Catalog":
@@ -127,20 +126,17 @@ class Catalog:
     def build(self, name: str) -> Lattice:
         return self._term(name, False, None)
 
+    @kept
     def _term(self, name: str, dual: bool, scale: int | None) -> Lattice:
         """The lattice of one term, built on first use and kept."""
-        key = (name, dual, scale)
-        if key not in self._terms:
-            if dual:
-                base = self.build(name)
-                lat = base.dual_rescaled(scale or 1)
-                roots.share_table(base, lat)  # Xv(p) for X of determinant p
-            elif scale is not None:
-                lat = self.build(name).rescaled(scale)
-            else:
-                lat = self._build_base(name)
-            self._terms[key] = lat
-        return self._terms[key]
+        if dual:
+            base = self.build(name)
+            lat = base.dual_rescaled(scale or 1)
+            roots.share_table(base, lat)  # Xv(p) for X of determinant p
+            return lat
+        if scale is not None:
+            return self.build(name).rescaled(scale)
+        return self._build_base(name)
 
     def _build_base(self, name: str) -> Lattice:
         if name in self.registry:
@@ -201,29 +197,17 @@ class Catalog:
 
         Every call hands out the same triple, the scales list included.
         """
-        key = normalize_expr(expr)
-        if key not in self._models:
-            summands = self.summands(key)
-            scales = [scale or 1 for name, dual, scale, _ in summands if name == "U" and not dual]
-            rest = [lat for name, dual, _, lat in summands if name != "U" or dual]
-            whole = direct_sum([lat for _, _, _, lat in summands], name=key)
-            if len(rest) == len(summands):  # no hyperbolic plane: the sum is its own definite part
-                definite = whole
-            else:
-                definite = direct_sum(rest) if rest else None
-            self._models[key] = (whole, scales, definite)
-        return self._models[key]
+        return self._model(normalize_expr(expr))
 
-    def kept(self, key: tuple, build: Callable[[], object]):
-        """build(), made on the first call with this key and kept while the catalog lives.
-
-        For facts that depend on nothing but the catalog's lattices, such as
-        the tower and transfer plans of `towers`; every call hands out the
-        same value, which its readers must not change.
-        """
-        if key not in self._kept:
-            self._kept[key] = build()
-        return self._kept[key]
+    @kept
+    def _model(self, expr: str) -> tuple[Lattice, list[int], Lattice | None]:
+        summands = self.summands(expr)
+        scales = [scale or 1 for name, dual, scale, _ in summands if name == "U" and not dual]
+        rest = [lat for name, dual, _, lat in summands if name != "U" or dual]
+        whole = direct_sum([lat for _, _, _, lat in summands], name=expr)
+        if len(rest) == len(summands):  # no hyperbolic plane: the sum is its own definite part
+            return whole, scales, whole
+        return whole, scales, direct_sum(rest) if rest else None
 
     def parse(self, expr: str) -> Lattice:
         """The direct sum of the summands of expr, named expr; a lone summand of that name as is."""

@@ -38,7 +38,7 @@ from types import MappingProxyType
 from . import catalog as cat_mod
 from . import discforms, etaq, reflcheck, roots, towers
 from .discforms import GenusSymbol, existing_genus, parse_genus
-from .lattices import Lattice
+from .lattices import Lattice, kept
 
 
 # -- construction tables: strongly 2-reflective forms (multiplicities (1, 0)) --
@@ -477,6 +477,7 @@ def construction_coverage(catalog=None) -> dict[str, dict]:
     return cov
 
 
+@kept
 def _model_facts(cat, model: str, p: int) -> tuple[GenusSymbol, bool, Lattice | None]:
     """(genus at p, whether the hyperbolic-plane scales are exactly [1, 1],
     definite part) of a table model, read off the catalog's lattices."""
@@ -498,8 +499,7 @@ def verify_construction(label: str, cov: dict, catalog=None) -> dict:
     g = parse_genus(label)
     results = {}
     for key, (model, c1, cp, k) in cov["rows"].items():
-        genus, two_u, definite = cat.kept(
-            ("model", model, g.p), lambda: _model_facts(cat, model, g.p))
+        genus, two_u, definite = _model_facts(cat, model, g.p)
         if genus != g:
             results[key] = "genus-mismatch"
         elif two_u and definite is not None:

@@ -332,8 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_tower)
 
     sp = sub.add_parser("classify", help="run the classification")
-    sp.add_argument("--prime", type=prime)
-    sp.add_argument("--verify", action="store_true", help="re-check every construction row")
+    one = sp.add_mutually_exclusive_group()  # --verify re-checks the table of all primes
+    one.add_argument("--prime", type=prime)
+    one.add_argument("--verify", action="store_true", help="re-check every construction row")
     _add_common(sp)
     sp.set_defaults(func=cmd_classify)
 

@@ -76,7 +76,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import add, mod, mul
 
 from . import intmat, roots
-from .lattices import Lattice
+from .lattices import Lattice, kept
 
 BUDGET = 10**6  # default operation budget of the subgroup search
 WALK_BUDGET = 5 * 10**6  # the most elements the value walk over one form visits
@@ -300,8 +300,10 @@ class DiscriminantForm:
         return prod(self.orders) if self.orders else 1
 
     def element_of(self, c: list[int]) -> tuple[int, ...]:
-        """The element that c in Z^n / G Z^n presents, the dual vector G^-1 c (needs `coords`)."""
-        assert self.coords is not None
+        """The element that c in Z^n / G Z^n presents, the dual vector G^-1 c; ValueError
+        on a form without `coords`."""
+        if self.coords is None:
+            raise ValueError("the element of a vector needs a form that carries coords")
         return tuple(intmat.vec_dot(row, c) % o for row, o in zip(self.coords, self.orders))
 
     def level(self) -> int:
@@ -870,6 +872,7 @@ def glue_overlattice(
     return Lattice([[x // (m * m) for x in row] for row in gram])
 
 
+@kept
 def discriminant_form(lat: Lattice) -> DiscriminantForm:
     """D(L), computed once per lattice and kept on it.
 
@@ -878,15 +881,12 @@ def discriminant_form(lat: Lattice) -> DiscriminantForm:
     43, 1979, 1.1), so a sum of known parts runs no Smith form; any other
     lattice gets `DiscriminantForm.from_lattice(lat)`.
     """
-    memo = lat.discform_memo
-    if "form" not in memo:
-        if lat.parts:
-            memo["form"] = reduce(DiscriminantForm.direct_sum, map(discriminant_form, lat.parts))
-        else:
-            memo["form"] = DiscriminantForm.from_lattice(lat)
-    return memo["form"]
+    if lat.parts:
+        return reduce(DiscriminantForm.direct_sum, map(discriminant_form, lat.parts))
+    return DiscriminantForm.from_lattice(lat)
 
 
+@kept
 def short_duals(lat: Lattice) -> dict[int, list[tuple[int, ...]]]:
     """The nonzero x in D(L) whose coset x + L holds a vector of norm <= 2, for L
     positive definite, by det(L) times the minimum norm of x + L, with x and -x
@@ -898,29 +898,26 @@ def short_duals(lat: Lattice) -> dict[int, list[tuple[int, ...]]]:
     <= 2, in increasing norm, and the first one met in a class has the
     minimum norm of its coset.
     """
-    memo = lat.discform_memo
-    if "short" not in memo:
-        form = discriminant_form(lat)
-        cosets: dict[int, list[tuple[int, ...]]] = {}
-        seen = set()
-        for norm, vecs in roots.short_vectors(lat.adjugate(), 2 * lat.det()).items():
-            for c in vecs:
-                x = form.element_of(c)
-                if any(x) and x not in seen:  # class 0 holds the vectors of L
-                    neg = tuple(-a % o for a, o in zip(x, form.orders))
-                    seen |= {x, neg}
-                    cosets.setdefault(norm, []).extend(sorted({x, neg}))
-        memo["short"] = cosets
-    return memo["short"]
+    form = discriminant_form(lat)
+    cosets: dict[int, list[tuple[int, ...]]] = {}
+    seen = set()
+    for norm, vecs in roots.short_vectors(lat.adjugate(), 2 * lat.det()).items():
+        for c in vecs:
+            x = form.element_of(c)
+            if any(x) and x not in seen:  # class 0 holds the vectors of L
+                neg = tuple(-a % o for a, o in zip(x, form.orders))
+                seen |= {x, neg}
+                cosets.setdefault(norm, []).extend(sorted({x, neg}))
+    return cosets
 
 
-def _coset_minima(part: Lattice, order: int) -> dict[tuple[int, ...], int]:
+def _coset_minima(part: Lattice, sizes: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """det(P) times the minimum norm of x + P, by class x of D(P), for the zero class
     and the classes of `short_duals`, which miss no coset of minimum <= 2; only the
-    zero class when no nonzero class of D(P) has order dividing `order`, so a part
-    coprime to it enumerates nothing."""
-    minima = {(0,) * len(discriminant_form(part).orders): 0}
-    if gcd(part.det(), order) > 1:
+    zero class when the torsion box of these sizes holds only 0, so a part coprime to
+    the order enumerates nothing."""
+    minima = {(0,) * len(sizes): 0}
+    if any(n > 1 for n in sizes):
         for norm, xs in short_duals(part).items():
             minima.update(dict.fromkeys(xs, norm))
     return minima
@@ -930,19 +927,22 @@ def _value_groups(part: Lattice, order: int) -> list[tuple[int, int | None, list
     """The elements of D(P) of order dividing `order`, in walk order, as (value, coset
     minimum, elements) groups: value x^T bnum x mod 2 den, minimum from `_coset_minima`
     (None off its classes).  One `_walk` per torsion box, kept on P and keyed by the
-    box sizes alone: a box of size 1 holds only 0, and any other meets a prime of
-    det(P), where `_coset_minima` is the same at every order."""
+    box sizes alone (`_box_groups`): a box of size 1 holds only 0, and any other meets
+    a prime of det(P), where `_coset_minima` is the same at every order."""
+    return _box_groups(part, tuple(gcd(o, order) for o in discriminant_form(part).orders))
+
+
+@kept
+def _box_groups(part: Lattice, sizes: tuple[int, ...]) -> list[tuple[int, int | None, list]]:
+    """`_value_groups` of the torsion box whose axes have these sizes."""
     form = discriminant_form(part)
-    box = _torsion_box(form.orders, order)
-    key = ("groups", tuple(n for n, _ in box))
-    memo = part.discform_memo
-    if key not in memo:
-        walked = defaultdict(list)
-        _walk(form.bnum, box, 2 * form.den, groups=walked, minima=_coset_minima(part, order))
-        memo[key] = [(v, n, xs) for (v, n), xs in walked.items()]
-    return memo[key]
+    box = [(n, o // n) for n, o in zip(sizes, form.orders)]
+    walked = defaultdict(list)
+    _walk(form.bnum, box, 2 * form.den, groups=walked, minima=_coset_minima(part, sizes))
+    return [(v, n, xs) for (v, n), xs in walked.items()]
 
 
+@kept
 def _glue_roots(lat: Lattice, p: int):
     """The positive norm-2 roots of L, and by class c of D(L) the vectors p w for the
     dual vectors w of norm 2/p in c, all as coordinates G v, one per +- pair.
@@ -951,15 +951,12 @@ def _glue_roots(lat: Lattice, p: int):
     tables of the parts of L; each dual vector G^-1 c gets its class
     `element_of(c)`.  Computed once per (lattice, p) and kept on L.
     """
-    memo = lat.discform_memo
-    if ("roots", p) not in memo:
-        form = discriminant_form(lat)
-        short, duals = roots.dual_roots(lat, p)
-        long_by_class: dict[tuple[int, ...], list[list[int]]] = {}
-        for c in duals:
-            long_by_class.setdefault(form.element_of(c), []).append([p * a for a in c])
-        memo[("roots", p)] = short, long_by_class
-    return memo[("roots", p)]
+    form = discriminant_form(lat)
+    short, duals = roots.dual_roots(lat, p)
+    long_by_class: dict[tuple[int, ...], list[list[int]]] = {}
+    for c in duals:
+        long_by_class.setdefault(form.element_of(c), []).append([p * a for a in c])
+    return short, long_by_class
 
 
 def glue_components(

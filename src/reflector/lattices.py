@@ -15,32 +15,46 @@ reads its invariants off its parts instead of eliminating on the whole Gram:
 det = prod det_i, adj = (+) (det / det_i) adj_i, the signatures add and the
 level is the lcm of the levels.  Every other lattice takes its determinant
 from Bareiss elimination at construction, which is also its degeneracy
-check; for a sum, the product of nonzero determinants is that check.  A
-lattice also keeps what the other modules compute on it, in one memo per
-module: the root table of `roots.root_table` (its roots, and its dual
-vectors of norm <= 2/p by norm bound), from which the roots of a sum are
-concatenated part by part; the root data of `roots.root_data` and, once
-they are read, the root sums of `roots.root_sums`, one entry per prime,
-which a sum joins from its parts where it can; what
-`reflcheck.check_candidate` reads, its root counts, ranks, Coxeter pair and
-matrix identity as at most 3 integer relations (`reflcheck.check_profile`),
-and the result of `reflcheck.solve_candidates`, one entry each per prime;
-for Xv(p), until its roots are read, the term X whose dual vectors they are
-read off (`roots.share_table`); and the discriminant form of
-`discforms.discriminant_form`, which for a sum is the direct sum of its
-parts' forms, D(L1 + L2) = D(L1) + D(L2), with the coset minima of
-`discforms.short_duals`, the glue roots by prime and the value groups
-per torsion box that `discforms.root_free_pool` joins.  No memo refers
-back to its lattice.
+check; for a sum, the product of nonzero determinants is that check.
+
+What the other modules compute on a lattice, such as its root data or its
+discriminant form, is kept on it through one decorator, `kept`: fn(L, *args)
+is built on the first call and kept in L's one `memo` under the key
+(fn, *args).  No key holds its lattice, and no value the library keeps
+does, so no memo refers back to its lattice, which its reference count
+alone frees.  A `Catalog` keeps what it builds in a `memo` of its own,
+through the same decorator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from math import gcd, lcm, prod
 
 from . import intmat
+
+_MISSING = object()
+
+
+def kept(fn):
+    """fn(owner, *args), built on the first call and kept in owner.memo under the key
+    (fn, *args), which never holds the owner; a build that raises keeps nothing.
+
+    The value is shared by every later call, so its readers must not change it.
+    Owners are lattices and catalogs, kept per object and not by equality, as
+    `Lattice` equality ignores the parts.
+    """
+
+    @wraps(fn)
+    def cached(owner, *args):
+        memo, key = owner.memo, (fn, *args)
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = fn(owner, *args)
+        return value
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -111,15 +125,8 @@ class Lattice:
         return self._adjugate
 
     @cached_property
-    def roots_memo(self) -> dict:
-        """The root table, and the root data and root sums by prime, filled in by `roots`;
-        the check profile and the solve result by prime, filled in by `reflcheck`."""
-        return {}
-
-    @cached_property
-    def discform_memo(self) -> dict:
-        """The discriminant form, the coset minima and the glue roots by prime, filled in
-        by `discforms`."""
+    def memo(self) -> dict:
+        """What `kept` functions have built on this lattice, by (function, *args)."""
         return {}
 
     @cached_property

@@ -51,7 +51,7 @@ from functools import cache
 from math import gcd
 
 from . import discforms, intmat, roots
-from .lattices import Lattice
+from .lattices import Lattice, kept
 
 
 @dataclass
@@ -75,6 +75,7 @@ def check_multiplicities(c1: int, cp: int) -> None:
         raise ValueError("multiplicities must be nonnegative and not both zero")
 
 
+@kept
 def check_profile(lat: Lattice, p: int):
     """(|R1|, |R2|, n1, rank, (G00, S1_00, S2_00), relations, coxeter): what
     `check_candidate` reads of a positive definite lattice at p.
@@ -85,19 +86,16 @@ def check_profile(lat: Lattice, p: int):
     alone or of long roots alone, with one Coxeter number for each kind.
     Computed once per (lattice, p) and kept on lat.
     """
-    memo, key = lat.roots_memo, ("profile", p)
-    if key not in memo:
-        data = roots.root_data(lat, p)
-        comps = data.components
-        # a component of one root length is an ADE type, whose root count is its rank
-        # times its Coxeter number: alpha for short roots, p beta for long ones
-        h1s = {cc.count_short // cc.rank for cc in comps if not cc.count_long}
-        h2s = {cc.count_long // cc.rank for cc in comps if not cc.count_short}
-        split = all(not (cc.count_short and cc.count_long) for cc in comps)
-        coxeter = (*h1s, *h2s) if split and len(h1s) == len(h2s) == 1 else None
-        memo[key] = (2 * data.positive_short, 2 * data.positive_long, data.span_short,
-                     lat.rank, *block_relations(lat, p), coxeter)
-    return memo[key]
+    data = roots.root_data(lat, p)
+    comps = data.components
+    # a component of one root length is an ADE type, whose root count is its rank
+    # times its Coxeter number: alpha for short roots, p beta for long ones
+    h1s = {cc.count_short // cc.rank for cc in comps if not cc.count_long}
+    h2s = {cc.count_long // cc.rank for cc in comps if not cc.count_short}
+    split = all(not (cc.count_short and cc.count_long) for cc in comps)
+    coxeter = (*h1s, *h2s) if split and len(h1s) == len(h2s) == 1 else None
+    return (2 * data.positive_short, 2 * data.positive_long, data.span_short,
+            lat.rank, *block_relations(lat, p), coxeter)
 
 
 def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckReport:
@@ -189,15 +187,14 @@ class SolveResult:
     count_long: int = 0
 
 
+@kept
 def solve_candidates(lat: Lattice, p: int) -> SolveResult:
     """`solve_components` on the root components of a positive definite lattice,
-    computed once per (lattice, p) and kept on lat."""
+    computed once per (lattice, p) and kept on lat; a lattice that is not definite
+    keeps nothing and raises at every call."""
     if not lat.is_positive_definite():
         raise ValueError("solve_candidates expects the positive definite part of the model")
-    memo, key = lat.roots_memo, ("solve", p)
-    if key not in memo:
-        memo[key] = solve_components(roots.root_data(lat, p).components, lat.rank)
-    return memo[key]
+    return solve_components(roots.root_data(lat, p).components, lat.rank)
 
 
 def solve_components(comps: Sequence[roots.RootComponent], rank: int) -> SolveResult:

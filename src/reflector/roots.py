@@ -51,7 +51,7 @@ from math import isqrt, lcm
 from typing import NamedTuple
 
 from . import intmat
-from .lattices import Lattice
+from .lattices import Lattice, kept
 
 
 def short_vectors(gram: list[list[int]], max_norm: int):
@@ -124,26 +124,27 @@ def root_table(lat: Lattice, p: int) -> tuple[list[list[int]], dict[int, list[tu
     reads its norm-2 vectors off X's dual vectors at the bound 2, so the two
     make one enumeration.
     """
-    memo = lat.roots_memo
-    if "roots" not in memo:
-        twin = memo.pop("adjugate_of", None)
-        if twin is None:
-            vecs = short_vectors(lat.gram, 2).get(2, [])
-        else:  # the first half of each norm's list is short_vectors' own output
-            duals = _duals(twin, 2).get(2, [])
-            vecs = duals[: len(duals) // 2]
-        memo["roots"] = [_first_positive(intmat.mat_vec(lat.gram, r)) for r in vecs]
-    return memo["roots"], _duals(lat, 2 * lat.det() // p)
+    return _roots(lat), _duals(lat, 2 * lat.det() // p)
 
 
+@kept
+def _roots(lat: Lattice) -> list[list[int]]:
+    """The `root_table` roots of lat, read off its twin's dual vectors when it has one."""
+    twin = lat.memo.pop("adjugate_of", None)
+    if twin is None:
+        vecs = short_vectors(lat.gram, 2).get(2, [])
+    else:  # the first half of each norm's list is short_vectors' own output
+        duals = _duals(twin, 2).get(2, [])
+        vecs = duals[: len(duals) // 2]
+    return [_first_positive(intmat.mat_vec(lat.gram, r)) for r in vecs]
+
+
+@kept
 def _duals(lat: Lattice, bound: int) -> dict[int, list[tuple[int, ...]]]:
     """The vectors c of norm <= bound for adj(G), by norm, each norm's
     `short_vectors` list followed by its negatives; kept on lat per bound."""
-    memo, key = lat.roots_memo, ("duals", bound)
-    if key not in memo:
-        memo[key] = {norm: [tuple(c) for c in vecs] + [tuple(-a for a in c) for c in vecs]
-                     for norm, vecs in short_vectors(lat.adjugate(), bound).items()}
-    return memo[key]
+    return {norm: [tuple(c) for c in vecs] + [tuple(-a for a in c) for c in vecs]
+            for norm, vecs in short_vectors(lat.adjugate(), bound).items()}
 
 
 def share_table(lat: Lattice, twin: Lattice) -> None:
@@ -154,7 +155,7 @@ def share_table(lat: Lattice, twin: Lattice) -> None:
     first enumerates them for both.
     """
     if twin.gram == lat.adjugate():
-        twin.roots_memo["adjugate_of"] = lat
+        twin.memo["adjugate_of"] = lat
 
 
 def _first_positive(v: list[int]) -> list[int]:
@@ -326,24 +327,21 @@ def _joins_parts(lat: Lattice, p: int) -> bool:
     return bool(lat.parts) and all(part.level() in (1, p) for part in lat.parts)
 
 
+@kept
 def root_data(lat: Lattice, p: int) -> RootData:
     """The root data of lat at p, computed once per (lattice, p) and kept on lat.
 
     A sum whose parts all have level 1 or p joins its parts' data; any other
     lattice reads its roots off its parts' root tables (`_trivial_glue_roots`).
     """
-    memo, key = lat.roots_memo, ("data", p)
-    if key not in memo:
-        if _joins_parts(lat, p):
-            memo[key] = _join([root_data(part, p) for part in lat.parts])
-        else:
-            r1, r2 = _trivial_glue_roots(lat, p)
-            memo[key] = RootData(
-                positive_short=len(r1),
-                positive_long=len(r2),
-                components=tuple(split_components(lat.adjugate(), p, r1, r2)),
-            )
-    return memo[key]
+    if _joins_parts(lat, p):
+        return _join([root_data(part, p) for part in lat.parts])
+    r1, r2 = _trivial_glue_roots(lat, p)
+    return RootData(
+        positive_short=len(r1),
+        positive_long=len(r2),
+        components=tuple(split_components(lat.adjugate(), p, r1, r2)),
+    )
 
 
 def _join(parts: list[RootData]) -> RootData:
@@ -355,6 +353,7 @@ def _join(parts: list[RootData]) -> RootData:
     )
 
 
+@kept
 def root_sums(lat: Lattice, p: int) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
     """One (G, S1, S2) per enumerated part of lat at p, in the order of the parts.
 
@@ -365,14 +364,10 @@ def root_sums(lat: Lattice, p: int) -> tuple[tuple[tuple[tuple[int, ...], ...], 
     or p concatenates its parts' blocks, and any other lattice is its own
     one block, summed over the roots that `root_data` reads, as G r.
     """
-    memo, key = lat.roots_memo, ("sums", p)
-    if key not in memo:
-        if _joins_parts(lat, p):
-            memo[key] = tuple(block for part in lat.parts for block in root_sums(part, p))
-        else:
-            r1, r2 = _trivial_glue_roots(lat, p)
-            memo[key] = ((lat.gram, _outer_sum(r1, lat.rank), _outer_sum(r2, lat.rank)),)
-    return memo[key]
+    if _joins_parts(lat, p):
+        return tuple(block for part in lat.parts for block in root_sums(part, p))
+    r1, r2 = _trivial_glue_roots(lat, p)
+    return ((lat.gram, _outer_sum(r1, lat.rank), _outer_sum(r2, lat.rank)),)
 
 
 def _outer_sum(vectors: list[list[int]], n: int) -> tuple[tuple[int, ...], ...]:

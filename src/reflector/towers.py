@@ -17,7 +17,7 @@ parsed once per process, and `load` hands each caller its own copy, so no
 caller's change reaches the replays.
 
 Each replay is a plan and a judgment.  The plan holds what the tables
-cannot change, and the catalog keeps it (`Catalog.kept`) once per (p,
+cannot change, and the catalog keeps it (`lattices.kept`) once per (p,
 expressions), so a user catalog has plans of its own:
   - for each level of a tower, its expression, its genus label, and the
     one summand it drops from its predecessor with that summand's numbers
@@ -51,7 +51,7 @@ from importlib import resources
 
 from . import catalog as cat_mod
 from . import classify, discforms, reflcheck, roots
-from .lattices import Lattice
+from .lattices import Lattice, kept
 
 
 @cache
@@ -104,6 +104,7 @@ def _dropped(prev: Lattice, cur: Lattice) -> Lattice | None:
     return next(iter(gone))
 
 
+@kept
 def _tower_plan(cat, p: int, exprs: tuple[str, ...]) -> tuple[tuple, ...]:
     """(expr, genus label, drop) for each level of a tower: drop is (name,
     positive short roots, positive long roots) of the one summand the level
@@ -137,7 +138,7 @@ def replay_tower(tower: dict, catalog=None, table=None) -> list[dict]:
     cat = catalog or cat_mod.default_catalog()
     table = _table() if table is None else table
     p, c1, cp, exprs = tower["p"], tower["c1"], tower["cp"], tuple(tower["exprs"])
-    plan = cat.kept(("tower", p, exprs), lambda: _tower_plan(cat, p, exprs))
+    plan = _tower_plan(cat, p, exprs)
     levels: list[dict] = []
     k = None
     for i, (expr, genus, drop) in enumerate(plan):
@@ -165,6 +166,7 @@ def replay_tower(tower: dict, catalog=None, table=None) -> list[dict]:
     return levels
 
 
+@kept
 def _transfer_plan(cat, p: int, expr: str) -> tuple:
     """(genus, to_expr, to_genus, sorted scales, definite part) of the transfer
     from U + U(p) + K to 2U + K."""
@@ -189,8 +191,7 @@ def transfer_target(tr: dict, catalog=None, table=None) -> dict:
     cat = catalog or cat_mod.default_catalog()
     table = _table() if table is None else table
     p, expr = tr["p"], tr["from"]
-    genus, to_expr, to_genus, scales, definite = cat.kept(
-        ("transfer", p, expr), lambda: _transfer_plan(cat, p, expr))
+    genus, to_expr, to_genus, scales, definite = _transfer_plan(cat, p, expr)
     rows = table.get(genus.label(), [])
     source = rows[0] if len(rows) == 1 else None
     target = None

@@ -231,7 +231,7 @@ def test_an_oversized_expression_is_refused_before_its_gram(monkeypatch):
         with lattice_builds() as built, pytest.raises(discforms.BudgetExceeded):
             cat.parse(expr)
         assert built == [], expr
-        assert expr not in cat._models
+        assert (Catalog._model.__wrapped__, expr) not in cat.memo
     assert cat.parse("3A1").rank == 3
     monkeypatch.undo()
     assert cat.parse("4A1").rank == 4

@@ -567,7 +567,7 @@ def test_a_cold_verdict_table_enumerates_each_gram_once():
         verdict_table(verify=True, catalog=cat)
         verify_all(cat)
     counts = Counter((tuple(map(tuple, gram)), bound) for gram, bound in calls)
-    terms = list(cat._terms.values())
+    terms = [lat for (fn, *_), lat in cat.memo.items() if fn is Catalog._term.__wrapped__]
     twins = {(t.gram, 2) for t in terms} & {(t.adjugate(), 2) for t in terms}
     assert len(twins) == 3 and all(counts[key] == 1 for key in twins)
     assert {key: n for key, n in counts.items() if n > 1} == {}

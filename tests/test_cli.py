@@ -307,6 +307,16 @@ def test_a_large_prime_is_answered_in_seconds(argv, code):
     assert "Traceback" not in proc.stderr
 
 
+def test_classify_refuses_verify_with_a_prime(capsys):
+    """--verify re-checks the table of every prime, so with --prime it would verify
+    nothing: the pair is refused, in either order, with exit 1 and one line."""
+    for argv in (["classify", "--prime", "13", "--verify"],
+                 ["classify", "--verify", "--prime", "13", "--format", "json"]):
+        code, out, err = run_cli_err(argv, capsys)
+        assert_one_line_error(code, err)
+        assert "not allowed with" in err and out == ""
+
+
 def test_a_prime_past_the_proven_bound_is_a_one_line_error(capsys):
     code, out, err = run_cli_err(["classify", "--prime", str(discforms.MR_LIMIT)], capsys)
     assert_one_line_error(code, err)

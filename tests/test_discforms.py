@@ -663,6 +663,16 @@ def test_glue_overlattice_refuses_a_subgroup_that_is_not_isotropic():
         glue_overlattice(a2, candidate_form(3, 1, 1), ((0,),))
 
 
+def test_element_of_refuses_a_form_without_coords():
+    """A form built from blocks carries no Smith rows, so it cannot place a vector of
+    Z^n / G Z^n; that raises ValueError, under `python -O` too, as a glue
+    overlattice does for `gens`."""
+    with pytest.raises(ValueError, match="coords"):
+        candidate_form(3, 1, 1).element_of([1])
+    a2 = CAT.parse("A2")
+    assert discforms.discriminant_form(a2).element_of([1, 0]) in ((1,), (2,))
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.sampled_from([1, -1]))
 def test_isotropic_lines_of_elementary_abelian_forms(p, n_p, eps):

@@ -1,6 +1,8 @@
 """Lattice wrapper invariants: determinant, signature, level, duals, sums."""
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,9 +10,9 @@ from helpers import dual_level, dual_rescaled_gram, fraction_inverse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reflector import intmat
+from reflector import discforms, intmat, reflcheck, roots
 from reflector.catalog import default_catalog
-from reflector.lattices import Lattice, direct_sum
+from reflector.lattices import Lattice, direct_sum, kept
 
 U = Lattice([[0, 1], [1, 0]], name="U")
 A2 = Lattice([[2, -1], [-1, 2]], name="A2")
@@ -171,3 +173,91 @@ def test_sum_invariants_match_the_full_gram(terms, cut):
         assert lat.adjugate() == tuple(map(tuple, adj))
         assert lat.signature() == (pos, neg) and zero == 0
         assert lat.level() == dual_level(lat.gram)
+
+
+def test_kept_builds_once_per_owner_function_and_arguments():
+    """A kept function runs once per (owner, function, arguments) and hands out the
+    value it built; another owner, function or argument builds its own."""
+    calls = []
+
+    @kept
+    def scaled(lat, m):
+        calls.append(("scaled", lat.name, m))
+        return lat.rescaled(m)
+
+    @kept
+    def rescaled_dual(lat, m):
+        calls.append(("dual", lat.name, m))
+        return lat.dual_rescaled(m)
+
+    a2, u = Lattice(A2.gram, name="A2"), Lattice(U.gram, name="U")
+    assert scaled(a2, 3) is scaled(a2, 3)
+    assert scaled(a2, 3) != scaled(a2, 2) and scaled(u, 3) is not scaled(a2, 3)
+    assert rescaled_dual(a2, 3).gram == a2.adjugate()
+    assert rescaled_dual(a2, 3) is rescaled_dual(a2, 3)
+    assert calls == [("scaled", "A2", 3), ("scaled", "A2", 2), ("scaled", "U", 3),
+                     ("dual", "A2", 3)]
+
+
+def test_a_kept_build_that_raises_keeps_nothing():
+    """A build that raises leaves the owner's memo as it was, so the next call builds."""
+    tries = []
+
+    @kept
+    def flaky(lat):
+        tries.append(len(tries))
+        if len(tries) == 1:
+            raise ArithmeticError("first try")
+        return len(tries)
+
+    a2 = Lattice(A2.gram, name="A2")
+    with pytest.raises(ArithmeticError):
+        flaky(a2)
+    assert a2.memo == {}
+    assert flaky(a2) == 2 and flaky(a2) == 2 and tries == [0, 1]
+    # so `solve_candidates`, which refuses a lattice that is not definite, refuses it at
+    # every call
+    hyperbolic = direct_sum([U, A2])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="positive definite"):
+            reflcheck.solve_candidates(hyperbolic, 3)
+    assert hyperbolic.memo == {}
+
+
+def test_equal_lattices_keep_separate_values():
+    """Equality ignores the parts, so a sum and the same Gram and name built without
+    parts are equal; each keeps its own values, read off its own parts."""
+
+    @kept
+    def part_count(lat):
+        return len(lat.parts)
+
+    summed = direct_sum([A2, U], name="A2+U")
+    alone = Lattice(summed.gram, name="A2+U")
+    assert summed == alone and hash(summed) == hash(alone)
+    assert (part_count(summed), part_count(alone)) == (2, 0)
+    assert discforms.discriminant_form(summed) is not discforms.discriminant_form(alone)
+
+
+def test_a_worked_sum_is_freed_by_its_reference_count():
+    """No memo refers back to its lattice: a fresh sum put through the root data,
+    the check profile, the solve result, the discriminant form, the glue search and
+    the glue components is freed with the cycle collector off."""
+    cat = default_catalog()
+    lat = direct_sum([cat.parse("E6(3)"), cat.parse("A2")])
+    gc.collect()
+    gc.disable()
+    try:
+        roots.root_data(lat, 3)
+        reflcheck.check_profile(lat, 3)
+        reflcheck.solve_candidates(lat, 3)
+        discforms.discriminant_form(lat)
+        glue = discforms.even_overlattices(lat, 3**6, 3)
+        components = [discforms.glue_components(lat, 3, sub) for sub in glue]
+        gone = weakref.ref(lat)
+        del lat
+        assert gone() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(glue) == len(components) > 0
