@@ -29,8 +29,8 @@ is no hyperbolic plane.  So a model's root data and discriminant form,
 which its lattice keeps, are computed once per catalog.  The lattices that
 `classify.count_classes` spans by its root data are kept the same way, one
 per datum expression, for as long as the catalog lives.  So are facts read
-off those lattices alone, such as the tower and transfer plans of `towers`
-and the genus and definite part of each table model in
+off those lattices alone, such as the plans of the tower and transfer
+records of `towers` and the genus and definite part of each table model in
 `classify.verify_construction`.  A catalog keeps all of these in its one
 `memo`, through `lattices.kept`, by function and arguments.  An expression
 or a root lattice whose rank r has r^2 > `discforms.BUDGET` raises
@@ -227,6 +227,12 @@ def default_catalog() -> Catalog:
     if _default_catalog is None:
         _default_catalog = Catalog()
     return _default_catalog
+
+
+def second_plane(scales: list[int]) -> int | None:
+    """m when a model's hyperbolic planes are exactly U + U(m), so 1 for 2U; else None."""
+    planes = sorted(scales)
+    return planes[1] if len(planes) == 2 and planes[0] == 1 else None
 
 
 def definite_part(expr: str, catalog: Catalog | None = None):

@@ -482,7 +482,7 @@ def _model_facts(cat, model: str, p: int) -> tuple[GenusSymbol, bool, Lattice | 
     """(genus at p, whether the hyperbolic-plane scales are exactly [1, 1],
     definite part) of a table model, read off the catalog's lattices."""
     lat, scales, definite = cat.model_parts(model)
-    return discforms.genus_symbol(lat, p=p), sorted(scales) == [1, 1], definite
+    return discforms.genus_symbol(lat, p=p), cat_mod.second_plane(scales) == 1, definite
 
 
 def verify_construction(label: str, cov: dict, catalog=None) -> dict:
@@ -675,10 +675,13 @@ def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -
     determinant p^n_p and level p, and counted by their histograms of
     vectors of norm <= 2p.  Isometric lattices have equal histograms, so
     this is a lower bound on the number of isometry classes, not a proof
-    of it.
+    of it.  ValueError when no genus II_{rank,0}(p^{+-n_p}) exists
+    (`discforms.existing_genus`): there is nothing to count.
     """
     if n_p < 0:
         raise ValueError(f"n_p must be nonnegative, not {n_p}")
+    if existing_genus(rank, 0, p, n_p) is None:
+        raise ValueError(f"no even definite genus of rank {rank} and determinant {p}^{n_p}")
     cat = catalog or cat_mod.default_catalog()
     target = p**n_p
     table = _component_table(rank, p)

@@ -83,6 +83,17 @@ def _definite(args):
     return scales, definite
 
 
+def _two_planes(args):
+    """(m, the positive definite part K) of a --lattice U + U(m) + K; ValueError
+    for any other hyperbolic planes."""
+    scales, definite = _definite(args)
+    m = cat_mod.second_plane(scales)
+    if m is None:
+        raise ValueError(f"{args.lattice} is not U + U(m) + K: {args.command} needs exactly "
+                         "two hyperbolic planes, one of them U")
+    return m, definite
+
+
 def _add_common(sub):
     sub.add_argument("--format", choices=("json", "text"), default="text")
     sub.add_argument("--catalog", help="path to a JSON gram-matrix catalog")
@@ -170,10 +181,9 @@ def cmd_roots(args) -> int:
 
 
 def cmd_check(args) -> int:
-    """Exit 1 on a model with a plane U(m), m > 1: the candidate check reads the
-    definite part alone, which misses the mirrors inside the rescaled plane."""
-    scales, definite = _definite(args)
-    scale = max(scales, default=1)
+    """Exit 1 unless the model is 2U + K.  On U + U(m) + K, m > 1, the candidate
+    check, which reads K alone, would miss the mirrors inside the rescaled plane."""
+    scale, definite = _two_planes(args)
     if scale > 1:
         raise ValueError(
             f"{args.lattice} has the plane U({scale}), whose mirrors the candidate check "
@@ -194,7 +204,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _, definite = _definite(args)
+    _, definite = _two_planes(args)
     res = reflcheck.solve_candidates(definite, args.prime)
     lines = [f"solve at p={args.prime}: {res.status}"]
     if res.status == "ray":

@@ -8,29 +8,26 @@ the positive roots.  A transfer replaces the rescaled hyperbolic plane U(p)
 by U, multiplying the long-root multiplicity by p and the weight by
 (p+1)/2.
 
-data/towers.json stores only expressions: each tower's p, (c1, cp) and
-levels in order, and each transfer's p and source U + U(p) + K.  Every
-number is derived from the construction tables of `classify`, by
-`replay_tower` and `transfer_target`; the replays and `covered_rows`, which
-`classify.construction_coverage` reads, share them.  The file is read and
-parsed once per process, and `load` hands each caller its own copy, so no
-caller's change reaches the replays.
+Every model is derived from a block K0 and a count n by one rule,
+`_expr`: "U+U(3)+2A2", and "U+U(3)+A2" at n = 1.  A tower is a record
+(name, p, (c1, cp), K0, top) in `TOWERS`, whose levels are U + U(p) + n*K0
+for n = top, ..., 1; a transfer is a record (p, K0, n) in `TRANSFERS`, from
+U + U(p) + n*K0 to 2U + n*K0.  Every number is derived from the
+construction tables of `classify`, by `replay_tower` and `transfer_target`;
+the replays and `covered_rows`, which `classify.construction_coverage`
+reads, share them.
 
 Each replay is a plan and a judgment.  The plan holds what the tables
-cannot change, and the catalog keeps it (`lattices.kept`) once per (p,
-expressions), so a user catalog has plans of its own:
-  - for each level of a tower, its expression, its genus label, and the
-    one summand it drops from its predecessor with that summand's numbers
-    of positive short and long roots (None at the base, and when the level
-    differs from its predecessor by more than one dropped summand);
-  - for each transfer, the source's genus, its 2U + K target and the
-    target's genus, the sorted hyperbolic-plane scales and the definite
-    part K.
+cannot change, and the catalog keeps it (`lattices.kept`) once per record,
+so a user catalog has plans of its own:
+  - for a tower, each level's expression and genus label, and K0's numbers
+    of positive short and long roots at p;
+  - for a transfer, its source and target expressions and genera, the
+    source's sorted hyperbolic-plane scales and the target's definite part.
 The judgment reads the tables afresh on every call of `covered_rows` and
 `verify_all`, so a change to them shows in the next call:
   - a tower's base weight is that of the one table row with the base's genus
-    and (c1, cp); each later weight is the pull-back weight of the one
-    summand a level drops from its predecessor;
+    and (c1, cp); each later level adds the pull-back weight of one K0;
   - each level must land on the table row of its genus with its (c1, cp, k),
     or, at (1, 1), split as that genus's strongly 2- and 2p-reflective
     weights;
@@ -43,28 +40,32 @@ expression.
 
 from __future__ import annotations
 
-import json
-from collections import Counter, defaultdict
-from copy import deepcopy
-from functools import cache
-from importlib import resources
+from collections import defaultdict
 
 from . import catalog as cat_mod
 from . import classify, discforms, reflcheck, roots
-from .lattices import Lattice, kept
+from .lattices import kept
+
+# (name, p, (c1, cp), block K0, top): levels U + U(p) + n*K0 for n = top, ..., 1
+TOWERS = (
+    ("p2-pullback", 2, (1, 1), "D4", 4),
+    ("p3-pullback", 3, (1, 1), "A2", 6),
+    ("p3-short-root-ladder", 3, (1, 0), "A2", 3),
+    ("p5-pullback", 5, (1, 1), "T4", 2),
+    ("p7-pullback", 7, (1, 1), "L7", 3),
+    ("p11-pullback", 11, (1, 1), "L11", 2),
+)
+
+# (p, block K0, n): from U + U(p) + n*K0 to 2U + n*K0
+TRANSFERS = (
+    (3, "A2", 5), (3, "A2", 4), (3, "A2", 6), (5, "T4", 1), (5, "T4", 2), (7, "L7", 1),
+    (7, "L7", 2), (7, "L7", 3), (11, "L11", 1), (11, "L11", 2), (23, "L23", 1),
+)
 
 
-@cache
-def _stored() -> dict:
-    """data/towers.json, read and parsed once per process; never handed out."""
-    return json.loads((resources.files(__package__) / "data" / "towers.json").read_text())
-
-
-def load() -> dict:
-    """data/towers.json: "towers", each {"name", "p", "c1", "cp", "exprs"} with its
-    base expression first, and "transfers", each {"p", "from"} with a source
-    model U + U(p) + K.  Each call hands out a new copy of the one parse."""
-    return deepcopy(_stored())
+def _expr(planes: str, block: str, n: int) -> str:
+    """planes + n*block, as the tables write it: "U+U(3)+2A2", "U+U(3)+A2"."""
+    return f"{planes}+{n if n > 1 else ''}{block}"
 
 
 def transfer_multiplicity(c1: int, cp: int, p: int) -> tuple[int, int]:
@@ -94,91 +95,62 @@ def _only(ks: list[int]) -> int | None:
     return ks[0] if len(ks) == 1 else None
 
 
-def _dropped(prev: Lattice, cur: Lattice) -> Lattice | None:
-    """The one part (a catalog term's lattice) of prev that cur lacks; None unless
-    that is their only difference."""
-    parts_prev, parts_cur = Counter(prev.parts or (prev,)), Counter(cur.parts or (cur,))
-    gone = parts_prev - parts_cur
-    if parts_cur - parts_prev or sum(gone.values()) != 1:
-        return None
-    return next(iter(gone))
-
-
 @kept
-def _tower_plan(cat, p: int, exprs: tuple[str, ...]) -> tuple[tuple, ...]:
-    """(expr, genus label, drop) for each level of a tower: drop is (name,
-    positive short roots, positive long roots) of the one summand the level
-    drops from its predecessor, None at the base and when there is no such
-    summand."""
-    plan, prev = [], None
-    for expr in exprs:
-        lat = cat.parse(expr)
-        genus = discforms.genus_symbol(lat, p=p).label()
-        drop = None if prev is None else _dropped(prev, lat)
-        if drop is not None:
-            data = roots.root_data(drop, p)
-            drop = (drop.name, data.positive_short, data.positive_long)
-        plan.append((expr, genus, drop))
-        prev = lat
-    return tuple(plan)
+def _tower_plan(cat, p: int, block: str, top: int) -> tuple[tuple, int, int]:
+    """((expr, genus label) for each level n = top, ..., 1, positive short roots
+    of the block, positive long roots of the block)."""
+    levels = []
+    for n in range(top, 0, -1):
+        expr = _expr(f"U+U({p})", block, n)
+        levels.append((expr, discforms.genus_symbol(cat.parse(expr), p=p).label()))
+    data = roots.root_data(cat.parse(block), p)
+    return tuple(levels), data.positive_short, data.positive_long
 
 
-def replay_tower(tower: dict, catalog=None, table=None) -> list[dict]:
+def replay_tower(tower: tuple, catalog=None, table=None) -> list[dict]:
     """Derive every level of a tower from the tables and judge it.
 
-    Each level reports its expression, its genus, the summand it drops
+    Each level reports its expression, its genus, the block it drops
     ("drop", None at the base), its weight, whether it lands on a table row
     ("row"), the (strongly 2, strongly 2p) weights it splits into ("split",
     (1, 1) only, else None), and "ok": it has a weight, and that weight lands
-    or splits.  The weight is None when the base has no single table row,
-    when a level differs from its predecessor by more than one dropped
-    summand, and at every level after either.  `table` is `_table()`, read
-    afresh when not given; the rest comes from the catalog's plan.
+    or splits.  Every weight is None when the base has no single table row.
+    `table` is `_table()`, read afresh when not given; the rest comes from
+    the catalog's plan.
     """
     cat = catalog or cat_mod.default_catalog()
     table = _table() if table is None else table
-    p, c1, cp, exprs = tower["p"], tower["c1"], tower["cp"], tuple(tower["exprs"])
-    plan = _tower_plan(cat, p, exprs)
+    _, p, (c1, cp), block, top = tower
+    plan, short, long = _tower_plan(cat, p, block, top)
     levels: list[dict] = []
-    k = None
-    for i, (expr, genus, drop) in enumerate(plan):
-        if i == 0:
-            k = _only(_weights(table, genus, c1, cp))
-        elif k is not None:
-            k = None if drop is None else k + c1 * drop[1] + cp * drop[2]
+    k = _only(_weights(table, plan[0][1], c1, cp))
+    for i, (expr, genus) in enumerate(plan):
+        if i and k is not None:
+            k += c1 * short + cp * long
         row = k is not None and k in _weights(table, genus, c1, cp)
         split = None
         if k is not None and not row and (c1, cp) == (1, 1):
             pair = (_only(_weights(table, genus, 1, 0)), _only(_weights(table, genus, 0, 1)))
             if None not in pair and sum(pair) == k:
                 split = pair
-        levels.append(
-            {
-                "expr": expr,
-                "genus": genus,
-                "drop": drop[0] if drop else None,
-                "weight": k,
-                "row": row,
-                "split": split,
-                "ok": row or split is not None,
-            }
-        )
+        levels.append({"expr": expr, "genus": genus, "drop": block if i else None, "weight": k,
+                       "row": row, "split": split, "ok": row or split is not None})
     return levels
 
 
 @kept
-def _transfer_plan(cat, p: int, expr: str) -> tuple:
-    """(genus, to_expr, to_genus, sorted scales, definite part) of the transfer
-    from U + U(p) + K to 2U + K."""
+def _transfer_plan(cat, p: int, block: str, n: int) -> tuple:
+    """(source expr, its genus, target expr, its genus, the source's sorted
+    scales, the target's definite part) of the transfer from U + U(p) + n*block
+    to 2U + n*block."""
+    expr, to_expr = _expr(f"U+U({p})", block, n), _expr("2U", block, n)
     lat, scales, _ = cat.model_parts(expr)
-    genus = discforms.genus_symbol(lat, p=p)
-    rest = [t for t in expr.replace(" ", "").split("+") if t not in ("U", f"U({p})")]
-    to_expr = "+".join(["2U"] + rest)
     to_lat, _, definite = cat.model_parts(to_expr)
-    return genus, to_expr, discforms.genus_symbol(to_lat, p=p), tuple(sorted(scales)), definite
+    return (expr, discforms.genus_symbol(lat, p=p), to_expr, discforms.genus_symbol(to_lat, p=p),
+            tuple(sorted(scales)), definite)
 
 
-def transfer_target(tr: dict, catalog=None, table=None) -> dict:
+def transfer_target(tr: tuple, catalog=None, table=None) -> dict:
     """Derive both sides of one U(p) -> U transfer from the tables.
 
     The source (c1, cp, k) is that of the one table row of the source's
@@ -190,8 +162,8 @@ def transfer_target(tr: dict, catalog=None, table=None) -> dict:
     """
     cat = catalog or cat_mod.default_catalog()
     table = _table() if table is None else table
-    p, expr = tr["p"], tr["from"]
-    genus, to_expr, to_genus, scales, definite = _transfer_plan(cat, p, expr)
+    p = tr[0]
+    expr, genus, to_expr, to_genus, scales, definite = _transfer_plan(cat, *tr)
     rows = table.get(genus.label(), [])
     source = rows[0] if len(rows) == 1 else None
     target = None
@@ -212,7 +184,7 @@ def transfer_target(tr: dict, catalog=None, table=None) -> dict:
     }
 
 
-def replay_transfer(tr: dict, catalog=None, table=None) -> dict:
+def replay_transfer(tr: tuple, catalog=None, table=None) -> dict:
     """Check one U(p) -> U transfer: the source's planes, the genera, the target row.
 
     The target is a 2U + K model, so its multiplicities and weight are also
@@ -243,17 +215,17 @@ def covered_rows(catalog=None) -> set[tuple[str, int, int, int]]:
     base covers nothing, since its weight is read off its row.  A transfer
     covers its source row when the target it computes is a table row.
     """
-    data, table = _stored(), _table()
+    table = _table()
     covered = set()
-    for tower in data["towers"]:
-        c1, cp = tower["c1"], tower["cp"]
+    for tower in TOWERS:
+        c1, cp = tower[2]
         for level in replay_tower(tower, catalog, table)[1:]:
             if level["row"]:
                 covered.add((level["genus"], c1, cp, level["weight"]))
             elif level["split"]:
                 s2, s2p = level["split"]
                 covered |= {(level["genus"], 1, 0, s2), (level["genus"], 0, 1, s2p)}
-    for tr in data["transfers"]:
+    for tr in TRANSFERS:
         t = transfer_target(tr, catalog, table)
         if t["row"]:
             covered.add((t["genus"].label(), *t["source"]))
@@ -262,13 +234,13 @@ def covered_rows(catalog=None) -> set[tuple[str, int, int, int]]:
 
 def verify_all(catalog=None) -> dict:
     """Replay every tower and transfer; True entries mean full agreement."""
-    data, table = _stored(), _table()
+    table = _table()
     towers_ok = {
-        tower["name"]: all(level["ok"] for level in replay_tower(tower, catalog, table))
-        for tower in data["towers"]
+        tower[0]: all(level["ok"] for level in replay_tower(tower, catalog, table))
+        for tower in TOWERS
     }
     transfers_ok = []
-    for tr in data["transfers"]:
+    for tr in TRANSFERS:
         rep = replay_transfer(tr, catalog, table)
         transfers_ok.append(all(v for k, v in rep.items() if k.endswith("_ok")))
     return {"towers": towers_ok, "transfers_ok": transfers_ok}

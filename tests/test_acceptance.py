@@ -34,7 +34,7 @@ from reflector.intmat import mat_vec, vec_dot
 from reflector.lattices import Lattice
 from reflector.reflcheck import check_candidate, family_cutoff, solve_candidates
 from reflector.roots import _trivial_glue_roots, root_data, root_table
-from reflector.towers import load, replay_tower, verify_all
+from reflector.towers import TOWERS, replay_tower, verify_all
 
 CAT = default_catalog()
 
@@ -137,7 +137,7 @@ def test_pullback_ladders():
     """The towers replay from the tables: every step lands on a row or splits."""
     result = verify_all()
     ok = all(result["towers"].values()) and result["transfers_ok"] == [True] * 11
-    ladders = {t["name"]: replay_tower(t) for t in load()["towers"]}
+    ladders = {tower[0]: replay_tower(tower) for tower in TOWERS}
     weights = {name: [level["weight"] for level in levels] for name, levels in ladders.items()}
     ok = ok and weights["p2-pullback"] == [8, 32, 56, 80]
     ok = ok and weights["p3-pullback"] == [6, 12, 18, 24, 30, 36]

@@ -27,6 +27,7 @@ from reflector.classify import (
     class_number_rootsystems,
     classify,
     classify_symbolic,
+    count_classes,
     enumerate_genera,
     reflective_genera,
     root_lattice_dets,
@@ -35,7 +36,7 @@ from reflector.classify import (
     table_rows,
     verdict_table,
 )
-from reflector.discforms import parse_genus
+from reflector.discforms import existing_genus, parse_genus
 from reflector.lattices import direct_sum
 from reflector.roots import root_components
 from reflector.towers import verify_all
@@ -335,9 +336,9 @@ def test_warm_certify_caches_follow_the_tables_and_reduce_nothing_twice(monkeypa
     its check, and passes again once the change is undone, so no cache keeps a
     verdict that reads the tables.  A warm table and tower replay then compute no
     check profile (`reflcheck.block_relations`, `intmat.row_hermite_form`) and no
-    solve result (`reflcheck.solve_components`), factorise nothing, find no dropped
-    summand (`towers._dropped`), format no genus label, and neither the replays nor
-    `verify_construction` read a model or a genus off the catalog."""
+    solve result (`reflcheck.solve_components`), factorise nothing, format no genus
+    label, and neither the replays nor `verify_construction` read a model or a genus
+    off the catalog."""
     cat = Catalog()
     rows = [("STRONGLY_2_REFLECTIVE", "II_{6,2}(2_II^{-2})", "strongly_2"),
             ("MIXED_REFLECTIVE", "II_{6,2}(5^{-2})", "mixed[0]")]
@@ -355,7 +356,7 @@ def test_warm_certify_caches_follow_the_tables_and_reduce_nothing_twice(monkeypa
     calls = Counter()
     for module, name in ((intmat, "row_hermite_form"), (discforms, "_factorize"),
                          (reflcheck, "block_relations"), (reflcheck, "solve_components"),
-                         (towers, "_dropped"), (discforms, "_format_label")):
+                         (discforms, "_format_label")):
         inner = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, inner=inner, name=name: (
             calls.update([name]) or inner(*args)))
@@ -530,6 +531,15 @@ def test_class_number_rejects_a_non_prime(p):
         class_number(4, p, 1, 1, 12, 1)
     with pytest.raises(ValueError, match="not prime"):
         class_number_rootsystems(4, p, 1, 1, 12)
+
+
+def test_count_classes_rejects_a_genus_that_does_not_exist():
+    """II_{2,0}(3^{+-99}) does not exist, so there is nothing to count; the census
+    genera and the rank-10 one do."""
+    with pytest.raises(ValueError, match="3\\^99"):
+        count_classes(class_number_rootsystems(2, 3, 1, 1, 12), 2, 3, 99)
+    for rank, p, n_p in [(8, 3, 6), (6, 3, 3), (6, 3, 5), (10, 3, 7)]:
+        assert existing_genus(rank, 0, p, n_p) is not None
 
 
 # the class numbers of the census workload, with their values

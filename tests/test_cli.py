@@ -165,6 +165,24 @@ def test_check_refuses_a_model_with_a_rescaled_plane(capsys):
         assert code == 0, model
 
 
+@pytest.mark.parametrize(
+    "command, model",
+    [("check", "U+E6v(3)+2A2"), ("check", "E6v(3)+2A2"), ("check", "3U+E6v(3)+2A2"),
+     ("check", "U(3)+U(3)+2A2"), ("solve", "U+E6v(3)+2A2"), ("solve", "E6v(3)+2A2"),
+     ("solve", "3U+E6v(3)+2A2"), ("solve", "U(3)+U(3)+2A2")],
+)
+def test_check_and_solve_refuse_a_model_without_two_planes(command, model, capsys):
+    """Both read the definite part of U + U(m) + K (check only 2U + K): a model with
+    one, none, three or two rescaled planes exits 1, where check gave a verdict and
+    solve answered "ray (1,1), weight 12"."""
+    argv = [command, "--lattice", model, "--prime", "3"]
+    if command == "check":
+        argv += ["--c1", "1", "--cp", "1", "--k", "12"]
+    code, out, err = run_cli_err(argv, capsys)
+    assert_one_line_error(code, err)
+    assert out == "" and "two hyperbolic planes" in err
+
+
 def test_check_json_shape(capsys):
     code, out = run_cli(
         [
@@ -554,6 +572,16 @@ def test_discform_of_e8_7_reads_its_genus(capsys):
     assert code == 0
     assert json.loads(out) == {"orders": [7] * 8, "order": 7**8, "level": 7, "milgram_octant": 0,
                                "norm_2_over_p_count": 7**7 - 7**3}
+
+
+def test_classnumber_of_a_genus_that_does_not_exist_exits_one(capsys):
+    """No even definite lattice of rank 2 has determinant 3^99: the count is an
+    error, not "class number 0"."""
+    argv = ["classnumber", "--rank", "2", "--prime", "3", "--c1", "1", "--cp", "1",
+            "--k", "12", "--np", "99"]
+    code, out, err = run_cli_err(argv, capsys)
+    assert_one_line_error(code, err)
+    assert out == "" and "3^99" in err
 
 
 def test_classnumber_of_a_huge_rank_exits_three(capsys):

@@ -8,8 +8,9 @@ from reflector import classify, etaq
 from reflector.catalog import Catalog, default_catalog
 from reflector.classify import construction_coverage, verdict_table, verify_construction
 from reflector.towers import (
+    TOWERS,
+    TRANSFERS,
     covered_rows,
-    load,
     replay_tower,
     replay_transfer,
     transfer_multiplicity,
@@ -18,11 +19,11 @@ from reflector.towers import (
     verify_all,
 )
 
-TOWERS = {t["name"]: t for t in load()["towers"]}
+BY_NAME = {tower[0]: tower for tower in TOWERS}
 
 
 def _weights(name: str) -> list[int | None]:
-    return [level["weight"] for level in replay_tower(TOWERS[name])]
+    return [level["weight"] for level in replay_tower(BY_NAME[name])]
 
 
 def _replace_row(monkeypatch, table: str, genus: str, k: int) -> None:
@@ -40,7 +41,7 @@ def test_every_stored_tower_and_transfer_replays():
 
 
 def test_tower_names_cover_all_primes_with_towers():
-    assert set(TOWERS) == {
+    assert set(BY_NAME) == {
         "p2-pullback",
         "p3-pullback",
         "p3-short-root-ladder",
@@ -65,17 +66,37 @@ def test_pullback_weight_reproduces_stored_steps():
 
 
 def test_replay_reports_give_weights_per_step():
-    tower = TOWERS["p3-pullback"]
-    levels = replay_tower(tower)
-    assert [level["expr"] for level in levels] == tower["exprs"]
+    levels = replay_tower(BY_NAME["p3-pullback"])
     assert all(level["ok"] and level["weight"] for level in levels)
+
+
+def test_levels_and_transfer_models_are_derived_as_written_before():
+    """Each level is U + U(p) + n*K0 and each transfer goes from U + U(p) + n*K0 to
+    2U + n*K0, written as the construction tables write them."""
+    assert {name: [level["expr"] for level in replay_tower(tower)]
+            for name, tower in BY_NAME.items()} == {
+        "p2-pullback": ["U+U(2)+4D4", "U+U(2)+3D4", "U+U(2)+2D4", "U+U(2)+D4"],
+        "p3-pullback": ["U+U(3)+6A2", "U+U(3)+5A2", "U+U(3)+4A2", "U+U(3)+3A2",
+                        "U+U(3)+2A2", "U+U(3)+A2"],
+        "p3-short-root-ladder": ["U+U(3)+3A2", "U+U(3)+2A2", "U+U(3)+A2"],
+        "p5-pullback": ["U+U(5)+2T4", "U+U(5)+T4"],
+        "p7-pullback": ["U+U(7)+3L7", "U+U(7)+2L7", "U+U(7)+L7"],
+        "p11-pullback": ["U+U(11)+2L11", "U+U(11)+L11"],
+    }
+    assert [(t["from"], t["to"]) for t in map(transfer_target, TRANSFERS)] == [
+        ("U+U(3)+5A2", "2U+5A2"), ("U+U(3)+4A2", "2U+4A2"), ("U+U(3)+6A2", "2U+6A2"),
+        ("U+U(5)+T4", "2U+T4"), ("U+U(5)+2T4", "2U+2T4"),
+        ("U+U(7)+L7", "2U+L7"), ("U+U(7)+2L7", "2U+2L7"), ("U+U(7)+3L7", "2U+3L7"),
+        ("U+U(11)+L11", "2U+L11"), ("U+U(11)+2L11", "2U+2L11"),
+        ("U+U(23)+L23", "2U+L23"),
+    ]
 
 
 def test_uncatalogued_levels_split_into_the_pure_forms():
     """A (1, 1) level off the mixed table is the product of the genus's two pure forms."""
     splits = {
         (name, level["expr"]): level["split"]
-        for name, tower in TOWERS.items()
+        for name, tower in BY_NAME.items()
         for level in replay_tower(tower)
         if level["split"]
     }
@@ -91,7 +112,7 @@ def test_uncatalogued_levels_split_into_the_pure_forms():
 def test_each_step_drops_one_summand_and_lands():
     blocks = {"p2-pullback": "D4", "p3-pullback": "A2", "p3-short-root-ladder": "A2",
               "p5-pullback": "T4", "p7-pullback": "L7", "p11-pullback": "L11"}
-    for name, tower in TOWERS.items():
+    for name, tower in BY_NAME.items():
         base, *steps = replay_tower(tower)
         assert base["drop"] is None and base["row"]
         for level in steps:
@@ -105,10 +126,10 @@ def test_even_tower_base_ties_to_lift_weight():
 
 def test_transfer_formulas_match_stored_rows():
     """Each target is 2U + K with (c1, p cp, (p + 1) k / 2) from its source row."""
-    for tr in load()["transfers"]:
+    for tr in TRANSFERS:
         rep = replay_transfer(tr)
-        p, (c1, cp, k) = tr["p"], rep["source"]
-        assert rep["to"] == tr["from"].replace(f"U+U({p})+", "2U+")
+        p, (c1, cp, k) = tr[0], rep["source"]
+        assert rep["to"] == rep["from"].replace(f"U+U({p})+", "2U+")
         assert rep["target"] == (*transfer_multiplicity(c1, cp, p), transfer_weight(k, p))
         assert rep["target"][:2] == (1, p)
 
@@ -206,45 +227,30 @@ def test_a_warm_certify_pass_builds_no_lattice():
     assert table["count"] == 55 and all(replay["towers"].values())
 
 
-def test_a_change_to_the_loaded_data_reaches_no_replay():
-    """`load` hands out a copy: reversing every tower and dropping every transfer in
-    what it returns changes neither the next replay nor the next load.  Nor does a
-    change to what a replay returns: each call hands out new levels, scales and
-    reports, never the plan the catalog keeps."""
-    data = load()
-    before = (verify_all(), covered_rows(),
-              [replay_tower(tower) for tower in data["towers"]],
-              [transfer_target(tr) for tr in data["transfers"]])
-    for tower in data["towers"]:
-        tower["exprs"].reverse()
-    data["transfers"].clear()
-    assert load() != data
-    for tower in load()["towers"]:
+def test_a_change_to_a_replay_reaches_no_later_replay():
+    """Each call hands out new levels, scales and reports, never the plan the
+    catalog keeps: changing what a replay returns changes no later replay."""
+    before = (verify_all(), covered_rows(), [replay_tower(tower) for tower in TOWERS],
+              [transfer_target(tr) for tr in TRANSFERS])
+    for tower in TOWERS:
         levels = replay_tower(tower)
         for level in levels:
             level.update(expr="", genus="", drop="E8", weight=0, row=False)
         levels.reverse()
-    for tr in load()["transfers"]:
+    for tr in TRANSFERS:
         t = transfer_target(tr)
         t["scales"].reverse()
         t["scales"].append(0)
         t.update(source=None, target=None, row=False)
-    fresh = load()
-    assert (verify_all(), covered_rows(),
-            [replay_tower(tower) for tower in fresh["towers"]],
-            [transfer_target(tr) for tr in fresh["transfers"]]) == before
+    assert (verify_all(), covered_rows(), [replay_tower(tower) for tower in TOWERS],
+            [transfer_target(tr) for tr in TRANSFERS]) == before
 
 
-@pytest.mark.parametrize(
-    "exprs",
-    [
-        ["U+U(3)+6A2", "U+U(3)+4A2", "U+U(3)+3A2"],
-        ["U+U(3)+6A2", "U+U(3)+4A2+E6", "U+U(3)+3A2+E6"],
-    ],
-    ids=["two summands dropped", "one dropped and one added"],
-)
-def test_a_step_that_is_not_one_drop_fails(exprs):
-    tower = dict(TOWERS["p3-pullback"], exprs=exprs)
-    levels = replay_tower(tower)
-    assert [level["weight"] for level in levels] == [6, None, None]
-    assert [level["ok"] for level in levels] == [True, False, False]
+def test_a_tower_one_level_taller_fails():
+    """U+U(3)+7A2 has no table row, so a p3 tower from it has no base weight and
+    no level of it lands."""
+    name, p, mults, block, top = BY_NAME["p3-pullback"]
+    levels = replay_tower((name, p, mults, block, top + 1))
+    assert [level["expr"] for level in levels][:2] == ["U+U(3)+7A2", "U+U(3)+6A2"]
+    assert [level["weight"] for level in levels] == [None] * 7
+    assert not any(level["ok"] for level in levels)
