@@ -10,10 +10,11 @@ and the sporadic definite lattices T4 and T8.
 The root lattices are derived, not stored: their Grams are the Cartan
 matrices of their Dynkin diagrams (Conway and Sloane, Sphere Packings,
 Lattices and Groups, ch. 4), built by one rule.  T8 is the unique nontrivial
-even overlattice of E7+A1(5) with determinant 5.  data/catalog.json stores
-only the Grams that no rule produces, U and T4; a user catalog (the
---catalog CLI flag or the REFLECTOR_CATALOG environment variable) can add or
-override entries with the same JSON shape; any other shape raises ValueError.
+even overlattice of E7+A1(5) with determinant 5.  `_REGISTRY` holds only
+the Grams that no rule produces, U and T4.  A user catalog (the --catalog
+CLI flag or the REFLECTOR_CATALOG environment variable) is a JSON object
+whose "lattices" object maps names to Grams, which add to or override these;
+any other shape raises ValueError.
 
 Every expression goes through one term expansion, `Catalog.summands`.  A
 catalog builds each term (name, dual, scale) once, on first use, and hands
@@ -39,19 +40,14 @@ or a root lattice whose rank r has r^2 > `discforms.BUDGET` raises
 
 from __future__ import annotations
 
-import json
 import re
-from importlib import resources
 
 from . import discforms, roots
 from .lattices import Lattice, direct_sum, kept
 
 _TERM_RE = re.compile(r"^(\d*)([A-Z][A-Za-z]*?\d*)(v?)(?:\((\d+)\))?$")
 
-
-def _load_default_registry() -> dict:
-    text = resources.files(__package__).joinpath("data/catalog.json").read_text()
-    return json.loads(text)["lattices"]
+_REGISTRY = {"U": ((0, 1), (1, 0)), "T4": ((2, 1, 1, 1), (1, 2, 0, 1), (1, 0, 4, 2), (1, 1, 2, 4))}
 
 
 def _dynkin_gram(n: int, branch: int | None) -> list[list[int]]:
@@ -105,9 +101,7 @@ class Catalog:
     """Resolver from names and expressions to lattices."""
 
     def __init__(self, extra: dict | None = None):
-        self.registry = dict(_load_default_registry())
-        if not isinstance(extra or {}, dict):
-            raise ValueError("catalog lattices must map names to Gram matrices")
+        self.registry = dict(_REGISTRY)
         for name, gram in (extra or {}).items():
             if not (isinstance(gram, list) and all(
                     isinstance(row, list) and all(type(x) is int for x in row) for row in gram)):
@@ -117,11 +111,16 @@ class Catalog:
 
     @classmethod
     def from_file(cls, path: str) -> "Catalog":
+        import json  # read only here, so `import reflector` does not load it
+
         with open(path) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"catalog {path} is not a JSON object")
-        return cls(extra=data.get("lattices", {}))
+        extra = data.get("lattices", {})
+        if not isinstance(extra, dict):
+            raise ValueError("catalog lattices must map names to Gram matrices")
+        return cls(extra=extra)
 
     def build(self, name: str) -> Lattice:
         return self._term(name, False, None)

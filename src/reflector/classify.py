@@ -29,7 +29,6 @@ prime; the same six rules still run at any individual such prime.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import isqrt, prod
@@ -268,20 +267,16 @@ def spanning_root_lattice_exists(rank: int, p: int, n_p: int) -> bool:
     return False
 
 
-@dataclass
 class CaseRecord:
-    p: int | None
-    n: int
-    n_p: int
-    eps: int | None
-    genus: str
-    verdict: str = field(init=False)  # "REFLECTIVE" or "NOT_REFLECTIVE"
-    reason: str | None = None  # the rule that fired; None when none did
-    detail: str = ""
-    certificate: dict = field(default_factory=dict)
+    """One case's verdict, "NOT_REFLECTIVE" when a rule fired (its `reason`), else
+    "REFLECTIVE"; the CLI writes its fields, `vars(record)`, as one JSON object."""
 
-    def __post_init__(self):
-        self.verdict = "NOT_REFLECTIVE" if self.reason else "REFLECTIVE"
+    def __init__(self, p: int | None, n: int, n_p: int, eps: int | None, genus: str,
+                 reason: str | None = None, detail: str = "", certificate: dict | None = None):
+        self.p, self.n, self.n_p, self.eps, self.genus = p, n, n_p, eps, genus
+        self.verdict = "NOT_REFLECTIVE" if reason else "REFLECTIVE"
+        self.reason, self.detail = reason, detail
+        self.certificate = {} if certificate is None else certificate
 
 
 def eliminate_case(

@@ -11,7 +11,6 @@ process; it builds its parser once, on first use, and reuses it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -21,16 +20,17 @@ from math import prod
 
 from . import catalog as cat_mod
 from . import discforms, etaq, reflcheck, roots, towers
-from .classify import class_number_rootsystems, classify, count_classes, verdict_table
+from .classify import CaseRecord, class_number_rootsystems, classify, count_classes, verdict_table
 
 
 def _json_default(obj):
     """What json cannot encode itself: a Fraction as an int or "num/den", a
-    dataclass as its fields, anything else as its str."""
+    `CaseRecord` as its fields, anything else as its str.  Named-tuple records
+    never get here, as json writes them as arrays: commands pass their `_asdict()`."""
     if isinstance(obj, Fraction):
         return obj.numerator if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, CaseRecord):
+        return vars(obj)
     return str(obj)
 
 
@@ -169,7 +169,7 @@ def cmd_roots(args) -> int:
     payload = {
         "count_norm2": n_short,
         "count_norm2p": n_long,
-        "components": data.components,
+        "components": [c._asdict() for c in data.components],
     }
     lines = [f"{n_short} vectors of norm 2, {n_long} reflective vectors of norm 2*{args.prime}"]
     for c in data.components:
@@ -190,9 +190,8 @@ def cmd_check(args) -> int:
             "does not model; `reflector tower` replays such rows"
         )
     report = reflcheck.check_candidate(definite, args.prime, args.c1, args.cp, args.k)
-    payload = {
-        f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.name != "lattice"
-    }
+    payload = report._asdict()
+    del payload["lattice"]
     lines = [
         f"candidate ({args.c1},{args.cp}) weight {args.k} at p={args.prime}: "
         + ("PASS" if report.passed else "FAIL")
@@ -214,7 +213,7 @@ def cmd_solve(args) -> int:
         lines.append(f"  weight k = {k1}*c1 + {kp}*c{args.prime} for independent multiplicities")
     else:
         lines.append(f"  {res.reason}")
-    emit(res, args.format, lines)
+    emit(res._asdict(), args.format, lines)
     return 0
 
 

@@ -13,13 +13,14 @@ Whether a symbol names an even genus is decided in one place,
 `GenusSymbol.why_absent`, which `parse_genus` (once per label),
 `existing_genus` and `splits_u_up` read; the U(p) -> U map on symbols is
 `GenusSymbol.transfer`.  The per-genus invariants are cached functions of
-ints, a Fraction or a frozen `GenusSymbol`, so each is computed once per
-process: `existing_genus`, `elementary_count_norm` (and `norm_2p_count`,
-its value at 2/p keyed by ints alone), `milgram_formula`, `splits_u_up`,
-and `genus_symbol`, keyed by the lattice's level, determinant and
-signature and p (never by the lattice), with n_p found by dividing p out
-of the determinant.  `why_absent` is not cached, as most symbols it sees
-are probed once; `label` is formatted once per symbol and kept on it.
+ints, a Fraction or a `GenusSymbol` (a named tuple), so each is computed
+once per process: `existing_genus`, `elementary_count_norm` (and
+`norm_2p_count`, its value at 2/p keyed by ints alone), `milgram_formula`,
+`splits_u_up`, and `genus_symbol`, keyed by the lattice's level,
+determinant and signature and p (never by the lattice), with n_p found by
+dividing p out of the determinant.  `why_absent` is not cached, as most
+symbols it sees are probed once; `label` is formatted once per symbol (a
+cached method).
 `is_prime` runs trial division below 2^20 and deterministic Miller-Rabin
 above, up to MR_LIMIT.
 
@@ -69,11 +70,11 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from math import gcd, isqrt, lcm, prod
 from operator import add, mod, mul
+from typing import NamedTuple
 
 from . import intmat, roots
 from .lattices import Lattice, kept
@@ -258,7 +259,6 @@ def _walk(bnum, box, modulus: int, counts: list[int] | None = None,
         stack.extend(reversed(children))
 
 
-@dataclass
 class DiscriminantForm:
     """Finite quadratic module presented by generator orders and an integer Gram.
 
@@ -270,13 +270,12 @@ class DiscriminantForm:
     denominator of B in lowest terms (gcd(den, entries of bnum) = 1).
     """
 
-    orders: tuple[int, ...]
-    den: int
-    bnum: list[list[int]]
-    gens: list[list[int]] | None = None  # generator coordinates in Z^n / G Z^n
-    # the rows of the Smith transform U at the generators, read by `element_of`
-    coords: list[list[int]] | None = None
-    _counts: list[int] | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, orders: tuple[int, ...], den: int, bnum: list[list[int]],
+                 gens: list[list[int]] | None = None, coords: list[list[int]] | None = None):
+        self.orders, self.den, self.bnum = orders, den, bnum
+        self.gens = gens  # generator coordinates in Z^n / G Z^n
+        # the rows of the Smith transform U at the generators, read by `element_of`
+        self.coords = coords
 
     @classmethod
     def from_lattice(cls, lat: Lattice) -> "DiscriminantForm":
@@ -342,7 +341,8 @@ class DiscriminantForm:
             coords += [[0] * n1 + row for row in other.coords]
         return DiscriminantForm(self.orders + other.orders, den, bnum, gens, coords)
 
-    def _q_counts(self) -> list[int]:
+    @cached_property
+    def _counts(self) -> list[int]:
         """counts[v] = number of elements x with x^T B x * den = v mod 2 den.
 
         One pass of `_walk` over D, made once per form.  It raises
@@ -350,13 +350,11 @@ class DiscriminantForm:
         elements (13^6 = 4,826,809 is walked, 7^8 = 5,764,801 refused), and
         so do `count_norm` and `milgram_octant`, which read these counts.
         """
-        if self._counts is None:
-            if self.order() > WALK_BUDGET:
-                raise BudgetExceeded(f"value walk of {self.order()} elements passes {WALK_BUDGET}")
-            counts = [0] * (2 * self.den)
-            _walk(self.bnum, [(o, 1) for o in self.orders], len(counts), counts)
-            self._counts = counts
-        return self._counts
+        if self.order() > WALK_BUDGET:
+            raise BudgetExceeded(f"value walk of {self.order()} elements passes {WALK_BUDGET}")
+        counts = [0] * (2 * self.den)
+        _walk(self.bnum, [(o, 1) for o in self.orders], len(counts), counts)
+        return counts
 
     def count_norm(self, target: Fraction) -> int:
         """Number of nonzero elements with q(x) = target mod 2."""
@@ -364,11 +362,11 @@ class DiscriminantForm:
         if v.denominator != 1:
             return 0
         zero = 1 if v == 0 else 0  # the zero element has q = 0
-        return self._q_counts()[v.numerator] - zero
+        return self._counts[v.numerator] - zero
 
     def _gauss_vector(self, m: int) -> list[int]:
         """vec[e] = number of elements with q(x) m / 2 = e mod m, for m a multiple of the level."""
-        counts = self._q_counts()
+        counts = self._counts
         vec = [0] * m
         den2 = 2 * self.den
         for v, c in enumerate(counts):
@@ -510,8 +508,7 @@ def _format_label(g: GenusSymbol) -> str:
     return f"II_{{{g.pos},{g.neg}}}({inner})"
 
 
-@dataclass(frozen=True)
-class GenusSymbol:
+class GenusSymbol(NamedTuple):
     pos: int
     neg: int
     p: int
@@ -521,12 +518,9 @@ class GenusSymbol:
     def signature_mod8(self) -> int:
         return (self.pos - self.neg) % 8
 
+    @cache
     def label(self) -> str:
         """II_{pos,neg}(p^{eps n_p}), formatted once per symbol."""
-        return self._label
-
-    @cached_property
-    def _label(self) -> str:
         return _format_label(self)
 
     def __str__(self) -> str:
@@ -556,7 +550,7 @@ class GenusSymbol:
     def transfer(self) -> GenusSymbol:
         """The genus after U(p) -> U: D(U(p)), of p-rank 2, leaves the discriminant form."""
         sign = 1 if self.p == 2 else legendre(-1, self.p)  # the sign of D(U(p))
-        return replace(self, n_p=self.n_p - 2, eps=self.eps * sign)
+        return self._replace(n_p=self.n_p - 2, eps=self.eps * sign)
 
 
 @cache
@@ -638,24 +632,33 @@ def splits_u_up(g: GenusSymbol) -> bool:
     off exactly when its definite complement, of signature (pos - 2,
     neg - 2) and the form left by `GenusSymbol.transfer`, exists.
     """
-    return replace(g.transfer(), pos=g.pos - 2, neg=g.neg - 2).why_absent() is None
+    return g.transfer()._replace(pos=g.pos - 2, neg=g.neg - 2).why_absent() is None
 
 
 # -- isotropic subgroups and even overlattices --
 
 
-def _closure(base: frozenset, new: tuple, orders: tuple[int, ...]) -> frozenset:
-    """<base, new> for a subgroup `base`: the union of the cosets base + k new.
+def _closure(base: frozenset, new: tuple, orders: tuple[int, ...]) -> frozenset | None:
+    """<base, new> for a subgroup `base`: the union of the cosets base + k new; None
+    at the first element outside base that comes before `new`.
 
-    The cosets repeat from the first k with k new in base.
+    The cosets repeat from the first k with k new in base, and each coset
+    before that one lies wholly outside base.  `_generators` never gets None,
+    as the element it adds is the least one outside the span.
     """
     elems = set(base)
     coset = list(base)
     while True:
-        coset = [tuple(map(mod, map(add, h, new), orders)) for h in coset]
-        if coset[0] in elems:
+        shifted = []
+        for h in coset:
+            y = tuple(map(mod, map(add, h, new), orders))
+            if y < new and y not in elems:
+                return None
+            shifted.append(y)
+        if shifted[0] in elems:
             return frozenset(elems)
-        elems.update(coset)
+        elems.update(shifted)
+        coset = shifted
 
 
 def _generators(sub: tuple[tuple[int, ...], ...], orders: tuple[int, ...]) -> list[tuple]:
@@ -803,16 +806,17 @@ def isotropic_subgroups(
     H has exactly once, g_(i+1) the least element of H outside <g_1, ...,
     g_i> (`_generators`).  A subgroup S is extended by x only when x comes
     after S's last generator in the sorted pool and x is the least element of
-    <S, x> outside S, so <S, x> is reached once, from its greedy prefix,
-    and nothing is reached twice (B. D. McKay, Isomorph-free
-    exhaustive generation, J. Algorithms 26, 1998).  This holds in every
-    finite abelian group.  Every element scanned for the pool counts as one
-    operation, and each subgroup S below `order` that the search extends
-    counts |pool| - |S| + 1, one per (S, pool element outside S) pair: a
-    total that does not depend on the order of the pool, so whether a search
-    passes its budget does not depend on how D is presented.  The search
-    raises BudgetExceeded past `budget` operations, before the pool is built
-    when its scan alone would pass it (`_pool_scan`).
+    <S, x> outside S (`_closure` gives up at the first smaller one), so
+    <S, x> is reached once, from its greedy prefix, and nothing is reached
+    twice (B. D. McKay, Isomorph-free exhaustive generation, J. Algorithms
+    26, 1998).  This holds in every finite abelian group.  Every element
+    scanned for the pool counts as one operation, and each subgroup S below
+    `order` that the search extends counts |pool| - |S| + 1, one per (S,
+    pool element outside S) pair: a total that does not depend on the order
+    of the pool, so whether a search passes its budget does not depend on
+    how D is presented.  The search raises BudgetExceeded past `budget`
+    operations, before the pool is built when its scan alone would pass it
+    (`_pool_scan`).
     """
     orders, den = form.orders, form.den
     ops = _pool_scan(form, order, budget)
@@ -836,9 +840,8 @@ def isotropic_subgroups(
             if x in sub or any(sum(map(mul, g, pairing[x])) % den for g in gens):
                 continue
             grown = _closure(sub, x, orders)
-            new = grown - sub
-            if order % len(grown) or min(new) != x or not pairing.keys() >= new:
-                continue  # its order does not divide `order`, x is not next, or it leaves the pool
+            if grown is None or order % len(grown) or not pairing.keys() >= grown - sub:
+                continue  # x is not next, its order does not divide `order`, or it leaves the pool
             stack.append((grown, gens + (x,), after))
     return sorted(map(tuple, map(sorted, results)), key=lambda sub: (len(sub), sub))
 

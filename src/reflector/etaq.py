@@ -15,7 +15,6 @@ obstruction space is actually trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, lcm
@@ -23,7 +22,6 @@ from math import gcd, lcm
 from .discforms import legendre
 
 
-@dataclass
 class PuiseuxSeries:
     """Finite q-expansion with exponents key/denom, trusted below precision.
 
@@ -31,13 +29,10 @@ class PuiseuxSeries:
     factors, whose expansions are integral.
     """
 
-    denom: int
-    coeffs: dict[int, int]
-    precision: Fraction
-
-    def __post_init__(self) -> None:
-        self.coeffs = {k: v for k, v in self.coeffs.items() if v}
-        self.precision = Fraction(self.precision)
+    def __init__(self, denom: int, coeffs: dict[int, int], precision: Fraction):
+        self.denom = denom
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
+        self.precision = Fraction(precision)
 
     def terms(self) -> list[tuple[Fraction, int]]:
         return [(Fraction(k, self.denom), v) for k, v in sorted(self.coeffs.items())]

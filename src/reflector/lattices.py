@@ -28,7 +28,6 @@ through the same decorator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from math import gcd, lcm, prod
 
@@ -57,13 +56,33 @@ def kept(fn):
     return cached
 
 
-@dataclass(frozen=True)
 class Lattice:
-    gram: tuple[tuple[int, ...], ...]
-    name: str | None = None
-    parts: tuple[Lattice, ...] = field(default=(), compare=False, repr=False)
+    """An immutable even lattice: equality and hashing read (gram, name), never parts."""
+
+    def __init__(self, gram, name: str | None = None, parts: tuple[Lattice, ...] = ()):
+        vars(self).update(gram=gram, name=name, parts=parts)
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Lattice")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a Lattice")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.gram, self.name) == (other.gram, other.name)
+
+    def __hash__(self):
+        return hash((self.gram, self.name))
+
+    def __repr__(self):
+        return f"Lattice(gram={self.gram!r}, name={self.name!r})"
 
     def __post_init__(self) -> None:
+        """Check and normalise the Gram; every build looks it up on the class, so a
+        wrapper set there counts builds."""
         n = len(self.gram)
         if any(len(row) != n for row in self.gram):
             raise ValueError("Gram matrix must be square")
@@ -82,8 +101,7 @@ class Lattice:
             det = intmat.determinant(gram)
         if n and det == 0:
             raise ValueError("Gram matrix is degenerate")
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_det", det)
+        vars(self).update(gram=gram, _det=det)
 
     @property
     def rank(self) -> int:

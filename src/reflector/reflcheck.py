@@ -45,17 +45,16 @@ symbolically in the prime for one-parameter model families.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd
+from typing import NamedTuple
 
 from . import discforms, intmat, roots
 from .lattices import Lattice, kept
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     lattice: str
     p: int
     c1: int
@@ -67,7 +66,7 @@ class CheckReport:
     count_long: int
     span_short: int
     rank: int
-    checks: dict[str, bool | None] = field(default_factory=dict)
+    checks: dict[str, bool | None]
 
 
 def check_multiplicities(c1: int, cp: int) -> None:
@@ -174,8 +173,7 @@ def block_relations(lat: Lattice, p: int):
     return first, tuple(map(tuple, intmat.row_hermite_form(list(map(list, rows)))))
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     status: str  # "none", "ray", or "underdetermined"
     reason: str = ""
     c1: int | None = None

@@ -44,7 +44,6 @@ there by rank and root counts, `reflcheck` reads Coxeter numbers off it, and
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
@@ -226,8 +225,7 @@ def _trivial_glue_roots(lat: Lattice, p: int) -> tuple[list[list[int]], list[lis
                    if not any(p * x % det for x in intmat.mat_vec(adj, c))]
 
 
-@dataclass(frozen=True)
-class RootComponent:
+class RootComponent(NamedTuple):
     """One irreducible component of the combined reflective root system."""
 
     name: str

@@ -1,8 +1,6 @@
 """Named lattice catalog: determinants, levels, and the model expression grammar."""
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from helpers import lattice_builds
@@ -139,10 +137,16 @@ def test_t8_builds_are_independent():
     """A built T8 cannot be changed, and every build, also through the parser, is equal."""
     cat = Catalog()
     first = cat.build("T8")
+    before = hash(first)
     with pytest.raises(TypeError):
         first.gram[0][0] = 4
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         first.name = "changed"
+    with pytest.raises(AttributeError):
+        first.colour = "red"
+    with pytest.raises(AttributeError):
+        del first.name
+    assert first.name == "T8" and hash(first) == before
     again = cat.build("T8")
     assert again == first and again.name == "T8"
     _, definite = definite_part("2U+T8", cat)

@@ -418,6 +418,20 @@ def test_import_builds_no_parser():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def test_import_loads_neither_dataclasses_nor_json():
+    """A fresh `python -I` loads no dataclasses, inspect or json for `import reflector`
+    and the T8 build, and no dataclasses or inspect for the CLI module."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import reflector\n"
+        "def absent(*names): assert not set(names) & set(sys.modules), set(names) & set(sys.modules)\n"
+        "absent('dataclasses', 'inspect', 'json')\n"
+        "reflector.default_catalog().build('T8'); absent('dataclasses', 'inspect', 'json')\n"
+        "from reflector import cli; absent('dataclasses', 'inspect')\n"
+    )
+    src = str(Path(reflector.__file__).parents[1])
+    subprocess.run([sys.executable, "-I", "-c", code, src], check=True, timeout=60)
+
+
 def test_discform_without_source_is_a_one_line_error(capsys):
     code, out, err = run_cli_err(["discform"], capsys)
     assert_one_line_error(code, err)
@@ -482,8 +496,13 @@ def test_invalid_input_is_a_one_line_error(argv, message, capsys):
         ('{"lattices": [1, 2]}', "must map names to Gram matrices"),
         ("[1]", "is not a JSON object"),
         ('{"lattices": {"X": [[null]]}}', "'X' is not a list of lists of integers"),
+        ('{"lattices": []}', "must map names to Gram matrices"),
+        ('{"lattices": null}', "must map names to Gram matrices"),
+        ('{"lattices": 0}', "must map names to Gram matrices"),
+        ('{"lattices": ""}', "must map names to Gram matrices"),
     ],
-    ids=["entry not a list", "lattices not an object", "top level not an object", "null entry"],
+    ids=["entry not a list", "lattices not an object", "top level not an object", "null entry",
+         "lattices empty list", "lattices null", "lattices zero", "lattices empty string"],
 )
 def test_a_malformed_user_catalog_is_a_one_line_error(text, message, via, tmp_path,
                                                       monkeypatch, capsys):
