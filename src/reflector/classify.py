@@ -658,16 +658,17 @@ def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -
     once per expression and keeps (`Catalog.parse`), so that the discriminant
     form, the value groups and coset minima of its terms and the long roots
     that L keeps serve every later call with the same datum; its
-    candidates are the even overlattices of determinant p^n_p and level p,
-    one per glue group, whose reflective root system is exactly the datum
-    (glue vectors may create extra roots, in which case the overlattice
-    belongs to a different datum).  `even_overlattices` drops the glue that adds a
+    candidates are the even overlattices of determinant p^n_p and level p
+    (level 1 at n_p = 0, where the genus is unimodular), one per glue group,
+    whose reflective root system is exactly the datum (glue vectors may
+    create extra roots, in which case the overlattice belongs to a
+    different datum).  `even_overlattices` drops the glue that adds a
     norm-2 vector, which loses no candidate, as L is spanned by the datum's
     roots.  Whether a glue group carries the datum is read off D(L) by
     `discforms.glue_components`, in integers, with no overlattice built.
     A datum with at most one such group adds its number of groups.  The
     overlattices of a datum with two or more are built, checked to have
-    determinant p^n_p and level p, and counted by their histograms of
+    that determinant and level, and counted by their histograms of
     vectors of norm <= 2p.  Isometric lattices have equal histograms, so
     this is a lower bound on the number of isometry classes, not a proof
     of it.  ValueError when no genus II_{rank,0}(p^{+-n_p}) exists
@@ -678,14 +679,14 @@ def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -
     if existing_genus(rank, 0, p, n_p) is None:
         raise ValueError(f"no even definite genus of rank {rank} and determinant {p}^{n_p}")
     cat = catalog or cat_mod.default_catalog()
-    target = p**n_p
+    target, level = p**n_p, p if n_p else 1
     table = _component_table(rank, p)
     total = 0
     for datum in data:
         if datum["det"] % target != 0 or not _is_square(datum["det"] // target):
             continue
         lat = cat.parse("+".join(table[c][1] for c in datum["components"]))
-        glue = [sub for sub in discforms.even_overlattices(lat, target, p)
+        glue = [sub for sub in discforms.even_overlattices(lat, target, level)
                 if _carries(discforms.glue_components(lat, p, sub), datum)]
         if len(glue) < 2:
             total += len(glue)
@@ -694,9 +695,9 @@ def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -
         histograms = set()
         for sub in glue:
             over = discforms.glue_overlattice(lat, form, sub)
-            if abs(over.det()) != target or over.level() != p:
+            if abs(over.det()) != target or over.level() != level:
                 raise ArithmeticError(f"glue overlattice of {lat.name} is not of determinant "
-                                      f"{target} and level {p}")
+                                      f"{target} and level {level}")
             norms = roots.short_vectors(over.gram, 2 * p)
             histograms.add(tuple(sorted((n, len(v)) for n, v in norms.items())))
         total += len(histograms)

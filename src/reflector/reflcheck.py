@@ -2,15 +2,14 @@
 
 All functions here see only the positive definite part K of a model
 2U + K or U + U(p) + K; the hyperbolic summands contribute no roots.  They
-read the reflective root system of K from `roots.root_data`, which keeps it
-on K and, for a sum of catalog terms of level 1 or p, joins it from the
-terms: the positive roots R1+ (norm 2) and R2+ (norm 2p), giving the root
-counts |R1| = 2 |R1+| and |R2| = 2 |R2+|; the components; and n1, the rank
-of the span of R1.  `block_relations` alone reads the root sums
-S1 = sum_{R1+} (Gr)(Gr)^T and S2 = sum_{R2+} (Gs)(Gs)^T, kept as one
-(G, S1, S2) block per part by `roots.root_sums`.  For
-multiplicities (c1, cp) on the two root classes and a proposed weight k,
-the constraints are:
+read the reflective root system of K from its one record, `roots.root_data`,
+which is kept on K and, for a sum of catalog terms of level 1 or p, joined
+from the terms: the positive roots R1+ (norm 2) and R2+ (norm 2p), giving
+the root counts |R1| = 2 |R1+| and |R2| = 2 |R2+|; the components; n1, the
+rank of the span of R1; the Coxeter pair; and the root sums
+S1 = sum_{R1+} (Gr)(Gr)^T and S2 = sum_{R2+} (Gs)(Gs)^T, reduced to the
+record's `first` entries and `relations`.  For multiplicities (c1, cp) on
+the two root classes and a proposed weight k, the constraints are:
 
   * matrix identity: c1 S1 + (cp/p^2) S2 = C G for one scalar C.  Both
     sides are block diagonal over the blocks of the root data, so it is
@@ -19,21 +18,19 @@ the constraints are:
     product, so this is half the identity over R1 and R2).  Times g00 p^2 it
     is linear in (c1 g00, cp g00, s00), where g00 and s00 = p^2 c1 S1_00 +
     cp S2_00 are the first block's top-left entries, one integer row per
-    entry.  `block_relations` reduces those rows to their row Hermite form,
-    at most 3 rows with the same null space, so a check applies at most 3
-    integer relations.  C is not one scalar per block for T4 and T8 at
-    p = 5, L7, L11 and L23 (their S1 and S2 are not multiples of G), so no
-    scalar shortcut replaces the relations;
+    entry.  The record keeps those rows as their row Hermite form, at most
+    3 rows with the same null space, so a check applies at most 3 integer
+    relations.  C is not one scalar per block for T4 and T8 at p = 5, L7,
+    L11 and L23 (their S1 and S2 are not multiples of G), so no scalar
+    shortcut replaces the relations;
   * counting identity: C = (c1 |R1| + cp |R2| + 2k) / 24 - c1;
   * singular bound: k >= (n1 c1 + (rank - n1) cp) / 2;
   * for p >= 5 with both classes present, the same constants expressed
     through Coxeter numbers h1, h2 of the short and long subsystems:
     C = c1 h1 = cp h2 / p and k = c1 (12 (h1 + 1) + ((p - 1) n1 - rank p) h1 / 2).
 
-Everything a check reads of the lattice, the root counts, n1, the rank, the
-first block's entries, the relations and (h1, h2), is its `check_profile`,
-computed once per (lattice, p) and kept on the lattice, so a check is a few
-integer products and comparisons; only the reported C is a Fraction.
+A check reads the record once, so it is a few integer products and
+comparisons; only the reported C is a Fraction.
 
 solve_components inverts the per-component equations c1 alpha + cp beta = C
 to find which multiplicities are admissible at all; `solve_candidates`
@@ -50,7 +47,7 @@ from functools import cache
 from math import gcd
 from typing import NamedTuple
 
-from . import discforms, intmat, roots
+from . import discforms, roots
 from .lattices import Lattice, kept
 
 
@@ -74,35 +71,13 @@ def check_multiplicities(c1: int, cp: int) -> None:
         raise ValueError("multiplicities must be nonnegative and not both zero")
 
 
-@kept
-def check_profile(lat: Lattice, p: int):
-    """(|R1|, |R2|, n1, rank, (G00, S1_00, S2_00), relations, coxeter): what
-    `check_candidate` reads of a positive definite lattice at p.
-
-    The first block's entries and the relations are `block_relations`;
-    coxeter is the pair (h1, h2) of Coxeter numbers of the short and the
-    long components, or None unless every component is made of short roots
-    alone or of long roots alone, with one Coxeter number for each kind.
-    Computed once per (lattice, p) and kept on lat.
-    """
-    data = roots.root_data(lat, p)
-    comps = data.components
-    # a component of one root length is an ADE type, whose root count is its rank
-    # times its Coxeter number: alpha for short roots, p beta for long ones
-    h1s = {cc.count_short // cc.rank for cc in comps if not cc.count_long}
-    h2s = {cc.count_long // cc.rank for cc in comps if not cc.count_short}
-    split = all(not (cc.count_short and cc.count_long) for cc in comps)
-    coxeter = (*h1s, *h2s) if split and len(h1s) == len(h2s) == 1 else None
-    return (2 * data.positive_short, 2 * data.positive_long, data.span_short,
-            lat.rank, *block_relations(lat, p), coxeter)
-
-
 def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckReport:
     """Verify one (c1, cp, k) triple on the definite part of a model, in integers."""
     check_multiplicities(c1, cp)
     if not lat.is_positive_definite():
         raise ValueError("check_candidate expects the positive definite part of the model")
-    n_short, n_long, n1, n, first, relations, coxeter = check_profile(lat, p)
+    short, long_, _, n1, first, relations, coxeter = roots.root_data(lat, p)
+    n_short, n_long, n = 2 * short, 2 * long_, lat.rank
 
     # s = p^2 c1 S1 + cp S2 = C p^2 G on every block, with C p^2 = s00 / g00 read
     # off the first; g00 s - s00 G = 0 is the relations applied to (c1 g00, cp g00, s00)
@@ -134,43 +109,9 @@ def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckRepo
         "coxeter_identity": coxeter_ok,
     }
     passed = all(v for v in checks.values() if v is not None)
-    return CheckReport(
-        lattice=lat.name or "",
-        p=p,
-        c1=c1,
-        cp=cp,
-        k=k,
-        passed=passed,
-        c=Fraction(s00, p * p * g00),
-        count_short=n_short,
-        count_long=n_long,
-        span_short=n1,
-        rank=n,
-        checks=checks,
-    )
-
-
-def block_relations(lat: Lattice, p: int):
-    """((G00, S1_00, S2_00), rows): the matrix identity at p as at most 3 integer rows.
-
-    The identity reads g00 (p^2 c1 S1 + cp S2) - s00 G = 0 on every block,
-    with s00 = p^2 c1 S1_00 + cp S2_00 and g00 = G_00 on the first, so it is
-    linear in (c1 g00, cp g00, s00): it holds exactly when that vector pairs
-    to 0 with every row (p^2 S1_ij, S2_ij, -G_ij), i <= j, of every block.
-    Those rows have the same rational null space as their row Hermite form,
-    which has at most 3 rows.  The first block's entries are (1, 0, 0) for a
-    lattice without blocks.  `check_profile` calls this once per (lattice,
-    p) and keeps the result.
-    """
-    blocks = [block for block in roots.root_sums(lat, p) if block[0]]
-    rows = {
-        (p * p * x, y, -z)
-        for g, s1, s2 in blocks
-        for i in range(len(g))
-        for x, y, z in zip(s1[i][i:], s2[i][i:], g[i][i:])
-    }
-    first = tuple(m[0][0] for m in blocks[0]) if blocks else (1, 0, 0)
-    return first, tuple(map(tuple, intmat.row_hermite_form(list(map(list, rows)))))
+    # by position, in the order of the fields: keywords take twice as long to bind
+    return CheckReport(lat.name or "", p, c1, cp, k, passed, Fraction(s00, p * p * g00),
+                       n_short, n_long, n1, n, checks)
 
 
 class SolveResult(NamedTuple):

@@ -21,23 +21,24 @@ overlattice of L are read off D(L) from the same concatenation, with no
 overlattice built (`discforms.glue_components`).
 
 `root_data` summarises R once per (lattice, p) and keeps the result on the
-`Lattice`: the positive root counts and the irreducible components.  The
-root-sum matrices that `reflcheck` alone reads, one block per part, come
-from `root_sums` on first use and are kept there too.  On an
-orthogonal sum whose parts all have level 1 or p, both are joined from the
-parts' data, since then every root lies in one part (Bourbaki, Lie groups,
-ch. VI, 1): a norm-2 vector because each part is even, and a reflective
+`Lattice`, as the one record of everything the candidate check reads: the
+positive root counts, the irreducible components, n1, the Coxeter pair,
+and the root sums S1 and S2 reduced to at most 3 integer relations.  On an
+orthogonal sum whose parts all have level 1 or p, the record is joined
+from the parts' records, since then every root lies in one part (Bourbaki,
+Lie groups, ch. VI, 1): a norm-2 vector because each part is even, and a reflective
 norm-2p vector s because each nonzero piece s_i has w = s_i / p in the
 part's dual, so p w^2 is even and s_i^2 = p (p w^2) is at least 2p.  Any
 other lattice (an overlattice, T8, a sum with a part of another level) is
-one block, and its components come from the simple roots for the
-lexicographic order of its dual coordinates (`split_components`).
+one block, whose root sums are formed only while its record is built, and
+its components come from the simple roots for the lexicographic order of
+its dual coordinates (`split_components`).
 
 `component_types(rank, p)` is the one table of irreducible reflective root
 systems: the ADE types, their rescalings X(p), B_n, C_n and F4 at p = 2, and
 G2 at p = 3, each with its root counts, its coefficients alpha and beta, and
 the lattice its roots span.  The simple-root split looks each component up
-there by rank and root counts, `reflcheck` reads Coxeter numbers off it, and
+there by rank and root counts, `root_data` reads Coxeter numbers off it, and
 `classify` draws the class-number menu and the spanned lattices from it.
 """
 
@@ -303,72 +304,67 @@ class RootData(NamedTuple):
 
     `positive_short` and `positive_long` are |R1+| and |R2+|, the numbers of
     positive roots of norm 2 and 2p; `components` are sorted by name, rank
-    and counts.
+    and counts; `span_short` is n1, the rank of the span of R1, which is the
+    total rank of the components that hold short roots.  The rest is what
+    `reflcheck.check_candidate` reads of the root sums S1 = sum (Gr)(Gr)^T
+    over R1+ and S2 = sum (Gs)(Gs)^T over R2+, which are block diagonal
+    with one block per enumerated part: `first` is (G00, S1_00, S2_00) of
+    the first block, or (1, 0, 0) when there is none, and `relations` is
+    the row Hermite form of the rows (p^2 S1_ij, S2_ij, -G_ij), i <= j, of
+    every block, at most 3 rows.  `coxeter` is the pair (h1, h2) of Coxeter
+    numbers of the short and the long components, or None unless every
+    component is made of short roots alone or of long roots alone, with one
+    Coxeter number for each kind.
     """
 
     positive_short: int
     positive_long: int
     components: tuple[RootComponent, ...]
-
-    @property
-    def span_short(self) -> int:
-        """n1, the rank of the span of R1.
-
-        The short roots of an irreducible root system span it, so this is
-        the total rank of the components that hold short roots.
-        """
-        return sum(c.rank for c in self.components if c.count_short)
-
-
-def _joins_parts(lat: Lattice, p: int) -> bool:
-    """Whether every root of lat at p lies in one of its parts (see the module docstring)."""
-    return bool(lat.parts) and all(part.level() in (1, p) for part in lat.parts)
+    span_short: int
+    first: tuple[int, int, int]
+    relations: tuple[tuple[int, int, int], ...]
+    coxeter: tuple[int, int] | None
 
 
 @kept
 def root_data(lat: Lattice, p: int) -> RootData:
     """The root data of lat at p, computed once per (lattice, p) and kept on lat.
 
-    A sum whose parts all have level 1 or p joins its parts' data; any other
-    lattice reads its roots off its parts' root tables (`_trivial_glue_roots`).
+    A sum whose parts all have level 1 or p joins its parts' data (see the
+    module docstring): the counts add, the components merge, the first block
+    is the first part's, and the relations are the Hermite form of the
+    parts' relations, which span the same rows as all the blocks' rows.
+    Any other lattice is one block, whose roots are read off its parts'
+    root tables (`_trivial_glue_roots`).
     """
-    if _joins_parts(lat, p):
-        return _join([root_data(part, p) for part in lat.parts])
-    r1, r2 = _trivial_glue_roots(lat, p)
-    return RootData(
-        positive_short=len(r1),
-        positive_long=len(r2),
-        components=tuple(split_components(lat.adjugate(), p, r1, r2)),
-    )
+    if lat.parts and all(part.level() in (1, p) for part in lat.parts):
+        parts = [root_data(part, p) for part in lat.parts]
+        n_short = sum(d.positive_short for d in parts)
+        n_long = sum(d.positive_long for d in parts)
+        comps = sorted((c for d in parts for c in d.components), key=_component_key)
+        # a part of rank 0, which a catalog file may name, has no block
+        first = next((d.first for d, part in zip(parts, lat.parts) if part.rank), (1, 0, 0))
+        rows = [row for d in parts for row in d.relations]
+    else:
+        r1, r2 = _trivial_glue_roots(lat, p)
+        n_short, n_long, n, g = len(r1), len(r2), lat.rank, lat.gram
+        comps = split_components(lat.adjugate(), p, r1, r2)
+        s1, s2 = _outer_sum(r1, n), _outer_sum(r2, n)
+        first = (g[0][0], s1[0][0], s2[0][0]) if n else (1, 0, 0)
+        rows = {(p * p * x, y, -z)
+                for i in range(n) for x, y, z in zip(s1[i][i:], s2[i][i:], g[i][i:])}
+    span = sum(c.rank for c in comps if c.count_short)
+    # a component of one root length is an ADE type, whose root count is its rank
+    # times its Coxeter number: alpha for short roots, p beta for long ones
+    h1s = {c.count_short // c.rank for c in comps if not c.count_long}
+    h2s = {c.count_long // c.rank for c in comps if not c.count_short}
+    split = all(not (c.count_short and c.count_long) for c in comps)
+    coxeter = (*h1s, *h2s) if split and len(h1s) == len(h2s) == 1 else None
+    relations = tuple(map(tuple, intmat.row_hermite_form(list(map(list, rows)))))
+    return RootData(n_short, n_long, tuple(comps), span, first, relations, coxeter)
 
 
-def _join(parts: list[RootData]) -> RootData:
-    """The root data of an orthogonal sum whose roots each lie in one part."""
-    return RootData(
-        positive_short=sum(d.positive_short for d in parts),
-        positive_long=sum(d.positive_long for d in parts),
-        components=tuple(sorted((c for d in parts for c in d.components), key=_component_key)),
-    )
-
-
-@kept
-def root_sums(lat: Lattice, p: int) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
-    """One (G, S1, S2) per enumerated part of lat at p, in the order of the parts.
-
-    G is the part's Gram, and S1 and S2 are sum (Gr)(Gr)^T over the part's
-    roots in R1+ and in R2+.  Every root lies in one part, so the root sums
-    of the whole lattice are block diagonal with these blocks.  Computed
-    once per (lattice, p), on first use, and kept on lat: a sum of level 1
-    or p concatenates its parts' blocks, and any other lattice is its own
-    one block, summed over the roots that `root_data` reads, as G r.
-    """
-    if _joins_parts(lat, p):
-        return tuple(block for part in lat.parts for block in root_sums(part, p))
-    r1, r2 = _trivial_glue_roots(lat, p)
-    return ((lat.gram, _outer_sum(r1, lat.rank), _outer_sum(r2, lat.rank)),)
-
-
-def _outer_sum(vectors: list[list[int]], n: int) -> tuple[tuple[int, ...], ...]:
+def _outer_sum(vectors: list[list[int]], n: int) -> list[list[int]]:
     """sum_u u u^T over the given vectors of length n, in integers."""
     total = [[0] * n for _ in range(n)]
     for u in vectors:
@@ -377,7 +373,7 @@ def _outer_sum(vectors: list[list[int]], n: int) -> tuple[tuple[int, ...], ...]:
             row = total[i]
             for j, y in nonzero:
                 row[j] += x * y
-    return tuple(map(tuple, total))
+    return total
 
 
 def root_components(lat: Lattice, p: int) -> list[RootComponent]:

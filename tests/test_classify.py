@@ -334,8 +334,8 @@ def test_warm_certify_pass_parses_no_label_and_expands_no_expression(monkeypatch
 def test_warm_certify_caches_follow_the_tables_and_reduce_nothing_twice(monkeypatch):
     """On one catalog: a 2U row whose k is changed between two verified tables fails
     its check, and passes again once the change is undone, so no cache keeps a
-    verdict that reads the tables.  A warm table and tower replay then compute no
-    check profile (`reflcheck.block_relations`, `intmat.row_hermite_form`) and no
+    verdict that reads the tables.  A warm table and tower replay then build no
+    root record (`roots.split_components`, `intmat.row_hermite_form`) and no
     solve result (`reflcheck.solve_components`), factorise nothing, format no genus
     label, and neither the replays nor `verify_construction` read a model or a genus
     off the catalog."""
@@ -355,7 +355,7 @@ def test_warm_certify_caches_follow_the_tables_and_reduce_nothing_twice(monkeypa
     verify_all(cat)
     calls = Counter()
     for module, name in ((intmat, "row_hermite_form"), (discforms, "_factorize"),
-                         (reflcheck, "block_relations"), (reflcheck, "solve_components"),
+                         (roots, "split_components"), (reflcheck, "solve_components"),
                          (discforms, "_format_label")):
         inner = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, inner=inner, name=name: (
@@ -540,6 +540,14 @@ def test_count_classes_rejects_a_genus_that_does_not_exist():
         count_classes(class_number_rootsystems(2, 3, 1, 1, 12), 2, 3, 99)
     for rank, p, n_p in [(8, 3, 6), (6, 3, 3), (6, 3, 5), (10, 3, 7)]:
         assert existing_genus(rank, 0, p, n_p) is not None
+
+
+@pytest.mark.parametrize("rank, p, k, want", [(8, 2, 252, 1), (8, 3, 252, 1), (16, 2, 132, 2)])
+def test_a_unimodular_genus_counts_its_classes(rank, p, k, want):
+    """At n_p = 0 the genus II_{rank,0}(p^{+0}) has level 1, whatever p: II_8 holds E8
+    alone and II_16 holds E8+E8 and D16+ (Conway and Sloane, Sphere Packings, Lattices
+    and Groups, ch. 16), each with C = 30 at (c1, cp) = (1, 0)."""
+    assert class_number(rank, p, 1, 0, k, 0) == want
 
 
 # the class numbers of the census workload, with their values

@@ -241,16 +241,19 @@ def test_equal_lattices_keep_separate_values():
 
 def test_a_worked_sum_is_freed_by_its_reference_count():
     """No memo refers back to its lattice: a fresh sum put through the root data,
-    the check profile, the solve result, the discriminant form, the glue search and
-    the glue components is freed with the cycle collector off."""
+    a candidate check, the solve result, the discriminant form, the glue search and
+    the glue components is freed with the cycle collector off.  The check and the
+    solver keep one record each at p, the root data and the solve result."""
     cat = default_catalog()
     lat = direct_sum([cat.parse("E6(3)"), cat.parse("A2")])
     gc.collect()
     gc.disable()
     try:
         roots.root_data(lat, 3)
-        reflcheck.check_profile(lat, 3)
+        reflcheck.check_candidate(lat, 3, 1, 1, 12)
         reflcheck.solve_candidates(lat, 3)
+        assert set(lat.memo) == {(roots.root_data.__wrapped__, 3),
+                                 (reflcheck.solve_candidates.__wrapped__, 3)}
         discforms.discriminant_form(lat)
         glue = discforms.even_overlattices(lat, 3**6, 3)
         components = [discforms.glue_components(lat, 3, sub) for sub in glue]

@@ -13,7 +13,6 @@ from reflector.catalog import default_catalog, definite_part, e7_a1_overlattice
 from reflector.classify import table_rows
 from reflector.discforms import parse_genus
 from reflector.reflcheck import (
-    block_relations,
     check_candidate,
     family_cutoff,
     solve_candidates,
@@ -150,8 +149,7 @@ def test_five_blocks_have_root_sums_that_are_not_multiples_of_the_gram(expr, p):
         return all(x * g[0][0] == s[0][0] * y for sr, gr in zip(s, g) for x, y in zip(sr, gr))
 
     assert not (multiple_of_g(s1) and multiple_of_g(s2))
-    _, relations = block_relations(lat, p)
-    assert 1 <= len(relations) <= 3
+    assert 1 <= len(roots.root_data(lat, p).relations) <= 3
 
 
 ORACLE_TERMS = ["A1", "A2", "D4", "E6", "E8", "A4", "A6", "T4", "T8", "L7", "L11", "L23",

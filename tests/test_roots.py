@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from reflector import discforms, roots
 from reflector.catalog import Catalog, default_catalog, definite_part, parse_lattice
-from reflector.intmat import block_diagonal, mat_vec
+from reflector.intmat import mat_vec
 from reflector.lattices import Lattice, direct_sum
 from reflector.reflcheck import check_candidate
 from reflector.roots import (
@@ -28,7 +28,6 @@ from reflector.roots import (
     component_types,
     root_components,
     root_data,
-    root_sums,
     root_table,
     short_vectors,
 )
@@ -401,23 +400,22 @@ def level_p_sums(draw):
 @example((["A10"], 11))
 @example((["L23", "E8(23)"], 23))
 def test_root_data_of_a_sum_joins_its_parts(model):
-    """On a sum of level-1-or-p pieces the joined data equal the whole-Gram data:
-    counts and components, and blocks that assemble to the whole-Gram S1 and S2;
-    once the parts are known, nothing is enumerated."""
+    """On a sum of level-1-or-p pieces the joined record equals the whole-Gram record:
+    counts, components, n1, the first block's entries, the relations and the Coxeter
+    pair; once the parts are known, nothing is enumerated and no root of the sum
+    is read."""
     terms, p = model
     lat = _sum_of(terms)
     for part in lat.parts:
-        root_data(part, p), root_sums(part, p)
-    with short_vector_calls() as calls:
-        joined, joined_sums = root_data(lat, p), root_sums(lat, p)
-    assert not calls
-    whole = Lattice(lat.gram)
-    assert root_data(whole, p) == joined, terms
-    [(gram, s1, s2)] = root_sums(whole, p)
-    assert [g for g, _, _ in joined_sums] == [part.gram for part in lat.parts]
-    for i, want in ((0, gram), (1, s1), (2, s2)):
-        assembled = block_diagonal([block[i] for block in joined_sums])
-        assert assembled == [list(row) for row in want], (terms, p)
+        root_data(part, p)
+    blocks = []
+    inner = roots._trivial_glue_roots
+    with pytest.MonkeyPatch.context() as patch, short_vector_calls() as calls:
+        patch.setattr(roots, "_trivial_glue_roots",
+                      lambda block, p: blocks.append(block) or inner(block, p))
+        joined = root_data(lat, p)
+    assert not calls and not blocks
+    assert root_data(Lattice(lat.gram), p) == joined, terms
     assert sum(c.count_short for c in joined.components) == 2 * joined.positive_short
     assert sum(c.count_long for c in joined.components) == 2 * joined.positive_long
 
@@ -484,19 +482,31 @@ def test_root_data_are_the_glue_components_at_the_trivial_group(model):
 
 
 @pytest.mark.parametrize("terms, p", [(["A2", "A1"], 5), (["D4", "A2"], 3)])
-def test_a_part_of_another_level_takes_the_whole_gram(terms, p):
+def test_a_part_of_another_level_takes_the_whole_gram(terms, p, monkeypatch):
     """A2 + A1 has parts of level 3 and 4, D4 + A2 of level 2 and 3: not joined, but read
     off the parts' root tables as one block on the whole Gram, so once the parts are
-    known nothing is enumerated; still equal to the data of the whole Gram."""
+    known nothing is enumerated; still equal to the record of the whole Gram."""
     lat = _sum_of(terms, Catalog())
     assert any(part.level() not in (1, p) for part in lat.parts)
     for part in lat.parts:
         root_data(part, p)
+    blocks = []
+    inner = roots._trivial_glue_roots
+    monkeypatch.setattr(roots, "_trivial_glue_roots",
+                        lambda block, p: blocks.append(block) or inner(block, p))
     with short_vector_calls() as calls:
-        got, sums = root_data(lat, p), root_sums(lat, p)
+        got = root_data(lat, p)
     assert not calls
+    assert len(blocks) == 1 and blocks[0] is lat
     assert got == root_data(Lattice(lat.gram), p)
-    assert sums == root_sums(Lattice(lat.gram), p) and sums[0][0] == lat.gram
+
+
+def test_a_part_of_rank_zero_adds_no_block():
+    """A catalog file may name a lattice of rank 0.  In front of A2 it adds nothing to
+    the joined record, whose first block is still A2's."""
+    lat = direct_sum([Lattice(()), CAT.build("A2")])
+    assert root_data(lat, 3) == root_data(Lattice(lat.gram), 3)
+    assert root_data(lat, 3).first == (2, 6, 18)
 
 
 def test_root_data_are_enumerated_once_per_term_and_prime():
