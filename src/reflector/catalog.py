@@ -19,9 +19,7 @@ any other shape raises ValueError.
 Every expression goes through one term expansion, `Catalog.summands`.  A
 catalog builds each term (name, dual, scale) once, on first use, and hands
 the same immutable `Lattice` out afterwards, T8 included; each catalog keeps
-its own terms, and its own E7 + A1(p) overlattices.  A dual term whose
-Gram is its base's adjugate, Xv(p) for X of determinant p, shares X's
-short-vector enumeration (`roots.share_table`).  It keeps each model
+its own terms, and its own E7 + A1(p) overlattices.  It keeps each model
 expression the same way, once per normalised expression: the `model_parts`
 triple of the sum of all its summands (`Catalog.parse`; a single term such
 as "E6(3)" is its own summand), its hyperbolic-plane scales, and the sum of
@@ -42,7 +40,7 @@ from __future__ import annotations
 
 import re
 
-from . import discforms, roots
+from . import discforms
 from .lattices import Lattice, direct_sum, kept
 
 _TERM_RE = re.compile(r"^(\d*)([A-Z][A-Za-z]*?\d*)(v?)(?:\((\d+)\))?$")
@@ -75,18 +73,14 @@ def _charge_rank(rank: int, expr: str) -> None:
         )
 
 
-def e7_a1_overlattice(p: int, catalog: "Catalog") -> Lattice:
+@kept
+def e7_a1_overlattice(catalog: "Catalog", p: int) -> Lattice:
     """The even overlattice of E7 + A1(p) with determinant p; exists for p = 1 mod 4.
 
-    Each catalog builds it once per p and hands out the same lattice
-    afterwards.  Raises ArithmeticError unless exactly one glue group gives
-    an overlattice of level p, and unless that one has determinant p.
+    Kept on the catalog per p.  Raises ArithmeticError unless exactly one
+    root-free glue group gives an overlattice of level p, and unless that
+    one has determinant p.
     """
-    return _e7a1_glue(catalog, p)
-
-
-@kept
-def _e7a1_glue(catalog: "Catalog", p: int) -> Lattice:
     seed = catalog.build("E7") + catalog.build("A1").rescaled(p)
     glue = discforms.even_overlattices(seed, p, p)
     if len(glue) != 1:
@@ -129,10 +123,7 @@ class Catalog:
     def _term(self, name: str, dual: bool, scale: int | None) -> Lattice:
         """The lattice of one term, built on first use and kept."""
         if dual:
-            base = self.build(name)
-            lat = base.dual_rescaled(scale or 1)
-            roots.share_table(base, lat)  # Xv(p) for X of determinant p
-            return lat
+            return self.build(name).dual_rescaled(scale or 1)
         if scale is not None:
             return self.build(name).rescaled(scale)
         return self._build_base(name)
@@ -141,7 +132,7 @@ class Catalog:
         if name in self.registry:
             return Lattice(self.registry[name], name=name)
         if name == "T8":
-            return Lattice(e7_a1_overlattice(5, self).gram, name="T8")
+            return Lattice(e7_a1_overlattice(self, 5).gram, name="T8")
         m = re.fullmatch(r"([ADEL])(\d+)", name)
         if m is None:
             raise ValueError(f"unknown lattice name {name!r}")

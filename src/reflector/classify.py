@@ -328,7 +328,7 @@ def eliminate_case(
     elif model:
         cert["model"] = model
         if model == "t8-overlattice":
-            definite = cat_mod.e7_a1_overlattice(p, cat)
+            definite = cat_mod.e7_a1_overlattice(cat, p)
             cert["family_prime_cutoff"] = cutoffs[0]
         else:
             _, definite = cat_mod.definite_part(model, cat)

@@ -273,8 +273,11 @@ def cmd_classify(args) -> int:
         "construction tables "
         + ("match" if table["matches_construction_tables"] else "DO NOT match")
     )
+    failed = [f"row {key} of {label}: {status}" for label, rows in table["verification"].items()
+              for key, status in rows.items() if status not in ("checked", "tower-covered")]
+    lines += failed
     emit(table, args.format, lines)
-    return 0 if table["matches_construction_tables"] else 2
+    return 0 if table["matches_construction_tables"] and not failed else 2
 
 
 def cmd_classnumber(args) -> int:

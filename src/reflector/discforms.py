@@ -42,9 +42,9 @@ Value statistics of a form come from one integer walk over D (`_walk`),
 made at most once per form and refused past WALK_BUDGET elements: it counts
 the values x^T bnum x mod 2 den of the form's integer Gram bnum = den B,
 and both the norm counts and the Gauss sum are read off those counts.  A form
-keeps nothing else: the pool of the isotropic subgroup search on a bare form
-is one more walk, of its elements of order dividing the subgroup order, kept
-nowhere (`isotropic_pool`).  A glue search on L joins its pool by value from
+keeps nothing else.  The isotropic subgroup search takes its pool from the
+caller (`isotropic_subgroups`), and one budget, `BUDGET`, read at each
+call, bounds it.  A glue search on L joins its pool by value from
 the parts of L (L itself when it is not a sum): each part keeps one table per
 torsion box, its elements grouped by value and by coset minimum, read off
 the part's `short_duals` (`_value_groups`), so a sum of known parts walks
@@ -79,7 +79,7 @@ from typing import NamedTuple
 from . import intmat, roots
 from .lattices import Lattice, kept
 
-BUDGET = 10**6  # default operation budget of the subgroup search
+BUDGET = 10**6  # the operation budget of every search, read when each is called
 WALK_BUDGET = 5 * 10**6  # the most elements the value walk over one form visits
 
 
@@ -213,8 +213,8 @@ def _shifted(elem: dict[int, int], shifts, m: int) -> dict[int, int]:
 def _walk(bnum, box, modulus: int, counts: list[int] | None = None,
           groups: defaultdict[tuple, list] | None = None, minima: dict | None = None) -> None:
     """Adds one to counts[v(x)] for every x of a box, v(x) = x^T A x mod `modulus`,
-    A = bnum, in integers; with `groups` instead, appends x to
-    groups[v(x), minima.get(x)] (no `minima` reads as an empty one).
+    A = bnum, in integers; with `groups` and `minima` instead, appends x to
+    groups[v(x), minima.get(x)].
 
     Axis i runs over x_i = 0, s_i, ..., (n_i - 1) s_i, box[i] = (n_i, s_i), in
     `itertools.product` order.  An entry of the explicit stack is an axis with
@@ -223,12 +223,11 @@ def _walk(bnum, box, modulus: int, counts: list[int] | None = None,
     axis the value is a quadratic, stepped by its first difference, so the
     last axis costs O(1) per element.
     """
-    mins = minima or {}
     if not box:  # one element, (), of value 0
         if counts is not None:
             counts[0] += 1
         else:
-            groups[0, mins.get(())].append(())
+            groups[0, minima.get(())].append(())
         return
     last = len(box) - 1
     # per axis: its size and stride, s^2 A_ii, and s A_it for the later axes t
@@ -245,7 +244,7 @@ def _walk(bnum, box, modulus: int, counts: list[int] | None = None,
                     counts[value % modulus] += 1
                 else:
                     elem = prefix + (x,)
-                    groups[value % modulus, mins.get(elem)].append(elem)
+                    groups[value % modulus, minima.get(elem)].append(elem)
                 value += step
                 step += 2 * b
             continue
@@ -695,13 +694,13 @@ def glue_level(form: DiscriminantForm, sub: tuple[tuple[int, ...], ...]) -> int:
     return form._level_over(perp)
 
 
-def _pool_scan(form: DiscriminantForm, order: int, budget: int) -> int:
-    """The pool scan's operations, one per element of order dividing `order`;
-    BudgetExceeded, before any element is visited, when they pass `budget`."""
+def _pool_scan(form: DiscriminantForm, order: int) -> int:
+    """The operations of a pool scan, one per element of order dividing `order`;
+    BudgetExceeded, before any element is visited, when they pass `BUDGET`."""
     ops = prod(n for n, _ in _torsion_box(form.orders, order))
-    if ops > budget:
+    if ops > BUDGET:
         raise BudgetExceeded(
-            f"isotropic subgroup search passed {budget} operations: "
+            f"isotropic subgroup search passed {BUDGET} operations: "
             f"{ops} elements of order dividing {order}"
         )
     return ops
@@ -712,18 +711,10 @@ def _torsion_box(orders: tuple[int, ...], order: int) -> list[tuple[int, int]]:
     return [(gcd(o, order), o // gcd(o, order)) for o in orders]
 
 
-def isotropic_pool(form: DiscriminantForm, order: int) -> list[tuple[int, ...]]:
-    """The nonzero isotropic x of order dividing `order`, in `itertools.product` order:
-    the value-0 group of one `_walk` of the form's torsion box, kept nowhere."""
-    groups = defaultdict(list)
-    _walk(form.bnum, _torsion_box(form.orders, order), 2 * form.den, groups=groups)
-    return groups[0, None][1:]
-
-
 def root_free_pool(lat: Lattice, order: int) -> list[tuple[int, ...]]:
-    """`isotropic_pool(discriminant_form(L), order)` without the root classes of L,
-    the x whose coset x + L holds a norm-2 vector, for L positive definite, in
-    the same order; no root class is concatenated.
+    """The nonzero isotropic x of `discriminant_form(L)` of order dividing `order`,
+    without the root classes of L, the x whose coset x + L holds a norm-2 vector,
+    for L positive definite, sorted; no root class is concatenated.
 
     D(L) is presented part by part over the parts P of L (L itself when it
     is not a sum), since D(L1 + L2) = D(L1) + D(L2) (Nikulin 1979, 1.1), so
@@ -785,22 +776,17 @@ def _join(modulus: int, tables, target: int) -> list[tuple[int, ...]]:
     return pool[1:]
 
 
-def isotropic_subgroups(
-    form: DiscriminantForm, order: int, budget: int = BUDGET,
-    pool: list[tuple[int, ...]] | None = None,
-):
+def isotropic_subgroups(form: DiscriminantForm, order: int, pool: list[tuple[int, ...]]):
     """Isotropic subgroups of the given order whose nonzero elements are all in the
     pool, as sorted element tuples.
 
-    q vanishes identically on each subgroup.  The pool is `isotropic_pool`,
-    the nonzero isotropic elements whose order divides `order`, unless the
-    caller gives a part of it (as `even_overlattices` gives
+    The pool is any subset of the nonzero isotropic elements of order
+    dividing `order`, in any order (`even_overlattices` gives
     `root_free_pool`).  For H isotropic and x isotropic, q(h + kx) = q(h) +
     k^2 q(x) + 2k b(h, x) mod 2, so <H, x> is isotropic exactly when b(g, x)
     is integral for every generator g of H; x is tried only then, and q is
-    never evaluated on a closure.  A closure of order dividing `order` is
-    isotropic, so each of its nonzero elements is in `isotropic_pool`; it is
-    kept only when they are all in the pool.
+    never evaluated on a closure.  A closure is kept only when each of its
+    nonzero elements is in the pool.
 
     The search is depth first, on the greedy generators that each subgroup
     H has exactly once, g_(i+1) the least element of H outside <g_1, ...,
@@ -809,18 +795,18 @@ def isotropic_subgroups(
     <S, x> outside S (`_closure` gives up at the first smaller one), so
     <S, x> is reached once, from its greedy prefix, and nothing is reached
     twice (B. D. McKay, Isomorph-free exhaustive generation, J. Algorithms
-    26, 1998).  This holds in every finite abelian group.  Every element
-    scanned for the pool counts as one operation, and each subgroup S below
-    `order` that the search extends counts |pool| - |S| + 1, one per (S,
-    pool element outside S) pair: a total that does not depend on the order
-    of the pool, so whether a search passes its budget does not depend on
-    how D is presented.  The search raises BudgetExceeded past `budget`
-    operations, before the pool is built when its scan alone would pass it
-    (`_pool_scan`).
+    26, 1998).  This holds in every finite abelian group.  Every element of
+    D of order dividing `order` counts as one operation (`_pool_scan`), and
+    each subgroup S below `order` that the search extends counts |pool| -
+    |S| + 1, one per (S, pool element outside S) pair: a total that does not
+    depend on the order of the pool, so whether a search passes its budget
+    does not depend on how D is presented.  The search raises
+    BudgetExceeded past `BUDGET` operations, before any pair is tried when
+    the elements alone pass it.
     """
-    orders, den = form.orders, form.den
-    ops = _pool_scan(form, order, budget)
-    pool = sorted(isotropic_pool(form, order) if pool is None else pool)
+    orders, den, budget = form.orders, form.den, BUDGET
+    ops = _pool_scan(form, order)
+    pool = sorted(pool)
     # den * x^T B, so den * b(g, x) is the dot product of g with it
     pairing = {x: [sum(map(mul, x, row)) for row in form.bnum] for x in pool}
 
@@ -1001,11 +987,12 @@ def even_overlattices(
     |det L| / |det M| (Nikulin).  M, the union of the cosets h + L over h
     in H, has a norm-2 vector outside L exactly when H holds a root class,
     and the search drops those H.  The steps run in this order: the
-    pool-size budget check (`_pool_scan`) on L's `discriminant_form`; then
-    `root_free_pool`, which enumerates vectors only for parts of L whose
-    `short_duals` are not yet kept; then the search over that pool, which
-    keeps a closure only while every element is in it, as two elements
-    that are not root classes can span one.
+    budget check on the pool's size (`_pool_scan`), which refuses a pool
+    past `BUDGET` before it is built; then `root_free_pool`, which
+    enumerates vectors only for parts of L whose `short_duals` are not yet
+    kept; then the search over that pool, which keeps a closure only while
+    every element is in it, as two elements that are not root classes can
+    span one.
     An H is kept only when the level of D(M) = H^perp / H, read off H by
     `glue_level`, equals `level`.  The groups come in the order of
     `isotropic_subgroups`, as subgroups of `discriminant_form(L)`; at index 1
@@ -1025,6 +1012,6 @@ def even_overlattices(
     form = discriminant_form(lat)
     if m == 1:
         return [((0,) * len(form.orders),)] if lat.level() == level else []
-    _pool_scan(form, m, BUDGET)
-    return [sub for sub in isotropic_subgroups(form, m, pool=root_free_pool(lat, m))
+    _pool_scan(form, m)
+    return [sub for sub in isotropic_subgroups(form, m, root_free_pool(lat, m))
             if glue_level(form, sub) == level]

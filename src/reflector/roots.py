@@ -9,16 +9,14 @@ p: ordinary roots of norm 2, and vectors of norm 2p that stay integral after
 division by p in the dual pairing (these reflect the lattice through
 rescaled mirrors).  Together they form one finite root system R.
 
-Each lattice enumerates its roots once, and its dual vectors of norm
-<= 2/p once per prime, and keeps both as its `root_table`, all written in
-dual coordinates G v; a lattice whose Gram is adj(X), such as Xv(p) for a
-term X of determinant p, reads its roots off X's table (`share_table`).
-A long root is p w for a dual vector w of norm 2/p, so R is read off
-these tables: the dual vectors of norm 2/p of an orthogonal sum are
-concatenated from its parts' tables (`dual_roots`), and the long roots of
-L are the p w that lie in L (`_trivial_glue_roots`); those of a glue
-overlattice of L are read off D(L) from the same concatenation, with no
-overlattice built (`discforms.glue_components`).
+Each lattice enumerates its own roots once, and its dual vectors of norm
+<= 2/p once per bound, and keeps both as its `root_table`, all written in
+dual coordinates G v.  A long root is p w for a dual vector w of norm
+2/p, so R is read off these tables: the dual vectors of norm 2/p of an
+orthogonal sum are concatenated from its parts' tables (`dual_roots`),
+and the long roots of L are the p w that lie in L (`_trivial_glue_roots`);
+those of a glue overlattice of L are read off D(L) from the same
+concatenation, with no overlattice built (`discforms.glue_components`).
 
 `root_data` summarises R once per (lattice, p) and keeps the result on the
 `Lattice`, as the one record of everything the candidate check reads: the
@@ -119,24 +117,16 @@ def root_table(lat: Lattice, p: int) -> tuple[list[list[int]], dict[int, list[tu
     G^-1 c has norm c^T adj(G) c / det, so they are the vectors of norm
     <= 2 det / p for the adjugate.  The roots are enumerated once per
     lattice, and the dual vectors once per bound 2 det // p, which primes
-    with the same bound share.  A lattice whose Gram is adj(X) for a lattice
-    X, as Xv(p) is for a catalog term X of determinant p (`share_table`),
-    reads its norm-2 vectors off X's dual vectors at the bound 2, so the two
-    make one enumeration.
+    with the same bound share.
     """
     return _roots(lat), _duals(lat, 2 * lat.det() // p)
 
 
 @kept
 def _roots(lat: Lattice) -> list[list[int]]:
-    """The `root_table` roots of lat, read off its twin's dual vectors when it has one."""
-    twin = lat.memo.pop("adjugate_of", None)
-    if twin is None:
-        vecs = short_vectors(lat.gram, 2).get(2, [])
-    else:  # the first half of each norm's list is short_vectors' own output
-        duals = _duals(twin, 2).get(2, [])
-        vecs = duals[: len(duals) // 2]
-    return [_first_positive(intmat.mat_vec(lat.gram, r)) for r in vecs]
+    """The `root_table` roots of lat."""
+    return [_first_positive(intmat.mat_vec(lat.gram, r))
+            for r in short_vectors(lat.gram, 2).get(2, [])]
 
 
 @kept
@@ -145,17 +135,6 @@ def _duals(lat: Lattice, bound: int) -> dict[int, list[tuple[int, ...]]]:
     `short_vectors` list followed by its negatives; kept on lat per bound."""
     return {norm: [tuple(c) for c in vecs] + [tuple(-a for a in c) for c in vecs]
             for norm, vecs in short_vectors(lat.adjugate(), bound).items()}
-
-
-def share_table(lat: Lattice, twin: Lattice) -> None:
-    """When twin's Gram is adj(lat), let twin read its roots off lat's dual vectors.
-
-    The norm-2 vectors of adj(G) are then both twin's roots and lat's dual
-    vectors of norm <= 2 / det(G) (`root_table`), so whichever is asked for
-    first enumerates them for both.
-    """
-    if twin.gram == lat.adjugate():
-        twin.memo["adjugate_of"] = lat
 
 
 def _first_positive(v: list[int]) -> list[int]:

@@ -33,12 +33,14 @@ condition tested on its own (`genus_rejection`, `eps_for`,
 `splits_u_up_by_cases`, `genera_by_octant`), as an oracle for the one rule
 of `GenusSymbol.why_absent`.
 `in_random_basis` is the change of basis that the Hypothesis strategies
-share.
+share.  `isotropic_pool`, the pool of a search for every isotropic
+subgroup, is the one helper built on a library routine, the value walk;
+the tests check it against the per-element filter `isotropic_elements`.
 """
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
@@ -217,6 +219,15 @@ def isotropic_elements(orders: tuple[int, ...], bilinear) -> list[tuple[tuple[in
     hits = np.flatnonzero(np.einsum("ij,jk,ik->i", x, a, x) % (2 * den) == 0)
     return [(elems[i], lcm(*(o // gcd(o, c) for o, c in zip(orders, elems[i]))))
             for i in hits if any(elems[i])]
+
+
+def isotropic_pool(form: DiscriminantForm, order: int) -> list[tuple[int, ...]]:
+    """The nonzero isotropic x of order dividing `order`, in `itertools.product` order:
+    the value-0 group of one `discforms._walk` of the form's torsion box."""
+    groups = defaultdict(list)
+    discforms._walk(form.bnum, discforms._torsion_box(form.orders, order), 2 * form.den,
+                    groups=groups, minima={})
+    return groups[0, None][1:]
 
 
 def witt_index(p: int, n: int, eps: int, disc: int) -> int:
@@ -865,6 +876,15 @@ def joined_pools():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(discforms, "_join", counted)
         yield sizes
+
+
+@contextmanager
+def search_budget(budget: int):
+    """`discforms.BUDGET` set to `budget` inside the block, for the Hypothesis tests
+    and strategies that a function-scoped `monkeypatch` does not reach."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discforms, "BUDGET", budget)
+        yield
 
 
 @contextmanager

@@ -156,14 +156,14 @@ def test_t8_builds_are_independent():
 def test_e7_a1_overlattice_is_built_once_per_catalog():
     """Same catalog and p give the same lattice; a fresh catalog builds its own; T8 is its Gram."""
     cat = Catalog()
-    over = e7_a1_overlattice(5, cat)
-    assert e7_a1_overlattice(5, cat) is over
+    over = e7_a1_overlattice(cat, 5)
+    assert e7_a1_overlattice(cat, 5) is over
     assert cat.build("T8").gram == over.gram
     fresh = Catalog()
-    again = e7_a1_overlattice(5, fresh)
+    again = e7_a1_overlattice(fresh, 5)
     assert again is not over and again == over
-    assert e7_a1_overlattice(13, cat) is not over
-    assert e7_a1_overlattice(13, cat) is e7_a1_overlattice(13, cat)
+    assert e7_a1_overlattice(cat, 13) is not over
+    assert e7_a1_overlattice(cat, 13) is e7_a1_overlattice(cat, 13)
 
 
 def test_each_term_is_built_once_per_catalog():

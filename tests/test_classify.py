@@ -37,7 +37,7 @@ from reflector.classify import (
     verdict_table,
 )
 from reflector.discforms import existing_genus, parse_genus
-from reflector.lattices import direct_sum
+from reflector.lattices import Lattice, direct_sum
 from reflector.roots import root_components
 from reflector.towers import verify_all
 
@@ -240,7 +240,7 @@ def test_symbolic_families_are_their_models_root_systems():
             if model is None:  # no single lattice to compare with
                 continue
             if model == "t8-overlattice":
-                definite = e7_a1_overlattice(least, cat)
+                definite = e7_a1_overlattice(cat, least)
             else:
                 _, definite = definite_part(model.format(p=least), cat)
             comps = root_components(definite, least)
@@ -576,9 +576,10 @@ def test_a_cold_verdict_table_enumerates_each_gram_once():
     at most once per (Gram, bound): each term keeps its roots and its short dual
     vectors, and a model that is not joined from its parts reads them off its parts.
 
-    That holds for the twins too: for a term X of determinant p, the term
-    Xv(p) = p X^dual has X's adjugate as its Gram, so the roots of Xv(p) and the
-    dual vectors of norm <= 2/p of X are one enumeration, (adj X, 2), made once.
+    The twins are the one exception: for a term X of determinant p, the term
+    Xv(p) = p X^dual has X's adjugate as its Gram, so (adj X, 2) is enumerated
+    exactly twice, once for the dual vectors of norm <= 2/p of X and once for
+    the roots of Xv(p), each kept on its own lattice.
     """
     cat = Catalog()
     with short_vector_calls() as calls:
@@ -587,8 +588,39 @@ def test_a_cold_verdict_table_enumerates_each_gram_once():
     counts = Counter((tuple(map(tuple, gram)), bound) for gram, bound in calls)
     terms = [lat for (fn, *_), lat in cat.memo.items() if fn is Catalog._term.__wrapped__]
     twins = {(t.gram, 2) for t in terms} & {(t.adjugate(), 2) for t in terms}
-    assert len(twins) == 3 and all(counts[key] == 1 for key in twins)
-    assert {key: n for key, n in counts.items() if n > 1} == {}
+    assert len(twins) == 3 and all(counts[key] == 2 for key in twins)
+    assert {key: n for key, n in counts.items() if n > 1 and key not in twins} == {}
+
+
+def _kept_lattices(cat: Catalog) -> list:
+    """The lattices a catalog keeps, alone or in a tuple, with their parts."""
+    found = []
+    for value in cat.memo.values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, Lattice):
+                found += [item, *item.parts]
+    return found
+
+
+def _is_kept_key(key) -> bool:
+    """Whether a memo key is a (builder, *args) tuple of a library function."""
+    return isinstance(key, tuple) and callable(key[0]) and key[0].__module__.startswith("reflector.")
+
+
+def test_every_memo_key_comes_from_kept():
+    """Every key in a catalog's memo and in the memos of its lattices is written by
+    `lattices.kept`: for a freshly parsed twin term, and after a cold certified
+    table and tower replay, on every lattice the catalog keeps."""
+    cat = Catalog()
+    twin = cat.parse("E6v(3)")
+    assert all(map(_is_kept_key, twin.memo)), list(twin.memo)
+    verdict_table(verify=True, catalog=cat)
+    verify_all(cat)
+    kept = _kept_lattices(cat)
+    assert len(kept) > 50
+    assert all(map(_is_kept_key, cat.memo))
+    for lat in kept:
+        assert all(map(_is_kept_key, lat.memo)), (lat, list(lat.memo))
 
 
 def test_the_rank_ten_count_builds_only_the_glue_that_carries_a_datum():
@@ -609,7 +641,7 @@ def test_a_wrong_glue_overlattice_is_an_arithmetic_error(monkeypatch, capsys):
     with pytest.raises(ArithmeticError, match="determinant 2187 and level 3"):
         class_number(10, 3, 1, 1, 12, 7, catalog=Catalog())
     with pytest.raises(ArithmeticError, match="determinant and level 5"):
-        e7_a1_overlattice(5, Catalog())
+        e7_a1_overlattice(Catalog(), 5)
     argv = ["classnumber", "--rank", "10", "--prime", "3", "--c1", "1", "--cp", "1",
             "--k", "12", "--np", "7"]
     assert cli.main(argv) == 1

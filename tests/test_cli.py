@@ -283,6 +283,27 @@ def test_eta_subcommand(capsys):
     assert out.splitlines()[:2] == [f"f = {ETA_F6}", f"f|S = 16 * sqrt(2)^0 * ({ETA_F6_S})"]
 
 
+@pytest.mark.parametrize("label, status", [
+    ("II_{14,2}(2_II^{-2})", "check-failed"),  # 2U+E8+D4, judged by the candidate check
+    ("II_{6,2}(5^{-4})", "uncovered"),  # U+U(5)+T4, judged by the towers
+])
+def test_classify_verify_exits_two_on_a_row_that_fails(label, status, monkeypatch, capsys):
+    """k + 1 on one mixed row: the genera still match the tables, but the row fails
+    its verification, so `classify --verify` exits 2, and its text output names the
+    genus, the row and the status in one line, the only such line."""
+    changed = [(g, m, k + 1, *rest) if g == label else (g, m, k, *rest)
+               for g, m, k, *rest in classify_mod.MIXED_REFLECTIVE]
+    monkeypatch.setattr(classify_mod, "MIXED_REFLECTIVE", changed)
+    code, out = run_cli(["classify", "--verify"], capsys)
+    assert code == 2 and "construction tables match" in out
+    assert [line for line in out.splitlines() if line.startswith("row ")] == [
+        f"row mixed[0] of {label}: {status}"]
+    code, out = run_cli(["classify", "--verify", "--format", "json"], capsys)
+    table = json.loads(out)
+    assert code == 2 and table["matches_construction_tables"]
+    assert table["verification"][label]["mixed[0]"] == status
+
+
 def test_tower_subcommand(capsys):
     code, out = run_cli(["tower", "--format", "json"], capsys)
     assert code == 0

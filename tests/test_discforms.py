@@ -24,12 +24,14 @@ from helpers import (
     genus_rejection,
     in_random_basis,
     isotropic_elements,
+    isotropic_pool,
     isotropic_subgroups_by_closure,
     legendre,
     part_sums_calls,
     poly_divmod,
     q_values,
     root_classes_by_dual_enumeration,
+    search_budget,
     short_vector_calls,
     smith_calls,
     splits_u_up_by_cases,
@@ -52,7 +54,6 @@ from reflector.discforms import (
     glue_level,
     glue_overlattice,
     is_prime,
-    isotropic_pool,
     isotropic_subgroups,
     milgram_formula,
     candidate_form,
@@ -266,7 +267,7 @@ def test_value_walk_and_pool_leave_no_garbage_cycle():
     try:
         form = DiscriminantForm.from_lattice(lat)
         octant = form.milgram_octant()
-        subgroups = isotropic_subgroups(form, 9)
+        subgroups = isotropic_subgroups(form, 9, isotropic_pool(form, 9))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -681,13 +682,13 @@ def test_isotropic_lines_of_elementary_abelian_forms(p, n_p, eps):
     from the Witt index."""
     assume(p != 2 or n_p % 2 == 0)  # level-2 forms of even type have even rank
     form = candidate_form(p, n_p, eps)
-    lines = isotropic_subgroups(form, order=p)
+    lines = isotropic_subgroups(form, p, isotropic_pool(form, p))
     assert len(lines) * (p - 1) == form.count_norm(0)
     assert all(len(line) == p for line in lines)
     disc = prod(form.bnum[i][i] // 2 for i in range(n_p))  # the blocks <2 a_i / p>
     w = witt_index(p, n_p, eps, disc)
     for k in range(n_p + 1):
-        found = isotropic_subgroups(form, order=p**k)
+        found = isotropic_subgroups(form, p**k, isotropic_pool(form, p**k))
         assert len(found) == totally_singular_spaces(p, n_p, w, k), k
 
 
@@ -726,12 +727,13 @@ def test_isotropic_subgroups_match_closure_oracle(case, order):
 
     def outcome(search, *args):
         try:
-            return search(*args, budget=10**5)
+            return search(*args)
         except BudgetExceeded:
             return BudgetExceeded
 
-    want = outcome(isotropic_subgroups_by_closure, form.orders, gram, order)
-    assert outcome(isotropic_subgroups, form, order) == want
+    want = outcome(isotropic_subgroups_by_closure, form.orders, gram, order, 10**5)
+    with search_budget(10**5):
+        assert outcome(isotropic_subgroups, form, order, isotropic_pool(form, order)) == want
 
 
 @pytest.mark.parametrize("expr, order, pool", [("4D4", 4, root_free_pool), ("E6(3)", 9, None)])
@@ -782,7 +784,7 @@ def test_glue_level_is_the_level_of_the_built_overlattice(expr, orders):
         orders = [m for m in range(2, isqrt(size) + 1) if size % (m * m) == 0]
     levels = set()
     for m in orders:
-        for sub in isotropic_subgroups(form, m):
+        for sub in isotropic_subgroups(form, m, isotropic_pool(form, m)):
             over = glue_overlattice(lat, form, sub)
             assert glue_level(form, sub) == over.level(), (expr, sub)
             assert abs(over.det()) * m * m == size
@@ -820,7 +822,8 @@ def test_level_filter_equals_filtering_the_built_overlattices(expr, p, level, ta
     lat = parse_lattice(expr, CAT)
     form = discforms.discriminant_form(lat)  # the presentation the search walks
     m = isqrt(abs(lat.det()) // target)
-    built = [glue_overlattice(lat, form, sub) for sub in isotropic_subgroups(form, m)]
+    built = [glue_overlattice(lat, form, sub)
+             for sub in isotropic_subgroups(form, m, isotropic_pool(form, m))]
     at_level = [over for over in built if over.level() == level]
     assert at_level
     roots_of_lat = _norm_2_count(lat)
@@ -998,7 +1001,8 @@ def test_d8_d8_glues_to_both_unimodular_lattices():
     """
     lat = parse_lattice("D8+D8", CAT)
     form = DiscriminantForm.from_lattice(lat)
-    subs = [sub for sub in isotropic_subgroups(form, 4) if glue_level(form, sub) == 1]
+    subs = [sub for sub in isotropic_subgroups(form, 4, isotropic_pool(form, 4))
+            if glue_level(form, sub) == 1]
     assert len(subs) == 6
     found = [glue_overlattice(lat, form, sub) for sub in subs]
     names = [sorted(c.name for c in root_components(over, 2)) for over in found]
@@ -1022,7 +1026,7 @@ def _isotropic_pieces(q):
     isotropic element of prime order q."""
     pieces = [DiscriminantForm.from_lattice(parse_lattice(e, CAT)) for e in ISOTROPIC_SEARCH_EXPRS]
     pieces += [_block_sum_form([block]) for block in SEARCH_BLOCKS]
-    return [form for form in pieces if isotropic_subgroups(form, q)]
+    return [form for form in pieces if isotropic_subgroups(form, q, isotropic_pool(form, q))]
 
 
 @st.composite
@@ -1045,12 +1049,13 @@ def avoid_search_cases(draw):
         if not sums:
             break
         form = draw(st.sampled_from(sums))
-    try:
-        full = isotropic_subgroups(form, order, budget=10**5)
-    except BudgetExceeded:
-        full = []
-    if not full:
-        order, full = q, isotropic_subgroups(form, q, budget=10**5)
+    with search_budget(10**5):
+        try:
+            full = isotropic_subgroups(form, order, isotropic_pool(form, order))
+        except BudgetExceeded:
+            full = []
+        if not full:
+            order, full = q, isotropic_subgroups(form, q, isotropic_pool(form, q))
     return form, order, full
 
 
@@ -1064,7 +1069,8 @@ def test_avoided_elements_drop_exactly_the_subgroups_that_meet_them(case, data):
     avoid = frozenset(data.draw(st.lists(st.sampled_from(elements), max_size=4)))
     want = [sub for sub in full if avoid.isdisjoint(sub)]
     pool = [x for x in isotropic_pool(form, order) if x not in avoid]
-    assert isotropic_subgroups(form, order, budget=10**5, pool=pool) == want
+    with search_budget(10**5):
+        assert isotropic_subgroups(form, order, pool) == want
 
 
 # -- root classes from per-part coset minima --
@@ -1204,7 +1210,8 @@ def nested_sums(draw):
 def _glue_grams(lat: Lattice, form: DiscriminantForm, m: int):
     """The sorted Grams of the overlattices that the order-m isotropic subgroups glue."""
     try:
-        subs = isotropic_subgroups(form, m, budget=2 * 10**4)
+        with search_budget(2 * 10**4):
+            subs = isotropic_subgroups(form, m, isotropic_pool(form, m))
     except BudgetExceeded:
         return "budget"
     return sorted(glue_overlattice(lat, form, sub).gram for sub in subs)
@@ -1334,18 +1341,21 @@ def test_a_form_walks_each_torsion_box_once():
     assert pools[2] == pools[1] == pools[4] and pools[0] == pools[3]
 
 
-def test_pool_scan_is_charged_to_the_budget():
-    """D(A1(2)^12) has 2^24 elements of order dividing 1024: the scan alone passes the budget."""
-    form = DiscriminantForm.from_lattice(parse_lattice("12A1(2)", CAT))
+def test_pool_scan_is_charged_to_the_budget(monkeypatch):
+    """D(A1(2)^12) has 2^24 elements of order dividing 1024: the scan alone passes the
+    budget, so the glue search of index 1024 is refused before its pool is built."""
+    lat = Catalog().parse("12A1(2)")
     start = perf_counter()
-    with pytest.raises(BudgetExceeded):
-        isotropic_subgroups(form, order=1024, budget=1000)
-    assert perf_counter() - start < 5
+    with walk_calls() as calls, pytest.raises(BudgetExceeded, match="16777216 elements"):
+        even_overlattices(lat, 2**4, 2)
+    assert perf_counter() - start < 5 and not calls
     # an anisotropic form tries no (subgroup, element) pair, yet its scan is charged
     form = candidate_form(3, 1, 1)
-    assert isotropic_subgroups(form, order=3, budget=3) == []
+    monkeypatch.setattr(discforms, "BUDGET", 3)
+    assert isotropic_subgroups(form, 3, []) == []
+    monkeypatch.setattr(discforms, "BUDGET", 2)
     with pytest.raises(BudgetExceeded):
-        isotropic_subgroups(form, order=3, budget=2)
+        isotropic_subgroups(form, 3, [])
 
 
 @pytest.mark.parametrize(

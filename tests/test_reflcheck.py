@@ -262,7 +262,7 @@ def test_symbolic_families_and_singular_cutoffs():
 FAMILY_MODELS = {
     (2, 2, 1, 2): (3, lambda p: _definite(f"2U+L{p}")),
     (2, 2, 2, 4): (3, lambda p: _definite(f"2U+2L{p}")),
-    (18, 2, 7, 8): (1, lambda p: e7_a1_overlattice(p, CAT)),
+    (18, 2, 7, 8): (1, lambda p: e7_a1_overlattice(CAT, p)),
 }
 
 
