@@ -641,12 +641,9 @@ def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=
 
 
 def _carries(comps: list[roots.RootComponent], datum: dict) -> bool:
-    """Whether components make up the datum: its names, short count and long count."""
-    return (
-        sorted(c.name for c in comps) == datum["components"]
-        and sum(c.count_short for c in comps) == datum["count_short"]
-        and sum(c.count_long for c in comps) == datum["count_long"]
-    )
+    """Whether components make up the datum: its names, as each name of
+    `roots.component_types` at p has one rank, short count and long count."""
+    return sorted(c.name for c in comps) == datum["components"]
 
 
 def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -> int:
@@ -664,8 +661,11 @@ def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -
     create extra roots, in which case the overlattice belongs to a
     different datum).  `even_overlattices` drops the glue that adds a
     norm-2 vector, which loses no candidate, as L is spanned by the datum's
-    roots.  Whether a glue group carries the datum is read off D(L) by
-    `discforms.glue_components`, in integers, with no overlattice built.
+    roots.  Whether a glue group H carries the datum is read off D(L) by
+    `discforms.glue_components`, in integers, with no overlattice built:
+    the root system depends on H only through the set S(H) of long-root
+    classes that H keeps, and is split once per (lattice, p, S(H)) and
+    kept on L, so a repeated count splits no root system.
     A datum with at most one such group adds its number of groups.  The
     overlattices of a datum with two or more are built, checked to have
     that determinant and level, and counted by their histograms of

@@ -34,9 +34,12 @@ group must miss are told apart by adding up the minima in these tables
 of the parts of an orthogonal sum, and the dual vectors of norm 2/p that
 become long roots of a glue overlattice are concatenated from the parts'
 root tables (`roots.dual_roots`), so the dual of a sum is never
-enumerated as a whole.  The root system of a glue overlattice is read
-off its glue group in D(L) (`glue_components`), so deciding which glue
-carries a root datum builds no overlattice.
+enumerated as a whole.  The root system R(M) of a glue overlattice M is
+read off its glue group H in D(L) (`glue_components`), so deciding which
+glue carries a root datum builds no overlattice.  Root-free glue keeps the
+norm-2 roots of L, so R(M) depends on H only through the set S(H) of the
+classes of norm-2/p dual vectors that H keeps as long roots, and it is
+split once per (lattice, p, S(H)) and kept on L through `kept`.
 
 Value statistics of a form come from one integer walk over D (`_walk`),
 made at most once per form and refused past WALK_BUDGET elements: it counts
@@ -961,20 +964,31 @@ def glue_components(
     class of w, v lies in M exactly when p c lies in H, and w lies in
     M^dual exactly when c lies in H^perp (Nikulin 1979, 1.4:
     M^dual / L = H^perp).  In integers, c is in H^perp when
-    c . (bnum g) = 0 mod den for every generator g of H.  All roots are
-    written in L's dual coordinates G v, where L's adjugate is det(L)
-    times the pairing, and `roots.split_components` splits them.
+    c . (bnum g) = 0 mod den for every generator g of H.  So R(M) depends
+    on H only through the set S(H) of the classes of `_glue_roots` that
+    pass both tests, and it is split once per (lattice, p, S(H))
+    (`_glue_split`).
     """
-    short, long_by_class = _glue_roots(lat, p)
     form = discriminant_form(lat)
     members = set(sub)
     pairings = [intmat.mat_vec(form.bnum, g) for g in _generators(sub, form.orders)]
-    long_ = []
-    for x, vecs in long_by_class.items():
-        if (tuple(p * a % o for a, o in zip(x, form.orders)) in members
-                and not any(intmat.vec_dot(x, g) % form.den for g in pairings)):
-            long_ += vecs
-    return roots.split_components(lat.adjugate(), p, short, long_)
+    classes = frozenset(
+        x for x in _glue_roots(lat, p)[1]
+        if tuple(p * a % o for a, o in zip(x, form.orders)) in members
+        and not any(intmat.vec_dot(x, g) % form.den for g in pairings))
+    return list(_glue_split(lat, p, classes))
+
+
+@kept
+def _glue_split(lat: Lattice, p: int, classes: frozenset) -> tuple[roots.RootComponent, ...]:
+    """The components of the root system made of the norm-2 roots of L and the long
+    roots of `_glue_roots` in these classes, split once per (lattice, p, class set)
+    and kept on L.  All roots are written in L's dual coordinates G v, where L's
+    adjugate is det(L) times the pairing, as `roots.split_components` reads them.
+    """
+    short, long_by_class = _glue_roots(lat, p)
+    long_ = [v for x, vecs in long_by_class.items() if x in classes for v in vecs]
+    return tuple(roots.split_components(lat.adjugate(), p, short, long_))
 
 
 def even_overlattices(

@@ -15,8 +15,11 @@ dual coordinates G v.  A long root is p w for a dual vector w of norm
 2/p, so R is read off these tables: the dual vectors of norm 2/p of an
 orthogonal sum are concatenated from its parts' tables (`dual_roots`),
 and the long roots of L are the p w that lie in L (`_trivial_glue_roots`);
-those of a glue overlattice of L are read off D(L) from the same
+those of a glue overlattice M of L are read off D(L) from the same
 concatenation, with no overlattice built (`discforms.glue_components`).
+R(M) depends on the glue group only through the set of classes of D(L)
+whose long roots it keeps, so `split_components` runs once per (lattice,
+p, class set), and its components are kept on L through `kept`.
 
 `root_data` summarises R once per (lattice, p) and keeps the result on the
 `Lattice`, as the one record of everything the candidate check reads: the

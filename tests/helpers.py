@@ -828,6 +828,16 @@ def part_sums_calls():
 
 
 @contextmanager
+def split_calls():
+    """The arguments of each `roots.split_components` call made inside the block."""
+    calls = []
+    inner = roots.split_components
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roots, "split_components", lambda *args: calls.append(args) or inner(*args))
+        yield calls
+
+
+@contextmanager
 def smith_calls():
     """The arguments of each `intmat.smith_normal_form` call made inside the block."""
     calls = []

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
+from operator import mul
 
 import pytest
 
@@ -14,6 +15,7 @@ from helpers import (
     part_sums_calls,
     root_data_by_fractions,
     short_vector_calls,
+    split_calls,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -556,19 +558,55 @@ CENSUS = [((8, 3, 1, 1, 18, 6), 1), ((6, 3, 1, 1, 24, 3), 0), ((6, 3, 1, 1, 24, 
 
 def test_a_warm_census_pass_enumerates_and_builds_nothing():
     """Once a catalog has seen the census, a pass over it again calls `short_vectors`,
-    `glue_overlattice` and `roots.part_sums` no more and constructs no `Lattice`: every
-    glue group is decided on D(L), and each datum's lattice, with its terms' coset
-    minima and its long roots, is the one the catalog keeps.  Nor does it concatenate
-    a root class: the pools joined for A1+A1+A1+A5(3) at order 4, E6(3)+A2 at 3,
-    E6(3) at 9 and E6(3) at 3 hold 1, 2, 2 and 2 elements, where the walked pools
-    hold 1, 782, 242 and 242."""
+    `glue_overlattice`, `roots.part_sums` and `roots.split_components` no more and
+    constructs no `Lattice`: every glue group is decided on D(L), and each datum's
+    lattice, with its terms' coset minima, its long roots and the root systems split
+    for its glue, is the one the catalog keeps.  Nor does it concatenate a root
+    class: the pools joined for A1+A1+A1+A5(3) at order 4, E6(3)+A2 at 3, E6(3) at 9
+    and E6(3) at 3 hold 1, 2, 2 and 2 elements, where the walked pools hold 1, 782,
+    242 and 242."""
     cat = Catalog()
-    assert [class_number(*args, catalog=cat) for args, _ in CENSUS] == [n for _, n in CENSUS]
+    with split_calls() as cold:
+        assert [class_number(*args, catalog=cat) for args, _ in CENSUS] == [n for _, n in CENSUS]
     with (short_vector_calls() as calls, glue_overlattice_calls() as built,
-          part_sums_calls() as sums, lattice_builds() as lattices, joined_pools() as pools):
+          part_sums_calls() as sums, lattice_builds() as lattices, joined_pools() as pools,
+          split_calls() as splits):
         assert [class_number(*args, catalog=cat) for args, _ in CENSUS] == [n for _, n in CENSUS]
     assert not calls and not built and not sums and not lattices
     assert pools == [1, 2, 2, 2]
+    assert len(cold) == 2 and not splits
+
+
+def _long_root_classes(lat, p, sub) -> frozenset:
+    """The classes c of D(L) that hold a dual vector of norm 2/p, with p c in H and c
+    pairing to 0 with every element of H."""
+    form = discforms.discriminant_form(lat)
+    members = set(sub)
+    return frozenset(
+        c for c in discforms._glue_roots(lat, p)[1]
+        if tuple(p * a % o for a, o in zip(c, form.orders)) in members
+        and all(sum(map(mul, c, intmat.mat_vec(form.bnum, h))) % form.den == 0 for h in sub))
+
+
+def test_a_cold_count_splits_once_per_set_of_long_root_classes():
+    """A cold class number calls `roots.split_components` once per (datum lattice, set
+    of long-root classes that a glue group keeps), not once per glue group: 2U+E6+3A2
+    has 46 glue groups over 6 data and 6 such sets."""
+    args = (12, 3, 1, 9, 30, 4)
+    with split_calls() as calls:
+        assert class_number(*args, catalog=Catalog()) == 6
+    cat, table = Catalog(), classify_mod._component_table(12, 3)
+    groups, sets = 0, set()
+    for datum in class_number_rootsystems(*args[:5]):
+        if datum["det"] % 3**4 or not classify_mod._is_square(datum["det"] // 3**4):
+            continue
+        expr = "+".join(table[c][1] for c in datum["components"])
+        lat = cat.parse(expr)
+        for sub in discforms.even_overlattices(lat, 3**4, 3):
+            groups += 1
+            sets.add((expr, _long_root_classes(lat, 3, sub)))
+    assert (groups, len(sets)) == (46, 6)
+    assert len(calls) == len(sets)
 
 
 def test_a_cold_verdict_table_enumerates_each_gram_once():

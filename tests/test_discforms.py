@@ -832,11 +832,15 @@ def test_level_filter_equals_filtering_the_built_overlattices(expr, p, level, ta
     assert got == want
 
 
-# the level-filter cases of level p; 8A1, the span of the B8 datum at p = 2; and
+# the level-filter cases of level p; 8A1, the span of the B8 datum at p = 2;
 # D8+D8 and 6A2, where glue must leave classes of norm 2/p out of H^perp to kill
-# long roots.  `root_components` reads long roots only at level 1 or p.
+# long roots; and 3D4+D8, whose 81 groups keep 54 distinct sets of long-root
+# classes with two root systems between them (27 C8+3C4 and 54 D8+F4+2C4), so
+# later groups read splits kept for other sets.  `root_components` reads long
+# roots only at level 1 or p.
 GLUE_ROOT_CASES = [case for case in LEVEL_FILTER_CASES if case[1] == case[2]]
-GLUE_ROOT_CASES += [("8A1", 2, 2, 2**6), ("D8+D8", 2, 2, 2**2), ("6A2", 3, 3, 3**4)]
+GLUE_ROOT_CASES += [("8A1", 2, 2, 2**6), ("D8+D8", 2, 2, 2**2), ("6A2", 3, 3, 3**4),
+                    ("3D4+D8", 2, 2, 2**6)]
 
 
 @pytest.mark.parametrize("expr, p, level, target", GLUE_ROOT_CASES)

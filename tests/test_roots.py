@@ -208,6 +208,18 @@ def test_coxeter_numbers():
         assert Fraction(comp.count_short + comp.count_long, comp.rank) == h, name
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+def test_each_component_name_has_one_rank_and_root_counts(p):
+    """At each p, a `component_types` name of rank <= 26 fixes its rank, short count
+    and long count, so a list of components is pinned by its names alone."""
+    counts = {}
+    for rank in range(1, 27):
+        for comp, _, _ in component_types(rank, p):
+            counts.setdefault(comp.name, set()).add(
+                (comp.rank, comp.count_short, comp.count_long))
+    assert all(len(seen) == 1 for seen in counts.values())
+
+
 def test_span_rank_of_full_root_systems():
     """The positive roots span the lattice, and so do the simple roots."""
     for expr, p, full_rank in (("2U+D4", 2, 4), ("2U+T4", 5, 4), ("2U+L7", 7, 2)):
