@@ -633,7 +633,8 @@ def class_number_rootsystems(rank: int, p: int, c1: int, cp: int, k: int) -> lis
 
 
 def class_number(rank: int, p: int, c1: int, cp: int, k: int, n_p: int, catalog=None) -> int:
-    """Number of fingerprint classes of lattices carrying the given reflective data.
+    """Number of isometry classes, counted as O(L)-orbits, of lattices carrying the
+    given reflective data.
 
     `count_classes` over the root data that `class_number_rootsystems` lists.
     """
@@ -647,32 +648,25 @@ def _carries(comps: list[roots.RootComponent], datum: dict) -> bool:
 
 
 def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -> int:
-    """Number of fingerprint classes of lattices carrying one of the root data.
+    """Number of isometry classes, counted as O(L)-orbits, of lattices carrying one of
+    the root data.
 
     `data` are root data of the given rank at p, as `class_number_rootsystems`
     lists them.  Each datum spans a definite lattice L, the sum of its
     components' spans in `roots.component_types`, which the catalog builds
-    once per expression and keeps (`Catalog.parse`), so that the discriminant
-    form, the value groups and coset minima of its terms and the long roots
-    that L keeps serve every later call with the same datum; its
-    candidates are the even overlattices of determinant p^n_p and level p
-    (level 1 at n_p = 0, where the genus is unimodular), one per glue group,
-    whose reflective root system is exactly the datum (glue vectors may
-    create extra roots, in which case the overlattice belongs to a
+    once per expression and keeps (`Catalog.parse`) with what is read off it.
+    Its candidates are the even overlattices of determinant p^n_p and level
+    p (level 1 at n_p = 0, where the genus is unimodular), one per glue
+    group, whose reflective root system is exactly the datum (glue vectors
+    may create extra roots, in which case the overlattice belongs to a
     different datum).  `even_overlattices` drops the glue that adds a
     norm-2 vector, which loses no candidate, as L is spanned by the datum's
-    roots.  Whether a glue group H carries the datum is read off D(L) by
-    `discforms.glue_components`, in integers, with no overlattice built:
-    the root system depends on H only through the set S(H) of long-root
-    classes that H keeps, and is split once per (lattice, p, S(H)) and
-    kept on L, so a repeated count splits no root system.
-    A datum with at most one such group adds its number of groups.  The
-    overlattices of a datum with two or more are built, checked to have
-    that determinant and level, and counted by their histograms of
-    vectors of norm <= 2p.  Isometric lattices have equal histograms, so
-    this is a lower bound on the number of isometry classes, not a proof
-    of it.  ValueError when no genus II_{rank,0}(p^{+-n_p}) exists
-    (`discforms.existing_genus`): there is nothing to count.
+    roots, and `discforms.glue_components` reads the root system of each
+    group off D(L).  Each datum adds the number of O(L)-orbits on its
+    groups (`discforms.glue_orbits`), which is the number of isometry
+    classes of their overlattices; no overlattice is built.  ValueError when no
+    genus II_{rank,0}(p^{+-n_p}) exists (`discforms.existing_genus`): there
+    is nothing to count.
     """
     if n_p < 0:
         raise ValueError(f"n_p must be nonnegative, not {n_p}")
@@ -688,17 +682,5 @@ def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -
         lat = cat.parse("+".join(table[c][1] for c in datum["components"]))
         glue = [sub for sub in discforms.even_overlattices(lat, target, level)
                 if _carries(discforms.glue_components(lat, p, sub), datum)]
-        if len(glue) < 2:
-            total += len(glue)
-            continue
-        form = discforms.discriminant_form(lat)
-        histograms = set()
-        for sub in glue:
-            over = discforms.glue_overlattice(lat, form, sub)
-            if abs(over.det()) != target or over.level() != level:
-                raise ArithmeticError(f"glue overlattice of {lat.name} is not of determinant "
-                                      f"{target} and level {level}")
-            norms = roots.short_vectors(over.gram, 2 * p)
-            histograms.add(tuple(sorted((n, len(v)) for n, v in norms.items())))
-        total += len(histograms)
+        total += discforms.glue_orbits(lat, p, glue)
     return total

@@ -39,7 +39,10 @@ read off its glue group H in D(L) (`glue_components`), so deciding which
 glue carries a root datum builds no overlattice.  Root-free glue keeps the
 norm-2 roots of L, so R(M) depends on H only through the set S(H) of the
 classes of norm-2/p dual vectors that H keeps as long roots, and it is
-split once per (lattice, p, S(H)) and kept on L through `kept`.
+split once per (lattice, p, S(H)) and kept on L through `kept`.  The
+overlattices of the groups that carry one root datum are told apart up to
+isometry as the orbits of O(L) on those groups (`glue_orbits`), which
+act on D(L) through integer generators kept on L (`isometry_generators`).
 
 Value statistics of a form come from one integer walk over D (`_walk`),
 made at most once per form and refused past WALK_BUDGET elements: it counts
@@ -969,14 +972,18 @@ def glue_components(
     pass both tests, and it is split once per (lattice, p, S(H))
     (`_glue_split`).
     """
+    return list(_glue_split(lat, p, _long_root_classes(lat, p, sub)))
+
+
+def _long_root_classes(lat: Lattice, p: int, sub: tuple[tuple[int, ...], ...]) -> frozenset:
+    """S(H): the classes x of `_glue_roots` with p x in H and x in H^perp."""
     form = discriminant_form(lat)
     members = set(sub)
     pairings = [intmat.mat_vec(form.bnum, g) for g in _generators(sub, form.orders)]
-    classes = frozenset(
+    return frozenset(
         x for x in _glue_roots(lat, p)[1]
         if tuple(p * a % o for a, o in zip(x, form.orders)) in members
         and not any(intmat.vec_dot(x, g) % form.den for g in pairings))
-    return list(_glue_split(lat, p, classes))
 
 
 @kept
@@ -989,6 +996,84 @@ def _glue_split(lat: Lattice, p: int, classes: frozenset) -> tuple[roots.RootCom
     short, long_by_class = _glue_roots(lat, p)
     long_ = [v for x, vecs in long_by_class.items() if x in classes for v in vecs]
     return tuple(roots.split_components(lat.adjugate(), p, short, long_))
+
+
+@kept
+def isometry_generators(lat: Lattice) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Generators of O(L), integer matrices g with g^T G g = G, kept on L, for L a sum
+    of root lattices and their rescalings (a unique decomposition, by Eichler): part
+    by part, the reflections in the basis vectors (skipped unless G_ii divides 2 G_ij
+    for every j, as a user catalog may give a span another Gram), the Gram-preserving
+    basis permutations, D4's triality included (one operation per candidate tried,
+    BudgetExceeded past `BUDGET`), and the swap with the next part of equal Gram."""
+    parts, n, ops, gens = lat.parts or (lat,), lat.rank, 0, []
+    starts = [sum(part.rank for part in parts[:i]) for i in range(len(parts))]
+
+    def sends(moves) -> None:  # e_s -> e_t for each (s, t), the identity elsewhere
+        gens.append(intmat.identity(n))
+        for s, t in moves:
+            gens[-1][s][s], gens[-1][t][s] = 0, 1
+
+    for i, (part, o) in enumerate(zip(parts, starts)):
+        gram, k = part.gram, part.rank
+        for a, row in enumerate(gram):
+            if row[a] and not any(2 * x % row[a] for x in row):
+                gens.append(intmat.identity(n))
+                gens[-1][o + a][o : o + k] = [(a == b) - 2 * x // row[a] for b, x in enumerate(row)]
+        stack = [()]
+        while stack:
+            perm = stack.pop()
+            if len(perm) == k:
+                if perm != tuple(range(k)):
+                    sends((o + a, o + b) for a, b in enumerate(perm))
+                continue
+            ops += k
+            if ops > BUDGET:
+                raise BudgetExceeded(f"basis permutation search passed {BUDGET} operations")
+            a = len(perm)
+            stack += [perm + (t,) for t in range(k) if gram[t][t] == gram[a][a] and t not in perm
+                      and all(gram[t][perm[b]] == gram[a][b] for b in reversed(range(a)))]
+        twin = next((starts[j] for j in range(i + 1, len(parts)) if parts[j].gram == gram), None)
+        if twin is not None:
+            sends([(o + a, twin + a) for a in range(k)] + [(twin + a, o + a) for a in range(k)])
+    return tuple(tuple(map(tuple, g)) for g in gens)
+
+
+def glue_orbits(lat: Lattice, p: int, subs: list[tuple[tuple[int, ...], ...]]) -> int:
+    """The number of isometry classes of the overlattices glued by `subs`, groups that
+    all carry one root datum R spanning L, counted as O(L)-orbits.
+
+    An isometry between two such overlattices maps R, so L, onto itself, and g in
+    O(L) maps the overlattice of H onto that of gH (Nikulin 1979, 1.4).  A group with
+    a long root outside L (p x != 0 for some x of `_long_root_classes`) is dropped:
+    its roots span a copy of L onto which a kept group glues the same lattice, so a
+    lone group is kept.  Generator g sends the class of c in Z^n / G Z^n to that of
+    G g G^-1 c, by L's adjugate and one exact division, and each group is merged with
+    its image (union-find by relabelling).  ArithmeticError when a division is not
+    exact or an image is not in the list.
+    """
+    form, det = discriminant_form(lat), lat.det()
+    if len(subs) > 1:
+        subs = [sub for sub in subs if not any(
+            p * a % o for x in _long_root_classes(lat, p, sub) for a, o in zip(x, form.orders))]
+    if len(subs) < 2:
+        return len(subs)
+    duals = [intmat.mat_vec(lat.adjugate(), c) for c in intmat.transpose(form.gens)]
+    index, orbit = {sub: i for i, sub in enumerate(subs)}, list(range(len(subs)))
+    for g in isometry_generators(lat):
+        images = [intmat.mat_vec(lat.gram, intmat.mat_vec(g, d)) for d in duals]
+        if any(x % det for c in images for x in c):
+            raise ArithmeticError(f"a generator of O({lat.name}) leaves the dual lattice")
+        action = intmat.transpose([form.element_of([x // det for x in c]) for c in images])
+        for i, sub in enumerate(subs):
+            image = tuple(sorted(tuple(intmat.vec_dot(row, h) % o for row, o in
+                                       zip(action, form.orders)) for h in sub))
+            if image not in index:
+                raise ArithmeticError(f"O({lat.name}) moves a glue group off the list")
+            old, new = orbit[index[image]], orbit[i]
+            if old != new:
+                orbit = [new if x == old else x for x in orbit]
+    return len(set(orbit))
 
 
 def even_overlattices(
@@ -1011,9 +1096,9 @@ def even_overlattices(
     `glue_level`, equals `level`.  The groups come in the order of
     `isotropic_subgroups`, as subgroups of `discriminant_form(L)`; at index 1
     the one group is {0}.  No overlattice is built: `glue_overlattice`
-    builds one, and `glue_components` reads its root system off D(L).
-    Distinct glue groups may give isometric overlattices, and no attempt is
-    made here to tell them apart.
+    builds one, `glue_components` reads its root system off D(L), and
+    `glue_orbits` counts the isometry classes of the overlattices of groups
+    that carry one root datum as O(L)-orbits.
     """
     d = abs(lat.det())
     t = abs(target_det)

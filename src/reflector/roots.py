@@ -254,7 +254,8 @@ def component_types(rank: int, p: int) -> tuple[tuple[RootComponent, str, int], 
     `span` is the catalog expression of the lattice the roots span and `det`
     its determinant.  The table holds every ADE type X made of short roots,
     which spans X; every X(p) made of long roots, which spans X(p); at p = 2,
-    B_n (n >= 2) spanning nA1, C_n (n >= 3) spanning D_n and F4 spanning D4;
+    B_n (n >= 2) spanning nA1, C_n (n >= 3) spanning D_n (written A3 for C3,
+    whose span D3 the catalog builds as a relabelled A3) and F4 spanning D4;
     and at p = 3, G2 spanning A2.  B_n has short roots +-e_i of norm 2 and
     long roots +-e_i +- e_j of norm 4; C_n the reverse, with short roots
     +-e_i +- e_j and long roots +-2e_i.  The Coxeter number of a component
@@ -273,7 +274,8 @@ def component_types(rank: int, p: int) -> tuple[tuple[RootComponent, str, int], 
     if p == 2 and rank >= 2:
         types.append(entry(f"B{rank}", 2 * rank, 2 * rank * (rank - 1), f"{rank}A1", 2**rank))
     if p == 2 and rank >= 3:
-        types.append(entry(f"C{rank}", 2 * rank * (rank - 1), 2 * rank, f"D{rank}", 4))
+        types.append(entry(f"C{rank}", 2 * rank * (rank - 1), 2 * rank,
+                           "A3" if rank == 3 else f"D{rank}", 4))
     if p == 2 and rank == 4:
         types.append(entry("F4", 24, 24, "D4", 4))
     if p == 3 and rank == 2:

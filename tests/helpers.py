@@ -34,8 +34,10 @@ condition tested on its own (`genus_rejection`, `eps_for`,
 of `GenusSymbol.why_absent`.
 `in_random_basis` is the change of basis that the Hypothesis strategies
 share.  `isotropic_pool`, the pool of a search for every isotropic
-subgroup, is the one helper built on a library routine, the value walk;
-the tests check it against the per-element filter `isotropic_elements`.
+subgroup, is built on a library routine, the value walk; the tests check
+it against the per-element filter `isotropic_elements`.  So is
+`glue_fingerprints`, the histograms that class numbers were counted by
+before they were counted as O(L)-orbits, which it bounds from below.
 """
 from __future__ import annotations
 
@@ -596,6 +598,23 @@ def carries_datum(over, p: int, datum: dict) -> bool:
         and sum(c.count_short for c in comps) == datum["count_short"]
         and sum(c.count_long for c in comps) == datum["count_long"]
     )
+
+
+def glue_fingerprints(lat, p: int, subs) -> dict[tuple, list]:
+    """The glue groups of L by the fingerprint that class numbers were counted by
+    before they were counted as orbits: the histogram of the vectors of norm <= 2p
+    of each group's overlattice, built by `discforms.glue_overlattice` and
+    enumerated by `roots.short_vectors`.
+
+    The histogram is an isometry invariant, so the groups of one O(L)-orbit
+    share one, and there are at least as many orbits as histograms.
+    """
+    form = discforms.discriminant_form(lat)
+    classes = defaultdict(list)
+    for sub in subs:
+        norms = roots.short_vectors(discforms.glue_overlattice(lat, form, sub).gram, 2 * p)
+        classes[tuple(sorted((n, len(v)) for n, v in norms.items()))].append(sub)
+    return dict(classes)
 
 
 def root_data_by_fractions(rank: int, p: int, c1: int, cp: int, k: int) -> tuple[list[dict], int]:

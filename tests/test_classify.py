@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     carries_datum,
+    glue_fingerprints,
     glue_overlattice_calls,
     joined_pools,
     lattice_builds,
@@ -544,7 +545,8 @@ def test_count_classes_rejects_a_genus_that_does_not_exist():
         assert existing_genus(rank, 0, p, n_p) is not None
 
 
-@pytest.mark.parametrize("rank, p, k, want", [(8, 2, 252, 1), (8, 3, 252, 1), (16, 2, 132, 2)])
+@pytest.mark.parametrize("rank, p, k, want",
+                         [(8, 2, 252, 1), (8, 3, 252, 1), (16, 2, 132, 2), (16, 3, 132, 2)])
 def test_a_unimodular_genus_counts_its_classes(rank, p, k, want):
     """At n_p = 0 the genus II_{rank,0}(p^{+0}) has level 1, whatever p: II_8 holds E8
     alone and II_16 holds E8+E8 and D16+ (Conway and Sloane, Sphere Packings, Lattices
@@ -662,29 +664,111 @@ def test_every_memo_key_comes_from_kept():
 
 
 def test_the_rank_ten_count_builds_only_the_glue_that_carries_a_datum():
-    """A3 + D7(3) has two glue groups that carry its datum, so both overlattices are
-    built and told apart by their histograms (they have one); E6(3) + 2G2 has one
-    group, counted without a build."""
+    """A3 + D7(3) has two glue groups that carry its datum, in one O(L)-orbit, and
+    E6(3) + 2G2 has one group: the count is 2, and no overlattice is built."""
     with glue_overlattice_calls() as built:
         assert class_number(10, 3, 1, 1, 12, 7) == 2
-    assert len(built) == 2
+    assert not built
+    (_, lat, glue), = [entry for entry in _datum_glue(RANK_TEN, Catalog())
+                       if entry[0]["components"] == ["A3", "D7(3)"]]
+    assert len(glue) == 2 and discforms.glue_orbits(lat, 3, glue) == 1
 
 
-def test_a_wrong_glue_overlattice_is_an_arithmetic_error(monkeypatch, capsys):
-    """The determinant and level of each built overlattice are checked with a raise,
-    not an assert, so the checks hold under `python -O`: when `glue_overlattice`
-    returns the glued lattice itself, the rank-10 count and the E7 + A1(5)
-    overlattice raise ArithmeticError, and the CLI exits 1 with one line."""
+def test_a_wrong_glue_overlattice_is_an_arithmetic_error(monkeypatch, capsys, tmp_path):
+    """The determinant and level of the E7 + A1(5) overlattice are checked with a
+    raise, not an assert, so the check holds under `python -O`: when
+    `glue_overlattice` returns the glued lattice itself, the overlattice raises
+    ArithmeticError, and a CLI request that builds T8 on a fresh catalog exits 1
+    with one line."""
     monkeypatch.setattr(discforms, "glue_overlattice", lambda lat, form, sub: lat)
-    with pytest.raises(ArithmeticError, match="determinant 2187 and level 3"):
-        class_number(10, 3, 1, 1, 12, 7, catalog=Catalog())
     with pytest.raises(ArithmeticError, match="determinant and level 5"):
         e7_a1_overlattice(Catalog(), 5)
-    argv = ["classnumber", "--rank", "10", "--prime", "3", "--c1", "1", "--cp", "1",
-            "--k", "12", "--np", "7"]
-    assert cli.main(argv) == 1
+    path = tmp_path / "catalog.json"
+    path.write_text('{"lattices": {}}')
+    assert cli.main(["lattice", "--lattice", "T8", "--catalog", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: glue overlattice of") and err.count("\n") == 1
+    assert err.startswith("error: E7+A1(5) overlattice") and err.count("\n") == 1
+
+
+RANK_TEN = (10, 3, 1, 1, 12, 7)
+
+# requests (rank, p, c1, cp, k, n_p) and their class numbers: the 2U rows of the
+# sweep whose count is above 1 or that meet a datum with two or more glue groups
+# (2U+T4, 2U+2L7), and the rank-10 request
+ORBIT_COUNTS = [
+    ((12, 2, 1, 8, 144, 2), 2), ((12, 2, 1, 4, 80, 4), 2), ((12, 2, 1, 2, 48, 6), 3),
+    ((12, 2, 1, 1, 32, 8), 2), ((16, 2, 1, 16, 68, 2), 6), ((16, 2, 1, 8, 36, 4), 11),
+    ((8, 3, 1, 3, 36, 4), 2), ((10, 3, 1, 9, 60, 3), 2), ((10, 3, 1, 3, 24, 5), 3),
+    ((10, 3, 1, 1, 12, 7), 2), ((12, 3, 1, 27, 84, 2), 3), ((12, 3, 1, 9, 30, 4), 6),
+    ((18, 3, 1, 27, 48, 1), 6), ((4, 5, 1, 5, 30, 2), 1), ((8, 5, 1, 25, 52, 2), 2),
+    ((8, 5, 1, 5, 12, 4), 4), ((4, 7, 1, 7, 20, 2), 1), ((6, 7, 1, 7, 12, 3), 2),
+    ((4, 11, 1, 11, 12, 2), 2), (RANK_TEN, 2),
+]
+
+
+def _datum_glue(args, cat: Catalog) -> list[tuple[dict, Lattice, list]]:
+    """(datum, L, the glue groups that carry it) for each root datum of a request whose
+    determinant passes the filter of `count_classes`, read as it reads them."""
+    rank, p, c1, cp, k, n_p = args
+    target, level = p**n_p, p if n_p else 1
+    table = classify_mod._component_table(rank, p)
+    found = []
+    for datum in class_number_rootsystems(rank, p, c1, cp, k):
+        if datum["det"] % target or not classify_mod._is_square(datum["det"] // target):
+            continue
+        lat = cat.parse("+".join(table[c][1] for c in datum["components"]))
+        glue = [sub for sub in discforms.even_overlattices(lat, target, level)
+                if classify_mod._carries(discforms.glue_components(lat, p, sub), datum)]
+        found.append((datum, lat, glue))
+    return found
+
+
+@pytest.mark.parametrize("args, want", ORBIT_COUNTS)
+def test_a_class_number_counts_orbits_and_builds_no_overlattice(args, want, monkeypatch):
+    """On a cold catalog each count is pinned, builds no overlattice, and its orbit
+    step (`discforms.glue_orbits`) enumerates no vector and builds no `Lattice`;
+    2U+2E8+A2 (18, 3, 1, 27, 48, 1), which the histograms took minutes on, gives 6."""
+    inner, steps = discforms.glue_orbits, []
+
+    def spied(lat, p, subs):
+        with short_vector_calls() as calls, lattice_builds() as built:
+            count = inner(lat, p, subs)
+        steps.append((len(subs), calls, built))
+        return count
+
+    monkeypatch.setattr(discforms, "glue_orbits", spied)
+    with glue_overlattice_calls() as overlattices:
+        assert class_number(*args, catalog=Catalog()) == want
+    assert not overlattices
+    assert all(not calls and not built for _, calls, built in steps)
+
+
+@pytest.mark.parametrize("args", [args for args, _ in CENSUS + ORBIT_COUNTS])
+def test_each_isometry_generator_preserves_the_gram_and_the_dual(args):
+    """Every generator g of O(L), for every datum lattice L of these requests, has
+    g^T G g = G, and its action G g G^-1 on Z^n / G Z^n is integral."""
+    for _, lat, _ in _datum_glue(args, default_catalog()):
+        gram, det = [list(row) for row in lat.gram], lat.det()
+        for g in discforms.isometry_generators(lat):
+            assert intmat.mat_mul(intmat.mat_mul(intmat.transpose(g), gram), g) == gram
+            action = intmat.mat_mul(intmat.mat_mul(gram, g), lat.adjugate())
+            assert not any(x % det for row in action for x in row)
+
+
+@pytest.mark.parametrize("args", [args for args, _ in ORBIT_COUNTS if args[0] <= 12])
+def test_the_orbits_refine_the_histograms(args):
+    """The histogram of the vectors of norm <= 2p of an overlattice is an isometry
+    invariant (`glue_fingerprints`): each datum with two or more glue groups has at
+    least as many orbits as histograms, as many on every such request of rank <= 12,
+    and no generator moves a group to another histogram (`glue_orbits` raises
+    ArithmeticError on a list that an image leaves)."""
+    for _, lat, glue in _datum_glue(args, default_catalog()):
+        if len(glue) < 2:
+            continue
+        p = args[1]
+        classes = glue_fingerprints(lat, p, glue)
+        assert discforms.glue_orbits(lat, p, glue) == len(classes)
+        assert all(discforms.glue_orbits(lat, p, subs) == 1 for subs in classes.values())
 
 
 # (8, 2, 1, 1, 28, 6) has a root-free glue group of level 2 that carries no datum

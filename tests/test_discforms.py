@@ -21,6 +21,7 @@ from helpers import (
     eps_by_jordan,
     gauss_exponents,
     genera_by_octant,
+    glue_fingerprints,
     genus_rejection,
     in_random_basis,
     isotropic_elements,
@@ -1013,6 +1014,33 @@ def test_d8_d8_glues_to_both_unimodular_lattices():
     assert names.count(["E8", "E8"]) == 4
     assert names.count(["D16"]) == 2
     assert even_overlattices(lat, 1, 1) == []
+
+
+def test_the_d8_d8_glue_falls_into_two_orbits():
+    """O(D8 + D8) puts the six unimodular glue groups into two orbits, E8 + E8 and
+    D16+: the diagram automorphism of each D8 swaps its two spinor classes, and the
+    swap of the two D8's mixes them."""
+    lat = parse_lattice("D8+D8", CAT)
+    form = discforms.discriminant_form(lat)
+    subs = [sub for sub in isotropic_subgroups(form, 4, isotropic_pool(form, 4))
+            if glue_level(form, sub) == 1]
+    assert len(subs) == 6
+    assert discforms.glue_orbits(lat, 2, subs) == 2
+
+
+@pytest.mark.parametrize("expr, order, groups, orbits", [
+    ("A4(2)", 2, 5, 1), ("A3(3)", 3, 4, 1), ("A1(2)+A3(2)", 2, 7, 2), ("A1(2)+A3(2)", 4, 3, 1)])
+def test_the_reflections_of_a_rescaled_root_lattice_act_on_its_glue(expr, order, groups, orbits):
+    """The Weyl group of X(m) moves the classes of D(X(m)), so the basis reflections
+    are needed: without them these isotropic groups fall into 3, 2, 5 and 3 orbits.
+    The orbits are as many as the histograms of the built overlattices
+    (`glue_fingerprints`); at p = 7 these lattices have no long-root class, so no
+    group is dropped."""
+    lat = parse_lattice(expr, CAT)
+    form = discforms.discriminant_form(lat)
+    subs = isotropic_subgroups(form, order, isotropic_pool(form, order))
+    assert len(subs) == groups and not discforms._glue_roots(lat, 7)[1]
+    assert discforms.glue_orbits(lat, 7, subs) == orbits == len(glue_fingerprints(lat, 7, subs))
 
 
 # the blocks (p, n_p, eps) that `ISOTROPIC_SEARCH_FORMS` sums

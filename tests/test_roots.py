@@ -220,6 +220,16 @@ def test_each_component_name_has_one_rank_and_root_counts(p):
     assert all(len(seen) == 1 for seen in counts.values())
 
 
+def test_no_span_is_written_d3():
+    """C3 spans A3, written so and built from the A3 Gram, not as D3, the catalog's
+    relabelled A3, so two isometric parts of a datum lattice have one Gram and the
+    isometry generators swap them; no span of rank <= 26 at p <= 23 is D3."""
+    (span,) = [span for comp, span, _ in component_types(3, 2) if comp.name == "C3"]
+    assert span == "A3" and CAT.parse(span).gram == CAT.build("A3").gram
+    assert all(span != "D3" for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+               for rank in range(1, 27) for _, span, _ in component_types(rank, p))
+
+
 def test_span_rank_of_full_root_systems():
     """The positive roots span the lattice, and so do the simple roots."""
     for expr, p, full_rank in (("2U+D4", 2, 4), ("2U+T4", 5, 4), ("2U+L7", 7, 2)):
