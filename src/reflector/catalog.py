@@ -31,9 +31,10 @@ per datum expression, for as long as the catalog lives.  So are facts read
 off those lattices alone, such as the plans of the tower and transfer
 records of `towers` and the genus and definite part of each table model in
 `classify.verify_construction`.  A catalog keeps all of these in its one
-`memo`, through `lattices.kept`, by function and arguments.  An expression
-or a root lattice whose rank r has r^2 > `discforms.BUDGET` raises
-`BudgetExceeded` before any Gram is built, and is not kept.
+`memo`, through `lattices.kept`, by function and arguments.  The Gram of
+an expression or a root lattice of rank r is charged r^2 operations
+(`discforms.charge`) before it is built, so one past the budget raises
+`BudgetExceeded` and is not kept.
 """
 
 from __future__ import annotations
@@ -63,14 +64,6 @@ def _dynkin_gram(n: int, branch: int | None) -> list[list[int]]:
     for i, j in edges:
         g[i][j] = g[j][i] = -1
     return g
-
-
-def _charge_rank(rank: int, expr: str) -> None:
-    """Refuse, before it is built, a Gram of rank r with r^2 > `discforms.BUDGET` entries."""
-    if rank * rank > discforms.BUDGET:
-        raise discforms.BudgetExceeded(
-            f"{expr!r} has rank {rank}, a Gram of more than {discforms.BUDGET} entries"
-        )
 
 
 @kept
@@ -138,7 +131,7 @@ class Catalog:
             raise ValueError(f"unknown lattice name {name!r}")
         family, num = m.group(1), int(m.group(2))
         if family in ("A", "D"):
-            _charge_rank(num, name)
+            discforms.charge(num * num, f"Gram check of {name!r}")
         if family == "A" and num >= 1:
             return Lattice(_dynkin_gram(num, None), name=name)
         if family == "D":
@@ -174,12 +167,13 @@ class Catalog:
         """(name, dual, scale, lattice) for each summand of expr, in order.
 
         A term with multiplicity c appears c times, as the one lattice the
-        catalog keeps for it.  Raises `BudgetExceeded` when the total rank r
-        has r^2 > `discforms.BUDGET`, before the list is made.
+        catalog keeps for it.  The total rank r is charged r^2 operations
+        before the list is made.
         """
         terms = [(count, (name, dual, scale, self._term(name, dual, scale)))
                  for count, name, dual, scale in self.parse_terms(expr)]
-        _charge_rank(sum(count * summand[3].rank for count, summand in terms), expr)
+        rank = sum(count * summand[3].rank for count, summand in terms)
+        discforms.charge(rank * rank, f"Gram check of {expr!r}")
         return [summand for count, summand in terms for _ in range(count)]
 
     def model_parts(self, expr: str) -> tuple[Lattice, list[int], Lattice | None]:

@@ -36,7 +36,7 @@ from types import MappingProxyType
 
 from . import catalog as cat_mod
 from . import discforms, etaq, reflcheck, roots, towers
-from .discforms import GenusSymbol, existing_genus, parse_genus
+from .discforms import GenusSymbol, charge, existing_genus, parse_genus
 from .lattices import Lattice, kept
 
 
@@ -577,15 +577,14 @@ def class_number_rootsystems(rank: int, p: int, c1: int, cp: int, k: int) -> lis
     rank is listed.  The menus of entries per C are built once per (rank, p,
     c1, cp) (`_datum_menus`), and the identity is tested in integers, as
     24 num(C) = (c1 a + cp b + 2k - 24 c1) den(C).  The search visits one
-    node per partial multiset, on an explicit stack, and raises
-    `discforms.BudgetExceeded` past `discforms.BUDGET` nodes.
+    node per partial multiset, on an explicit stack, and charges each node
+    as one operation (`discforms.charge`).
     """
     if rank < 0:
         raise ValueError(f"rank must be nonnegative, not {rank}")
     if not discforms.is_prime(p):
         raise ValueError(f"{p} is not prime")
     reflcheck.check_multiplicities(c1, cp)
-    budget = discforms.BUDGET
     shift = 2 * k - 24 * c1
     found = []
     nodes = 0
@@ -606,11 +605,7 @@ def class_number_rootsystems(rank: int, p: int, c1: int, cp: int, k: int) -> lis
                     chosen.pop()
                 continue
             frame[0] = i + 1
-            nodes += 1
-            if nodes > budget:
-                raise discforms.BudgetExceeded(
-                    f"root datum search passed {budget} nodes at rank {rank}"
-                )
+            nodes = charge(nodes + 1, "root datum search")
             entry = menu[i]
             chosen.append(entry)
             a, b = a + entry[1], b + entry[2]

@@ -44,13 +44,19 @@ overlattices of the groups that carry one root datum are told apart up to
 isometry as the orbits of O(L) on those groups (`glue_orbits`), which
 act on D(L) through integer generators kept on L (`isometry_generators`).
 
+Every search that can blow up keeps its own count of the operations it has
+spent and hands it to `charge`, which raises BudgetExceeded once the count
+passes `BUDGET`: the value walk (one operation per element of D), the pool
+scan (one per element of the torsion box), the isotropic subgroup search,
+the basis permutation search of `isometry_generators`, and, in other
+modules, the root datum search and the catalog's Gram check.
+
 Value statistics of a form come from one integer walk over D (`_walk`),
-made at most once per form and refused past WALK_BUDGET elements: it counts
-the values x^T bnum x mod 2 den of the form's integer Gram bnum = den B,
-and both the norm counts and the Gauss sum are read off those counts.  A form
-keeps nothing else.  The isotropic subgroup search takes its pool from the
-caller (`isotropic_subgroups`), and one budget, `BUDGET`, read at each
-call, bounds it.  A glue search on L joins its pool by value from
+made at most once per form: it counts the values x^T bnum x mod 2 den of
+the form's integer Gram bnum = den B, and both the norm counts and the
+Gauss sum are read off those counts.  A form keeps nothing else.  The
+isotropic subgroup search takes its pool from the caller
+(`isotropic_subgroups`).  A glue search on L joins its pool by value from
 the parts of L (L itself when it is not a sum): each part keeps one table per
 torsion box, its elements grouped by value and by coset minimum, read off
 the part's `short_duals` (`_value_groups`), so a sum of known parts walks
@@ -85,12 +91,19 @@ from typing import NamedTuple
 from . import intmat, roots
 from .lattices import Lattice, kept
 
-BUDGET = 10**6  # the operation budget of every search, read when each is called
-WALK_BUDGET = 5 * 10**6  # the most elements the value walk over one form visits
+BUDGET = 10**6  # the operations any one search may spend, read at each `charge`
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when a subgroup search exceeds its operation budget."""
+    """Raised by `charge` when a search spends more than `BUDGET` operations."""
+
+
+def charge(spent: int, what: str) -> int:
+    """`spent`, the operations a search has spent so far; BudgetExceeded naming the
+    search `what` once they pass `BUDGET`.  The one place that reads the budget."""
+    if spent > BUDGET:
+        raise BudgetExceeded(f"{what}: {spent} operations passed the budget {BUDGET}")
+    return spent
 
 
 class GenusNotRepresentable(ValueError):
@@ -350,13 +363,12 @@ class DiscriminantForm:
     def _counts(self) -> list[int]:
         """counts[v] = number of elements x with x^T B x * den = v mod 2 den.
 
-        One pass of `_walk` over D, made once per form.  It raises
-        BudgetExceeded before it starts when |D| passes WALK_BUDGET = 5 * 10^6
-        elements (13^6 = 4,826,809 is walked, 7^8 = 5,764,801 refused), and
-        so do `count_norm` and `milgram_octant`, which read these counts.
+        One pass of `_walk` over D, made once per form, charged one operation
+        per element before it starts, so it raises BudgetExceeded when |D|
+        passes `BUDGET`, and so do `count_norm` and `milgram_octant`, which
+        read these counts.
         """
-        if self.order() > WALK_BUDGET:
-            raise BudgetExceeded(f"value walk of {self.order()} elements passes {WALK_BUDGET}")
+        charge(self.order(), "value walk")
         counts = [0] * (2 * self.den)
         _walk(self.bnum, [(o, 1) for o in self.orders], len(counts), counts)
         return counts
@@ -701,15 +713,9 @@ def glue_level(form: DiscriminantForm, sub: tuple[tuple[int, ...], ...]) -> int:
 
 
 def _pool_scan(form: DiscriminantForm, order: int) -> int:
-    """The operations of a pool scan, one per element of order dividing `order`;
-    BudgetExceeded, before any element is visited, when they pass `BUDGET`."""
-    ops = prod(n for n, _ in _torsion_box(form.orders, order))
-    if ops > BUDGET:
-        raise BudgetExceeded(
-            f"isotropic subgroup search passed {BUDGET} operations: "
-            f"{ops} elements of order dividing {order}"
-        )
-    return ops
+    """The operations of a pool scan, one per element of order dividing `order`,
+    charged before any element is visited."""
+    return charge(prod(n for n, _ in _torsion_box(form.orders, order)), "pool scan")
 
 
 def _torsion_box(orders: tuple[int, ...], order: int) -> list[tuple[int, int]]:
@@ -806,11 +812,10 @@ def isotropic_subgroups(form: DiscriminantForm, order: int, pool: list[tuple[int
     each subgroup S below `order` that the search extends counts |pool| -
     |S| + 1, one per (S, pool element outside S) pair: a total that does not
     depend on the order of the pool, so whether a search passes its budget
-    does not depend on how D is presented.  The search raises
-    BudgetExceeded past `BUDGET` operations, before any pair is tried when
-    the elements alone pass it.
+    does not depend on how D is presented.  The operations are charged as
+    they are spent (`charge`), the scan before any pair is tried.
     """
-    orders, den, budget = form.orders, form.den, BUDGET
+    orders, den = form.orders, form.den
     ops = _pool_scan(form, order)
     pool = sorted(pool)
     # den * x^T B, so den * b(g, x) is the dot product of g with it
@@ -825,9 +830,7 @@ def isotropic_subgroups(form: DiscriminantForm, order: int, pool: list[tuple[int
             results.append(sub)
         if len(sub) >= order:
             continue
-        ops += len(pool) - len(sub) + 1
-        if ops > budget:
-            raise BudgetExceeded(f"isotropic subgroup search passed {budget} operations")
+        ops = charge(ops + len(pool) - len(sub) + 1, "isotropic subgroup search")
         for after, x in enumerate(pool[start:], start + 1):
             if x in sub or any(sum(map(mul, g, pairing[x])) % den for g in gens):
                 continue
@@ -1005,7 +1008,7 @@ def isometry_generators(lat: Lattice) -> tuple[tuple[tuple[int, ...], ...], ...]
     by part, the reflections in the basis vectors (skipped unless G_ii divides 2 G_ij
     for every j, as a user catalog may give a span another Gram), the Gram-preserving
     basis permutations, D4's triality included (one operation per candidate tried,
-    BudgetExceeded past `BUDGET`), and the swap with the next part of equal Gram."""
+    charged as they are spent), and the swap with the next part of equal Gram."""
     parts, n, ops, gens = lat.parts or (lat,), lat.rank, 0, []
     starts = [sum(part.rank for part in parts[:i]) for i in range(len(parts))]
 
@@ -1027,9 +1030,7 @@ def isometry_generators(lat: Lattice) -> tuple[tuple[tuple[int, ...], ...], ...]
                 if perm != tuple(range(k)):
                     sends((o + a, o + b) for a, b in enumerate(perm))
                 continue
-            ops += k
-            if ops > BUDGET:
-                raise BudgetExceeded(f"basis permutation search passed {BUDGET} operations")
+            ops = charge(ops + k, "basis permutation search")
             a = len(perm)
             stack += [perm + (t,) for t in range(k) if gram[t][t] == gram[a][a] and t not in perm
                       and all(gram[t][perm[b]] == gram[a][b] for b in reversed(range(a)))]
@@ -1047,24 +1048,22 @@ def glue_orbits(lat: Lattice, p: int, subs: list[tuple[tuple[int, ...], ...]]) -
     O(L) maps the overlattice of H onto that of gH (Nikulin 1979, 1.4).  A group with
     a long root outside L (p x != 0 for some x of `_long_root_classes`) is dropped:
     its roots span a copy of L onto which a kept group glues the same lattice, so a
-    lone group is kept.  Generator g sends the class of c in Z^n / G Z^n to that of
-    G g G^-1 c, by L's adjugate and one exact division, and each group is merged with
-    its image (union-find by relabelling).  ArithmeticError when a division is not
-    exact or an image is not in the list.
+    lone group is kept.  As g^T G g = G, g^-1 sends the class of c in Z^n / G Z^n to
+    that of G g^-1 G^-1 c = g^T c, and the inverses of the generators generate the
+    same group, so each group is merged with its image under each g^T (union-find by
+    relabelling).  ArithmeticError when an image is not in the list.
     """
-    form, det = discriminant_form(lat), lat.det()
+    form = discriminant_form(lat)
     if len(subs) > 1:
         subs = [sub for sub in subs if not any(
             p * a % o for x in _long_root_classes(lat, p, sub) for a, o in zip(x, form.orders))]
     if len(subs) < 2:
         return len(subs)
-    duals = [intmat.mat_vec(lat.adjugate(), c) for c in intmat.transpose(form.gens)]
+    classes = intmat.transpose(form.gens)
     index, orbit = {sub: i for i, sub in enumerate(subs)}, list(range(len(subs)))
     for g in isometry_generators(lat):
-        images = [intmat.mat_vec(lat.gram, intmat.mat_vec(g, d)) for d in duals]
-        if any(x % det for c in images for x in c):
-            raise ArithmeticError(f"a generator of O({lat.name}) leaves the dual lattice")
-        action = intmat.transpose([form.element_of([x // det for x in c]) for c in images])
+        g_t = intmat.transpose(g)
+        action = intmat.transpose([form.element_of(intmat.mat_vec(g_t, c)) for c in classes])
         for i, sub in enumerate(subs):
             image = tuple(sorted(tuple(intmat.vec_dot(row, h) % o for row, o in
                                        zip(action, form.orders)) for h in sub))
@@ -1086,7 +1085,7 @@ def even_overlattices(
     |det L| / |det M| (Nikulin).  M, the union of the cosets h + L over h
     in H, has a norm-2 vector outside L exactly when H holds a root class,
     and the search drops those H.  The steps run in this order: the
-    budget check on the pool's size (`_pool_scan`), which refuses a pool
+    charge of the pool's size (`_pool_scan`), which refuses a pool
     past `BUDGET` before it is built; then `root_free_pool`, which
     enumerates vectors only for parts of L whose `short_duals` are not yet
     kept; then the search over that pool, which keeps a closure only while

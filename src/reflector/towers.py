@@ -32,7 +32,9 @@ The judgment reads the tables afresh on every call of `covered_rows` and
     or, at (1, 1), split as that genus's strongly 2- and 2p-reflective
     weights;
   - a transfer starts at the one table row of its source's genus, and its
-    2U + K target must be the table row of the target's genus.
+    2U + K target must be the table row of the target's genus and pass the
+    candidate check on K; it covers its source row only when all of its
+    replay passes.
 Every call hands out new dicts and lists, never a plan's own.  Genera come
 from `discforms.genus_symbol` on the lattices the catalog keeps for each
 expression.
@@ -199,6 +201,7 @@ def replay_transfer(tr: tuple, catalog=None, table=None) -> dict:
         "p": p,
         "from": t["from"],
         "to": t["to"],
+        "genus": g.label(),
         "source": t["source"],
         "target": t["target"],
         "scales_ok": t["scales"] == sorted([1, p]),
@@ -213,7 +216,7 @@ def covered_rows(catalog=None) -> set[tuple[str, int, int, int]]:
 
     A step covers the row it lands on, or the two rows it splits into; a
     base covers nothing, since its weight is read off its row.  A transfer
-    covers its source row when the target it computes is a table row.
+    covers its source row when its whole replay passes (`_passes`).
     """
     table = _table()
     covered = set()
@@ -226,10 +229,15 @@ def covered_rows(catalog=None) -> set[tuple[str, int, int, int]]:
                 s2, s2p = level["split"]
                 covered |= {(level["genus"], 1, 0, s2), (level["genus"], 0, 1, s2p)}
     for tr in TRANSFERS:
-        t = transfer_target(tr, catalog, table)
-        if t["row"]:
-            covered.add((t["genus"].label(), *t["source"]))
+        rep = replay_transfer(tr, catalog, table)
+        if _passes(rep):
+            covered.add((rep["genus"], *rep["source"]))
     return covered
+
+
+def _passes(report: dict) -> bool:
+    """Whether every `*_ok` check of a transfer replay holds."""
+    return all(v for k, v in report.items() if k.endswith("_ok"))
 
 
 def verify_all(catalog=None) -> dict:
@@ -239,8 +247,5 @@ def verify_all(catalog=None) -> dict:
         tower[0]: all(level["ok"] for level in replay_tower(tower, catalog, table))
         for tower in TOWERS
     }
-    transfers_ok = []
-    for tr in TRANSFERS:
-        rep = replay_transfer(tr, catalog, table)
-        transfers_ok.append(all(v for k, v in rep.items() if k.endswith("_ok")))
+    transfers_ok = [_passes(replay_transfer(tr, catalog, table)) for tr in TRANSFERS]
     return {"towers": towers_ok, "transfers_ok": transfers_ok}

@@ -586,7 +586,7 @@ def test_discform_past_the_walk_cap_exits_three(expr, capsys):
     code, out, err = run_cli_err(["discform", "--lattice", expr, "--prime", "7"], capsys)
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
-    assert err.startswith("budget exceeded: value walk of ") and len(err.splitlines()) == 1
+    assert err.startswith("budget exceeded: value walk: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("expr, p", [("E6(3)", 3), ("2U+A4v(5)", 5), ("U+U(2)+D4", 2),
@@ -636,6 +636,32 @@ def test_classnumber_of_a_huge_rank_exits_three(capsys):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, budget, what",
+    [
+        ("discform --lattice A4(101) --prime 7", None, "value walk"),
+        # 2U+E8+E8(2)
+        ("classnumber --rank 16 --prime 2 --c1 1 --cp 2 --k 12 --np 8", None, "pool scan"),
+        # 2U+D8 at (0, 1, 4), whose search passes the default budget after about 1 s
+        ("classnumber --rank 8 --prime 2 --c1 0 --cp 1 --k 4 --np 2", 10**5,
+         "isotropic subgroup search"),
+        ("classnumber --rank 2000 --prime 3 --c1 1 --cp 1 --k 12 --np 1", None,
+         "root datum search"),
+        ("lattice --lattice 99999A1", None, "Gram check of '99999A1'"),
+    ],
+    ids=["value-walk", "pool-scan", "subgroup-search", "root-datum-search", "gram-check"],
+)
+def test_each_budgeted_search_exits_three_naming_itself(argv, budget, what, monkeypatch, capsys):
+    """Every search that can reach the budget stops at it through `discforms.charge`:
+    exit 3, nothing on stdout, and one stderr line that names the search."""
+    if budget is not None:
+        monkeypatch.setattr(discforms, "BUDGET", budget)
+    code, out, err = run_cli_err(argv.split(), capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"budget exceeded: {what}: ") and len(err.splitlines()) == 1
+    assert err.rstrip().endswith(f" operations passed the budget {discforms.BUDGET}")
 
 
 @pytest.mark.parametrize(

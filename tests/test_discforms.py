@@ -1,11 +1,13 @@
 """Finite quadratic modules: Gauss sums, genus symbols, splittings, overlattices."""
 from __future__ import annotations
 
+import ast
 import gc
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm, prod
 from operator import mul
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -276,16 +278,16 @@ def test_value_walk_and_pool_leave_no_garbage_cycle():
 
 
 def test_value_walk_is_refused_past_its_cap(monkeypatch):
-    """|D| above WALK_BUDGET raises BudgetExceeded before the walk; |D| at it is walked."""
+    """|D| above BUDGET raises BudgetExceeded before the walk; |D| at it is walked."""
     big = candidate_form(7, 8, 1)  # 7^8 = 5,764,801 elements
     start = perf_counter()
     for read in (big.milgram_octant, lambda: big.count_norm(Fraction(2, 7))):
-        with pytest.raises(BudgetExceeded, match="value walk of 5764801 elements"):
+        with pytest.raises(BudgetExceeded, match="^value walk: 5764801 operations passed"):
             read()
     assert perf_counter() - start < 1
-    monkeypatch.setattr(discforms, "WALK_BUDGET", 3**7)
+    monkeypatch.setattr(discforms, "BUDGET", 3**7)
     assert DiscriminantForm.from_lattice(parse_lattice("E6(3)", CAT)).milgram_octant() == 6
-    monkeypatch.setattr(discforms, "WALK_BUDGET", 3**7 - 1)
+    monkeypatch.setattr(discforms, "BUDGET", 3**7 - 1)
     with pytest.raises(BudgetExceeded):
         DiscriminantForm.from_lattice(parse_lattice("E6(3)", CAT)).milgram_octant()
 
@@ -479,9 +481,11 @@ def test_unimodular_lattice_with_a_prime_has_the_trivial_symbol():
         genus_symbol(CAT.build("E8"))
 
 
-def test_closed_form_counts_match_the_value_walk():
+def test_closed_form_counts_match_the_value_walk(monkeypatch):
     """elementary_count_norm equals count_norm on candidate_form at every value k/p,
-    k < 2p, and at one value of another denominator; 1,152 values in all."""
+    k < 2p, and at one value of another denominator; 1,152 values in all.  The
+    largest form, of 13^6 elements, is walked under a budget raised to its size."""
+    monkeypatch.setattr(discforms, "BUDGET", 13**6)
     checked = 0
     for p in (2, 3, 5, 7, 11, 13):
         for n_p in range(9 if p <= 3 else 7):
@@ -1378,7 +1382,7 @@ def test_pool_scan_is_charged_to_the_budget(monkeypatch):
     budget, so the glue search of index 1024 is refused before its pool is built."""
     lat = Catalog().parse("12A1(2)")
     start = perf_counter()
-    with walk_calls() as calls, pytest.raises(BudgetExceeded, match="16777216 elements"):
+    with walk_calls() as calls, pytest.raises(BudgetExceeded, match="^pool scan: 16777216 "):
         even_overlattices(lat, 2**4, 2)
     assert perf_counter() - start < 5 and not calls
     # an anisotropic form tries no (subgroup, element) pair, yet its scan is charged
@@ -1388,6 +1392,39 @@ def test_pool_scan_is_charged_to_the_budget(monkeypatch):
     monkeypatch.setattr(discforms, "BUDGET", 2)
     with pytest.raises(BudgetExceeded):
         isotropic_subgroups(form, 3, [])
+
+
+def _named(node, name: str) -> bool:
+    """Whether a syntax tree node is the name, or the attribute, `name`."""
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def _budget_sites(node, module: str, scope: str | None = None) -> list[tuple]:
+    """(site, module, enclosing function) for each read of `BUDGET` and each
+    construction or raise of `BudgetExceeded` under a syntax tree node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    sites = []
+    if _named(node, "BUDGET") and isinstance(node.ctx, ast.Load):
+        sites.append(("reads BUDGET", module, scope))
+    if (isinstance(node, ast.Call) and _named(node.func, "BudgetExceeded")
+            or isinstance(node, ast.Raise) and _named(node.exc, "BudgetExceeded")):
+        sites.append(("builds BudgetExceeded", module, scope))
+    for child in ast.iter_child_nodes(node):
+        sites += _budget_sites(child, module, scope)
+    return sites
+
+
+def test_only_charge_reads_the_budget_or_builds_budget_exceeded():
+    """In the library, `BUDGET` is read and `BudgetExceeded` built only inside
+    `discforms.charge`, so every budgeted search goes through the one charge point
+    and no search can grow a cap of its own."""
+    sites = []
+    for path in sorted(Path(discforms.__file__).parent.glob("*.py")):
+        sites += _budget_sites(ast.parse(path.read_text(), str(path)), path.stem)
+    assert sorted(sites) == [("builds BudgetExceeded", "discforms", "charge"),
+                             ("reads BUDGET", "discforms", "charge"),
+                             ("reads BUDGET", "discforms", "charge")]
 
 
 @pytest.mark.parametrize(

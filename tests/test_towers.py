@@ -198,12 +198,28 @@ def test_a_wrong_transfer_target_row_fails_that_transfer(monkeypatch):
     assert verify_all()["transfers_ok"] == [False] + [True] * 10
 
 
+def test_a_transfer_that_fails_its_check_covers_nothing(monkeypatch):
+    """U+U(23)+L23 at k = 2 transfers to (1, 23, 24), and 2U+L23 at k = 24 makes that a
+    table row, but (1, 23, 24) fails the candidate check on L23: the transfer fails,
+    and its source row is neither covered nor certified by it."""
+    label = "II_{4,2}(23^{-3})"
+    _replace_row(monkeypatch, "MIXED_REFLECTIVE", label, 2)
+    _replace_row(monkeypatch, "MIXED_REFLECTIVE", "II_{4,2}(23^{+1})", 24)
+    rep = replay_transfer(TRANSFERS[-1])
+    assert rep["from"] == "U+U(23)+L23" and (rep["row_ok"], rep["target_check_ok"]) == (True, False)
+    assert verify_all()["transfers_ok"] == [True] * 10 + [False]
+    assert (label, 1, 1, 2) not in covered_rows()
+    status = verdict_table(verify=True)["verification"][label]
+    assert "tower-covered" not in status.values()
+
+
 @pytest.mark.parametrize(
     "mutation",
     [
         test_a_wrong_mixed_row_fails_its_tower,
         test_a_wrong_strongly_2_row_fails_the_ladder_and_is_uncovered,
         test_a_wrong_transfer_target_row_fails_that_transfer,
+        test_a_transfer_that_fails_its_check_covers_nothing,
     ],
     ids=lambda test: test.__name__.removeprefix("test_"),
 )
