@@ -104,6 +104,9 @@ class Catalog:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"catalog {path} is not a JSON object")
+        unknown = sorted(set(data) - {"lattices"})
+        if unknown:
+            raise ValueError(f"catalog {path} has keys other than \"lattices\": {unknown}")
         extra = data.get("lattices", {})
         if not isinstance(extra, dict):
             raise ValueError("catalog lattices must map names to Gram matrices")

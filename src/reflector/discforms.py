@@ -1003,12 +1003,16 @@ def _glue_split(lat: Lattice, p: int, classes: frozenset) -> tuple[roots.RootCom
 
 @kept
 def isometry_generators(lat: Lattice) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Generators of O(L), integer matrices g with g^T G g = G, kept on L, for L a sum
-    of root lattices and their rescalings (a unique decomposition, by Eichler): part
-    by part, the reflections in the basis vectors (skipped unless G_ii divides 2 G_ij
-    for every j, as a user catalog may give a span another Gram), the Gram-preserving
-    basis permutations, D4's triality included (one operation per candidate tried,
-    charged as they are spent), and the swap with the next part of equal Gram."""
+    """Generators of the action of O(L) on D(L), integer matrices g with g^T G g = G,
+    kept on L, for L a sum of root lattices and their rescalings (a unique
+    decomposition, by Eichler): part by part, the reflections in the basis vectors
+    (skipped unless G_ii divides 2 G_ij for every j, as a user catalog may give a
+    span another Gram), the Gram-preserving basis permutations, D4's triality
+    included (one operation per candidate tried, charged as they are spent), and the
+    swap with the next part of equal Gram.  A reflection in a basis vector r of norm
+    2 is left out: it sends x in L^dual to x - (x, r) r, and (x, r) is an integer,
+    so it fixes D(L) pointwise; a reflection of norm 2m > 2, in a rescaled part,
+    may not."""
     parts, n, ops, gens = lat.parts or (lat,), lat.rank, 0, []
     starts = [sum(part.rank for part in parts[:i]) for i in range(len(parts))]
 
@@ -1020,7 +1024,7 @@ def isometry_generators(lat: Lattice) -> tuple[tuple[tuple[int, ...], ...], ...]
     for i, (part, o) in enumerate(zip(parts, starts)):
         gram, k = part.gram, part.rank
         for a, row in enumerate(gram):
-            if row[a] and not any(2 * x % row[a] for x in row):
+            if row[a] not in (0, 2) and not any(2 * x % row[a] for x in row):
                 gens.append(intmat.identity(n))
                 gens[-1][o + a][o : o + k] = [(a == b) - 2 * x // row[a] for b, x in enumerate(row)]
         stack = [()]

@@ -11,8 +11,8 @@ inverses (integer adjugate over integer determinant), the integer-scaled
 LDL split that drives the short-vector enumerator, and the inertia of a
 symmetric integer matrix (symmetric elimination by congruence).  Rationals
 appear only where the answer is rational: the entries of an inverse, the
-congruence diagonalization with its p-adic pivots (the tests' Jordan-splitting
-oracle for genus signs) and the valuations of those pivots.
+congruence diagonalization, whose pivots may follow a p-adic valuation (the
+tests' Jordan-splitting oracle for genus signs).
 """
 
 from __future__ import annotations
@@ -263,25 +263,13 @@ def row_hermite_form(a: Matrix) -> Matrix:
     return rows
 
 
-def p_valuation(x: Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
-def congruent_diagonal(g, p: int | None = None) -> tuple[FracMatrix, list[Fraction]]:
+def congruent_diagonal(g, valuation=None) -> tuple[FracMatrix, list[Fraction]]:
     """Diagonalize a symmetric rational matrix by congruence: b*g*bt = diag.
 
-    Returns (b, diag).  With p set, pivots are chosen with minimal p-adic
-    valuation, which keeps the transform p-integral and makes the diagonal a
-    valid p-adic Jordan splitting for odd p.
+    Returns (b, diag).  With `valuation` set, a p-adic valuation of the nonzero
+    rationals, pivots are chosen with minimal valuation, which keeps the
+    transform p-integral and makes the diagonal a valid p-adic Jordan splitting
+    for odd p.
     """
     n = len(g)
     m = frac_matrix(g)
@@ -303,10 +291,10 @@ def congruent_diagonal(g, p: int | None = None) -> tuple[FracMatrix, list[Fracti
         entries = [(i, j) for i in range(t, n) for j in range(t, i + 1) if m[i][j] != 0]
         if not entries:
             break
-        if p is None:
+        if valuation is None:
             key = lambda ij: (ij[0] != ij[1], abs(m[ij[0]][ij[1]]))
         else:
-            key = lambda ij: (p_valuation(m[ij[0]][ij[1]], p), ij[0] != ij[1])
+            key = lambda ij: (valuation(m[ij[0]][ij[1]]), ij[0] != ij[1])
         i, j = min(entries, key=key)
         if i != j:
             # pull the off-diagonal pivot onto the diagonal first

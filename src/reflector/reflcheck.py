@@ -30,7 +30,11 @@ the two root classes and a proposed weight k, the constraints are:
     C = c1 h1 = cp h2 / p and k = c1 (12 (h1 + 1) + ((p - 1) n1 - rank p) h1 / 2).
 
 A check reads the record once, so it is a few integer products and
-comparisons; only the reported C is a Fraction.
+comparisons; only the reported C is a Fraction.  It depends on nothing but
+K's root data and its arguments, so its report is kept on K through
+`lattices.kept`, once per (p, c1, cp, k): a table row's check, the check of
+a transfer target that is the same 2U + K row, and the CLI's `check` share
+one computation, and a changed weight is a new key.
 
 solve_components inverts the per-component equations c1 alpha + cp beta = C
 to find which multiplicities are admissible at all; `solve_candidates`
@@ -71,8 +75,10 @@ def check_multiplicities(c1: int, cp: int) -> None:
         raise ValueError("multiplicities must be nonnegative and not both zero")
 
 
+@kept
 def check_candidate(lat: Lattice, p: int, c1: int, cp: int, k: int) -> CheckReport:
-    """Verify one (c1, cp, k) triple on the definite part of a model, in integers."""
+    """Verify one (c1, cp, k) triple on the definite part of a model, in integers;
+    kept on lat once per (p, c1, cp, k), and a call that raises keeps nothing."""
     check_multiplicities(c1, cp)
     if not lat.is_positive_definite():
         raise ValueError("check_candidate expects the positive definite part of the model")

@@ -13,19 +13,21 @@ Every model is derived from a block K0 and a count n by one rule,
 (name, p, (c1, cp), K0, top) in `TOWERS`, whose levels are U + U(p) + n*K0
 for n = top, ..., 1; a transfer is a record (p, K0, n) in `TRANSFERS`, from
 U + U(p) + n*K0 to 2U + n*K0.  Every number is derived from the
-construction tables of `classify`, by `replay_tower` and `transfer_target`;
-the replays and `covered_rows`, which `classify.construction_coverage`
-reads, share them.
+construction tables of `classify`, by `replay_tower` for a tower and by
+`replay_transfer`, one report per transfer, for a transfer.  `covered_rows`,
+which `classify.construction_coverage` reads, and `verify_all` read one
+replay of all of them (`_replays`), judged on one reading of the tables.
 
 Each replay is a plan and a judgment.  The plan holds what the tables
 cannot change, and the catalog keeps it (`lattices.kept`) once per record,
 so a user catalog has plans of its own:
   - for a tower, each level's expression and genus label, and K0's numbers
     of positive short and long roots at p;
-  - for a transfer, its source and target expressions and genera, the
-    source's sorted hyperbolic-plane scales and the target's definite part.
-The judgment reads the tables afresh on every call of `covered_rows` and
-`verify_all`, so a change to them shows in the next call:
+  - for a transfer, its source and target expressions and genus labels,
+    whether the source's planes are U + U(p) and the target's genus is the
+    source's `GenusSymbol.transfer`, and the target's definite part K.
+The judgment reads the tables afresh on every replay, so a change to them
+shows in the next call:
   - a tower's base weight is that of the one table row with the base's genus
     and (c1, cp); each later level adds the pull-back weight of one K0;
   - each level must land on the table row of its genus with its (c1, cp, k),
@@ -33,8 +35,9 @@ The judgment reads the tables afresh on every call of `covered_rows` and
     weights;
   - a transfer starts at the one table row of its source's genus, and its
     2U + K target must be the table row of the target's genus and pass the
-    candidate check on K; it covers its source row only when all of its
-    replay passes.
+    candidate check on K, which K keeps (`reflcheck.check_candidate`), so
+    the check of that row in `classify.verify_construction` is the same
+    computation; it covers its source row only when all of its replay passes.
 Every call hands out new dicts and lists, never a plan's own.  Genera come
 from `discforms.genus_symbol` on the lattices the catalog keeps for each
 expression.
@@ -142,73 +145,56 @@ def replay_tower(tower: tuple, catalog=None, table=None) -> list[dict]:
 
 @kept
 def _transfer_plan(cat, p: int, block: str, n: int) -> tuple:
-    """(source expr, its genus, target expr, its genus, the source's sorted
-    scales, the target's definite part) of the transfer from U + U(p) + n*block
+    """(source expr, its genus label, target expr, its genus label, whether the
+    source's planes are U + U(p), whether the target's genus is the source's
+    `transfer`, the target's definite part) of the transfer from U + U(p) + n*block
     to 2U + n*block."""
     expr, to_expr = _expr(f"U+U({p})", block, n), _expr("2U", block, n)
     lat, scales, _ = cat.model_parts(expr)
     to_lat, _, definite = cat.model_parts(to_expr)
-    return (expr, discforms.genus_symbol(lat, p=p), to_expr, discforms.genus_symbol(to_lat, p=p),
-            tuple(sorted(scales)), definite)
+    genus, to_genus = discforms.genus_symbol(lat, p=p), discforms.genus_symbol(to_lat, p=p)
+    return (expr, genus.label(), to_expr, to_genus.label(), sorted(scales) == [1, p],
+            to_genus == genus.transfer(), definite)
 
 
-def transfer_target(tr: tuple, catalog=None, table=None) -> dict:
-    """Derive both sides of one U(p) -> U transfer from the tables.
+def replay_transfer(tr: tuple, catalog=None, table=None) -> dict:
+    """Derive one U(p) -> U transfer from the tables and judge it.
 
-    The source (c1, cp, k) is that of the one table row of the source's
-    genus ("source", None when there is not exactly one); the target is
-    2U + K with `transfer_multiplicity` and `transfer_weight` applied, and
-    "row" says whether it is a table row.  "scales" are the source's
-    hyperbolic-plane scales, and "definite" is K.  `table` is `_table()`,
-    read afresh when not given; the rest comes from the catalog's plan.
+    The report gives the source and target expressions ("from", "to"), the
+    source's genus label, the source (c1, cp, k), that of the one table row of
+    the source's genus (None when there is not exactly one), and the target,
+    2U + K with `transfer_multiplicity` and `transfer_weight` applied (None
+    without a source).  Four checks: the source's planes are U + U(p)
+    ("scales_ok"), the target's genus is the source's `transfer`
+    ("relation_ok"), the target is a table row of that genus ("row_ok"), and it
+    passes the candidate check on K ("target_check_ok"); "ok" when all four
+    hold.  `table` is `_table()`, read afresh when not given; the rest comes
+    from the catalog's plan.
     """
     cat = catalog or cat_mod.default_catalog()
     table = _table() if table is None else table
     p = tr[0]
-    expr, genus, to_expr, to_genus, scales, definite = _transfer_plan(cat, *tr)
-    rows = table.get(genus.label(), [])
+    expr, genus, to_expr, to_genus, scales_ok, relation_ok, definite = _transfer_plan(cat, *tr)
+    rows = table.get(genus, [])
     source = rows[0] if len(rows) == 1 else None
-    target = None
+    target, row_ok, check_ok = None, False, False
     if source is not None:
         c1, cp, k = source
         target = (*transfer_multiplicity(c1, cp, p), transfer_weight(k, p))
-    return {
-        "p": p,
-        "from": expr,
-        "to": to_expr,
-        "genus": genus,
-        "to_genus": to_genus,
-        "scales": list(scales),
-        "definite": definite,
-        "source": source,
-        "target": target,
-        "row": target is not None and target[2] in _weights(table, to_genus.label(), *target[:2]),
-    }
+        row_ok = target[2] in _weights(table, to_genus, *target[:2])
+        check_ok = definite is not None and reflcheck.check_candidate(definite, p, *target).passed
+    return {"p": p, "from": expr, "to": to_expr, "genus": genus, "source": source,
+            "target": target, "scales_ok": scales_ok, "relation_ok": relation_ok,
+            "row_ok": row_ok, "target_check_ok": check_ok,
+            "ok": scales_ok and relation_ok and row_ok and check_ok}
 
 
-def replay_transfer(tr: tuple, catalog=None, table=None) -> dict:
-    """Check one U(p) -> U transfer: the source's planes, the genera, the target row.
-
-    The target is a 2U + K model, so its multiplicities and weight are also
-    pushed through the full candidate check on K.
-    """
-    t = transfer_target(tr, catalog, table)
-    g, g_to, p = t["genus"], t["to_genus"], t["p"]
-    check_ok = False
-    if t["target"] is not None and t["definite"] is not None:
-        check_ok = reflcheck.check_candidate(t["definite"], p, *t["target"]).passed
-    return {
-        "p": p,
-        "from": t["from"],
-        "to": t["to"],
-        "genus": g.label(),
-        "source": t["source"],
-        "target": t["target"],
-        "scales_ok": t["scales"] == sorted([1, p]),
-        "relation_ok": g_to == g.transfer(),
-        "row_ok": t["row"],
-        "target_check_ok": check_ok,
-    }
+def _replays(catalog=None) -> tuple[list[tuple[tuple, list[dict]]], list[dict]]:
+    """([(tower, its levels)] for every tower, [report] for every transfer), all
+    judged on one reading of the tables."""
+    table = _table()
+    return ([(tower, replay_tower(tower, catalog, table)) for tower in TOWERS],
+            [replay_transfer(tr, catalog, table) for tr in TRANSFERS])
 
 
 def covered_rows(catalog=None) -> set[tuple[str, int, int, int]]:
@@ -216,36 +202,23 @@ def covered_rows(catalog=None) -> set[tuple[str, int, int, int]]:
 
     A step covers the row it lands on, or the two rows it splits into; a
     base covers nothing, since its weight is read off its row.  A transfer
-    covers its source row when its whole replay passes (`_passes`).
+    covers its source row when its whole replay passes ("ok").
     """
-    table = _table()
-    covered = set()
-    for tower in TOWERS:
-        c1, cp = tower[2]
-        for level in replay_tower(tower, catalog, table)[1:]:
+    tower_levels, transfers = _replays(catalog)
+    covered = {(rep["genus"], *rep["source"]) for rep in transfers if rep["ok"]}
+    for (_, _, (c1, cp), _, _), levels in tower_levels:
+        for level in levels[1:]:
             if level["row"]:
                 covered.add((level["genus"], c1, cp, level["weight"]))
             elif level["split"]:
                 s2, s2p = level["split"]
                 covered |= {(level["genus"], 1, 0, s2), (level["genus"], 0, 1, s2p)}
-    for tr in TRANSFERS:
-        rep = replay_transfer(tr, catalog, table)
-        if _passes(rep):
-            covered.add((rep["genus"], *rep["source"]))
     return covered
-
-
-def _passes(report: dict) -> bool:
-    """Whether every `*_ok` check of a transfer replay holds."""
-    return all(v for k, v in report.items() if k.endswith("_ok"))
 
 
 def verify_all(catalog=None) -> dict:
     """Replay every tower and transfer; True entries mean full agreement."""
-    table = _table()
-    towers_ok = {
-        tower[0]: all(level["ok"] for level in replay_tower(tower, catalog, table))
-        for tower in TOWERS
-    }
-    transfers_ok = [_passes(replay_transfer(tr, catalog, table)) for tr in TRANSFERS]
-    return {"towers": towers_ok, "transfers_ok": transfers_ok}
+    tower_levels, transfers = _replays(catalog)
+    return {"towers": {tower[0]: all(level["ok"] for level in levels)
+                       for tower, levels in tower_levels},
+            "transfers_ok": [rep["ok"] for rep in transfers]}

@@ -788,6 +788,19 @@ def eps_by_gauss_sum(lat, p: int) -> int:
     return eps_for(octant, p, len(form.orders))
 
 
+def p_valuation(x: Fraction, p: int) -> int:
+    """p-adic valuation of a nonzero rational."""
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
 def eps_by_jordan(lat, p: int) -> int:
     """The sign at odd p from a p-adic Jordan splitting of the Gram.
 
@@ -797,8 +810,8 @@ def eps_by_jordan(lat, p: int) -> int:
     """
     assert p != 2
     eps = 1
-    for entry in intmat.congruent_diagonal(lat.gram, p=p)[1]:
-        v = intmat.p_valuation(entry, p)
+    for entry in intmat.congruent_diagonal(lat.gram, lambda x: p_valuation(x, p))[1]:
+        v = p_valuation(entry, p)
         assert v in (0, 1), f"diagonal entry {entry} has p-valuation {v} at level p"
         if v == 1:
             unit = entry / p

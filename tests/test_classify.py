@@ -375,7 +375,7 @@ def test_warm_certify_caches_follow_the_tables_and_reduce_nothing_twice(monkeypa
         return wrapped
 
     for module, name in ((classify_mod, "verify_construction"), (towers, "replay_tower"),
-                         (towers, "transfer_target")):
+                         (towers, "replay_transfer")):
         monkeypatch.setattr(module, name, within(getattr(module, name)))
     for holder, name in ((Catalog, "model_parts"), (discforms, "genus_symbol")):
         inner = getattr(holder, name)
@@ -385,6 +385,27 @@ def test_warm_certify_caches_follow_the_tables_and_reduce_nothing_twice(monkeypa
     replay = verify_all(cat)
     assert table["count"] == 55 and all(replay["towers"].values())
     assert calls == Counter()
+
+
+def test_a_certify_pass_computes_each_check_once(monkeypatch):
+    """On a fresh catalog, one certified table and tower replay call the candidate
+    check 77 times (each 2U row once, each of the 11 transfer targets once in
+    `covered_rows` and once in `verify_all`) and compute it 56 times, once per
+    distinct (K, p, c1, cp, k); a second such pass computes none."""
+    check, calls, computed = reflcheck.check_candidate, [], []
+    inner = check.__wrapped__
+    (cell,) = [cell for cell in check.__closure__ if cell.cell_contents is inner]
+    monkeypatch.setattr(cell, "cell_contents",
+                        lambda lat, *args: computed.append((id(lat), *args)) or inner(lat, *args))
+    monkeypatch.setattr(reflcheck, "check_candidate",
+                        lambda *args: calls.append(args) or check(*args))
+    cat = Catalog()
+    for want in (56, 0):
+        calls.clear()
+        computed.clear()
+        verdict_table(verify=True, catalog=cat)
+        verify_all(cat)
+        assert (len(calls), len(computed), len(set(computed))) == (77, want, want)
 
 
 def _prime_factors(n):
@@ -746,13 +767,17 @@ def test_a_class_number_counts_orbits_and_builds_no_overlattice(args, want, monk
 @pytest.mark.parametrize("args", [args for args, _ in CENSUS + ORBIT_COUNTS])
 def test_each_isometry_generator_preserves_the_gram_and_the_dual(args):
     """Every generator g of O(L), for every datum lattice L of these requests, has
-    g^T G g = G, and its action G g G^-1 on Z^n / G Z^n is integral."""
+    g^T G g = G, and its action G g G^-1 on Z^n / G Z^n is integral.  None is a
+    reflection in a basis vector of norm 2, which fixes D(L) pointwise."""
     for _, lat, _ in _datum_glue(args, default_catalog()):
-        gram, det = [list(row) for row in lat.gram], lat.det()
+        gram, det, n = [list(row) for row in lat.gram], lat.det(), lat.rank
         for g in discforms.isometry_generators(lat):
             assert intmat.mat_mul(intmat.mat_mul(intmat.transpose(g), gram), g) == gram
             action = intmat.mat_mul(intmat.mat_mul(gram, g), lat.adjugate())
             assert not any(x % det for row in action for x in row)
+            moved = [a for a in range(n) if g[a] != tuple(int(a == b) for b in range(n))]
+            assert not (len(moved) == 1 and gram[moved[0]][moved[0]] == 2
+                        and g[moved[0]][moved[0]] == -1), (lat.name, moved)
 
 
 @pytest.mark.parametrize("args", [args for args, _ in ORBIT_COUNTS if args[0] <= 12])

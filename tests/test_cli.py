@@ -521,9 +521,12 @@ def test_invalid_input_is_a_one_line_error(argv, message, capsys):
         ('{"lattices": null}', "must map names to Gram matrices"),
         ('{"lattices": 0}', "must map names to Gram matrices"),
         ('{"lattices": ""}', "must map names to Gram matrices"),
+        ('{"lattice": {"T4": [[2, 1], [1, 2]]}}', "has keys other than \"lattices\": ['lattice']"),
+        ('{"T4": [[2, 1], [1, 2]]}', "has keys other than \"lattices\": ['T4']"),
     ],
     ids=["entry not a list", "lattices not an object", "top level not an object", "null entry",
-         "lattices empty list", "lattices null", "lattices zero", "lattices empty string"],
+         "lattices empty list", "lattices null", "lattices zero", "lattices empty string",
+         "misspelled key", "grams at the top level"],
 )
 def test_a_malformed_user_catalog_is_a_one_line_error(text, message, via, tmp_path,
                                                       monkeypatch, capsys):

@@ -242,8 +242,8 @@ def test_equal_lattices_keep_separate_values():
 def test_a_worked_sum_is_freed_by_its_reference_count():
     """No memo refers back to its lattice: a fresh sum put through the root data,
     a candidate check, the solve result, the discriminant form, the glue search and
-    the glue components is freed with the cycle collector off.  The check and the
-    solver keep one record each at p, the root data and the solve result."""
+    the glue components is freed with the cycle collector off.  The root data, the
+    check and the solver keep one record each: at p, at (p, c1, cp, k) and at p."""
     cat = default_catalog()
     lat = direct_sum([cat.parse("E6(3)"), cat.parse("A2")])
     gc.collect()
@@ -253,6 +253,7 @@ def test_a_worked_sum_is_freed_by_its_reference_count():
         reflcheck.check_candidate(lat, 3, 1, 1, 12)
         reflcheck.solve_candidates(lat, 3)
         assert set(lat.memo) == {(roots.root_data.__wrapped__, 3),
+                                 (reflcheck.check_candidate.__wrapped__, 3, 1, 1, 12),
                                  (reflcheck.solve_candidates.__wrapped__, 3)}
         discforms.discriminant_form(lat)
         glue = discforms.even_overlattices(lat, 3**6, 3)

@@ -14,7 +14,6 @@ from reflector.towers import (
     replay_tower,
     replay_transfer,
     transfer_multiplicity,
-    transfer_target,
     transfer_weight,
     verify_all,
 )
@@ -83,7 +82,7 @@ def test_levels_and_transfer_models_are_derived_as_written_before():
         "p7-pullback": ["U+U(7)+3L7", "U+U(7)+2L7", "U+U(7)+L7"],
         "p11-pullback": ["U+U(11)+2L11", "U+U(11)+L11"],
     }
-    assert [(t["from"], t["to"]) for t in map(transfer_target, TRANSFERS)] == [
+    assert [(t["from"], t["to"]) for t in map(replay_transfer, TRANSFERS)] == [
         ("U+U(3)+5A2", "2U+5A2"), ("U+U(3)+4A2", "2U+4A2"), ("U+U(3)+6A2", "2U+6A2"),
         ("U+U(5)+T4", "2U+T4"), ("U+U(5)+2T4", "2U+2T4"),
         ("U+U(7)+L7", "2U+L7"), ("U+U(7)+2L7", "2U+2L7"), ("U+U(7)+3L7", "2U+3L7"),
@@ -244,22 +243,20 @@ def test_a_warm_certify_pass_builds_no_lattice():
 
 
 def test_a_change_to_a_replay_reaches_no_later_replay():
-    """Each call hands out new levels, scales and reports, never the plan the
-    catalog keeps: changing what a replay returns changes no later replay."""
+    """Each call hands out new levels and reports, never the plan the catalog
+    keeps: changing what a replay returns changes no later replay."""
     before = (verify_all(), covered_rows(), [replay_tower(tower) for tower in TOWERS],
-              [transfer_target(tr) for tr in TRANSFERS])
+              [replay_transfer(tr) for tr in TRANSFERS])
     for tower in TOWERS:
         levels = replay_tower(tower)
         for level in levels:
             level.update(expr="", genus="", drop="E8", weight=0, row=False)
         levels.reverse()
     for tr in TRANSFERS:
-        t = transfer_target(tr)
-        t["scales"].reverse()
-        t["scales"].append(0)
-        t.update(source=None, target=None, row=False)
+        replay_transfer(tr).update(genus="", source=None, target=None, scales_ok=False,
+                                   row_ok=False, target_check_ok=False, ok=False)
     assert (verify_all(), covered_rows(), [replay_tower(tower) for tower in TOWERS],
-            [transfer_target(tr) for tr in TRANSFERS]) == before
+            [replay_transfer(tr) for tr in TRANSFERS]) == before
 
 
 def test_a_tower_one_level_taller_fails():
