@@ -13,8 +13,10 @@ Lattices and Groups, ch. 4), built by one rule.  T8 is the unique nontrivial
 even overlattice of E7+A1(5) with determinant 5.  `_REGISTRY` holds only
 the Grams that no rule produces, U and T4.  A user catalog (the --catalog
 CLI flag or the REFLECTOR_CATALOG environment variable) is a JSON object
-whose "lattices" object maps names to Grams, which add to or override these;
-any other shape raises ValueError.
+whose "lattices" object maps names to Grams, which add to these or override
+U, T4, T8 and L<p>.  The names A<n>, D<n> and E<n> are refused: root-datum
+spans read them, and the automorphisms of a span are searched in its Dynkin
+basis.  Any other shape raises ValueError.
 
 Every expression goes through one term expansion, `Catalog.summands`.  A
 catalog builds each term (name, dual, scale) once, on first use, and hands
@@ -90,6 +92,8 @@ class Catalog:
     def __init__(self, extra: dict | None = None):
         self.registry = dict(_REGISTRY)
         for name, gram in (extra or {}).items():
+            if re.fullmatch(r"[ADE]\d+", name):
+                raise ValueError(f"catalog entry {name!r} overrides a root lattice built by rule")
             if not (isinstance(gram, list) and all(
                     isinstance(row, list) and all(type(x) is int for x in row) for row in gram)):
                 raise ValueError(f"catalog entry {name!r} is not a list of lists of integers")

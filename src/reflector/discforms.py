@@ -41,15 +41,15 @@ norm-2 roots of L, so R(M) depends on H only through the set S(H) of the
 classes of norm-2/p dual vectors that H keeps as long roots, and it is
 split once per (lattice, p, S(H)) and kept on L through `kept`.  The
 overlattices of the groups that carry one root datum are told apart up to
-isometry as the orbits of O(L) on those groups (`glue_orbits`), which
-act on D(L) through integer generators kept on L (`isometry_generators`).
+isometry as the orbits of O(L) on those groups (`glue_orbits`), under its
+actions on D(L), built part by part and kept on L (`glue_actions`).
 
 Every search that can blow up keeps its own count of the operations it has
 spent and hands it to `charge`, which raises BudgetExceeded once the count
 passes `BUDGET`: the value walk (one operation per element of D), the pool
 scan (one per element of the torsion box), the isotropic subgroup search,
-the basis permutation search of `isometry_generators`, and, in other
-modules, the root datum search and the catalog's Gram check.
+the basis permutation search of `glue_actions`, and, in other modules, the
+root datum search and the catalog's Gram check.
 
 Value statistics of a form come from one integer walk over D (`_walk`),
 made at most once per form: it counts the values x^T bnum x mod 2 den of
@@ -888,14 +888,10 @@ def discriminant_form(lat: Lattice) -> DiscriminantForm:
 def short_duals(lat: Lattice) -> dict[int, list[tuple[int, ...]]]:
     """The nonzero x in D(L) whose coset x + L holds a vector of norm <= 2, for L
     positive definite, by det(L) times the minimum norm of x + L, with x and -x
-    together.
-
-    Computed once per lattice and kept on it.  The dual vector G^-1 c lies
-    in `element_of(c)` and has norm c^T adj(G) c / det, so one
-    `short_vectors` call on the adjugate lists every dual vector of norm
-    <= 2, in increasing norm, and the first one met in a class has the
-    minimum norm of its coset.
-    """
+    together.  The dual vector G^-1 c lies in `element_of(c)` and has norm
+    c^T adj(G) c / det, so one `short_vectors` call on the adjugate lists every dual
+    vector of norm <= 2, in increasing norm, and the first one met in a class has
+    the minimum norm of its coset."""
     form = discriminant_form(lat)
     cosets: dict[int, list[tuple[int, ...]]] = {}
     seen = set()
@@ -943,12 +939,9 @@ def _box_groups(part: Lattice, sizes: tuple[int, ...]) -> list[tuple[int, int | 
 @kept
 def _glue_roots(lat: Lattice, p: int):
     """The positive norm-2 roots of L, and by class c of D(L) the vectors p w for the
-    dual vectors w of norm 2/p in c, all as coordinates G v, one per +- pair.
-
-    Read off `roots.dual_roots`, which concatenates them from the root
-    tables of the parts of L; each dual vector G^-1 c gets its class
-    `element_of(c)`.  Computed once per (lattice, p) and kept on L.
-    """
+    dual vectors w of norm 2/p in c, all as coordinates G v, one per +- pair, read off
+    `roots.dual_roots`, which concatenates them from the root tables of the parts of
+    L; each dual vector G^-1 c gets its class `element_of(c)`."""
     form = discriminant_form(lat)
     short, duals = roots.dual_roots(lat, p)
     long_by_class: dict[tuple[int, ...], list[list[int]]] = {}
@@ -1002,46 +995,53 @@ def _glue_split(lat: Lattice, p: int, classes: frozenset) -> tuple[roots.RootCom
 
 
 @kept
-def isometry_generators(lat: Lattice) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Generators of the action of O(L) on D(L), integer matrices g with g^T G g = G,
-    kept on L, for L a sum of root lattices and their rescalings (a unique
-    decomposition, by Eichler): part by part, the reflections in the basis vectors
-    (skipped unless G_ii divides 2 G_ij for every j, as a user catalog may give a
-    span another Gram), the Gram-preserving basis permutations, D4's triality
-    included (one operation per candidate tried, charged as they are spent), and the
-    swap with the next part of equal Gram.  A reflection in a basis vector r of norm
-    2 is left out: it sends x in L^dual to x - (x, r) r, and (x, r) is an integer,
-    so it fixes D(L) pointwise; a reflection of norm 2m > 2, in a rescaled part,
-    may not."""
-    parts, n, ops, gens = lat.parts or (lat,), lat.rank, 0, []
-    starts = [sum(part.rank for part in parts[:i]) for i in range(len(parts))]
+def glue_actions(lat: Lattice) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The distinct non-identity actions x -> A x of generators of O(L) on the Smith
+    coordinates of `discriminant_form(L)`, kept on L, for L a sum of root lattices and
+    their rescalings (a unique decomposition, by Eichler).  Part by part: the
+    reflections in basis vectors that lie in O(L), the Gram-preserving basis
+    permutations, D4's triality included (one operation per candidate tried, charged
+    as spent), and the swap with the next part of equal Gram.  As g^T G g = G, g^-1
+    sends the class of c in Z^n / G Z^n to that of G g^-1 G^-1 c = g^T c, and the
+    inverses generate the same group; g on a part P acts on its block D(P) alone, so
+    g^T is applied there, and a swap exchanges two blocks.  A part with D(P) = 0 is
+    skipped, and so is a reflection in a vector r of norm 2: it sends x in L^dual to
+    x - (x, r) r, in x + L."""
+    parts, ops, found = lat.parts or (lat,), 0, []
+    forms = [discriminant_form(part) for part in parts]
+    starts = [sum(len(f.orders) for f in forms[:i]) for i in range(len(parts) + 1)]
+    eye = [tuple(int(i == j) for i in range(starts[-1])) for j in range(starts[-1])]
 
-    def sends(moves) -> None:  # e_s -> e_t for each (s, t), the identity elsewhere
-        gens.append(intmat.identity(n))
-        for s, t in moves:
-            gens[-1][s][s], gens[-1][t][s] = 0, 1
+    def act(*moves) -> None:  # (src, dst, images): generator src + j goes to images[j] at dst
+        cols = list(eye)
+        for src, dst, images in moves:
+            for j, x in enumerate(images):
+                cols[src + j] = (0,) * dst + x + (0,) * (len(eye) - dst - len(x))
+        found.append(tuple(zip(*cols)))
 
-    for i, (part, o) in enumerate(zip(parts, starts)):
-        gram, k = part.gram, part.rank
+    for i, (part, form, s) in enumerate(zip(parts, forms, starts)):
+        gram, k, classes = part.gram, part.rank, list(zip(*form.gens))
+        if not classes:
+            continue
         for a, row in enumerate(gram):
             if row[a] not in (0, 2) and not any(2 * x % row[a] for x in row):
-                gens.append(intmat.identity(n))
-                gens[-1][o + a][o : o + k] = [(a == b) - 2 * x // row[a] for b, x in enumerate(row)]
+                act((s, s, [form.element_of([x - c[a] * 2 * g // row[a] for x, g in zip(c, row)])
+                            for c in classes]))
         stack = [()]
         while stack:
             perm = stack.pop()
             if len(perm) == k:
-                if perm != tuple(range(k)):
-                    sends((o + a, o + b) for a, b in enumerate(perm))
+                act((s, s, [form.element_of([c[t] for t in perm]) for c in classes]))
                 continue
             ops = charge(ops + k, "basis permutation search")
             a = len(perm)
             stack += [perm + (t,) for t in range(k) if gram[t][t] == gram[a][a] and t not in perm
                       and all(gram[t][perm[b]] == gram[a][b] for b in reversed(range(a)))]
-        twin = next((starts[j] for j in range(i + 1, len(parts)) if parts[j].gram == gram), None)
-        if twin is not None:
-            sends([(o + a, twin + a) for a in range(k)] + [(twin + a, o + a) for a in range(k)])
-    return tuple(tuple(map(tuple, g)) for g in gens)
+        j = next((j for j in range(i + 1, len(parts)) if parts[j].gram == gram), None)
+        if j is not None:
+            act((s, starts[j], map(forms[j].element_of, classes)),
+                (starts[j], s, map(form.element_of, zip(*forms[j].gens))))
+    return tuple(a for a in dict.fromkeys(found) if a != tuple(eye))
 
 
 def glue_orbits(lat: Lattice, p: int, subs: list[tuple[tuple[int, ...], ...]]) -> int:
@@ -1052,10 +1052,9 @@ def glue_orbits(lat: Lattice, p: int, subs: list[tuple[tuple[int, ...], ...]]) -
     O(L) maps the overlattice of H onto that of gH (Nikulin 1979, 1.4).  A group with
     a long root outside L (p x != 0 for some x of `_long_root_classes`) is dropped:
     its roots span a copy of L onto which a kept group glues the same lattice, so a
-    lone group is kept.  As g^T G g = G, g^-1 sends the class of c in Z^n / G Z^n to
-    that of G g^-1 G^-1 c = g^T c, and the inverses of the generators generate the
-    same group, so each group is merged with its image under each g^T (union-find by
-    relabelling).  ArithmeticError when an image is not in the list.
+    lone group is kept.  Each group is merged with its image under each action of
+    `glue_actions` (union-find by relabelling).  ArithmeticError when an image is not
+    in the list.
     """
     form = discriminant_form(lat)
     if len(subs) > 1:
@@ -1063,11 +1062,8 @@ def glue_orbits(lat: Lattice, p: int, subs: list[tuple[tuple[int, ...], ...]]) -
             p * a % o for x in _long_root_classes(lat, p, sub) for a, o in zip(x, form.orders))]
     if len(subs) < 2:
         return len(subs)
-    classes = intmat.transpose(form.gens)
     index, orbit = {sub: i for i, sub in enumerate(subs)}, list(range(len(subs)))
-    for g in isometry_generators(lat):
-        g_t = intmat.transpose(g)
-        action = intmat.transpose([form.element_of(intmat.mat_vec(g_t, c)) for c in classes])
+    for action in glue_actions(lat):
         for i, sub in enumerate(subs):
             image = tuple(sorted(tuple(intmat.vec_dot(row, h) % o for row, o in
                                        zip(action, form.orders)) for h in sub))

@@ -37,7 +37,10 @@ share.  `isotropic_pool`, the pool of a search for every isotropic
 subgroup, is built on a library routine, the value walk; the tests check
 it against the per-element filter `isotropic_elements`.  So is
 `glue_fingerprints`, the histograms that class numbers were counted by
-before they were counted as O(L)-orbits, which it bounds from below.
+before they were counted as O(L)-orbits, which it bounds from below.  The
+generators of O(L) come as n x n matrices on the whole Gram
+(`isometry_generators`), whose images on D(L) (`actions_on_glue`) are the
+oracle for the actions that the library builds part by part.
 """
 from __future__ import annotations
 
@@ -615,6 +618,50 @@ def glue_fingerprints(lat, p: int, subs) -> dict[tuple, list]:
         norms = roots.short_vectors(discforms.glue_overlattice(lat, form, sub).gram, 2 * p)
         classes[tuple(sorted((n, len(v)) for n, v in norms.items()))].append(sub)
     return dict(classes)
+
+
+def isometry_generators(lat) -> list[list[list[int]]]:
+    """Generators of O(L) as n x n integer matrices g with g^T G g = G, built on the
+    whole Gram, for L a sum of root lattices and their rescalings: part by part, the
+    reflections in the basis vectors of norm 2m > 2 that lie in O(L), the
+    Gram-preserving basis permutations, grown breadth first, and the swap with the
+    next part of equal Gram."""
+    parts, n, gens = lat.parts or (lat,), lat.rank, []
+    starts = [sum(part.rank for part in parts[:i]) for i in range(len(parts))]
+
+    def sends(moves) -> None:  # e_s -> e_t for each (s, t), the identity elsewhere
+        gens.append(intmat.identity(n))
+        for s, t in moves:
+            gens[-1][s][s], gens[-1][t][s] = 0, 1
+
+    for i, (part, o) in enumerate(zip(parts, starts)):
+        gram, k = part.gram, part.rank
+        for a, row in enumerate(gram):
+            if row[a] not in (0, 2) and not any(2 * x % row[a] for x in row):
+                gens.append(intmat.identity(n))
+                gens[-1][o + a][o : o + k] = [(a == b) - 2 * x // row[a] for b, x in enumerate(row)]
+        perms = [()]
+        for a in range(k):  # the prefixes on which the Gram agrees, one node at a time
+            perms = [perm + (t,) for perm in perms for t in range(k) if t not in perm
+                     and all(gram[t][u] == gram[a][b] for b, u in enumerate(perm + (t,)))]
+        for perm in perms:
+            sends((o + a, o + b) for a, b in enumerate(perm))
+        twin = next((starts[j] for j in range(i + 1, len(parts)) if parts[j].gram == gram), None)
+        if twin is not None:
+            sends([(o + a, twin + a) for a in range(k)] + [(twin + a, o + a) for a in range(k)])
+    return gens
+
+
+def actions_on_glue(lat, gens) -> set[tuple]:
+    """The non-identity actions of n x n generators g on D(L): the matrix whose column j
+    is the class of g^T c_j, for c_j the j-th generator of `discriminant_form(L)` in
+    Z^n / G Z^n."""
+    form = discforms.discriminant_form(lat)
+    size = len(form.orders)
+    identity = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+    actions = {tuple(zip(*(form.element_of(intmat.mat_vec(intmat.transpose(g), c))
+                           for c in zip(*form.gens)))) for g in gens}
+    return actions - {identity}
 
 
 def root_data_by_fractions(rank: int, p: int, c1: int, cp: int, k: int) -> tuple[list[dict], int]:

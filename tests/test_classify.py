@@ -8,9 +8,11 @@ from operator import mul
 import pytest
 
 from helpers import (
+    actions_on_glue,
     carries_datum,
     glue_fingerprints,
     glue_overlattice_calls,
+    isometry_generators,
     joined_pools,
     lattice_builds,
     part_sums_calls,
@@ -766,18 +768,65 @@ def test_a_class_number_counts_orbits_and_builds_no_overlattice(args, want, monk
 
 @pytest.mark.parametrize("args", [args for args, _ in CENSUS + ORBIT_COUNTS])
 def test_each_isometry_generator_preserves_the_gram_and_the_dual(args):
-    """Every generator g of O(L), for every datum lattice L of these requests, has
-    g^T G g = G, and its action G g G^-1 on Z^n / G Z^n is integral.  None is a
-    reflection in a basis vector of norm 2, which fixes D(L) pointwise."""
+    """Every n x n generator g of O(L) that the oracle `isometry_generators` builds,
+    for every datum lattice L of these requests, has g^T G g = G, and its action
+    G g G^-1 on Z^n / G Z^n is integral.  None is a reflection in a basis vector of
+    norm 2, which fixes D(L) pointwise."""
     for _, lat, _ in _datum_glue(args, default_catalog()):
         gram, det, n = [list(row) for row in lat.gram], lat.det(), lat.rank
-        for g in discforms.isometry_generators(lat):
+        for g in isometry_generators(lat):
             assert intmat.mat_mul(intmat.mat_mul(intmat.transpose(g), gram), g) == gram
             action = intmat.mat_mul(intmat.mat_mul(gram, g), lat.adjugate())
             assert not any(x % det for row in action for x in row)
-            moved = [a for a in range(n) if g[a] != tuple(int(a == b) for b in range(n))]
+            moved = [a for a in range(n) if g[a] != [int(a == b) for b in range(n)]]
             assert not (len(moved) == 1 and gram[moved[0]][moved[0]] == 2
                         and g[moved[0]][moved[0]] == -1), (lat.name, moved)
+
+
+@pytest.mark.parametrize("args", [args for args, _ in CENSUS + ORBIT_COUNTS])
+def test_each_glue_action_preserves_the_form(args):
+    """Every kept action A of O(L) on D(L), for every datum lattice L of these requests,
+    is a square matrix on the Smith coordinates, is not the identity nor kept twice,
+    and preserves q and b on the generators, in integers: (A^T bnum A)_ij = bnum_ij
+    mod den, and mod 2 den on the diagonal.  The actions are the distinct
+    non-identity images of the n x n generators of O(L) (`isometry_generators`)."""
+    for _, lat, _ in _datum_glue(args, default_catalog()):
+        form, actions = discforms.discriminant_form(lat), discforms.glue_actions(lat)
+        size, den = len(form.orders), form.den
+        assert len(set(actions)) == len(actions)
+        for a in actions:
+            assert len(a) == size and all(len(row) == size for row in a)
+            assert a != tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+            moved = intmat.mat_mul(intmat.mat_mul(intmat.transpose(a), form.bnum), a)
+            assert all((x - y) % (den * (1 + (i == j))) == 0
+                       for i, (row, old) in enumerate(zip(moved, form.bnum))
+                       for j, (x, y) in enumerate(zip(row, old))), lat.name
+        assert set(actions) == actions_on_glue(lat, isometry_generators(lat)), lat.name
+
+
+def _square_matrices(value, n: int) -> list:
+    """The n x n integer matrices in a kept value, found through its tuples, lists and
+    dicts."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if not isinstance(value, (tuple, list)):
+        return []
+    if len(value) == n and all(isinstance(row, (tuple, list)) and len(row) == n
+                               and all(type(x) is int for x in row) for row in value):
+        return [value]
+    return [m for item in value for m in _square_matrices(item, n)]
+
+
+def test_no_datum_lattice_keeps_a_matrix_of_its_rank():
+    """After a cold count of 2U+E8+2D4's datum, which reaches `glue_actions` on data
+    with two or more glue groups, no datum lattice's memo holds a matrix of its own
+    rank: O(L) is kept as its actions on D(L) alone."""
+    cat, args = Catalog(), (16, 2, 1, 8, 36, 4)
+    assert class_number(*args, catalog=cat) == 11
+    data = [lat for _, lat, _ in _datum_glue(args, cat)]
+    assert sum((discforms.glue_actions.__wrapped__,) in lat.memo for lat in data) > 1
+    for lat in data:
+        assert not _square_matrices(list(lat.memo.values()), lat.rank), lat.name
 
 
 @pytest.mark.parametrize("args", [args for args, _ in ORBIT_COUNTS if args[0] <= 12])

@@ -523,15 +523,18 @@ def test_invalid_input_is_a_one_line_error(argv, message, capsys):
         ('{"lattices": ""}', "must map names to Gram matrices"),
         ('{"lattice": {"T4": [[2, 1], [1, 2]]}}', "has keys other than \"lattices\": ['lattice']"),
         ('{"T4": [[2, 1], [1, 2]]}', "has keys other than \"lattices\": ['T4']"),
+        ('{"lattices": {"D4": [[2, 1, 0, -1], [1, 2, 1, -1], [0, 1, 2, -1], [-1, -1, -1, 2]]}}',
+         "catalog entry 'D4' overrides a root lattice built by rule"),
     ],
     ids=["entry not a list", "lattices not an object", "top level not an object", "null entry",
          "lattices empty list", "lattices null", "lattices zero", "lattices empty string",
-         "misspelled key", "grams at the top level"],
+         "misspelled key", "grams at the top level", "rebased root lattice"],
 )
 def test_a_malformed_user_catalog_is_a_one_line_error(text, message, via, tmp_path,
                                                       monkeypatch, capsys):
-    """A user catalog of the wrong shape, named by --catalog or REFLECTOR_CATALOG, exits 1
-    with one line on stderr, never a traceback."""
+    """A user catalog of the wrong shape, or one that gives a root lattice another
+    basis, named by --catalog or REFLECTOR_CATALOG, exits 1 with one line on stderr,
+    never a traceback."""
     path = tmp_path / "catalog.json"
     path.write_text(text)
     argv = ["lattice", "--lattice", "2U+X", "--prime", "3"]

@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    actions_on_glue,
     box_vectors_by_norm,
     cyclotomic,
     dual_pairing,
@@ -26,6 +27,7 @@ from helpers import (
     glue_fingerprints,
     genus_rejection,
     in_random_basis,
+    isometry_generators,
     isotropic_elements,
     isotropic_pool,
     isotropic_subgroups_by_closure,
@@ -1030,6 +1032,21 @@ def test_the_d8_d8_glue_falls_into_two_orbits():
             if glue_level(form, sub) == 1]
     assert len(subs) == 6
     assert discforms.glue_orbits(lat, 2, subs) == 2
+    assert set(discforms.glue_actions(lat)) == actions_on_glue(lat, isometry_generators(lat))
+
+
+def test_a_part_with_trivial_glue_is_not_searched(monkeypatch):
+    """D(E8) = 0, so O(E8 + E8) acts on D = 0 as the identity: it keeps no action and
+    charges no basis permutation search."""
+    inner, charged = discforms.charge, []
+
+    def spied(spent, what):
+        charged.append(what)
+        return inner(spent, what)
+
+    monkeypatch.setattr(discforms, "charge", spied)
+    assert discforms.glue_actions(Catalog().parse("E8+E8")) == ()
+    assert "basis permutation search" not in charged
 
 
 @pytest.mark.parametrize("expr, order, groups, orbits", [
@@ -1039,12 +1056,13 @@ def test_the_reflections_of_a_rescaled_root_lattice_act_on_its_glue(expr, order,
     are needed: without them these isotropic groups fall into 3, 2, 5 and 3 orbits.
     The orbits are as many as the histograms of the built overlattices
     (`glue_fingerprints`); at p = 7 these lattices have no long-root class, so no
-    group is dropped."""
+    group is dropped.  The kept actions are the images of the n x n generators."""
     lat = parse_lattice(expr, CAT)
     form = discforms.discriminant_form(lat)
     subs = isotropic_subgroups(form, order, isotropic_pool(form, order))
     assert len(subs) == groups and not discforms._glue_roots(lat, 7)[1]
     assert discforms.glue_orbits(lat, 7, subs) == orbits == len(glue_fingerprints(lat, 7, subs))
+    assert set(discforms.glue_actions(lat)) == actions_on_glue(lat, isometry_generators(lat))
 
 
 # the blocks (p, n_p, eps) that `ISOTROPIC_SEARCH_FORMS` sums
