@@ -32,11 +32,12 @@ which its lattice keeps, are computed once per catalog.  The lattices that
 per datum expression, for as long as the catalog lives.  So are facts read
 off those lattices alone, such as the plans of the tower and transfer
 records of `towers` and the genus and definite part of each table model in
-`classify.verify_construction`.  A catalog keeps all of these in its one
-`memo`, through `lattices.kept`, by function and arguments.  The Gram of
-an expression or a root lattice of rank r is charged r^2 operations
-(`discforms.charge`) before it is built, so one past the budget raises
-`BudgetExceeded` and is not kept.
+`classify.verify_construction`, and so is the judgment of the construction
+tables, once per reading of them (`classify.construction_ledger`).  A
+catalog keeps all of these in its one `memo`, through `lattices.kept`, by
+function and arguments.  The Gram of an expression or a root lattice of
+rank r is charged r^2 operations (`discforms.charge`) before it is built,
+so one past the budget raises `BudgetExceeded` and is not kept.
 """
 
 from __future__ import annotations

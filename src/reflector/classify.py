@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import cache
 from math import isqrt, prod
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import catalog as cat_mod
 from . import discforms, etaq, reflcheck, roots, towers
@@ -219,8 +220,13 @@ def apply_bounds(p: int):
     authoritative, and read on every call; the mismatch report records both
     directions of disagreement with the computed filter.
     """
+    return _apply_bounds(p, case_table(p))
+
+
+def _apply_bounds(p: int, cases: dict):
+    """`apply_bounds(p)` on the stored cases `cases`, which is `case_table(p)`."""
     computed = _bounded_cases(p)
-    stored = stored_cases_for(p)
+    stored = list(cases)
     mismatch = {
         "kept_despite_filter": sorted(set(stored) - computed),
         "dropped_despite_filter": sorted(computed - set(stored)),
@@ -377,8 +383,8 @@ def eliminate_case(
 def classify(p: int, catalog=None) -> list[CaseRecord]:
     """Full concrete classification at one prime."""
     cat = catalog or cat_mod.default_catalog()
-    genera, mismatch = apply_bounds(p)
     cases = case_table(p)
+    genera, mismatch = _apply_bounds(p, cases)
     records: dict[tuple[int, int], CaseRecord] = {}
     out = []
     for genus in sorted(genera, key=lambda g: (g.pos, g.n_p)):
@@ -459,15 +465,20 @@ def construction_coverage(catalog=None) -> dict[str, dict]:
     "rows" maps each report key of `verify_construction` (strongly_2,
     strongly_2p, mixed[i]) to (model, c1, cp, k); "covered" holds the
     (c1, cp, k) that a tower step or a transfer derives with the catalog's
-    lattices (`towers.covered_rows`).
+    lattices (`towers.covered_rows`).  Every call hands out new dicts and sets.
     """
+    return _coverage(table_rows(), towers.covered_rows(catalog))
+
+
+def _coverage(rows, covered) -> dict[str, dict]:
+    """`construction_coverage` of the table rows `rows` and the covered rows `covered`."""
     cov: dict[str, dict] = {}
-    for label, model, c1, cp, k in table_rows():
-        rows = cov.setdefault(label, {"rows": {}, "covered": set()})["rows"]
+    for label, model, c1, cp, k in rows:
+        entry = cov.setdefault(label, {"rows": {}, "covered": set()})["rows"]
         pure = {(1, 0): "strongly_2", (0, 1): "strongly_2p"}.get((c1, cp))
-        key = pure or f"mixed[{sum(key.startswith('mixed') for key in rows)}]"
-        rows[key] = (model, c1, cp, k)
-    for label, c1, cp, k in towers.covered_rows(catalog):
+        key = pure or f"mixed[{sum(key.startswith('mixed') for key in entry)}]"
+        entry[key] = (model, c1, cp, k)
+    for label, c1, cp, k in covered:
         cov[label]["covered"].add((c1, cp, k))
     return cov
 
@@ -505,8 +516,47 @@ def verify_construction(label: str, cov: dict, catalog=None) -> dict:
     return results
 
 
+class Ledger(NamedTuple):
+    """One judgment of the construction tables on one catalog: the (tower, levels)
+    and transfer reports of `towers._replays`, the rows they cover, each table
+    genus's `verify_construction` statuses, and the genera sorted as
+    `reflective_genera`."""
+
+    towers: tuple
+    transfers: tuple
+    covered: frozenset
+    verification: dict[str, dict[str, str]]
+    labels: tuple[str, ...]
+
+
+def construction_ledger(catalog=None) -> Ledger:
+    """The catalog's `Ledger` of the current tables, shared: its readers hand out copies.
+
+    It is kept under what the judgment reads from module state, the table rows,
+    `towers.TOWERS` and `towers.TRANSFERS`, so a change to any of them builds a
+    new ledger on the next call, and undoing the change finds the earlier one.
+    """
+    cat = catalog or cat_mod.default_catalog()
+    return _ledger(cat, tuple(table_rows()), towers.TOWERS, towers.TRANSFERS)
+
+
+@kept
+def _ledger(cat, rows: tuple, tower_records: tuple, transfer_records: tuple) -> Ledger:
+    tower_levels, transfers = towers._replays(cat, rows, tower_records, transfer_records)
+    covered = towers._covered(tower_levels, transfers)
+    cov = _coverage(rows, covered)
+    return Ledger(tower_levels, transfers, frozenset(covered),
+                  {label: verify_construction(label, entry, cat) for label, entry in cov.items()},
+                  tuple(sorted(cov, key=_genus_order)))
+
+
 def verdict_table(verify: bool = False, catalog=None) -> dict:
-    """The complete classification across all primes and residue classes."""
+    """The complete classification across all primes and residue classes.
+
+    The cases are classified afresh on every call.  With `verify`, the row
+    statuses and the labels to match are read off the catalog's ledger
+    (`construction_ledger`), which judges the tables once per reading of them.
+    """
     cat = catalog or cat_mod.default_catalog()
     table: dict = {"primes": {}, "symbolic": {}, "reflective": [], "verification": {}}
     mismatches = {}
@@ -522,15 +572,14 @@ def verdict_table(verify: bool = False, catalog=None) -> dict:
     for name in SYMBOLIC_CLASSES:
         table["symbolic"][name] = classify_symbolic(name)
     table["bound_mismatches"] = mismatches
-    expected = reflective_genera()
+    ledger = construction_ledger(cat) if verify else None
+    expected = list(ledger.labels) if verify else reflective_genera()
     table["reflective"].sort(key=_genus_order)
     table["count"] = len(table["reflective"])
     table["matches_construction_tables"] = table["reflective"] == expected
     if verify:
-        cov = construction_coverage(cat)
-        no_rows = {"rows": {}, "covered": set()}  # a genus outside the tables
-        for label in table["reflective"]:
-            table["verification"][label] = verify_construction(label, cov.get(label, no_rows), cat)
+        for label in table["reflective"]:  # a genus outside the tables has no rows
+            table["verification"][label] = dict(ledger.verification.get(label, {}))
     return table
 
 

@@ -16,7 +16,8 @@ U + U(p) + n*K0 to 2U + n*K0.  Every number is derived from the
 construction tables of `classify`, by `replay_tower` for a tower and by
 `replay_transfer`, one report per transfer, for a transfer.  `covered_rows`,
 which `classify.construction_coverage` reads, and `verify_all` read one
-replay of all of them (`_replays`), judged on one reading of the tables.
+replay of all of them (`_replays`), judged on one reading of the tables and
+kept in the catalog's ledger for that reading (`classify.construction_ledger`).
 
 Each replay is a plan and a judgment.  The plan holds what the tables
 cannot change, and the catalog keeps it (`lattices.kept`) once per record,
@@ -26,8 +27,10 @@ so a user catalog has plans of its own:
   - for a transfer, its source and target expressions and genus labels,
     whether the source's planes are U + U(p) and the target's genus is the
     source's `GenusSymbol.transfer`, and the target's definite part K.
-The judgment reads the tables afresh on every replay, so a change to them
-shows in the next call:
+The judgment reads the tables afresh on every direct call of `replay_tower`
+or `replay_transfer`.  The ledger is kept per reading of the tables,
+`TOWERS` and `TRANSFERS`, so a change to any of them shows in the next call
+of `covered_rows` or `verify_all`, and undoing it finds the earlier entry:
   - a tower's base weight is that of the one table row with the base's genus
     and (c1, cp); each later level adds the pull-back weight of one K0;
   - each level must land on the table row of its genus with its (c1, cp, k),
@@ -83,10 +86,11 @@ def transfer_weight(k: int, p: int) -> int:
     return k * (p + 1) // 2
 
 
-def _table() -> defaultdict[str, list[tuple[int, int, int]]]:
-    """The (c1, cp, k) of the construction-table rows, by genus, in table order."""
+def _table(rows=None) -> defaultdict[str, list[tuple[int, int, int]]]:
+    """The (c1, cp, k) of the construction-table rows, by genus, in table order;
+    `rows` is `classify.table_rows()`, read afresh when not given."""
     out = defaultdict(list)
-    for genus, _model, c1, cp, k in classify.table_rows():
+    for genus, _model, c1, cp, k in classify.table_rows() if rows is None else rows:
         out[genus].append((c1, cp, k))
     return out
 
@@ -189,22 +193,16 @@ def replay_transfer(tr: tuple, catalog=None, table=None) -> dict:
             "ok": scales_ok and relation_ok and row_ok and check_ok}
 
 
-def _replays(catalog=None) -> tuple[list[tuple[tuple, list[dict]]], list[dict]]:
-    """([(tower, its levels)] for every tower, [report] for every transfer), all
-    judged on one reading of the tables."""
-    table = _table()
-    return ([(tower, replay_tower(tower, catalog, table)) for tower in TOWERS],
-            [replay_transfer(tr, catalog, table) for tr in TRANSFERS])
+def _replays(catalog, rows, tower_records, transfer_records) -> tuple[tuple, tuple]:
+    """(((tower, its levels), ...) for the tower records, (report, ...) for the
+    transfer records), all judged on the one reading `rows` of the tables."""
+    table = _table(rows)
+    return (tuple((tower, replay_tower(tower, catalog, table)) for tower in tower_records),
+            tuple(replay_transfer(tr, catalog, table) for tr in transfer_records))
 
 
-def covered_rows(catalog=None) -> set[tuple[str, int, int, int]]:
-    """The table rows (genus, c1, cp, k) that a tower step or a transfer derives.
-
-    A step covers the row it lands on, or the two rows it splits into; a
-    base covers nothing, since its weight is read off its row.  A transfer
-    covers its source row when its whole replay passes ("ok").
-    """
-    tower_levels, transfers = _replays(catalog)
+def _covered(tower_levels, transfers) -> set[tuple[str, int, int, int]]:
+    """The rows (genus, c1, cp, k) that the steps and transfers of one `_replays` derive."""
     covered = {(rep["genus"], *rep["source"]) for rep in transfers if rep["ok"]}
     for (_, _, (c1, cp), _, _), levels in tower_levels:
         for level in levels[1:]:
@@ -216,9 +214,24 @@ def covered_rows(catalog=None) -> set[tuple[str, int, int, int]]:
     return covered
 
 
+def covered_rows(catalog=None) -> set[tuple[str, int, int, int]]:
+    """The table rows (genus, c1, cp, k) that a tower step or a transfer derives.
+
+    A step covers the row it lands on, or the two rows it splits into; a
+    base covers nothing, since its weight is read off its row.  A transfer
+    covers its source row when its whole replay passes ("ok").  Read off the
+    catalog's ledger for the current tables (`classify.construction_ledger`),
+    as a new set.
+    """
+    return set(classify.construction_ledger(catalog).covered)
+
+
 def verify_all(catalog=None) -> dict:
-    """Replay every tower and transfer; True entries mean full agreement."""
-    tower_levels, transfers = _replays(catalog)
+    """Every tower and transfer replayed; True entries mean full agreement.
+
+    Read off the catalog's ledger for the current tables, as a new dict.
+    """
+    ledger = classify.construction_ledger(catalog)
     return {"towers": {tower[0]: all(level["ok"] for level in levels)
-                       for tower, levels in tower_levels},
-            "transfers_ok": [rep["ok"] for rep in transfers]}
+                       for tower, levels in ledger.towers},
+            "transfers_ok": [rep["ok"] for rep in ledger.transfers]}

@@ -300,6 +300,17 @@ def test_verdict_comes_from_the_model(monkeypatch):
     assert record().verdict == "NOT_REFLECTIVE"
 
 
+def test_classify_reads_the_case_table_once(monkeypatch):
+    """One classification reads `case_table` once, for the bounds and the rules alike."""
+    reads = []
+    table = classify_mod.case_table
+    monkeypatch.setattr(classify_mod, "case_table", lambda p: reads.append(p) or table(p))
+    for p in (2, 5, 19, 31):
+        reads.clear()
+        classify(p)
+        assert reads == [p]
+
+
 def test_root_lattice_determinant_menu():
     assert root_lattice_dets(4) == [4, 5, 8, 9, 12, 16]
     dets6 = root_lattice_dets(6)
@@ -390,10 +401,11 @@ def test_warm_certify_caches_follow_the_tables_and_reduce_nothing_twice(monkeypa
 
 
 def test_a_certify_pass_computes_each_check_once(monkeypatch):
-    """On a fresh catalog, one certified table and tower replay call the candidate
-    check 77 times (each 2U row once, each of the 11 transfer targets once in
-    `covered_rows` and once in `verify_all`) and compute it 56 times, once per
-    distinct (K, p, c1, cp, k); a second such pass computes none."""
+    """On a fresh catalog, one certified table and tower replay build the catalog's
+    ledger once: they call the candidate check 66 times (each of the 55 2U rows
+    once, each of the 11 transfer targets once) and compute it 56 times, once per
+    distinct (K, p, c1, cp, k).  A second such pass reads the ledger: it calls no
+    check, replays no tower or transfer and runs no `verify_construction`."""
     check, calls, computed = reflcheck.check_candidate, [], []
     inner = check.__wrapped__
     (cell,) = [cell for cell in check.__closure__ if cell.cell_contents is inner]
@@ -401,13 +413,22 @@ def test_a_certify_pass_computes_each_check_once(monkeypatch):
                         lambda lat, *args: computed.append((id(lat), *args)) or inner(lat, *args))
     monkeypatch.setattr(reflcheck, "check_candidate",
                         lambda *args: calls.append(args) or check(*args))
+    judged = Counter()
+    for module, name in ((towers, "replay_tower"), (towers, "replay_transfer"),
+                         (classify_mod, "verify_construction")):
+        monkeypatch.setattr(module, name, lambda *args, fn=getattr(module, name), name=name: (
+            judged.update([name]) or fn(*args)))
+    cold = Counter(replay_tower=len(towers.TOWERS), replay_transfer=len(towers.TRANSFERS),
+                   verify_construction=55)
     cat = Catalog()
-    for want in (56, 0):
+    for want_calls, want, want_judged in ((66, 56, cold), (0, 0, Counter())):
         calls.clear()
         computed.clear()
+        judged.clear()
         verdict_table(verify=True, catalog=cat)
         verify_all(cat)
-        assert (len(calls), len(computed), len(set(computed))) == (77, want, want)
+        assert (len(calls), len(computed), len(set(computed))) == (want_calls, want, want)
+        assert judged == want_judged
 
 
 def _prime_factors(n):

@@ -72,7 +72,13 @@ def test_query_pass_checks_clean(monkeypatch):
 
 def test_traced_passes_report_their_work(monkeypatch):
     """A traced census pass counts its 2 classes, every traced candidate check of a
-    certify pass passes, and uninstalling restores every name the tracer rebound."""
+    certify pass passes, and uninstalling restores every name the tracer rebound.
+
+    The passes run on a fresh default catalog, bound before the names are
+    recorded, so the certify pass is cold and checks its candidates."""
+    from reflector import catalog
+
+    monkeypatch.setattr(catalog, "_default_catalog", catalog.Catalog())
     tracing = _load(monkeypatch, "tracing")
     workloads = _load(monkeypatch, "workloads")
     census = workloads.WORKLOADS["census"](1).pass_items()

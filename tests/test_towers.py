@@ -1,10 +1,12 @@
 """Pull-back towers and rescaled-plane transfers, derived from the construction tables."""
 from __future__ import annotations
 
+from copy import deepcopy
+
 import pytest
 
 from helpers import lattice_builds
-from reflector import classify, etaq
+from reflector import classify, etaq, towers
 from reflector.catalog import Catalog, default_catalog
 from reflector.classify import construction_coverage, verdict_table, verify_construction
 from reflector.towers import (
@@ -257,6 +259,51 @@ def test_a_change_to_a_replay_reaches_no_later_replay():
                                    row_ok=False, target_check_ok=False, ok=False)
     assert (verify_all(), covered_rows(), [replay_tower(tower) for tower in TOWERS],
             [replay_transfer(tr) for tr in TRANSFERS]) == before
+
+
+def test_the_ledger_follows_the_towers_and_the_transfers(monkeypatch):
+    """U+U(5)+T4 is covered both by the p5 tower's step and by its transfer to
+    2U+T4: dropping either record leaves it "tower-covered", dropping both leaves
+    it "uncovered", and restoring them finds the first ledger again."""
+    label, cat = "II_{6,2}(5^{-4})", Catalog()
+
+    def status() -> str:
+        return verdict_table(verify=True, catalog=cat)["verification"][label]["mixed[0]"]
+
+    assert status() == "tower-covered"
+    first = classify.construction_ledger(cat)
+    without_tower = tuple(tower for tower in TOWERS if tower[0] != "p5-pullback")
+    without_transfer = tuple(tr for tr in TRANSFERS if tr != (5, "T4", 1))
+    for tower_records, transfer_records, want in [(without_tower, TRANSFERS, "tower-covered"),
+                                                  (TOWERS, without_transfer, "tower-covered"),
+                                                  (without_tower, without_transfer, "uncovered")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(towers, "TOWERS", tower_records)
+            patch.setattr(towers, "TRANSFERS", transfer_records)
+            assert status() == want
+            replay = verify_all(cat)
+            assert list(replay["towers"]) == [tower[0] for tower in tower_records]
+            assert len(replay["transfers_ok"]) == len(transfer_records)
+    assert status() == "tower-covered"
+    assert classify.construction_ledger(cat) is first
+
+
+def test_a_change_to_a_verdict_reaches_no_later_call():
+    """The certified table and the replay hand out copies of the ledger's entries:
+    changing a returned status dict, covered set or replay changes no later call."""
+    label = "II_{6,2}(5^{-4})"
+    before = deepcopy((verdict_table(verify=True)["verification"], verify_all(), covered_rows(),
+                       construction_coverage()))
+    changed = verdict_table(verify=True)["verification"]
+    changed[label]["mixed[0]"] = "uncovered"
+    changed[label]["extra"] = "checked"
+    replay = verify_all()
+    replay["towers"]["p5-pullback"] = False
+    replay["transfers_ok"].append(False)
+    covered_rows().clear()
+    construction_coverage()[label]["covered"].clear()
+    assert (verdict_table(verify=True)["verification"], verify_all(), covered_rows(),
+            construction_coverage()) == before
 
 
 def test_a_tower_one_level_taller_fails():
