@@ -708,9 +708,15 @@ def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -
     roots, and `discforms.glue_components` reads the root system of each
     group off D(L).  Each datum adds the number of O(L)-orbits on its
     groups (`discforms.glue_orbits`), which is the number of isometry
-    classes of their overlattices; no overlattice is built.  ValueError when no
-    genus II_{rank,0}(p^{+-n_p}) exists (`discforms.existing_genus`): there
-    is nothing to count.
+    classes of their overlattices; no overlattice is built.  S(H), the
+    long-root classes of a group (`discforms.long_root_classes`), is read once
+    per group and handed to both.  ValueError when no genus
+    II_{rank,0}(p^{+-n_p}) exists (`discforms.existing_genus`): there is
+    nothing to count.
+
+    At n_p = 0 a datum with a long root is dropped before any glue search: a
+    long root v of M has norm 2p and (v, M) in pZ, so v/p lies in M^dual = M
+    and has norm 2/p, which is not an even integer.
     """
     if n_p < 0:
         raise ValueError(f"n_p must be nonnegative, not {n_p}")
@@ -721,10 +727,14 @@ def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -
     table = _component_table(rank, p)
     total = 0
     for datum in data:
-        if datum["det"] % target != 0 or not _is_square(datum["det"] // target):
+        if datum["det"] % target or not _is_square(datum["det"] // target) or (
+                n_p == 0 and datum["count_long"]):
             continue
         lat = cat.parse("+".join(table[c][1] for c in datum["components"]))
-        glue = [sub for sub in discforms.even_overlattices(lat, target, level)
-                if _carries(discforms.glue_components(lat, p, sub), datum)]
-        total += discforms.glue_orbits(lat, p, glue)
+        glue = {}
+        for sub in discforms.even_overlattices(lat, target, level):
+            classes = discforms.long_root_classes(lat, p, sub)
+            if _carries(discforms.glue_components(lat, p, sub, classes), datum):
+                glue[sub] = classes
+        total += discforms.glue_orbits(lat, p, list(glue), list(glue.values()))
     return total

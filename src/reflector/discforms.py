@@ -10,67 +10,31 @@ overlattice constructions (isotropic subgroups, even overlattices) that the
 classification needs.
 
 Whether a symbol names an even genus is decided in one place,
-`GenusSymbol.why_absent`, which `parse_genus` (once per label),
-`existing_genus` and `splits_u_up` read; the U(p) -> U map on symbols is
+`GenusSymbol.why_absent`; the U(p) -> U map on symbols is
 `GenusSymbol.transfer`.  The per-genus invariants are cached functions of
-ints, a Fraction or a `GenusSymbol` (a named tuple), so each is computed
-once per process: `existing_genus`, `elementary_count_norm` (and
-`norm_2p_count`, its value at 2/p keyed by ints alone), `milgram_formula`,
-`splits_u_up`, and `genus_symbol`, keyed by the lattice's level,
-determinant and signature and p (never by the lattice), with n_p found by
-dividing p out of the determinant.  `why_absent` is not cached, as most
-symbols it sees are probed once; `label` is formatted once per symbol (a
-cached method).
-`is_prime` runs trial division below 2^20 and deterministic Miller-Rabin
-above, up to MR_LIMIT.
+ints, a Fraction or a `GenusSymbol`, never of a lattice.  `is_prime` runs
+trial division below 2^20 and deterministic Miller-Rabin above, up to
+MR_LIMIT.
 
-The discriminant form of a lattice is computed once and kept on the
-`Lattice` (`discriminant_form`); for an orthogonal sum it is the direct sum
-of the parts' forms, presented part by part, so only a lattice that is not
-a sum runs a Smith form.  So is one enumeration of the dual vectors of
-norm <= 2 (`short_duals`), of which it keeps the classes whose cosets hold
-such a vector, with their minimum norms.  The root classes that a glue
-group must miss are told apart by adding up the minima in these tables
-of the parts of an orthogonal sum, and the dual vectors of norm 2/p that
-become long roots of a glue overlattice are concatenated from the parts'
-root tables (`roots.dual_roots`), so the dual of a sum is never
-enumerated as a whole.  The root system R(M) of a glue overlattice M is
-read off its glue group H in D(L) (`glue_components`), so deciding which
-glue carries a root datum builds no overlattice.  Root-free glue keeps the
-norm-2 roots of L, so R(M) depends on H only through the set S(H) of the
-classes of norm-2/p dual vectors that H keeps as long roots, and it is
-split once per (lattice, p, S(H)) and kept on L through `kept`.  The
-overlattices of the groups that carry one root datum are told apart up to
-isometry as the orbits of O(L) on those groups (`glue_orbits`), under its
-actions on D(L), built part by part and kept on L (`glue_actions`).
+D(L) and the dual vectors of norm <= 2 (`short_duals`) are kept on the
+`Lattice`; D of an orthogonal sum is the direct sum of its parts' forms
+(Nikulin 1979, 1.1), so only a lattice that is not a sum runs a Smith form.
+The root classes that a glue group must miss are told apart by adding up
+the coset minima of the parts, and the long roots of a glue overlattice are
+concatenated from the parts' root tables (`roots.dual_roots`), so the dual
+of a sum is never enumerated as a whole.  The root system R(M) of the
+overlattice M that H glues is read off H in D(L) (`glue_components`), and
+its isometry class up to O(L) as an orbit of O(L)'s action on D(L)
+(`glue_orbits`, `glue_actions`); no overlattice is built.
 
-Every search that can blow up keeps its own count of the operations it has
-spent and hands it to `charge`, which raises BudgetExceeded once the count
-passes `BUDGET`: the value walk (one operation per element of D), the pool
-scan (one per element of the torsion box), the isotropic subgroup search,
-the basis permutation search of `glue_actions`, and, in other modules, the
-root datum search and the catalog's Gram check.
-
-Value statistics of a form come from one integer walk over D (`_walk`),
-made at most once per form: it counts the values x^T bnum x mod 2 den of
-the form's integer Gram bnum = den B, and both the norm counts and the
-Gauss sum are read off those counts.  A form keeps nothing else.  The
-isotropic subgroup search takes its pool from the caller
-(`isotropic_subgroups`).  A glue search on L joins its pool by value from
-the parts of L (L itself when it is not a sum): each part keeps one table per
-torsion box, its elements grouped by value and by coset minimum, read off
-the part's `short_duals` (`_value_groups`), so a sum of known parts walks
-nothing, and the join skips every combination whose minima add up to 2, so
-the pool it hands the search holds no root class and none is ever
-concatenated (`root_free_pool`).  The search keeps a closure only while each
-of its elements is in that pool, so no set of root classes is built.  It is
-depth first, and it extends each subgroup only by the next of its greedy
-generators, so it builds each subgroup once and keeps no set of those seen.
-The Gauss sum is compared with sqrt(|D|) zeta_8^s in Z[C_M], M = lcm(8,
-level), and a difference vanishes at zeta_M exactly when its reduction along
-the prime-power factors of M (by CRT) is zero, which takes O(M omega(M))
-integer operations (Milgram's formula: Milnor and Husemoller, Symmetric
-Bilinear Forms, 1973, appendix 4).
+Every search that can blow up counts the operations it spends and hands
+them to `charge`, which raises BudgetExceeded past `BUDGET`.  The value
+statistics of a form come from one integer walk over D (`_walk`) that counts
+the values x^T bnum x mod 2 den; the norm counts and the Gauss sum are read
+off those counts, and the Gauss sum is compared with sqrt(|D|) zeta_8^s
+exactly in Z[C_M], M = lcm(8, level), by a CRT reduction along the
+prime-power factors of M (Milgram's formula: Milnor and Husemoller,
+Symmetric Bilinear Forms, 1973, appendix 4).
 
 Conventions for the plus/minus invariant at odd p: a rank-one block <2a/p>
 contributes chi_p(2a) to epsilon and a Milgram octant governed by chi_p(a);
@@ -361,13 +325,8 @@ class DiscriminantForm:
 
     @cached_property
     def _counts(self) -> list[int]:
-        """counts[v] = number of elements x with x^T B x * den = v mod 2 den.
-
-        One pass of `_walk` over D, made once per form, charged one operation
-        per element before it starts, so it raises BudgetExceeded when |D|
-        passes `BUDGET`, and so do `count_norm` and `milgram_octant`, which
-        read these counts.
-        """
+        """counts[v] = number of elements x with x^T B x * den = v mod 2 den: one `_walk`
+        over D per form, charged one operation per element before it starts."""
         charge(self.order(), "value walk")
         counts = [0] * (2 * self.den)
         _walk(self.bnum, [(o, 1) for o in self.orders], len(counts), counts)
@@ -691,25 +650,66 @@ def _generators(sub: tuple[tuple[int, ...], ...], orders: tuple[int, ...]) -> li
 
 
 def glue_level(form: DiscriminantForm, sub: tuple[tuple[int, ...], ...]) -> int:
-    """Level of H^perp / H for the isotropic subgroup H of D with elements `sub`.
+    """Level of H^perp / H for the isotropic subgroup H of D with elements `sub`: the
+    level of the overlattice M that H glues, as D(M) = H^perp / H (Nikulin 1979, 1.4).
 
-    H^perp / H is the discriminant form of the overlattice that H glues
-    (Nikulin), so this is that overlattice's level, read off before it is
-    built.  In integers, on the form's bnum = den B: x lies in H^perp when
-    x . (bnum g) = 0 mod den for every generator g of H.  Those x are the
-    last k entries of the Hermite rows that vanish on the first r, for the
-    rows [((bnum g)_i over the r generators g) | e_i], i < k, and
-    [den e_j | 0], j < r.  The level is read off that basis, as
-    `DiscriminantForm.level` reads it off the generators of D.
+    H^perp is spanned by generators of D cut down once per greedy generator g
+    of H to those x with x . (bnum g) = 0 mod den (`_annihilated`).  On odd
+    order the level is the exponent: for x in M^dual of odd order e mod M,
+    s = (e x, x) is an integer and e s = (e x, e x) is even, so s is even.
+    So each odd prime q adds the least q^j that takes the q-part of some
+    spanning vector into H, each test a lookup in `sub`; only the 2-part,
+    where the level can be twice the exponent, is read off q and b
+    (`_level_over`).
     """
-    den, bnum = form.den, form.bnum
-    gens = _generators(sub, form.orders)
-    k, r = len(form.orders), len(gens)
-    pairings = [intmat.mat_vec(bnum, g) for g in gens]
-    rows = [[c[i] for c in pairings] + [int(i == j) for j in range(k)] for i in range(k)]
-    rows += [[den * (i == j) for j in range(r)] + [0] * k for i in range(r)]
-    perp = [row[r:] for row in intmat.row_hermite_form(rows) if not any(row[:r])]
-    return form._level_over(perp)
+    orders, members, level, twos = form.orders, set(sub), 1, []
+    perp = _units(len(orders))
+    for g in _generators(sub, orders):
+        perp = _annihilated(perp, intmat.mat_vec(form.bnum, g), form.den, orders)
+    for y in perp:
+        n = lcm(*(o // gcd(o, a) for a, o in zip(y, orders)))
+        odd = n // (n & -n)
+        for q, e in _factorize(odd).items() if level % odd else ():
+            x, j = _times(n // q**e, y, orders), 0
+            while j < e and x not in members:
+                x, j = _times(q, x, orders), j + 1
+            level = lcm(level, q**j)
+        if odd < n:
+            twos.append(_times(odd, y, orders))
+    return level * form._level_over(twos)
+
+
+@cache
+def _units(k: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for i in range(k)) for j in range(k))
+
+
+def _times(c: int, x: tuple[int, ...], orders: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(c * a % o for a, o in zip(x, orders))
+
+
+def _annihilated(vecs: list[tuple], c: list[int], den: int, orders: tuple[int, ...]) -> list[tuple]:
+    """Generators of the x in the span of `vecs` in D with x . c = 0 mod den, for c =
+    bnum g: one extended-gcd sweep keeps a pivot whose value x . c is the gcd of the
+    values so far and leaves every other vector of value 0, by unimodular steps; the
+    pivot then enters times den / gcd(den, its value)."""
+    out, pivot, a = [], None, 0
+    for v in vecs:
+        b = sum(map(mul, v, c)) % den
+        if not b:
+            out.append(v)
+        elif pivot is None:
+            pivot, a = v, b
+        else:  # s a + t b = g, and [[s, t], [-b/g, a/g]] has determinant 1
+            g = gcd(a, b)
+            out.append(tuple((a // g * y - b // g * x) % o for x, y, o in zip(pivot, v, orders)))
+            if g != a:  # else s, t = 1, 0
+                s = pow(a // g, -1, b // g)
+                t = (g - s * a) // b
+                pivot, a = tuple((s * x + t * y) % o for x, y, o in zip(pivot, v, orders)), g
+    if pivot is not None:
+        out.append(_times(den // gcd(den, a), pivot, orders))
+    return out
 
 
 def _pool_scan(form: DiscriminantForm, order: int) -> int:
@@ -807,13 +807,11 @@ def isotropic_subgroups(form: DiscriminantForm, order: int, pool: list[tuple[int
     <S, x> outside S (`_closure` gives up at the first smaller one), so
     <S, x> is reached once, from its greedy prefix, and nothing is reached
     twice (B. D. McKay, Isomorph-free exhaustive generation, J. Algorithms
-    26, 1998).  This holds in every finite abelian group.  Every element of
-    D of order dividing `order` counts as one operation (`_pool_scan`), and
-    each subgroup S below `order` that the search extends counts |pool| -
-    |S| + 1, one per (S, pool element outside S) pair: a total that does not
-    depend on the order of the pool, so whether a search passes its budget
-    does not depend on how D is presented.  The operations are charged as
-    they are spent (`charge`), the scan before any pair is tried.
+    26, 1998).  This holds in every finite abelian group.  The scan charges
+    one operation per element of D of order dividing `order` (`_pool_scan`)
+    before any pair is tried, and each subgroup S below `order` that is
+    extended charges |pool| - |S| + 1, a total that depends neither on the
+    order of the pool nor on how D is presented.
     """
     orders, den = form.orders, form.den
     ops = _pool_scan(form, order)
@@ -872,13 +870,8 @@ def glue_overlattice(
 
 @kept
 def discriminant_form(lat: Lattice) -> DiscriminantForm:
-    """D(L), computed once per lattice and kept on it.
-
-    An orthogonal sum gets the direct sum of its parts' forms, presented part
-    by part, since D(L1 + L2) = D(L1) + D(L2) (Nikulin, Izv. Akad. Nauk SSSR
-    43, 1979, 1.1), so a sum of known parts runs no Smith form; any other
-    lattice gets `DiscriminantForm.from_lattice(lat)`.
-    """
+    """D(L), kept on L: for an orthogonal sum the direct sum of its parts' forms,
+    presented part by part (Nikulin 1979, 1.1), else `DiscriminantForm.from_lattice`."""
     if lat.parts:
         return reduce(DiscriminantForm.direct_sum, map(discriminant_form, lat.parts))
     return DiscriminantForm.from_lattice(lat)
@@ -951,7 +944,7 @@ def _glue_roots(lat: Lattice, p: int):
 
 
 def glue_components(
-    lat: Lattice, p: int, sub: tuple[tuple[int, ...], ...]
+    lat: Lattice, p: int, sub: tuple[tuple[int, ...], ...], classes: frozenset | None = None
 ) -> list[roots.RootComponent]:
     """The components of R(M) at p for the overlattice M of L that a root-free glue
     group glues, read off D(L) with no overlattice built.
@@ -965,13 +958,15 @@ def glue_components(
     M^dual / L = H^perp).  In integers, c is in H^perp when
     c . (bnum g) = 0 mod den for every generator g of H.  So R(M) depends
     on H only through the set S(H) of the classes of `_glue_roots` that
-    pass both tests, and it is split once per (lattice, p, S(H))
-    (`_glue_split`).
+    pass both tests (`long_root_classes`, or `classes` when given), and it
+    is split once per (lattice, p, S(H)) (`_glue_split`).
     """
-    return list(_glue_split(lat, p, _long_root_classes(lat, p, sub)))
+    if classes is None:
+        classes = long_root_classes(lat, p, sub)
+    return list(_glue_split(lat, p, classes))
 
 
-def _long_root_classes(lat: Lattice, p: int, sub: tuple[tuple[int, ...], ...]) -> frozenset:
+def long_root_classes(lat: Lattice, p: int, sub: tuple[tuple[int, ...], ...]) -> frozenset:
     """S(H): the classes x of `_glue_roots` with p x in H and x in H^perp."""
     form = discriminant_form(lat)
     members = set(sub)
@@ -1044,22 +1039,24 @@ def glue_actions(lat: Lattice) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(a for a in dict.fromkeys(found) if a != tuple(eye))
 
 
-def glue_orbits(lat: Lattice, p: int, subs: list[tuple[tuple[int, ...], ...]]) -> int:
+def glue_orbits(lat: Lattice, p: int, subs: list[tuple[tuple[int, ...], ...]],
+                classes: list[frozenset] | None = None) -> int:
     """The number of isometry classes of the overlattices glued by `subs`, groups that
     all carry one root datum R spanning L, counted as O(L)-orbits.
 
     An isometry between two such overlattices maps R, so L, onto itself, and g in
     O(L) maps the overlattice of H onto that of gH (Nikulin 1979, 1.4).  A group with
-    a long root outside L (p x != 0 for some x of `_long_root_classes`) is dropped:
-    its roots span a copy of L onto which a kept group glues the same lattice, so a
-    lone group is kept.  Each group is merged with its image under each action of
-    `glue_actions` (union-find by relabelling).  ArithmeticError when an image is not
-    in the list.
+    a long root outside L (p x != 0 for some x of S(H): `long_root_classes`, or
+    classes[i] for subs[i] when given) is dropped: its roots span a copy of L onto
+    which a kept group glues the same lattice, so a lone group is kept.  Each group
+    is merged with its image under each action of `glue_actions` (union-find by
+    relabelling).  ArithmeticError when an image is not in the list.
     """
     form = discriminant_form(lat)
     if len(subs) > 1:
-        subs = [sub for sub in subs if not any(
-            p * a % o for x in _long_root_classes(lat, p, sub) for a, o in zip(x, form.orders))]
+        classes = classes or [long_root_classes(lat, p, sub) for sub in subs]
+        subs = [sub for sub, kept in zip(subs, classes) if not any(
+            p * a % o for x in kept for a, o in zip(x, form.orders))]
     if len(subs) < 2:
         return len(subs)
     index, orbit = {sub: i for i, sub in enumerate(subs)}, list(range(len(subs)))
@@ -1080,24 +1077,17 @@ def even_overlattices(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """The root-free glue groups of the requested determinant and level, as sorted elements.
 
-    L is positive definite.  Overlattices M with L <= M <= L^dual
-    correspond to isotropic subgroups H <= D(L), with [M : L]^2 =
-    |det L| / |det M| (Nikulin).  M, the union of the cosets h + L over h
-    in H, has a norm-2 vector outside L exactly when H holds a root class,
-    and the search drops those H.  The steps run in this order: the
-    charge of the pool's size (`_pool_scan`), which refuses a pool
-    past `BUDGET` before it is built; then `root_free_pool`, which
-    enumerates vectors only for parts of L whose `short_duals` are not yet
-    kept; then the search over that pool, which keeps a closure only while
-    every element is in it, as two elements that are not root classes can
-    span one.
-    An H is kept only when the level of D(M) = H^perp / H, read off H by
-    `glue_level`, equals `level`.  The groups come in the order of
-    `isotropic_subgroups`, as subgroups of `discriminant_form(L)`; at index 1
-    the one group is {0}.  No overlattice is built: `glue_overlattice`
-    builds one, `glue_components` reads its root system off D(L), and
-    `glue_orbits` counts the isometry classes of the overlattices of groups
-    that carry one root datum as O(L)-orbits.
+    L is positive definite.  Overlattices M with L <= M <= L^dual correspond
+    to isotropic subgroups H <= D(L), with [M : L]^2 = |det L| / |det M|, and
+    D(M) = H^perp / H (Nikulin 1979, 1.4).  M has a norm-2 vector outside L
+    exactly when H holds a root class, and those H are dropped: the pool's
+    size is charged (`_pool_scan`), `root_free_pool` leaves the root classes
+    out, and the search keeps a closure only while each of its elements is in
+    the pool, as two elements that are not root classes can span one.  An H
+    is kept when `glue_level`, the level of H^perp / H read off H's
+    generators (the exponent on the odd part), equals `level`.  The groups
+    come in the order of `isotropic_subgroups`; at index 1 the one group is
+    {0}.  No overlattice is built.
     """
     d = abs(lat.det())
     t = abs(target_det)

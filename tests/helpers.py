@@ -16,10 +16,11 @@ inverse of its Gram, isotropic subgroups come from closures that test q
 on every element they add and, on elementary abelian forms, from the
 closed count of totally singular subspaces (`totally_singular_spaces`),
 the root classes of a discriminant form come from the norm-2 vectors of
-the whole dual, whether a glue group carries a root datum comes from the
-root components of its built overlattice
-(`carries_datum`), the root data of a rank and weight come from a search
-over Fraction menus rebuilt on every call (`root_data_by_fractions`), the
+the whole dual, the level of a glue group from a Hermite basis of H^perp
+(`glue_level_by_hermite`), whether a glue group carries a root datum comes
+from the root components of its built overlattice (`carries_datum`), the
+root data of a rank and weight come from a search over Fraction menus
+rebuilt on every call (`root_data_by_fractions`), the
 matrix identity of a candidate check comes entry by entry from root sums
 over `signed_roots` of the whole Gram (`check_candidate_entrywise`), and
 the genus of a rescaled
@@ -326,6 +327,25 @@ def isotropic_subgroups_by_closure(
                     results.append(grown)
         frontier = nxt
     return sorted((tuple(sorted(sub)) for sub in results), key=lambda sub: (len(sub), sub))
+
+
+def glue_level_by_hermite(form: DiscriminantForm, sub: tuple[tuple[int, ...], ...]) -> int:
+    """Level of H^perp / H for the isotropic subgroup H of D with elements `sub`, read
+    by `DiscriminantForm._level_over` off a Hermite basis of H^perp.
+
+    In integers, on the form's bnum = den B: x lies in H^perp when
+    x . (bnum g) = 0 mod den for every generator g of H.  Those x are the last
+    k entries of the Hermite rows that vanish on the first r, for the rows
+    [((bnum g)_i over the r generators g) | e_i], i < k, and [den e_j | 0], j < r.
+    """
+    den, bnum = form.den, form.bnum
+    gens = discforms._generators(sub, form.orders)
+    k, r = len(form.orders), len(gens)
+    pairings = [intmat.mat_vec(bnum, g) for g in gens]
+    rows = [[c[i] for c in pairings] + [int(i == j) for j in range(k)] for i in range(k)]
+    rows += [[den * (i == j) for j in range(r)] + [0] * k for i in range(r)]
+    perp = [row[r:] for row in intmat.row_hermite_form(rows) if not any(row[:r])]
+    return form._level_over(perp)
 
 
 def root_classes_by_dual_enumeration(lat, form: DiscriminantForm, order: int) -> frozenset:

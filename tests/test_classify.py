@@ -17,6 +17,7 @@ from helpers import (
     lattice_builds,
     part_sums_calls,
     root_data_by_fractions,
+    search_budget,
     short_vector_calls,
     split_calls,
 )
@@ -774,9 +775,9 @@ def test_a_class_number_counts_orbits_and_builds_no_overlattice(args, want, monk
     2U+2E8+A2 (18, 3, 1, 27, 48, 1), which the histograms took minutes on, gives 6."""
     inner, steps = discforms.glue_orbits, []
 
-    def spied(lat, p, subs):
+    def spied(lat, p, subs, classes=None):
         with short_vector_calls() as calls, lattice_builds() as built:
-            count = inner(lat, p, subs)
+            count = inner(lat, p, subs, classes)
         steps.append((len(subs), calls, built))
         return count
 
@@ -785,6 +786,70 @@ def test_a_class_number_counts_orbits_and_builds_no_overlattice(args, want, monk
         assert class_number(*args, catalog=Catalog()) == want
     assert not overlattices
     assert all(not calls and not built for _, calls, built in steps)
+
+
+def test_a_count_reads_the_long_root_classes_once_per_group(monkeypatch):
+    """A cold count of 2U+E8+2D4 (16, 2, 1, 8, 36, 4) reads S(H) once for each of the
+    282 glue groups of its data, and hands it to both `glue_components` and
+    `glue_orbits`, which read it again for none."""
+    inner, calls = discforms.long_root_classes, []
+
+    def spied(lat, p, sub):
+        calls.append(sub)
+        return inner(lat, p, sub)
+
+    args = (16, 2, 1, 8, 36, 4)
+    groups = sum(len(discforms.even_overlattices(lat, 2**4, 2))
+                 for _, lat, _ in _datum_glue(args, Catalog()))
+    monkeypatch.setattr(discforms, "long_root_classes", spied)
+    assert class_number(*args, catalog=Catalog()) == 11
+    assert len(calls) == groups == 282
+
+
+def _long_data(rank: int, p: int, k: int) -> list[dict]:
+    """The data with a long root among those of (rank, p, 1, 0, k) at n_p = 0."""
+    return [d for d in class_number_rootsystems(rank, p, 1, 0, k) if d["count_long"]]
+
+
+@pytest.mark.parametrize("rank, p, k, want",
+                         [(8, 2, 12, 0), (8, 3, 12, 0), (8, 5, 12, 0), (8, 2, 252, 1)])
+def test_a_unimodular_count_searches_no_datum_with_long_roots(rank, p, k, want, monkeypatch):
+    """At n_p = 0 no `even_overlattices` call runs on a datum with a long root: the 39
+    data of II_8 at k = 12 all have one, and p = 2 and 3 ran out of budget on them."""
+    table, cat, searched = classify_mod._component_table(rank, p), Catalog(), []
+    inner = discforms.even_overlattices
+
+    def spied(lat, target, level):
+        searched.append(lat)
+        return inner(lat, target, level)
+
+    monkeypatch.setattr(discforms, "even_overlattices", spied)
+    assert class_number(rank, p, 1, 0, k, 0, catalog=cat) == want
+    long_ = [cat.parse("+".join(table[c][1] for c in d["components"]))
+             for d in _long_data(rank, p, k)]
+    assert len(long_) == (39 if k == 12 else 0)
+    assert not any(lat is other for lat in searched for other in long_)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_datum_with_long_roots_carries_no_unimodular_glue(p):
+    """Without the n_p = 0 prune: every glue search at level 1 on a long datum of II_8
+    at k = 12 that passes a budget of 10^5 finds no group that carries the datum (14
+    searches at p = 2, 3 at p = 3)."""
+    table, cat, finished = classify_mod._component_table(8, p), Catalog(), 0
+    for datum in _long_data(8, p, 12):
+        if not classify_mod._is_square(datum["det"]):
+            continue
+        lat = cat.parse("+".join(table[c][1] for c in datum["components"]))
+        try:
+            with search_budget(10**5):
+                glue = discforms.even_overlattices(lat, 1, 1)
+        except discforms.BudgetExceeded:
+            continue
+        finished += 1
+        assert not any(classify_mod._carries(discforms.glue_components(lat, p, sub), datum)
+                       for sub in glue)
+    assert finished == {2: 14, 3: 3}[p]
 
 
 @pytest.mark.parametrize("args", [args for args, _ in CENSUS + ORBIT_COUNTS])

@@ -620,6 +620,22 @@ def test_discform_of_e8_7_reads_its_genus(capsys):
                                "norm_2_over_p_count": 7**7 - 7**3}
 
 
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_classnumber_of_unimodular_long_data_is_zero(p, capsys):
+    """At n_p = 0 every one of the 39 data of II_8 at k = 12 has a long root, which no
+    unimodular lattice carries, so the count is 0 with no glue search (a search on them
+    passes the budget: in the subgroup search at p = 2, the pool scan at p = 3)."""
+    argv = ["classnumber", "--rank", "8", "--prime", p, "--c1", "1", "--cp", "0",
+            "--k", "12", "--np", "0", "--format", "json"]
+    start = time.perf_counter()
+    code, out, err = run_cli_err(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["class_number"] == 0 and len(payload["root_data"]) == 39
+    assert all(d["count_long"] for d in payload["root_data"])
+
+
 def test_classnumber_of_a_genus_that_does_not_exist_exits_one(capsys):
     """No even definite lattice of rank 2 has determinant 3^99: the count is an
     error, not "class number 0"."""

@@ -25,6 +25,7 @@ from helpers import (
     gauss_exponents,
     genera_by_octant,
     glue_fingerprints,
+    glue_level_by_hermite,
     genus_rejection,
     in_random_basis,
     isometry_generators,
@@ -44,7 +45,7 @@ from helpers import (
     walk_calls,
     witt_index,
 )
-from reflector import discforms, lattices
+from reflector import discforms, intmat, lattices
 from reflector.catalog import Catalog, default_catalog, definite_part, parse_lattice
 from reflector.discforms import (
     BudgetExceeded,
@@ -936,6 +937,56 @@ def test_glue_components_match_the_built_overlattice_on_small_sums(case):
         for sub in glue:
             over = glue_overlattice(lat, form, sub)
             assert glue_components(lat, p, sub) == root_components(over, p), (m, sub)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(glue_root_sums())
+@example(("D4+D4+A1+A1", 2))
+@example(("A1+A1+A1+A5(3)", 3))
+@example(("E6(3)", 3))
+@example(("A6(7)", 7))
+def test_glue_level_matches_the_hermite_oracle_on_small_sums(case):
+    """On every isotropic subgroup of every index whose search passes a budget of
+    2 10^5, `glue_level` gives the level that a Hermite basis of H^perp gives, and
+    `even_overlattices` at level p is the root-free search filtered by that level, in
+    order.  The examples hold a 2-group (D4+D4+A1+A1), the mixed form of
+    A1+A1+A1+A5(3), of orders 2, 3 and 18, and factors Z/9 (E6(3)) and Z/49 (A6(7))."""
+    expr, p = case
+    lat = parse_lattice(expr, CAT)
+    form = discforms.discriminant_form(lat)
+    det = lat.det()
+    with search_budget(2 * 10**5):
+        for m in range(2, isqrt(det) + 1):
+            if det % (m * m):
+                continue
+            try:
+                discforms._pool_scan(form, m)  # before a pool is walked
+                subs = isotropic_subgroups(form, m, isotropic_pool(form, m))
+                glue = isotropic_subgroups(form, m, root_free_pool(lat, m))
+            except BudgetExceeded:
+                continue
+            assert [glue_level(form, sub) for sub in subs] == [
+                glue_level_by_hermite(form, sub) for sub in subs], (expr, m)
+            assert even_overlattices(lat, det // (m * m), p) == [
+                sub for sub in glue if glue_level_by_hermite(form, sub) == p]
+
+
+def test_glue_level_runs_no_hermite_form(monkeypatch):
+    """`glue_level` reads the level of the census glue and of every order-4 glue group
+    of D4+D4+A1+A1 with `intmat.row_hermite_form` made to raise."""
+    cases = [("E6(3)+A2", 3), ("E6(3)", 3), ("E6(3)", 9), ("A1+A1+A1+A5(3)", 4),
+             ("D4+D4+A1+A1", 4)]
+    groups = []
+    for expr, m in cases:
+        form = discforms.discriminant_form(parse_lattice(expr, CAT))
+        groups += [(form, sub) for sub in isotropic_subgroups(form, m, isotropic_pool(form, m))]
+    want = [glue_level_by_hermite(form, sub) for form, sub in groups]
+
+    def refuse(rows):
+        raise AssertionError("glue_level ran a Hermite form")
+
+    monkeypatch.setattr(intmat, "row_hermite_form", refuse)
+    assert len(groups) > 5 and [glue_level(form, sub) for form, sub in groups] == want
 
 
 def _filtered_pool(lat, order):
