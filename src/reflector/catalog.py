@@ -81,7 +81,7 @@ def e7_a1_overlattice(catalog: "Catalog", p: int) -> Lattice:
     glue = discforms.even_overlattices(seed, p, p)
     if len(glue) != 1:
         raise ArithmeticError(f"expected one overlattice, found {len(glue)}")
-    over = discforms.glue_overlattice(seed, discforms.discriminant_form(seed), glue[0])
+    over = discforms.glue_overlattice(seed, discforms.discriminant_form(seed), glue[0][0])
     if abs(over.det()) != p or over.level() != p:
         raise ArithmeticError(f"E7+A1({p}) overlattice is not of determinant and level {p}")
     return over

@@ -589,7 +589,10 @@ def verdict_table(verify: bool = False, catalog=None) -> dict:
 @cache
 def _component_table(rank: int, p: int) -> Mapping[str, tuple[roots.RootComponent, str, int]]:
     """Every `roots.component_types` entry of rank <= `rank` at p, as name -> (component,
-    span, det), in table order; built once per (rank, p), read-only."""
+    span, det), in table order; built once per (rank, p), read-only.  The dets p^r det
+    of every rank r <= `rank` make the build quadratic in the rank, so rank^2
+    operations are charged on their own count before it starts, as for a Gram."""
+    charge(rank * rank, "component table")
     return MappingProxyType({comp.name: (comp, span, det) for r in range(1, rank + 1)
                              for comp, span, det in roots.component_types(r, p)})
 
@@ -627,7 +630,7 @@ def class_number_rootsystems(rank: int, p: int, c1: int, cp: int, k: int) -> lis
     c1, cp) (`_datum_menus`), and the identity is tested in integers, as
     24 num(C) = (c1 a + cp b + 2k - 24 c1) den(C).  The search visits one
     node per partial multiset, on an explicit stack, and charges each node
-    as one operation (`discforms.charge`).
+    as one operation (`discforms.charge`); the table charges its own build.
     """
     if rank < 0:
         raise ValueError(f"rank must be nonnegative, not {rank}")
@@ -710,9 +713,9 @@ def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -
     groups (`discforms.glue_orbits`), which is the number of isometry
     classes of their overlattices; no overlattice is built.  S(H), the
     long-root classes of a group (`discforms.long_root_classes`), is read once
-    per group and handed to both.  ValueError when no genus
-    II_{rank,0}(p^{+-n_p}) exists (`discforms.existing_genus`): there is
-    nothing to count.
+    per group off the generators the search built, and handed to both.
+    ValueError when no genus II_{rank,0}(p^{+-n_p}) exists
+    (`discforms.existing_genus`): there is nothing to count.
 
     At n_p = 0 a datum with a long root is dropped before any glue search: a
     long root v of M has norm 2p and (v, M) in pZ, so v/p lies in M^dual = M
@@ -732,9 +735,9 @@ def count_classes(data: list[dict], rank: int, p: int, n_p: int, catalog=None) -
             continue
         lat = cat.parse("+".join(table[c][1] for c in datum["components"]))
         glue = {}
-        for sub in discforms.even_overlattices(lat, target, level):
-            classes = discforms.long_root_classes(lat, p, sub)
-            if _carries(discforms.glue_components(lat, p, sub, classes), datum):
+        for sub, gens in discforms.even_overlattices(lat, target, level):
+            classes = discforms.long_root_classes(lat, p, sub, gens)
+            if _carries(discforms.glue_components(lat, p, classes), datum):
                 glue[sub] = classes
-        total += discforms.glue_orbits(lat, p, list(glue), list(glue.values()))
+        total += discforms.glue_orbits(lat, p, glue)
     return total

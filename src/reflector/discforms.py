@@ -23,9 +23,9 @@ The root classes that a glue group must miss are told apart by adding up
 the coset minima of the parts, and the long roots of a glue overlattice are
 concatenated from the parts' root tables (`roots.dual_roots`), so the dual
 of a sum is never enumerated as a whole.  The root system R(M) of the
-overlattice M that H glues is read off H in D(L) (`glue_components`), and
-its isometry class up to O(L) as an orbit of O(L)'s action on D(L)
-(`glue_orbits`, `glue_actions`); no overlattice is built.
+overlattice M that H glues is read off the generators the search built for H
+(`glue_components`), and its isometry class up to O(L) as an orbit of O(L)'s
+action on D(L) (`glue_orbits`, `glue_actions`); no overlattice is built.
 
 Every search that can blow up counts the operations it spends and hands
 them to `charge`, which raises BudgetExceeded past `BUDGET`.  The value
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from math import gcd, isqrt, lcm, prod
@@ -619,8 +620,7 @@ def _closure(base: frozenset, new: tuple, orders: tuple[int, ...]) -> frozenset 
     at the first element outside base that comes before `new`.
 
     The cosets repeat from the first k with k new in base, and each coset
-    before that one lies wholly outside base.  `_generators` never gets None,
-    as the element it adds is the least one outside the span.
+    before that one lies wholly outside base.
     """
     elems = set(base)
     coset = list(base)
@@ -637,24 +637,13 @@ def _closure(base: frozenset, new: tuple, orders: tuple[int, ...]) -> frozenset 
         coset = shifted
 
 
-def _generators(sub: tuple[tuple[int, ...], ...], orders: tuple[int, ...]) -> list[tuple]:
-    """The greedy generators of the subgroup with sorted elements `sub`: each element
-    not yet spanned, the sequence that `isotropic_subgroups` extends."""
-    gens = []
-    span = frozenset({tuple(0 for _ in orders)})
-    for h in sub:
-        if h not in span:
-            gens.append(h)
-            span = _closure(span, h, orders)
-    return gens
+def glue_level(form: DiscriminantForm, sub: tuple[tuple[int, ...], ...], gens: tuple) -> int:
+    """Level of H^perp / H for the isotropic subgroup H of D with elements `sub` and
+    generators `gens`, as `isotropic_subgroups` hands them out: the level of the
+    overlattice M that H glues, as D(M) = H^perp / H (Nikulin 1979, 1.4).
 
-
-def glue_level(form: DiscriminantForm, sub: tuple[tuple[int, ...], ...]) -> int:
-    """Level of H^perp / H for the isotropic subgroup H of D with elements `sub`: the
-    level of the overlattice M that H glues, as D(M) = H^perp / H (Nikulin 1979, 1.4).
-
-    H^perp is spanned by generators of D cut down once per greedy generator g
-    of H to those x with x . (bnum g) = 0 mod den (`_annihilated`).  On odd
+    H^perp is spanned by generators of D cut down once per generator g of H
+    to those x with x . (bnum g) = 0 mod den (`_annihilated`).  On odd
     order the level is the exponent: for x in M^dual of odd order e mod M,
     s = (e x, x) is an integer and e s = (e x, e x) is even, so s is even.
     So each odd prime q adds the least q^j that takes the q-part of some
@@ -664,7 +653,7 @@ def glue_level(form: DiscriminantForm, sub: tuple[tuple[int, ...], ...]) -> int:
     """
     orders, members, level, twos = form.orders, set(sub), 1, []
     perp = _units(len(orders))
-    for g in _generators(sub, orders):
+    for g in gens:
         perp = _annihilated(perp, intmat.mat_vec(form.bnum, g), form.den, orders)
     for y in perp:
         n = lcm(*(o // gcd(o, a) for a, o in zip(y, orders)))
@@ -790,7 +779,8 @@ def _join(modulus: int, tables, target: int) -> list[tuple[int, ...]]:
 
 def isotropic_subgroups(form: DiscriminantForm, order: int, pool: list[tuple[int, ...]]):
     """Isotropic subgroups of the given order whose nonzero elements are all in the
-    pool, as sorted element tuples.
+    pool, as (elements, gens) pairs sorted by elements: the sorted element tuple,
+    and the greedy generators in the order the search added them.
 
     The pool is any subset of the nonzero isotropic elements of order
     dividing `order`, in any order (`even_overlattices` gives
@@ -802,7 +792,7 @@ def isotropic_subgroups(form: DiscriminantForm, order: int, pool: list[tuple[int
 
     The search is depth first, on the greedy generators that each subgroup
     H has exactly once, g_(i+1) the least element of H outside <g_1, ...,
-    g_i> (`_generators`).  A subgroup S is extended by x only when x comes
+    g_i>.  A subgroup S is extended by x only when x comes
     after S's last generator in the sorted pool and x is the least element of
     <S, x> outside S (`_closure` gives up at the first smaller one), so
     <S, x> is reached once, from its greedy prefix, and nothing is reached
@@ -825,7 +815,7 @@ def isotropic_subgroups(form: DiscriminantForm, order: int, pool: list[tuple[int
     while stack:
         sub, gens, start = stack.pop()
         if len(sub) == order:
-            results.append(sub)
+            results.append((sub, gens))
         if len(sub) >= order:
             continue
         ops = charge(ops + len(pool) - len(sub) + 1, "isotropic subgroup search")
@@ -836,7 +826,7 @@ def isotropic_subgroups(form: DiscriminantForm, order: int, pool: list[tuple[int
             if grown is None or order % len(grown) or not pairing.keys() >= grown - sub:
                 continue  # x is not next, its order does not divide `order`, or it leaves the pool
             stack.append((grown, gens + (x,), after))
-    return sorted(map(tuple, map(sorted, results)), key=lambda sub: (len(sub), sub))
+    return sorted((tuple(sorted(sub)), gens) for sub, gens in results)  # elements are distinct
 
 
 def glue_overlattice(
@@ -943,13 +933,26 @@ def _glue_roots(lat: Lattice, p: int):
     return short, long_by_class
 
 
-def glue_components(
-    lat: Lattice, p: int, sub: tuple[tuple[int, ...], ...], classes: frozenset | None = None
-) -> list[roots.RootComponent]:
-    """The components of R(M) at p for the overlattice M of L that a root-free glue
-    group glues, read off D(L) with no overlattice built.
+def long_root_classes(lat: Lattice, p: int, sub: tuple[tuple[int, ...], ...],
+                      gens: tuple) -> frozenset:
+    """S(H): the classes x of `_glue_roots` with p x in H and x in H^perp, for the
+    subgroup H of `discriminant_form(L)` with elements `sub` and generators `gens`."""
+    form = discriminant_form(lat)
+    members = set(sub)
+    pairings = [intmat.mat_vec(form.bnum, g) for g in gens]
+    return frozenset(
+        x for x in _glue_roots(lat, p)[1]
+        if tuple(p * a % o for a, o in zip(x, form.orders)) in members
+        and not any(intmat.vec_dot(x, g) % form.den for g in pairings))
 
-    `sub` is an isotropic subgroup H of `discriminant_form(L)` inside
+
+@kept
+def glue_components(lat: Lattice, p: int, classes: frozenset) -> tuple[roots.RootComponent, ...]:
+    """The components of R(M) at p for the overlattice M of L that a root-free glue
+    group H glues, read off D(L) with no overlattice built, given S(H) as `classes`
+    (`long_root_classes`); split once per (lattice, p, S(H)) and kept on L.
+
+    H is an isotropic subgroup of `discriminant_form(L)` inside
     `root_free_pool` (with 0), as `even_overlattices` returns them, so the
     norm-2 roots of M are those of L.  A long root v of M, of norm 2p with
     (v, M) in pZ, is p w for a dual vector w of L of norm 2/p; with c the
@@ -958,31 +961,9 @@ def glue_components(
     M^dual / L = H^perp).  In integers, c is in H^perp when
     c . (bnum g) = 0 mod den for every generator g of H.  So R(M) depends
     on H only through the set S(H) of the classes of `_glue_roots` that
-    pass both tests (`long_root_classes`, or `classes` when given), and it
-    is split once per (lattice, p, S(H)) (`_glue_split`).
-    """
-    if classes is None:
-        classes = long_root_classes(lat, p, sub)
-    return list(_glue_split(lat, p, classes))
-
-
-def long_root_classes(lat: Lattice, p: int, sub: tuple[tuple[int, ...], ...]) -> frozenset:
-    """S(H): the classes x of `_glue_roots` with p x in H and x in H^perp."""
-    form = discriminant_form(lat)
-    members = set(sub)
-    pairings = [intmat.mat_vec(form.bnum, g) for g in _generators(sub, form.orders)]
-    return frozenset(
-        x for x in _glue_roots(lat, p)[1]
-        if tuple(p * a % o for a, o in zip(x, form.orders)) in members
-        and not any(intmat.vec_dot(x, g) % form.den for g in pairings))
-
-
-@kept
-def _glue_split(lat: Lattice, p: int, classes: frozenset) -> tuple[roots.RootComponent, ...]:
-    """The components of the root system made of the norm-2 roots of L and the long
-    roots of `_glue_roots` in these classes, split once per (lattice, p, class set)
-    and kept on L.  All roots are written in L's dual coordinates G v, where L's
-    adjugate is det(L) times the pairing, as `roots.split_components` reads them.
+    pass both tests.  All roots are written in L's dual coordinates G v, where
+    L's adjugate is det(L) times the pairing, as `roots.split_components` reads
+    them.
     """
     short, long_by_class = _glue_roots(lat, p)
     long_ = [v for x, vecs in long_by_class.items() if x in classes for v in vecs]
@@ -1039,24 +1020,21 @@ def glue_actions(lat: Lattice) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(a for a in dict.fromkeys(found) if a != tuple(eye))
 
 
-def glue_orbits(lat: Lattice, p: int, subs: list[tuple[tuple[int, ...], ...]],
-                classes: list[frozenset] | None = None) -> int:
-    """The number of isometry classes of the overlattices glued by `subs`, groups that
-    all carry one root datum R spanning L, counted as O(L)-orbits.
+def glue_orbits(lat: Lattice, p: int, glue: Mapping[tuple, frozenset]) -> int:
+    """The number of isometry classes of the overlattices glued by the groups of `glue`,
+    which all carry one root datum R spanning L, counted as O(L)-orbits.
 
-    An isometry between two such overlattices maps R, so L, onto itself, and g in
+    `glue` maps the elements of each group H to S(H) (`long_root_classes`).  An
+    isometry between two such overlattices maps R, so L, onto itself, and g in
     O(L) maps the overlattice of H onto that of gH (Nikulin 1979, 1.4).  A group with
-    a long root outside L (p x != 0 for some x of S(H): `long_root_classes`, or
-    classes[i] for subs[i] when given) is dropped: its roots span a copy of L onto
-    which a kept group glues the same lattice, so a lone group is kept.  Each group
-    is merged with its image under each action of `glue_actions` (union-find by
-    relabelling).  ArithmeticError when an image is not in the list.
+    a long root outside L (p x != 0 for some x of S(H)) is dropped: its roots span a
+    copy of L onto which a kept group glues the same lattice, so a lone group is
+    kept.  Each group is merged with its image under each action of `glue_actions`
+    (union-find by relabelling).  ArithmeticError when an image is not in the list.
     """
     form = discriminant_form(lat)
-    if len(subs) > 1:
-        classes = classes or [long_root_classes(lat, p, sub) for sub in subs]
-        subs = [sub for sub, kept in zip(subs, classes) if not any(
-            p * a % o for x in kept for a, o in zip(x, form.orders))]
+    subs = [sub for sub, classes in glue.items() if len(glue) < 2 or not any(
+        p * a % o for x in classes for a, o in zip(x, form.orders))]
     if len(subs) < 2:
         return len(subs)
     index, orbit = {sub: i for i, sub in enumerate(subs)}, list(range(len(subs)))
@@ -1072,10 +1050,9 @@ def glue_orbits(lat: Lattice, p: int, subs: list[tuple[tuple[int, ...], ...]],
     return len(set(orbit))
 
 
-def even_overlattices(
-    lat: Lattice, target_det: int, level: int
-) -> list[tuple[tuple[int, ...], ...]]:
-    """The root-free glue groups of the requested determinant and level, as sorted elements.
+def even_overlattices(lat: Lattice, target_det: int, level: int) -> list[tuple[tuple, tuple]]:
+    """The root-free glue groups of the requested determinant and level, as the
+    (elements, gens) pairs of `isotropic_subgroups`, in its order.
 
     L is positive definite.  Overlattices M with L <= M <= L^dual correspond
     to isotropic subgroups H <= D(L), with [M : L]^2 = |det L| / |det M|, and
@@ -1085,9 +1062,8 @@ def even_overlattices(
     out, and the search keeps a closure only while each of its elements is in
     the pool, as two elements that are not root classes can span one.  An H
     is kept when `glue_level`, the level of H^perp / H read off H's
-    generators (the exponent on the odd part), equals `level`.  The groups
-    come in the order of `isotropic_subgroups`; at index 1 the one group is
-    {0}.  No overlattice is built.
+    generators (the exponent on the odd part), equals `level`.  At index 1
+    the one group is {0}, with no generators.  No overlattice is built.
     """
     d = abs(lat.det())
     t = abs(target_det)
@@ -1099,7 +1075,7 @@ def even_overlattices(
         return []
     form = discriminant_form(lat)
     if m == 1:
-        return [((0,) * len(form.orders),)] if lat.level() == level else []
+        return [(((0,) * len(form.orders),), ())] if lat.level() == level else []
     _pool_scan(form, m)
-    return [sub for sub in isotropic_subgroups(form, m, root_free_pool(lat, m))
-            if glue_level(form, sub) == level]
+    return [found for found in isotropic_subgroups(form, m, root_free_pool(lat, m))
+            if glue_level(form, *found) == level]

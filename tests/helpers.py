@@ -16,9 +16,11 @@ inverse of its Gram, isotropic subgroups come from closures that test q
 on every element they add and, on elementary abelian forms, from the
 closed count of totally singular subspaces (`totally_singular_spaces`),
 the root classes of a discriminant form come from the norm-2 vectors of
-the whole dual, the level of a glue group from a Hermite basis of H^perp
-(`glue_level_by_hermite`), whether a glue group carries a root datum comes
-from the root components of its built overlattice (`carries_datum`), the
+the whole dual, the greedy generators of a subgroup from brute-force spans
+(`greedy_generators`), the level of a glue group from a Hermite basis of
+H^perp spanned by all of H (`glue_level_by_hermite`), whether a glue group
+carries a root datum comes from the root components of its built
+overlattice (`carries_datum`), the
 root data of a rank and weight come from a search over Fraction menus
 rebuilt on every call (`root_data_by_fractions`), the
 matrix identity of a candidate check comes entry by entry from root sums
@@ -329,17 +331,32 @@ def isotropic_subgroups_by_closure(
     return sorted((tuple(sorted(sub)) for sub in results), key=lambda sub: (len(sub), sub))
 
 
+def greedy_generators(sub: tuple[tuple[int, ...], ...], orders: tuple[int, ...]) -> list[tuple]:
+    """The greedy generators of the subgroup with sorted elements `sub`: each element in
+    turn that the generators so far do not span, the span being every combination
+    sum c_i g_i with 0 <= c_i < o_i, built by brute force."""
+    gens, span = [], {tuple(0 for _ in orders)}
+    for h in sub:
+        if h not in span:
+            gens.append(h)
+            span = {tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) % o
+                          for i, o in enumerate(orders))
+                    for coeffs in itertools.product(range(max(orders)), repeat=len(gens))}
+    return gens
+
+
 def glue_level_by_hermite(form: DiscriminantForm, sub: tuple[tuple[int, ...], ...]) -> int:
     """Level of H^perp / H for the isotropic subgroup H of D with elements `sub`, read
     by `DiscriminantForm._level_over` off a Hermite basis of H^perp.
 
-    In integers, on the form's bnum = den B: x lies in H^perp when
-    x . (bnum g) = 0 mod den for every generator g of H.  Those x are the last
-    k entries of the Hermite rows that vanish on the first r, for the rows
-    [((bnum g)_i over the r generators g) | e_i], i < k, and [den e_j | 0], j < r.
+    H is spanned by all of its nonzero elements g.  In integers, on the form's
+    bnum = den B: x lies in H^perp when x . (bnum g) = 0 mod den for every g.
+    Those x are the last k entries of the Hermite rows that vanish on the first
+    r, for the rows [((bnum g)_i over the r elements g) | e_i], i < k, and
+    [den e_j | 0], j < r.
     """
     den, bnum = form.den, form.bnum
-    gens = discforms._generators(sub, form.orders)
+    gens = [g for g in sub if any(g)]
     k, r = len(form.orders), len(gens)
     pairings = [intmat.mat_vec(bnum, g) for g in gens]
     rows = [[c[i] for c in pairings] + [int(i == j) for j in range(k)] for i in range(k)]

@@ -106,7 +106,7 @@ def test_solved_families():
         ok = ok and res.cp == p * res.c1 and res.k == (34 - 2 * p) * res.c1
     base = CAT.build("E7").direct_sum(Lattice([[2 * 5]], name="A1(5)"))
     over = [glue_overlattice(base, discriminant_form(base), sub)
-            for sub in even_overlattices(base, 5, 5)]
+            for sub, _ in even_overlattices(base, 5, 5)]
     ok = ok and len(over) == 1
     res = solve_candidates(over[0], 5)
     ok = ok and res.status == "ray"

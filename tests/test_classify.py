@@ -537,9 +537,11 @@ def test_root_datum_search_is_charged_by_node(monkeypatch, p, listed, nodes):
 def test_integer_menus_match_the_fraction_search(rank, p, mults, k):
     """The search over the kept integer menus lists the data of a search over
     Fraction menus, and visits the same nodes: at a budget of that many it
-    finishes, and at one fewer it raises."""
+    finishes, and at one fewer it raises.  The component table is built first, as
+    its rank^2 charge is a count of its own, which can pass the nodes at rank 11."""
     c1, cp = mults
     want, nodes = root_data_by_fractions(rank, p, c1, cp, k)
+    classify_mod._component_table(rank, p)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(discforms, "BUDGET", nodes)
         assert class_number_rootsystems(rank, p, c1, cp, k) == want
@@ -649,7 +651,7 @@ def test_a_cold_count_splits_once_per_set_of_long_root_classes():
             continue
         expr = "+".join(table[c][1] for c in datum["components"])
         lat = cat.parse(expr)
-        for sub in discforms.even_overlattices(lat, 3**4, 3):
+        for sub, _ in discforms.even_overlattices(lat, 3**4, 3):
             groups += 1
             sets.add((expr, _long_root_classes(lat, 3, sub)))
     assert (groups, len(sets)) == (46, 6)
@@ -751,9 +753,10 @@ ORBIT_COUNTS = [
 ]
 
 
-def _datum_glue(args, cat: Catalog) -> list[tuple[dict, Lattice, list]]:
-    """(datum, L, the glue groups that carry it) for each root datum of a request whose
-    determinant passes the filter of `count_classes`, read as it reads them."""
+def _datum_glue(args, cat: Catalog) -> list[tuple[dict, Lattice, dict]]:
+    """(datum, L, the glue groups that carry it, each mapped to S(H)) for each root datum
+    of a request whose determinant passes the filter of `count_classes`, read as it
+    reads them."""
     rank, p, c1, cp, k, n_p = args
     target, level = p**n_p, p if n_p else 1
     table = classify_mod._component_table(rank, p)
@@ -762,8 +765,11 @@ def _datum_glue(args, cat: Catalog) -> list[tuple[dict, Lattice, list]]:
         if datum["det"] % target or not classify_mod._is_square(datum["det"] // target):
             continue
         lat = cat.parse("+".join(table[c][1] for c in datum["components"]))
-        glue = [sub for sub in discforms.even_overlattices(lat, target, level)
-                if classify_mod._carries(discforms.glue_components(lat, p, sub), datum)]
+        glue = {}
+        for sub, gens in discforms.even_overlattices(lat, target, level):
+            classes = discforms.long_root_classes(lat, p, sub, gens)
+            if classify_mod._carries(discforms.glue_components(lat, p, classes), datum):
+                glue[sub] = classes
         found.append((datum, lat, glue))
     return found
 
@@ -775,10 +781,10 @@ def test_a_class_number_counts_orbits_and_builds_no_overlattice(args, want, monk
     2U+2E8+A2 (18, 3, 1, 27, 48, 1), which the histograms took minutes on, gives 6."""
     inner, steps = discforms.glue_orbits, []
 
-    def spied(lat, p, subs, classes=None):
+    def spied(lat, p, glue):
         with short_vector_calls() as calls, lattice_builds() as built:
-            count = inner(lat, p, subs, classes)
-        steps.append((len(subs), calls, built))
+            count = inner(lat, p, glue)
+        steps.append((len(glue), calls, built))
         return count
 
     monkeypatch.setattr(discforms, "glue_orbits", spied)
@@ -794,9 +800,9 @@ def test_a_count_reads_the_long_root_classes_once_per_group(monkeypatch):
     `glue_orbits`, which read it again for none."""
     inner, calls = discforms.long_root_classes, []
 
-    def spied(lat, p, sub):
+    def spied(lat, p, sub, gens):
         calls.append(sub)
-        return inner(lat, p, sub)
+        return inner(lat, p, sub, gens)
 
     args = (16, 2, 1, 8, 36, 4)
     groups = sum(len(discforms.even_overlattices(lat, 2**4, 2))
@@ -804,6 +810,30 @@ def test_a_count_reads_the_long_root_classes_once_per_group(monkeypatch):
     monkeypatch.setattr(discforms, "long_root_classes", spied)
     assert class_number(*args, catalog=Catalog()) == 11
     assert len(calls) == groups == 282
+
+
+def test_a_count_builds_each_subgroup_only_inside_the_search(monkeypatch):
+    """After a cold count of 2U+E8+2D4 (16, 2, 1, 8, 36, 4), every `_closure` call was
+    made inside `isotropic_subgroups`: the level and the long-root classes of each
+    glue group are read off the generators the search handed out, not rebuilt."""
+    closure, search, depth, outside = discforms._closure, discforms.isotropic_subgroups, [], []
+
+    def spied_closure(base, new, orders):
+        if not depth:
+            outside.append(new)
+        return closure(base, new, orders)
+
+    def spied_search(form, order, pool):
+        depth.append(order)
+        try:
+            return search(form, order, pool)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(discforms, "_closure", spied_closure)
+    monkeypatch.setattr(discforms, "isotropic_subgroups", spied_search)
+    assert class_number(16, 2, 1, 8, 36, 4, catalog=Catalog()) == 11
+    assert not outside
 
 
 def _long_data(rank: int, p: int, k: int) -> list[dict]:
@@ -847,8 +877,9 @@ def test_a_datum_with_long_roots_carries_no_unimodular_glue(p):
         except discforms.BudgetExceeded:
             continue
         finished += 1
-        assert not any(classify_mod._carries(discforms.glue_components(lat, p, sub), datum)
-                       for sub in glue)
+        comps = [discforms.glue_components(lat, p, discforms.long_root_classes(lat, p, *found))
+                 for found in glue]
+        assert not any(classify_mod._carries(c, datum) for c in comps)
     assert finished == {2: 14, 3: 3}[p]
 
 
@@ -928,7 +959,8 @@ def test_the_orbits_refine_the_histograms(args):
         p = args[1]
         classes = glue_fingerprints(lat, p, glue)
         assert discforms.glue_orbits(lat, p, glue) == len(classes)
-        assert all(discforms.glue_orbits(lat, p, subs) == 1 for subs in classes.values())
+        assert all(discforms.glue_orbits(lat, p, {sub: glue[sub] for sub in subs}) == 1
+                   for subs in classes.values())
 
 
 # (8, 2, 1, 1, 28, 6) has a root-free glue group of level 2 that carries no datum
@@ -943,10 +975,12 @@ def test_the_glue_that_carries_a_datum_is_the_glue_whose_overlattice_carries_it(
         expr = "+".join(spans[c] for c in datum["components"])
         lat = direct_sum([summand[3] for summand in default_catalog().summands(expr)])
         form = discforms.discriminant_form(lat)
-        for sub in discforms.even_overlattices(lat, p**n_p, p):
+        for sub, gens in discforms.even_overlattices(lat, p**n_p, p):
             over = discforms.glue_overlattice(lat, form, sub)
-            assert classify_mod._carries(discforms.glue_components(lat, p, sub), datum) == (
-                carries_datum(over, p, datum)), (datum["components"], sub)
+            classes = discforms.long_root_classes(lat, p, sub, gens)
+            comps = discforms.glue_components(lat, p, classes)
+            assert classify_mod._carries(comps, datum) == carries_datum(over, p, datum), (
+                datum["components"], sub)
 
 
 def test_class_number_leaves_no_garbage_cycle():

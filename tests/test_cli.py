@@ -647,9 +647,10 @@ def test_classnumber_of_a_genus_that_does_not_exist_exits_one(capsys):
 
 
 def test_classnumber_of_a_huge_rank_exits_three(capsys):
-    """At rank 2000 the root datum search passes its node budget, on an explicit
-    stack, long before Python's recursion limit could matter."""
-    argv = ["classnumber", "--rank", "2000", "--prime", "3", "--c1", "1", "--cp", "1",
+    """At rank 1000, the largest whose component table passes the budget, the root datum
+    search passes its node budget on an explicit stack; a recursive search would reach
+    Python's recursion limit of 1000 frames."""
+    argv = ["classnumber", "--rank", "1000", "--prime", "3", "--c1", "1", "--cp", "1",
             "--k", "12", "--np", "1"]
     start = time.perf_counter()
     code, out, err = run_cli_err(argv, capsys)
@@ -658,6 +659,21 @@ def test_classnumber_of_a_huge_rank_exits_three(capsys):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert out == ""
+
+
+def test_classnumber_charges_the_component_table_before_it_is_built(capsys):
+    """The component table of rank r holds a determinant of every rank up to r, so r^2
+    operations are charged before it is built: rank 100000 exits 3 within a second,
+    with one stderr line, and the table keeps no entry for it."""
+    argv = ["classnumber", "--rank", "100000", "--prime", "2", "--c1", "1", "--cp", "0",
+            "--k", "12", "--np", "0"]
+    tables = classify_mod._component_table.cache_info().currsize
+    start = time.perf_counter()
+    code, out, err = run_cli_err(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("budget exceeded: component table: ") and len(err.splitlines()) == 1
+    assert classify_mod._component_table.cache_info().currsize == tables
 
 
 @pytest.mark.parametrize(
@@ -669,11 +685,14 @@ def test_classnumber_of_a_huge_rank_exits_three(capsys):
         # 2U+D8 at (0, 1, 4), whose search passes the default budget after about 1 s
         ("classnumber --rank 8 --prime 2 --c1 0 --cp 1 --k 4 --np 2", 10**5,
          "isotropic subgroup search"),
-        ("classnumber --rank 2000 --prime 3 --c1 1 --cp 1 --k 12 --np 1", None,
+        ("classnumber --rank 1000 --prime 3 --c1 1 --cp 1 --k 12 --np 1", None,
          "root datum search"),
+        ("classnumber --rank 1001 --prime 3 --c1 1 --cp 1 --k 12 --np 1", None,
+         "component table"),
         ("lattice --lattice 99999A1", None, "Gram check of '99999A1'"),
     ],
-    ids=["value-walk", "pool-scan", "subgroup-search", "root-datum-search", "gram-check"],
+    ids=["value-walk", "pool-scan", "subgroup-search", "root-datum-search", "component-table",
+         "gram-check"],
 )
 def test_each_budgeted_search_exits_three_naming_itself(argv, budget, what, monkeypatch, capsys):
     """Every search that can reach the budget stops at it through `discforms.charge`:

@@ -27,6 +27,7 @@ from helpers import (
     glue_fingerprints,
     glue_level_by_hermite,
     genus_rejection,
+    greedy_generators,
     in_random_basis,
     isometry_generators,
     isotropic_elements,
@@ -61,6 +62,7 @@ from reflector.discforms import (
     glue_overlattice,
     is_prime,
     isotropic_subgroups,
+    long_root_classes,
     milgram_formula,
     candidate_form,
     elementary_count_norm,
@@ -651,7 +653,7 @@ def test_even_overlattice_search_finds_the_index_two_glue():
     """E7 + A1(5) sits inside a unique even lattice of determinant 5."""
     found = even_overlattices(_e7_a1_5(), 5, 5)
     assert len(found) == 1
-    over = glue_overlattice(_e7_a1_5(), discforms.discriminant_form(_e7_a1_5()), found[0])
+    over = glue_overlattice(_e7_a1_5(), discforms.discriminant_form(_e7_a1_5()), found[0][0])
     assert over.det() == 5
     assert over.level() == 5
     assert over.is_positive_definite()
@@ -692,7 +694,7 @@ def test_isotropic_lines_of_elementary_abelian_forms(p, n_p, eps):
     form = candidate_form(p, n_p, eps)
     lines = isotropic_subgroups(form, p, isotropic_pool(form, p))
     assert len(lines) * (p - 1) == form.count_norm(0)
-    assert all(len(line) == p for line in lines)
+    assert all(len(line) == p for line, _ in lines)
     disc = prod(form.bnum[i][i] // 2 for i in range(n_p))  # the blocks <2 a_i / p>
     w = witt_index(p, n_p, eps, disc)
     for k in range(n_p + 1):
@@ -739,9 +741,12 @@ def test_isotropic_subgroups_match_closure_oracle(case, order):
         except BudgetExceeded:
             return BudgetExceeded
 
+    def elements(form, order, pool):
+        return [sub for sub, _ in isotropic_subgroups(form, order, pool)]
+
     want = outcome(isotropic_subgroups_by_closure, form.orders, gram, order, 10**5)
     with search_budget(10**5):
-        assert outcome(isotropic_subgroups, form, order, isotropic_pool(form, order)) == want
+        assert outcome(elements, form, order, isotropic_pool(form, order)) == want
 
 
 @pytest.mark.parametrize("expr, order, pool", [("4D4", 4, root_free_pool), ("E6(3)", 9, None)])
@@ -749,7 +754,8 @@ def test_the_search_extends_each_subgroup_by_its_next_greedy_generator(
         expr, order, pool, monkeypatch):
     """Every closure <S, x> the search builds has x after the last greedy generator
     of S, so each subgroup is built from its greedy prefix alone and none twice,
-    whatever the order of the pool it is given."""
+    whatever the order of the pool it is given; the generators handed out with each
+    subgroup are its greedy generators, as brute-force spans find them."""
     lat = Catalog().parse(expr)
     form = discforms.discriminant_form(lat)
     pool = pool(lat, order) if pool else isotropic_pool(form, order)
@@ -764,7 +770,8 @@ def test_the_search_extends_each_subgroup_by_its_next_greedy_generator(
     monkeypatch.undo()
     assert found and calls
     for base, new in calls:
-        assert len(base) == 1 or new > discforms._generators(tuple(sorted(base)), form.orders)[-1]
+        assert len(base) == 1 or new > greedy_generators(sorted(base), form.orders)[-1]
+    assert all(list(gens) == greedy_generators(sub, form.orders) for sub, gens in found)
     assert isotropic_subgroups(form, order, pool=pool) == found
 
 
@@ -792,9 +799,9 @@ def test_glue_level_is_the_level_of_the_built_overlattice(expr, orders):
         orders = [m for m in range(2, isqrt(size) + 1) if size % (m * m) == 0]
     levels = set()
     for m in orders:
-        for sub in isotropic_subgroups(form, m, isotropic_pool(form, m)):
+        for sub, gens in isotropic_subgroups(form, m, isotropic_pool(form, m)):
             over = glue_overlattice(lat, form, sub)
-            assert glue_level(form, sub) == over.level(), (expr, sub)
+            assert glue_level(form, sub, gens) == over.level(), (expr, sub)
             assert abs(over.det()) * m * m == size
             levels.add(over.level())
     if expr != "E7+A1(2)":  # its discriminant form (2, 4) has no isotropic glue
@@ -831,12 +838,12 @@ def test_level_filter_equals_filtering_the_built_overlattices(expr, p, level, ta
     form = discforms.discriminant_form(lat)  # the presentation the search walks
     m = isqrt(abs(lat.det()) // target)
     built = [glue_overlattice(lat, form, sub)
-             for sub in isotropic_subgroups(form, m, isotropic_pool(form, m))]
+             for sub, _ in isotropic_subgroups(form, m, isotropic_pool(form, m))]
     at_level = [over for over in built if over.level() == level]
     assert at_level
     roots_of_lat = _norm_2_count(lat)
     want = [over for over in at_level if _norm_2_count(over) == roots_of_lat]
-    got = [glue_overlattice(lat, form, sub) for sub in even_overlattices(lat, target, level)]
+    got = [glue_overlattice(lat, form, sub) for sub, _ in even_overlattices(lat, target, level)]
     assert got == want
 
 
@@ -857,9 +864,10 @@ def test_glue_components_are_those_of_the_built_overlattice(expr, p, level, targ
     the overlattice the group glues."""
     lat = parse_lattice(expr, CAT)
     form = discforms.discriminant_form(lat)
-    for sub in even_overlattices(lat, target, level):
+    for sub, gens in even_overlattices(lat, target, level):
         over = glue_overlattice(lat, form, sub)
-        assert glue_components(lat, p, sub) == root_components(over, p), sub
+        classes = long_root_classes(lat, p, sub, gens)
+        assert glue_components(lat, p, classes) == tuple(root_components(over, p)), sub
 
 
 @pytest.mark.parametrize("expr, p, level, target", [c for c in LEVEL_FILTER_CASES if c[1] != c[2]])
@@ -869,11 +877,12 @@ def test_glue_components_find_the_long_roots_at_other_levels(expr, p, level, tar
     (v, M) in pZ, found by a box sweep."""
     lat = parse_lattice(expr, CAT)
     form = discforms.discriminant_form(lat)
-    for sub in even_overlattices(lat, target, level):
+    for sub, gens in even_overlattices(lat, target, level):
         gram = [list(row) for row in glue_overlattice(lat, form, sub).gram]
         want = [v for v in box_vectors_by_norm(gram, 2 * p).get(2 * p, [])
                 if all(sum(map(mul, row, v)) % p == 0 for row in gram)]
-        assert sum(c.count_long for c in glue_components(lat, p, sub)) == len(want), sub
+        comps = glue_components(lat, p, long_root_classes(lat, p, sub, gens))
+        assert sum(c.count_long for c in comps) == len(want), sub
 
 
 def test_the_long_roots_of_8a1_glue_are_split_across_two_parts():
@@ -884,8 +893,9 @@ def test_the_long_roots_of_8a1_glue_are_split_across_two_parts():
     across the parts of L.
     """
     lat = parse_lattice("8A1", CAT)
-    [sub] = even_overlattices(lat, 2**6, 2)
-    assert [c.name for c in glue_components(lat, 2, sub)] == ["B8"]
+    [(sub, gens)] = even_overlattices(lat, 2**6, 2)
+    assert [c.name for c in glue_components(lat, 2, long_root_classes(lat, 2, sub, gens))] == [
+        "B8"]
     _, long_by_class = discforms._glue_roots(lat, 2)
     long_ = [v for vecs in long_by_class.values() for v in vecs]
     assert len(long_) == 56
@@ -934,9 +944,10 @@ def test_glue_components_match_the_built_overlattice_on_small_sums(case):
             glue = even_overlattices(lat, det // (m * m), p)
         except BudgetExceeded:
             continue
-        for sub in glue:
+        for sub, gens in glue:
             over = glue_overlattice(lat, form, sub)
-            assert glue_components(lat, p, sub) == root_components(over, p), (m, sub)
+            classes = long_root_classes(lat, p, sub, gens)
+            assert glue_components(lat, p, classes) == tuple(root_components(over, p)), (m, sub)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -965,10 +976,10 @@ def test_glue_level_matches_the_hermite_oracle_on_small_sums(case):
                 glue = isotropic_subgroups(form, m, root_free_pool(lat, m))
             except BudgetExceeded:
                 continue
-            assert [glue_level(form, sub) for sub in subs] == [
-                glue_level_by_hermite(form, sub) for sub in subs], (expr, m)
+            assert [glue_level(form, sub, gens) for sub, gens in subs] == [
+                glue_level_by_hermite(form, sub) for sub, _ in subs], (expr, m)
             assert even_overlattices(lat, det // (m * m), p) == [
-                sub for sub in glue if glue_level_by_hermite(form, sub) == p]
+                found for found in glue if glue_level_by_hermite(form, found[0]) == p]
 
 
 def test_glue_level_runs_no_hermite_form(monkeypatch):
@@ -979,14 +990,14 @@ def test_glue_level_runs_no_hermite_form(monkeypatch):
     groups = []
     for expr, m in cases:
         form = discforms.discriminant_form(parse_lattice(expr, CAT))
-        groups += [(form, sub) for sub in isotropic_subgroups(form, m, isotropic_pool(form, m))]
-    want = [glue_level_by_hermite(form, sub) for form, sub in groups]
+        groups += [(form, found) for found in isotropic_subgroups(form, m, isotropic_pool(form, m))]
+    want = [glue_level_by_hermite(form, sub) for form, (sub, _) in groups]
 
     def refuse(rows):
         raise AssertionError("glue_level ran a Hermite form")
 
     monkeypatch.setattr(intmat, "row_hermite_form", refuse)
-    assert len(groups) > 5 and [glue_level(form, sub) for form, sub in groups] == want
+    assert len(groups) > 5 and [glue_level(form, *found) for form, found in groups] == want
 
 
 def _filtered_pool(lat, order):
@@ -1001,7 +1012,7 @@ def _filtered_glue(lat, order, level):
     """The glue groups of the search over the filtered pool, kept at `level`."""
     form = discforms.discriminant_form(lat)
     found = isotropic_subgroups(form, order, pool=_filtered_pool(lat, order))
-    return [sub for sub in found if glue_level(form, sub) == level]
+    return [pair for pair in found if glue_level(form, *pair) == level]
 
 
 def _assert_root_free_pool_is_filtered(lat, order, level):
@@ -1063,8 +1074,8 @@ def test_d8_d8_glues_to_both_unimodular_lattices():
     """
     lat = parse_lattice("D8+D8", CAT)
     form = DiscriminantForm.from_lattice(lat)
-    subs = [sub for sub in isotropic_subgroups(form, 4, isotropic_pool(form, 4))
-            if glue_level(form, sub) == 1]
+    subs = [sub for sub, gens in isotropic_subgroups(form, 4, isotropic_pool(form, 4))
+            if glue_level(form, sub, gens) == 1]
     assert len(subs) == 6
     found = [glue_overlattice(lat, form, sub) for sub in subs]
     names = [sorted(c.name for c in root_components(over, 2)) for over in found]
@@ -1079,10 +1090,11 @@ def test_the_d8_d8_glue_falls_into_two_orbits():
     swap of the two D8's mixes them."""
     lat = parse_lattice("D8+D8", CAT)
     form = discforms.discriminant_form(lat)
-    subs = [sub for sub in isotropic_subgroups(form, 4, isotropic_pool(form, 4))
-            if glue_level(form, sub) == 1]
-    assert len(subs) == 6
-    assert discforms.glue_orbits(lat, 2, subs) == 2
+    glue = {sub: long_root_classes(lat, 2, sub, gens)
+            for sub, gens in isotropic_subgroups(form, 4, isotropic_pool(form, 4))
+            if glue_level(form, sub, gens) == 1}
+    assert len(glue) == 6
+    assert discforms.glue_orbits(lat, 2, glue) == 2
     assert set(discforms.glue_actions(lat)) == actions_on_glue(lat, isometry_generators(lat))
 
 
@@ -1110,9 +1122,10 @@ def test_the_reflections_of_a_rescaled_root_lattice_act_on_its_glue(expr, order,
     group is dropped.  The kept actions are the images of the n x n generators."""
     lat = parse_lattice(expr, CAT)
     form = discforms.discriminant_form(lat)
-    subs = isotropic_subgroups(form, order, isotropic_pool(form, order))
-    assert len(subs) == groups and not discforms._glue_roots(lat, 7)[1]
-    assert discforms.glue_orbits(lat, 7, subs) == orbits == len(glue_fingerprints(lat, 7, subs))
+    glue = {sub: long_root_classes(lat, 7, sub, gens)
+            for sub, gens in isotropic_subgroups(form, order, isotropic_pool(form, order))}
+    assert len(glue) == groups and not discforms._glue_roots(lat, 7)[1]
+    assert discforms.glue_orbits(lat, 7, glue) == orbits == len(glue_fingerprints(lat, 7, glue))
     assert set(discforms.glue_actions(lat)) == actions_on_glue(lat, isometry_generators(lat))
 
 
@@ -1170,9 +1183,9 @@ def test_avoided_elements_drop_exactly_the_subgroups_that_meet_them(case, data):
     """The search over the walked pool without a set returns the full search's
     subgroups that miss it, in order."""
     form, order, full = case
-    elements = sorted({x for sub in full for x in sub if any(x)})
+    elements = sorted({x for sub, _ in full for x in sub if any(x)})
     avoid = frozenset(data.draw(st.lists(st.sampled_from(elements), max_size=4)))
-    want = [sub for sub in full if avoid.isdisjoint(sub)]
+    want = [found for found in full if avoid.isdisjoint(found[0])]
     pool = [x for x in isotropic_pool(form, order) if x not in avoid]
     with search_budget(10**5):
         assert isotropic_subgroups(form, order, pool) == want
@@ -1319,7 +1332,7 @@ def _glue_grams(lat: Lattice, form: DiscriminantForm, m: int):
             subs = isotropic_subgroups(form, m, isotropic_pool(form, m))
     except BudgetExceeded:
         return "budget"
-    return sorted(glue_overlattice(lat, form, sub).gram for sub in subs)
+    return sorted(glue_overlattice(lat, form, sub).gram for sub, _ in subs)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1428,10 +1441,11 @@ def test_a_sum_of_joined_terms_walks_nothing():
     smith = DiscriminantForm.from_lattice(lat)
     classes = root_classes_by_dual_enumeration(lat, smith, 3)
     pool = [x for x in isotropic_pool(smith, 3) if x not in classes]
-    want = [sub for sub in isotropic_subgroups(smith, 3, pool=pool) if glue_level(smith, sub) == 3]
+    want = [sub for sub, gens in isotropic_subgroups(smith, 3, pool=pool)
+            if glue_level(smith, sub, gens) == 3]
     form = discforms.discriminant_form(lat)
     assert len(subs) == len(want) == 1
-    assert (sorted(glue_overlattice(lat, form, sub).gram for sub in subs)
+    assert (sorted(glue_overlattice(lat, form, sub).gram for sub, _ in subs)
             == sorted(glue_overlattice(lat, smith, sub).gram for sub in want))
 
 

@@ -257,7 +257,8 @@ def test_a_worked_sum_is_freed_by_its_reference_count():
                                  (reflcheck.solve_candidates.__wrapped__, 3)}
         discforms.discriminant_form(lat)
         glue = discforms.even_overlattices(lat, 3**6, 3)
-        components = [discforms.glue_components(lat, 3, sub) for sub in glue]
+        components = [discforms.glue_components(lat, 3, discforms.long_root_classes(lat, 3, *found))
+                      for found in glue]
         gone = weakref.ref(lat)
         del lat
         assert gone() is None

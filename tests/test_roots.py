@@ -155,7 +155,7 @@ def test_long_roots_of_level_4_glue_agree_with_glue_components():
     form = discforms.discriminant_form(lat)
     glue = discforms.even_overlattices(lat, 4**5, 4)
     assert len(glue) == 9
-    for i, sub in enumerate(glue):
+    for i, (sub, gens) in enumerate(glue):
         over = discforms.glue_overlattice(lat, form, sub)
         assert over.level() == 4
         r1, r2 = table_roots(over, 2)
@@ -165,7 +165,8 @@ def test_long_roots_of_level_4_glue_agree_with_glue_components():
             assert signed_roots(over, 2)[1] == box_long_roots(over, 2)
         comps = root_components(over, 2)
         assert [(c.name, c.count_long) for c in comps] == [("D8(2)", 112)]
-        assert comps == discforms.glue_components(lat, 2, sub)
+        classes = discforms.long_root_classes(lat, 2, sub, gens)
+        assert tuple(comps) == discforms.glue_components(lat, 2, classes)
 
 
 # the classical Coxeter numbers (Bourbaki, Lie groups, ch. VI, planches)
@@ -495,9 +496,9 @@ def test_root_data_are_the_glue_components_at_the_trivial_group(model):
         data = root_data(lat, p)
     except ValueError:
         with pytest.raises(ValueError):
-            discforms.glue_components(lat, p, (zero,))
+            discforms.glue_components(lat, p, discforms.long_root_classes(lat, p, (zero,), ()))
         return
-    comps = discforms.glue_components(lat, p, (zero,))
+    comps = discforms.glue_components(lat, p, discforms.long_root_classes(lat, p, (zero,), ()))
     assert data.components == tuple(comps), (terms, p)
     assert sum(c.count_short for c in comps) == 2 * data.positive_short
     assert sum(c.count_long for c in comps) == 2 * data.positive_long

@@ -131,4 +131,4 @@ def test_the_sweep_covers_the_2u_rows_and_runs_one(monkeypatch):
         record = sweep.run_row(row, sweep.SRC, cache)
         assert stamps() == warm
     assert (record["exit"], record["count"]) == (0, 1)
-    assert record["wall_s"] > 0 and record["maxrss_mb"] > 0
+    assert record["wall_s"] > 0 and record["cpu_s"] > 0 and record["maxrss_mb"] > 0

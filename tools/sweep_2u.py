@@ -11,8 +11,11 @@ II_{n,2}(p^{eps n_p}), it runs
 
 in a fresh interpreter, stops it after CAP = 30 seconds, and records the exit
 code (None when the cap stopped it), the class number it printed, its wall
-time and its peak resident memory (`ru_maxrss` of the child, read by
-`os.wait4`), with the first line of its standard error when it failed.  One
+time, its CPU time and its peak resident memory (`ru_utime + ru_stime` and
+`ru_maxrss` of the child, read by `os.wait4`), with the first line of its
+standard error when it failed.  On a shared machine the wall time of one row
+spreads far more between sweeps than its CPU time, so compare rows by
+`cpu_s`.  One
 JSON object per row goes to standard output as the row finishes; --out
 writes the whole list as one JSON file.  The rows run one at a time, so at
 most one child is alive.
@@ -116,7 +119,8 @@ def run_row(row, src: Path, cache: str) -> dict:
         stdout, stderr = out.read().decode(), err.read().decode()
     record = {"model": model, "genus": genus, "c1": c1, "cp": cp, "k": k, "exit": code,
               "count": json.loads(stdout)["class_number"] if code == 0 else None,
-              "wall_s": round(wall_s, 3), "maxrss_mb": round(usage.ru_maxrss / 1024, 2)}
+              "wall_s": round(wall_s, 3), "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
+              "maxrss_mb": round(usage.ru_maxrss / 1024, 2)}
     if code is None:
         record["message"] = f"stopped after {CAP} s"
     elif code != 0:
